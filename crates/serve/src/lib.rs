@@ -26,6 +26,11 @@
 //!   Observation never feeds back into execution, so result lines are
 //!   byte-identical with observability on or off.
 //!
+//! The line protocol both modes speak is [`protocol`]; socket mode's
+//! connection layer — accept loop, bounded request lines, one reply
+//! writer per connection that sends each burst of results in one
+//! segment — is [`listen`].
+//!
 //! Results carry a parity digest (FNV-1a of the machine's canonical
 //! parity string), so "served run == one-shot run" is a one-field
 //! comparison; the integration tests hold the whole result line to that
@@ -33,7 +38,9 @@
 
 pub mod cache;
 pub mod json;
+pub mod listen;
 pub mod obs;
+pub mod protocol;
 pub mod queue;
 pub mod spec;
 
@@ -148,6 +155,15 @@ fn elapsed_us(t: Instant) -> u64 {
     u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
+/// One queued job: the spec, when it was enqueued, and the channel its
+/// outcome goes back on — the batch collector, or the reply writer of
+/// the connection that submitted it.
+pub(crate) struct Submission {
+    pub(crate) spec: JobSpec,
+    pub(crate) enqueued_at: Instant,
+    pub(crate) reply: mpsc::Sender<JobOutcome>,
+}
+
 /// The resident service: cache + cancellation registry + optional
 /// observability hub. One instance outlives many batches; the prefix
 /// cache persists across them.
@@ -247,6 +263,13 @@ impl Server {
     /// spans. All observability is recorded on the side — the machine,
     /// slice loop and result line are untouched by it.
     pub fn run_job_ctx(&self, spec: &JobSpec, ctx: JobCtx) -> JobOutcome {
+        self.execute(spec, ctx).0
+    }
+
+    /// Runs one job and returns its outcome together with the machine
+    /// it ran on, so a worker can deliver the outcome first and pay for
+    /// tearing the machine down afterwards.
+    fn execute(&self, spec: &JobSpec, ctx: JobCtx) -> (JobOutcome, Machine) {
         let started = Instant::now();
         let seq = self.obs.as_ref().map_or(0, |o| o.next_job_seq());
         let queue_wait_us = ctx.enqueued_at.map(|t| {
@@ -408,11 +431,40 @@ impl Server {
             }
         }
 
-        JobOutcome {
+        let outcome = JobOutcome {
             id: spec.id.clone(),
             status,
             line,
             log,
+        };
+        (outcome, m)
+    }
+
+    /// One worker's life, shared by batch and listen mode: pop a
+    /// submission, run it, hand the outcome to whoever waits for it,
+    /// and only then free the machine — teardown of a large machine is
+    /// a measurable share of a short job and must not sit in front of
+    /// the reply. Returns once `queue` is closed and drained.
+    pub(crate) fn work(&self, worker: usize, queue: &JobQueue<Submission>) {
+        let mut idle_since = Instant::now();
+        while let Some(sub) = queue.pop() {
+            let busy_since = Instant::now();
+            if let Some(obs) = &self.obs {
+                obs.worker_idle(worker, elapsed_us(idle_since));
+            }
+            let ctx = JobCtx {
+                worker,
+                enqueued_at: Some(sub.enqueued_at),
+            };
+            let (outcome, machine) = self.execute(&sub.spec, ctx);
+            // A receiver that is gone (a disconnected client) just
+            // drops its results.
+            let _ = sub.reply.send(outcome);
+            drop(machine);
+            if let Some(obs) = &self.obs {
+                obs.worker_busy(worker, elapsed_us(busy_since));
+            }
+            idle_since = Instant::now();
         }
     }
 
@@ -435,38 +487,21 @@ impl Server {
         let mut done = 0;
         thread::scope(|s| {
             for worker in 0..workers.max(1) {
-                let tx = tx.clone();
                 let queue = &queue;
-                s.spawn(move || {
-                    let mut idle_since = Instant::now();
-                    while let Some((enqueued_at, spec)) = queue.pop() {
-                        let spec: JobSpec = spec;
-                        let busy_since = Instant::now();
-                        if let Some(obs) = &self.obs {
-                            obs.worker_idle(worker, elapsed_us(idle_since));
-                        }
-                        let ctx = JobCtx {
-                            worker,
-                            enqueued_at: Some(enqueued_at),
-                        };
-                        let outcome = self.run_job_ctx(&spec, ctx);
-                        if let Some(obs) = &self.obs {
-                            obs.worker_busy(worker, elapsed_us(busy_since));
-                        }
-                        idle_since = Instant::now();
-                        if tx.send(outcome).is_err() {
-                            break;
-                        }
-                    }
-                });
+                s.spawn(move || self.work(worker, queue));
             }
-            drop(tx);
             for spec in specs {
                 let priority = spec.priority;
-                if !queue.push(priority, (Instant::now(), spec)) {
+                let submission = Submission {
+                    spec,
+                    enqueued_at: Instant::now(),
+                    reply: tx.clone(),
+                };
+                if !queue.push(priority, submission) {
                     break;
                 }
             }
+            drop(tx);
             queue.close();
             for outcome in rx {
                 done += 1;

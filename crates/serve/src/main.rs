@@ -14,7 +14,9 @@
 //! the Prometheus text exposition terminated by a `# EOF` line;
 //! `{"dump"}` (or `{"dump": true}`) answers with the flight recorder's
 //! NDJSON events terminated by a `{"dump_complete": N}` line;
-//! `{"shutdown": true}` (socket mode) drains the queue and exits.
+//! `{"shutdown": true}` (socket mode) drains the queue and exits. On a
+//! socket a request line may be at most 1 MiB; a longer one is answered
+//! with an error line and ends that connection.
 //!
 //! **Result lines** go to stdout in batch mode and to the submitting
 //! connection in socket mode — every input job yields exactly one.
@@ -29,20 +31,15 @@
 //! `--trace-out` writes per-job lifecycle spans as Chrome `trace_event`
 //! JSON (loadable in Perfetto).
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::TcpListener;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread;
-use std::time::Instant;
 
 use ultra_obs::flight::FlightLevel;
-use ultra_serve::json::{parse_object, Json};
-use ultra_serve::obs::{JobPhase, ObsOptions, ServeObs};
-use ultra_serve::queue::JobQueue;
-use ultra_serve::spec::JobSpec;
-use ultra_serve::{error_line, JobCtx, JobOutcome, JobStatus, Server};
+use ultra_serve::listen;
+use ultra_serve::obs::ObsOptions;
+use ultra_serve::protocol::{classify, Request};
+use ultra_serve::Server;
 
 const DEFAULT_WORKERS: usize = 2;
 const DEFAULT_QUEUE_CAP: usize = 64;
@@ -160,96 +157,6 @@ fn write_artifacts(server: &Server, opts: &Options) {
     }
 }
 
-/// What one protocol line meant.
-enum Classified {
-    /// A job to enqueue.
-    Job(JobSpec),
-    /// A blank line, comment, or control line already acted on.
-    Control,
-    /// A `{"shutdown": true}` request (socket mode drains and exits; in
-    /// a batch the end of file is the shutdown, so it is a no-op there).
-    Shutdown,
-    /// A `{"metrics"}` request for the Prometheus exposition.
-    Metrics,
-    /// A `{"dump"}` request for the flight recorder's contents.
-    Dump,
-}
-
-/// Parses one protocol line, applying `{"cancel": ...}` control lines to
-/// the server immediately. `Err` carries a rendered error result line.
-fn classify_line(server: &Server, line: &str, lineno: usize) -> Result<Classified, String> {
-    let trimmed = line.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
-        return Ok(Classified::Control);
-    }
-    // Bare control literals — accepted before JSON parsing because the
-    // brace-only shorthand is not a valid JSON object.
-    if trimmed == "{\"metrics\"}" {
-        return Ok(Classified::Metrics);
-    }
-    if trimmed == "{\"dump\"}" {
-        return Ok(Classified::Dump);
-    }
-    let fallback_id = format!("job-{lineno}");
-    let obj = match parse_object(trimmed) {
-        Ok(obj) => obj,
-        Err(e) => return Err(error_line(&fallback_id, &format!("parse error: {e}"))),
-    };
-    if let Some(target) = obj.get("cancel") {
-        return match target.as_str() {
-            Some(id) => {
-                server.cancel(id);
-                Ok(Classified::Control)
-            }
-            None => Err(error_line(&fallback_id, "field `cancel` must be a job id")),
-        };
-    }
-    if obj.get("metrics") == Some(&Json::Bool(true)) {
-        return Ok(Classified::Metrics);
-    }
-    if obj.get("dump") == Some(&Json::Bool(true)) {
-        return Ok(Classified::Dump);
-    }
-    if obj.get("shutdown") == Some(&Json::Bool(true)) {
-        return Ok(Classified::Shutdown);
-    }
-    match JobSpec::from_json(&obj, &fallback_id) {
-        Ok(spec) => Ok(Classified::Job(spec)),
-        Err(e) => Err(error_line(&fallback_id, &e)),
-    }
-}
-
-/// Classifies one line with parse-phase timing and protocol-error
-/// accounting (shared by both modes).
-fn classify_observed(
-    server: &Server,
-    obs: &ServeObs,
-    line: &str,
-    lineno: usize,
-) -> Result<Classified, String> {
-    let parse_started = Instant::now();
-    let classified = classify_line(server, line, lineno);
-    let parse_us = u64::try_from(parse_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    match &classified {
-        Ok(Classified::Job(spec)) => {
-            obs.observe_phase(spec.workload.name(), JobPhase::Parse, 0, parse_us);
-        }
-        Ok(_) => {}
-        Err(error) => {
-            obs.observe_phase("invalid", JobPhase::Parse, 0, parse_us);
-            obs.protocol_error();
-            obs.log(
-                FlightLevel::Error,
-                "",
-                "protocol",
-                &format!("line {lineno} rejected: {error}"),
-            );
-            obs.dump_flight_to_stderr(&format!("protocol error on line {lineno}"));
-        }
-    }
-    classified
-}
-
 fn run_batch_mode(server: &Server, path: &str, opts: &Options) -> ExitCode {
     let obs = server.obs().expect("main always enables obs");
     let text = if path == "-" {
@@ -274,23 +181,28 @@ fn run_batch_mode(server: &Server, path: &str, opts: &Options) -> ExitCode {
         }
     };
 
+    // One lock for the whole batch; a flush per result, so a consumer on
+    // a pipe sees every line as its job finishes.
+    let mut stdout = std::io::stdout().lock();
+    let mut emit = |line: &str| writeln!(stdout, "{line}").and_then(|()| stdout.flush());
+
     let mut specs = Vec::new();
     let mut had_error = false;
     for (index, line) in text.lines().enumerate() {
-        match classify_observed(server, obs, line, index + 1) {
-            Ok(Classified::Job(spec)) => specs.push(spec),
-            Ok(Classified::Control | Classified::Shutdown) => {}
-            Ok(Classified::Metrics) => obs.log(
+        match classify(server, line, index + 1) {
+            Ok(Request::Job(spec)) => specs.push(spec),
+            Ok(Request::Control | Request::Shutdown) => {}
+            Ok(Request::Metrics) => obs.log(
                 FlightLevel::Warn,
                 "",
                 "protocol",
                 "metrics control line is answered in --listen mode; use --metrics-out for batch runs",
             ),
-            Ok(Classified::Dump) => obs.dump_flight_to_stderr("dump requested by batch line"),
+            Ok(Request::Dump) => obs.dump_flight_to_stderr("dump requested by batch line"),
             Err(error) => {
                 // Every input job yields exactly one terminal result
                 // line on stdout, parse failures included.
-                println!("{error}");
+                let _ = emit(&error);
                 had_error = true;
             }
         }
@@ -299,8 +211,8 @@ fn run_batch_mode(server: &Server, path: &str, opts: &Options) -> ExitCode {
     let submitted = specs.len();
     let mut failed_jobs = 0usize;
     let done = server.run_batch(specs, opts.workers, opts.queue_cap, |outcome| {
-        println!("{}", outcome.line);
-        if outcome.status.is_failure() {
+        // A result nobody can read is a failed job.
+        if emit(&outcome.line).is_err() || outcome.status.is_failure() {
             failed_jobs += 1;
         }
     });
@@ -323,27 +235,8 @@ fn run_batch_mode(server: &Server, path: &str, opts: &Options) -> ExitCode {
     }
 }
 
-/// One queued unit in socket mode: the job, when it was enqueued, and
-/// the channel back to the connection that submitted it.
-struct Submission {
-    spec: JobSpec,
-    enqueued_at: Instant,
-    reply: mpsc::Sender<JobOutcome>,
-}
-
-/// A non-job reply (metrics exposition, flight dump) routed through the
-/// connection's writer channel.
-fn raw_reply(line: String) -> JobOutcome {
-    JobOutcome {
-        id: String::new(),
-        status: JobStatus::Completed,
-        line,
-        log: Vec::new(),
-    }
-}
-
 fn run_listen_mode(server: &Server, addr: &str, opts: &Options) -> ExitCode {
-    let obs = Arc::clone(server.obs().expect("main always enables obs"));
+    let obs = server.obs().expect("main always enables obs");
     let listener = match TcpListener::bind(addr) {
         Ok(listener) => listener,
         Err(e) => {
@@ -356,140 +249,18 @@ fn run_listen_mode(server: &Server, addr: &str, opts: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let local = listener.local_addr().ok();
     obs.log(
         FlightLevel::Info,
         "",
         "listen",
         &format!(
             "listening on {}",
-            local.map_or_else(|| addr.to_owned(), |a| a.to_string())
+            listener
+                .local_addr()
+                .map_or_else(|_| addr.to_owned(), |a| a.to_string())
         ),
     );
-
-    let queue = Arc::new(JobQueue::<Submission>::with_meter(
-        opts.queue_cap,
-        Some(obs.queue_meter()),
-    ));
-    let shutdown = Arc::new(AtomicBool::new(false));
-
-    thread::scope(|scope| {
-        let mut worker_handles = Vec::new();
-        for worker in 0..opts.workers {
-            let queue = Arc::clone(&queue);
-            let obs = Arc::clone(&obs);
-            worker_handles.push(scope.spawn(move || {
-                let mut idle_since = Instant::now();
-                while let Some(sub) = queue.pop() {
-                    let busy_since = Instant::now();
-                    obs.worker_idle(
-                        worker,
-                        u64::try_from(idle_since.elapsed().as_micros()).unwrap_or(u64::MAX),
-                    );
-                    let ctx = JobCtx {
-                        worker,
-                        enqueued_at: Some(sub.enqueued_at),
-                    };
-                    let outcome = server.run_job_ctx(&sub.spec, ctx);
-                    obs.worker_busy(
-                        worker,
-                        u64::try_from(busy_since.elapsed().as_micros()).unwrap_or(u64::MAX),
-                    );
-                    idle_since = Instant::now();
-                    // A disconnected client just drops its results.
-                    let _ = sub.reply.send(outcome);
-                }
-            }));
-        }
-
-        for stream in listener.incoming() {
-            if shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let queue = Arc::clone(&queue);
-            let shutdown = Arc::clone(&shutdown);
-            scope.spawn(move || handle_connection(stream, server, &queue, &shutdown, local));
-        }
-
-        queue.close();
-        for handle in worker_handles {
-            let _ = handle.join();
-        }
-    });
+    listen::serve(server, &listener, opts.workers, opts.queue_cap);
     obs.log(FlightLevel::Info, "", "listen", "shut down");
     ExitCode::SUCCESS
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    server: &Server,
-    queue: &JobQueue<Submission>,
-    shutdown: &AtomicBool,
-    local: Option<std::net::SocketAddr>,
-) {
-    let obs = server.obs().expect("main always enables obs");
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let (tx, rx) = mpsc::channel::<JobOutcome>();
-    let writer = thread::spawn(move || {
-        let mut out = write_half;
-        for outcome in rx {
-            if writeln!(out, "{}", outcome.line).is_err() {
-                break;
-            }
-        }
-    });
-
-    let mut lineno = 0;
-    for line in BufReader::new(stream).lines() {
-        let Ok(line) = line else { break };
-        lineno += 1;
-        match classify_observed(server, obs, &line, lineno) {
-            Ok(Classified::Job(spec)) => {
-                let priority = spec.priority;
-                let submission = Submission {
-                    spec,
-                    enqueued_at: Instant::now(),
-                    reply: tx.clone(),
-                };
-                if !queue.push(priority, submission) {
-                    break;
-                }
-            }
-            Ok(Classified::Control) => {}
-            Ok(Classified::Metrics) => {
-                // The exposition is multi-line; `# EOF` terminates it so
-                // clients on the NDJSON stream know where it ends.
-                let text = server.render_metrics().expect("main always enables obs");
-                let _ = tx.send(raw_reply(format!("{text}# EOF")));
-            }
-            Ok(Classified::Dump) => {
-                let mut lines = obs.dump_flight();
-                let count = lines.len();
-                lines.push(format!("{{\"dump_complete\": {count}}}"));
-                let _ = tx.send(raw_reply(lines.join("\n")));
-            }
-            Ok(Classified::Shutdown) => {
-                // Flag the whole server down, then poke the accept loop
-                // awake with a throwaway connection.
-                shutdown.store(true, Ordering::SeqCst);
-                if let Some(addr) = local {
-                    let _ = TcpStream::connect(addr);
-                }
-                break;
-            }
-            Err(error) => {
-                let _ = tx.send(JobOutcome {
-                    id: String::new(),
-                    status: JobStatus::Error,
-                    line: error,
-                    log: Vec::new(),
-                });
-            }
-        }
-    }
-    drop(tx);
-    let _ = writer.join();
 }

@@ -7,7 +7,8 @@
 //!
 //! * a [`MetricsRegistry`] of live instruments — queue depth and
 //!   enqueue/dequeue counts, snapshot-cache hits/misses/evictions,
-//!   per-worker busy/idle time, jobs by terminal status — rendered on
+//!   per-worker busy/idle time, jobs by terminal status, reply
+//!   writes/lines/bytes of the connection writers — rendered on
 //!   demand as a Prometheus text exposition;
 //! * per-job **phase latency histograms** (`parse → queue wait → restore
 //!   → slices → report`, plus end-to-end `total`), kept per worker in
@@ -148,6 +149,9 @@ pub struct ServeObs {
     cache_checkpoints: Arc<Gauge>,
     slice_us: Arc<AtomicHistogram>,
     protocol_errors: Arc<Counter>,
+    reply_writes: Arc<Counter>,
+    reply_lines: Arc<Counter>,
+    reply_bytes: Arc<Counter>,
     latency: Mutex<LatencyMap>,
     traces: Mutex<Vec<JobTrace>>,
     next_seq: AtomicU64,
@@ -184,6 +188,21 @@ impl ServeObs {
             &[],
             "protocol lines that failed to parse or validate",
         );
+        let reply_writes = registry.counter(
+            "ultra_serve_reply_writes_total",
+            &[],
+            "socket writes issued by connection reply writers",
+        );
+        let reply_lines = registry.counter(
+            "ultra_serve_reply_lines_total",
+            &[],
+            "replies written to connections (a multi-line exposition or dump counts once)",
+        );
+        let reply_bytes = registry.counter(
+            "ultra_serve_reply_bytes_total",
+            &[],
+            "bytes written to connections",
+        );
         Self {
             registry,
             flight: FlightRecorder::new(opts.flight_capacity),
@@ -193,6 +212,9 @@ impl ServeObs {
             cache_checkpoints,
             slice_us,
             protocol_errors,
+            reply_writes,
+            reply_lines,
+            reply_bytes,
             latency: Mutex::new(BTreeMap::new()),
             traces: Mutex::new(Vec::new()),
             next_seq: AtomicU64::new(0),
@@ -341,6 +363,14 @@ impl ServeObs {
     /// Counts one protocol-level failure (unparseable or invalid line).
     pub fn protocol_error(&self) {
         self.protocol_errors.incr();
+    }
+
+    /// Counts one socket write that carried `lines` replies in `bytes`
+    /// bytes; lines per write is how well reply bursts coalesce.
+    pub fn reply_written(&self, lines: u64, bytes: u64) {
+        self.reply_writes.incr();
+        self.reply_lines.add(lines);
+        self.reply_bytes.add(bytes);
     }
 
     /// Records `us` spent in `phase` of a `workload` job on `worker`.
