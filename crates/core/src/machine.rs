@@ -28,7 +28,7 @@
 //! → PE execution. A PE therefore observes a reply the same cycle its tail
 //! arrives, and a request issued this cycle starts moving next cycle.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use ultra_faults::{Fault, FaultClock, FaultPlan, RetryPolicy};
@@ -46,7 +46,8 @@ use ultra_pe::stats::PeStats;
 use ultra_sim::clock::TimeScale;
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{
-    AtomicBitmap, Cycle, MemAddr, MmId, PackedMask, PeId, PoolDispatchStats, Value, WorkerPool,
+    AtomicBitmap, Cycle, IdMap, MemAddr, MmId, PackedMask, PeId, PoolDispatchStats, Value,
+    WorkerPool,
 };
 
 use crate::engine::EngineMode;
@@ -350,7 +351,7 @@ enum BackendImpl {
         /// different copy than the original, and each answer must return
         /// through the copy that carried its request so decombining
         /// matches.
-        copy_of: HashMap<(MsgId, u32), usize>,
+        copy_of: IdMap<(MsgId, u32), usize>,
     },
 }
 
@@ -466,7 +467,7 @@ pub struct Machine {
     hasher: AddressHasher,
     /// One shard per physical PE.
     shards: Vec<PeShard>,
-    meta: HashMap<MsgId, ReqMeta>,
+    meta: IdMap<MsgId, ReqMeta>,
     backend: BackendImpl,
     barrier_generation: u64,
     barrier_arrived: usize,
@@ -605,7 +606,7 @@ impl Machine {
                 BackendImpl::Network {
                     nets,
                     banks,
-                    copy_of: HashMap::new(),
+                    copy_of: IdMap::default(),
                 }
             }
         };
@@ -618,7 +619,7 @@ impl Machine {
         let mut machine = Self {
             hasher,
             shards,
-            meta: HashMap::new(),
+            meta: IdMap::default(),
             backend,
             barrier_generation: 0,
             barrier_arrived: 0,
@@ -770,7 +771,11 @@ impl Machine {
     pub fn pe_stats(&self) -> Vec<PeStats> {
         self.shards
             .iter()
-            .flat_map(|s| s.stats.iter().cloned())
+            .flat_map(|s| s.stats.iter())
+            .map(|s| PeStats {
+                total_cycles: self.now,
+                ..s.clone()
+            })
             .collect()
     }
 
@@ -884,13 +889,18 @@ impl Machine {
             "range exceeds the virtual PE count"
         );
         let mut total = PeStats::new();
+        let mut merged = 0;
         for shard in &self.shards {
             for (i, s) in shard.stats.iter().enumerate() {
                 if range.contains(&(shard.base + i)) {
                     total.merge(s);
+                    merged += 1;
                 }
             }
         }
+        // Every context has been alive for `now` cycles; stamping that
+        // here keeps `run_for` free of a per-PE pass after every slice.
+        total.total_cycles = self.now * merged;
         total
     }
 
@@ -1046,11 +1056,6 @@ impl Machine {
 
     fn finish(&mut self, completed: bool) -> RunOutcome {
         let cycles = self.now;
-        for shard in &mut self.shards {
-            for s in &mut shard.stats {
-                s.total_cycles = cycles;
-            }
-        }
         if self.series.is_enabled() {
             // Close the final (possibly partial) telemetry window so the
             // per-window sums cover the whole run.
@@ -1572,38 +1577,37 @@ impl Machine {
         }
     }
 
-    /// Flushes one shard's queue until empty or backpressured.
+    /// Flushes one shard's queue until empty or backpressured. Each
+    /// message is offered by value; a refused one goes back to the head.
     fn flush_shard_outgoing(&mut self, pe: usize, now: Cycle) {
-        {
-            while let Some(msg) = self.shards[pe].outgoing.front() {
-                match &mut self.backend {
-                    BackendImpl::Ideal {
-                        latency, pending, ..
-                    } => {
-                        let due = now + *latency;
-                        pending.entry(due).or_default().push(msg.clone());
-                        self.shards[pe].outgoing.pop_front();
+        while let Some(msg) = self.shards[pe].outgoing.pop_front() {
+            match &mut self.backend {
+                BackendImpl::Ideal {
+                    latency, pending, ..
+                } => {
+                    let due = now + *latency;
+                    pending.entry(due).or_default().push(msg);
+                }
+                BackendImpl::Network { nets, copy_of, .. } => {
+                    // A request every copy refuses (dead copy, or a
+                    // dead port on its only route in each) can never
+                    // inject: abandon it rather than wedging this
+                    // PE's queue; the PNI timeout re-issues it under
+                    // whatever translation the degraded hash uses by
+                    // then.
+                    if (0..nets.copies()).all(|c| nets.copy(c).fault_refuses(&msg)) {
+                        self.unroutable += 1;
+                        continue;
                     }
-                    BackendImpl::Network { nets, copy_of, .. } => {
-                        // A request every copy refuses (dead copy, or a
-                        // dead port on its only route in each) can never
-                        // inject: abandon it rather than wedging this
-                        // PE's queue; the PNI timeout re-issues it under
-                        // whatever translation the degraded hash uses by
-                        // then.
-                        if (0..nets.copies()).all(|c| nets.copy(c).fault_refuses(msg)) {
-                            self.shards[pe].outgoing.pop_front();
-                            self.unroutable += 1;
-                            continue;
+                    let key = (msg.id, msg.attempt);
+                    match nets.try_inject_request(msg, now) {
+                        Ok(copy) => {
+                            copy_of.insert(key, copy);
                         }
-                        let m = msg.clone();
-                        let key = (m.id, m.attempt);
-                        match nets.try_inject_request(m, now) {
-                            Ok(copy) => {
-                                copy_of.insert(key, copy);
-                                self.shards[pe].outgoing.pop_front();
-                            }
-                            Err(_) => break, // backpressure; retry next cycle
+                        Err(refused) => {
+                            // Backpressure; retry next cycle.
+                            self.shards[pe].outgoing.push_front(refused);
+                            break;
                         }
                     }
                 }
@@ -1688,20 +1692,16 @@ impl Machine {
                         // Replies re-enter through the copy that carried
                         // the request (stalling if the reverse link is
                         // busy).
-                        while let Some(reply) = bank.peek_reply() {
+                        while let Some(reply) = bank.pop_reply() {
                             let Some(&copy) = copy_of.get(&(reply.id, reply.attempt)) else {
                                 // An answer to an attempt whose twin already
                                 // round-tripped; nobody is waiting for it.
-                                let _ = bank.pop_reply();
                                 self.duplicate_replies += 1;
                                 continue;
                             };
-                            let r = reply.clone();
-                            match nets.try_inject_reply(copy, r, now) {
-                                Ok(()) => {
-                                    let _ = bank.pop_reply();
-                                }
-                                Err(_) => break,
+                            if let Err(refused) = nets.try_inject_reply(copy, reply, now) {
+                                bank.return_reply(refused);
+                                break;
                             }
                         }
                         if bank.is_idle() {
@@ -2022,7 +2022,10 @@ impl Machine {
             );
             shard.interps.encode(w);
             shard.states.encode(w);
-            shard.stats.encode(w);
+            w.usize(shard.stats.len());
+            for stats in &shard.stats {
+                stats.encode_alive_for(self.now, w);
+            }
             w.u64(shard.busy_until);
             w.usize(shard.cursor);
             shard.pni.encode_state(w);
@@ -2076,7 +2079,7 @@ impl Machine {
         let unroutable = r.u64()?;
         let fast_forwarded = r.u64()?;
         let fault_clock = FaultClock::decode(r)?;
-        let meta: HashMap<MsgId, ReqMeta> = HashMap::decode(r)?;
+        let meta: IdMap<MsgId, ReqMeta> = IdMap::decode(r)?;
         if meta.values().any(|m| m.ctx >= n * k) {
             return Err(WireError::Invalid("request context out of range").into());
         }
@@ -2131,7 +2134,7 @@ impl Machine {
                 if banks.len() != n {
                     return Err(StateDecodeError::ConfigMismatch("memory bank count"));
                 }
-                let copy_of: HashMap<(MsgId, u32), usize> = HashMap::decode(r)?;
+                let copy_of: IdMap<(MsgId, u32), usize> = IdMap::decode(r)?;
                 if copy_of.values().any(|&c| c >= copies) {
                     return Err(WireError::Invalid("in-flight copy index out of range").into());
                 }

@@ -15,11 +15,11 @@
 //! silently swallowed otherwise — safe, because replies are never lost in
 //! the fault model, so the original decombined reply is still en route.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use ultra_net::message::{Message, MsgId, MsgKind, Reply};
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
-use ultra_sim::{Counter, Cycle, MmId, Value};
+use ultra_sim::{Counter, Cycle, IdMap, MmId, Value};
 
 /// Instrumentation for one memory bank.
 #[derive(Debug, Clone, Default)]
@@ -82,7 +82,7 @@ impl Wire for MemStats {
 #[derive(Debug, Clone)]
 pub struct MemBank {
     mm: MmId,
-    words: HashMap<usize, Value>,
+    words: IdMap<usize, Value>,
     queue: VecDeque<Message>,
     /// The request in service and the cycle it completes.
     in_service: Option<(Cycle, Message)>,
@@ -95,7 +95,7 @@ pub struct MemBank {
     /// number was applied and observed `value`; `None` = it was applied
     /// as an absorbed constituent of a combined request, whose exact
     /// observed value only the combining tree knows.
-    seen: Option<HashMap<MsgId, Option<Value>>>,
+    seen: Option<IdMap<MsgId, Option<Value>>>,
 }
 
 impl Wire for MemBank {
@@ -115,7 +115,7 @@ impl Wire for MemBank {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let bank = Self {
             mm: MmId::decode(r)?,
-            words: HashMap::decode(r)?,
+            words: IdMap::decode(r)?,
             queue: VecDeque::decode(r)?,
             in_service: Option::decode(r)?,
             outbox: VecDeque::decode(r)?,
@@ -143,7 +143,7 @@ impl MemBank {
         assert!(service_time >= 1, "service time must be at least one cycle");
         Self {
             mm,
-            words: HashMap::new(),
+            words: IdMap::default(),
             queue: VecDeque::new(),
             in_service: None,
             outbox: VecDeque::new(),
@@ -165,7 +165,7 @@ impl MemBank {
     /// no extra bookkeeping).
     pub fn enable_dedup(&mut self) {
         if self.seen.is_none() {
-            self.seen = Some(HashMap::new());
+            self.seen = Some(IdMap::default());
         }
     }
 
@@ -345,6 +345,13 @@ impl MemBank {
     /// Removes and returns the oldest undelivered reply.
     pub fn pop_reply(&mut self) -> Option<Reply> {
         self.outbox.pop_front()
+    }
+
+    /// Puts back, at the head of the outbox, a reply the network refused
+    /// this cycle — the counterpart of [`MemBank::pop_reply`] for callers
+    /// that offer replies by value.
+    pub fn return_reply(&mut self, reply: Reply) {
+        self.outbox.push_front(reply);
     }
 }
 

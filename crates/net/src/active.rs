@@ -7,7 +7,7 @@
 //! so a sweep can visit *members* instead of *switches built* — the
 //! per-cycle cost then follows occupancy, not topology.
 //!
-//! The representation is the classic sparse set plus a bitset:
+//! The representation is a two-level bitset plus a member count:
 //!
 //! * `bits` — one bit per switch, used for O(1) membership tests and for
 //!   **deterministic ascending-order iteration** (word scan +
@@ -16,9 +16,13 @@
 //!   traffic is a no-op visit, so iterating exactly the non-empty switches
 //!   in the same order reproduces the dense engine's operation sequence
 //!   bit for bit.
-//! * `members`/`pos` — the dense `Vec<u32>` worklist with its position
-//!   index, giving O(1) insert/remove and O(members) `clear`, independent
-//!   of the universe size.
+//! * `summary` — one bit per `bits` word, so the walk (and `clear`) skips
+//!   4096 idle switches per zero bit.
+//! * `len` — the popcount, kept incrementally: the sweep's dense-fallback
+//!   test and the drained check read it every cycle.
+//!
+//! An insert or remove touches one `bits` word and (on a word's first or
+//! last member) one `summary` word — nothing indexed by member position.
 
 /// A set of switch indices over a fixed universe `0..universe`.
 #[derive(Debug, Clone, Default)]
@@ -32,10 +36,8 @@ pub struct ActiveSet {
     /// where a stage holds tens of thousands of switches but single-digit
     /// traffic.
     summary: Vec<u64>,
-    /// Dense member list (unsorted).
-    members: Vec<u32>,
-    /// `pos[i]` = position of `i` in `members` (undefined unless member).
-    pos: Vec<u32>,
+    /// Number of set bits in `bits`.
+    len: usize,
 }
 
 impl ActiveSet {
@@ -46,21 +48,20 @@ impl ActiveSet {
         Self {
             bits: vec![0; words],
             summary: vec![0; words.div_ceil(64)],
-            members: Vec::new(),
-            pos: vec![0; universe],
+            len: 0,
         }
     }
 
     /// Number of members.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.len
     }
 
     /// Whether the set is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.len == 0
     }
 
     /// Whether `i` is a member.
@@ -75,8 +76,7 @@ impl ActiveSet {
         if self.bits[word] & bit == 0 {
             self.bits[word] |= bit;
             self.summary[word / 64] |= 1 << (word % 64);
-            self.pos[i] = self.members.len() as u32;
-            self.members.push(i as u32);
+            self.len += 1;
         }
     }
 
@@ -88,31 +88,26 @@ impl ActiveSet {
             if self.bits[word] == 0 {
                 self.summary[word / 64] &= !(1 << (word % 64));
             }
-            let p = self.pos[i] as usize;
-            let last = self.members.pop().expect("member list non-empty");
-            if p < self.members.len() {
-                self.members[p] = last;
-                self.pos[last as usize] = p as u32;
+            self.len -= 1;
+        }
+    }
+
+    /// Removes every member, visiting only the non-empty words.
+    pub fn clear(&mut self) {
+        for (sw, sbits) in self.summary.iter_mut().enumerate() {
+            for b in set_bits(std::mem::take(sbits)) {
+                self.bits[sw * 64 + b] = 0;
             }
         }
+        self.len = 0;
     }
 
-    /// Removes every member in O(members).
-    pub fn clear(&mut self) {
-        for &m in &self.members {
-            // Zeroing the whole containing word (and summary word) is
-            // sound: every member is being removed, and non-member bits
-            // are zero already.
-            self.bits[m as usize / 64] = 0;
-            self.summary[m as usize / 4096] = 0;
-        }
-        self.members.clear();
-    }
-
-    /// The members in unspecified order (the dense worklist itself).
-    #[must_use]
-    pub fn members(&self) -> &[u32] {
-        &self.members
+    /// The members in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.bits
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &bits)| set_bits(bits).map(move |b| w * 64 + b))
     }
 
     /// Number of 64-bit words backing the bitset.
@@ -145,6 +140,17 @@ impl ActiveSet {
     }
 }
 
+/// Positions of the set bits of `word`, ascending.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,9 +158,8 @@ mod tests {
     /// Reference implementation for differential testing.
     fn model_contains(model: &[bool], set: &ActiveSet) {
         let expect: Vec<usize> = (0..model.len()).filter(|&i| model[i]).collect();
-        let mut got: Vec<usize> = set.members().iter().map(|&m| m as usize).collect();
-        got.sort_unstable();
-        assert_eq!(got, expect, "member list diverged from model");
+        let got: Vec<usize> = set.iter().collect();
+        assert_eq!(got, expect, "ascending walk diverged from model");
         assert_eq!(set.len(), expect.len());
         for (i, &m) in model.iter().enumerate() {
             assert_eq!(set.contains(i), m, "contains({i})");
@@ -257,6 +262,7 @@ mod tests {
             assert!(!set.contains(i));
         }
         set.insert(129);
-        assert_eq!(set.members(), &[129]);
+        assert_eq!(set.iter().collect::<Vec<_>>(), [129]);
+        assert_eq!(set.len(), 1);
     }
 }

@@ -16,11 +16,13 @@
 //!   origin/destination *amalgam* address of §3.1.1.
 //! * [`queue`] — the ToMM/ToPE output queues (systolic-queue semantics:
 //!   FIFO order plus associative search, §3.3.1) with packet-granularity
-//!   capacity and link timing.
+//!   capacity and link timing, stored as 24-byte port records chained
+//!   through the per-network message slab.
 //! * [`combine`] — the pairwise combining rules (Load/Store/Fetch-and-phi,
 //!   homogeneous and heterogeneous) and the reply rules used to decombine.
-//! * [`switch`] — a k×k bidirectional switch: k ToMM queues, k ToPE queues
-//!   and a wait buffer.
+//! * [`switch`] — the k×k bidirectional switches (k ToMM queues, k ToPE
+//!   queues and a wait buffer each), held column-wise for the whole
+//!   network.
 //! * [`omega`] — the assembled network (plus [`omega::ReplicatedOmega`] for
 //!   the `d`-copy configurations of §4.1) with per-cycle advancement,
 //!   backpressure, and egress events.

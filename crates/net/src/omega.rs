@@ -1,7 +1,7 @@
 //! The assembled Omega network and its per-cycle advancement.
 //!
-//! [`OmegaNetwork`] wires `D = log_k N` stages of [`crate::switch::Switch`]
-//! with perfect-shuffle links ([`crate::route::Topology`]) and advances the
+//! [`OmegaNetwork`] wires the `D = log_k N` stages of switches held in
+//! [`crate::switch::Switches`] with perfect-shuffle links ([`crate::route::Topology`]) and advances the
 //! whole fabric one switch cycle at a time. The timing model follows the
 //! paper's pipelined, message-switched design (§3.1.2, §4.2):
 //!
@@ -30,9 +30,10 @@ use crate::active::ActiveSet;
 use crate::config::SwitchPolicy;
 use crate::config::{NetConfig, SweepMode};
 use crate::message::{Message, MsgId, Reply};
+use crate::queue::Handle;
 use crate::route::{ForwardHop, ReverseHop, RouteTables, Topology};
 use crate::stats::NetStats;
-use crate::switch::{AcceptOutcome, Switch};
+use crate::switch::{AcceptOutcome, Switches};
 use ultra_faults::FaultMask;
 use ultra_obs::HeatmapSnapshot;
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
@@ -120,8 +121,9 @@ fn check_cfg(cfg: &NetConfig) -> Result<(), WireError> {
 pub struct OmegaNetwork {
     cfg: NetConfig,
     routes: RouteTables,
-    /// `stages[s][i]` = switch `i` of stage `s` (stage 0 on the PE side).
-    stages: Vec<Vec<Switch>>,
+    /// Every switch's queues, wait buffer and counters, plus the slabs the
+    /// in-flight messages live in (stage 0 on the PE side).
+    switches: Switches,
     /// `active_fwd[s]` = indices of stage-`s` switches whose ToMM queues
     /// hold traffic; maintained exactly on every enqueue/dequeue so the
     /// sparse sweep visits only them.
@@ -131,10 +133,12 @@ pub struct OmegaNetwork {
     sweep: SweepMode,
     pe_link_free: Vec<Cycle>,
     mm_link_free: Vec<Cycle>,
-    /// Requests in flight on the last-stage→MNI links: `(tail_arrival, msg)`.
-    fwd_egress: Vec<(Cycle, Message)>,
+    /// Requests in flight on the last-stage→MNI links: `(tail_arrival,
+    /// handle)`; the message stays in the request slab until its tail
+    /// arrives.
+    fwd_egress: Vec<(Cycle, Handle)>,
     /// Replies in flight on the stage-0→PNI links.
-    rev_egress: Vec<(Cycle, Reply)>,
+    rev_egress: Vec<(Cycle, Handle)>,
     /// Drops recorded since the last `cycle` call.
     pending_drops: Vec<Message>,
     next_id: u64,
@@ -155,13 +159,6 @@ impl OmegaNetwork {
     pub fn new(cfg: NetConfig) -> Self {
         cfg.validate();
         let topo = Topology::new(cfg.pes, cfg.k);
-        let stages = (0..topo.stages())
-            .map(|s| {
-                (0..topo.switches_per_stage())
-                    .map(|i| Switch::new(s, i, &cfg))
-                    .collect()
-            })
-            .collect();
         let active = || {
             (0..topo.stages())
                 .map(|_| ActiveSet::new(topo.switches_per_stage()))
@@ -171,7 +168,7 @@ impl OmegaNetwork {
             stats: NetStats::new(topo.stages()),
             cfg,
             routes: RouteTables::new(topo),
-            stages,
+            switches: Switches::new(&cfg),
             active_fwd: active(),
             active_rev: active(),
             sweep: SweepMode::default(),
@@ -203,13 +200,14 @@ impl OmegaNetwork {
     }
 
     /// Fault hook: permanently occupies one wait-buffer slot of switch
-    /// `(stage, switch)` (see [`Switch::poison_wait_entry`]).
+    /// `(stage, switch)` (see [`Switches::poison_wait_entry`]).
     ///
     /// # Panics
     ///
     /// Panics if `(stage, switch)` is out of range.
     pub fn poison_wait_entry(&mut self, stage: usize, switch: usize) -> bool {
-        self.stages[stage][switch].poison_wait_entry(&mut self.stats)
+        self.switches
+            .poison_wait_entry(stage, switch, &mut self.stats)
     }
 
     /// Whether this copy's faults make it refuse `msg` outright: the copy
@@ -277,12 +275,7 @@ impl OmegaNetwork {
     /// 18-packet queues behave like infinite ones.
     #[must_use]
     pub fn request_queue_high_water(&self) -> usize {
-        self.stages
-            .iter()
-            .flatten()
-            .map(Switch::request_queue_high_water)
-            .max()
-            .unwrap_or(0)
+        self.switches.fabric_request_queue_high_water()
     }
 
     /// Wait-buffer entries outstanding across every switch — the
@@ -290,11 +283,7 @@ impl OmegaNetwork {
     /// samples at window boundaries.
     #[must_use]
     pub fn total_wait_occupancy(&self) -> u64 {
-        self.stages
-            .iter()
-            .flatten()
-            .map(|sw| sw.wait_occupancy() as u64)
-            .sum()
+        self.switches.total_wait_occupancy() as u64
     }
 
     /// Snapshots the per-switch hot-spot matrices: cumulative combine
@@ -302,17 +291,17 @@ impl OmegaNetwork {
     /// wait-buffer occupancy for every switch in the fabric.
     #[must_use]
     pub fn heatmap(&self) -> HeatmapSnapshot {
-        let stages = self.stages.len();
-        let width = self.stages.first().map_or(0, Vec::len);
+        let stages = self.routes.stages();
+        let width = self.routes.switches_per_stage();
         let mut snap = HeatmapSnapshot::new(stages, width);
-        for (s, row) in self.stages.iter().enumerate() {
-            for (i, sw) in row.iter().enumerate() {
+        for s in 0..stages {
+            for i in 0..width {
                 snap.record(
                     s,
                     i,
-                    sw.combines(),
-                    sw.request_queue_high_water() as u64,
-                    sw.wait_occupancy() as u64,
+                    self.switches.combines(s, i),
+                    self.switches.request_queue_high_water(s, i) as u64,
+                    self.switches.wait_occupancy(s, i) as u64,
                 );
             }
         }
@@ -355,7 +344,7 @@ impl OmegaNetwork {
             return Err(msg);
         }
         let (sw, in_port) = self.routes.pe_entry(pe);
-        if !self.stages[0][sw].can_accept_request(&msg, &self.routes) {
+        if !self.switches.can_accept_request(0, sw, &msg, &self.routes) {
             self.stats.inject_stalls.incr();
             return Err(msg);
         }
@@ -371,7 +360,16 @@ impl OmegaNetwork {
             return Ok(());
         }
         self.stats.injected_requests.incr();
-        match self.stages[0][sw].accept_request(msg, in_port, now, &self.routes, &mut self.stats) {
+        let handle = self.switches.admit_request(msg);
+        match self.switches.accept_request(
+            0,
+            sw,
+            handle,
+            in_port,
+            now,
+            &self.routes,
+            &mut self.stats,
+        ) {
             AcceptOutcome::Dropped(m) => self.pending_drops.push(m),
             AcceptOutcome::Queued | AcceptOutcome::Combined => {}
         }
@@ -394,14 +392,26 @@ impl OmegaNetwork {
         }
         let last = self.routes.stages() - 1;
         let (sw, in_port) = self.routes.reverse_entry(mm);
-        if !self.stages[last][sw].can_accept_reply(&reply, &self.routes) {
+        if !self
+            .switches
+            .can_accept_reply(last, sw, &reply, &self.routes)
+        {
             return Err(reply);
         }
         reply.mm_injected_at = now;
         let len = reply.packets(self.cfg.data_packets, self.cfg.ctl_packets);
         self.mm_link_free[mm.0] = now + Cycle::from(len);
         self.stats.injected_replies.incr();
-        self.stages[last][sw].accept_reply(reply, in_port, now, &self.routes, &mut self.stats);
+        let handle = self.switches.admit_reply(reply);
+        self.switches.accept_reply(
+            last,
+            sw,
+            handle,
+            in_port,
+            now,
+            &self.routes,
+            &mut self.stats,
+        );
         self.active_rev[last].insert(sw);
         Ok(())
     }
@@ -416,13 +426,15 @@ impl OmegaNetwork {
         self.sweep_forward(now);
         self.sweep_reverse(now);
         // Drain tails that completed arrival at the fabric edge.
-        let stats = &mut self.stats;
-        extract_ready(&mut self.fwd_egress, now, |m| {
+        let (stats, switches) = (&mut self.stats, &mut self.switches);
+        extract_ready(&mut self.fwd_egress, now, |handle| {
+            let m = switches.release_request(handle);
             stats.delivered_requests.incr();
             stats.forward_transit.record(now - m.issued_at);
             events.requests_at_mm.push(m);
         });
-        extract_ready(&mut self.rev_egress, now, |r| {
+        extract_ready(&mut self.rev_egress, now, |handle| {
+            let r = switches.release_reply(handle);
             stats.delivered_replies.incr();
             stats.reverse_transit.record(now - r.mm_injected_at);
             events.replies_at_pe.push(r);
@@ -457,13 +469,7 @@ impl OmegaNetwork {
     /// Panics if `stage` is out of range.
     #[must_use]
     pub fn active_forward_switches(&self, stage: usize) -> Vec<usize> {
-        let mut v: Vec<usize> = self.active_fwd[stage]
-            .members()
-            .iter()
-            .map(|&m| m as usize)
-            .collect();
-        v.sort_unstable();
-        v
+        self.active_fwd[stage].iter().collect()
     }
 
     /// The stage-`stage` switches currently holding reverse traffic, in
@@ -474,13 +480,7 @@ impl OmegaNetwork {
     /// Panics if `stage` is out of range.
     #[must_use]
     pub fn active_reverse_switches(&self, stage: usize) -> Vec<usize> {
-        let mut v: Vec<usize> = self.active_rev[stage]
-            .members()
-            .iter()
-            .map(|&m| m as usize)
-            .collect();
-        v.sort_unstable();
-        v
+        self.active_rev[stage].iter().collect()
     }
 
     /// Checks the occupancy-bookkeeping invariant: each direction's active
@@ -492,16 +492,16 @@ impl OmegaNetwork {
     /// Describes the first switch whose membership disagrees with its
     /// queue occupancy.
     pub fn active_sets_exact(&self) -> Result<(), String> {
-        for (s, row) in self.stages.iter().enumerate() {
-            for (i, sw) in row.iter().enumerate() {
-                let fwd = sw.has_forward_traffic();
+        for s in 0..self.routes.stages() {
+            for i in 0..self.routes.switches_per_stage() {
+                let fwd = self.switches.has_forward_traffic(s, i);
                 if self.active_fwd[s].contains(i) != fwd {
                     return Err(format!(
                         "stage {s} switch {i}: forward traffic {fwd} but membership {}",
                         self.active_fwd[s].contains(i)
                     ));
                 }
-                let rev = sw.has_reverse_traffic();
+                let rev = self.switches.has_reverse_traffic(s, i);
                 if self.active_rev[s].contains(i) != rev {
                     return Err(format!(
                         "stage {s} switch {i}: reverse traffic {rev} but membership {}",
@@ -519,18 +519,20 @@ impl OmegaNetwork {
     /// from the config and from queue occupancy on decode.
     pub fn encode_state(&self, w: &mut WireWriter) {
         self.cfg.encode(w);
-        w.usize(self.stages.len());
-        for row in &self.stages {
-            w.usize(row.len());
-            for sw in row {
-                sw.encode_state(w);
-            }
-        }
+        self.switches.encode_state(w);
         self.sweep.encode(w);
         self.pe_link_free.encode(w);
         self.mm_link_free.encode(w);
-        self.fwd_egress.encode(w);
-        self.rev_egress.encode(w);
+        w.usize(self.fwd_egress.len());
+        for &(tail_arrival, handle) in &self.fwd_egress {
+            w.u64(tail_arrival);
+            self.switches.requests().get(handle).item().encode(w);
+        }
+        w.usize(self.rev_egress.len());
+        for &(tail_arrival, handle) in &self.rev_egress {
+            w.u64(tail_arrival);
+            self.switches.replies().get(handle).item().encode(w);
+        }
         self.pending_drops.encode(w);
         w.u64(self.next_id);
         self.stats.encode(w);
@@ -548,28 +550,17 @@ impl OmegaNetwork {
         let cfg = NetConfig::decode(r)?;
         check_cfg(&cfg)?;
         let mut net = OmegaNetwork::new(cfg);
-        let n_stages = r.seq_len()?;
-        if n_stages != net.routes.stages() {
-            return Err(WireError::Invalid("stage count mismatch"));
-        }
+        net.switches = Switches::decode_state(r, &net.cfg)?;
+        let n_stages = net.routes.stages();
+        // Re-derive active-set membership from queue occupancy.
         for s in 0..n_stages {
-            let row_len = r.seq_len()?;
-            if row_len != net.routes.switches_per_stage() {
-                return Err(WireError::Invalid("stage width mismatch"));
-            }
-            for i in 0..row_len {
-                let sw = Switch::decode_state(r, &net.cfg)?;
-                if sw.stage() != s || sw.index() != i {
-                    return Err(WireError::Invalid("switch out of position"));
-                }
-                // Re-derive active-set membership from queue occupancy.
-                if sw.has_forward_traffic() {
+            for i in 0..net.routes.switches_per_stage() {
+                if net.switches.has_forward_traffic(s, i) {
                     net.active_fwd[s].insert(i);
                 }
-                if sw.has_reverse_traffic() {
+                if net.switches.has_reverse_traffic(s, i) {
                     net.active_rev[s].insert(i);
                 }
-                net.stages[s][i] = sw;
             }
         }
         net.sweep = SweepMode::decode(r)?;
@@ -578,8 +569,16 @@ impl OmegaNetwork {
         if net.pe_link_free.len() != net.cfg.pes || net.mm_link_free.len() != net.cfg.pes {
             return Err(WireError::Invalid("link-timing vector length mismatch"));
         }
-        net.fwd_egress = Vec::decode(r)?;
-        net.rev_egress = Vec::decode(r)?;
+        for _ in 0..r.seq_len()? {
+            let tail_arrival = r.u64()?;
+            let handle = net.switches.admit_request(Message::decode(r)?);
+            net.fwd_egress.push((tail_arrival, handle));
+        }
+        for _ in 0..r.seq_len()? {
+            let tail_arrival = r.u64()?;
+            let handle = net.switches.admit_reply(Reply::decode(r)?);
+            net.rev_egress.push((tail_arrival, handle));
+        }
         net.pending_drops = Vec::decode(r)?;
         net.next_id = r.u64()?;
         net.stats = NetStats::decode(r)?;
@@ -606,12 +605,6 @@ impl OmegaNetwork {
     /// orders are ascending and a traffic-less switch is a no-op visit,
     /// so the two modes execute the identical operation sequence.
     ///
-    /// The per-stage borrows — this stage's switch row, the next row, the
-    /// two active sets, routes, stats, egress — are split **once per
-    /// stage** into a [`FwdStageView`], so the per-switch inner loop is a
-    /// tight sweep over one stage's state instead of re-deriving
-    /// `split_at_mut` per (switch, port) visit.
-    ///
     /// Walking the bitset while transmissions mutate the set is sound
     /// because processing stage `s` can only (a) remove the switch just
     /// processed — whose bits were already consumed from the local word
@@ -624,36 +617,22 @@ impl OmegaNetwork {
         if !dense && self.active_fwd[s].is_empty() {
             return; // idle stage: skip without touching a single switch
         }
-        let k = self.cfg.k;
-        let (rows, next_rows) = self.stages.split_at_mut(s + 1);
-        let (actives, next_actives) = self.active_fwd.split_at_mut(s + 1);
-        let mut v = FwdStageView {
-            s,
-            cur: &mut rows[s],
-            next: next_rows.first_mut().map(Vec::as_mut_slice),
-            active_cur: &mut actives[s],
-            active_next: next_actives.first_mut(),
-            routes: &self.routes,
-            stats: &mut self.stats,
-            fwd_egress: &mut self.fwd_egress,
-            pending_drops: &mut self.pending_drops,
-        };
         if dense {
             for sw_idx in 0..universe {
-                transmit_forward(&mut v, now, sw_idx, k);
+                self.transmit_forward(now, s, sw_idx);
             }
             return;
         }
-        for sword in 0..v.active_cur.summary_words() {
-            let mut sbits = v.active_cur.summary_word(sword);
+        for sword in 0..self.active_fwd[s].summary_words() {
+            let mut sbits = self.active_fwd[s].summary_word(sword);
             while sbits != 0 {
                 let w = sword * 64 + sbits.trailing_zeros() as usize;
                 sbits &= sbits - 1;
-                let mut bits = v.active_cur.word(w);
+                let mut bits = self.active_fwd[s].word(w);
                 while bits != 0 {
                     let sw_idx = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    transmit_forward(&mut v, now, sw_idx, k);
+                    self.transmit_forward(now, s, sw_idx);
                 }
             }
         }
@@ -668,7 +647,7 @@ impl OmegaNetwork {
 
     /// Reverse-direction mirror of [`OmegaNetwork::sweep_stage_forward`]:
     /// same dense fallback, same empty-stage skip, same summary-then-word
-    /// walk, with the hoisted borrows pointing at stage `s - 1`.
+    /// walk, with transmissions landing in stage `s - 1`.
     fn sweep_stage_reverse(&mut self, now: Cycle, s: usize) {
         let universe = self.routes.switches_per_stage();
         let dense = self.sweep == SweepMode::Dense
@@ -676,177 +655,123 @@ impl OmegaNetwork {
         if !dense && self.active_rev[s].is_empty() {
             return;
         }
-        let k = self.cfg.k;
-        let (prev_rows, rows) = self.stages.split_at_mut(s);
-        let (prev_actives, actives) = self.active_rev.split_at_mut(s);
-        let mut v = RevStageView {
-            s,
-            cur: &mut rows[0],
-            prev: prev_rows.last_mut().map(Vec::as_mut_slice),
-            active_cur: &mut actives[0],
-            active_prev: prev_actives.last_mut(),
-            routes: &self.routes,
-            stats: &mut self.stats,
-            rev_egress: &mut self.rev_egress,
-        };
         if dense {
             for sw_idx in 0..universe {
-                transmit_reverse(&mut v, now, sw_idx, k);
+                self.transmit_reverse(now, s, sw_idx);
             }
             return;
         }
-        for sword in 0..v.active_cur.summary_words() {
-            let mut sbits = v.active_cur.summary_word(sword);
+        for sword in 0..self.active_rev[s].summary_words() {
+            let mut sbits = self.active_rev[s].summary_word(sword);
             while sbits != 0 {
                 let w = sword * 64 + sbits.trailing_zeros() as usize;
                 sbits &= sbits - 1;
-                let mut bits = v.active_cur.word(w);
+                let mut bits = self.active_rev[s].word(w);
                 while bits != 0 {
                     let sw_idx = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    transmit_reverse(&mut v, now, sw_idx, k);
+                    self.transmit_reverse(now, s, sw_idx);
                 }
             }
         }
     }
-}
 
-/// One stage's hoisted forward-sweep borrows (see
-/// [`OmegaNetwork::sweep_stage_forward`]).
-struct FwdStageView<'a> {
-    s: usize,
-    cur: &'a mut [Switch],
-    /// Stage `s + 1`'s switch row; `None` at the last stage.
-    next: Option<&'a mut [Switch]>,
-    active_cur: &'a mut ActiveSet,
-    active_next: Option<&'a mut ActiveSet>,
-    routes: &'a RouteTables,
-    stats: &'a mut NetStats,
-    fwd_egress: &'a mut Vec<(Cycle, Message)>,
-    pending_drops: &'a mut Vec<Message>,
-}
-
-/// Tries to advance the head of every ToMM queue of switch `sw_idx`.
-fn transmit_forward(v: &mut FwdStageView<'_>, now: Cycle, sw_idx: usize, k: usize) {
-    for port in 0..k {
-        // Peek the head to decide whether the hop can happen.
-        let Some(head) = v.cur[sw_idx].to_mm_queue(port).front() else {
-            continue;
-        };
-        if !v.cur[sw_idx].to_mm_queue(port).ready_to_transmit(now) {
-            continue;
-        }
-        let len = head.packets;
-        match v.routes.forward_next(v.s, sw_idx, port) {
-            ForwardHop::ToMm(mm) => {
-                debug_assert!(v.next.is_none(), "ToMm hops only leave the last stage");
-                let slot = v.cur[sw_idx].to_mm_queue_mut(port).pop_for_transmit(now);
-                debug_assert_eq!(slot.item.addr.mm, mm, "last-stage egress reaches its MM");
-                debug_assert_eq!(
-                    slot.item.amalgam, slot.item.src.0,
-                    "amalgam has become the origin PE number (§3.1.1)"
-                );
-                v.fwd_egress.push((now + Cycle::from(len), slot.item));
-                if !v.cur[sw_idx].has_forward_traffic() {
-                    v.active_cur.remove(sw_idx);
+    /// Tries to advance the head of every ToMM queue of stage-`s` switch
+    /// `sw_idx`. A hop unlinks the head's handle here and links it one
+    /// stage on; the message body stays where it is in the slab.
+    fn transmit_forward(&mut self, now: Cycle, s: usize, sw_idx: usize) {
+        for port in 0..self.cfg.k {
+            let Some((head, len)) = self.switches.forward_head_ready(s, sw_idx, port, now) else {
+                continue;
+            };
+            match self.routes.forward_next(s, sw_idx, port) {
+                ForwardHop::ToMm(mm) => {
+                    let handle = self.switches.transmit_request(s, sw_idx, port, now);
+                    let sent = self.switches.requests().get(handle).item();
+                    debug_assert_eq!(sent.addr.mm, mm, "last-stage egress reaches its MM");
+                    debug_assert_eq!(
+                        sent.amalgam, sent.src.0,
+                        "amalgam has become the origin PE number (§3.1.1)"
+                    );
+                    self.fwd_egress.push((now + Cycle::from(len), handle));
+                }
+                ForwardHop::ToSwitch(next_sw, next_port) => {
+                    let msg = self.switches.requests().get(head).item();
+                    if !self
+                        .switches
+                        .can_accept_request(s + 1, next_sw, msg, &self.routes)
+                    {
+                        continue; // backpressure: try again next cycle
+                    }
+                    let handle = self.switches.transmit_request(s, sw_idx, port, now);
+                    match self.switches.accept_request(
+                        s + 1,
+                        next_sw,
+                        handle,
+                        next_port,
+                        now + 1,
+                        &self.routes,
+                        &mut self.stats,
+                    ) {
+                        AcceptOutcome::Dropped(m) => self.pending_drops.push(m),
+                        AcceptOutcome::Queued | AcceptOutcome::Combined => {}
+                    }
+                    // A drop only happens when the target queue already holds
+                    // traffic, so the downstream switch is active after every
+                    // outcome.
+                    self.active_fwd[s + 1].insert(next_sw);
                 }
             }
-            ForwardHop::ToSwitch(next_sw, next_port) => {
-                let next = v
-                    .next
-                    .as_deref_mut()
-                    .expect("interior stage has a successor");
-                let msg_ref = &v.cur[sw_idx]
-                    .to_mm_queue(port)
-                    .front()
-                    .expect("peeked")
-                    .item;
-                if !next[next_sw].can_accept_request(msg_ref, v.routes) {
-                    continue; // backpressure: try again next cycle
-                }
-                let slot = v.cur[sw_idx].to_mm_queue_mut(port).pop_for_transmit(now);
-                match next[next_sw].accept_request(slot.item, next_port, now + 1, v.routes, v.stats)
-                {
-                    AcceptOutcome::Dropped(m) => v.pending_drops.push(m),
-                    AcceptOutcome::Queued | AcceptOutcome::Combined => {}
-                }
-                // A drop only happens when the target queue already holds
-                // traffic, so the downstream switch is active after every
-                // outcome; the upstream one retires once emptied.
-                v.active_next
-                    .as_deref_mut()
-                    .expect("interior stage has a successor set")
-                    .insert(next_sw);
-                if !v.cur[sw_idx].has_forward_traffic() {
-                    v.active_cur.remove(sw_idx);
-                }
+            // The upstream switch retires once emptied.
+            if !self.switches.has_forward_traffic(s, sw_idx) {
+                self.active_fwd[s].remove(sw_idx);
             }
         }
     }
-}
 
-/// One stage's hoisted reverse-sweep borrows (see
-/// [`OmegaNetwork::sweep_stage_reverse`]).
-struct RevStageView<'a> {
-    s: usize,
-    cur: &'a mut [Switch],
-    /// Stage `s - 1`'s switch row; `None` at stage 0.
-    prev: Option<&'a mut [Switch]>,
-    active_cur: &'a mut ActiveSet,
-    active_prev: Option<&'a mut ActiveSet>,
-    routes: &'a RouteTables,
-    stats: &'a mut NetStats,
-    rev_egress: &'a mut Vec<(Cycle, Reply)>,
-}
-
-/// Tries to advance the head of every ToPE queue of switch `sw_idx`.
-fn transmit_reverse(v: &mut RevStageView<'_>, now: Cycle, sw_idx: usize, k: usize) {
-    for port in 0..k {
-        let Some(head) = v.cur[sw_idx].to_pe_queue(port).front() else {
-            continue;
-        };
-        if !v.cur[sw_idx].to_pe_queue(port).ready_to_transmit(now) {
-            continue;
-        }
-        let len = head.packets;
-        match v.routes.reverse_next(v.s, sw_idx, port) {
-            ReverseHop::ToPe(pe) => {
-                debug_assert!(v.prev.is_none(), "ToPe hops only leave stage 0");
-                let slot = v.cur[sw_idx].to_pe_queue_mut(port).pop_for_transmit(now);
-                debug_assert_eq!(slot.item.dst, pe, "stage-0 egress reaches the right PE");
-                debug_assert_eq!(
-                    slot.item.amalgam, slot.item.addr.mm.0,
-                    "reverse amalgam has become the MM number (§3.1.1)"
-                );
-                v.rev_egress.push((now + Cycle::from(len), slot.item));
-                if !v.cur[sw_idx].has_reverse_traffic() {
-                    v.active_cur.remove(sw_idx);
+    /// Tries to advance the head of every ToPE queue of stage-`s` switch
+    /// `sw_idx`.
+    fn transmit_reverse(&mut self, now: Cycle, s: usize, sw_idx: usize) {
+        for port in 0..self.cfg.k {
+            let Some((head, len)) = self.switches.reverse_head_ready(s, sw_idx, port, now) else {
+                continue;
+            };
+            match self.routes.reverse_next(s, sw_idx, port) {
+                ReverseHop::ToPe(pe) => {
+                    let handle = self.switches.transmit_reply(s, sw_idx, port, now);
+                    let sent = self.switches.replies().get(handle).item();
+                    debug_assert_eq!(sent.dst, pe, "stage-0 egress reaches the right PE");
+                    debug_assert_eq!(
+                        sent.amalgam, sent.addr.mm.0,
+                        "reverse amalgam has become the MM number (§3.1.1)"
+                    );
+                    self.rev_egress.push((now + Cycle::from(len), handle));
+                }
+                ReverseHop::ToSwitch(prev_sw, prev_port) => {
+                    let reply = self.switches.replies().get(head).item();
+                    if !self
+                        .switches
+                        .can_accept_reply(s - 1, prev_sw, reply, &self.routes)
+                    {
+                        continue;
+                    }
+                    let handle = self.switches.transmit_reply(s, sw_idx, port, now);
+                    self.switches.accept_reply(
+                        s - 1,
+                        prev_sw,
+                        handle,
+                        prev_port,
+                        now + 1,
+                        &self.routes,
+                        &mut self.stats,
+                    );
+                    // Decombined twins also land in `prev_sw`, so the accept
+                    // always leaves it holding reverse traffic.
+                    self.active_rev[s - 1].insert(prev_sw);
                 }
             }
-            ReverseHop::ToSwitch(prev_sw, prev_port) => {
-                let prev = v
-                    .prev
-                    .as_deref_mut()
-                    .expect("interior stage has a predecessor");
-                let reply_ref = &v.cur[sw_idx]
-                    .to_pe_queue(port)
-                    .front()
-                    .expect("peeked")
-                    .item;
-                if !prev[prev_sw].can_accept_reply(reply_ref, v.routes) {
-                    continue;
-                }
-                let slot = v.cur[sw_idx].to_pe_queue_mut(port).pop_for_transmit(now);
-                prev[prev_sw].accept_reply(slot.item, prev_port, now + 1, v.routes, v.stats);
-                // Decombined twins also land in `prev_sw`, so the accept
-                // always leaves it holding reverse traffic.
-                v.active_prev
-                    .as_deref_mut()
-                    .expect("interior stage has a predecessor set")
-                    .insert(prev_sw);
-                if !v.cur[sw_idx].has_reverse_traffic() {
-                    v.active_cur.remove(sw_idx);
-                }
+            if !self.switches.has_reverse_traffic(s, sw_idx) {
+                self.active_rev[s].remove(sw_idx);
             }
         }
     }

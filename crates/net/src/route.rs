@@ -286,6 +286,10 @@ pub struct RouteTables {
     /// `weight[s]` = `k^(D-s-1)`, the base-`k` digit weight consumed at
     /// stage `s`.
     weight: Vec<usize>,
+    /// `log2 k` when `k` is a power of two (every configuration the paper
+    /// considers): digit arithmetic is then shifts and masks; other
+    /// arities divide.
+    k_log2: Option<u32>,
 }
 
 impl RouteTables {
@@ -313,6 +317,10 @@ impl RouteTables {
             shuffle: (0..n).map(|l| topo.shuffle(l) as u32).collect(),
             unshuffle: (0..n).map(|l| topo.unshuffle(l) as u32).collect(),
             weight: (0..d).map(|s| topo.k().pow((d - s - 1) as u32)).collect(),
+            k_log2: topo
+                .k()
+                .is_power_of_two()
+                .then(|| topo.k().trailing_zeros()),
             topo,
         }
     }
@@ -335,11 +343,19 @@ impl RouteTables {
         self.unshuffle[line] as usize
     }
 
+    /// `(line / k, line % k)`: the switch and port a line lands on.
+    #[inline]
+    fn split(&self, line: usize) -> (usize, usize) {
+        match self.k_log2 {
+            Some(bits) => (line >> bits, line & (self.topo.k - 1)),
+            None => (line / self.topo.k, line % self.topo.k),
+        }
+    }
+
     /// Table-backed [`Topology::pe_entry`].
     #[must_use]
     pub fn pe_entry(&self, pe: PeId) -> (usize, usize) {
-        let line = self.shuffle[pe.0] as usize;
-        (line / self.topo.k, line % self.topo.k)
+        self.split(self.shuffle[pe.0] as usize)
     }
 
     /// Table-backed [`Topology::forward_out_port`].
@@ -355,15 +371,15 @@ impl RouteTables {
         if stage + 1 == self.weight.len() {
             ForwardHop::ToMm(MmId(line))
         } else {
-            let next = self.shuffle[line] as usize;
-            ForwardHop::ToSwitch(next / self.topo.k, next % self.topo.k)
+            let (switch, port) = self.split(self.shuffle[line] as usize);
+            ForwardHop::ToSwitch(switch, port)
         }
     }
 
     /// Table-backed [`Topology::reverse_entry`].
     #[must_use]
     pub fn reverse_entry(&self, mm: MmId) -> (usize, usize) {
-        (mm.0 / self.topo.k, mm.0 % self.topo.k)
+        self.split(mm.0)
     }
 
     /// Table-backed [`Topology::reverse_out_port`].
@@ -379,7 +395,23 @@ impl RouteTables {
         if stage == 0 {
             ReverseHop::ToPe(PeId(line))
         } else {
-            ReverseHop::ToSwitch(line / self.topo.k, line % self.topo.k)
+            let (switch, port) = self.split(line);
+            ReverseHop::ToSwitch(switch, port)
+        }
+    }
+
+    /// The output port a message carrying `amalgam` takes at `stage` on
+    /// either trip: the amalgam digit that stage consumes. Equal to
+    /// [`RouteTables::forward_out_port`] of a request's MM (and
+    /// [`RouteTables::reverse_out_port`] of a reply's PE) while the message
+    /// is at that stage, read from the one word the hop updates anyway.
+    #[must_use]
+    #[inline]
+    pub fn amalgam_out_port(&self, amalgam: usize, stage: usize) -> usize {
+        let weight = self.weight[stage];
+        match self.k_log2 {
+            Some(_) => (amalgam >> weight.trailing_zeros()) & (self.topo.k - 1),
+            None => (amalgam / weight) % self.topo.k,
         }
     }
 
@@ -388,7 +420,7 @@ impl RouteTables {
     #[must_use]
     pub fn step_amalgam(&self, amalgam: usize, stage: usize, in_port: usize) -> (usize, usize) {
         let weight = self.weight[stage];
-        let out_port = (amalgam / weight) % self.topo.k;
+        let out_port = self.amalgam_out_port(amalgam, stage);
         let updated = amalgam - out_port * weight + in_port * weight;
         (out_port, updated)
     }
@@ -584,6 +616,7 @@ mod tests {
             (64, 8),
             (16, 16),
             (4, 4),
+            (27, 3), // not a power of two: the dividing path
         ] {
             let topo = Topology::new(n, k);
             let tables = RouteTables::new(topo);
@@ -626,7 +659,7 @@ mod tests {
 
     #[test]
     fn route_tables_amalgam_matches_walked_form() {
-        for (n, k) in [(16usize, 2usize), (64, 4), (64, 8)] {
+        for (n, k) in [(16usize, 2usize), (64, 4), (64, 8), (27, 3)] {
             let topo = Topology::new(n, k);
             let tables = RouteTables::new(topo);
             for pe in 0..n {
@@ -643,6 +676,11 @@ mod tests {
                                 topo.step_amalgam(mm, s, in_port)
                             );
                         }
+                        assert_eq!(
+                            tables.amalgam_out_port(mm, s),
+                            topo.forward_out_port(MmId(mm), s),
+                            "a fresh amalgam routes like its destination"
+                        );
                     }
                 }
             }

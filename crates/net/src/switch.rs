@@ -1,4 +1,4 @@
-//! A k×k bidirectional network switch (§3.3).
+//! The fabric's k×k bidirectional switches (§3.3), stored by column.
 //!
 //! Each switch is "essentially a 2×2 bidirectional routing device" (the
 //! paper details 2×2; everything generalizes to k×k, §3.1.1) made of two
@@ -18,17 +18,27 @@
 //! switch will not absorb a third request, but a combined message can
 //! combine again at later stages ("combined requests can themselves be
 //! combined", §3.1.2).
-
-use std::collections::HashMap;
+//!
+//! # Storage
+//!
+//! A switch is not an object. [`Switches`] holds one network's switch
+//! state as columns: every ToMM port record in one `Vec<OutQueue>` and
+//! every ToPE port record in another, stage-major, a stage's slice indexed
+//! `switch · k + port`; the queued messages in two [`Slab`]s (requests,
+//! replies); the per-switch wait-entry and combine counts in two more
+//! columns; and every wait entry of the network in one table keyed
+//! `(switch cell, survivor id)`. An idle switch therefore costs `2k` port
+//! records and twelve bytes of counters — no heap of its own — and a sweep
+//! over a stage reads consecutive memory.
 
 use crate::combine::{kinds_combinable, try_combine, WaitEntry};
 use crate::config::{NetConfig, SwitchPolicy};
-use crate::message::{Message, MsgId, Reply};
-use crate::queue::OutQueue;
-use crate::route::RouteTables;
+use crate::message::{Message, MsgId, Reply, ReplyKind};
+use crate::queue::{Handle, OutQueue, Slab};
+use crate::route::{RouteTables, Topology};
 use crate::stats::NetStats;
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
-use ultra_sim::Cycle;
+use ultra_sim::{Cycle, IdMap};
 
 /// What became of a request offered to a switch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,186 +53,188 @@ pub enum AcceptOutcome {
     Dropped(Message),
 }
 
-/// One k×k switch.
+/// The state of every switch of one network (see the module docs for the
+/// layout). Switches are addressed `(stage, switch)`, stage 0 on the PE
+/// side.
 #[derive(Debug, Clone)]
-pub struct Switch {
-    stage: usize,
-    index: usize,
-    to_mm: Vec<OutQueue<Message>>,
-    to_pe: Vec<OutQueue<Reply>>,
-    wait: HashMap<MsgId, WaitEntry>,
+pub struct Switches {
+    k: usize,
+    /// Switches per stage.
+    width: usize,
+    stages: usize,
+    /// ToMM port records, `(stage · width + switch) · k + port`.
+    to_mm: Vec<OutQueue>,
+    /// ToPE port records, same indexing.
+    to_pe: Vec<OutQueue>,
+    /// Live wait-buffer entries per switch cell (`stage · width + switch`).
+    wait_len: Vec<u32>,
+    /// Combines performed per switch cell — the per-cell source of the
+    /// hot-spot heatmap (the aggregate lives in `NetStats::combines`).
+    combines: Vec<u64>,
+    /// Every wait-buffer entry of the network, keyed by the cell that
+    /// holds it and the surviving request's id.
+    wait: IdMap<(u32, MsgId), WaitEntry>,
+    requests: Slab<Message>,
+    replies: Slab<Reply>,
+    request_capacity: usize,
+    reply_capacity: usize,
     wait_capacity: usize,
     policy: SwitchPolicy,
     data_packets: u8,
     ctl_packets: u8,
-    /// Combines performed in this switch — the per-cell source of the
-    /// hot-spot heatmap (the aggregate lives in `NetStats::combines`).
-    combines: u64,
 }
 
-impl Switch {
-    /// Creates the switch at `(stage, index)` under `cfg`.
+impl Switches {
+    /// Creates the idle switches of the network `cfg` describes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.pes` is not a power of `cfg.k`, or if the fabric has
+    /// more than `u32::MAX` switches.
     #[must_use]
-    pub fn new(stage: usize, index: usize, cfg: &NetConfig) -> Self {
+    pub fn new(cfg: &NetConfig) -> Self {
+        let topo = Topology::new(cfg.pes, cfg.k);
+        let cells = topo.stages() * topo.switches_per_stage();
+        assert!(u32::try_from(cells).is_ok(), "switch cells fit in u32");
         Self {
-            stage,
-            index,
-            to_mm: (0..cfg.k)
-                .map(|_| OutQueue::new(cfg.request_queue_packets))
-                .collect(),
-            to_pe: (0..cfg.k)
-                .map(|_| OutQueue::new(cfg.reply_queue_packets))
-                .collect(),
-            wait: HashMap::new(),
+            k: cfg.k,
+            width: topo.switches_per_stage(),
+            stages: topo.stages(),
+            to_mm: vec![OutQueue::new(); cells * cfg.k],
+            to_pe: vec![OutQueue::new(); cells * cfg.k],
+            wait_len: vec![0; cells],
+            combines: vec![0; cells],
+            wait: IdMap::default(),
+            requests: Slab::new(),
+            replies: Slab::new(),
+            request_capacity: cfg.request_queue_packets,
+            reply_capacity: cfg.reply_queue_packets,
             wait_capacity: cfg.wait_entries,
             policy: cfg.policy,
             data_packets: cfg.data_packets,
             ctl_packets: cfg.ctl_packets,
-            combines: 0,
         }
     }
 
-    /// This switch's stage (0 = PE side).
+    fn cell(&self, stage: usize, switch: usize) -> usize {
+        debug_assert!(stage < self.stages && switch < self.width);
+        stage * self.width + switch
+    }
+
+    /// The slab holding every request in the fabric — pass it to the
+    /// [`OutQueue`] accessors to follow a ToMM queue's chain.
     #[must_use]
-    pub fn stage(&self) -> usize {
-        self.stage
+    pub fn requests(&self) -> &Slab<Message> {
+        &self.requests
     }
 
-    /// This switch's index within its stage.
+    /// The slab holding every reply in the fabric.
     #[must_use]
-    pub fn index(&self) -> usize {
-        self.index
+    pub fn replies(&self) -> &Slab<Reply> {
+        &self.replies
     }
 
-    /// The ToMM queue behind output port `port`.
+    /// The ToMM queue behind output port `port` of switch `(stage, switch)`.
     #[must_use]
-    pub fn to_mm_queue(&self, port: usize) -> &OutQueue<Message> {
-        &self.to_mm[port]
+    pub fn to_mm_queue(&self, stage: usize, switch: usize, port: usize) -> &OutQueue {
+        &self.to_mm[self.cell(stage, switch) * self.k + port]
     }
 
-    /// Mutable access to the ToMM queue behind output port `port`.
-    pub fn to_mm_queue_mut(&mut self, port: usize) -> &mut OutQueue<Message> {
-        &mut self.to_mm[port]
-    }
-
-    /// The ToPE queue behind output port `port`.
+    /// The ToPE queue behind output port `port` of switch `(stage, switch)`.
     #[must_use]
-    pub fn to_pe_queue(&self, port: usize) -> &OutQueue<Reply> {
-        &self.to_pe[port]
+    pub fn to_pe_queue(&self, stage: usize, switch: usize, port: usize) -> &OutQueue {
+        &self.to_pe[self.cell(stage, switch) * self.k + port]
     }
 
-    /// Mutable access to the ToPE queue behind output port `port`.
-    pub fn to_pe_queue_mut(&mut self, port: usize) -> &mut OutQueue<Reply> {
-        &mut self.to_pe[port]
-    }
-
-    /// Number of live wait-buffer entries.
+    /// Number of live wait-buffer entries in switch `(stage, switch)`.
     #[must_use]
-    pub fn wait_occupancy(&self) -> usize {
+    pub fn wait_occupancy(&self, stage: usize, switch: usize) -> usize {
+        self.wait_len[self.cell(stage, switch)] as usize
+    }
+
+    /// Wait-buffer entries outstanding across every switch.
+    #[must_use]
+    pub fn total_wait_occupancy(&self) -> usize {
         self.wait.len()
     }
 
-    /// Whether any ToMM (forward) output queue holds a message — the
-    /// occupancy predicate behind the forward active sets: a switch is in
-    /// its stage's forward worklist exactly while this is true.
+    /// Whether any ToMM (forward) output queue of the switch holds a
+    /// message — the occupancy predicate behind the forward active sets: a
+    /// switch is in its stage's forward worklist exactly while this is true.
     #[must_use]
-    pub fn has_forward_traffic(&self) -> bool {
-        self.to_mm.iter().any(|q| !q.is_empty())
+    pub fn has_forward_traffic(&self, stage: usize, switch: usize) -> bool {
+        let base = self.cell(stage, switch) * self.k;
+        self.to_mm[base..base + self.k]
+            .iter()
+            .any(|q| !q.is_empty())
     }
 
-    /// Whether any ToPE (reverse) output queue holds a reply — the
-    /// occupancy predicate behind the reverse active sets.
-    #[must_use]
-    pub fn has_reverse_traffic(&self) -> bool {
-        self.to_pe.iter().any(|q| !q.is_empty())
-    }
-
-    /// Whether no packet is queued on any output port in either direction.
+    /// Whether any ToPE (reverse) output queue of the switch holds a reply
+    /// — the occupancy predicate behind the reverse active sets.
     ///
-    /// Wait-buffer entries are deliberately ignored: an entry only exists
-    /// while its combined request is in flight towards memory (so some queue
-    /// somewhere is non-empty), except for poisoned ghost entries which
-    /// persist forever and must not keep the fabric "busy".
+    /// Wait-buffer entries are deliberately not traffic: an entry only
+    /// exists while its combined request is in flight towards memory (so
+    /// some queue somewhere is non-empty), except for poisoned ghost
+    /// entries which persist forever and must not keep the fabric "busy".
     #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.to_mm.iter().all(OutQueue::is_empty) && self.to_pe.iter().all(OutQueue::is_empty)
+    pub fn has_reverse_traffic(&self, stage: usize, switch: usize) -> bool {
+        let base = self.cell(stage, switch) * self.k;
+        self.to_pe[base..base + self.k]
+            .iter()
+            .any(|q| !q.is_empty())
     }
 
-    /// Fault hook: one wait-buffer slot sticks. A ghost entry keyed by an
-    /// id no real message can carry is inserted and never deallocated, so
-    /// the slot is permanently lost to combining (the §3.3 capacity
-    /// shrinks by one). Loses no data — only future combining capacity.
-    /// Returns `false` if the buffer has no free slot to lose.
-    pub fn poison_wait_entry(&mut self, stats: &mut NetStats) -> bool {
-        if self.wait.len() >= self.wait_capacity {
+    /// Fault hook: one wait-buffer slot of switch `(stage, switch)` sticks.
+    /// A ghost entry keyed by an id no real message can carry is inserted
+    /// and never deallocated, so the slot is permanently lost to combining
+    /// (the §3.3 capacity shrinks by one). Loses no data — only future
+    /// combining capacity. Returns `false` if the buffer has no free slot
+    /// to lose.
+    pub fn poison_wait_entry(&mut self, stage: usize, switch: usize, stats: &mut NetStats) -> bool {
+        let cell = self.cell(stage, switch);
+        let held = self.wait_len[cell];
+        if held as usize >= self.wait_capacity {
             return false;
         }
         // Ids above the top bit are never minted by PNIs (pe << 44 + seq)
         // or network id bases (1 + copy << 48), so the ghost never matches
         // a returning reply.
-        let ghost = MsgId(u64::MAX - self.wait.len() as u64);
+        let ghost = MsgId(u64::MAX - u64::from(held));
         self.wait.insert(
-            ghost,
+            (cell as u32, ghost),
             WaitEntry {
                 survivor: ghost,
                 absorbed_id: ghost,
                 absorbed_pe: ultra_sim::PeId(0),
                 addr: ultra_sim::MemAddr::new(ultra_sim::MmId(0), 0),
                 absorbed_issued_at: 0,
-                absorbed_reply_kind: crate::message::ReplyKind::Ack,
+                absorbed_reply_kind: ReplyKind::Ack,
                 rule: crate::combine::ReplyRule::Ack,
             },
         );
+        self.wait_len[cell] += 1;
         stats.stuck_wait_entries.incr();
         true
     }
 
-    /// Combines performed in this switch since construction.
+    /// Combines performed in switch `(stage, switch)` since construction.
     #[must_use]
-    pub fn combines(&self) -> u64 {
-        self.combines
+    pub fn combines(&self, stage: usize, switch: usize) -> u64 {
+        self.combines[self.cell(stage, switch)]
     }
 
-    /// Largest packet occupancy any of this switch's ToMM queues reached.
+    /// Largest packet occupancy any ToMM queue of switch `(stage, switch)`
+    /// reached.
     #[must_use]
-    pub fn request_queue_high_water(&self) -> usize {
-        self.to_mm
-            .iter()
-            .map(super::queue::OutQueue::max_packets_used)
-            .max()
-            .unwrap_or(0)
+    pub fn request_queue_high_water(&self, stage: usize, switch: usize) -> usize {
+        let base = self.cell(stage, switch) * self.k;
+        high_water(&self.to_mm[base..base + self.k])
     }
 
-    /// Serializes the switch's dynamic state (queues, wait buffer, combine
-    /// count). Static parameters (capacities, policy, packet lengths) are
-    /// not written — they are re-derived from the [`NetConfig`] on decode.
-    pub fn encode_state(&self, w: &mut WireWriter) {
-        w.usize(self.stage);
-        w.usize(self.index);
-        self.to_mm.encode(w);
-        self.to_pe.encode(w);
-        self.wait.encode(w);
-        w.u64(self.combines);
-    }
-
-    /// Rebuilds a switch from [`Switch::encode_state`] bytes plus the
-    /// network configuration it was created under.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the bytes are truncated or malformed.
-    pub fn decode_state(r: &mut WireReader<'_>, cfg: &NetConfig) -> Result<Self, WireError> {
-        let stage = r.usize()?;
-        let index = r.usize()?;
-        let mut sw = Switch::new(stage, index, cfg);
-        sw.to_mm = Vec::decode(r)?;
-        sw.to_pe = Vec::decode(r)?;
-        if sw.to_mm.len() != cfg.k || sw.to_pe.len() != cfg.k {
-            return Err(WireError::Invalid("switch port count mismatch"));
-        }
-        sw.wait = HashMap::decode(r)?;
-        sw.combines = r.u64()?;
-        Ok(sw)
+    /// Largest packet occupancy any ToMM queue in the fabric reached.
+    #[must_use]
+    pub fn fabric_request_queue_high_water(&self) -> usize {
+        high_water(&self.to_mm)
     }
 
     fn packets_of(&self, msg: &Message) -> u8 {
@@ -233,86 +245,206 @@ impl Switch {
         reply.packets(self.data_packets, self.ctl_packets)
     }
 
-    /// Whether the switch can take `msg` right now (an upstream switch or
-    /// PNI calls this before transmitting). Combinable requests are always
-    /// acceptable: they consume no queue space.
+    /// Stores `msg` in the request slab, unlinked — the fabric-edge step
+    /// before [`Switches::accept_request`] queues it.
+    pub fn admit_request(&mut self, msg: Message) -> Handle {
+        let packets = self.packets_of(&msg);
+        self.requests.insert(msg, packets)
+    }
+
+    /// Stores `reply` in the reply slab, unlinked.
+    pub fn admit_reply(&mut self, reply: Reply) -> Handle {
+        let packets = self.reply_packets(&reply);
+        self.replies.insert(reply, packets)
+    }
+
+    /// Takes a request that left its last queue out of the fabric.
+    pub fn release_request(&mut self, handle: Handle) -> Message {
+        self.requests.remove(handle)
+    }
+
+    /// Takes a reply that left its last queue out of the fabric.
+    pub fn release_reply(&mut self, handle: Handle) -> Reply {
+        self.replies.remove(handle)
+    }
+
+    /// Whether the head of ToMM queue `(stage, switch, port)` may start
+    /// transmission at `now`; returns its handle and packet length.
     #[must_use]
-    pub fn can_accept_request(&self, msg: &Message, topo: &RouteTables) -> bool {
-        let port = topo.forward_out_port(msg.addr.mm, self.stage);
+    pub fn forward_head_ready(
+        &self,
+        stage: usize,
+        switch: usize,
+        port: usize,
+        now: Cycle,
+    ) -> Option<(Handle, u8)> {
+        let q = &self.to_mm[self.cell(stage, switch) * self.k + port];
+        q.ready_to_transmit(&self.requests, now)
+            .then(|| (q.head(), self.requests.get(q.head()).packets))
+    }
+
+    /// Reverse-direction mirror of [`Switches::forward_head_ready`].
+    #[must_use]
+    pub fn reverse_head_ready(
+        &self,
+        stage: usize,
+        switch: usize,
+        port: usize,
+        now: Cycle,
+    ) -> Option<(Handle, u8)> {
+        let q = &self.to_pe[self.cell(stage, switch) * self.k + port];
+        q.ready_to_transmit(&self.replies, now)
+            .then(|| (q.head(), self.replies.get(q.head()).packets))
+    }
+
+    /// Unlinks the head of ToMM queue `(stage, switch, port)` for
+    /// transmission starting at `now`. The request stays in the slab: hand
+    /// the handle to [`Switches::accept_request`] downstream or to
+    /// [`Switches::release_request`] at the MM edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the head is not ready to transmit.
+    pub fn transmit_request(
+        &mut self,
+        stage: usize,
+        switch: usize,
+        port: usize,
+        now: Cycle,
+    ) -> Handle {
+        let q = self.cell(stage, switch) * self.k + port;
+        self.to_mm[q].pop_for_transmit(&mut self.requests, now)
+    }
+
+    /// Reverse-direction mirror of [`Switches::transmit_request`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the head is not ready to transmit.
+    pub fn transmit_reply(
+        &mut self,
+        stage: usize,
+        switch: usize,
+        port: usize,
+        now: Cycle,
+    ) -> Handle {
+        let q = self.cell(stage, switch) * self.k + port;
+        self.to_pe[q].pop_for_transmit(&mut self.replies, now)
+    }
+
+    /// Whether switch `(stage, switch)` can take `msg` right now (an
+    /// upstream switch or PNI calls this before transmitting). Combinable
+    /// requests are always acceptable: they consume no queue space.
+    #[must_use]
+    pub fn can_accept_request(
+        &self,
+        stage: usize,
+        switch: usize,
+        msg: &Message,
+        topo: &RouteTables,
+    ) -> bool {
+        let cell = self.cell(stage, switch);
+        let out_port = topo.amalgam_out_port(msg.amalgam, stage);
+        debug_assert_eq!(out_port, topo.forward_out_port(msg.addr.mm, stage));
+        let queue = &self.to_mm[cell * self.k + out_port];
         match self.policy {
             // Drops are decided (and reported) inside `accept_request`.
             SwitchPolicy::DropOnConflict => true,
-            SwitchPolicy::QueuedNoCombine => self.to_mm[port].can_accept(self.packets_of(msg)),
+            SwitchPolicy::QueuedNoCombine => {
+                queue.can_accept(self.packets_of(msg), self.request_capacity)
+            }
             SwitchPolicy::QueuedCombining => {
-                self.to_mm[port].can_accept(self.packets_of(msg))
-                    || (self.wait.len() < self.wait_capacity
-                        && self.to_mm[port].iter().any(|s| {
-                            !s.combined_here
-                                && s.item.addr == msg.addr
-                                && kinds_combinable(s.item.kind, msg.kind)
-                        }))
+                queue.can_accept(self.packets_of(msg), self.request_capacity)
+                    || ((self.wait_len[cell] as usize) < self.wait_capacity
+                        && self.combine_candidate(queue, msg).is_some())
             }
         }
     }
 
-    /// Routes an arriving request into the proper ToMM queue, combining if
-    /// possible. `head_arrival` is the cycle the head becomes available for
-    /// onward transmission.
+    /// The first queued slot (head first) `msg` could combine with: same
+    /// word, combinable kinds, not yet combined in this switch.
+    fn combine_candidate(&self, queue: &OutQueue, msg: &Message) -> Option<Handle> {
+        queue
+            .iter(&self.requests)
+            .find(|(_, s)| {
+                !s.combined_here
+                    && s.item().addr == msg.addr
+                    && kinds_combinable(s.item().kind, msg.kind)
+            })
+            .map(|(handle, _)| handle)
+    }
+
+    /// Routes the admitted request `handle` into the proper ToMM queue of
+    /// switch `(stage, switch)`, combining if possible. `head_arrival` is
+    /// the cycle the head becomes available for onward transmission. The
+    /// handle is consumed: queued, freed by the combine, or freed and
+    /// returned by value in [`AcceptOutcome::Dropped`].
     ///
     /// # Panics
     ///
-    /// Panics if the caller did not verify [`Switch::can_accept_request`].
+    /// Panics if the caller did not verify [`Switches::can_accept_request`].
+    // A hop is where, what, through which port and when, plus the two
+    // tables every switch shares; pairing any two into a struct would
+    // invent a type these two call sites alone use.
+    #[allow(clippy::too_many_arguments)]
     pub fn accept_request(
         &mut self,
-        mut msg: Message,
+        stage: usize,
+        switch: usize,
+        handle: Handle,
         in_port: usize,
         head_arrival: Cycle,
         topo: &RouteTables,
         stats: &mut NetStats,
     ) -> AcceptOutcome {
-        let (out_port, updated) = topo.step_amalgam(msg.amalgam, self.stage, in_port);
+        let cell = self.cell(stage, switch);
+        let msg = self.requests.get_mut(handle).item_mut();
+        let (out_port, updated) = topo.step_amalgam(msg.amalgam, stage, in_port);
         debug_assert_eq!(
             out_port,
-            topo.forward_out_port(msg.addr.mm, self.stage),
+            topo.forward_out_port(msg.addr.mm, stage),
             "amalgam routing must agree with destination-digit routing"
         );
         msg.amalgam = updated;
+        let q = cell * self.k + out_port;
 
         if self.policy == SwitchPolicy::DropOnConflict {
-            if self.to_mm[out_port].is_empty() {
-                let packets = self.packets_of(&msg);
-                self.to_mm[out_port].push(msg, packets, head_arrival);
+            if self.to_mm[q].is_empty() {
+                self.to_mm[q].push(
+                    &mut self.requests,
+                    handle,
+                    head_arrival,
+                    self.request_capacity,
+                );
                 return AcceptOutcome::Queued;
             }
             stats.drops.incr();
             // The retry re-enters the network from the PE: restore the
             // amalgam to its injection-time state (the full destination).
+            let mut msg = self.requests.remove(handle);
             msg.amalgam = msg.addr.mm.0;
             return AcceptOutcome::Dropped(msg);
         }
 
         if self.policy == SwitchPolicy::QueuedCombining {
-            let queue = &mut self.to_mm[out_port];
-            let candidate = queue.iter().position(|s| {
-                !s.combined_here
-                    && s.item.addr == msg.addr
-                    && kinds_combinable(s.item.kind, msg.kind)
-            });
-            if let Some(i) = candidate {
-                if self.wait.len() < self.wait_capacity {
-                    let slot = queue.slot_mut(i);
-                    if let Some(entry) = try_combine(&mut slot.item, &msg) {
+            let incoming = self.requests.get(handle).item();
+            if let Some(candidate) = self.combine_candidate(&self.to_mm[q], incoming) {
+                if (self.wait_len[cell] as usize) < self.wait_capacity {
+                    let (slot, incoming) = self.requests.pair_mut(candidate, handle);
+                    if let Some(entry) = try_combine(slot.item_mut(), incoming.item()) {
                         slot.combined_here = true;
-                        let new_packets = slot.item.packets(self.data_packets, self.ctl_packets);
-                        queue.resize_slot(i, new_packets);
-                        let prior = self.wait.insert(entry.survivor, entry);
+                        let new_packets = slot.item().packets(self.data_packets, self.ctl_packets);
+                        self.to_mm[q].resize_slot(&mut self.requests, candidate, new_packets);
+                        self.requests.remove(handle);
+                        let prior = self.wait.insert((cell as u32, entry.survivor), entry);
                         debug_assert!(
                             prior.is_none(),
                             "pair-only combining: one wait entry per survivor per switch"
                         );
+                        self.wait_len[cell] += 1;
                         stats.combines.incr();
-                        stats.combines_by_stage[self.stage].incr();
-                        self.combines += 1;
+                        stats.combines_by_stage[stage].incr();
+                        self.combines[cell] += 1;
                         return AcceptOutcome::Combined;
                     }
                 } else {
@@ -321,84 +453,290 @@ impl Switch {
             }
         }
 
-        let packets = self.packets_of(&msg);
-        self.to_mm[out_port].push(msg, packets, head_arrival);
+        self.to_mm[q].push(
+            &mut self.requests,
+            handle,
+            head_arrival,
+            self.request_capacity,
+        );
         AcceptOutcome::Queued
     }
 
-    /// Whether the switch can take `reply` right now, *including* space for
-    /// any decombined reply its arrival would spawn.
+    /// Whether switch `(stage, switch)` can take `reply` right now,
+    /// *including* space for any decombined reply its arrival would spawn.
     #[must_use]
-    pub fn can_accept_reply(&self, reply: &Reply, topo: &RouteTables) -> bool {
-        let port = topo.reverse_out_port(reply.dst, self.stage);
+    pub fn can_accept_reply(
+        &self,
+        stage: usize,
+        switch: usize,
+        reply: &Reply,
+        topo: &RouteTables,
+    ) -> bool {
+        let cell = self.cell(stage, switch);
+        let base = cell * self.k;
+        let port = topo.amalgam_out_port(reply.amalgam, stage);
+        debug_assert_eq!(port, topo.reverse_out_port(reply.dst, stage));
         let len = self.reply_packets(reply);
-        match self.wait.get(&reply.id) {
-            None => self.to_pe[port].can_accept(len),
+        let cap = self.reply_capacity;
+        match self.wait_entry(cell, reply.id) {
+            None => self.to_pe[base + port].can_accept(len, cap),
             Some(entry) => {
-                let spawn_port = topo.reverse_out_port(entry.absorbed_pe, self.stage);
+                let spawn_port = topo.reverse_out_port(entry.absorbed_pe, stage);
                 let spawn_len = match entry.absorbed_reply_kind {
-                    crate::message::ReplyKind::Value => self.data_packets,
-                    crate::message::ReplyKind::Ack => self.ctl_packets,
+                    ReplyKind::Value => self.data_packets,
+                    ReplyKind::Ack => self.ctl_packets,
                 };
                 if spawn_port == port {
-                    self.to_pe[port].can_accept(len + spawn_len)
+                    self.to_pe[base + port].can_accept(len + spawn_len, cap)
                 } else {
-                    self.to_pe[port].can_accept(len) && self.to_pe[spawn_port].can_accept(spawn_len)
+                    self.to_pe[base + port].can_accept(len, cap)
+                        && self.to_pe[base + spawn_port].can_accept(spawn_len, cap)
                 }
             }
         }
     }
 
-    /// Routes an arriving reply into the proper ToPE queue, consulting the
-    /// wait buffer and spawning the absorbed request's reply on a match
-    /// (§3.3).
+    /// The wait entry cell `cell` holds for survivor `id`; a cell with an
+    /// empty buffer — the common case — answers from its counter alone.
+    fn wait_entry(&self, cell: usize, id: MsgId) -> Option<&WaitEntry> {
+        if self.wait_len[cell] == 0 {
+            return None;
+        }
+        self.wait.get(&(cell as u32, id))
+    }
+
+    /// Routes the admitted reply `handle` into the proper ToPE queue of
+    /// switch `(stage, switch)`, consulting the wait buffer and spawning
+    /// the absorbed request's reply on a match (§3.3).
     ///
     /// # Panics
     ///
-    /// Panics if the caller did not verify [`Switch::can_accept_reply`].
+    /// Panics if the caller did not verify [`Switches::can_accept_reply`].
+    #[allow(clippy::too_many_arguments)] // as `accept_request`
     pub fn accept_reply(
         &mut self,
-        mut reply: Reply,
+        stage: usize,
+        switch: usize,
+        handle: Handle,
         in_port: usize,
         head_arrival: Cycle,
         topo: &RouteTables,
         stats: &mut NetStats,
     ) {
-        let (out_port, updated) = topo.step_amalgam(reply.amalgam, self.stage, in_port);
+        let cell = self.cell(stage, switch);
+        let base = cell * self.k;
+        let reply = self.replies.get_mut(handle).item_mut();
+        let (out_port, updated) = topo.step_amalgam(reply.amalgam, stage, in_port);
         debug_assert_eq!(
             out_port,
-            topo.reverse_out_port(reply.dst, self.stage),
+            topo.reverse_out_port(reply.dst, stage),
             "reverse amalgam routing must agree with PE-digit routing"
         );
         reply.amalgam = updated;
+        let (id, value, mm_injected_at) = (reply.id, reply.value, reply.mm_injected_at);
+        self.to_pe[base + out_port].push(
+            &mut self.replies,
+            handle,
+            head_arrival,
+            self.reply_capacity,
+        );
 
-        if let Some(entry) = self.wait.remove(&reply.id) {
-            let spawn_amalgam =
-                topo.reverse_amalgam_at(entry.absorbed_pe, entry.addr.mm, self.stage);
-            let mut spawn = entry.make_reply(reply.value, spawn_amalgam);
-            spawn.mm_injected_at = reply.mm_injected_at;
-            let (spawn_port, spawn_updated) = topo.step_amalgam(spawn.amalgam, self.stage, in_port);
-            debug_assert_eq!(spawn_port, topo.reverse_out_port(spawn.dst, self.stage));
+        if self.wait_len[cell] == 0 {
+            return;
+        }
+        if let Some(entry) = self.wait.remove(&(cell as u32, id)) {
+            self.wait_len[cell] -= 1;
+            let spawn_amalgam = topo.reverse_amalgam_at(entry.absorbed_pe, entry.addr.mm, stage);
+            let mut spawn = entry.make_reply(value, spawn_amalgam);
+            spawn.mm_injected_at = mm_injected_at;
+            let (spawn_port, spawn_updated) = topo.step_amalgam(spawn.amalgam, stage, in_port);
+            debug_assert_eq!(spawn_port, topo.reverse_out_port(spawn.dst, stage));
             spawn.amalgam = spawn_updated;
-            let spawn_len = self.reply_packets(&spawn);
             stats.decombines.incr();
-            let len = self.reply_packets(&reply);
-            self.to_pe[out_port].push(reply, len, head_arrival);
             // The spawned reply streams out right behind the triggering one;
             // model its head as available one packet later.
-            self.to_pe[spawn_port].push(spawn, spawn_len, head_arrival + 1);
-        } else {
-            let len = self.reply_packets(&reply);
-            self.to_pe[out_port].push(reply, len, head_arrival);
+            let spawn = self.admit_reply(spawn);
+            self.to_pe[base + spawn_port].push(
+                &mut self.replies,
+                spawn,
+                head_arrival + 1,
+                self.reply_capacity,
+            );
         }
     }
+
+    /// Serializes the dynamic state of switch `(stage, switch)` — queues
+    /// walked head first, wait buffer sorted by survivor id, combine count
+    /// — in the layout every snapshot since format 1 has used. Static
+    /// parameters (policy, packet lengths) are not written; they are
+    /// re-derived from the [`NetConfig`] on decode. `wait` is this cell's
+    /// entries, sorted (see [`Switches::encode_state`]).
+    fn encode_switch(
+        &self,
+        stage: usize,
+        switch: usize,
+        wait: &[(&(u32, MsgId), &WaitEntry)],
+        w: &mut WireWriter,
+    ) {
+        let cell = self.cell(stage, switch);
+        let base = cell * self.k;
+        w.usize(stage);
+        w.usize(switch);
+        encode_queues(
+            &self.to_mm[base..base + self.k],
+            &self.requests,
+            self.request_capacity,
+            w,
+        );
+        encode_queues(
+            &self.to_pe[base..base + self.k],
+            &self.replies,
+            self.reply_capacity,
+            w,
+        );
+        w.usize(wait.len());
+        for ((_, survivor), entry) in wait {
+            survivor.encode(w);
+            entry.encode(w);
+        }
+        w.u64(self.combines[cell]);
+    }
+
+    /// Serializes every switch, stage by stage: `stages`, then per stage
+    /// its width and each switch's state.
+    pub fn encode_state(&self, w: &mut WireWriter) {
+        // One sort groups the network-wide wait table by cell, each
+        // cell's entries ascending by survivor — the order the per-switch
+        // maps of format 1 were written in.
+        let mut wait: Vec<(&(u32, MsgId), &WaitEntry)> = self.wait.iter().collect();
+        wait.sort_unstable_by_key(|(key, _)| **key);
+        let mut rest = wait.as_slice();
+        w.usize(self.stages);
+        for stage in 0..self.stages {
+            w.usize(self.width);
+            for switch in 0..self.width {
+                let held = self.wait_len[self.cell(stage, switch)] as usize;
+                let (mine, others) = rest.split_at(held);
+                rest = others;
+                self.encode_switch(stage, switch, mine, w);
+            }
+        }
+    }
+
+    /// Rebuilds the switches from [`Switches::encode_state`] bytes plus
+    /// the network configuration they were created under.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] if the bytes are truncated, malformed, or
+    /// disagree with `cfg`'s geometry.
+    pub fn decode_state(r: &mut WireReader<'_>, cfg: &NetConfig) -> Result<Self, WireError> {
+        let mut this = Switches::new(cfg);
+        if r.seq_len()? != this.stages {
+            return Err(WireError::Invalid("stage count mismatch"));
+        }
+        for stage in 0..this.stages {
+            if r.seq_len()? != this.width {
+                return Err(WireError::Invalid("stage width mismatch"));
+            }
+            for switch in 0..this.width {
+                if r.usize()? != stage || r.usize()? != switch {
+                    return Err(WireError::Invalid("switch out of position"));
+                }
+                let cell = this.cell(stage, switch);
+                let base = cell * this.k;
+                let (k, cap) = (this.k, this.request_capacity);
+                decode_queues(r, &mut this.to_mm[base..base + k], &mut this.requests, cap)?;
+                let cap = this.reply_capacity;
+                decode_queues(r, &mut this.to_pe[base..base + k], &mut this.replies, cap)?;
+                for _ in 0..r.seq_len()? {
+                    let survivor = MsgId::decode(r)?;
+                    let entry = WaitEntry::decode(r)?;
+                    if this.wait.insert((cell as u32, survivor), entry).is_none() {
+                        this.wait_len[cell] += 1;
+                    }
+                }
+                this.combines[cell] = r.u64()?;
+            }
+        }
+        Ok(this)
+    }
+}
+
+fn high_water(queues: &[OutQueue]) -> usize {
+    queues
+        .iter()
+        .map(OutQueue::max_packets_used)
+        .max()
+        .unwrap_or(0)
+}
+
+/// Writes one switch side's `k` queues: per queue the slots head first
+/// (message, head arrival, combined flag, packet length), then the
+/// occupancy high-water mark, the capacity and the link timing.
+fn encode_queues<T: Wire>(
+    queues: &[OutQueue],
+    slab: &Slab<T>,
+    capacity: usize,
+    w: &mut WireWriter,
+) {
+    w.usize(queues.len());
+    for q in queues {
+        w.usize(q.len(slab));
+        for (_, slot) in q.iter(slab) {
+            slot.item().encode(w);
+            w.u64(slot.head_arrival);
+            w.bool(slot.combined_here);
+            w.u8(slot.packets);
+        }
+        w.usize(q.max_packets_used());
+        w.usize(capacity);
+        w.u64(q.link_free_at());
+    }
+}
+
+/// Reads what [`encode_queues`] wrote into `queues`, re-homing every
+/// message in `slab`.
+fn decode_queues<T: Wire>(
+    r: &mut WireReader<'_>,
+    queues: &mut [OutQueue],
+    slab: &mut Slab<T>,
+    capacity: usize,
+) -> Result<(), WireError> {
+    if r.seq_len()? != queues.len() {
+        return Err(WireError::Invalid("switch port count mismatch"));
+    }
+    for q in queues {
+        let len = r.seq_len()?;
+        // Occupancy is a `u32`; a length that could overflow it is corrupt
+        // input, not a queue.
+        if len > (u32::MAX / 255) as usize {
+            return Err(WireError::Invalid("queue length out of range"));
+        }
+        for _ in 0..len {
+            let item = T::decode(r)?;
+            let head_arrival = r.u64()?;
+            let combined_here = r.bool()?;
+            let handle = slab.insert(item, r.u8()?);
+            let slot = slab.get_mut(handle);
+            slot.head_arrival = head_arrival;
+            slot.combined_here = combined_here;
+            q.link(slab, handle);
+        }
+        let max_packets_used = u32::try_from(r.usize()?)
+            .map_err(|_| WireError::Invalid("queue high-water mark out of range"))?;
+        if r.usize()? != capacity {
+            return Err(WireError::Invalid("queue capacity disagrees with config"));
+        }
+        q.restore_timing(max_packets_used, r.u64()?);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{MsgKind, ReplyKind};
-    use crate::route::Topology;
+    use crate::message::MsgKind;
     use ultra_sim::{MemAddr, MmId, PeId};
 
     fn cfg() -> NetConfig {
@@ -422,39 +760,43 @@ mod tests {
 
     /// Sends `msg` into the stage-0 switch it would physically enter.
     fn into_stage0(
-        sw: &mut Switch,
+        sw: &mut Switches,
         topo: &RouteTables,
         msg: Message,
         stats: &mut NetStats,
     ) -> AcceptOutcome {
-        let (_, in_port) = topo.pe_entry(msg.src);
-        sw.accept_request(msg, in_port, 1, topo, stats)
+        let (switch, in_port) = topo.pe_entry(msg.src);
+        let handle = sw.admit_request(msg);
+        sw.accept_request(0, switch, handle, in_port, 1, topo, stats)
+    }
+
+    /// Messages queued on ToMM port `port` of stage-0 switch `switch`.
+    fn to_mm_len(sw: &Switches, switch: usize, port: usize) -> usize {
+        sw.to_mm_queue(0, switch, port).len(sw.requests())
     }
 
     #[test]
     fn routes_by_destination_digit() {
         let t = topo();
-        let c = cfg();
         let mut stats = NetStats::new(t.stages());
         // PEs 0 and 4 share stage-0 switch 0 (entry = shuffle).
         let (sw0, _) = t.pe_entry(PeId(0));
-        let mut sw = Switch::new(0, sw0, &c);
+        let mut sw = Switches::new(&cfg());
         // MM 3 = 0b011: stage 0 uses the msb (0); MM 7 = 0b111: msb 1.
         into_stage0(&mut sw, &t, req(1, 0, 3, MsgKind::Load, 0), &mut stats);
         into_stage0(&mut sw, &t, req(2, 0, 7, MsgKind::Load, 0), &mut stats);
-        assert_eq!(sw.to_mm_queue(0).len(), 1);
-        assert_eq!(sw.to_mm_queue(1).len(), 1);
+        assert_eq!(to_mm_len(&sw, sw0, 0), 1);
+        assert_eq!(to_mm_len(&sw, sw0, 1), 1);
     }
 
     #[test]
     fn combines_two_fetch_adds() {
         let t = topo();
-        let c = cfg();
         let mut stats = NetStats::new(t.stages());
         let (sw0, _) = t.pe_entry(PeId(0));
         let (sw0b, _) = t.pe_entry(PeId(4));
         assert_eq!(sw0, sw0b, "PEs 0 and 4 share a stage-0 switch");
-        let mut sw = Switch::new(0, sw0, &c);
+        let mut sw = Switches::new(&cfg());
         let a = req(1, 0, 3, MsgKind::fetch_add(), 5);
         let b = req(2, 4, 3, MsgKind::fetch_add(), 9);
         assert_eq!(
@@ -465,21 +807,26 @@ mod tests {
             into_stage0(&mut sw, &t, b, &mut stats),
             AcceptOutcome::Combined
         );
-        assert_eq!(sw.to_mm_queue(0).len(), 1, "one message on the wire");
-        assert_eq!(sw.wait_occupancy(), 1);
+        assert_eq!(to_mm_len(&sw, sw0, 0), 1, "one message on the wire");
+        assert_eq!(
+            sw.requests().live(),
+            1,
+            "the absorbed request left the slab"
+        );
+        assert_eq!(sw.wait_occupancy(0, sw0), 1);
+        assert_eq!(sw.combines(0, sw0), 1);
         assert_eq!(stats.combines.get(), 1);
-        let slot = sw.to_mm_queue(0).front().unwrap();
-        assert_eq!(slot.item.value, 14, "operands summed");
+        let slot = sw.to_mm_queue(0, sw0, 0).front(sw.requests()).unwrap();
+        assert_eq!(slot.item().value, 14, "operands summed");
         assert!(slot.combined_here);
     }
 
     #[test]
     fn pair_only_third_request_queues() {
         let t = topo();
-        let c = cfg();
         let mut stats = NetStats::new(t.stages());
         let (sw0, _) = t.pe_entry(PeId(0));
-        let mut sw = Switch::new(0, sw0, &c);
+        let mut sw = Switches::new(&cfg());
         for (id, pe) in [(1, 0), (2, 4)] {
             into_stage0(
                 &mut sw,
@@ -497,16 +844,15 @@ mod tests {
             &mut stats,
         );
         assert_eq!(outcome, AcceptOutcome::Queued);
-        assert_eq!(sw.to_mm_queue(0).len(), 2);
+        assert_eq!(to_mm_len(&sw, sw0, 0), 2);
     }
 
     #[test]
     fn fourth_request_combines_with_third() {
         let t = topo();
-        let c = cfg();
         let mut stats = NetStats::new(t.stages());
         let (sw0, _) = t.pe_entry(PeId(0));
-        let mut sw = Switch::new(0, sw0, &c);
+        let mut sw = Switches::new(&cfg());
         for (id, pe) in [(1, 0), (2, 4), (3, 0), (4, 4)] {
             into_stage0(
                 &mut sw,
@@ -515,9 +861,10 @@ mod tests {
                 &mut stats,
             );
         }
-        assert_eq!(sw.to_mm_queue(0).len(), 2, "two combined pairs");
+        assert_eq!(to_mm_len(&sw, sw0, 0), 2, "two combined pairs");
         assert_eq!(stats.combines.get(), 2);
-        assert_eq!(sw.wait_occupancy(), 2);
+        assert_eq!(sw.wait_occupancy(0, sw0), 2);
+        assert_eq!(sw.total_wait_occupancy(), 2);
     }
 
     #[test]
@@ -526,8 +873,7 @@ mod tests {
         let mut c = cfg();
         c.wait_entries = 0;
         let mut stats = NetStats::new(t.stages());
-        let (sw0, _) = t.pe_entry(PeId(0));
-        let mut sw = Switch::new(0, sw0, &c);
+        let mut sw = Switches::new(&c);
         into_stage0(
             &mut sw,
             &t,
@@ -551,7 +897,7 @@ mod tests {
         c.policy = SwitchPolicy::QueuedNoCombine;
         let mut stats = NetStats::new(t.stages());
         let (sw0, _) = t.pe_entry(PeId(0));
-        let mut sw = Switch::new(0, sw0, &c);
+        let mut sw = Switches::new(&c);
         into_stage0(
             &mut sw,
             &t,
@@ -564,7 +910,7 @@ mod tests {
             req(2, 4, 3, MsgKind::fetch_add(), 9),
             &mut stats,
         );
-        assert_eq!(sw.to_mm_queue(0).len(), 2);
+        assert_eq!(to_mm_len(&sw, sw0, 0), 2);
         assert_eq!(stats.combines.get(), 0);
     }
 
@@ -574,52 +920,61 @@ mod tests {
         let mut c = cfg();
         c.policy = SwitchPolicy::DropOnConflict;
         let mut stats = NetStats::new(t.stages());
-        let (sw0, _) = t.pe_entry(PeId(0));
-        let mut sw = Switch::new(0, sw0, &c);
+        let mut sw = Switches::new(&c);
         into_stage0(&mut sw, &t, req(1, 0, 3, MsgKind::Load, 0), &mut stats);
         let outcome = into_stage0(&mut sw, &t, req(2, 4, 7, MsgKind::Load, 0), &mut stats);
         // MM 7 routes to the other port: no conflict.
         assert_eq!(outcome, AcceptOutcome::Queued);
         let outcome = into_stage0(&mut sw, &t, req(3, 0, 3, MsgKind::Load, 0), &mut stats);
-        assert!(matches!(outcome, AcceptOutcome::Dropped(_)));
+        let AcceptOutcome::Dropped(killed) = outcome else {
+            panic!("conflicting request must be killed, got {outcome:?}");
+        };
+        assert_eq!(killed.id, MsgId(3));
+        assert_eq!(killed.amalgam, 3, "amalgam restored for the retry");
         assert_eq!(stats.drops.get(), 1);
+        assert_eq!(sw.requests().live(), 2, "the killed request left the slab");
     }
 
     #[test]
     fn reply_decombines_and_spawns_second_reply() {
         let t = topo();
-        let c = cfg();
         let mut stats = NetStats::new(t.stages());
         let (sw0, _) = t.pe_entry(PeId(0));
-        let mut sw = Switch::new(0, sw0, &c);
+        let mut sw = Switches::new(&cfg());
         let a = req(1, 0, 3, MsgKind::fetch_add(), 5);
         let b = req(2, 4, 3, MsgKind::fetch_add(), 9);
-        into_stage0(&mut sw, &t, a.clone(), &mut stats);
+        into_stage0(&mut sw, &t, a, &mut stats);
         into_stage0(&mut sw, &t, b, &mut stats);
 
         // The combined message would continue to memory holding X = 100 and
         // return a reply for survivor id 1. Route it back into this switch:
         // on the reverse trip it enters on the port it departed from.
-        let survivor = sw.to_mm_queue_mut(0).pop_for_transmit(1).item;
+        let sent = sw.transmit_request(0, sw0, 0, 1);
+        let survivor = sw.release_request(sent);
         assert_eq!(survivor.value, 14);
+        assert!(sw.requests().is_empty());
         let mut reply = Reply::to_request(&survivor, 100);
         // Entering stage 0 on the reverse trip: amalgam must be what a reply
         // would carry at that point.
         reply.amalgam = t.reverse_amalgam_at(reply.dst, reply.addr.mm, 0);
         let in_port = t.forward_out_port(reply.addr.mm, 0);
-        assert!(sw.can_accept_reply(&reply, &t));
-        sw.accept_reply(reply, in_port, 2, &t, &mut stats);
+        assert!(sw.can_accept_reply(0, sw0, &reply, &t));
+        let handle = sw.admit_reply(reply);
+        sw.accept_reply(0, sw0, handle, in_port, 2, &t, &mut stats);
         assert_eq!(stats.decombines.get(), 1);
-        assert_eq!(sw.wait_occupancy(), 0);
+        assert_eq!(sw.wait_occupancy(0, sw0), 0);
+        assert_eq!(sw.total_wait_occupancy(), 0);
 
         // Collect both replies from the ToPE queues.
         let mut got = Vec::new();
         for port in 0..2 {
-            while !sw.to_pe_queue(port).is_empty() {
-                let now = sw.to_pe_queue(port).link_free_at().max(10);
-                got.push(sw.to_pe_queue_mut(port).pop_for_transmit(now).item);
+            while !sw.to_pe_queue(0, sw0, port).is_empty() {
+                let now = sw.to_pe_queue(0, sw0, port).link_free_at().max(10);
+                let sent = sw.transmit_reply(0, sw0, port, now);
+                got.push(sw.release_reply(sent));
             }
         }
+        assert!(sw.replies().is_empty());
         got.sort_by_key(|r| r.id);
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].id, MsgId(1));
@@ -633,9 +988,8 @@ mod tests {
     #[test]
     fn unmatched_reply_passes_straight_through() {
         let t = topo();
-        let c = cfg();
         let mut stats = NetStats::new(t.stages());
-        let mut sw = Switch::new(0, 0, &c);
+        let mut sw = Switches::new(&cfg());
         let r = Reply {
             id: MsgId(77),
             dst: PeId(0),
@@ -648,9 +1002,10 @@ mod tests {
             attempt: 0,
         };
         let in_port = t.forward_out_port(MmId(3), 0);
-        sw.accept_reply(r, in_port, 1, &t, &mut stats);
+        let handle = sw.admit_reply(r);
+        sw.accept_reply(0, 0, handle, in_port, 1, &t, &mut stats);
         let port = t.reverse_out_port(PeId(0), 0);
-        assert_eq!(sw.to_pe_queue(port).len(), 1);
+        assert_eq!(sw.to_pe_queue(0, 0, port).len(sw.replies()), 1);
         assert_eq!(stats.decombines.get(), 0);
     }
 
@@ -661,10 +1016,10 @@ mod tests {
         c.wait_entries = 1;
         let mut stats = NetStats::new(t.stages());
         let (sw0, _) = t.pe_entry(PeId(0));
-        let mut sw = Switch::new(0, sw0, &c);
-        assert!(sw.poison_wait_entry(&mut stats));
+        let mut sw = Switches::new(&c);
+        assert!(sw.poison_wait_entry(0, sw0, &mut stats));
         assert_eq!(stats.stuck_wait_entries.get(), 1);
-        assert_eq!(sw.wait_occupancy(), 1);
+        assert_eq!(sw.wait_occupancy(0, sw0), 1);
         // The single wait slot is gone: a combinable pair must decline.
         into_stage0(
             &mut sw,
@@ -681,7 +1036,10 @@ mod tests {
         assert_eq!(outcome, AcceptOutcome::Queued);
         assert_eq!(stats.combines.get(), 0);
         // No free slot left to poison a second time.
-        assert!(!sw.poison_wait_entry(&mut stats));
+        assert!(!sw.poison_wait_entry(0, sw0, &mut stats));
+        // The neighbouring switch's buffer is its own.
+        assert_eq!(sw.wait_occupancy(0, sw0 + 1), 0);
+        assert!(sw.poison_wait_entry(0, sw0 + 1, &mut stats));
     }
 
     #[test]
@@ -691,7 +1049,7 @@ mod tests {
         c.request_queue_packets = 3;
         let mut stats = NetStats::new(t.stages());
         let (sw0, _) = t.pe_entry(PeId(0));
-        let mut sw = Switch::new(0, sw0, &c);
+        let mut sw = Switches::new(&c);
         into_stage0(
             &mut sw,
             &t,
@@ -701,10 +1059,41 @@ mod tests {
         // Queue now holds 3 packets = full, but a combinable twin must still
         // be acceptable (it takes no space).
         let twin = req(2, 4, 3, MsgKind::fetch_add(), 9);
-        assert!(sw.can_accept_request(&twin, &t));
+        assert!(sw.can_accept_request(0, sw0, &twin, &t));
         // A request to a different word behind the same port is refused.
         let mut other = req(3, 4, 3, MsgKind::fetch_add(), 9);
         other.addr.offset = 99;
-        assert!(!sw.can_accept_request(&other, &t));
+        assert!(!sw.can_accept_request(0, sw0, &other, &t));
+    }
+
+    #[test]
+    fn switch_state_round_trips_through_wire() {
+        // Queued, combined and wait-buffer state in two switches; the
+        // decoded twin must re-encode to the same bytes (handles may be
+        // renumbered, chains may not be reordered).
+        let t = topo();
+        let c = cfg();
+        let mut stats = NetStats::new(t.stages());
+        let mut sw = Switches::new(&c);
+        for (id, pe, mm) in [(1, 0, 3), (2, 4, 3), (3, 1, 6), (4, 5, 2), (5, 0, 3)] {
+            into_stage0(
+                &mut sw,
+                &t,
+                req(id, pe, mm, MsgKind::fetch_add(), id as i64),
+                &mut stats,
+            );
+        }
+        assert!(sw.poison_wait_entry(1, 2, &mut stats));
+        let mut w = WireWriter::new();
+        sw.encode_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = WireReader::new(&bytes);
+        let twin = Switches::decode_state(&mut r, &c).expect("decode");
+        assert!(r.is_empty());
+        assert_eq!(twin.requests().live(), sw.requests().live());
+        assert_eq!(twin.total_wait_occupancy(), sw.total_wait_occupancy());
+        let mut w2 = WireWriter::new();
+        twin.encode_state(&mut w2);
+        assert_eq!(bytes, w2.into_bytes());
     }
 }

@@ -1,0 +1,349 @@
+//! Seeded model tests of the fabric's storage: the message [`Slab`], the
+//! [`OutQueue`] port records chained through it, and the network-wide
+//! wait table behind [`Switches`].
+//!
+//! The reference is the structure the fabric used to be built from — one
+//! plain `VecDeque` of slots per queue — written out here in the test.
+//! Random push / pop-for-transmit / hop / combine-resize sequences must
+//! leave every queue's walk, packet accounting, high-water mark and link
+//! timing equal to the model's; a handle the slab hands out must never
+//! name a message that is still live; and a drained fabric must hold an
+//! empty slab and an empty wait table.
+
+use std::collections::{HashMap, VecDeque};
+
+use ultra_net::config::NetConfig;
+use ultra_net::message::{Message, MsgId, MsgKind, PhiOp, Reply};
+use ultra_net::queue::{Handle, OutQueue, Slab, NIL};
+use ultra_net::route::{RouteTables, Topology};
+use ultra_net::stats::NetStats;
+use ultra_net::switch::{AcceptOutcome, Switches};
+use ultra_sim::rng::{Rng, SplitMix64};
+use ultra_sim::{Cycle, MemAddr, MmId, PeId};
+
+/// One queued message as the model sees it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ModelSlot {
+    item: u64,
+    packets: u8,
+    head_arrival: Cycle,
+    combined_here: bool,
+}
+
+/// The pre-slab queue: a `VecDeque` that owns its slots.
+#[derive(Debug, Default)]
+struct ModelQueue {
+    entries: VecDeque<ModelSlot>,
+    packets_used: usize,
+    max_packets_used: usize,
+    link_free_at: Cycle,
+}
+
+impl ModelQueue {
+    fn can_accept(&self, packets: u8, capacity: usize) -> bool {
+        self.packets_used + packets as usize <= capacity
+    }
+
+    fn push(&mut self, slot: ModelSlot) {
+        self.packets_used += slot.packets as usize;
+        self.max_packets_used = self.max_packets_used.max(self.packets_used);
+        self.entries.push_back(slot);
+    }
+
+    fn ready(&self, now: Cycle) -> bool {
+        now >= self.link_free_at && self.entries.front().is_some_and(|s| now >= s.head_arrival)
+    }
+
+    fn pop(&mut self, now: Cycle) -> ModelSlot {
+        let slot = self.entries.pop_front().expect("ready implies non-empty");
+        self.packets_used -= slot.packets as usize;
+        self.link_free_at = now + Cycle::from(slot.packets);
+        slot
+    }
+
+    fn resize(&mut self, index: usize, packets: u8) {
+        let slot = &mut self.entries[index];
+        self.packets_used = self.packets_used - slot.packets as usize + packets as usize;
+        self.max_packets_used = self.max_packets_used.max(self.packets_used);
+        slot.packets = packets;
+        slot.combined_here = true;
+    }
+}
+
+fn assert_queue_matches(q: &OutQueue, slab: &Slab<u64>, model: &ModelQueue, what: &str) {
+    let walked: Vec<ModelSlot> = q
+        .iter(slab)
+        .map(|(_, s)| ModelSlot {
+            item: *s.item(),
+            packets: s.packets,
+            head_arrival: s.head_arrival,
+            combined_here: s.combined_here,
+        })
+        .collect();
+    let expect: Vec<ModelSlot> = model.entries.iter().cloned().collect();
+    assert_eq!(walked, expect, "{what}: FIFO walk");
+    assert_eq!(q.len(slab), model.entries.len(), "{what}: len");
+    assert_eq!(q.is_empty(), model.entries.is_empty(), "{what}: emptiness");
+    assert_eq!(q.packets_used(), model.packets_used, "{what}: packets");
+    assert_eq!(
+        q.max_packets_used(),
+        model.max_packets_used,
+        "{what}: high-water mark"
+    );
+    assert_eq!(q.link_free_at(), model.link_free_at, "{what}: link timing");
+    assert_eq!(
+        q.front(slab).map(|s| *s.item()),
+        model.entries.front().map(|s| s.item),
+        "{what}: front"
+    );
+    assert_eq!(q.head() == NIL, model.entries.is_empty(), "{what}: head");
+}
+
+#[test]
+fn queues_chained_through_one_slab_match_the_vecdeque_model() {
+    for case in 0..24u64 {
+        let mut rng = SplitMix64::new(0x51AB_0000 ^ case.wrapping_mul(0x9e37_79b9));
+        let queues = 2 + rng.below(7);
+        // Both capacities the fabric uses: the 15-packet request bound and
+        // the unbounded reply queues.
+        let capacity = if rng.below(2) == 0 { 15 } else { usize::MAX };
+        let mut slab: Slab<u64> = Slab::new();
+        let mut real: Vec<OutQueue> = vec![OutQueue::new(); queues];
+        let mut model: Vec<ModelQueue> = (0..queues).map(|_| ModelQueue::default()).collect();
+        // Which item every live handle names — the aliasing oracle.
+        let mut live: HashMap<Handle, u64> = HashMap::new();
+        let mut next_item = 0u64;
+        let mut live_high_water = 0usize;
+        let mut now: Cycle = 0;
+
+        for step in 0..3000 {
+            let qi = rng.below(queues);
+            match rng.below(8) {
+                // push a fresh message
+                0..=2 => {
+                    let packets = if rng.below(2) == 0 { 1 } else { 3 };
+                    let fits = real[qi].can_accept(packets, capacity);
+                    assert_eq!(fits, model[qi].can_accept(packets, capacity));
+                    if fits {
+                        let head_arrival = now + rng.below(3) as Cycle;
+                        let handle = slab.insert(next_item, packets);
+                        assert!(
+                            live.insert(handle, next_item).is_none(),
+                            "case {case} step {step}: handle {handle} reissued while live"
+                        );
+                        real[qi].push(&mut slab, handle, head_arrival, capacity);
+                        model[qi].push(ModelSlot {
+                            item: next_item,
+                            packets,
+                            head_arrival,
+                            combined_here: false,
+                        });
+                        next_item += 1;
+                    }
+                }
+                // pop for transmit, then hop downstream or leave the fabric
+                3..=5 => {
+                    let ready = real[qi].ready_to_transmit(&slab, now);
+                    assert_eq!(ready, model[qi].ready(now), "case {case} step {step}");
+                    if ready {
+                        let handle = real[qi].pop_for_transmit(&mut slab, now);
+                        let popped = model[qi].pop(now);
+                        assert_eq!(live[&handle], popped.item, "FIFO order");
+                        assert_eq!(slab.get(handle).packets, popped.packets);
+                        let to = rng.below(queues);
+                        if to != qi && real[to].can_accept(popped.packets, capacity) {
+                            // The hop: same handle, new queue, fresh flags.
+                            real[to].push(&mut slab, handle, now + 1, capacity);
+                            model[to].push(ModelSlot {
+                                head_arrival: now + 1,
+                                combined_here: false,
+                                ..popped
+                            });
+                            assert_queue_matches(&real[to], &slab, &model[to], "hop target");
+                        } else {
+                            assert_eq!(slab.remove(handle), popped.item);
+                            live.remove(&handle);
+                        }
+                    }
+                }
+                // a combine mutates a queued slot's length in place
+                6 => {
+                    if !model[qi].entries.is_empty() {
+                        let index = rng.below(model[qi].entries.len());
+                        let packets = if rng.below(2) == 0 { 1 } else { 3 };
+                        let (handle, _) = real[qi].iter(&slab).nth(index).expect("in range");
+                        slab.get_mut(handle).combined_here = true;
+                        real[qi].resize_slot(&mut slab, handle, packets);
+                        model[qi].resize(index, packets);
+                    }
+                }
+                _ => now += 1 + rng.below(3) as Cycle,
+            }
+            assert_queue_matches(&real[qi], &slab, &model[qi], "touched queue");
+            let queued: usize = model.iter().map(|m| m.entries.len()).sum();
+            assert_eq!(
+                slab.live(),
+                queued,
+                "every live slot is queued exactly once"
+            );
+            assert_eq!(slab.live(), live.len());
+            live_high_water = live_high_water.max(slab.live());
+            assert!(
+                slab.slots() <= live_high_water,
+                "the slab grows only when the free list is empty"
+            );
+        }
+
+        // Drain: every queue still agrees, and the slab ends empty.
+        for qi in 0..queues {
+            assert_queue_matches(&real[qi], &slab, &model[qi], "before drain");
+            while !real[qi].is_empty() {
+                let head = real[qi].front(&slab).expect("non-empty").head_arrival;
+                now = now.max(real[qi].link_free_at()).max(head);
+                let handle = real[qi].pop_for_transmit(&mut slab, now);
+                assert_eq!(slab.remove(handle), model[qi].pop(now).item);
+            }
+            assert_queue_matches(&real[qi], &slab, &model[qi], "after drain");
+        }
+        assert!(slab.is_empty(), "case {case}: slab empty once drained");
+    }
+}
+
+/// Requests enter random stage-0 switches of an 8-PE fabric (few words,
+/// so they combine), leave straight from the stage-0 queues as if memory
+/// sat right behind them, and their replies come back through the same
+/// switch. The model is the wait buffer's bookkeeping: per switch,
+/// entries held = combines − decombines; every request is answered
+/// exactly once; nothing is left in either slab or the wait table.
+#[test]
+fn wait_entries_and_slabs_balance_under_random_switch_traffic() {
+    let cfg = NetConfig {
+        wait_entries: 3,
+        request_queue_packets: 9,
+        ..NetConfig::small(8)
+    };
+    let topo = RouteTables::new(Topology::new(8, 2));
+    for case in 0..16u64 {
+        let mut rng = SplitMix64::new(0x3A17_0000 ^ case.wrapping_mul(0x9e37_79b9));
+        let mut sw = Switches::new(&cfg);
+        let mut stats = NetStats::new(topo.stages());
+        let mut held = [0usize; 4]; // model: wait entries per stage-0 switch
+        let mut issued: Vec<MsgId> = Vec::new();
+        let mut answered: Vec<MsgId> = Vec::new();
+        let mut next_id = 1u64;
+        let mut now: Cycle = 0;
+
+        for _ in 0..1500 {
+            now += 1;
+            match rng.below(3) {
+                // a PE offers a request to its entry switch
+                0 => {
+                    let pe = PeId(rng.below(8));
+                    let kind = match rng.below(3) {
+                        0 => MsgKind::Load,
+                        1 => MsgKind::Store,
+                        _ => MsgKind::FetchPhi(PhiOp::Add),
+                    };
+                    let addr = MemAddr::new(MmId(rng.below(8)), rng.below(2));
+                    let msg = Message::request(MsgId(next_id), kind, addr, 1, pe, now);
+                    let (switch, in_port) = topo.pe_entry(pe);
+                    if sw.can_accept_request(0, switch, &msg, &topo) {
+                        next_id += 1;
+                        issued.push(msg.id);
+                        let handle = sw.admit_request(msg);
+                        let outcome =
+                            sw.accept_request(0, switch, handle, in_port, now, &topo, &mut stats);
+                        if outcome == AcceptOutcome::Combined {
+                            held[switch] += 1;
+                        }
+                    }
+                }
+                // a stage-0 queue transmits; memory answers at once
+                _ => {
+                    let (switch, port) = (rng.below(4), rng.below(2));
+                    if sw.forward_head_ready(0, switch, port, now).is_none() {
+                        continue;
+                    }
+                    let handle = sw.transmit_request(0, switch, port, now);
+                    let survivor = sw.release_request(handle);
+                    let mut reply = Reply::to_request(&survivor, 100);
+                    reply.amalgam = topo.reverse_amalgam_at(reply.dst, reply.addr.mm, 0);
+                    let in_port = topo.forward_out_port(reply.addr.mm, 0);
+                    assert!(
+                        sw.can_accept_reply(0, switch, &reply, &topo),
+                        "reply queues are unbounded"
+                    );
+                    let before = stats.decombines.get();
+                    let handle = sw.admit_reply(reply);
+                    sw.accept_reply(0, switch, handle, in_port, now, &topo, &mut stats);
+                    held[switch] -= (stats.decombines.get() - before) as usize;
+                    // Deliver whatever is ready on this switch's ToPE side.
+                    for pe_port in 0..2 {
+                        while sw.reverse_head_ready(0, switch, pe_port, now + 8).is_some() {
+                            let h = sw.transmit_reply(0, switch, pe_port, now + 8);
+                            answered.push(sw.release_reply(h).id);
+                            now += 3;
+                        }
+                    }
+                }
+            }
+            for (switch, &want) in held.iter().enumerate() {
+                assert_eq!(sw.wait_occupancy(0, switch), want, "case {case}");
+                assert!(want <= cfg.wait_entries, "capacity respected");
+            }
+            assert_eq!(sw.total_wait_occupancy(), held.iter().sum::<usize>());
+        }
+
+        // Drain what is still queued; every survivor's reply decombines.
+        for switch in 0..4 {
+            for port in 0..2 {
+                loop {
+                    now += 4;
+                    if sw.forward_head_ready(0, switch, port, now).is_none() {
+                        break;
+                    }
+                    let handle = sw.transmit_request(0, switch, port, now);
+                    let survivor = sw.release_request(handle);
+                    let mut reply = Reply::to_request(&survivor, 100);
+                    reply.amalgam = topo.reverse_amalgam_at(reply.dst, reply.addr.mm, 0);
+                    let in_port = topo.forward_out_port(reply.addr.mm, 0);
+                    let handle = sw.admit_reply(reply);
+                    sw.accept_reply(0, switch, handle, in_port, now, &topo, &mut stats);
+                }
+            }
+            for pe_port in 0..2 {
+                loop {
+                    now += 4;
+                    if sw.reverse_head_ready(0, switch, pe_port, now).is_none() {
+                        break;
+                    }
+                    let h = sw.transmit_reply(0, switch, pe_port, now);
+                    answered.push(sw.release_reply(h).id);
+                }
+            }
+            assert_eq!(
+                sw.wait_occupancy(0, switch),
+                0,
+                "case {case}: drained switch"
+            );
+        }
+        assert_eq!(
+            sw.total_wait_occupancy(),
+            0,
+            "case {case}: wait table empty"
+        );
+        assert!(sw.requests().is_empty(), "case {case}: request slab empty");
+        assert!(sw.replies().is_empty(), "case {case}: reply slab empty");
+        assert_eq!(stats.combines.get(), stats.decombines.get());
+        assert!(
+            stats.combines.get() > 0,
+            "case {case}: traffic must combine"
+        );
+        issued.sort_unstable();
+        answered.sort_unstable();
+        assert_eq!(
+            issued, answered,
+            "case {case}: every request answered exactly once"
+        );
+    }
+}

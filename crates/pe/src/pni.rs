@@ -26,13 +26,11 @@
 //! its §2.1 serialization-chain ticket exactly once. Disabled (the
 //! default), none of this bookkeeping exists.
 
-use std::collections::HashMap;
-
 use ultra_faults::RetryPolicy;
 use ultra_mem::AddressHasher;
 use ultra_net::message::{Message, MsgId, MsgKind, Reply};
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
-use ultra_sim::{Counter, Cycle, MemAddr, PeId, Value};
+use ultra_sim::{Counter, Cycle, IdMap, MemAddr, PeId, Value};
 
 /// Why the PNI refused to issue a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,16 +75,16 @@ pub struct Pni {
     pe: PeId,
     hasher: AddressHasher,
     /// Physical location → outstanding request id.
-    by_location: HashMap<MemAddr, MsgId>,
+    by_location: IdMap<MemAddr, MsgId>,
     /// Outstanding id → physical location (for completion).
-    inflight: HashMap<MsgId, MemAddr>,
+    inflight: IdMap<MsgId, MemAddr>,
     next_id: u64,
     stats: PniStats,
     /// The recovery protocol, if enabled.
     retry: Option<RetryPolicy>,
     /// Everything needed to re-issue each outstanding request (empty when
     /// the retry protocol is disabled).
-    pending: HashMap<MsgId, PendingRequest>,
+    pending: IdMap<MsgId, PendingRequest>,
     /// Reused between [`Pni::due_retries_into`] calls so the per-cycle
     /// timeout sweep allocates nothing in the common empty case.
     due_scratch: Vec<MsgId>,
@@ -168,14 +166,14 @@ impl Pni {
         Self {
             pe,
             hasher,
-            by_location: HashMap::new(),
-            inflight: HashMap::new(),
+            by_location: IdMap::default(),
+            inflight: IdMap::default(),
             // Top 20 bits reserved for the PE number: unique across 2^20 PEs
             // and 2^44 requests each.
             next_id: ((pe.0 as u64) << 44) + 1,
             stats: PniStats::default(),
             retry: None,
-            pending: HashMap::new(),
+            pending: IdMap::default(),
             due_scratch: Vec::new(),
         }
     }
@@ -207,8 +205,8 @@ impl Pni {
     /// Returns a [`WireError`] if the bytes are truncated or malformed.
     pub fn decode_state(r: &mut WireReader<'_>, hasher: AddressHasher) -> Result<Self, WireError> {
         let pe = PeId::decode(r)?;
-        let inflight: HashMap<MsgId, MemAddr> = HashMap::decode(r)?;
-        let by_location: HashMap<MemAddr, MsgId> =
+        let inflight: IdMap<MsgId, MemAddr> = IdMap::decode(r)?;
+        let by_location: IdMap<MemAddr, MsgId> =
             inflight.iter().map(|(&id, &addr)| (addr, id)).collect();
         if by_location.len() != inflight.len() {
             return Err(WireError::Invalid("duplicate outstanding location"));
@@ -221,7 +219,7 @@ impl Pni {
             next_id: r.u64()?,
             stats: PniStats::decode(r)?,
             retry: Option::decode(r)?,
-            pending: HashMap::decode(r)?,
+            pending: IdMap::decode(r)?,
             due_scratch: Vec::new(),
         })
     }
@@ -240,8 +238,14 @@ impl Pni {
                 state.addr = self.hasher.translate(v);
             }
         }
-        self.inflight = self.pending.iter().map(|(&id, s)| (id, s.addr)).collect();
-        self.by_location = self.pending.iter().map(|(&id, s)| (s.addr, id)).collect();
+        // Rebuilt in id order, so that if the new translation ever folded
+        // two outstanding words onto one location the survivor would not
+        // depend on the map's iteration order.
+        let mut live: Vec<(MsgId, MemAddr)> =
+            self.pending.iter().map(|(&id, s)| (id, s.addr)).collect();
+        live.sort_unstable_by_key(|&(id, _)| id);
+        self.inflight = live.iter().copied().collect();
+        self.by_location = live.iter().map(|&(id, addr)| (addr, id)).collect();
     }
 
     /// Collects the requests whose deadline has passed and re-issues each

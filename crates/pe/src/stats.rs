@@ -33,14 +33,7 @@ pub struct PeStats {
 
 impl Wire for PeStats {
     fn encode(&self, w: &mut WireWriter) {
-        self.instructions.encode(w);
-        self.idle_cycles.encode(w);
-        self.private_refs.encode(w);
-        self.shared_refs.encode(w);
-        self.cm_loads.encode(w);
-        self.cm_access.encode(w);
-        w.u64(self.total_cycles);
-        self.barrier_wait_cycles.encode(w);
+        self.encode_alive_for(self.total_cycles, w);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Self {
@@ -57,6 +50,20 @@ impl Wire for PeStats {
 }
 
 impl PeStats {
+    /// [`Wire::encode`] with `total_cycles` written in place of the stored
+    /// field — the machine keeps that field lazily (every context has been
+    /// alive since cycle 0) and stamps it where statistics leave it.
+    pub fn encode_alive_for(&self, total_cycles: Cycle, w: &mut WireWriter) {
+        self.instructions.encode(w);
+        self.idle_cycles.encode(w);
+        self.private_refs.encode(w);
+        self.shared_refs.encode(w);
+        self.cm_loads.encode(w);
+        self.cm_access.encode(w);
+        w.u64(total_cycles);
+        self.barrier_wait_cycles.encode(w);
+    }
+
     /// Creates zeroed counters.
     #[must_use]
     pub fn new() -> Self {

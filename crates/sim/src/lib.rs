@@ -14,6 +14,8 @@
 //! * [`ids`] — strongly typed identifiers for processing elements and memory
 //!   modules, memory addresses, and base-`k` digit manipulation helpers used
 //!   by the Omega-network routing logic.
+//! * [`idmap`] — [`IdMap`], the `HashMap` alias on a fixed hasher that the
+//!   per-message maps (request ids, memory words) use.
 //! * [`par`] / [`pool`] — deterministic fork–join over mutable slices: the
 //!   one-shot scoped-thread form ([`par::par_for_each_mut`]) and the
 //!   persistent worker pool ([`pool::WorkerPool`]) the cycle engine
@@ -38,6 +40,7 @@
 //! ```
 
 pub mod clock;
+pub mod idmap;
 pub mod ids;
 pub mod inline_vec;
 pub mod mask;
@@ -48,6 +51,7 @@ pub mod stats;
 pub mod wire;
 
 pub use clock::{Clock, Cycle};
+pub use idmap::IdMap;
 pub use ids::{digits, MemAddr, MmId, PeId, Value};
 pub use inline_vec::InlineVec;
 pub use mask::{AtomicBitmap, PackedMask};

@@ -27,7 +27,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
 /// Why a snapshot byte stream failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -452,8 +452,9 @@ impl<T: Wire + Ord> Wire for BTreeSet<T> {
 }
 
 /// Hash maps are written in sorted key order so equal maps yield equal
-/// bytes regardless of hasher-dependent iteration order.
-impl<K: Wire + Ord + Hash + Eq, V: Wire> Wire for HashMap<K, V> {
+/// bytes regardless of hasher-dependent iteration order — the bytes are
+/// the same whichever hasher `S` the map runs on.
+impl<K: Wire + Ord + Hash + Eq, V: Wire, S: BuildHasher + Default> Wire for HashMap<K, V, S> {
     fn encode(&self, w: &mut WireWriter) {
         let mut entries: Vec<(&K, &V)> = self.iter().collect();
         entries.sort_by(|a, b| a.0.cmp(b.0));
@@ -465,7 +466,7 @@ impl<K: Wire + Ord + Hash + Eq, V: Wire> Wire for HashMap<K, V> {
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let len = r.seq_len()?;
-        let mut out = Self::with_capacity(len);
+        let mut out = Self::with_capacity_and_hasher(len, S::default());
         for _ in 0..len {
             let k = K::decode(r)?;
             let v = V::decode(r)?;
