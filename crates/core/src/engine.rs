@@ -12,9 +12,8 @@ use std::fmt;
 
 /// Which cycle engine a [`crate::machine::Machine`] uses.
 ///
-/// Derived from [`crate::machine::MachineBuilder::threads`] and the
-/// `parallel` crate feature: more than one thread with the feature
-/// enabled selects [`EngineMode::Parallel`], everything else runs
+/// Derived from [`crate::machine::MachineBuilder::threads`]: more than
+/// one thread selects [`EngineMode::Parallel`]; the default is
 /// [`EngineMode::Sequential`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
@@ -25,17 +24,6 @@ pub enum EngineMode {
         /// Worker thread budget per fan-out point (copies, banks, PEs).
         threads: usize,
     },
-}
-
-impl EngineMode {
-    /// The thread budget this mode hands to each fan-out point.
-    #[must_use]
-    pub fn threads(self) -> usize {
-        match self {
-            EngineMode::Sequential => 1,
-            EngineMode::Parallel { threads } => threads,
-        }
-    }
 }
 
 impl fmt::Display for EngineMode {
@@ -53,8 +41,6 @@ mod tests {
 
     #[test]
     fn mode_reports_threads_and_formats() {
-        assert_eq!(EngineMode::Sequential.threads(), 1);
-        assert_eq!(EngineMode::Parallel { threads: 4 }.threads(), 4);
         assert_eq!(EngineMode::Sequential.to_string(), "sequential");
         assert_eq!(
             EngineMode::Parallel { threads: 2 }.to_string(),

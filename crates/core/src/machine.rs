@@ -106,22 +106,9 @@ pub struct MachineConfig {
     /// subsystem.
     pub faults: FaultPlan,
     /// Worker-thread budget per cycle-engine fan-out point (network
-    /// copies, memory banks, PE shards). `1` selects the sequential
-    /// engine; ignored (treated as `1`) when the `parallel` crate
-    /// feature is disabled. Every value produces bit-identical runs.
+    /// copies, memory banks, PE shards). `1` (the default) selects the
+    /// sequential engine. Every value produces bit-identical runs.
     pub threads: usize,
-    /// When `true` (the default) the thread budget is chosen
-    /// automatically from the machine size and the host's core count
-    /// instead of taken from [`MachineConfig::threads`]: small machines
-    /// stay sequential (fan-out overhead beats the win below ~256 PEs),
-    /// mid-sized ones use up to four cores, and 16K-PE-and-wider fabrics
-    /// up to eight (see [`Machine::auto_thread_cap`]).
-    /// [`MachineBuilder::threads`] clears this flag.
-    pub auto_threads: bool,
-    /// How the network iterates its switches each cycle (sparse
-    /// active-set walk by default). Purely a speed knob: every mode is
-    /// bit-identical.
-    pub sweep: SweepMode,
     /// Skip provably idle stretches of cycles (all traffic drained,
     /// every context parked) by jumping straight to the next scheduled
     /// event. Bit-identical to per-cycle stepping; on by default.
@@ -155,18 +142,17 @@ impl MachineBuilder {
                 contexts_per_pe: 1,
                 faults: FaultPlan::none(),
                 threads: 1,
-                auto_threads: true,
-                sweep: SweepMode::default(),
                 fast_forward: true,
             },
         }
     }
 
-    /// Selects the cycle engine's thread budget: with `threads > 1` (and
-    /// the `parallel` crate feature on) each cycle fans its independent
-    /// units — network copies, memory banks, PE shards — out over up to
-    /// that many OS threads. Deferred-effect merging keeps every thread
-    /// count bit-identical to the sequential engine.
+    /// Opts into the parallel cycle engine: with `threads > 1` each
+    /// cycle fans its independent units — network copies, memory banks,
+    /// PE shards — out over up to that many OS threads. The default is
+    /// the sequential engine (`1`), the faster one on every host measured
+    /// so far (`BENCH_engine.json`). Deferred-effect merging keeps every
+    /// thread count bit-identical to it.
     ///
     /// # Panics
     ///
@@ -175,28 +161,6 @@ impl MachineBuilder {
     pub fn threads(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "need at least one engine thread");
         self.cfg.threads = threads;
-        self.cfg.auto_threads = false;
-        self
-    }
-
-    /// Restores the default automatic thread selection: sequential below
-    /// 256 PEs, up to four threads below 16384 PEs, up to eight beyond —
-    /// always capped by the host's available parallelism (see
-    /// [`Machine::auto_thread_cap`]). Every choice is bit-identical; this
-    /// only picks the fastest engine for the machine size.
-    #[must_use]
-    pub fn threads_auto(mut self) -> Self {
-        self.cfg.auto_threads = true;
-        self
-    }
-
-    /// Selects how the network sweeps its switches each cycle (sparse
-    /// active-set walk by default; [`SweepMode::Dense`] restores the
-    /// full-topology scan). Purely a speed knob — runs are bit-identical
-    /// in either mode.
-    #[must_use]
-    pub fn sweep(mut self, mode: SweepMode) -> Self {
-        self.cfg.sweep = mode;
         self
     }
 
@@ -581,7 +545,6 @@ impl Machine {
             },
             BackendKind::Network { copies } => {
                 let mut nets = ReplicatedOmega::new(cfg.net, copies);
-                nets.set_sweep_mode(cfg.sweep);
                 for c in 0..copies {
                     let mask = plan.mask_for_copy(c);
                     if !mask.is_healthy() {
@@ -634,7 +597,7 @@ impl Machine {
             run_elapsed: None,
             fast_forwarded: 0,
             deliveries: Vec::new(),
-            pool: WorkerPool::new(Self::resolve_threads(&cfg)),
+            pool: WorkerPool::new(cfg.threads.max(1)),
             fx_dirty: AtomicBitmap::new(n),
             outgoing_mask: PackedMask::new(n),
             live_mask,
@@ -780,80 +743,26 @@ impl Machine {
     }
 
     /// The cycle engine this machine runs: [`EngineMode::Parallel`] when
-    /// built with more than one thread (and the `parallel` feature is
-    /// on), [`EngineMode::Sequential`] otherwise.
+    /// built with more than one thread, [`EngineMode::Sequential`]
+    /// otherwise.
     #[must_use]
     pub fn engine_mode(&self) -> EngineMode {
-        let t = self.effective_threads();
-        if t > 1 {
-            EngineMode::Parallel { threads: t }
-        } else {
-            EngineMode::Sequential
+        match self.pool.threads() {
+            0 | 1 => EngineMode::Sequential,
+            threads => EngineMode::Parallel { threads },
         }
     }
 
-    fn effective_threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// Machines smaller than this stay sequential under automatic thread
-    /// selection: below it, per-cycle fan-out overhead exceeds the work
-    /// being parallelised (see `BENCH_engine.json`).
-    pub const AUTO_THREADS_MIN_PES: usize = 256;
-
-    /// Upper bound on automatically chosen threads for mid-sized
-    /// machines (256 ≤ PEs < [`Self::AUTO_THREADS_WIDE_PES`]). The
-    /// per-cycle fan-out points saturate quickly at these sizes; more
-    /// threads add merge and wake cost without more speedup.
-    pub const MAX_AUTO_THREADS: usize = 4;
-
-    /// Machines at or above this many PEs raise the automatic cap to
-    /// [`Self::MAX_AUTO_THREADS_WIDE`]: with occupancy-adaptive sparse
-    /// dispatch the per-chunk work finally dwarfs the wake cost, so
-    /// wide fabrics keep scaling past four workers.
-    pub const AUTO_THREADS_WIDE_PES: usize = 16384;
-
-    /// Upper bound on automatically chosen threads for wide machines
-    /// ([`Self::AUTO_THREADS_WIDE_PES`] PEs and up).
-    pub const MAX_AUTO_THREADS_WIDE: usize = 8;
-
-    /// The automatic thread cap for a `pes`-PE machine: 1 below
-    /// [`Self::AUTO_THREADS_MIN_PES`], [`Self::MAX_AUTO_THREADS`] up to
-    /// [`Self::AUTO_THREADS_WIDE_PES`], [`Self::MAX_AUTO_THREADS_WIDE`]
-    /// beyond. The host's available parallelism clamps this further.
-    #[must_use]
-    pub fn auto_thread_cap(pes: usize) -> usize {
-        if pes < Self::AUTO_THREADS_MIN_PES {
-            1
-        } else if pes < Self::AUTO_THREADS_WIDE_PES {
-            Self::MAX_AUTO_THREADS
-        } else {
-            Self::MAX_AUTO_THREADS_WIDE
+    /// Test and microbench hook: forces the network's switch sweep
+    /// (see `OmegaNetwork::set_sweep_mode`). No-op on the ideal backend;
+    /// not carried through a snapshot — re-apply it after a restore.
+    #[doc(hidden)]
+    pub fn set_sweep_mode(&mut self, mode: SweepMode) {
+        if let BackendImpl::Network { nets, .. } = &mut self.backend {
+            for c in 0..nets.copies() {
+                nets.copy_mut(c).set_sweep_mode(mode);
+            }
         }
-    }
-
-    /// The thread budget a machine built from `cfg` will use.
-    fn resolve_threads(cfg: &MachineConfig) -> usize {
-        if !cfg!(feature = "parallel") {
-            return 1;
-        }
-        if !cfg.auto_threads {
-            return cfg.threads.max(1);
-        }
-        let cap = Self::auto_thread_cap(cfg.net.pes);
-        if cap <= 1 {
-            return 1;
-        }
-        std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(cap)
-    }
-
-    /// Whether the engine's thread count was chosen automatically (the
-    /// default) rather than pinned via [`MachineBuilder::threads`].
-    #[must_use]
-    pub fn auto_threads(&self) -> bool {
-        self.cfg.auto_threads
     }
 
     /// Wall-clock duration of the most recent [`Machine::run`] call
@@ -1928,11 +1837,10 @@ impl Wire for ReqMeta {
 
 impl MachineConfig {
     /// Serializes the fields that define *what* is being simulated — the
-    /// snapshot's config-identity echo. Speed knobs (`threads`,
-    /// `auto_threads`, `sweep`, `fast_forward`) are excluded: every
-    /// setting of them is bit-identical, so a snapshot may legally be
-    /// resumed under different ones (see
-    /// [`crate::snapshot::EngineTuning`]).
+    /// snapshot's config-identity echo. The speed knobs (`threads`,
+    /// `fast_forward`) are excluded: every setting of them is
+    /// bit-identical, so a snapshot may legally be resumed under
+    /// different ones (see [`crate::snapshot::EngineTuning`]).
     pub(crate) fn encode_identity(&self, w: &mut WireWriter) {
         self.net.encode(w);
         self.backend.encode(w);
@@ -1959,26 +1867,29 @@ impl MachineConfig {
             contexts_per_pe: r.usize()?,
             faults: FaultPlan::decode(r)?,
             threads: 1,
-            auto_threads: true,
-            sweep: SweepMode::default(),
             fast_forward: true,
         })
     }
 
     /// Serializes the speed knobs, so a plain [`crate::snapshot`] restore
-    /// reproduces the donor machine's engine exactly.
+    /// reproduces the donor machine's engine exactly. Format v1 has two
+    /// retired slots between them — an automatic-thread-selection flag
+    /// and a sweep-mode tag — written as the constants a default-built
+    /// machine always wrote, so frames stay byte-identical.
     pub(crate) fn encode_tuning(&self, w: &mut WireWriter) {
         w.usize(self.threads);
-        w.bool(self.auto_threads);
-        self.sweep.encode(w);
+        w.bool(true);
+        w.u8(0);
         w.bool(self.fast_forward);
     }
 
-    /// Applies a serialized tuning echo onto `self`.
+    /// Applies a serialized tuning echo onto `self`. The retired slots
+    /// are range-checked and ignored.
     pub(crate) fn decode_tuning_into(&mut self, r: &mut WireReader<'_>) -> Result<(), WireError> {
         self.threads = r.usize()?;
-        self.auto_threads = r.bool()?;
-        self.sweep = SweepMode::decode(r)?;
+        // Both retired slots only ever held 0 or 1: a bool's range check.
+        r.bool()?;
+        r.bool()?;
         self.fast_forward = r.bool()?;
         Ok(())
     }
@@ -2120,10 +2031,7 @@ impl Machine {
                 pending: BTreeMap::decode(r)?,
             },
             (1, BackendKind::Network { copies }) => {
-                let mut nets = ReplicatedOmega::decode_state(r)?;
-                // The machine config (tuning echo or a restore-time
-                // override) is authoritative for the sweep speed knob.
-                nets.set_sweep_mode(cfg.sweep);
+                let nets = ReplicatedOmega::decode_state(r)?;
                 if nets.copies() != copies {
                     return Err(StateDecodeError::ConfigMismatch("network copy count"));
                 }
@@ -2180,7 +2088,7 @@ impl Machine {
             run_elapsed: None,
             fast_forwarded,
             deliveries: Vec::new(),
-            pool: WorkerPool::new(Self::resolve_threads(&cfg)),
+            pool: WorkerPool::new(cfg.threads.max(1)),
             fx_dirty: AtomicBitmap::new(n),
             outgoing_mask,
             live_mask,
@@ -2922,73 +2830,34 @@ mod tests {
     }
 
     #[test]
-    fn auto_threads_heuristic_sizes_the_engine() {
-        // Small machines stay sequential regardless of the host.
-        let small = MachineBuilder::new(8).build_spmd(&counter_program(1));
-        assert!(small.auto_threads());
-        assert_eq!(small.engine_mode(), EngineMode::Sequential);
-        // An explicit thread count pins the engine and clears the flag.
-        let pinned = MachineBuilder::new(8)
-            .threads(3)
-            .build_spmd(&counter_program(1));
-        assert!(!pinned.auto_threads());
-        if cfg!(feature = "parallel") {
-            assert_eq!(pinned.engine_mode(), EngineMode::Parallel { threads: 3 });
-        }
-        // At or above the size threshold, auto picks from the host's
-        // available parallelism, capped by the size-scaled ceiling.
-        let big = MachineBuilder::new(Machine::AUTO_THREADS_MIN_PES)
-            .build_spmd(&Program::new(body(vec![Op::Halt]), vec![]));
-        let chosen = big.engine_mode().threads();
-        assert!((1..=Machine::MAX_AUTO_THREADS).contains(&chosen));
-        if cfg!(feature = "parallel") {
-            let host = std::thread::available_parallelism()
-                .map_or(1, std::num::NonZeroUsize::get)
-                .min(Machine::MAX_AUTO_THREADS);
-            assert_eq!(chosen, host);
-        }
-        // The cap itself scales with the fabric: sequential below the
-        // threshold, four threads for mid sizes, eight from 16K PEs up
-        // (pure function — no machine built, so the wide tier is
-        // testable without allocating a 16K-PE fabric).
-        assert_eq!(
-            Machine::auto_thread_cap(Machine::AUTO_THREADS_MIN_PES - 1),
-            1
-        );
-        assert_eq!(
-            Machine::auto_thread_cap(Machine::AUTO_THREADS_MIN_PES),
-            Machine::MAX_AUTO_THREADS
-        );
-        assert_eq!(
-            Machine::auto_thread_cap(Machine::AUTO_THREADS_WIDE_PES - 1),
-            Machine::MAX_AUTO_THREADS
-        );
-        assert_eq!(
-            Machine::auto_thread_cap(Machine::AUTO_THREADS_WIDE_PES),
-            Machine::MAX_AUTO_THREADS_WIDE
-        );
-        assert_eq!(
-            Machine::auto_thread_cap(4 * Machine::AUTO_THREADS_WIDE_PES),
-            Machine::MAX_AUTO_THREADS_WIDE
-        );
+    fn engine_is_sequential_unless_threads_is_set() {
+        // No host-dependent heuristic: a wide machine built without
+        // `.threads()` is sequential on any host.
+        let halt = Program::new(body(vec![Op::Halt]), vec![]);
+        let wide = MachineBuilder::new(4096).build_spmd(&halt);
+        assert_eq!(wide.engine_mode(), EngineMode::Sequential);
+        let pinned = MachineBuilder::new(8).threads(3).build_spmd(&halt);
+        assert_eq!(pinned.engine_mode(), EngineMode::Parallel { threads: 3 });
     }
 
     #[test]
     fn dense_sweep_is_bit_identical_to_sparse() {
-        let run = |mode: ultra_net::config::SweepMode| {
+        let run = |mode: SweepMode| {
             let mut m = MachineBuilder::new(8)
                 .network(2)
                 .multiprogramming(2)
-                .sweep(mode)
                 .build_spmd(&counter_program(6));
+            m.set_sweep_mode(mode);
             m.enable_trace(4096);
             assert!(m.run().completed);
             let events: Vec<TraceEvent> = m.trace().events().copied().collect();
             (digest(&m), events, m.read_shared(0))
         };
-        let sparse = run(ultra_net::config::SweepMode::Sparse);
-        let dense = run(ultra_net::config::SweepMode::Dense);
-        assert_eq!(sparse, dense, "sweep mode changed the simulation");
+        assert_eq!(
+            run(SweepMode::Sparse),
+            run(SweepMode::Dense),
+            "sweep mode changed the simulation"
+        );
     }
 
     #[test]

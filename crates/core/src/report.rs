@@ -34,13 +34,6 @@ pub struct MachineReport {
     pub elapsed: Option<Duration>,
     /// The cycle engine that produced the run.
     pub engine: EngineMode,
-    /// Whether the engine's thread count was chosen by the automatic
-    /// size-based heuristic rather than pinned by the caller.
-    pub engine_auto: bool,
-    /// Logical cores the host advertises — what the automatic heuristic
-    /// clamps its thread cap to. Printed alongside `(auto)` in the
-    /// footer so a report records *why* the engine got its width.
-    pub host_cores: usize,
     /// Cycles the engine skipped via idle fast-forward (still included
     /// in [`MachineReport::cycles`]).
     pub fast_forwarded: Cycle,
@@ -77,8 +70,6 @@ impl MachineReport {
             faults: m.fault_summary(),
             elapsed: m.last_run_elapsed(),
             engine: m.engine_mode(),
-            engine_auto: m.auto_threads(),
-            host_cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             fast_forwarded: m.fast_forwarded_cycles(),
             fast_forward_enabled: m.cfg().fast_forward,
             // Default-off: the footer (and harness stdout) only grows a
@@ -233,11 +224,12 @@ impl fmt::Display for MachineReport {
             )?;
         }
         if let Some(elapsed) = self.elapsed {
-            write!(f, "\n  engine: {}", self.engine)?;
-            if self.engine_auto {
-                write!(f, " (auto; {}-core host)", self.host_cores)?;
-            }
-            write!(f, " | {:.3} s wall", elapsed.as_secs_f64())?;
+            write!(
+                f,
+                "\n  engine: {} | {:.3} s wall",
+                self.engine,
+                elapsed.as_secs_f64()
+            )?;
             if let Some(cps) = self.cycles_per_sec() {
                 write!(f, " | {cps:.0} cycles/s")?;
             }
@@ -288,10 +280,9 @@ mod tests {
         assert!((0.0..=100.0).contains(&r.idle_pct()));
         let text = r.to_string();
         assert!(text.contains("avg CM access"));
-        assert!(text.contains("engine: "), "footer names the engine");
         assert!(
-            text.contains("(auto;") && text.contains("-core host)"),
-            "default builds report the automatic engine choice and the host width it clamped to: {text}"
+            text.contains("engine: sequential | "),
+            "footer names the engine, sequential by default: {text}"
         );
         assert!(text.contains("cycles/s"), "footer reports throughput");
         assert!(r.elapsed.is_some());

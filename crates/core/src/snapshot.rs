@@ -20,7 +20,7 @@
 //! config     bytes    length-prefixed config-identity echo (geometry,
 //!                     backend, time scale, translation, seed, budget,
 //!                     barrier parties, contexts, fault plan)
-//! tuning     fixed    speed knobs (threads, auto, sweep, fast-forward)
+//! tuning     fixed    speed knobs (threads, two retired bytes, fast-forward)
 //! state      ...      full machine state (see machine.rs)
 //! digest     u64      FNV-1a of the donor's parity string
 //! ```
@@ -45,7 +45,6 @@
 
 use std::fmt;
 
-use ultra_net::config::SweepMode;
 use ultra_sim::wire::{fnv1a, WireError, WireReader, WireWriter};
 
 use crate::machine::{Machine, MachineConfig, StateDecodeError};
@@ -164,8 +163,6 @@ impl From<StateDecodeError> for SnapshotError {
 pub struct EngineTuning {
     /// Worker-thread budget (`Some(1)` forces the sequential engine).
     pub threads: Option<usize>,
-    /// Switch-sweep strategy for the network fabric.
-    pub sweep: Option<SweepMode>,
     /// Idle-cycle fast-forward on or off.
     pub fast_forward: Option<bool>,
 }
@@ -244,10 +241,6 @@ impl Machine {
         cfg.decode_tuning_into(&mut r)?;
         if let Some(threads) = tuning.threads {
             cfg.threads = threads.max(1);
-            cfg.auto_threads = false;
-        }
-        if let Some(sweep) = tuning.sweep {
-            cfg.sweep = sweep;
         }
         if let Some(fast_forward) = tuning.fast_forward {
             cfg.fast_forward = fast_forward;
@@ -391,7 +384,6 @@ mod tests {
 
     #[test]
     fn restore_tuned_overrides_are_bit_identical() {
-        use ultra_net::config::SweepMode;
         let m = mid_run_machine();
         let bytes = m.snapshot();
         let plain = {
@@ -402,10 +394,6 @@ mod tests {
         for tuning in [
             EngineTuning {
                 threads: Some(2),
-                ..EngineTuning::default()
-            },
-            EngineTuning {
-                sweep: Some(SweepMode::Dense),
                 ..EngineTuning::default()
             },
             EngineTuning {
@@ -513,6 +501,43 @@ mod tests {
             Machine::restore(&bytes[..bytes.len() - 4]),
             Err(SnapshotError::Corrupted(_))
         ));
+    }
+
+    #[test]
+    fn retired_v1_tuning_slots_are_range_checked_and_ignored() {
+        let bytes = mid_run_machine().snapshot();
+        // Walk the frame header to the two retired bytes (automatic
+        // thread selection, sweep-mode tag) right after the thread budget.
+        let mut r = WireReader::new(&bytes);
+        r.take(SNAPSHOT_MAGIC.len()).unwrap();
+        r.u32().unwrap();
+        r.str().unwrap();
+        let cfg_len = r.seq_len().unwrap();
+        r.take(cfg_len).unwrap();
+        r.usize().unwrap();
+        let at = bytes.len() - r.remaining();
+        assert_eq!(bytes[at..at + 2], [1, 0], "what every v1 writer emits");
+        let plain = {
+            let mut m = Machine::restore(&bytes).unwrap();
+            m.run();
+            digest(&m)
+        };
+        // The other legal values a v1 writer could have left there.
+        let mut legal = bytes.clone();
+        legal[at] = 0;
+        legal[at + 1] = 1;
+        let mut m = Machine::restore(&legal).expect("legal retired values restore");
+        assert_eq!(m.engine_mode(), crate::engine::EngineMode::Sequential);
+        m.run();
+        assert_eq!(digest(&m), plain);
+        for slot in [at, at + 1] {
+            let mut bad = bytes.clone();
+            bad[slot] = 7;
+            assert!(
+                matches!(Machine::restore(&bad), Err(SnapshotError::Corrupted(_))),
+                "byte {slot} = 7 must be a typed error"
+            );
+        }
     }
 
     #[test]

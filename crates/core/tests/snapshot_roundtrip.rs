@@ -5,8 +5,8 @@
 //! Each scenario builds a machine, runs the *uninterrupted* baseline to
 //! completion, then re-runs it with a snapshot cut at several mid-run
 //! points. At each cut the snapshot is restored under every engine
-//! tuning (donor settings, pinned sequential, parallel, fast-forward
-//! off, dense sweep) and driven to completion; all of them — and the
+//! tuning (donor settings — sequential —, parallel, fast-forward off,
+//! forced-dense sweep) and driven to completion; all of them — and the
 //! donor machine continuing past its own snapshot — must digest to the
 //! baseline's parity string. The fault scenarios deliberately cut while
 //! recovery machinery is live: one cut is searched for dynamically so a
@@ -57,37 +57,27 @@ fn digest(m: &Machine) -> String {
     MachineReport::from_machine(m).parity_string()
 }
 
-fn tunings() -> Vec<(&'static str, EngineTuning)> {
+fn tunings() -> Vec<(&'static str, EngineTuning, SweepMode)> {
+    let donor = EngineTuning::default();
     vec![
-        ("donor", EngineTuning::default()),
-        (
-            "sequential",
-            EngineTuning {
-                threads: Some(1),
-                ..EngineTuning::default()
-            },
-        ),
+        ("donor", donor, SweepMode::Sparse),
         (
             "parallel-3",
             EngineTuning {
                 threads: Some(3),
-                ..EngineTuning::default()
+                ..donor
             },
+            SweepMode::Sparse,
         ),
         (
             "no-fast-forward",
             EngineTuning {
                 fast_forward: Some(false),
-                ..EngineTuning::default()
+                ..donor
             },
+            SweepMode::Sparse,
         ),
-        (
-            "dense-sweep",
-            EngineTuning {
-                sweep: Some(SweepMode::Dense),
-                ..EngineTuning::default()
-            },
-        ),
+        ("dense-sweep", donor, SweepMode::Dense),
     ]
 }
 
@@ -106,9 +96,10 @@ fn check_cut(make: &dyn Fn() -> Machine, baseline: &str, cut: u64, label: &str) 
         baseline,
         "{label} cut {cut}: snapshotting perturbed the donor"
     );
-    for (engine, tuning) in tunings() {
+    for (engine, tuning, sweep) in tunings() {
         let mut restored = Machine::restore_tuned(&snapshot, tuning)
             .unwrap_or_else(|e| panic!("{label} cut {cut} [{engine}]: restore failed: {e}"));
+        restored.set_sweep_mode(sweep);
         assert!(
             restored.run().completed,
             "{label} cut {cut} [{engine}]: restored run must finish"

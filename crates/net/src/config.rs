@@ -38,35 +38,21 @@ impl Wire for SwitchPolicy {
 
 /// How [`crate::omega::OmegaNetwork`] iterates switches each cycle.
 ///
-/// Purely a speed knob: both modes visit the same non-empty switches in
-/// the same order, so every run is bit-identical regardless of mode (the
-/// `engine_parity` suite asserts this).
+/// Not a setting: every network sweeps sparsely. Both modes visit the
+/// same non-empty switches in the same order, so forcing
+/// [`SweepMode::Dense`] through the test hook
+/// `OmegaNetwork::set_sweep_mode` is bit-identical (the `engine_parity`
+/// suite asserts this).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SweepMode {
     /// Visit only switches holding traffic, via the per-stage active
     /// sets, falling back to a dense scan for stages whose occupancy
-    /// exceeds the fallback threshold. The default.
+    /// exceeds the fallback threshold.
     #[default]
     Sparse,
     /// Always scan every switch of every stage — the seed behaviour,
     /// kept as the parity reference and for threshold benchmarking.
     Dense,
-}
-
-impl Wire for SweepMode {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u8(match self {
-            Self::Sparse => 0,
-            Self::Dense => 1,
-        });
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => Self::Sparse,
-            1 => Self::Dense,
-            _ => return Err(WireError::Invalid("sweep-mode tag")),
-        })
-    }
 }
 
 /// Static parameters of one Omega network.

@@ -251,17 +251,12 @@ impl OmegaNetwork {
         self.routes.topo()
     }
 
-    /// Selects how the per-cycle sweeps iterate switches (sparse active
-    /// sets by default). Purely a speed knob — runs are bit-identical in
-    /// either mode.
+    /// Test and microbench hook: forces how the per-cycle sweeps iterate
+    /// switches (the dense scan is the parity reference for the sparse
+    /// walk). Not part of a snapshot — a restored network sweeps sparsely.
+    #[doc(hidden)]
     pub fn set_sweep_mode(&mut self, mode: SweepMode) {
         self.sweep = mode;
-    }
-
-    /// The sweep mode in effect.
-    #[must_use]
-    pub fn sweep_mode(&self) -> SweepMode {
-        self.sweep
     }
 
     /// Accumulated statistics.
@@ -520,7 +515,7 @@ impl OmegaNetwork {
     pub fn encode_state(&self, w: &mut WireWriter) {
         self.cfg.encode(w);
         self.switches.encode_state(w);
-        self.sweep.encode(w);
+        w.u8(0); // retired v1 slot: the sweep-mode tag, always written sparse
         self.pe_link_free.encode(w);
         self.mm_link_free.encode(w);
         w.usize(self.fwd_egress.len());
@@ -563,7 +558,7 @@ impl OmegaNetwork {
                 }
             }
         }
-        net.sweep = SweepMode::decode(r)?;
+        r.bool()?; // retired v1 slot: the sweep-mode tag was 0 or 1
         net.pe_link_free = Vec::decode(r)?;
         net.mm_link_free = Vec::decode(r)?;
         if net.pe_link_free.len() != net.cfg.pes || net.mm_link_free.len() != net.cfg.pes {
@@ -921,13 +916,6 @@ impl ReplicatedOmega {
     /// Panics if `copy >= d`.
     pub fn try_inject_reply(&mut self, copy: usize, reply: Reply, now: Cycle) -> Result<(), Reply> {
         self.lanes[copy].net.try_inject_reply(reply, now)
-    }
-
-    /// Installs `mode` on every copy (see [`OmegaNetwork::set_sweep_mode`]).
-    pub fn set_sweep_mode(&mut self, mode: SweepMode) {
-        for lane in &mut self.lanes {
-            lane.net.set_sweep_mode(mode);
-        }
     }
 
     /// Advances every copy one cycle into its lane's pooled event buffer,

@@ -24,6 +24,17 @@ pub const DEFAULT_CHECKPOINT_EVERY: Cycle = 4096;
 /// Default total cycle budget when a job does not set `"cycles"`.
 pub const DEFAULT_CYCLE_BUDGET: Cycle = 10_000_000;
 
+/// Largest machine a job may ask for (ROADMAP's largest planned row). A
+/// job line is outside input and `pes` sizes every allocation.
+pub const MAX_PES: usize = 1 << 20;
+
+/// Most engine threads a job may ask for — each one is an OS thread
+/// spawned at machine build.
+pub const MAX_THREADS: usize = 64;
+
+/// Most network copies a job may ask for (each is a whole fabric).
+pub const MAX_COPIES: usize = 16;
+
 /// The built-in workload registry.
 ///
 /// Each workload is a deterministic function of `(pes, rounds)`, so the
@@ -350,11 +361,19 @@ impl JobSpec {
     }
 
     fn validate(&self) -> Result<(), String> {
-        if !self.pes.is_power_of_two() || self.pes < 2 {
-            return Err(format!("pes must be a power of two >= 2, got {}", self.pes));
+        if !self.pes.is_power_of_two() || !(2..=MAX_PES).contains(&self.pes) {
+            return Err(format!(
+                "pes must be a power of two in 2..={MAX_PES}, got {}",
+                self.pes
+            ));
         }
-        if self.copies < 1 {
-            return Err("copies must be >= 1".into());
+        for (field, value, max) in [
+            ("copies", self.copies, MAX_COPIES),
+            ("threads", self.threads, MAX_THREADS),
+        ] {
+            if !(1..=max).contains(&value) {
+                return Err(format!("{field} must be in 1..={max}, got {value}"));
+            }
         }
         if let Some(&copy) = self.faults.dead_copies.iter().find(|&&c| c >= self.copies) {
             return Err(format!(
@@ -370,9 +389,6 @@ impl JobSpec {
         }
         if self.faults.dead_copies.len() >= self.copies {
             return Err("cannot kill every network copy".into());
-        }
-        if self.threads < 1 {
-            return Err("threads must be >= 1".into());
         }
         if self.mean_gap < 1 {
             return Err("mean_gap must be >= 1".into());
@@ -507,6 +523,10 @@ mod tests {
             (r#"{"telemetry_window": 0}"#, "positive"),
             (r#"{"frobnicate": 1}"#, "unknown field"),
             (r#"{"id": ""}"#, "empty"),
+            (r#"{"pes": 2097152}"#, "in 2..=1048576, got 2097152"),
+            (r#"{"copies": 17}"#, "copies must be in 1..=16, got 17"),
+            (r#"{"threads": 65}"#, "threads must be in 1..=64, got 65"),
+            (r#"{"threads": 0}"#, "threads must be in 1..=64, got 0"),
         ] {
             let err = spec_of(line).unwrap_err();
             assert!(
@@ -514,6 +534,14 @@ mod tests {
                 "line {line}: error {err:?} lacks {needle:?}"
             );
         }
+    }
+
+    #[test]
+    fn machine_shaping_fields_are_accepted_at_their_bounds() {
+        let line =
+            format!(r#"{{"pes": {MAX_PES}, "copies": {MAX_COPIES}, "threads": {MAX_THREADS}}}"#);
+        let spec = spec_of(&line).unwrap();
+        assert_eq!((spec.pes, spec.copies, spec.threads), (1 << 20, 16, 64));
     }
 
     #[test]

@@ -398,3 +398,52 @@ fn observability_never_changes_result_lines() {
     // The bare server exposes none of it.
     assert!(Server::new().render_metrics().is_none());
 }
+
+/// One absurd job line costs only itself. Over-bound `threads` and `pes`
+/// used to abort the whole server (thread spawn, allocation) and lose
+/// every other job of the batch; now each is an ordinary error line.
+#[test]
+fn over_bound_job_lines_are_rejected_and_their_neighbours_complete() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    use ultra_serve::spec::{MAX_COPIES, MAX_PES, MAX_THREADS};
+
+    let batch = r#"{"id": "before", "pes": 16, "workload": "ticket", "rounds": 2}
+{"pes": 16, "workload": "ticket", "rounds": 2, "cycles": 100, "threads": 200000}
+{"pes": 268435456}
+{"pes": 16, "copies": 4096}
+{"id": "after", "pes": 16, "workload": "ticket", "rounds": 2}
+"#;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ultra-serve"))
+        .args(["--batch", "-", "--log-level", "error"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("ultra-serve starts");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    stdin.write_all(batch.as_bytes()).expect("batch written");
+    drop(stdin);
+    let out = child.wait_with_output().expect("ultra-serve exits");
+    // Rejected lines fail the batch (exit 1); an abort would be a signal.
+    assert_eq!(out.status.code(), Some(1), "server died: {:?}", out.status);
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 results");
+    let by_id: HashMap<String, &str> = stdout.lines().map(|l| (field(l, "id"), l)).collect();
+    assert_eq!(by_id.len(), 5, "one result line per input line: {stdout}");
+    // A rejected line is answered under its line number.
+    for (id, name, max) in [
+        ("job-2", "threads", MAX_THREADS),
+        ("job-3", "pes", MAX_PES),
+        ("job-4", "copies", MAX_COPIES),
+    ] {
+        assert_eq!(field(by_id[id], "status"), "error");
+        let error = field(by_id[id], "error");
+        assert!(
+            error.starts_with(name) && error.contains(&format!("..={max}")),
+            "{id}: error `{error}` must name the field and its bound"
+        );
+    }
+    for id in ["before", "after"] {
+        assert_eq!(field(by_id[id], "status"), "completed", "{}", by_id[id]);
+    }
+}

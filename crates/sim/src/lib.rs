@@ -16,8 +16,7 @@
 //!   by the Omega-network routing logic.
 //! * [`idmap`] — [`IdMap`], the `HashMap` alias on a fixed hasher that the
 //!   per-message maps (request ids, memory words) use.
-//! * [`par`] / [`pool`] — deterministic fork–join over mutable slices: the
-//!   one-shot scoped-thread form ([`par::par_for_each_mut`]) and the
+//! * [`pool`] — deterministic fork–join over mutable slices: the
 //!   persistent worker pool ([`pool::WorkerPool`]) the cycle engine
 //!   dispatches through every cycle.
 //! * [`wire`] — the hand-rolled binary format machine snapshots are
@@ -44,7 +43,6 @@ pub mod idmap;
 pub mod ids;
 pub mod inline_vec;
 pub mod mask;
-pub mod par;
 pub mod pool;
 pub mod rng;
 pub mod stats;
@@ -55,7 +53,6 @@ pub use idmap::IdMap;
 pub use ids::{digits, MemAddr, MmId, PeId, Value};
 pub use inline_vec::InlineVec;
 pub use mask::{AtomicBitmap, PackedMask};
-pub use par::par_for_each_mut;
 pub use pool::{PoolDispatchStats, WorkerPool};
 pub use rng::{Rng, SplitMix64, Xoshiro256StarStar};
 pub use stats::{Counter, Histogram, RunningStats};

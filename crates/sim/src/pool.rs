@@ -1,16 +1,13 @@
 //! A persistent worker pool for the per-cycle fan-out.
 //!
-//! [`crate::par_for_each_mut`] proved the determinism story — contiguous
-//! chunks, fixed index order, bit-identical results at any thread count —
-//! but it spawns fresh scoped threads on every call, and a cycle engine
-//! calls it up to three times *per simulated cycle*. At ~10⁵ cycles/sec
-//! the spawn/join cost dwarfs the work being fanned out, which is why the
-//! per-cycle-scope parallel engine lost to the sequential one at every
-//! machine size. [`WorkerPool`] keeps the same chunking and the same
-//! determinism guarantee, but parks `threads - 1` OS threads once at
-//! construction and hands them **epoch-stamped work descriptors** through
-//! a mutex/condvar pair: dispatching a fan-out is two lock acquisitions
-//! and a wake, not thread creation.
+//! The cycle engine fans mutually independent units (network copies,
+//! memory banks, PE shards) out up to three times *per simulated cycle*:
+//! contiguous chunks, fixed index order, bit-identical results at any
+//! thread count. Spawning scoped threads at that rate costs more than the
+//! work being fanned out, so [`WorkerPool`] parks `threads - 1` OS threads
+//! once at construction and hands them **epoch-stamped work descriptors**
+//! through a mutex/condvar pair: dispatching a fan-out is two lock
+//! acquisitions and a wake, not thread creation.
 //!
 //! # Safety
 //!
@@ -83,10 +80,9 @@ struct Shared {
 }
 
 /// A pool of parked OS threads that repeatedly applies closures over
-/// mutable slices with [`crate::par_for_each_mut`]'s exact chunking and
-/// ordering semantics — element `i` is always visited once, with its
-/// index, with exclusive access — so swapping one for the other cannot
-/// change any result, only the wall-clock.
+/// mutable slices — element `i` is always visited once, with its index,
+/// with exclusive access — so the thread count cannot change any
+/// result, only the wall-clock.
 ///
 /// `WorkerPool::new(1)` (or a slice of length ≤ 1) runs inline on the
 /// caller with zero synchronization: the sequential engine and the
@@ -524,27 +520,6 @@ mod tests {
         let sum_rounds: u64 = (0..200).sum();
         for (i, x) in v.iter().enumerate() {
             assert_eq!(*x, sum_rounds + 200 * i as u64);
-        }
-    }
-
-    #[test]
-    fn matches_par_for_each_mut_exactly() {
-        // The pool replaces `par_for_each_mut` in the cycle engine; both
-        // must produce identical effects for identical inputs.
-        let work = |i: usize, x: &mut u64| {
-            let mut h = *x;
-            for _ in 0..50 {
-                h = h.wrapping_mul(6364136223846793005).wrapping_add(i as u64);
-            }
-            *x = h;
-        };
-        for threads in [1usize, 2, 3, 4, 8] {
-            let mut scoped: Vec<u64> = (0..97).map(|i| i * 3 + 1).collect();
-            crate::par_for_each_mut(&mut scoped, threads, work);
-            let pool = WorkerPool::new(threads);
-            let mut pooled: Vec<u64> = (0..97).map(|i| i * 3 + 1).collect();
-            pool.run(&mut pooled, work);
-            assert_eq!(pooled, scoped, "threads={threads}");
         }
     }
 

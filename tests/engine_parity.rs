@@ -95,7 +95,17 @@ struct RunResult {
 }
 
 fn run(builder: MachineBuilder, program: &Program, trace: bool) -> RunResult {
+    run_swept(builder, program, trace, SweepMode::Sparse)
+}
+
+fn run_swept(
+    builder: MachineBuilder,
+    program: &Program,
+    trace: bool,
+    sweep: SweepMode,
+) -> RunResult {
     let mut m = builder.build_spmd(program);
+    m.set_sweep_mode(sweep);
     if trace {
         m.enable_trace(1 << 14);
     }
@@ -133,7 +143,7 @@ fn assert_engines_agree(make: impl Fn() -> MachineBuilder, program: &Program, la
     );
     // The dense full-topology sweep must match the default sparse
     // active-set walk (runs above use the sparse default).
-    let dense = run(make().threads(1).sweep(SweepMode::Dense), program, true);
+    let dense = run_swept(make().threads(1), program, true, SweepMode::Dense);
     assert_eq!(
         seq.parity, dense.parity,
         "{label}: sweep mode changed the simulation"
@@ -260,12 +270,12 @@ fn engines_agree_on_e8_configuration() {
 }
 
 /// The persistent pool replaced per-cycle `thread::scope` fan-outs in the
-/// engine; its dispatch must be effect-identical to `par_for_each_mut`
-/// (same chunking, same exclusive per-element access, same index order of
-/// observable results) for arbitrary slice lengths and thread counts.
+/// engine; its dispatch must be effect-identical to the plain index-order
+/// loop (every element visited once, with its index, with exclusive
+/// access) for arbitrary slice lengths and thread counts.
 #[test]
 fn pool_dispatch_matches_scoped_fanout() {
-    use ultra_sim::{par_for_each_mut, WorkerPool};
+    use ultra_sim::WorkerPool;
     forall(10, "pool vs scoped fan-out", |rng| {
         let len = rng.range_u64(0..40) as usize;
         let threads = 1 + rng.range_u64(0..5) as usize;
@@ -277,18 +287,19 @@ fn pool_dispatch_matches_scoped_fanout() {
             }
             *x = h;
         };
-        let mut scoped: Vec<u64> = (0..len as u64).map(|i| i * 7 + 3).collect();
-        par_for_each_mut(&mut scoped, threads, work);
+        let mut looped: Vec<u64> = (0..len as u64).map(|i| i * 7 + 3).collect();
+        let in_order = |v: &mut [u64]| v.iter_mut().enumerate().for_each(|(i, x)| work(i, x));
+        in_order(&mut looped);
         let pool = WorkerPool::new(threads);
         let mut pooled: Vec<u64> = (0..len as u64).map(|i| i * 7 + 3).collect();
         // Reuse across dispatches is the pool's whole point — run twice
         // through the same pool and compare the second pass too.
         pool.run(&mut pooled, work);
-        assert_eq!(pooled, scoped, "len={len} threads={threads}");
-        par_for_each_mut(&mut scoped, threads, work);
+        assert_eq!(pooled, looped, "len={len} threads={threads}");
+        in_order(&mut looped);
         pool.run(&mut pooled, work);
         assert_eq!(
-            pooled, scoped,
+            pooled, looped,
             "second dispatch, len={len} threads={threads}"
         );
     });
