@@ -1,0 +1,187 @@
+//! Applying fired faults to the live machine and the degraded-mode
+//! reconfiguration that follows (route loss, dead modules, retries).
+
+use ultra_faults::Fault;
+use ultra_net::message::{Message, MsgId, MsgKind};
+use ultra_sim::{Cycle, MemAddr, MmId, PeId};
+
+use super::{BackendImpl, CtxState, Machine};
+
+impl Machine {
+    /// Applies one fired fault to the live machine. Faults target the
+    /// network backend; on the ideal backend they are no-ops.
+    pub(super) fn apply_fault(&mut self, fault: Fault) {
+        match fault {
+            Fault::KillCopy { copy } => {
+                if let BackendImpl::Network { nets, .. } = &mut self.backend {
+                    nets.copy_mut(copy).kill();
+                }
+            }
+            Fault::KillMm { mm } => self.kill_mm(mm),
+            Fault::SlowMm { mm, factor } => {
+                if let BackendImpl::Network { banks, .. } = &mut self.backend {
+                    banks[mm.0]
+                        .set_service_time(self.cfg.time.cycles_per_mm_access * Cycle::from(factor));
+                }
+            }
+            Fault::KillSwitchPort {
+                copy,
+                stage,
+                switch,
+                port,
+            } => {
+                if let BackendImpl::Network { nets, .. } = &mut self.backend {
+                    let net = nets.copy_mut(copy);
+                    let mut mask = net.fault_mask().clone();
+                    mask.kill_port(stage, switch, port);
+                    net.set_fault_mask(mask);
+                }
+            }
+            Fault::StickWaitEntry {
+                copy,
+                stage,
+                switch,
+            } => {
+                if let BackendImpl::Network { nets, .. } = &mut self.backend {
+                    let _ = nets.copy_mut(copy).poison_wait_entry(stage, switch);
+                }
+            }
+        }
+        if matches!(fault, Fault::KillCopy { .. } | Fault::KillSwitchPort { .. }) {
+            self.absorb_unreachable();
+        }
+    }
+
+    /// Degraded-mode reconfiguration after route loss. Dead copies plus
+    /// dead ports can sever routes entirely; requests on a severed route
+    /// could never inject and would wedge the machine, so:
+    ///
+    /// 1. A PE with no route to *any* module in *any* copy is
+    ///    fail-stopped (deconfigured) — the paper's fail-soft stance:
+    ///    the machine keeps running with fewer PEs.
+    /// 2. A module some *live* PE cannot reach is folded into the dead
+    ///    set, the stand-in for the OS remapping memory away from
+    ///    modules the degraded network no longer serves; re-hashing
+    ///    (§3.1.4) adopts its words. At least one module always
+    ///    survives.
+    pub(super) fn absorb_unreachable(&mut self) {
+        let n = self.cfg.net.pes;
+        let reach: Vec<Vec<bool>> = {
+            let BackendImpl::Network { nets, .. } = &self.backend else {
+                return;
+            };
+            // One copy with intact routing reaches everything. Link loss
+            // alone never severs a route (a lossy link drops individual
+            // injections; `fault_refuses` ignores it), so only dead copies
+            // and dead ports matter here — a loss-only plan skips the
+            // O(PEs x MMs) route probe entirely.
+            if (0..nets.copies()).any(|c| {
+                let mask = nets.copy(c).fault_mask();
+                !mask.copy_dead() && !mask.any_port_dead()
+            }) {
+                return;
+            }
+            (0..n)
+                .map(|pe| {
+                    (0..n)
+                        .map(|mm| {
+                            let probe = Message::request(
+                                MsgId(0),
+                                MsgKind::Load,
+                                MemAddr::new(MmId(mm), 0),
+                                0,
+                                PeId(pe),
+                                0,
+                            );
+                            (0..nets.copies()).any(|c| !nets.copy(c).fault_refuses(&probe))
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        for (pe, row) in reach.iter().enumerate() {
+            if row.iter().all(|&ok| !ok) {
+                self.deconfigure_pe(pe);
+            }
+        }
+        let mut lost = vec![false; n];
+        for (pe, row) in reach.iter().enumerate() {
+            if self.dead_pes.contains(&PeId(pe)) {
+                continue;
+            }
+            for (mm, &ok) in row.iter().enumerate() {
+                if !ok {
+                    lost[mm] = true;
+                }
+            }
+        }
+        for (mm, &lost) in lost.iter().enumerate() {
+            if !lost || self.dead_mms.contains(&MmId(mm)) {
+                continue;
+            }
+            if self.dead_mms.len() + 2 > n {
+                break;
+            }
+            self.kill_mm(MmId(mm));
+        }
+    }
+
+    /// Fail-stops physical PE `pe`: every context halts, queued and
+    /// outstanding requests are abandoned (late replies for them are
+    /// dropped as orphans). Mid-run deconfiguration does not release
+    /// barriers the dead PE was expected at — like the real machine, a
+    /// barrier with a dead participant never completes.
+    fn deconfigure_pe(&mut self, pe: usize) {
+        if self.dead_pes.contains(&PeId(pe)) {
+            return;
+        }
+        self.dead_pes.push(PeId(pe));
+        let shard = &mut self.shards[pe];
+        for state in &mut shard.states {
+            if *state != CtxState::Halted {
+                *state = CtxState::Halted;
+                self.halted_count += 1;
+            }
+        }
+        for msg in shard.outgoing.drain(..) {
+            self.meta.remove(&msg.id);
+        }
+        for id in shard.pni.abandon_all() {
+            self.meta.remove(&id);
+        }
+        self.outgoing_mask.clear(pe);
+        self.live_mask.clear(pe);
+    }
+
+    /// Kills module `mm` mid-run: its contents are lost, queued requests
+    /// are discarded (PNI timeouts recover them), and translation
+    /// re-hashes around the cumulative dead set on every PNI.
+    fn kill_mm(&mut self, mm: MmId) {
+        if self.dead_mms.contains(&mm) {
+            return;
+        }
+        self.dead_mms.push(mm);
+        self.hasher.set_dead_mms(&self.dead_mms);
+        if let BackendImpl::Network { banks, .. } = &mut self.backend {
+            banks[mm.0].kill();
+        }
+        for shard in &mut self.shards {
+            shard.pni.set_hasher(self.hasher.clone());
+        }
+    }
+
+    /// Re-issues timed-out requests (retry protocol; skipped wholesale
+    /// when the fault plan never enabled retries).
+    pub(super) fn queue_due_retries(&mut self, now: Cycle) {
+        if !self.retry_enabled {
+            return;
+        }
+        for pe in 0..self.shards.len() {
+            let shard = &mut self.shards[pe];
+            shard.pni.due_retries_into(now, &mut shard.outgoing);
+            if !shard.outgoing.is_empty() {
+                self.outgoing_mask.set(pe);
+            }
+        }
+    }
+}

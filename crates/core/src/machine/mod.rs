@@ -1,0 +1,770 @@
+//! The whole Ultracomputer: PEs + PNIs + combining network + MNIs + MMs —
+//! or the ideal paracomputer in their place.
+//!
+//! [`Machine`] runs one [`Program`] per PE *context* against a
+//! shared-memory backend:
+//!
+//! * [`BackendKind::Ideal`] — the §2 paracomputer: every request completes
+//!   after a fixed latency, simultaneous requests to one cell are all
+//!   served under the serialization principle. This is the configuration
+//!   the paper's §5 WASHCLOTH studies used.
+//! * [`BackendKind::Network`] — the §3 hardware: requests traverse `d`
+//!   copies of the combining Omega network to real memory banks with
+//!   finite service rates. This is the configuration of the §4.2 NETSIM
+//!   studies.
+//!
+//! §3.5's latency fallback is supported too: "If the latency remains an
+//! impediment to performance, we would hardware-multiprogram the PEs (as
+//! in the CHOPP design and the Denelcor HEP machine). Note that k-fold
+//! multiprogramming is equivalent to using k times as many PEs — each
+//! having relative performance 1/k." With
+//! [`MachineBuilder::multiprogramming`], each physical PE holds `k`
+//! interpreter contexts sharing one datapath and one PNI; on any stall
+//! (locked register, busy location, barrier) the PE issues from another
+//! context at zero switch cost, hiding memory latency.
+//!
+//! The per-cycle schedule is: flush pending injections → memory banks →
+//! network fabric (delivering replies unlocks registers) → barrier release
+//! → PE execution. A PE therefore observes a reply the same cycle its tail
+//! arrives, and a request issued this cycle starts moving next cycle.
+//!
+//! Layout: `config` (what to build), `cycle` (the schedule above and each
+//! shard's datapath cycle), `ff` (idle fast-forward), `faults` (fault
+//! application and degraded-mode reconfiguration), `wire` (snapshot
+//! state); this file holds the types, the assembly and the accessors.
+
+use std::collections::{BTreeMap, VecDeque};
+use std::time::{Duration, Instant};
+
+use ultra_faults::{FaultClock, RetryPolicy};
+use ultra_mem::{AddressHasher, MemBank};
+use ultra_net::config::{NetConfig, SweepMode};
+use ultra_net::message::{Message, MsgId, Reply};
+use ultra_net::omega::ReplicatedOmega;
+use ultra_net::stats::NetStats;
+use ultra_obs::{CounterSnapshot, GaugeSnapshot, HeatmapSnapshot, PhaseRecorder, TimeSeries};
+use ultra_pe::pni::Pni;
+use ultra_pe::stats::PeStats;
+use ultra_sim::{
+    AtomicBitmap, Cycle, IdMap, MmId, PackedMask, PeId, PoolDispatchStats, Value, WorkerPool,
+};
+
+use crate::engine::EngineMode;
+use crate::interp::{IssueSpec, PeInterp};
+use crate::paracomputer::Paracomputer;
+use crate::program::{Program, Reg};
+use crate::trace::{Trace, TraceEvent};
+
+mod config;
+mod cycle;
+mod faults;
+mod ff;
+#[cfg(test)]
+mod tests;
+mod wire;
+
+pub use config::{BackendKind, MachineBuilder, MachineConfig};
+pub(crate) use wire::StateDecodeError;
+
+/// Virtual addresses at and above this are reserved for machine-assisted
+/// barriers (one word per barrier generation).
+pub const BARRIER_VADDR_BASE: usize = 1 << 40;
+
+/// Why a context is not currently executing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum CtxState {
+    Ready,
+    WaitReg(Reg),
+    WaitIssue(IssueSpec, Purpose),
+    WaitBarrier,
+    WaitFence,
+    /// Parked by [`Op::WaitUntil`] until the clock reaches the cycle.
+    WaitUntil(Cycle),
+    Halted,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Purpose {
+    Data,
+    Barrier,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct ReqMeta {
+    /// Virtual PE (context) index.
+    ctx: usize,
+    dst: Option<Reg>,
+    purpose: Purpose,
+}
+
+enum BackendImpl {
+    Ideal {
+        para: Paracomputer,
+        latency: Cycle,
+        /// due cycle → requests applied (as a simultaneous batch) then.
+        pending: BTreeMap<Cycle, Vec<Message>>,
+    },
+    Network {
+        nets: ReplicatedOmega,
+        banks: Vec<MemBank>,
+        /// Which copy carried each in-flight request (replies return the
+        /// same way). Keyed by attempt too: a retry may travel a
+        /// different copy than the original, and each answer must return
+        /// through the copy that carried its request so decombining
+        /// matches.
+        copy_of: IdMap<(MsgId, u32), usize>,
+    },
+}
+
+/// Aggregate resilience counters for one run. All zero under
+/// [`ultra_faults::FaultPlan::none`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultSummary {
+    /// Injections refused by a dead copy or a dead port on the route
+    /// (each one is a failover attempt).
+    pub refusals: u64,
+    /// Requests accepted by a later copy after an earlier copy refused.
+    pub failovers: u64,
+    /// Requests swallowed by lossy links.
+    pub dropped: u64,
+    /// Timed-out requests re-issued by the PNIs.
+    pub retries: u64,
+    /// Redundant replies discarded at the PEs.
+    pub duplicate_replies: u64,
+    /// Duplicate requests answered from the MM dedup cache.
+    pub dedup_hits: u64,
+    /// Duplicate requests swallowed at the MMs (the original's reply was
+    /// still en route).
+    pub dedup_swallowed: u64,
+    /// Requests discarded unserved by dead MMs.
+    pub dead_discards: u64,
+    /// Wait-buffer slots lost to stuck entries.
+    pub stuck_wait_entries: u64,
+    /// Outbound requests abandoned because no live copy had a route
+    /// (recovered by retry under the re-hashed translation).
+    pub unroutable: u64,
+    /// Physical PEs fail-stopped because the degraded network left them
+    /// no route to any module.
+    pub deconfigured_pes: u64,
+}
+
+impl FaultSummary {
+    /// Whether any fault machinery actually fired.
+    #[must_use]
+    pub fn any(&self) -> bool {
+        *self != Self::default()
+    }
+}
+
+/// Outcome of [`Machine::run`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunOutcome {
+    /// Whether every context halted and all traffic drained.
+    pub completed: bool,
+    /// Cycles elapsed.
+    pub cycles: Cycle,
+}
+
+/// One physical PE's slice of the machine: its interpreter contexts,
+/// datapath occupancy, network interface and outbound queue. This is the
+/// unit the parallel engine fans out — within a cycle no shard reads
+/// another shard, and writes to the machine-wide sinks (request
+/// metadata, trace, halt count) are deferred into [`ShardFx`] and merged
+/// in shard index order, which is exactly the order the sequential loop
+/// produces them in. Both engines therefore generate byte-identical
+/// event streams.
+struct PeShard {
+    /// First virtual PE (context) index of this shard.
+    base: usize,
+    /// The shard's `k` interpreter contexts.
+    interps: Vec<PeInterp>,
+    states: Vec<CtxState>,
+    stats: Vec<PeStats>,
+    /// Datapath occupancy.
+    busy_until: Cycle,
+    /// Round-robin context cursor (HEP-style).
+    cursor: usize,
+    /// Network interface.
+    pni: Pni,
+    /// Outgoing messages awaiting network acceptance.
+    outgoing: VecDeque<Message>,
+    /// Deferred machine-wide effects of this shard's latest datapath
+    /// cycle. Drained (capacity retained — no steady-state allocation)
+    /// by the merge that follows each PE phase.
+    fx: ShardFx,
+}
+
+/// Machine-wide side effects a shard's datapath cycle would have applied
+/// in place under the sequential engine.
+#[derive(Default)]
+struct ShardFx {
+    meta: Vec<(MsgId, ReqMeta)>,
+    trace: Vec<TraceEvent>,
+    halted: usize,
+}
+
+impl ShardFx {
+    /// Whether the latest datapath cycle produced any deferred effect.
+    /// Shards with nothing to merge skip the post-phase drain entirely
+    /// (they never set their dirty bit).
+    fn is_empty(&self) -> bool {
+        self.meta.is_empty() && self.trace.is_empty() && self.halted == 0
+    }
+}
+
+/// Read-only per-cycle parameters handed to every shard.
+#[derive(Clone, Copy)]
+struct CycleCtx {
+    now: Cycle,
+    /// Cycles per PE instruction.
+    cpi: Cycle,
+    barrier_generation: u64,
+    trace_enabled: bool,
+}
+
+/// The assembled machine.
+pub struct Machine {
+    cfg: MachineConfig,
+    hasher: AddressHasher,
+    /// One shard per physical PE.
+    shards: Vec<PeShard>,
+    meta: IdMap<MsgId, ReqMeta>,
+    backend: BackendImpl,
+    barrier_generation: u64,
+    barrier_arrived: usize,
+    now: Cycle,
+    halted_count: usize,
+    trace: Trace,
+    /// Fires the plan's scheduled faults at their exact cycles.
+    fault_clock: FaultClock,
+    /// Modules currently dead (static + fired), for cumulative re-hashing.
+    dead_mms: Vec<MmId>,
+    /// Redundant replies (retry answered alongside the original).
+    duplicate_replies: u64,
+    /// Outbound requests abandoned because every copy refused the route.
+    unroutable: u64,
+    /// Physical PEs fail-stopped because no live copy routes them to
+    /// any module.
+    dead_pes: Vec<PeId>,
+    /// Wall-clock duration of the most recent [`Machine::run`].
+    run_elapsed: Option<Duration>,
+    /// Cycles skipped by the idle fast-forward across all runs.
+    fast_forwarded: Cycle,
+    /// Pooled completion buffer for [`Machine::backend_cycle`] — replies
+    /// are staged here each cycle, so the hot path never allocates.
+    deliveries: Vec<Reply>,
+    /// Persistent worker threads for the per-cycle fan-outs (PE shards,
+    /// memory banks, network copies). A 1-thread pool runs everything
+    /// inline on the caller — the sequential engine.
+    pool: WorkerPool,
+    /// One bit per shard: set (by whichever worker ran the shard) when
+    /// its datapath cycle left deferred effects, drained in ascending
+    /// word order by the post-phase merge. The pool's completion barrier
+    /// orders every mark before the drain, and index order is the
+    /// sequential merge order, so the merge stream is identical at any
+    /// thread count.
+    fx_dirty: AtomicBitmap,
+    /// One bit per shard whose `outgoing` queue is non-empty. The
+    /// outbound flush and the quiescence/fast-forward checks walk words
+    /// of this mask instead of scanning every shard.
+    outgoing_mask: PackedMask,
+    /// One bit per shard with at least one non-halted context. The PE
+    /// phase dispatches over this mask; a fully-halted shard's datapath
+    /// cycle is provably a no-op (no context resolves, nothing charges).
+    live_mask: PackedMask,
+    /// One bit per memory bank holding work (network backend; zero-length
+    /// on the ideal backend). Set on request delivery, cleared when the
+    /// bank is observed idle after its reply drain; [`MemBank::cycle`]
+    /// on an idle bank is a no-op, so masked cycling is exact.
+    bank_active: PackedMask,
+    /// Whether the PNI retry protocol is on (derived once from the fault
+    /// plan; never changes mid-run). With retries off, whole phases —
+    /// the retry queue walk, the fast-forward deadline scan — vanish.
+    retry_enabled: bool,
+    /// Cycle-windowed telemetry recorder (off by default; see
+    /// [`Machine::enable_telemetry`]). Sampling only reads simulation
+    /// state, so the recorder never perturbs a run.
+    series: TimeSeries,
+    /// Wall-clock engine-phase spans for Perfetto export (off by
+    /// default; see [`Machine::enable_phase_spans`]).
+    phases: PhaseRecorder,
+    /// Zero point for phase-span timestamps.
+    phase_epoch: Instant,
+}
+
+impl Machine {
+    /// Assembles a machine from `cfg` with one program per context.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `programs.len() == cfg.net.pes * cfg.contexts_per_pe`.
+    #[must_use]
+    pub fn new(cfg: MachineConfig, programs: Vec<Program>) -> Self {
+        let n = cfg.net.pes;
+        let k = cfg.contexts_per_pe;
+        assert!(k >= 1, "need at least one context per PE");
+        let vpes = n * k;
+        assert_eq!(programs.len(), vpes, "need one program per context");
+        let plan = cfg.faults.clone();
+        let mut hasher = AddressHasher::new(n, cfg.translation);
+        let static_dead = plan.dead_mms();
+        if !static_dead.is_empty() {
+            hasher.set_dead_mms(&static_dead);
+        }
+        let retry = Self::retry_policy_for(&cfg);
+        let shards: Vec<PeShard> = (0..n)
+            .map(|phys| {
+                let base = phys * k;
+                let mut pni = Pni::new(PeId(phys), hasher.clone());
+                if let Some(policy) = retry {
+                    pni.enable_retry(policy);
+                }
+                PeShard {
+                    base,
+                    interps: (base..base + k)
+                        .map(|vid| PeInterp::new(PeId(vid), vpes, &programs[vid]))
+                        .collect(),
+                    states: vec![CtxState::Ready; k],
+                    stats: (0..k).map(|_| PeStats::new()).collect(),
+                    busy_until: 0,
+                    cursor: 0,
+                    pni,
+                    outgoing: VecDeque::new(),
+                    fx: ShardFx::default(),
+                }
+            })
+            .collect();
+        let backend = match cfg.backend {
+            BackendKind::Ideal { latency } => BackendImpl::Ideal {
+                para: Paracomputer::new(cfg.seed),
+                latency,
+                pending: BTreeMap::new(),
+            },
+            BackendKind::Network { copies } => {
+                let mut nets = ReplicatedOmega::new(cfg.net, copies);
+                for c in 0..copies {
+                    let mask = plan.mask_for_copy(c);
+                    if !mask.is_healthy() {
+                        nets.copy_mut(c).set_fault_mask(mask);
+                    }
+                }
+                let mut banks: Vec<MemBank> = (0..n)
+                    .map(|i| MemBank::new(MmId(i), cfg.time.cycles_per_mm_access))
+                    .collect();
+                for mm in &static_dead {
+                    banks[mm.0].kill();
+                }
+                for (i, bank) in banks.iter_mut().enumerate() {
+                    let factor = plan.slow_factor(MmId(i));
+                    if factor > 1 {
+                        bank.set_service_time(cfg.time.cycles_per_mm_access * Cycle::from(factor));
+                    }
+                    if retry.is_some() {
+                        bank.enable_dedup();
+                    }
+                }
+                BackendImpl::Network {
+                    nets,
+                    banks,
+                    copy_of: IdMap::default(),
+                }
+            }
+        };
+        let mut live_mask = PackedMask::new(n);
+        live_mask.rebuild(|_| true);
+        let bank_universe = match cfg.backend {
+            BackendKind::Network { .. } => n,
+            BackendKind::Ideal { .. } => 0,
+        };
+        let mut machine = Self {
+            hasher,
+            shards,
+            meta: IdMap::default(),
+            backend,
+            barrier_generation: 0,
+            barrier_arrived: 0,
+            now: 0,
+            halted_count: 0,
+            trace: Trace::new(),
+            fault_clock: plan.clock(),
+            dead_mms: static_dead,
+            duplicate_replies: 0,
+            unroutable: 0,
+            dead_pes: Vec::new(),
+            run_elapsed: None,
+            fast_forwarded: 0,
+            deliveries: Vec::new(),
+            pool: WorkerPool::new(cfg.threads.max(1)),
+            fx_dirty: AtomicBitmap::new(n),
+            outgoing_mask: PackedMask::new(n),
+            live_mask,
+            bank_active: PackedMask::new(bank_universe),
+            retry_enabled: retry.is_some(),
+            series: TimeSeries::new(),
+            phases: PhaseRecorder::new(),
+            phase_epoch: Instant::now(),
+            cfg,
+        };
+        machine.absorb_unreachable();
+        machine
+    }
+
+    /// The PNI retry policy `cfg` implies: the plan's explicit policy if
+    /// it carries one, else a depth-derived default whenever the plan is
+    /// unhealthy. Shared by [`Machine::new`] and [`Machine::decode_state`]
+    /// so a restored machine derives the same `retry_enabled` gate.
+    fn retry_policy_for(cfg: &MachineConfig) -> Option<RetryPolicy> {
+        cfg.faults.retry_policy().or_else(|| {
+            (!cfg.faults.is_healthy()).then(|| RetryPolicy::for_depth(Self::net_depth(&cfg.net)))
+        })
+    }
+
+    /// Network depth in stages (`log_k N`).
+    fn net_depth(net: &NetConfig) -> usize {
+        let mut stages = 0;
+        let mut reach = 1;
+        while reach < net.pes {
+            reach *= net.k;
+            stages += 1;
+        }
+        stages.max(1)
+    }
+
+    /// Enables event tracing with room for `capacity` events (ring
+    /// buffer; the tail of long runs is retained).
+    pub fn enable_trace(&mut self, capacity: usize) {
+        self.trace.enable(capacity);
+    }
+
+    /// The recorded trace (empty unless [`Machine::enable_trace`] ran).
+    #[must_use]
+    pub fn trace(&self) -> &Trace {
+        &self.trace
+    }
+
+    /// Enables cycle-windowed telemetry: every `window` cycles the
+    /// machine records one [`ultra_obs::Sample`] — per-window network
+    /// counter deltas plus instantaneous queue/wait gauges — into a ring
+    /// of `capacity` samples. Purely observational: the sampled series
+    /// is bit-identical across engines and fast-forward settings, and
+    /// enabling it leaves `parity_string` unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` or `capacity` is zero.
+    pub fn enable_telemetry(&mut self, window: u64, capacity: usize) {
+        self.series.enable(window, capacity, self.now);
+    }
+
+    /// The telemetry series (empty unless [`Machine::enable_telemetry`]
+    /// ran).
+    #[must_use]
+    pub fn telemetry(&self) -> &TimeSeries {
+        &self.series
+    }
+
+    /// Enables wall-clock engine-phase span recording (flush / network /
+    /// memory-bank / PE-shard timing per cycle) into a ring of
+    /// `capacity` spans, for Perfetto export. Spans carry host wall
+    /// clock and are *not* deterministic; they never feed back into the
+    /// simulation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn enable_phase_spans(&mut self, capacity: usize) {
+        self.phases.enable(capacity);
+        self.phase_epoch = Instant::now();
+    }
+
+    /// Recorded engine-phase spans (empty unless
+    /// [`Machine::enable_phase_spans`] ran).
+    #[must_use]
+    pub fn phase_spans(&self) -> &PhaseRecorder {
+        &self.phases
+    }
+
+    /// The worker pool's cumulative dispatch accounting.
+    #[must_use]
+    pub fn pool_dispatch_stats(&self) -> PoolDispatchStats {
+        self.pool.dispatch_stats()
+    }
+
+    /// The hot-spot heatmap of the network fabric — per-switch combine
+    /// counts, queue high-water marks and wait-buffer occupancy, merged
+    /// across the `d` copies. `None` on the ideal backend, which has no
+    /// fabric.
+    #[must_use]
+    pub fn heatmap(&self) -> Option<HeatmapSnapshot> {
+        match &self.backend {
+            BackendImpl::Ideal { .. } => None,
+            BackendImpl::Network { nets, .. } => Some(nets.heatmap()),
+        }
+    }
+
+    /// Number of physical PEs.
+    #[must_use]
+    pub fn pes(&self) -> usize {
+        self.cfg.net.pes
+    }
+
+    /// Number of virtual PEs (physical × contexts).
+    #[must_use]
+    pub fn virtual_pes(&self) -> usize {
+        self.cfg.net.pes * self.cfg.contexts_per_pe
+    }
+
+    /// The machine configuration.
+    #[must_use]
+    pub fn cfg(&self) -> &MachineConfig {
+        &self.cfg
+    }
+
+    /// Current cycle.
+    #[must_use]
+    pub fn now(&self) -> Cycle {
+        self.now
+    }
+
+    /// Per-context statistics (indexed by virtual PE).
+    #[must_use]
+    pub fn pe_stats(&self) -> Vec<PeStats> {
+        self.shards
+            .iter()
+            .flat_map(|s| s.stats.iter())
+            .map(|s| PeStats {
+                total_cycles: self.now,
+                ..s.clone()
+            })
+            .collect()
+    }
+
+    /// The cycle engine this machine runs: [`EngineMode::Parallel`] when
+    /// built with more than one thread, [`EngineMode::Sequential`]
+    /// otherwise.
+    #[must_use]
+    pub fn engine_mode(&self) -> EngineMode {
+        match self.pool.threads() {
+            0 | 1 => EngineMode::Sequential,
+            threads => EngineMode::Parallel { threads },
+        }
+    }
+
+    /// Test and microbench hook: forces the network's switch sweep
+    /// (see `OmegaNetwork::set_sweep_mode`). No-op on the ideal backend;
+    /// not carried through a snapshot — re-apply it after a restore.
+    #[doc(hidden)]
+    pub fn set_sweep_mode(&mut self, mode: SweepMode) {
+        if let BackendImpl::Network { nets, .. } = &mut self.backend {
+            for c in 0..nets.copies() {
+                nets.copy_mut(c).set_sweep_mode(mode);
+            }
+        }
+    }
+
+    /// Wall-clock duration of the most recent [`Machine::run`] call
+    /// (`None` before the first run).
+    #[must_use]
+    pub fn last_run_elapsed(&self) -> Option<Duration> {
+        self.run_elapsed
+    }
+
+    /// Cycles skipped by the idle fast-forward, summed over all runs
+    /// (zero when [`MachineBuilder::fast_forward`] is off).
+    #[must_use]
+    pub fn fast_forwarded_cycles(&self) -> Cycle {
+        self.fast_forwarded
+    }
+
+    /// All contexts' statistics merged.
+    #[must_use]
+    pub fn merged_pe_stats(&self) -> PeStats {
+        self.merged_pe_stats_range(0..self.virtual_pes())
+    }
+
+    /// Statistics of a subset of contexts merged — used when only the
+    /// first `P` virtual PEs run real programs (§4.2's setting).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the virtual PE count.
+    #[must_use]
+    pub fn merged_pe_stats_range(&self, range: std::ops::Range<usize>) -> PeStats {
+        assert!(
+            range.end <= self.virtual_pes(),
+            "range exceeds the virtual PE count"
+        );
+        let mut total = PeStats::new();
+        let mut merged = 0;
+        for shard in &self.shards {
+            for (i, s) in shard.stats.iter().enumerate() {
+                if range.contains(&(shard.base + i)) {
+                    total.merge(s);
+                    merged += 1;
+                }
+            }
+        }
+        // Every context has been alive for `now` cycles; stamping that
+        // here keeps `run_for` free of a per-PE pass after every slice.
+        total.total_cycles = self.now * merged;
+        total
+    }
+
+    /// Aggregate network statistics (zeroes for the ideal backend).
+    #[must_use]
+    pub fn net_stats(&self) -> NetStats {
+        match &self.backend {
+            BackendImpl::Ideal { .. } => NetStats::new(0),
+            BackendImpl::Network { nets, .. } => {
+                let mut total = NetStats::new(0);
+                for i in 0..nets.copies() {
+                    let s = nets.copy(i).stats();
+                    total.injected_requests.add(s.injected_requests.get());
+                    total.delivered_requests.add(s.delivered_requests.get());
+                    total.injected_replies.add(s.injected_replies.get());
+                    total.delivered_replies.add(s.delivered_replies.get());
+                    total.combines.add(s.combines.get());
+                    total.decombines.add(s.decombines.get());
+                    total.wait_buffer_declines.add(s.wait_buffer_declines.get());
+                    total.drops.add(s.drops.get());
+                    total.inject_stalls.add(s.inject_stalls.get());
+                    total.fault_dropped.add(s.fault_dropped.get());
+                    total.fault_refusals.add(s.fault_refusals.get());
+                    total.stuck_wait_entries.add(s.stuck_wait_entries.get());
+                    total.forward_transit.merge(&s.forward_transit);
+                    total.reverse_transit.merge(&s.reverse_transit);
+                }
+                total
+            }
+        }
+    }
+
+    /// Physical PEs fail-stopped because the degraded network left them
+    /// no route to any module. Empty on a healthy machine.
+    #[must_use]
+    pub fn dead_pes(&self) -> &[PeId] {
+        &self.dead_pes
+    }
+
+    /// Aggregate resilience counters (refusals, failovers, retries,
+    /// dedup). All zero under [`ultra_faults::FaultPlan::none`].
+    #[must_use]
+    pub fn fault_summary(&self) -> FaultSummary {
+        let mut f = FaultSummary {
+            duplicate_replies: self.duplicate_replies,
+            unroutable: self.unroutable,
+            deconfigured_pes: self.dead_pes.len() as u64,
+            retries: self
+                .shards
+                .iter()
+                .map(|s| s.pni.stats().retries.get())
+                .sum(),
+            ..FaultSummary::default()
+        };
+        if let BackendImpl::Network { nets, banks, .. } = &self.backend {
+            f.failovers = nets.failovers();
+            for i in 0..nets.copies() {
+                let s = nets.copy(i).stats();
+                f.refusals += s.fault_refusals.get();
+                f.dropped += s.fault_dropped.get();
+                f.stuck_wait_entries += s.stuck_wait_entries.get();
+            }
+            for bank in banks {
+                let s = bank.stats();
+                f.dedup_hits += s.dedup_hits.get();
+                f.dedup_swallowed += s.dedup_swallowed.get();
+                f.dead_discards += s.dead_discards.get();
+            }
+        }
+        f
+    }
+
+    /// The §3.1.4 serial-bottleneck indicator: the deepest request queue
+    /// any memory module accumulated (0 on the ideal backend, which has
+    /// no modules). Address hashing exists to keep this small.
+    #[must_use]
+    pub fn max_mm_queue_depth(&self) -> usize {
+        match &self.backend {
+            BackendImpl::Ideal { .. } => 0,
+            BackendImpl::Network { banks, .. } => banks
+                .iter()
+                .map(|b| b.stats().max_queue_depth)
+                .max()
+                .unwrap_or(0),
+        }
+    }
+
+    /// Reads a shared word directly (after a run; not timed).
+    #[must_use]
+    pub fn read_shared(&self, vaddr: usize) -> Value {
+        let addr = self.hasher.translate(vaddr);
+        match &self.backend {
+            BackendImpl::Ideal { para, .. } => para.load(Self::flat_key(addr, self.cfg.net.pes)),
+            BackendImpl::Network { banks, .. } => banks[addr.mm.0].peek(addr.offset),
+        }
+    }
+
+    /// Writes a shared word directly (initialization; not timed).
+    pub fn write_shared(&mut self, vaddr: usize, value: Value) {
+        let addr = self.hasher.translate(vaddr);
+        let n = self.cfg.net.pes;
+        match &mut self.backend {
+            BackendImpl::Ideal { para, .. } => para.store(Self::flat_key(addr, n), value),
+            BackendImpl::Network { banks, .. } => banks[addr.mm.0].poke(addr.offset, value),
+        }
+    }
+
+    fn flat_key(addr: ultra_sim::MemAddr, n: usize) -> usize {
+        addr.offset * n + addr.mm.0
+    }
+
+    /// Sums the cumulative scalar network counters across the `d`
+    /// copies (all zero on the ideal backend). No allocation, no
+    /// histogram merges — this runs once per telemetry window.
+    fn telemetry_counters(&self) -> CounterSnapshot {
+        let mut c = CounterSnapshot::default();
+        if let BackendImpl::Network { nets, .. } = &self.backend {
+            for i in 0..nets.copies() {
+                let s = nets.copy(i).stats();
+                c.injected_requests += s.injected_requests.get();
+                c.delivered_requests += s.delivered_requests.get();
+                c.injected_replies += s.injected_replies.get();
+                c.delivered_replies += s.delivered_replies.get();
+                c.combines += s.combines.get();
+                c.decombines += s.decombines.get();
+                c.inject_stalls += s.inject_stalls.get();
+                c.fault_dropped += s.fault_dropped.get();
+                c.fault_refusals += s.fault_refusals.get();
+            }
+        }
+        c
+    }
+
+    /// Instantaneous gauges at a window boundary.
+    fn telemetry_gauges(&self) -> GaugeSnapshot {
+        match &self.backend {
+            BackendImpl::Ideal { .. } => GaugeSnapshot::default(),
+            BackendImpl::Network { nets, banks, .. } => GaugeSnapshot {
+                mm_queue_depth_max: banks
+                    .iter()
+                    .map(|b| b.queue_depth() as u64)
+                    .max()
+                    .unwrap_or(0),
+                wait_occupancy: nets.total_wait_occupancy(),
+            },
+        }
+    }
+
+    /// Records every telemetry window whose boundary `now` has reached —
+    /// one window per normal step, possibly several after a fast-forward
+    /// jump (each then sees unchanged counters, exactly as per-cycle
+    /// stepping would have sampled them, keeping the series
+    /// bit-identical across fast-forward settings).
+    fn telemetry_tick(&mut self) {
+        while self.series.due(self.now) {
+            let cum = self.telemetry_counters();
+            let gauges = self.telemetry_gauges();
+            self.series.sample(cum, gauges);
+        }
+    }
+}

@@ -1,0 +1,759 @@
+use ultra_faults::{Fault, FaultPlan};
+use ultra_mem::TranslationMode;
+
+use super::*;
+use crate::program::{body, Expr, Op};
+
+fn counter_program(increments: i64) -> Program {
+    // Every PE adds `increments` times 1 to the shared word 0.
+    Program::new(
+        body(vec![
+            Op::For {
+                reg: 1,
+                from: Expr::Const(0),
+                to: Expr::Const(increments),
+                body: body(vec![Op::FetchAdd {
+                    addr: Expr::Const(0),
+                    delta: Expr::Const(1),
+                    dst: None,
+                }]),
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    )
+}
+
+#[test]
+fn ideal_backend_counts_exactly() {
+    let mut m = MachineBuilder::new(8)
+        .ideal(2)
+        .build_spmd(&counter_program(10));
+    let out = m.run();
+    assert!(out.completed, "must drain");
+    assert_eq!(m.read_shared(0), 80);
+}
+
+#[test]
+fn network_backend_counts_exactly() {
+    let mut m = MachineBuilder::new(8).build_spmd(&counter_program(10));
+    let out = m.run();
+    assert!(out.completed);
+    assert_eq!(m.read_shared(0), 80);
+}
+
+#[test]
+fn backends_agree_on_final_memory() {
+    // Distinct-slot writes through self-scheduling: both backends must
+    // produce one write per slot and full counter consumption.
+    let p = Program::new(
+        body(vec![
+            Op::SelfSched {
+                reg: 0,
+                counter: Expr::Const(0),
+                limit: Expr::Const(40),
+                body: body(vec![Op::FetchAdd {
+                    addr: Expr::add(Expr::Const(100), Expr::Reg(0)),
+                    delta: Expr::Const(1),
+                    dst: None,
+                }]),
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    for build in [
+        MachineBuilder::new(8).ideal(2),
+        MachineBuilder::new(8).network(1),
+    ] {
+        let mut m = build.build_spmd(&p);
+        assert!(m.run().completed);
+        for i in 0..40 {
+            assert_eq!(m.read_shared(100 + i), 1, "slot {i}");
+        }
+        assert_eq!(m.read_shared(0), 40 + 8, "each PE overshoots once");
+    }
+}
+
+#[test]
+fn barrier_synchronizes_all_pes() {
+    // PE0 stores 42 to word 5 before the barrier; every PE loads it
+    // after the barrier and stores what it saw into its own slot.
+    let p = Program::new(
+        body(vec![
+            Op::If {
+                cond: crate::program::Cond::new(Expr::PeIndex, crate::program::CmpOp::Eq, 0),
+                then_ops: body(vec![
+                    Op::Store {
+                        addr: Expr::Const(5),
+                        value: Expr::Const(42),
+                    },
+                    Op::Fence,
+                ]),
+                else_ops: body(vec![]),
+            },
+            Op::Barrier,
+            Op::Load {
+                addr: Expr::Const(5),
+                dst: 0,
+            },
+            Op::Store {
+                addr: Expr::add(Expr::Const(200), Expr::PeIndex),
+                value: Expr::Reg(0),
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    for build in [
+        MachineBuilder::new(8).ideal(2),
+        MachineBuilder::new(8).network(1),
+    ] {
+        let mut m = build.build_spmd(&p);
+        assert!(m.run().completed);
+        for pe in 0..8 {
+            assert_eq!(m.read_shared(200 + pe), 42, "PE{pe} saw the store");
+        }
+    }
+}
+
+#[test]
+fn consecutive_barriers_work() {
+    let p = Program::new(
+        body(vec![Op::Barrier, Op::Barrier, Op::Barrier, Op::Halt]),
+        vec![],
+    );
+    let mut m = MachineBuilder::new(4).build_spmd(&p);
+    assert!(m.run().completed);
+}
+
+#[test]
+fn network_latency_reflected_in_cm_access() {
+    // One load on an otherwise idle 64-PE machine: round trip should be
+    // the §4.2 minimum (fwd D + m_ctl - 1, MM service, reverse
+    // D + m_data - 1) — with D = 6, service 2: 6 + 2 + 8 = 16 cycles.
+    let p = Program::new(
+        body(vec![
+            Op::Load {
+                addr: Expr::Const(7),
+                dst: 0,
+            },
+            Op::Store {
+                addr: Expr::Const(300),
+                value: Expr::Reg(0),
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    let mut programs = vec![Program::empty(); 64];
+    programs[3] = p;
+    let mut m = MachineBuilder::new(64).build(programs);
+    assert!(m.run().completed);
+    let merged = m.merged_pe_stats();
+    assert_eq!(merged.cm_access.count(), 2);
+    // The load's round trip is measured from issue to delivery; allow
+    // the injection cycle itself as slack.
+    let min = merged.cm_access.percentile(0.0);
+    assert!(
+        (16..=18).contains(&min),
+        "min CM access {min} should be ~16 cycles (8 PE instruction times)"
+    );
+}
+
+#[test]
+fn hotspot_combining_machine_end_to_end() {
+    // All PEs hammer one word; combining must keep the final count
+    // exact and the returned values distinct.
+    let p = Program::new(
+        body(vec![
+            Op::FetchAdd {
+                addr: Expr::Const(0),
+                delta: Expr::Const(1),
+                dst: Some(0),
+            },
+            Op::Store {
+                addr: Expr::add(Expr::Const(500), Expr::Reg(0)),
+                value: Expr::Const(1),
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    let n = 16;
+    let mut m = MachineBuilder::new(n).build_spmd(&p);
+    assert!(m.run().completed);
+    assert_eq!(m.read_shared(0), n as Value);
+    for i in 0..n {
+        assert_eq!(m.read_shared(500 + i), 1, "ticket {i} claimed once");
+    }
+}
+
+#[test]
+fn run_times_out_on_deadlock() {
+    // One PE waits at a barrier nobody else reaches.
+    let p = Program::new(body(vec![Op::Barrier, Op::Halt]), vec![]);
+    let mut programs = vec![Program::empty(); 4];
+    programs[0] = p;
+    let mut m = MachineBuilder::new(4).max_cycles(5_000).build(programs);
+    let out = m.run();
+    assert!(!out.completed);
+    assert_eq!(out.cycles, 5_000);
+}
+
+#[test]
+fn stats_populated() {
+    let mut m = MachineBuilder::new(8).build_spmd(&counter_program(5));
+    assert!(m.run().completed);
+    let merged = m.merged_pe_stats();
+    assert!(merged.instructions.get() > 0);
+    assert_eq!(merged.shared_refs.get(), 8 * 5);
+    assert_eq!(merged.cm_loads.get(), 8 * 5, "fetch-and-adds carry data");
+    let net = m.net_stats();
+    assert_eq!(net.injected_requests.get(), 8 * 5);
+    assert_eq!(
+        net.delivered_replies.get(),
+        8 * 5,
+        "every request gets exactly one reply (decombined or direct)"
+    );
+    assert_eq!(net.combines.get(), net.decombines.get());
+}
+
+#[test]
+fn fetch_and_max_reduction_combines_end_to_end() {
+    // §2.4 generality through the whole machine: every PE folds a
+    // value into a shared maximum with FetchPhi(Max); the network
+    // combines Max pairs exactly like adds.
+    use ultra_net::message::PhiOp;
+    let p = Program::new(
+        body(vec![
+            Op::FetchPhi {
+                op: PhiOp::Max,
+                addr: Expr::Const(3),
+                // Values 0, 7, 14, ... — max is (n-1)*7.
+                operand: Expr::mul(Expr::PeIndex, 7),
+                dst: Some(0),
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    let n = 16;
+    let mut m = MachineBuilder::new(n).build_spmd(&p);
+    m.write_shared(3, -100);
+    assert!(m.run().completed);
+    assert_eq!(m.read_shared(3), (n as Value - 1) * 7);
+    assert!(
+        m.net_stats().combines.get() > 0,
+        "simultaneous maxes must combine in the tree"
+    );
+}
+
+#[test]
+fn four_by_four_switch_machine_works() {
+    // The §4.2 geometry (k = 4) at small scale, through the machine.
+    let mut m = MachineBuilder::new(16)
+        .net(ultra_net::config::NetConfig::paper_section42_scaled(16))
+        .build_spmd(&counter_program(8));
+    assert!(m.run().completed);
+    assert_eq!(m.read_shared(0), 16 * 8);
+    assert!(
+        m.net_stats().combines.get() > 0,
+        "hot counter combines in 4x4 switches too"
+    );
+}
+
+#[test]
+fn trace_records_the_story_of_a_run() {
+    use crate::trace::TraceEvent;
+    let p = Program::new(
+        body(vec![
+            Op::FetchAdd {
+                addr: Expr::Const(0),
+                delta: Expr::Const(1),
+                dst: Some(0),
+            },
+            Op::Barrier,
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    let mut m = MachineBuilder::new(4).build_spmd(&p);
+    m.enable_trace(1024);
+    assert!(m.run().completed);
+    let issues = m
+        .trace()
+        .events()
+        .filter(|e| matches!(e, TraceEvent::Issue { .. }))
+        .count();
+    let replies = m
+        .trace()
+        .events()
+        .filter(|e| matches!(e, TraceEvent::Reply { .. }))
+        .count();
+    let halts = m
+        .trace()
+        .events()
+        .filter(|e| matches!(e, TraceEvent::Halt { .. }))
+        .count();
+    let releases = m
+        .trace()
+        .events()
+        .filter(|e| matches!(e, TraceEvent::BarrierRelease { .. }))
+        .count();
+    assert_eq!(issues, 8, "4 fetch-adds + 4 barrier arrivals");
+    assert_eq!(replies, 8);
+    assert_eq!(halts, 4);
+    assert_eq!(releases, 1);
+    // Events are recorded in nondecreasing cycle order.
+    let cycles: Vec<_> = m.trace().events().map(TraceEvent::cycle).collect();
+    assert!(cycles.windows(2).all(|w| w[0] <= w[1]));
+    assert_eq!(m.trace().dropped(), 0);
+}
+
+// ---- fault injection & resilience ----
+
+#[test]
+fn dead_mm_at_boot_machine_counts_exactly() {
+    // The counter word's healthy home may be the dead module; the
+    // re-hash sends every access to the adoptive module instead and
+    // the run stays exact.
+    for dead in 0..8usize {
+        let mut m = MachineBuilder::new(8)
+            .faults(FaultPlan::none().dead_mm(MmId(dead)))
+            .build_spmd(&counter_program(6));
+        assert!(m.run().completed, "dead MM {dead} must not wedge the run");
+        assert_eq!(m.read_shared(0), 48, "dead MM {dead}");
+    }
+}
+
+#[test]
+fn dead_copy_fails_over_and_counts_exactly() {
+    // d = 2 with one copy fully dead: every injection is refused by
+    // the dead copy and carried by the survivor.
+    let mut m = MachineBuilder::new(8)
+        .network(2)
+        .faults(FaultPlan::none().dead_copy(0))
+        .build_spmd(&counter_program(8));
+    assert!(m.run().completed);
+    assert_eq!(m.read_shared(0), 64);
+    let f = m.fault_summary();
+    assert!(f.failovers > 0, "survivor must pick up refused requests");
+    assert_eq!(f.refusals, f.failovers, "every refusal failed over");
+}
+
+#[test]
+fn lossy_links_with_retry_stay_exactly_once() {
+    // 10% of injections are swallowed; the PNI timeout re-issues them
+    // and the MM dedup cache keeps each fetch-and-add single-shot.
+    let mut m = MachineBuilder::new(8)
+        .faults(FaultPlan::none().seed(7).link_loss(0.10))
+        .max_cycles(2_000_000)
+        .build_spmd(&counter_program(10));
+    assert!(m.run().completed, "retries must recover every loss");
+    assert_eq!(m.read_shared(0), 80, "applied exactly once despite loss");
+    let f = m.fault_summary();
+    assert!(f.dropped > 0, "losses must actually occur at 10%");
+    assert!(f.retries >= f.dropped, "every loss needs a retry");
+}
+
+#[test]
+fn scheduled_copy_death_mid_run_is_survivable() {
+    let mut m = MachineBuilder::new(8)
+        .network(2)
+        .faults(FaultPlan::none().schedule(50, Fault::KillCopy { copy: 1 }))
+        .build_spmd(&counter_program(12));
+    assert!(m.run().completed);
+    assert_eq!(m.read_shared(0), 96);
+    assert!(m.fault_summary().refusals > 0, "the dead copy refused work");
+}
+
+#[test]
+fn scheduled_mm_death_mid_run_rehashes_and_recovers() {
+    // Distinct-slot stores: slots written before the death and living
+    // on surviving modules keep their values; requests in flight to
+    // the dying module are discarded and recovered by retry.
+    let p = Program::new(
+        body(vec![
+            Op::Store {
+                addr: Expr::add(Expr::Const(100), Expr::PeIndex),
+                value: Expr::Const(7),
+            },
+            Op::Fence,
+            Op::Barrier,
+            Op::Store {
+                addr: Expr::add(Expr::Const(200), Expr::PeIndex),
+                value: Expr::Const(9),
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    let healthy = AddressHasher::new(8, TranslationMode::Hashed);
+    let dying = MmId(3);
+    let mut m = MachineBuilder::new(8)
+        .faults(FaultPlan::none().schedule(60, Fault::KillMm { mm: dying }))
+        .build_spmd(&p);
+    let out = m.run();
+    assert!(out.completed, "machine must drain after the module dies");
+    assert!(m.fault_summary().retries > 0 || m.fault_summary().dead_discards == 0);
+    // Post-barrier stores all happened under the degraded hash.
+    for pe in 0..8 {
+        assert_eq!(m.read_shared(200 + pe), 9, "post-death store {pe}");
+    }
+    // Pre-death stores survive unless their word lived on the victim.
+    for pe in 0..8 {
+        if healthy.translate(100 + pe).mm != dying {
+            assert_eq!(m.read_shared(100 + pe), 7, "surviving store {pe}");
+        }
+    }
+}
+
+#[test]
+fn healthy_plan_reports_zero_fault_activity() {
+    let mut m = MachineBuilder::new(8).build_spmd(&counter_program(5));
+    assert!(m.run().completed);
+    assert!(!m.fault_summary().any());
+}
+
+// ---- §3.5 hardware multiprogramming ----
+
+#[test]
+fn multiprogramming_runs_k_contexts_per_pe() {
+    // 4 physical PEs x 2 contexts = 8 virtual PEs; each writes its own
+    // virtual id into a slot.
+    let p = Program::new(
+        body(vec![
+            Op::Store {
+                addr: Expr::add(Expr::Const(100), Expr::PeIndex),
+                value: Expr::add(Expr::PeIndex, 1),
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    let mut m = MachineBuilder::new(4).multiprogramming(2).build_spmd(&p);
+    assert_eq!(m.virtual_pes(), 8);
+    assert!(m.run().completed);
+    for vid in 0..8 {
+        assert_eq!(m.read_shared(100 + vid), vid as Value + 1);
+    }
+}
+
+#[test]
+fn multiprogramming_counts_exactly() {
+    let mut m = MachineBuilder::new(4)
+        .multiprogramming(4)
+        .build_spmd(&counter_program(10));
+    assert!(m.run().completed);
+    assert_eq!(m.read_shared(0), 16 * 10, "16 virtual PEs x 10");
+}
+
+#[test]
+fn multiprogramming_barriers_span_all_contexts() {
+    let p = Program::new(
+        body(vec![
+            Op::FetchAdd {
+                addr: Expr::Const(0),
+                delta: Expr::Const(1),
+                dst: None,
+            },
+            Op::Barrier,
+            // After the barrier every context must see all arrivals.
+            Op::Load {
+                addr: Expr::Const(0),
+                dst: 0,
+            },
+            Op::Store {
+                addr: Expr::add(Expr::Const(100), Expr::PeIndex),
+                value: Expr::Reg(0),
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    let mut m = MachineBuilder::new(4).multiprogramming(2).build_spmd(&p);
+    assert!(m.run().completed);
+    for vid in 0..8 {
+        assert_eq!(m.read_shared(100 + vid), 8, "context {vid}");
+    }
+}
+
+// ---- cycle engine: parallel parity & idle fast-forward ----
+
+fn digest(m: &Machine) -> String {
+    crate::report::MachineReport::from_machine(m).parity_string()
+}
+
+#[test]
+fn parallel_engine_is_bit_identical_to_sequential() {
+    // Same config at 1, 2 and 4 threads, with every fan-out point
+    // exercised: d = 2 network copies, 8 banks, 8 PE shards with two
+    // contexts each, plus tracing so the deferred-event merge order
+    // is checked too.
+    let run = |threads: usize| {
+        let mut m = MachineBuilder::new(8)
+            .network(2)
+            .multiprogramming(2)
+            .threads(threads)
+            .build_spmd(&counter_program(6));
+        m.enable_trace(4096);
+        assert!(m.run().completed);
+        let events: Vec<TraceEvent> = m.trace().events().copied().collect();
+        (digest(&m), events, m.read_shared(0))
+    };
+    let (seq, seq_events, seq_mem) = run(1);
+    for threads in [2, 4] {
+        let (par, par_events, par_mem) = run(threads);
+        assert_eq!(seq, par, "parity digest diverged at {threads} threads");
+        assert_eq!(
+            seq_events, par_events,
+            "trace diverged at {threads} threads"
+        );
+        assert_eq!(seq_mem, par_mem);
+    }
+}
+
+#[test]
+fn engine_is_sequential_unless_threads_is_set() {
+    // No host-dependent heuristic: a wide machine built without
+    // `.threads()` is sequential on any host.
+    let halt = Program::new(body(vec![Op::Halt]), vec![]);
+    let wide = MachineBuilder::new(4096).build_spmd(&halt);
+    assert_eq!(wide.engine_mode(), EngineMode::Sequential);
+    let pinned = MachineBuilder::new(8).threads(3).build_spmd(&halt);
+    assert_eq!(pinned.engine_mode(), EngineMode::Parallel { threads: 3 });
+}
+
+#[test]
+fn dense_sweep_is_bit_identical_to_sparse() {
+    let run = |mode: SweepMode| {
+        let mut m = MachineBuilder::new(8)
+            .network(2)
+            .multiprogramming(2)
+            .build_spmd(&counter_program(6));
+        m.set_sweep_mode(mode);
+        m.enable_trace(4096);
+        assert!(m.run().completed);
+        let events: Vec<TraceEvent> = m.trace().events().copied().collect();
+        (digest(&m), events, m.read_shared(0))
+    };
+    assert_eq!(
+        run(SweepMode::Sparse),
+        run(SweepMode::Dense),
+        "sweep mode changed the simulation"
+    );
+}
+
+#[test]
+fn fast_forward_is_bit_identical_on_ideal_backend() {
+    // A huge round-trip latency leaves long provably idle gaps while
+    // every context sits in WaitReg on a locked destination; the
+    // fast-forward must jump them without disturbing any statistic.
+    let p = Program::new(
+        body(vec![
+            Op::For {
+                reg: 1,
+                from: Expr::Const(0),
+                to: Expr::Const(3),
+                body: body(vec![
+                    Op::Load {
+                        addr: Expr::add(Expr::mul(Expr::PeIndex, 64), Expr::Reg(1)),
+                        dst: 0,
+                    },
+                    // Immediate use: the context parks until the reply.
+                    Op::Set {
+                        reg: 2,
+                        value: Expr::add(Expr::Reg(0), Expr::Reg(2)),
+                    },
+                ]),
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    let run = |ff: bool| {
+        let mut m = MachineBuilder::new(4)
+            .ideal(500)
+            .fast_forward(ff)
+            .build_spmd(&p);
+        assert!(m.run().completed);
+        (digest(&m), m.fast_forwarded_cycles())
+    };
+    let (slow, skipped_off) = run(false);
+    let (fast, skipped_on) = run(true);
+    assert_eq!(slow, fast, "fast-forward changed the simulation");
+    assert_eq!(skipped_off, 0);
+    assert!(
+        skipped_on > 1_000,
+        "500-cycle latencies must leave big skippable gaps, got {skipped_on}"
+    );
+}
+
+#[test]
+fn fast_forward_is_bit_identical_under_lossy_retries() {
+    // Dropped requests leave the machine fully drained until the PNI
+    // retry deadline — exactly the gap the fast-forward targets; the
+    // jump must land on the deadline cycle, not skip it.
+    let run = |ff: bool| {
+        let mut m = MachineBuilder::new(8)
+            .faults(FaultPlan::none().seed(11).link_loss(0.15))
+            .fast_forward(ff)
+            .max_cycles(2_000_000)
+            .build_spmd(&counter_program(6));
+        assert!(m.run().completed);
+        assert_eq!(m.read_shared(0), 48);
+        digest(&m)
+    };
+    assert_eq!(run(false), run(true));
+}
+
+#[test]
+fn fast_forward_deadlock_still_burns_to_the_budget() {
+    let p = Program::new(body(vec![Op::Barrier, Op::Halt]), vec![]);
+    let mut programs = vec![Program::empty(); 4];
+    programs[0] = p;
+    let mut m = MachineBuilder::new(4).max_cycles(5_000).build(programs);
+    let out = m.run();
+    assert!(!out.completed);
+    assert_eq!(out.cycles, 5_000);
+    assert!(
+        m.fast_forwarded_cycles() > 4_000,
+        "the deadlocked tail should be skipped in one jump"
+    );
+}
+
+#[test]
+fn wait_until_wakes_on_time_and_fast_forwards_the_gap() {
+    // Every PE sleeps until a staggered absolute cycle, then stamps
+    // the clock it woke at into its own slot. The wake must be
+    // punctual (at/after the target, and not far after: the next
+    // fetch happens on the wake cycle), and the idle gaps must be
+    // fast-forwardable without disturbing the parity digest.
+    let p = Program::new(
+        body(vec![
+            Op::WaitUntil {
+                cycle: Expr::add(Expr::mul(Expr::PeIndex, 1000), 2000),
+            },
+            Op::Store {
+                addr: Expr::add(Expr::Const(300), Expr::PeIndex),
+                value: Expr::Clock,
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    let run = |ff: bool| {
+        let mut m = MachineBuilder::new(4)
+            .ideal(2)
+            .fast_forward(ff)
+            .build_spmd(&p);
+        assert!(m.run().completed);
+        for pe in 0..4i64 {
+            let target = pe * 1000 + 2000;
+            let woke = m.read_shared((300 + pe) as usize);
+            assert!(woke >= target, "PE {pe} woke at {woke}, before {target}");
+            assert!(woke < target + 16, "PE {pe} overslept: {woke} vs {target}");
+        }
+        (digest(&m), m.fast_forwarded_cycles())
+    };
+    let (slow, skipped_off) = run(false);
+    let (fast, skipped_on) = run(true);
+    assert_eq!(slow, fast, "fast-forward changed a timed-wait run");
+    assert_eq!(skipped_off, 0);
+    assert!(
+        skipped_on > 1_000,
+        "staggered sleeps must leave skippable gaps, got {skipped_on}"
+    );
+}
+
+#[test]
+fn relative_wait_matches_across_backends() {
+    // WaitUntil(Clock + k) from inside a loop: a fixed-rate pacing
+    // pattern. Both backends must complete and agree that each
+    // iteration lands at least k cycles after the previous stamp.
+    let p = Program::new(
+        body(vec![
+            Op::For {
+                reg: 1,
+                from: Expr::Const(0),
+                to: Expr::Const(4),
+                body: body(vec![
+                    Op::WaitUntil {
+                        cycle: Expr::add(Expr::Clock, 100),
+                    },
+                    Op::Store {
+                        addr: Expr::add(
+                            Expr::add(Expr::Const(400), Expr::mul(Expr::PeIndex, 8)),
+                            Expr::Reg(1),
+                        ),
+                        value: Expr::Clock,
+                    },
+                ]),
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    for build in [
+        MachineBuilder::new(2).ideal(2),
+        MachineBuilder::new(2).network(1),
+    ] {
+        let mut m = build.build_spmd(&p);
+        assert!(m.run().completed);
+        for pe in 0..2 {
+            let mut prev = 0;
+            for i in 0..4 {
+                let stamp = m.read_shared(400 + pe * 8 + i);
+                assert!(
+                    stamp >= prev + 100,
+                    "PE {pe} iteration {i} stamped {stamp}, under {prev} + 100"
+                );
+                prev = stamp;
+            }
+        }
+    }
+}
+
+#[test]
+fn multiprogramming_hides_memory_latency() {
+    // A latency-bound pointer-chase-like program: load, use, repeat.
+    // One context stalls on every use; two contexts interleave and
+    // lower the PE's idle fraction.
+    let p = Program::new(
+        body(vec![
+            Op::For {
+                reg: 1,
+                from: Expr::Const(0),
+                to: Expr::Const(60),
+                body: body(vec![
+                    Op::Load {
+                        addr: Expr::add(Expr::mul(Expr::PeIndex, 1024), Expr::Reg(1)),
+                        dst: 0,
+                    },
+                    // Immediate use: no prefetch slack.
+                    Op::Set {
+                        reg: 2,
+                        value: Expr::add(Expr::Reg(0), Expr::Reg(2)),
+                    },
+                ]),
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    let idle_frac = |contexts: usize| {
+        let mut m = MachineBuilder::new(16)
+            .multiprogramming(contexts)
+            .build_spmd(&p);
+        assert!(m.run().completed);
+        let merged = m.merged_pe_stats();
+        merged.idle_cycles.get() as f64 / (16 * m.now()) as f64
+    };
+    let single = idle_frac(1);
+    let dual = idle_frac(2);
+    assert!(
+        dual < 0.8 * single,
+        "2-fold multiprogramming must hide latency: idle {single:.3} -> {dual:.3}"
+    );
+}

@@ -1,0 +1,384 @@
+//! Snapshot state serialization.
+//!
+//! Everything the simulation's future depends on is written; everything
+//! rebuildable from the config (hasher, route tables, worker pool, active
+//! sets) or purely observational (trace, telemetry, phase spans,
+//! wall-clock) is not. See `crate::snapshot` for the framed public format.
+
+use std::collections::{BTreeMap, VecDeque};
+use std::time::Instant;
+
+use ultra_faults::{FaultClock, FaultPlan};
+use ultra_mem::{AddressHasher, MemBank, TranslationMode};
+use ultra_net::config::NetConfig;
+use ultra_net::message::{Message, MsgId};
+use ultra_net::omega::ReplicatedOmega;
+use ultra_obs::{PhaseRecorder, TimeSeries};
+use ultra_pe::pni::Pni;
+use ultra_pe::stats::PeStats;
+use ultra_sim::clock::TimeScale;
+use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
+use ultra_sim::{AtomicBitmap, IdMap, MmId, PackedMask, PeId, WorkerPool};
+
+use super::{
+    BackendImpl, BackendKind, CtxState, Machine, MachineConfig, PeShard, Purpose, ReqMeta, ShardFx,
+};
+use crate::interp::{IssueSpec, PeInterp};
+use crate::paracomputer::Paracomputer;
+use crate::trace::Trace;
+
+impl Wire for BackendKind {
+    fn encode(&self, w: &mut WireWriter) {
+        match self {
+            Self::Ideal { latency } => {
+                w.u8(0);
+                w.u64(*latency);
+            }
+            Self::Network { copies } => {
+                w.u8(1);
+                w.usize(*copies);
+            }
+        }
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(match r.u8()? {
+            0 => Self::Ideal { latency: r.u64()? },
+            1 => Self::Network { copies: r.usize()? },
+            _ => return Err(WireError::Invalid("backend kind tag")),
+        })
+    }
+}
+
+impl Wire for Purpose {
+    fn encode(&self, w: &mut WireWriter) {
+        w.u8(match self {
+            Self::Data => 0,
+            Self::Barrier => 1,
+        });
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(match r.u8()? {
+            0 => Self::Data,
+            1 => Self::Barrier,
+            _ => return Err(WireError::Invalid("request purpose tag")),
+        })
+    }
+}
+
+impl Wire for CtxState {
+    fn encode(&self, w: &mut WireWriter) {
+        match self {
+            Self::Ready => w.u8(0),
+            Self::WaitReg(reg) => {
+                w.u8(1);
+                w.u8(*reg);
+            }
+            Self::WaitIssue(spec, purpose) => {
+                w.u8(2);
+                spec.encode(w);
+                purpose.encode(w);
+            }
+            Self::WaitBarrier => w.u8(3),
+            Self::WaitFence => w.u8(4),
+            Self::Halted => w.u8(5),
+            Self::WaitUntil(at) => {
+                w.u8(6);
+                w.u64(*at);
+            }
+        }
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(match r.u8()? {
+            0 => Self::Ready,
+            1 => Self::WaitReg(r.u8()?),
+            2 => Self::WaitIssue(IssueSpec::decode(r)?, Purpose::decode(r)?),
+            3 => Self::WaitBarrier,
+            4 => Self::WaitFence,
+            5 => Self::Halted,
+            6 => Self::WaitUntil(r.u64()?),
+            _ => return Err(WireError::Invalid("context state tag")),
+        })
+    }
+}
+
+impl Wire for ReqMeta {
+    fn encode(&self, w: &mut WireWriter) {
+        w.usize(self.ctx);
+        self.dst.encode(w);
+        self.purpose.encode(w);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(Self {
+            ctx: r.usize()?,
+            dst: Option::decode(r)?,
+            purpose: Purpose::decode(r)?,
+        })
+    }
+}
+
+impl MachineConfig {
+    /// Serializes the fields that define *what* is being simulated — the
+    /// snapshot's config-identity echo. The speed knobs (`threads`,
+    /// `fast_forward`) are excluded: every setting of them is
+    /// bit-identical, so a snapshot may legally be resumed under
+    /// different ones (see [`crate::snapshot::EngineTuning`]).
+    pub(crate) fn encode_identity(&self, w: &mut WireWriter) {
+        self.net.encode(w);
+        self.backend.encode(w);
+        self.time.encode(w);
+        self.translation.encode(w);
+        w.u64(self.seed);
+        w.u64(self.max_cycles);
+        self.barrier_parties.encode(w);
+        w.usize(self.contexts_per_pe);
+        self.faults.encode(w);
+    }
+
+    /// Inverse of [`MachineConfig::encode_identity`]; the speed knobs
+    /// come back at their defaults until the tuning echo overwrites them.
+    pub(crate) fn decode_identity(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(Self {
+            net: NetConfig::decode(r)?,
+            backend: BackendKind::decode(r)?,
+            time: TimeScale::decode(r)?,
+            translation: TranslationMode::decode(r)?,
+            seed: r.u64()?,
+            max_cycles: r.u64()?,
+            barrier_parties: Option::decode(r)?,
+            contexts_per_pe: r.usize()?,
+            faults: FaultPlan::decode(r)?,
+            threads: 1,
+            fast_forward: true,
+        })
+    }
+
+    /// Serializes the speed knobs, so a plain [`crate::snapshot`] restore
+    /// reproduces the donor machine's engine exactly. Format v1 has two
+    /// retired slots between them — an automatic-thread-selection flag
+    /// and a sweep-mode tag — written as the constants a default-built
+    /// machine always wrote, so frames stay byte-identical.
+    pub(crate) fn encode_tuning(&self, w: &mut WireWriter) {
+        w.usize(self.threads);
+        w.bool(true);
+        w.u8(0);
+        w.bool(self.fast_forward);
+    }
+
+    /// Applies a serialized tuning echo onto `self`. The retired slots
+    /// are range-checked and ignored.
+    pub(crate) fn decode_tuning_into(&mut self, r: &mut WireReader<'_>) -> Result<(), WireError> {
+        self.threads = r.usize()?;
+        // Both retired slots only ever held 0 or 1: a bool's range check.
+        r.bool()?;
+        r.bool()?;
+        self.fast_forward = r.bool()?;
+        Ok(())
+    }
+}
+
+/// Why a serialized machine state failed to reassemble.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum StateDecodeError {
+    /// The bytes themselves are malformed.
+    Wire(WireError),
+    /// The bytes are well-formed but disagree with the config echo they
+    /// arrived with (wrong shard count, wrong backend, wrong geometry).
+    ConfigMismatch(&'static str),
+}
+
+impl From<WireError> for StateDecodeError {
+    fn from(e: WireError) -> Self {
+        Self::Wire(e)
+    }
+}
+
+impl Machine {
+    /// Serializes the full simulation state (config excluded — the
+    /// snapshot layer frames it separately).
+    pub(crate) fn encode_state(&self, w: &mut WireWriter) {
+        self.dead_mms.encode(w);
+        self.dead_pes.encode(w);
+        w.u64(self.now);
+        w.u64(self.barrier_generation);
+        w.usize(self.barrier_arrived);
+        w.u64(self.duplicate_replies);
+        w.u64(self.unroutable);
+        w.u64(self.fast_forwarded);
+        self.fault_clock.encode(w);
+        self.meta.encode(w);
+        w.usize(self.shards.len());
+        for shard in &self.shards {
+            debug_assert!(
+                shard.fx.meta.is_empty() && shard.fx.trace.is_empty() && shard.fx.halted == 0,
+                "shard effects must be merged before a snapshot"
+            );
+            shard.interps.encode(w);
+            shard.states.encode(w);
+            w.usize(shard.stats.len());
+            for stats in &shard.stats {
+                stats.encode_alive_for(self.now, w);
+            }
+            w.u64(shard.busy_until);
+            w.usize(shard.cursor);
+            shard.pni.encode_state(w);
+            shard.outgoing.encode(w);
+        }
+        match &self.backend {
+            BackendImpl::Ideal { para, pending, .. } => {
+                w.u8(0);
+                para.encode(w);
+                pending.encode(w);
+            }
+            BackendImpl::Network {
+                nets,
+                banks,
+                copy_of,
+            } => {
+                w.u8(1);
+                nets.encode_state(w);
+                banks.encode(w);
+                copy_of.encode(w);
+            }
+        }
+    }
+
+    /// Reassembles a machine from `cfg` plus serialized state.
+    /// Rebuildable structure (hasher, pool, route tables) is
+    /// reconstructed from `cfg`; observational state (trace, telemetry,
+    /// phase spans) starts disabled, exactly as on a fresh machine.
+    pub(crate) fn decode_state(
+        cfg: MachineConfig,
+        r: &mut WireReader<'_>,
+    ) -> Result<Self, StateDecodeError> {
+        let n = cfg.net.pes;
+        let k = cfg.contexts_per_pe;
+        if k == 0 {
+            return Err(StateDecodeError::ConfigMismatch("zero contexts per PE"));
+        }
+        let dead_mms: Vec<MmId> = Vec::decode(r)?;
+        let dead_pes: Vec<PeId> = Vec::decode(r)?;
+        if dead_mms.iter().any(|mm| mm.0 >= n) || dead_pes.iter().any(|pe| pe.0 >= n) {
+            return Err(WireError::Invalid("dead module or PE index out of range").into());
+        }
+        let mut hasher = AddressHasher::new(n, cfg.translation);
+        if !dead_mms.is_empty() {
+            hasher.set_dead_mms(&dead_mms);
+        }
+        let now = r.u64()?;
+        let barrier_generation = r.u64()?;
+        let barrier_arrived = r.usize()?;
+        let duplicate_replies = r.u64()?;
+        let unroutable = r.u64()?;
+        let fast_forwarded = r.u64()?;
+        let fault_clock = FaultClock::decode(r)?;
+        let meta: IdMap<MsgId, ReqMeta> = IdMap::decode(r)?;
+        if meta.values().any(|m| m.ctx >= n * k) {
+            return Err(WireError::Invalid("request context out of range").into());
+        }
+        let shard_count = r.seq_len()?;
+        if shard_count != n {
+            return Err(StateDecodeError::ConfigMismatch("PE shard count"));
+        }
+        let mut shards = Vec::with_capacity(n);
+        let mut halted_count = 0usize;
+        for phys in 0..n {
+            let interps: Vec<PeInterp> = Vec::decode(r)?;
+            let states: Vec<CtxState> = Vec::decode(r)?;
+            let stats: Vec<PeStats> = Vec::decode(r)?;
+            if interps.len() != k || states.len() != k || stats.len() != k {
+                return Err(StateDecodeError::ConfigMismatch("contexts per shard"));
+            }
+            let busy_until = r.u64()?;
+            let cursor = r.usize()?;
+            let pni = Pni::decode_state(r, hasher.clone())?;
+            let outgoing: VecDeque<Message> = VecDeque::decode(r)?;
+            halted_count += states.iter().filter(|s| **s == CtxState::Halted).count();
+            shards.push(PeShard {
+                base: phys * k,
+                interps,
+                states,
+                stats,
+                busy_until,
+                cursor: cursor % k,
+                pni,
+                outgoing,
+                fx: ShardFx::default(),
+            });
+        }
+        let backend = match (r.u8()?, cfg.backend) {
+            (0, BackendKind::Ideal { latency }) => BackendImpl::Ideal {
+                para: Paracomputer::decode(r)?,
+                latency,
+                pending: BTreeMap::decode(r)?,
+            },
+            (1, BackendKind::Network { copies }) => {
+                let nets = ReplicatedOmega::decode_state(r)?;
+                if nets.copies() != copies {
+                    return Err(StateDecodeError::ConfigMismatch("network copy count"));
+                }
+                if nets.copy(0).cfg() != &cfg.net {
+                    return Err(StateDecodeError::ConfigMismatch("network geometry"));
+                }
+                let banks: Vec<MemBank> = Vec::decode(r)?;
+                if banks.len() != n {
+                    return Err(StateDecodeError::ConfigMismatch("memory bank count"));
+                }
+                let copy_of: IdMap<(MsgId, u32), usize> = IdMap::decode(r)?;
+                if copy_of.values().any(|&c| c >= copies) {
+                    return Err(WireError::Invalid("in-flight copy index out of range").into());
+                }
+                BackendImpl::Network {
+                    nets,
+                    banks,
+                    copy_of,
+                }
+            }
+            (0 | 1, _) => return Err(StateDecodeError::ConfigMismatch("backend kind")),
+            _ => return Err(WireError::Invalid("backend state tag").into()),
+        };
+        // The engine masks are pure accelerations of state just decoded,
+        // so they are never serialized — they are rebuilt here, keeping
+        // the wire format byte-identical to the pre-mask engine.
+        let mut live_mask = PackedMask::new(n);
+        live_mask.rebuild(|i| shards[i].states.iter().any(|s| *s != CtxState::Halted));
+        let mut outgoing_mask = PackedMask::new(n);
+        outgoing_mask.rebuild(|i| !shards[i].outgoing.is_empty());
+        let bank_active = match &backend {
+            BackendImpl::Network { banks, .. } => {
+                let mut m = PackedMask::new(n);
+                m.rebuild(|i| !banks[i].is_idle());
+                m
+            }
+            BackendImpl::Ideal { .. } => PackedMask::new(0),
+        };
+        Ok(Self {
+            hasher,
+            shards,
+            meta,
+            backend,
+            barrier_generation,
+            barrier_arrived,
+            now,
+            halted_count,
+            trace: Trace::new(),
+            fault_clock,
+            dead_mms,
+            duplicate_replies,
+            unroutable,
+            dead_pes,
+            run_elapsed: None,
+            fast_forwarded,
+            deliveries: Vec::new(),
+            pool: WorkerPool::new(cfg.threads.max(1)),
+            fx_dirty: AtomicBitmap::new(n),
+            outgoing_mask,
+            live_mask,
+            bank_active,
+            retry_enabled: Self::retry_policy_for(&cfg).is_some(),
+            series: TimeSeries::new(),
+            phases: PhaseRecorder::new(),
+            phase_epoch: Instant::now(),
+            cfg,
+        })
+    }
+}

@@ -21,7 +21,7 @@
 //!                     backend, time scale, translation, seed, budget,
 //!                     barrier parties, contexts, fault plan)
 //! tuning     fixed    speed knobs (threads, two retired bytes, fast-forward)
-//! state      ...      full machine state (see machine.rs)
+//! state      ...      full machine state (see machine/wire.rs)
 //! digest     u64      FNV-1a of the donor's parity string
 //! ```
 //!
