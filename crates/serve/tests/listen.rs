@@ -166,12 +166,14 @@ fn a_default_client_never_meets_the_delayed_ack_timer() {
     // while the first result is still un-ACKed (the client, reading, has
     // nothing to send an ACK with). One write per reply is not enough
     // here; without TCP_NODELAY Nagle holds the second result for the
-    // timer.
+    // timer. (A seed of its own keeps the long job out of the snapshot
+    // cache: served from there it is no longer than the short one, and
+    // the pair's order hung on which worker woke first.)
     let started = Instant::now();
     for i in 0..30 {
         let (short, long) = (format!("short-{i}"), format!("long-{i}"));
         client.send(&format!(
-            "{}\n{{\"id\": \"{long}\", \"pes\": 16, \"workload\": \"ticket\", \"rounds\": 16}}",
+            "{}\n{{\"id\": \"{long}\", \"pes\": 16, \"workload\": \"ticket\", \"rounds\": 32, \"seed\": {i}}}",
             tiny_job(&short)
         ));
         assert_eq!(completed_id(&client.read_line()), short);
