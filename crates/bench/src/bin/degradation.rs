@@ -28,9 +28,7 @@
 //! per-window telemetry + per-switch heatmap as JSON / Chrome
 //! `trace_event` JSON. The default table output is unchanged.
 
-use std::path::PathBuf;
-
-use ultra_bench::json::{metrics_json, series_chrome_trace};
+use ultra_bench::json::{series_chrome_trace, ObsFlags};
 use ultra_bench::{run_open_loop_faulty, run_open_loop_observed, OpenLoopConfig};
 use ultra_faults::{FaultPlan, NetShape};
 use ultra_net::config::{NetConfig, SwitchPolicy};
@@ -280,7 +278,7 @@ fn dead_copy_machine() {
 /// The observed-telemetry export: the E14a dead-port configuration at
 /// 10% (the most structured heatmap — fault-masked routes shift combines
 /// and queueing onto the survivor paths).
-fn export_observed(metrics_path: Option<&PathBuf>, trace_path: Option<&PathBuf>) {
+fn export_observed(flags: &ObsFlags) {
     let plan = FaultPlan::random_static(0xE14, shape(2), 0.0, 0.10);
     let (_, obs) = run_open_loop_observed(
         sweep_cfg(SwitchPolicy::QueuedCombining, 2),
@@ -289,33 +287,14 @@ fn export_observed(metrics_path: Option<&PathBuf>, trace_path: Option<&PathBuf>)
         512,
         4096,
     );
-    if let Some(path) = metrics_path {
-        std::fs::write(
-            path,
-            metrics_json("degradation", &obs.series, Some(&obs.heatmap)),
-        )
-        .expect("write --metrics-out file");
-        println!("wrote {}", path.display());
-    }
-    if let Some(path) = trace_path {
-        std::fs::write(path, series_chrome_trace("degradation", &obs.series))
-            .expect("write --trace-out file");
-        println!("wrote {}", path.display());
-    }
+    flags.write("degradation", &obs.series, Some(&obs.heatmap), || {
+        series_chrome_trace("degradation", &obs.series)
+    });
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_path = |name: &str| {
-        args.iter().position(|a| a == name).map(|i| {
-            PathBuf::from(
-                args.get(i + 1)
-                    .unwrap_or_else(|| panic!("{name} needs a path")),
-            )
-        })
-    };
-    let metrics_path = flag_path("--metrics-out");
-    let trace_path = flag_path("--trace-out");
+    let obs_flags = ObsFlags::from_args(&args);
     println!("E14 — graceful degradation under deterministic fault injection\n");
     e8_baseline();
     dead_port_sweep();
@@ -330,7 +309,7 @@ fn main() {
          builds in (d copies, hashed MMs) degrades gracefully instead of\n\
          failing."
     );
-    if metrics_path.is_some() || trace_path.is_some() {
-        export_observed(metrics_path.as_ref(), trace_path.as_ref());
+    if obs_flags.any() {
+        export_observed(&obs_flags);
     }
 }

@@ -44,8 +44,9 @@ use std::path::PathBuf;
 use std::thread;
 use std::time::Instant;
 
-use ultra_bench::json::{array_lines, metrics_json, JsonObject};
+use ultra_bench::json::{flag_path, ObsFlags};
 use ultra_faults::FaultPlan;
+use ultra_obs::json::{array_lines, parse, Json, JsonObject};
 use ultracomputer::machine::{MachineBuilder, RunOutcome};
 use ultracomputer::program::{body, Expr, Op, Program};
 use ultracomputer::{chrome_trace, MachineReport};
@@ -241,42 +242,23 @@ fn render_json(rows: &[Row]) -> String {
     text
 }
 
-/// Pulls `"key": <number>` out of one baseline row line. The baseline is
-/// always written by [`render_json`] (one row object per line), so a
-/// line-based scan is a full parser for it.
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\": ");
-    let at = line.find(&tag)? + tag.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn baseline_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json")
 }
 
-/// Finds the committed cycles/sec for `(n, engine, workload)`. Baselines
-/// written before the workload field existed implicitly measured the
-/// ticket workload, so a row without one matches `"ticket"` only.
-fn committed_rate(baseline: &str, n: usize, engine: &str, workload: &str) -> Option<f64> {
-    baseline.lines().find_map(|line| {
-        let engine_tag = format!("\"engine\": \"{engine}\"");
-        if !line.contains(&engine_tag) || field_f64(line, "n") != Some(n as f64) {
-            return None;
-        }
-        let row_workload = if line.contains("\"workload\": ") {
-            ["ticket", "idle"]
-                .into_iter()
-                .find(|w| line.contains(&format!("\"workload\": \"{w}\"")))?
-        } else {
-            "ticket"
-        };
-        (row_workload == workload)
-            .then(|| field_f64(line, "cycles_per_sec"))
-            .flatten()
+/// Finds the committed cycles/sec for `(n, engine, workload)` in the
+/// parsed baseline. Baselines written before the workload field existed
+/// implicitly measured the ticket workload, so a row without one matches
+/// `"ticket"` only.
+fn baseline_rate(baseline: &Json, n: usize, engine: &str, workload: &str) -> Option<f64> {
+    let rows = baseline.as_object()?.get("rows")?.as_array()?;
+    rows.iter().filter_map(Json::as_object).find_map(|row| {
+        let row_workload = row.get("workload").map_or(Some("ticket"), Json::as_str);
+        (row.get("engine")?.as_str() == Some(engine)
+            && row.get("n")?.as_u64() == Some(n as u64)
+            && row_workload == Some(workload))
+        .then(|| row.get("cycles_per_sec")?.as_f64())
+        .flatten()
     })
 }
 
@@ -293,8 +275,10 @@ fn regression_gate(rows: &[Row]) -> Result<(), String> {
     let path = baseline_path();
     match std::fs::read_to_string(&path) {
         Ok(baseline) => {
+            let baseline = parse(&baseline)
+                .map_err(|e| format!("{} is not valid JSON: {e}", path.display()))?;
             for row in rows {
-                let Some(committed) = committed_rate(&baseline, row.n, row.engine, row.workload)
+                let Some(committed) = baseline_rate(&baseline, row.n, row.engine, row.workload)
                 else {
                     continue;
                 };
@@ -394,17 +378,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let check = args.iter().any(|a| a == "--check");
-    let flag_path = |name: &str| {
-        args.iter().position(|a| a == name).map(|i| {
-            PathBuf::from(
-                args.get(i + 1)
-                    .unwrap_or_else(|| panic!("{name} needs a path")),
-            )
-        })
-    };
-    let out_path = flag_path("--out");
-    let metrics_path = flag_path("--metrics-out");
-    let trace_path = flag_path("--trace-out");
+    let out_path = flag_path(&args, "--out");
+    let obs = ObsFlags::from_args(&args);
     // `--workload <name>` restricts the matrix to one workload; a name
     // the harness does not know is a usage error listing the known ones.
     let workload_filter = args.iter().position(|a| a == "--workload").map(|i| {
@@ -496,7 +471,7 @@ fn main() {
         std::fs::write(path, render_json(&rows)).expect("write --out file");
         println!("wrote {}", path.display());
     }
-    if metrics_path.is_some() || trace_path.is_some() {
+    if obs.any() {
         // One instrumented run of the N = 1024 ticket machine: telemetry
         // at the acceptance window of 1024 cycles, the event trace, and
         // engine phase spans, all on at once.
@@ -513,19 +488,9 @@ fn main() {
             m.telemetry().len(),
             m.phase_spans().len()
         );
-        if let Some(path) = &metrics_path {
-            let heatmap = m.heatmap();
-            std::fs::write(
-                path,
-                metrics_json("engine", m.telemetry(), heatmap.as_ref()),
-            )
-            .expect("write --metrics-out file");
-            println!("wrote {}", path.display());
-        }
-        if let Some(path) = &trace_path {
-            std::fs::write(path, chrome_trace(&m)).expect("write --trace-out file");
-            println!("wrote {}", path.display());
-        }
+        obs.write("engine", m.telemetry(), m.heatmap().as_ref(), || {
+            chrome_trace(&m)
+        });
     }
     if check {
         let mut failed = false;

@@ -15,9 +15,7 @@
 //! combining row with cycle-windowed telemetry and write the per-window
 //! series + per-switch heatmap as JSON / Chrome `trace_event` JSON.
 
-use std::path::PathBuf;
-
-use ultra_bench::json::{metrics_json, series_chrome_trace};
+use ultra_bench::json::{series_chrome_trace, ObsFlags};
 use ultra_bench::{run_open_loop, run_open_loop_observed, OpenLoopConfig, OpenLoopObservation};
 use ultra_faults::FaultPlan;
 use ultra_net::config::{NetConfig, SwitchPolicy};
@@ -26,16 +24,7 @@ use ultra_sim::{MemAddr, MmId};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_path = |name: &str| {
-        args.iter().position(|a| a == name).map(|i| {
-            PathBuf::from(
-                args.get(i + 1)
-                    .unwrap_or_else(|| panic!("{name} needs a path")),
-            )
-        })
-    };
-    let metrics_path = flag_path("--metrics-out");
-    let trace_path = flag_path("--trace-out");
+    let obs_flags = ObsFlags::from_args(&args);
     let mut observed: Option<OpenLoopObservation> = None;
     println!("E6 — hot-spot fetch-and-add storm: combining vs. no combining");
     println!("(uniform background p = 0.08, hot fraction 30%, k = 2, 15-packet queues)\n");
@@ -62,9 +51,7 @@ fn main() {
             let mut traffic = HotspotTraffic::new(n, 0.08, 0.3, hot, 99);
             // Observation never perturbs the run, so the exported row is
             // the same row the table prints.
-            let want_obs = (metrics_path.is_some() || trace_path.is_some())
-                && n == 64
-                && policy == SwitchPolicy::QueuedCombining;
+            let want_obs = obs_flags.any() && n == 64 && policy == SwitchPolicy::QueuedCombining;
             let r = if want_obs {
                 let (r, obs) =
                     run_open_loop_observed(cfg, &FaultPlan::none(), &mut traffic, 256, 4096);
@@ -92,18 +79,8 @@ fn main() {
          uncontended round trip at every N."
     );
     if let Some(obs) = &observed {
-        if let Some(path) = &metrics_path {
-            std::fs::write(
-                path,
-                metrics_json("hotspot", &obs.series, Some(&obs.heatmap)),
-            )
-            .expect("write --metrics-out file");
-            println!("wrote {}", path.display());
-        }
-        if let Some(path) = &trace_path {
-            std::fs::write(path, series_chrome_trace("hotspot", &obs.series))
-                .expect("write --trace-out file");
-            println!("wrote {}", path.display());
-        }
+        obs_flags.write("hotspot", &obs.series, Some(&obs.heatmap), || {
+            series_chrome_trace("hotspot", &obs.series)
+        });
     }
 }

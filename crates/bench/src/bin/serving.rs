@@ -27,9 +27,8 @@
 //!   Prometheus text exposition (one summary per offered load), the
 //!   same format `ultra-serve` answers to `{"metrics"}`.
 
-use std::path::PathBuf;
-
-use ultra_bench::json::{array_lines, metrics_json, JsonObject};
+use ultra_bench::json::{flag_path, ObsFlags};
+use ultra_obs::json::{array_lines, JsonObject};
 use ultra_obs::metrics::PromWriter;
 use ultra_sim::stats::Histogram;
 use ultra_sim::wire::fnv1a;
@@ -170,14 +169,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let check = args.iter().any(|a| a == "--check");
-    let flag_path = |name: &str| {
-        args.iter().position(|a| a == name).map(|i| {
-            PathBuf::from(
-                args.get(i + 1)
-                    .unwrap_or_else(|| panic!("{name} needs a path")),
-            )
-        })
-    };
     let flag_num = |name: &str, default: u64| {
         args.iter().position(|a| a == name).map_or(default, |i| {
             args.get(i + 1)
@@ -185,10 +176,9 @@ fn main() {
                 .unwrap_or_else(|| panic!("{name} needs a number"))
         })
     };
-    let out_path = flag_path("--out");
-    let metrics_path = flag_path("--metrics-out");
-    let trace_path = flag_path("--trace-out");
-    let prom_path = flag_path("--prom-out");
+    let out_path = flag_path(&args, "--out");
+    let prom_path = flag_path(&args, "--prom-out");
+    let obs = ObsFlags::from_args(&args);
     let sweep = Sweep {
         pes: flag_num("--pes", 8) as usize,
         requests: flag_num("--requests", if quick { 256 } else { 1024 }) as usize,
@@ -263,7 +253,7 @@ fn main() {
         println!("parity: sequential == parallel == no-fast-forward on every point");
     }
 
-    if metrics_path.is_some() || trace_path.is_some() {
+    if obs.any() {
         // One instrumented run of the highest-load point; observation
         // never perturbs the simulation.
         let gap = *gaps.last().expect("sweep has points");
@@ -278,18 +268,8 @@ fn main() {
             out.cycles,
             m.telemetry().len()
         );
-        if let Some(path) = &metrics_path {
-            let heatmap = m.heatmap();
-            std::fs::write(
-                path,
-                metrics_json("serving", m.telemetry(), heatmap.as_ref()),
-            )
-            .expect("write --metrics-out file");
-            println!("wrote {}", path.display());
-        }
-        if let Some(path) = &trace_path {
-            std::fs::write(path, chrome_trace(&m)).expect("write --trace-out file");
-            println!("wrote {}", path.display());
-        }
+        obs.write("serving", m.telemetry(), m.heatmap().as_ref(), || {
+            chrome_trace(&m)
+        });
     }
 }

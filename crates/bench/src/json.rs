@@ -1,126 +1,76 @@
-//! Shared JSON rendering for the bench binaries.
-//!
-//! Every artifact the harness writes (`BENCH_engine.json`, the
-//! `--metrics-out` files, the `--trace-out` Perfetto traces) is
-//! hand-serialized — the workspace takes no serde dependency — so this
-//! module centralizes the one correct way to do it: strings pass through
-//! [`ultra_obs::json_escape`], object keys are emitted in sorted order
-//! (stable diffs regardless of insertion order), and row objects render
-//! on a single line so the engine bench's line-based baseline parser
-//! keeps working.
+//! The observability artifacts of the bench binaries: the
+//! `--metrics-out` / `--trace-out` flags and the two documents they
+//! ask for, rendered through [`ultra_obs::json`].
 
-use ultra_obs::{json_escape, ChromeTraceBuilder, HeatmapSnapshot, TimeSeries};
+use std::path::PathBuf;
 
-/// A JSON object builder: values render immediately, keys sort at
-/// [`JsonObject::render`] time.
-#[derive(Debug, Default)]
-pub struct JsonObject {
-    fields: Vec<(String, String)>,
-}
+use ultra_obs::{ChromeTraceBuilder, HeatmapSnapshot, TimeSeries};
 
-impl JsonObject {
-    /// An empty object.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn push(mut self, key: &str, rendered: String) -> Self {
-        self.fields.push((key.to_owned(), rendered));
-        self
-    }
-
-    /// Adds an unsigned integer field.
-    #[must_use]
-    pub fn uint(self, key: &str, value: u64) -> Self {
-        self.push(key, value.to_string())
-    }
-
-    /// Adds a signed integer field.
-    #[must_use]
-    pub fn int(self, key: &str, value: i64) -> Self {
-        self.push(key, value.to_string())
-    }
-
-    /// Adds a float field with a fixed number of decimals.
-    #[must_use]
-    pub fn float(self, key: &str, value: f64, decimals: usize) -> Self {
-        let rendered = if value.is_finite() {
-            format!("{value:.decimals$}")
-        } else {
-            "0".to_owned()
-        };
-        self.push(key, rendered)
-    }
-
-    /// Adds a boolean field.
-    #[must_use]
-    pub fn bool(self, key: &str, value: bool) -> Self {
-        self.push(key, value.to_string())
-    }
-
-    /// Adds a string field (escaped).
-    #[must_use]
-    pub fn str(self, key: &str, value: &str) -> Self {
-        let escaped = json_escape(value);
-        self.push(key, format!("\"{escaped}\""))
-    }
-
-    /// Adds a field whose value is already-rendered JSON (an array or a
-    /// nested object).
-    #[must_use]
-    pub fn raw(self, key: &str, rendered: String) -> Self {
-        self.push(key, rendered)
-    }
-
-    /// Renders `{"a": ..., "b": ...}` with keys in sorted order, on one
-    /// line (embedded raw values may span lines).
-    #[must_use]
-    pub fn render(mut self) -> String {
-        self.fields.sort_by(|a, b| a.0.cmp(&b.0));
-        let body: Vec<String> = self
-            .fields
-            .iter()
-            .map(|(k, v)| format!("\"{}\": {v}", json_escape(k)))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
-}
-
-/// Renders a JSON array with one item per line at the given indent —
-/// the layout the engine baseline's line-based parser expects.
+/// The path following flag `name` in `args`, if the flag is present.
+///
+/// # Panics
+///
+/// Panics if the flag is the last argument.
 #[must_use]
-pub fn array_lines(items: &[String], indent: usize) -> String {
-    if items.is_empty() {
-        return "[]".to_owned();
-    }
-    let pad = " ".repeat(indent);
-    let close = " ".repeat(indent.saturating_sub(2));
-    let body: Vec<String> = items.iter().map(|i| format!("{pad}{i}")).collect();
-    format!("[\n{}\n{close}]", body.join(",\n"))
+pub fn flag_path(args: &[String], name: &str) -> Option<PathBuf> {
+    args.iter().position(|a| a == name).map(|i| {
+        PathBuf::from(
+            args.get(i + 1)
+                .unwrap_or_else(|| panic!("{name} needs a path")),
+        )
+    })
 }
 
-/// Renders a [`HeatmapSnapshot`] as a JSON object of stage-major value
-/// grids.
-#[must_use]
-pub fn heatmap_json(h: &HeatmapSnapshot) -> String {
-    let grid = |values: &[u64]| {
-        let rows: Vec<String> = values
-            .chunks(h.width().max(1))
-            .map(|row| {
-                let cells: Vec<String> = row.iter().map(u64::to_string).collect();
-                format!("[{}]", cells.join(", "))
-            })
-            .collect();
-        format!("[{}]", rows.join(", "))
-    };
-    JsonObject::new()
-        .uint("stages", h.stages() as u64)
-        .uint("width", h.width() as u64)
-        .raw("combines", grid(h.combines()))
-        .raw("queue_high_water", grid(h.queue_high_water()))
-        .raw("wait_occupancy", grid(h.wait_occupancy()))
-        .render()
+/// Where an observed run's telemetry should go: the `--metrics-out` and
+/// `--trace-out` flags shared by the `engine`, `serving`, `hotspot` and
+/// `degradation` bins.
+#[derive(Debug)]
+pub struct ObsFlags {
+    metrics: Option<PathBuf>,
+    trace: Option<PathBuf>,
+}
+
+impl ObsFlags {
+    /// Reads both flags from the process arguments.
+    #[must_use]
+    pub fn from_args(args: &[String]) -> Self {
+        Self {
+            metrics: flag_path(args, "--metrics-out"),
+            trace: flag_path(args, "--trace-out"),
+        }
+    }
+
+    /// Whether either file was asked for, i.e. whether the bin has to
+    /// make its observed run at all.
+    #[must_use]
+    pub fn any(&self) -> bool {
+        self.metrics.is_some() || self.trace.is_some()
+    }
+
+    /// Writes the files that were asked for: [`metrics_json`] of the
+    /// observed `series` (and `heatmap`), and the Chrome trace `trace`
+    /// renders.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a file cannot be written.
+    pub fn write(
+        &self,
+        bench: &str,
+        series: &TimeSeries,
+        heatmap: Option<&HeatmapSnapshot>,
+        trace: impl FnOnce() -> String,
+    ) {
+        if let Some(path) = &self.metrics {
+            std::fs::write(path, metrics_json(bench, series, heatmap))
+                .expect("write --metrics-out file");
+            println!("wrote {}", path.display());
+        }
+        if let Some(path) = &self.trace {
+            std::fs::write(path, trace()).expect("write --trace-out file");
+            println!("wrote {}", path.display());
+        }
+    }
 }
 
 /// Renders a recorded [`TimeSeries`] (plus an optional heatmap) as the
@@ -128,31 +78,9 @@ pub fn heatmap_json(h: &HeatmapSnapshot) -> String {
 /// re-aggregated totals, and ring bookkeeping.
 #[must_use]
 pub fn metrics_json(bench: &str, series: &TimeSeries, heatmap: Option<&HeatmapSnapshot>) -> String {
-    let windows: Vec<String> = series
-        .samples()
-        .map(|s| {
-            let mut row = JsonObject::new().uint("start", s.start).uint("len", s.len);
-            for (key, value) in s.counters.fields() {
-                row = row.uint(key, value);
-            }
-            for (key, value) in s.gauges.fields() {
-                row = row.uint(key, value);
-            }
-            row.render()
-        })
-        .collect();
-    let mut totals = JsonObject::new();
-    for (key, value) in series.totals().fields() {
-        totals = totals.uint(key, value);
-    }
-    let mut top = JsonObject::new()
-        .str("bench", bench)
-        .uint("window", series.window())
-        .uint("dropped_windows", series.dropped())
-        .raw("windows", array_lines(&windows, 4))
-        .raw("totals", totals.render());
+    let mut top = series.to_json(false).str("bench", bench);
     if let Some(h) = heatmap {
-        top = top.raw("heatmap", heatmap_json(h));
+        top = top.raw("heatmap", h.to_json());
     }
     let mut text = top.render();
     text.push('\n');
@@ -166,23 +94,7 @@ pub fn metrics_json(bench: &str, series: &TimeSeries, heatmap: Option<&HeatmapSn
 pub fn series_chrome_trace(bench: &str, series: &TimeSeries) -> String {
     let mut b = ChromeTraceBuilder::new();
     b.process_name(1, &format!("{bench} telemetry (per window)"));
-    for s in series.samples() {
-        let ts = (s.start + s.len) as f64;
-        let counters: Vec<(&str, f64)> = s
-            .counters
-            .fields()
-            .iter()
-            .map(|&(k, v)| (k, v as f64))
-            .collect();
-        b.counter("window rates", 1, ts, &counters);
-        let gauges: Vec<(&str, f64)> = s
-            .gauges
-            .fields()
-            .iter()
-            .map(|&(k, v)| (k, v as f64))
-            .collect();
-        b.counter("gauges", 1, ts, &gauges);
-    }
+    b.series(1, series);
     b.finish()
 }
 
@@ -190,23 +102,6 @@ pub fn series_chrome_trace(bench: &str, series: &TimeSeries) -> String {
 mod tests {
     use super::*;
     use ultra_obs::{CounterSnapshot, GaugeSnapshot};
-
-    #[test]
-    fn object_sorts_keys_and_escapes_strings() {
-        let text = JsonObject::new()
-            .uint("zeta", 3)
-            .str("alpha", "a\"b")
-            .float("mid", 1.25, 2)
-            .render();
-        assert_eq!(text, "{\"alpha\": \"a\\\"b\", \"mid\": 1.25, \"zeta\": 3}");
-    }
-
-    #[test]
-    fn array_lines_lays_one_item_per_line() {
-        let text = array_lines(&["{\"a\": 1}".to_owned(), "{\"b\": 2}".to_owned()], 4);
-        assert_eq!(text, "[\n    {\"a\": 1},\n    {\"b\": 2}\n  ]");
-        assert_eq!(array_lines(&[], 4), "[]");
-    }
 
     #[test]
     fn metrics_json_embeds_windows_and_totals() {

@@ -14,11 +14,11 @@ pub mod json;
 pub mod microbench;
 
 use ultra_faults::FaultPlan;
-use ultra_mem::{AddressHasher, MemBank, TranslationMode};
+use ultra_mem::{telemetry_gauges, AddressHasher, MemBank, TranslationMode};
 use ultra_net::config::NetConfig;
 use ultra_net::message::{Message, MsgId};
 use ultra_net::omega::ReplicatedOmega;
-use ultra_obs::{CounterSnapshot, GaugeSnapshot, HeatmapSnapshot, TimeSeries};
+use ultra_obs::{HeatmapSnapshot, TimeSeries};
 use ultra_pe::traffic::TrafficPattern;
 use ultra_sim::{Cycle, Histogram, MmId, PeId, WorkerPool};
 
@@ -147,34 +147,6 @@ pub fn run_open_loop_observed(
     series.enable(window, capacity, 0);
     let (report, heatmap) = run_open_loop_inner(cfg, plan, traffic, &mut series);
     (report, OpenLoopObservation { series, heatmap })
-}
-
-fn open_loop_counters(nets: &ReplicatedOmega) -> CounterSnapshot {
-    let mut c = CounterSnapshot::default();
-    for i in 0..nets.copies() {
-        let s = nets.copy(i).stats();
-        c.injected_requests += s.injected_requests.get();
-        c.delivered_requests += s.delivered_requests.get();
-        c.injected_replies += s.injected_replies.get();
-        c.delivered_replies += s.delivered_replies.get();
-        c.combines += s.combines.get();
-        c.decombines += s.decombines.get();
-        c.inject_stalls += s.inject_stalls.get();
-        c.fault_dropped += s.fault_dropped.get();
-        c.fault_refusals += s.fault_refusals.get();
-    }
-    c
-}
-
-fn open_loop_gauges(nets: &ReplicatedOmega, banks: &[MemBank]) -> GaugeSnapshot {
-    GaugeSnapshot {
-        mm_queue_depth_max: banks
-            .iter()
-            .map(|b| b.queue_depth() as u64)
-            .max()
-            .unwrap_or(0),
-        wait_occupancy: nets.total_wait_occupancy(),
-    }
 }
 
 fn run_open_loop_inner(
@@ -311,28 +283,21 @@ fn run_open_loop_inner(
         }
         // 5. Window boundary: record the delta (no-op unless observed).
         while series.due(now + 1) {
-            let cum = open_loop_counters(&nets);
-            let gauges = open_loop_gauges(&nets, &banks);
-            series.sample(cum, gauges);
+            series.sample(nets.telemetry_counters(), telemetry_gauges(&nets, &banks));
         }
     }
     series.flush(
         drain,
-        open_loop_counters(&nets),
-        open_loop_gauges(&nets, &banks),
+        nets.telemetry_counters(),
+        telemetry_gauges(&nets, &banks),
     );
 
-    report.forward_transit_mean = {
-        let mut h = Histogram::new();
-        for i in 0..nets.copies() {
-            h.merge(&nets.copy(i).stats().forward_transit);
-        }
-        h.mean()
-    };
+    let totals = nets.net_stats();
+    report.forward_transit_mean = totals.forward_transit.mean();
     report.queue_high_water = nets.request_queue_high_water();
-    report.drops = nets.total_stat(|s| s.drops.get());
-    report.combines = nets.total_stat(|s| s.combines.get());
-    report.fault_refusals = nets.total_stat(|s| s.fault_refusals.get());
+    report.drops = totals.drops.get();
+    report.combines = totals.combines.get();
+    report.fault_refusals = totals.fault_refusals.get();
     report.failovers = nets.failovers();
     report.throughput = report.completed as f64 / (n as f64 * cfg.measure as f64);
     (report, nets.heatmap())

@@ -103,24 +103,7 @@ pub fn chrome_trace(m: &Machine) -> String {
         }
     }
 
-    for sample in m.telemetry().samples() {
-        let ts = (sample.start + sample.len) as f64;
-        let counters: Vec<(&str, f64)> = sample
-            .counters
-            .fields()
-            .iter()
-            .map(|&(k, v)| (k, v as f64))
-            .collect();
-        b.counter("window rates", PID_TELEMETRY, ts, &counters);
-        let gauges: Vec<(&str, f64)> = sample
-            .gauges
-            .fields()
-            .iter()
-            .map(|&(k, v)| (k, v as f64))
-            .collect();
-        b.counter("gauges", PID_TELEMETRY, ts, &gauges);
-    }
-
+    b.series(PID_TELEMETRY, m.telemetry());
     b.finish()
 }
 

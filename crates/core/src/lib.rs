@@ -63,7 +63,9 @@ pub mod trace;
 
 pub use engine::EngineMode;
 pub use export::chrome_trace;
-pub use machine::{BackendKind, FaultSummary, Machine, MachineBuilder, MachineConfig, RunOutcome};
+pub use machine::{
+    BackendKind, FaultSummary, Machine, MachineBuilder, MachineConfig, RunOutcome, MAX_THREADS,
+};
 pub use paracomputer::{MemOp, Paracomputer};
 pub use program::{Expr, Op, Program};
 pub use report::MachineReport;

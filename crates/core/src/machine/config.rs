@@ -65,6 +65,12 @@ pub struct MachineConfig {
     pub fast_forward: bool,
 }
 
+/// Most engine threads a machine may have. Each is an OS thread spawned
+/// at build or restore, and the count reaches the machine from outside
+/// the process twice — a service job line, a snapshot's tuning echo —
+/// so all three places share this bound.
+pub const MAX_THREADS: usize = 64;
+
 /// Builder for [`Machine`] (see the crate examples).
 #[derive(Debug, Clone)]
 pub struct MachineBuilder {
@@ -104,13 +110,16 @@ impl MachineBuilder {
     /// so far (`BENCH_engine.json`). Deferred-effect merging keeps every
     /// thread count bit-identical to it.
     ///
+    /// A budget above [`MAX_THREADS`] is cut to it — the count is a speed
+    /// choice only, and a snapshot of this machine must restore.
+    ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "need at least one engine thread");
-        self.cfg.threads = threads;
+        self.cfg.threads = threads.min(MAX_THREADS);
         self
     }
 

@@ -64,8 +64,7 @@ impl Machine {
         if self.series.is_enabled() {
             // Close the final (possibly partial) telemetry window so the
             // per-window sums cover the whole run.
-            let cum = self.telemetry_counters();
-            let gauges = self.telemetry_gauges();
+            let (cum, gauges) = self.telemetry_sample();
             self.series.flush(self.now, cum, gauges);
         }
         RunOutcome { completed, cycles }

@@ -37,7 +37,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use ultra_faults::{FaultClock, RetryPolicy};
-use ultra_mem::{AddressHasher, MemBank};
+use ultra_mem::{telemetry_gauges, AddressHasher, MemBank};
 use ultra_net::config::{NetConfig, SweepMode};
 use ultra_net::message::{Message, MsgId, Reply};
 use ultra_net::omega::ReplicatedOmega;
@@ -63,7 +63,7 @@ mod ff;
 mod tests;
 mod wire;
 
-pub use config::{BackendKind, MachineBuilder, MachineConfig};
+pub use config::{BackendKind, MachineBuilder, MachineConfig, MAX_THREADS};
 pub(crate) use wire::StateDecodeError;
 
 /// Virtual addresses at and above this are reserved for machine-assisted
@@ -615,27 +615,7 @@ impl Machine {
     pub fn net_stats(&self) -> NetStats {
         match &self.backend {
             BackendImpl::Ideal { .. } => NetStats::new(0),
-            BackendImpl::Network { nets, .. } => {
-                let mut total = NetStats::new(0);
-                for i in 0..nets.copies() {
-                    let s = nets.copy(i).stats();
-                    total.injected_requests.add(s.injected_requests.get());
-                    total.delivered_requests.add(s.delivered_requests.get());
-                    total.injected_replies.add(s.injected_replies.get());
-                    total.delivered_replies.add(s.delivered_replies.get());
-                    total.combines.add(s.combines.get());
-                    total.decombines.add(s.decombines.get());
-                    total.wait_buffer_declines.add(s.wait_buffer_declines.get());
-                    total.drops.add(s.drops.get());
-                    total.inject_stalls.add(s.inject_stalls.get());
-                    total.fault_dropped.add(s.fault_dropped.get());
-                    total.fault_refusals.add(s.fault_refusals.get());
-                    total.stuck_wait_entries.add(s.stuck_wait_entries.get());
-                    total.forward_transit.merge(&s.forward_transit);
-                    total.reverse_transit.merge(&s.reverse_transit);
-                }
-                total
-            }
+            BackendImpl::Network { nets, .. } => nets.net_stats(),
         }
     }
 
@@ -718,40 +698,14 @@ impl Machine {
         addr.offset * n + addr.mm.0
     }
 
-    /// Sums the cumulative scalar network counters across the `d`
-    /// copies (all zero on the ideal backend). No allocation, no
-    /// histogram merges — this runs once per telemetry window.
-    fn telemetry_counters(&self) -> CounterSnapshot {
-        let mut c = CounterSnapshot::default();
-        if let BackendImpl::Network { nets, .. } = &self.backend {
-            for i in 0..nets.copies() {
-                let s = nets.copy(i).stats();
-                c.injected_requests += s.injected_requests.get();
-                c.delivered_requests += s.delivered_requests.get();
-                c.injected_replies += s.injected_replies.get();
-                c.delivered_replies += s.delivered_replies.get();
-                c.combines += s.combines.get();
-                c.decombines += s.decombines.get();
-                c.inject_stalls += s.inject_stalls.get();
-                c.fault_dropped += s.fault_dropped.get();
-                c.fault_refusals += s.fault_refusals.get();
-            }
-        }
-        c
-    }
-
-    /// Instantaneous gauges at a window boundary.
-    fn telemetry_gauges(&self) -> GaugeSnapshot {
+    /// The cumulative counters and boundary gauges one telemetry window
+    /// samples (all zero on the ideal backend).
+    fn telemetry_sample(&self) -> (CounterSnapshot, GaugeSnapshot) {
         match &self.backend {
-            BackendImpl::Ideal { .. } => GaugeSnapshot::default(),
-            BackendImpl::Network { nets, banks, .. } => GaugeSnapshot {
-                mm_queue_depth_max: banks
-                    .iter()
-                    .map(|b| b.queue_depth() as u64)
-                    .max()
-                    .unwrap_or(0),
-                wait_occupancy: nets.total_wait_occupancy(),
-            },
+            BackendImpl::Ideal { .. } => Default::default(),
+            BackendImpl::Network { nets, banks, .. } => {
+                (nets.telemetry_counters(), telemetry_gauges(nets, banks))
+            }
         }
     }
 
@@ -762,8 +716,7 @@ impl Machine {
     /// bit-identical across fast-forward settings).
     fn telemetry_tick(&mut self) {
         while self.series.due(self.now) {
-            let cum = self.telemetry_counters();
-            let gauges = self.telemetry_gauges();
+            let (cum, gauges) = self.telemetry_sample();
             self.series.sample(cum, gauges);
         }
     }

@@ -22,6 +22,7 @@ use ultra_sim::{AtomicBitmap, IdMap, MmId, PackedMask, PeId, WorkerPool};
 
 use super::{
     BackendImpl, BackendKind, CtxState, Machine, MachineConfig, PeShard, Purpose, ReqMeta, ShardFx,
+    MAX_THREADS,
 };
 use crate::interp::{IssueSpec, PeInterp};
 use crate::paracomputer::Paracomputer;
@@ -168,6 +169,10 @@ impl MachineConfig {
     /// are range-checked and ignored.
     pub(crate) fn decode_tuning_into(&mut self, r: &mut WireReader<'_>) -> Result<(), WireError> {
         self.threads = r.usize()?;
+        // Every one of them is an OS thread the restore would spawn.
+        if !(1..=MAX_THREADS).contains(&self.threads) {
+            return Err(WireError::Invalid("engine thread count out of range"));
+        }
         // Both retired slots only ever held 0 or 1: a bool's range check.
         r.bool()?;
         r.bool()?;
@@ -255,6 +260,9 @@ impl Machine {
         if k == 0 {
             return Err(StateDecodeError::ConfigMismatch("zero contexts per PE"));
         }
+        let contexts = n
+            .checked_mul(k)
+            .ok_or(StateDecodeError::ConfigMismatch("context count overflows"))?;
         let dead_mms: Vec<MmId> = Vec::decode(r)?;
         let dead_pes: Vec<PeId> = Vec::decode(r)?;
         if dead_mms.iter().any(|mm| mm.0 >= n) || dead_pes.iter().any(|pe| pe.0 >= n) {
@@ -265,6 +273,10 @@ impl Machine {
             hasher.set_dead_mms(&dead_mms);
         }
         let now = r.u64()?;
+        // Reports multiply the clock by a context count.
+        if now.checked_mul(contexts as u64).is_none() {
+            return Err(WireError::Invalid("cycle count out of range").into());
+        }
         let barrier_generation = r.u64()?;
         let barrier_arrived = r.usize()?;
         let duplicate_replies = r.u64()?;
@@ -272,7 +284,7 @@ impl Machine {
         let fast_forwarded = r.u64()?;
         let fault_clock = FaultClock::decode(r)?;
         let meta: IdMap<MsgId, ReqMeta> = IdMap::decode(r)?;
-        if meta.values().any(|m| m.ctx >= n * k) {
+        if meta.values().any(|m| m.ctx >= contexts) {
             return Err(WireError::Invalid("request context out of range").into());
         }
         let shard_count = r.seq_len()?;

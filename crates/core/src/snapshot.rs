@@ -26,10 +26,22 @@
 //! ```
 //!
 //! Everything before `state` is validated with typed errors before any
-//! state is decoded; the trailing digest is recomputed from the restored
-//! machine and compared, so any corruption that survives structural
-//! validation is still caught. All failures are [`SnapshotError`]s —
-//! corrupt or hostile bytes never panic and never allocate unboundedly.
+//! state is decoded, including the sizes the state is built by: the
+//! network geometry must pass [`ultra_net::config::NetConfig::check`],
+//! the thread count [`crate::MAX_THREADS`], and the PE count cannot
+//! exceed the bytes that follow. All failures are [`SnapshotError`]s —
+//! corrupt or hostile bytes never panic and never allocate unboundedly
+//! (the last test of `crates/core/tests/snapshot_roundtrip.rs` flips bits
+//! to hold that).
+//!
+//! The trailing digest is **not** a checksum of the frame. It is FNV-1a
+//! of the donor's *parity string* — cycle count, merged PE, network and
+//! fault statistics — recomputed from the restored machine and
+//! compared: it catches a state that decodes but reports differently,
+//! and nothing else. Of the 89,272 single-bit flips of an 8-PE mid-run
+//! frame, 41,376 restore `Ok`: a memory word, a register, a queue
+//! timestamp or the seed changed and no statistic noticed. A
+//! whole-frame checksum needs format v2 (DESIGN.md §6).
 //!
 //! # What is *not* in a snapshot
 //!
@@ -47,7 +59,7 @@ use std::fmt;
 
 use ultra_sim::wire::{fnv1a, WireError, WireReader, WireWriter};
 
-use crate::machine::{Machine, MachineConfig, StateDecodeError};
+use crate::machine::{Machine, MachineConfig, StateDecodeError, MAX_THREADS};
 use crate::report::MachineReport;
 
 /// Leading magic of every snapshot.
@@ -238,9 +250,16 @@ impl Machine {
         if !cr.is_empty() {
             return Err(WireError::Invalid("config echo has trailing bytes").into());
         }
+        // The echo sizes what `decode_state` builds before it reaches
+        // the state that could contradict it; a real state spends well
+        // over a byte per PE.
+        cfg.net.check()?;
+        if cfg.net.pes > r.remaining() {
+            return Err(WireError::Invalid("config echo names more PEs than state bytes").into());
+        }
         cfg.decode_tuning_into(&mut r)?;
         if let Some(threads) = tuning.threads {
-            cfg.threads = threads.max(1);
+            cfg.threads = threads.clamp(1, MAX_THREADS);
         }
         if let Some(fast_forward) = tuning.fast_forward {
             cfg.fast_forward = fast_forward;

@@ -13,13 +13,20 @@
 //! PNI retry is *pending* (a loss happened, its timeout has not fired)
 //! at snapshot time, and one scenario snapshots before a scheduled fault
 //! so the restored clock must still fire it.
+//!
+//! The last test turns to frames that are *not* a donor's: whatever a
+//! flipped bit does to the bytes, `Machine::restore` answers `Ok` or a
+//! typed `SnapshotError` — it never unwinds, and it never builds an
+//! engine wider than `MAX_THREADS` (an unbounded `threads` slot spawns
+//! OS threads until the process aborts).
 
 use ultracomputer::machine::{Machine, MachineBuilder};
 use ultracomputer::program::{body, Expr, Op, Program};
 use ultracomputer::ultra_faults::{Fault, FaultPlan};
 use ultracomputer::ultra_net::config::SweepMode;
+use ultracomputer::ultra_sim::rng::{Rng, SplitMix64};
 use ultracomputer::ultra_sim::MmId;
-use ultracomputer::{EngineTuning, MachineReport};
+use ultracomputer::{EngineTuning, MachineReport, SnapshotError, MAX_THREADS};
 
 /// Tickets from a hot counter, a private-slot store per round, and a
 /// closing barrier — combining, register locking, bank traffic and
@@ -231,4 +238,37 @@ fn multiprogrammed_contexts_round_trip() {
             .build_spmd(&ticket_program(6))
     };
     check_scenario(&make, &[15, 80], "4 PEs x 2 contexts");
+}
+
+#[test]
+fn a_flipped_bit_restores_or_fails_with_a_typed_error() {
+    let mut donor = MachineBuilder::new(8).build_spmd(&ticket_program(6));
+    donor.run_for(40);
+    let mut frame = donor.snapshot();
+
+    // The state starts past magic (8), format (4), the length-prefixed
+    // crate version and config echo, and the 11-byte tuning echo.
+    let len_at = |at: usize| u64::from_le_bytes(frame[at..at + 8].try_into().unwrap()) as usize;
+    let cfg_len_at = 20 + len_at(12);
+    let state_at = cfg_len_at + 8 + len_at(cfg_len_at) + 11;
+    assert!((100..frame.len() / 2).contains(&state_at), "{state_at}");
+
+    // Everything before the state and the state's leading scalars (dead
+    // lists, clock, barrier and fault counters) is flipped exhaustively:
+    // every size the restore allocates or multiplies by is decoded
+    // there. The rest, ~11 KiB, is sampled (an exhaustive run of all
+    // ~90,000 flips finds no panic either, 20 s).
+    let exhaustive_bits = (state_at + 64) * 8;
+    let sampled_bits = frame.len() * 8 - exhaustive_bits;
+    let mut rng = SplitMix64::new(0x5eed_f11b);
+    let sampled = (0..2_500).map(|_| exhaustive_bits + rng.below(sampled_bits));
+    for bit in (0..exhaustive_bits).chain(sampled) {
+        frame[bit / 8] ^= 1 << (bit % 8);
+        let result: Result<Machine, SnapshotError> = Machine::restore(&frame);
+        frame[bit / 8] ^= 1 << (bit % 8);
+        if let Ok(m) = result {
+            let threads = m.cfg().threads;
+            assert!(threads <= MAX_THREADS, "bit {bit}: {threads} threads");
+        }
+    }
 }

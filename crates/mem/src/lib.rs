@@ -46,5 +46,5 @@
 pub mod bank;
 pub mod hash;
 
-pub use bank::{MemBank, MemStats};
+pub use bank::{telemetry_gauges, MemBank, MemStats};
 pub use hash::{AddressHasher, TranslationMode};

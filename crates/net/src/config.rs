@@ -174,26 +174,45 @@ impl NetConfig {
         u32::from(self.data_packets)
     }
 
-    /// Checks the invariants.
+    /// Checks the invariants: `pes` a positive power of `k ≥ 2`, no
+    /// zero-length packet, request queues that hold a data message.
+    ///
+    /// # Errors
+    ///
+    /// Names the violated invariant — as a [`WireError`], because the
+    /// configurations that need a fallible check are the ones decoded
+    /// from snapshot bytes.
+    pub fn check(&self) -> Result<(), WireError> {
+        if self.k < 2 {
+            return Err(WireError::Invalid("switch arity below 2"));
+        }
+        let mut p = 1usize;
+        while p < self.pes {
+            p = p
+                .checked_mul(self.k)
+                .ok_or(WireError::Invalid("pe count overflows"))?;
+        }
+        if p != self.pes || self.pes == 0 {
+            return Err(WireError::Invalid("pe count not a power of k"));
+        }
+        if self.data_packets == 0 || self.ctl_packets == 0 {
+            return Err(WireError::Invalid("zero-length packet config"));
+        }
+        if (self.request_queue_packets as u64) < u64::from(self.data_packets) {
+            return Err(WireError::Invalid("request queue below one data message"));
+        }
+        Ok(())
+    }
+
+    /// [`NetConfig::check`] for configurations written in code.
     ///
     /// # Panics
     ///
-    /// Panics if `pes` is not a positive power of `k`, if `k < 2`, or if a
-    /// packet length is zero.
+    /// Panics if an invariant is violated.
     pub fn validate(&self) {
-        let _ = ultra_sim::ids::digits::count(self.pes, self.k);
-        assert!(
-            self.data_packets >= 1,
-            "data messages need at least 1 packet"
-        );
-        assert!(
-            self.ctl_packets >= 1,
-            "control messages need at least 1 packet"
-        );
-        assert!(
-            self.request_queue_packets as u64 >= u64::from(self.data_packets),
-            "queues must hold at least one data message"
-        );
+        if let Err(WireError::Invalid(what)) = self.check() {
+            panic!("invalid network configuration: {what}");
+        }
     }
 }
 

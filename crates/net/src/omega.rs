@@ -35,7 +35,7 @@ use crate::route::{ForwardHop, ReverseHop, RouteTables, Topology};
 use crate::stats::NetStats;
 use crate::switch::{AcceptOutcome, Switches};
 use ultra_faults::FaultMask;
-use ultra_obs::HeatmapSnapshot;
+use ultra_obs::{CounterSnapshot, HeatmapSnapshot};
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{Cycle, WorkerPool};
 
@@ -90,30 +90,6 @@ impl Wire for NetworkEvents {
             dropped: Vec::decode(r)?,
         })
     }
-}
-
-/// Non-panicking counterpart of [`NetConfig::validate`] for decoding
-/// untrusted snapshot bytes.
-fn check_cfg(cfg: &NetConfig) -> Result<(), WireError> {
-    if cfg.k < 2 {
-        return Err(WireError::Invalid("switch arity below 2"));
-    }
-    let mut p = 1usize;
-    while p < cfg.pes {
-        p = p
-            .checked_mul(cfg.k)
-            .ok_or(WireError::Invalid("pe count overflows"))?;
-    }
-    if p != cfg.pes || cfg.pes == 0 {
-        return Err(WireError::Invalid("pe count not a power of k"));
-    }
-    if cfg.data_packets == 0 || cfg.ctl_packets == 0 {
-        return Err(WireError::Invalid("zero-length packet config"));
-    }
-    if (cfg.request_queue_packets as u64) < u64::from(cfg.data_packets) {
-        return Err(WireError::Invalid("request queue below one data message"));
-    }
-    Ok(())
 }
 
 /// One `N`-PE combining Omega network.
@@ -543,7 +519,7 @@ impl OmegaNetwork {
     /// embedded configuration).
     pub fn decode_state(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let cfg = NetConfig::decode(r)?;
-        check_cfg(&cfg)?;
+        cfg.check()?;
         let mut net = OmegaNetwork::new(cfg);
         net.switches = Switches::decode_state(r, &net.cfg)?;
         let n_stages = net.routes.stages();
@@ -956,9 +932,52 @@ impl ReplicatedOmega {
             .unwrap_or(0)
     }
 
-    /// Sum of a statistic across copies, selected by `f`.
-    pub fn total_stat(&self, f: impl Fn(&NetStats) -> u64) -> u64 {
-        self.lanes.iter().map(|l| f(l.net.stats())).sum()
+    /// The `d` copies' statistics rolled up: scalar counters summed,
+    /// transit histograms merged. `combines_by_stage` stays empty — the
+    /// machine's parity digest is taken over this value's `Debug` form,
+    /// which has never carried the per-copy stage detail.
+    #[must_use]
+    pub fn net_stats(&self) -> NetStats {
+        let mut total = NetStats::new(0);
+        for lane in &self.lanes {
+            let s = lane.net.stats();
+            total.injected_requests.add(s.injected_requests.get());
+            total.delivered_requests.add(s.delivered_requests.get());
+            total.injected_replies.add(s.injected_replies.get());
+            total.delivered_replies.add(s.delivered_replies.get());
+            total.combines.add(s.combines.get());
+            total.decombines.add(s.decombines.get());
+            total.wait_buffer_declines.add(s.wait_buffer_declines.get());
+            total.drops.add(s.drops.get());
+            total.inject_stalls.add(s.inject_stalls.get());
+            total.fault_dropped.add(s.fault_dropped.get());
+            total.fault_refusals.add(s.fault_refusals.get());
+            total.stuck_wait_entries.add(s.stuck_wait_entries.get());
+            total.forward_transit.merge(&s.forward_transit);
+            total.reverse_transit.merge(&s.reverse_transit);
+        }
+        total
+    }
+
+    /// The cumulative scalar counters a telemetry window samples, summed
+    /// across the copies. No allocation, no histogram merges — this runs
+    /// at every window boundary.
+    #[must_use]
+    pub fn telemetry_counters(&self) -> CounterSnapshot {
+        let mut c = CounterSnapshot::default();
+        for lane in &self.lanes {
+            let s = lane.net.stats();
+            c.injected_requests += s.injected_requests.get();
+            c.delivered_requests += s.delivered_requests.get();
+            c.injected_replies += s.injected_replies.get();
+            c.delivered_replies += s.delivered_replies.get();
+            c.combines += s.combines.get();
+            c.decombines += s.decombines.get();
+            c.inject_stalls += s.inject_stalls.get();
+            c.fault_dropped += s.fault_dropped.get();
+            c.fault_refusals += s.fault_refusals.get();
+        }
+        c
     }
 
     /// Wait-buffer entries outstanding across every switch of every copy.
@@ -1437,8 +1456,8 @@ mod tests {
             }
         }
         assert_eq!(
-            rep.total_stat(|s| s.combines.get()),
-            twin.total_stat(|s| s.combines.get())
+            rep.net_stats().combines.get(),
+            twin.net_stats().combines.get()
         );
     }
 

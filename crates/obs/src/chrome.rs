@@ -4,42 +4,14 @@
 //! and `chrome://tracing`: a JSON array of event objects, each with a
 //! `name`, a phase `ph`, a timestamp `ts` (microseconds) and `pid`/`tid`
 //! track coordinates. [`ChromeTraceBuilder`] writes that array with no
-//! dependencies, in the same hand-rolled style as the repo's BENCH
-//! files; strings pass through [`json_escape`] so arbitrary names are
-//! safe.
+//! dependencies on top of [`crate::json`]'s escape and number routines;
+//! events keep the format's conventional `name, ph, ts, …` key order, so
+//! they are laid out here rather than by the sorted-key object builder.
 //!
 //! [trace event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-/// Escapes a string for inclusion inside a JSON string literal
-/// (quotes, backslashes and control characters).
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `f64` as a JSON number (JSON has no NaN/Infinity; both
-/// collapse to 0).
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0".to_owned()
-    }
-}
+use crate::json::{json_escape, json_num};
+use crate::series::TimeSeries;
 
 /// An incremental writer for a `trace_event` JSON array.
 ///
@@ -77,8 +49,8 @@ impl ChromeTraceBuilder {
         let body = format!(
             "{{\"name\": \"{}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": {pid}, \"tid\": {tid}}}",
             json_escape(name),
-            json_num(ts_us),
-            json_num(dur_us),
+            json_num(ts_us, None),
+            json_num(dur_us, None),
         );
         self.event(&body);
     }
@@ -88,7 +60,7 @@ impl ChromeTraceBuilder {
         let body = format!(
             "{{\"name\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \"ts\": {}, \"pid\": {pid}, \"tid\": {tid}}}",
             json_escape(name),
-            json_num(ts_us),
+            json_num(ts_us, None),
         );
         self.event(&body);
     }
@@ -101,14 +73,32 @@ impl ChromeTraceBuilder {
             if i > 0 {
                 args.push_str(", ");
             }
-            args.push_str(&format!("\"{}\": {}", json_escape(key), json_num(*value)));
+            args.push_str(&format!(
+                "\"{}\": {}",
+                json_escape(key),
+                json_num(*value, None)
+            ));
         }
         let body = format!(
             "{{\"name\": \"{}\", \"ph\": \"C\", \"ts\": {}, \"pid\": {pid}, \"tid\": 0, \"args\": {{{args}}}}}",
             json_escape(name),
-            json_num(ts_us),
+            json_num(ts_us, None),
         );
         self.event(&body);
+    }
+
+    /// A recorded [`TimeSeries`] as two counter tracks of process `pid`:
+    /// per window, one `window rates` sample of the counter deltas and
+    /// one `gauges` sample, both at the window's end (1 cycle = 1 µs).
+    pub fn series(&mut self, pid: u64, series: &TimeSeries) {
+        let as_f64 = |fields: &[(&'static str, u64)]| -> Vec<(&str, f64)> {
+            fields.iter().map(|&(k, v)| (k, v as f64)).collect()
+        };
+        for s in series.samples() {
+            let ts = (s.start + s.len) as f64;
+            self.counter("window rates", pid, ts, &as_f64(&s.counters.fields()));
+            self.counter("gauges", pid, ts, &as_f64(&s.gauges.fields()));
+        }
     }
 
     /// Process-name metadata (`ph: "M"`), so Perfetto labels the track

@@ -9,15 +9,14 @@
 //! post-mortem [`FlightRecorder::dump`] always has the debug-level
 //! breadcrumbs.
 //!
-//! Events render as NDJSON with sorted keys, matching the repo's other
-//! hand-rolled JSON writers, so a dump is greppable and
-//! `json.tool`-parseable line by line.
+//! Events render as NDJSON through [`JsonObject`] (sorted keys), so a
+//! dump is greppable and `json.tool`-parseable line by line.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::json_escape;
+use crate::json::JsonObject;
 
 /// Event severity, ordered `Debug < Info < Warn < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -79,15 +78,14 @@ impl FlightEvent {
     /// newline).
     #[must_use]
     pub fn render(&self) -> String {
-        format!(
-            "{{\"at_us\": {}, \"detail\": \"{}\", \"event\": \"{}\", \"job\": \"{}\", \"level\": \"{}\", \"seq\": {}}}",
-            self.at_us,
-            json_escape(&self.detail),
-            json_escape(&self.kind),
-            json_escape(&self.job),
-            self.level.as_str(),
-            self.seq
-        )
+        JsonObject::new()
+            .uint("at_us", self.at_us)
+            .str("detail", &self.detail)
+            .str("event", &self.kind)
+            .str("job", &self.job)
+            .str("level", self.level.as_str())
+            .uint("seq", self.seq)
+            .render()
     }
 }
 

@@ -9,6 +9,8 @@
 //! merge element-wise, and the ASCII renderer downsamples wide stages
 //! so a 4096-PE fabric still fits a terminal.
 
+use crate::json::JsonObject;
+
 /// Per-switch matrices sampled from an Omega network (or merged across
 /// the replicated copies).
 ///
@@ -103,6 +105,28 @@ impl HeatmapSnapshot {
     #[must_use]
     pub fn wait_occupancy(&self) -> &[u64] {
         &self.wait_occupancy
+    }
+
+    /// Renders the snapshot as a JSON object of stage-major value grids.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let grid = |values: &[u64]| {
+            let rows: Vec<String> = values
+                .chunks(self.width.max(1))
+                .map(|row| {
+                    let cells: Vec<String> = row.iter().map(u64::to_string).collect();
+                    format!("[{}]", cells.join(", "))
+                })
+                .collect();
+            format!("[{}]", rows.join(", "))
+        };
+        JsonObject::new()
+            .uint("stages", self.stages as u64)
+            .uint("width", self.width as u64)
+            .raw("combines", grid(&self.combines))
+            .raw("queue_high_water", grid(&self.queue_high_water))
+            .raw("wait_occupancy", grid(&self.wait_occupancy))
+            .render()
     }
 
     /// Renders the three matrices as ASCII heatmaps, one row per stage,

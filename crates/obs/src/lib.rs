@@ -13,7 +13,6 @@
 //! * [`chrome`] — a hand-serialized Chrome/Perfetto `trace_event` JSON
 //!   writer ([`ChromeTraceBuilder`]), so event rings, engine-phase
 //!   spans and telemetry series load directly in `ui.perfetto.dev`.
-//!   No serde, mirroring the repo's hand-rolled BENCH JSON files.
 //! * [`heatmap`] — per-switch, per-stage matrices ([`HeatmapSnapshot`])
 //!   of combine counts, queue high-water marks and wait-buffer
 //!   occupancy, with an ASCII renderer for report footers.
@@ -23,11 +22,14 @@
 //! wall-clock time (see `ultra-serve`):
 //!
 //! * [`metrics`] — a dep-free service-metrics registry
-//!   ([`MetricsRegistry`]: counters, gauges, log-bin histograms on
-//!   relaxed atomics) with Prometheus-style text exposition
-//!   ([`PromWriter`]).
+//!   ([`MetricsRegistry`]: counters and gauges on relaxed atomics) with
+//!   Prometheus-style text exposition ([`PromWriter`]).
 //! * [`flight`] — a bounded flight recorder ([`FlightRecorder`]) keeping
 //!   the last K structured NDJSON job events for post-mortem dumps.
+//!
+//! Underneath all of them sits [`json`], the workspace's one JSON
+//! writer and reader (no serde): every text artifact the repo emits or
+//! accepts goes through it.
 //!
 //! Everything here is passive: recording never feeds back into the
 //! simulation, so enabling telemetry cannot perturb `parity_string`.
@@ -35,15 +37,14 @@
 pub mod chrome;
 pub mod flight;
 pub mod heatmap;
+pub mod json;
 pub mod metrics;
 pub mod series;
 
-pub use chrome::{json_escape, ChromeTraceBuilder};
+pub use chrome::ChromeTraceBuilder;
 pub use flight::{FlightEvent, FlightLevel, FlightRecorder};
 pub use heatmap::HeatmapSnapshot;
-pub use metrics::{
-    AtomicHistogram, Counter, Gauge, HistoSnapshot, MetricKind, MetricsRegistry, PromWriter,
-};
+pub use metrics::{Counter, Gauge, MetricKind, MetricsRegistry, PromWriter};
 pub use series::{
     CounterSnapshot, EnginePhase, GaugeSnapshot, PhaseRecorder, PhaseSpan, Sample, TimeSeries,
 };

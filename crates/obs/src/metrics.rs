@@ -4,30 +4,29 @@
 //! The simulator-side recorders in [`crate::series`] observe *simulated*
 //! time; this module observes the **service wrapped around the
 //! simulator** — queue depths, cache hit rates, worker utilization —
-//! in wall-clock time. Three instrument kinds, all backed by relaxed
+//! in wall-clock time. Two instrument kinds, both backed by relaxed
 //! atomics so the hot path (a job finishing, a queue push) costs one
 //! `fetch_add` and never takes a lock:
 //!
 //! * [`Counter`] — a monotone `u64` event count;
-//! * [`Gauge`] — a signed instantaneous level (queue depth, cache size);
-//! * [`AtomicHistogram`] — power-of-two log bins over `u64`
-//!   observations, for multi-writer latency recording without locks.
+//! * [`Gauge`] — a signed instantaneous level (queue depth, cache size).
 //!
 //! Handles are `Arc`s: callers register once (under a short registry
-//! lock) and then update lock-free forever after. The read side is
-//! *snapshot-consistent where it matters*: a histogram snapshot derives
-//! its count from the bins it actually read, so cumulative bucket counts
-//! never disagree with the total even while writers race.
+//! lock) and then update lock-free forever after.
 //!
 //! [`MetricsRegistry::render`] emits the Prometheus text exposition
-//! format (`# HELP`/`# TYPE` headers, `name{label="v"} value` samples,
-//! `_bucket`/`_sum`/`_count` histogram series) through [`PromWriter`],
-//! which callers can also drive directly to append families the registry
-//! does not own (e.g. summaries merged from `ultra_sim` histograms).
+//! format (`# HELP`/`# TYPE` headers, `name{label="v"} value` samples)
+//! through [`PromWriter`], which callers also drive directly to append
+//! families the registry does not own: distributions live in the
+//! workspace's one histogram, [`ultra_sim::stats::Histogram`], and are
+//! written as `histogram` ([`PromWriter::histogram`]) or `summary`
+//! ([`PromWriter::summary`]) families.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+use ultra_sim::stats::Histogram;
 
 /// A monotonically increasing event counter (relaxed atomics).
 #[derive(Debug, Default)]
@@ -90,96 +89,6 @@ impl Gauge {
     }
 }
 
-/// Log-bin count: values of equal bit length share a bin, so bin `i`
-/// holds `[2^(i-1), 2^i)` (bin 0 holds exactly 0). 65 bins cover `u64`.
-const HISTO_BINS: usize = 65;
-
-/// A lock-free log-bin histogram over `u64` observations.
-///
-/// Multiple writers record concurrently with relaxed `fetch_add`; the
-/// read side ([`AtomicHistogram::snapshot`]) derives its total from the
-/// bins it read, so the snapshot is internally consistent even while
-/// recording continues.
-#[derive(Debug)]
-pub struct AtomicHistogram {
-    bins: Box<[AtomicU64; HISTO_BINS]>,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for AtomicHistogram {
-    fn default() -> Self {
-        Self {
-            bins: Box::new([0u64; HISTO_BINS].map(AtomicU64::new)),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-impl AtomicHistogram {
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation.
-    pub fn record(&self, v: u64) {
-        let bin = (64 - v.leading_zeros()) as usize;
-        self.bins[bin].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// A consistent read of the histogram: cumulative `(upper_edge,
-    /// count_at_or_below)` buckets up to the highest occupied bin, plus
-    /// the total count (the sum of the bins read), sum and max.
-    #[must_use]
-    pub fn snapshot(&self) -> HistoSnapshot {
-        let mut buckets = Vec::new();
-        let mut cumulative = 0;
-        let mut highest = 0;
-        let raw: Vec<u64> = self
-            .bins
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        for (i, &c) in raw.iter().enumerate() {
-            if c > 0 {
-                highest = i;
-            }
-        }
-        for (i, &c) in raw.iter().enumerate().take(highest + 1) {
-            cumulative += c;
-            // Upper edge of bin i: 2^i - 1 (bin 64 tops out at u64::MAX).
-            let le = if i >= 64 { u64::MAX } else { (1u64 << i) - 1 };
-            buckets.push((le, cumulative));
-        }
-        HistoSnapshot {
-            count: cumulative,
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-            buckets,
-        }
-    }
-}
-
-/// A point-in-time read of an [`AtomicHistogram`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistoSnapshot {
-    /// Total observations (always equals the last bucket's cumulative
-    /// count).
-    pub count: u64,
-    /// Sum of all observations (advisory: read separately from the
-    /// bins, so it may lag by in-flight records).
-    pub sum: u64,
-    /// Largest observation seen.
-    pub max: u64,
-    /// Cumulative `(upper_edge, count_at_or_below)` pairs, ascending.
-    pub buckets: Vec<(u64, u64)>,
-}
-
 /// What kind of instrument a family holds (drives the `# TYPE` line).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
@@ -187,8 +96,6 @@ pub enum MetricKind {
     Counter,
     /// Instantaneous gauge.
     Gauge,
-    /// Log-bin histogram.
-    Histogram,
 }
 
 impl MetricKind {
@@ -198,7 +105,6 @@ impl MetricKind {
         match self {
             Self::Counter => "counter",
             Self::Gauge => "gauge",
-            Self::Histogram => "histogram",
         }
     }
 }
@@ -221,7 +127,6 @@ struct RegistryInner {
     families: BTreeMap<String, Family>,
     counters: BTreeMap<(String, String), Arc<Counter>>,
     gauges: BTreeMap<(String, String), Arc<Gauge>>,
-    histograms: BTreeMap<(String, String), Arc<AtomicHistogram>>,
 }
 
 /// The service-metrics registry (see the module docs).
@@ -299,24 +204,6 @@ impl MetricsRegistry {
         Arc::clone(inner.gauges.entry(key).or_default())
     }
 
-    /// Registers (or fetches) a log-bin histogram.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` was already registered with a different kind.
-    #[must_use]
-    pub fn histogram(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        help: &str,
-    ) -> Arc<AtomicHistogram> {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        Self::family(&mut inner, name, MetricKind::Histogram, help, 1.0);
-        let key = (name.to_owned(), render_labels(labels));
-        Arc::clone(inner.histograms.entry(key).or_default())
-    }
-
     /// Renders the Prometheus text exposition of every registered
     /// instrument (families sorted by name, samples by label block).
     #[must_use]
@@ -345,11 +232,6 @@ impl MetricsRegistry {
                         w.sample_pre(name, lb, g.get() as f64 / fam.scale);
                     }
                 }
-                MetricKind::Histogram => {
-                    for ((_, lb), h) in inner.histograms.range(range_of(name)) {
-                        w.histogram_pre(name, lb, &h.snapshot());
-                    }
-                }
             }
         }
         drop(inner);
@@ -358,37 +240,20 @@ impl MetricsRegistry {
     }
 
     /// Every registered instrument flattened to `(name, label_block,
-    /// kind, value)` rows — the JSON-artifact view of the registry.
-    /// Histograms contribute their snapshot separately via
-    /// [`MetricsRegistry::histogram_rows`].
+    /// value)` rows, counters first — the JSON-artifact view of the
+    /// registry.
     #[must_use]
-    pub fn scalar_rows(&self) -> Vec<(String, String, MetricKind, f64)> {
+    pub fn scalar_rows(&self) -> Vec<(String, String, f64)> {
         let inner = self.inner.lock().expect("registry poisoned");
         let mut rows = Vec::new();
         for ((name, lb), c) in &inner.counters {
             let scale = inner.families[name].scale;
-            rows.push((
-                name.clone(),
-                lb.clone(),
-                MetricKind::Counter,
-                c.get() as f64 / scale,
-            ));
+            rows.push((name.clone(), lb.clone(), c.get() as f64 / scale));
         }
         for ((name, lb), g) in &inner.gauges {
-            rows.push((name.clone(), lb.clone(), MetricKind::Gauge, g.get() as f64));
+            rows.push((name.clone(), lb.clone(), g.get() as f64));
         }
         rows
-    }
-
-    /// Every registered histogram as `(name, label_block, snapshot)`.
-    #[must_use]
-    pub fn histogram_rows(&self) -> Vec<(String, String, HistoSnapshot)> {
-        let inner = self.inner.lock().expect("registry poisoned");
-        inner
-            .histograms
-            .iter()
-            .map(|((name, lb), h)| (name.clone(), lb.clone(), h.snapshot()))
-            .collect()
     }
 }
 
@@ -480,17 +345,19 @@ impl PromWriter {
         self.sample_pre(name, &lb, value);
     }
 
-    /// Writes a histogram's `_bucket`/`_sum`/`_count` series from a
-    /// snapshot, with a pre-rendered label block.
-    pub fn histogram_pre(&mut self, name: &str, label_block: &str, snap: &HistoSnapshot) {
-        for &(le, cum) in &snap.buckets {
-            let with_le = splice_label(label_block, "le", &le.to_string());
+    /// Writes a histogram family's `_bucket`/`_sum`/`_count` series:
+    /// one cumulative `le` bucket per power-of-two edge of `h` (see
+    /// [`Histogram::cumulative_buckets`]), then `+Inf`.
+    pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)], h: &Histogram) {
+        let lb = render_labels(labels);
+        for (le, cum) in h.cumulative_buckets() {
+            let with_le = splice_label(&lb, "le", &le.to_string());
             self.sample_pre(&format!("{name}_bucket"), &with_le, cum as f64);
         }
-        let inf = splice_label(label_block, "le", "+Inf");
-        self.sample_pre(&format!("{name}_bucket"), &inf, snap.count as f64);
-        self.sample_pre(&format!("{name}_sum"), label_block, snap.sum as f64);
-        self.sample_pre(&format!("{name}_count"), label_block, snap.count as f64);
+        let inf = splice_label(&lb, "le", "+Inf");
+        self.sample_pre(&format!("{name}_bucket"), &inf, h.count() as f64);
+        self.sample_pre(&format!("{name}_sum"), &lb, h.sum() as f64);
+        self.sample_pre(&format!("{name}_count"), &lb, h.count() as f64);
     }
 
     /// Writes a summary family's quantile samples plus `_sum`/`_count`.
@@ -583,41 +450,21 @@ mod tests {
     }
 
     #[test]
-    fn histogram_snapshot_is_internally_consistent() {
-        let h = AtomicHistogram::new();
-        for v in [0u64, 1, 1, 7, 300, 5000] {
-            h.record(v);
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 6);
-        assert_eq!(snap.sum, 5309);
-        assert_eq!(snap.max, 5000);
-        // Cumulative counts end at the total, and are monotone.
-        assert_eq!(snap.buckets.last().unwrap().1, snap.count);
-        let mut prev = 0;
-        for &(_, c) in &snap.buckets {
-            assert!(c >= prev);
-            prev = c;
-        }
-        // 0 lands in bin 0 (le 0); 1 in bin 1 (le 1); 7 in bin 3 (le 7).
-        assert_eq!(snap.buckets[0], (0, 1));
-        assert_eq!(snap.buckets[1], (1, 3));
-        assert_eq!(snap.buckets[3], (7, 4));
-    }
-
-    #[test]
     fn exposition_has_headers_sorted_families_and_escaped_labels() {
         let r = MetricsRegistry::new();
         r.counter("zz_total", &[], "last family").add(3);
         r.gauge("aa_depth", &[("q", "a\"b\\c\nd")], "first family")
             .set(-2);
-        r.histogram("lat_us", &[("w", "ticket")], "latency")
-            .record(5);
-        let text = r.render();
+        let mut lat = Histogram::new();
+        lat.record(5);
+        let text = r.render_with(|w| {
+            w.family("lat_us", "histogram", "latency");
+            w.histogram("lat_us", &[("w", "ticket")], &lat);
+        });
         let aa = text.find("# HELP aa_depth first family").unwrap();
-        let lat = text.find("# TYPE lat_us histogram").unwrap();
         let zz = text.find("# TYPE zz_total counter").unwrap();
-        assert!(aa < lat && lat < zz, "families must sort by name");
+        let lat = text.find("# TYPE lat_us histogram").unwrap();
+        assert!(aa < zz && zz < lat, "families sort by name, extras follow");
         assert!(text.contains("aa_depth{q=\"a\\\"b\\\\c\\nd\"} -2"));
         assert!(text.contains("zz_total 3"));
         assert!(text.contains("lat_us_bucket{w=\"ticket\",le=\"7\"} 1"));

@@ -24,6 +24,8 @@ use std::collections::VecDeque;
 
 use ultra_sim::Cycle;
 
+use crate::json::{array_lines, JsonObject};
+
 /// Cumulative scalar counters sampled at a window boundary. Field names
 /// mirror `NetStats`; the machine fills them by summing over the `d`
 /// network copies.
@@ -276,6 +278,38 @@ impl TimeSeries {
             total.accumulate(&s.counters);
         }
         total
+    }
+
+    /// The series as a JSON object: `window`, `dropped_windows`, one
+    /// `windows` row per retained sample (counter deltas and gauges)
+    /// and the re-aggregated `totals`. The one renderer behind the
+    /// service's `telemetry` result field (`one_line`, NDJSON) and the
+    /// bench `--metrics-out` documents (one window row per line);
+    /// callers add their own keys before rendering.
+    #[must_use]
+    pub fn to_json(&self, one_line: bool) -> JsonObject {
+        let windows: Vec<String> = self
+            .samples()
+            .map(|s| {
+                let row = JsonObject::new().uint("start", s.start).uint("len", s.len);
+                row.uints(&s.counters.fields())
+                    .uints(&s.gauges.fields())
+                    .render()
+            })
+            .collect();
+        let windows = if one_line {
+            format!("[{}]", windows.join(", "))
+        } else {
+            array_lines(&windows, 4)
+        };
+        JsonObject::new()
+            .uint("window", self.window())
+            .uint("dropped_windows", self.dropped())
+            .raw("windows", windows)
+            .raw(
+                "totals",
+                JsonObject::new().uints(&self.totals().fields()).render(),
+            )
     }
 }
 

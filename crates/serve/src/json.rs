@@ -1,398 +1,4 @@
-//! A minimal JSON *reader* for the service's newline-delimited protocol.
-//!
-//! The workspace takes no serde dependency; results are rendered with
-//! [`ultra_bench::json`] and requests are parsed here. The grammar is
-//! full JSON (objects, arrays, strings with escapes, numbers, booleans,
-//! `null`), restricted only in that numbers are held as `f64` — integers
-//! are exact up to 2^53, far beyond any field the protocol carries.
+//! The protocol's JSON reader: a re-export of the workspace's one
+//! reader, [`ultra_obs::json`], under the path the benchmark imports.
 
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` or `false`.
-    Bool(bool),
-    /// Any number (integers are exact up to 2^53).
-    Num(f64),
-    /// A string, escape sequences decoded.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object; duplicate keys keep the last value.
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// The value as a non-negative integer, if it is one.
-    #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Self::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The value as a signed integer, if it is one.
-    #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Self::Num(n) if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) => Some(*n as i64),
-            _ => None,
-        }
-    }
-
-    /// The value as a float, if it is a number.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Self::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is a string.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Self::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a boolean, if it is one.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Self::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is an array.
-    #[must_use]
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Self::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// A parse failure: what was wrong and the byte offset it was noticed at.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset into the input.
-    pub at: usize,
-    /// What the parser expected or rejected.
-    pub what: &'static str,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at byte {}", self.what, self.at)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Parses one complete JSON value; trailing non-whitespace is an error.
-pub fn parse(text: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after value"));
-    }
-    Ok(value)
-}
-
-/// Parses one line of the protocol: a single JSON object.
-pub fn parse_object(line: &str) -> Result<BTreeMap<String, Json>, ParseError> {
-    match parse(line)? {
-        Json::Obj(map) => Ok(map),
-        _ => Err(ParseError {
-            at: 0,
-            what: "expected a JSON object",
-        }),
-    }
-}
-
-/// Nesting deeper than this is rejected — the protocol needs two levels.
-const MAX_DEPTH: usize = 32;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, what: &'static str) -> ParseError {
-        ParseError { at: self.pos, what }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8, what: &'static str) -> Result<(), ParseError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(what))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("value nested too deeply"));
-        }
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn literal(&mut self, text: &'static str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(self.err("bad literal"))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
-        let n: f64 = text.parse().map_err(|_| self.err("bad number"))?;
-        if !n.is_finite() {
-            return Err(self.err("number out of range"));
-        }
-        Ok(Json::Num(n))
-    }
-
-    fn hex4(&mut self) -> Result<u32, ParseError> {
-        let end = self.pos + 4;
-        let slice = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let text = std::str::from_utf8(slice).map_err(|_| self.err("bad \\u escape"))?;
-        let code = u32::from_str_radix(text, 16).map_err(|_| self.err("bad \\u escape"))?;
-        self.pos = end;
-        Ok(code)
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"', "expected a string")?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escape = self.peek().ok_or_else(|| self.err("truncated escape"))?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let mut code = self.hex4()?;
-                            // A high surrogate must pair with a following
-                            // \uXXXX low surrogate.
-                            if (0xD800..0xDC00).contains(&code) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u', "expected low surrogate")?;
-                                    let low = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&low) {
-                                        return Err(self.err("bad low surrogate"));
-                                    }
-                                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                } else {
-                                    return Err(self.err("unpaired high surrogate"));
-                                }
-                            }
-                            let ch =
-                                char::from_u32(code).ok_or_else(|| self.err("bad code point"))?;
-                            out.push(ch);
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(c) if c < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar. The input arrived as a &str,
-                    // so decoding from any char boundary always succeeds.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|_| self.err("bad utf-8"))?;
-                    let ch = text.chars().next().ok_or_else(|| self.err("bad utf-8"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
-        self.expect(b'[', "expected an array")?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
-        self.expect(b'{', "expected an object")?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':', "expected ':'")?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_the_protocol_shapes() {
-        let line = r#"{"id": "a-1", "pes": 8, "link_loss": 0.25, "dead_mms": [3, 5], "telemetry": true, "note": null}"#;
-        let obj = parse_object(line).unwrap();
-        assert_eq!(obj["id"].as_str(), Some("a-1"));
-        assert_eq!(obj["pes"].as_u64(), Some(8));
-        assert_eq!(obj["link_loss"].as_f64(), Some(0.25));
-        assert_eq!(obj["telemetry"].as_bool(), Some(true));
-        assert_eq!(obj["note"], Json::Null);
-        let mms: Vec<u64> = obj["dead_mms"]
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|v| v.as_u64().unwrap())
-            .collect();
-        assert_eq!(mms, [3, 5]);
-    }
-
-    #[test]
-    fn decodes_escapes_including_surrogate_pairs() {
-        let obj = parse_object(r#"{"s": "a\"b\\c\n\u0041\ud83d\ude00"}"#).unwrap();
-        assert_eq!(obj["s"].as_str(), Some("a\"b\\c\nA\u{1F600}"));
-    }
-
-    #[test]
-    fn numbers_distinguish_integers_from_floats() {
-        let obj = parse_object(r#"{"n": -12, "x": 1.5, "e": 2e3}"#).unwrap();
-        assert_eq!(obj["n"].as_i64(), Some(-12));
-        assert_eq!(obj["n"].as_u64(), None, "negative is not a u64");
-        assert_eq!(obj["x"].as_u64(), None, "fractional is not an integer");
-        assert_eq!(obj["e"].as_u64(), Some(2000));
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "{\"a\" 1}",
-            "{\"a\": }",
-            "[1, 2",
-            "{\"a\": 1} trailing",
-            "nul",
-            "\"unterminated",
-            "{\"s\": \"\\q\"}",
-            "{\"s\": \"\\ud800\"}",
-            "007a",
-            "{\"n\": 1e999}",
-        ] {
-            assert!(parse(bad).is_err(), "accepted malformed input {bad:?}");
-        }
-    }
-
-    #[test]
-    fn rejects_pathological_nesting() {
-        let deep = format!("{}1{}", "[".repeat(100), "]".repeat(100));
-        assert!(parse(&deep).is_err());
-    }
-
-    #[test]
-    fn protocol_lines_must_be_objects() {
-        assert!(parse_object("[1, 2]").is_err());
-        assert!(parse_object("42").is_err());
-    }
-}
+pub use ultra_obs::json::{parse, parse_object, Json, ParseError};

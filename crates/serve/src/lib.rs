@@ -4,7 +4,7 @@
 //! submit simulation requests (machine shape + workload + fault plan +
 //! seed + cycle budget) as newline-delimited JSON — from a batch file or
 //! over a TCP socket — and receive one JSON result line per job,
-//! rendered with the same hand-rolled serializer the bench harness uses.
+//! rendered with the workspace's one JSON writer ([`ultra_obs::json`]).
 //!
 //! The server owns three pieces of machinery:
 //!
@@ -50,8 +50,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ultra_bench::json::{heatmap_json, JsonObject};
 use ultra_obs::flight::FlightLevel;
+use ultra_obs::json::JsonObject;
 use ultra_sim::wire::fnv1a;
 use ultracomputer::machine::Machine;
 use ultracomputer::{EngineTuning, MachineReport};
@@ -230,8 +230,9 @@ impl Server {
         &self.cache
     }
 
-    /// Requests cancellation of job `id` — queued or running. A job
-    /// observes the flag at its next checkpoint boundary.
+    /// Requests cancellation of job `id` — queued, running, or yet to
+    /// be submitted. A job observes the flag at its next checkpoint
+    /// boundary and takes it out of the registry when it ends.
     pub fn cancel(&self, id: &str) {
         self.cancel_flag(id).store(true, Ordering::Relaxed);
     }
@@ -431,6 +432,16 @@ impl Server {
             }
         }
 
+        // The registry holds a flag from the first `cancel` or start of
+        // an id to the end of its last running job (two jobs may share
+        // an id, and the flag): a resident service must not keep one per
+        // job it ever ran.
+        let mut cancels = self.cancels.lock().expect("cancel registry poisoned");
+        if Arc::strong_count(&cancel) == 2 {
+            cancels.remove(&spec.id);
+        }
+        drop(cancels);
+
         let outcome = JobOutcome {
             id: spec.id.clone(),
             status,
@@ -549,7 +560,13 @@ fn render_result(spec: &JobSpec, m: &Machine, status: JobStatus) -> String {
             .uint("latency_max", lat.max());
     }
     if spec.telemetry_window.is_some() {
-        obj = obj.raw("telemetry", telemetry_json(m));
+        // The NDJSON variant of the bench harness's `--metrics-out`
+        // document: the series on one line, plus the heatmap.
+        let mut telemetry = m.telemetry().to_json(true);
+        if let Some(heatmap) = m.heatmap() {
+            telemetry = telemetry.raw("heatmap", heatmap.to_json());
+        }
+        obj = obj.raw("telemetry", telemetry.render());
     }
     obj.render()
 }
@@ -565,35 +582,35 @@ pub fn error_line(id: &str, message: &str) -> String {
         .render()
 }
 
-/// Renders the machine's telemetry series (and heatmap) as a single-line
-/// JSON object — the NDJSON variant of the bench harness's
-/// `--metrics-out` document.
-fn telemetry_json(m: &Machine) -> String {
-    let series = m.telemetry();
-    let windows: Vec<String> = series
-        .samples()
-        .map(|s| {
-            let mut row = JsonObject::new().uint("start", s.start).uint("len", s.len);
-            for (key, value) in s.counters.fields() {
-                row = row.uint(key, value);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_cancel_registry_is_empty_after_a_batch() {
+        let server = Server::new();
+        server.cancel("job-7");
+        let specs: Vec<JobSpec> = (0..50)
+            .map(|i| {
+                // Two ids are used twice: a flag goes with its last job.
+                let mut spec = JobSpec::new(&format!("job-{}", i % 48));
+                spec.pes = 2;
+                spec.rounds = 1;
+                spec
+            })
+            .collect();
+        let mut cancelled = Vec::new();
+        let done = server.run_batch(specs, 3, 8, |out| {
+            if out.status == JobStatus::Cancelled {
+                cancelled.push(out.id);
             }
-            for (key, value) in s.gauges.fields() {
-                row = row.uint(key, value);
-            }
-            row.render()
-        })
-        .collect();
-    let mut totals = JsonObject::new();
-    for (key, value) in series.totals().fields() {
-        totals = totals.uint(key, value);
+        });
+        assert_eq!(done, 50);
+        assert_eq!(
+            cancelled,
+            ["job-7"],
+            "a cancel ahead of the job still lands"
+        );
+        assert!(server.cancels.lock().unwrap().is_empty());
     }
-    let mut obj = JsonObject::new()
-        .uint("window", series.window())
-        .uint("dropped_windows", series.dropped())
-        .raw("windows", format!("[{}]", windows.join(", ")))
-        .raw("totals", totals.render());
-    if let Some(heatmap) = m.heatmap() {
-        obj = obj.raw("heatmap", heatmap_json(&heatmap));
-    }
-    obj.render()
 }

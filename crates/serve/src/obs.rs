@@ -13,7 +13,10 @@
 //! * per-job **phase latency histograms** (`parse → queue wait → restore
 //!   → slices → report`, plus end-to-end `total`), kept per worker in
 //!   exact [`Histogram`]s and merged with [`Histogram::merge`] at
-//!   exposition time into per-workload p50/p90/p99 summaries;
+//!   exposition time into per-workload p50/p90/p99 summaries, and one
+//!   more [`Histogram`] of wall-clock microseconds per checkpoint slice,
+//!   exposed as the `ultra_serve_slice_us` histogram family through
+//!   [`Histogram::cumulative_buckets`];
 //! * a bounded [`FlightRecorder`] of structured NDJSON job events — the
 //!   replacement for ad-hoc `eprintln!` — where every event is retained
 //!   at every level and `--log-level` only gates what reaches stderr;
@@ -31,9 +34,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use ultra_bench::json::{array_lines, JsonObject};
 use ultra_obs::flight::{FlightLevel, FlightRecorder};
-use ultra_obs::metrics::{AtomicHistogram, Counter, Gauge, MetricsRegistry};
+use ultra_obs::json::{array_lines, JsonObject};
+use ultra_obs::metrics::{Counter, Gauge, MetricsRegistry};
 use ultra_obs::ChromeTraceBuilder;
 use ultra_sim::stats::Histogram;
 
@@ -139,6 +142,15 @@ pub struct JobTrace {
 /// Per-worker phase histograms for one `(workload, phase)` pair.
 type LatencyMap = BTreeMap<(String, &'static str), BTreeMap<usize, Histogram>>;
 
+/// One `(workload, phase)` pair's latencies across all workers.
+fn merge_workers(workers: &BTreeMap<usize, Histogram>) -> Histogram {
+    let mut merged = Histogram::new();
+    for h in workers.values() {
+        merged.merge(h);
+    }
+    merged
+}
+
 /// The service-observability hub (see the module docs).
 pub struct ServeObs {
     registry: MetricsRegistry,
@@ -147,7 +159,7 @@ pub struct ServeObs {
     epoch: Instant,
     trace_jobs: bool,
     cache_checkpoints: Arc<Gauge>,
-    slice_us: Arc<AtomicHistogram>,
+    slice_us: Mutex<Histogram>,
     protocol_errors: Arc<Counter>,
     reply_writes: Arc<Counter>,
     reply_lines: Arc<Counter>,
@@ -178,11 +190,6 @@ impl ServeObs {
             &[],
             "snapshots currently held by the prefix cache",
         );
-        let slice_us = registry.histogram(
-            "ultra_serve_slice_us",
-            &[],
-            "wall-clock microseconds per checkpoint slice",
-        );
         let protocol_errors = registry.counter(
             "ultra_serve_protocol_errors_total",
             &[],
@@ -210,7 +217,7 @@ impl ServeObs {
             epoch: Instant::now(),
             trace_jobs: opts.trace_jobs,
             cache_checkpoints,
-            slice_us,
+            slice_us: Mutex::default(),
             protocol_errors,
             reply_writes,
             reply_lines,
@@ -387,7 +394,10 @@ impl ServeObs {
 
     /// Records one checkpoint slice's wall-clock microseconds.
     pub fn observe_slice(&self, us: u64) {
-        self.slice_us.record(us);
+        self.slice_us
+            .lock()
+            .expect("slice histogram poisoned")
+            .record(us);
     }
 
     /// Counts one finished job by workload and terminal status.
@@ -438,16 +448,21 @@ impl ServeObs {
                 self.flight.dropped() as f64,
             );
             w.family(
+                "ultra_serve_slice_us",
+                "histogram",
+                "wall-clock microseconds per checkpoint slice",
+            );
+            let slices = self.slice_us.lock().expect("slice histogram poisoned");
+            w.histogram("ultra_serve_slice_us", &[], &slices);
+            drop(slices);
+            w.family(
                 "ultra_serve_job_latency_seconds",
                 "summary",
                 "per-phase job latency by workload (quantile 1 is the max)",
             );
             let latency = self.latency.lock().expect("latency map poisoned");
             for ((workload, phase), workers) in latency.iter() {
-                let mut merged = Histogram::new();
-                for h in workers.values() {
-                    merged.merge(h);
-                }
+                let merged = merge_workers(workers);
                 // Divide (don't multiply by 1e-6): `us / 1e6` rounds to
                 // the same double as the decimal literal, so 100µs reads
                 // back as 0.0001, not 0.00009999….
@@ -477,7 +492,7 @@ impl ServeObs {
             .registry
             .scalar_rows()
             .into_iter()
-            .map(|(name, labels, _, value)| {
+            .map(|(name, labels, value)| {
                 JsonObject::new()
                     .str("name", &name)
                     .str("labels", &labels)
@@ -485,25 +500,22 @@ impl ServeObs {
                     .render()
             })
             .collect();
-        for (name, labels, snap) in self.registry.histogram_rows() {
-            scalars.push(
-                JsonObject::new()
-                    .str("name", &name)
-                    .str("labels", &labels)
-                    .uint("count", snap.count)
-                    .uint("sum", snap.sum)
-                    .uint("max", snap.max)
-                    .render(),
-            );
-        }
+        let slices = self.slice_us.lock().expect("slice histogram poisoned");
+        scalars.push(
+            JsonObject::new()
+                .str("name", "ultra_serve_slice_us")
+                .str("labels", "")
+                .uint("count", slices.count())
+                .uint("sum", u64::try_from(slices.sum()).unwrap_or(u64::MAX))
+                .uint("max", slices.max())
+                .render(),
+        );
+        drop(slices);
         let latency = self.latency.lock().expect("latency map poisoned");
         let lat_rows: Vec<String> = latency
             .iter()
             .map(|((workload, phase), workers)| {
-                let mut merged = Histogram::new();
-                for h in workers.values() {
-                    merged.merge(h);
-                }
+                let merged = merge_workers(workers);
                 JsonObject::new()
                     .str("workload", workload)
                     .str("phase", phase)

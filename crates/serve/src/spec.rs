@@ -28,9 +28,8 @@ pub const DEFAULT_CYCLE_BUDGET: Cycle = 10_000_000;
 /// job line is outside input and `pes` sizes every allocation.
 pub const MAX_PES: usize = 1 << 20;
 
-/// Most engine threads a job may ask for — each one is an OS thread
-/// spawned at machine build.
-pub const MAX_THREADS: usize = 64;
+/// Most engine threads a job may ask for: the machine's own bound.
+pub use ultracomputer::MAX_THREADS;
 
 /// Most network copies a job may ask for (each is a whole fabric).
 pub const MAX_COPIES: usize = 16;

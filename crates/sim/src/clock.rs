@@ -1,4 +1,4 @@
-//! The global cycle clock for the cycle-driven machine simulation.
+//! The time base of the cycle-driven machine simulation.
 //!
 //! The Ultracomputer network is pipelined at the granularity of the *switch
 //! cycle* (paper §3.1.2, §4); the whole machine model in this repository
@@ -8,49 +8,6 @@
 
 /// A point in simulated time, measured in network (switch) cycles.
 pub type Cycle = u64;
-
-/// A monotonically advancing cycle counter.
-///
-/// # Example
-///
-/// ```
-/// use ultra_sim::clock::Clock;
-///
-/// let mut clock = Clock::new();
-/// assert_eq!(clock.now(), 0);
-/// clock.tick();
-/// clock.advance(9);
-/// assert_eq!(clock.now(), 10);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
-pub struct Clock {
-    now: Cycle,
-}
-
-impl Clock {
-    /// Creates a clock at cycle zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the current cycle.
-    #[must_use]
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Advances the clock by one cycle and returns the new time.
-    pub fn tick(&mut self) -> Cycle {
-        self.now += 1;
-        self.now
-    }
-
-    /// Advances the clock by `cycles`.
-    pub fn advance(&mut self, cycles: Cycle) {
-        self.now += cycles;
-    }
-}
 
 /// Conversion constants between the paper's time units (§4.2).
 ///
@@ -105,22 +62,6 @@ impl TimeScale {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn starts_at_zero_and_ticks() {
-        let mut c = Clock::new();
-        assert_eq!(c.now(), 0);
-        assert_eq!(c.tick(), 1);
-        assert_eq!(c.tick(), 2);
-    }
-
-    #[test]
-    fn advance_adds() {
-        let mut c = Clock::new();
-        c.advance(100);
-        c.tick();
-        assert_eq!(c.now(), 101);
-    }
 
     #[test]
     fn default_timescale_matches_paper() {

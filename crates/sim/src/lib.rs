@@ -4,13 +4,15 @@
 //! is not specific to any one hardware component:
 //!
 //! * [`rng`] — a small, fully deterministic pseudo-random number generator
-//!   ([`rng::SplitMix64`] and [`rng::Xoshiro256StarStar`]) so that every
-//!   experiment in the repository is reproducible from a single seed,
-//!   independent of external crate versions.
-//! * [`clock`] — the global cycle clock ([`clock::Clock`]) used by the
-//!   cycle-driven machine simulation.
-//! * [`stats`] — counters, running means/variances and power-of-two
-//!   histograms used to report latency and occupancy distributions.
+//!   ([`rng::SplitMix64`]) so that every experiment in the repository is
+//!   reproducible from a single seed, independent of external crate
+//!   versions.
+//! * [`clock`] — the simulation's time base: the [`Cycle`] unit and the
+//!   paper's conversions to PE-instruction and MM-access times
+//!   ([`clock::TimeScale`]).
+//! * [`stats`] — counters and the workspace's one histogram
+//!   ([`stats::Histogram`]: exact below 256, power-of-two bins above),
+//!   used to report every latency and occupancy distribution.
 //! * [`ids`] — strongly typed identifiers for processing elements and memory
 //!   modules, memory addresses, and base-`k` digit manipulation helpers used
 //!   by the Omega-network routing logic.
@@ -48,12 +50,12 @@ pub mod rng;
 pub mod stats;
 pub mod wire;
 
-pub use clock::{Clock, Cycle};
+pub use clock::Cycle;
 pub use idmap::IdMap;
 pub use ids::{digits, MemAddr, MmId, PeId, Value};
 pub use inline_vec::InlineVec;
 pub use mask::{AtomicBitmap, PackedMask};
 pub use pool::{PoolDispatchStats, WorkerPool};
-pub use rng::{Rng, SplitMix64, Xoshiro256StarStar};
-pub use stats::{Counter, Histogram, RunningStats};
+pub use rng::{Rng, SplitMix64};
+pub use stats::{Counter, Histogram};
 pub use wire::{Wire, WireError, WireReader, WireWriter};

@@ -3,15 +3,10 @@
 //! The simulator must produce bit-identical traces for a given seed so that
 //! every experiment in `EXPERIMENTS.md` can be regenerated exactly. To avoid
 //! depending on the streaming behaviour of external crates (which may change
-//! between versions) this module implements two tiny, well-known generators:
-//!
-//! * [`SplitMix64`] — Steele, Lea & Flood's 64-bit mixer. Used directly for
-//!   most simulation decisions and to seed the larger generator.
-//! * [`Xoshiro256StarStar`] — Blackman & Vigna's xoshiro256**, used where
-//!   longer periods matter (long Monte-Carlo workload runs).
-//!
-//! Neither generator is cryptographic; both are more than adequate for the
-//! queueing-simulation purposes here.
+//! between versions) this module implements one tiny, well-known generator:
+//! [`SplitMix64`], Steele, Lea & Flood's 64-bit mixer. It is not
+//! cryptographic, and more than adequate for the queueing-simulation
+//! purposes here.
 
 use core::ops::Range;
 
@@ -135,70 +130,6 @@ impl Rng for SplitMix64 {
     }
 }
 
-/// xoshiro256** generator (Blackman & Vigna, 2018). Period 2²⁵⁶ − 1.
-///
-/// Used by long-running Monte-Carlo workloads where SplitMix64's 2⁶⁴ period
-/// would be marginal.
-///
-/// # Example
-///
-/// ```
-/// use ultra_sim::rng::{Rng, Xoshiro256StarStar};
-///
-/// let mut rng = Xoshiro256StarStar::new(99);
-/// assert!(rng.f64() < 1.0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Xoshiro256StarStar {
-    s: [u64; 4],
-}
-
-impl Xoshiro256StarStar {
-    /// Creates a generator, expanding the seed through SplitMix64 as the
-    /// authors recommend.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        let mut sm = SplitMix64::new(seed);
-        let mut s = [0u64; 4];
-        for w in &mut s {
-            *w = sm.next_u64();
-        }
-        // All-zero state is invalid; the SplitMix expansion of any seed is
-        // nonzero with overwhelming probability, but guard anyway.
-        if s == [0; 4] {
-            s[0] = 1;
-        }
-        Self { s }
-    }
-}
-
-impl Wire for Xoshiro256StarStar {
-    fn encode(&self, w: &mut WireWriter) {
-        self.s.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let s = <[u64; 4]>::decode(r)?;
-        if s == [0; 4] {
-            return Err(WireError::Invalid("all-zero xoshiro state"));
-        }
-        Ok(Self { s })
-    }
-}
-
-impl Rng for Xoshiro256StarStar {
-    fn next_u64(&mut self) -> u64 {
-        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,7 +145,7 @@ mod tests {
 
     #[test]
     fn deterministic_across_clones() {
-        let mut a = Xoshiro256StarStar::new(123);
+        let mut a = SplitMix64::new(123);
         let mut b = a.clone();
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
@@ -257,7 +188,7 @@ mod tests {
 
     #[test]
     fn f64_in_unit_interval() {
-        let mut rng = Xoshiro256StarStar::new(3);
+        let mut rng = SplitMix64::new(3);
         for _ in 0..10_000 {
             let x = rng.f64();
             assert!((0.0..1.0).contains(&x));
@@ -281,17 +212,13 @@ mod tests {
     #[test]
     fn generators_round_trip_through_wire() {
         let mut sm = SplitMix64::new(3);
-        let mut xo = Xoshiro256StarStar::new(4);
-        let _ = (sm.next_u64(), xo.next_u64()); // advance off the seed
+        let _ = sm.next_u64(); // advance off the seed
         let mut w = WireWriter::new();
         sm.encode(&mut w);
-        xo.encode(&mut w);
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
         let mut sm2 = SplitMix64::decode(&mut r).unwrap();
-        let mut xo2 = Xoshiro256StarStar::decode(&mut r).unwrap();
         assert_eq!(sm.next_u64(), sm2.next_u64());
-        assert_eq!(xo.next_u64(), xo2.next_u64());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Counters and summary statistics used throughout the simulator.
+//! Counters and the one histogram used throughout the simulator.
 //!
 //! Every reported quantity in `EXPERIMENTS.md` (average memory access time,
 //! idle-cycle percentages, latency distributions, queue occupancy) is
@@ -59,134 +59,6 @@ impl Wire for Counter {
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Self(r.u64()?))
-    }
-}
-
-/// Streaming mean/variance/min/max via Welford's algorithm.
-///
-/// # Example
-///
-/// ```
-/// use ultra_sim::stats::RunningStats;
-///
-/// let mut s = RunningStats::new();
-/// for x in [2.0, 4.0, 6.0] {
-///     s.record(x);
-/// }
-/// assert_eq!(s.count(), 3);
-/// assert!((s.mean() - 4.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean of the observations (0 if empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance of the observations (0 if fewer than two).
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`+inf` if empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` if empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl Wire for RunningStats {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.count);
-        w.f64(self.mean);
-        w.f64(self.m2);
-        w.f64(self.min);
-        w.f64(self.max);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            count: r.u64()?,
-            mean: r.f64()?,
-            m2: r.f64()?,
-            min: r.f64()?,
-            max: r.f64()?,
-        })
     }
 }
 
@@ -420,20 +292,16 @@ mod tests {
     fn stats_round_trip_through_wire() {
         let mut c = Counter::new();
         c.add(7);
-        let mut rs = RunningStats::new();
-        rs.record(2.5);
         let mut h = Histogram::new();
         for v in [1, 4, 4, 300, 70_000] {
             h.record(v);
         }
         let mut w = WireWriter::new();
         c.encode(&mut w);
-        rs.encode(&mut w);
         h.encode(&mut w);
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
         assert_eq!(Counter::decode(&mut r).unwrap(), c);
-        assert_eq!(RunningStats::decode(&mut r).unwrap(), rs);
         assert_eq!(Histogram::decode(&mut r).unwrap(), h);
         assert!(r.is_empty());
     }
@@ -445,47 +313,6 @@ mod tests {
         c.add(10);
         assert_eq!(c.get(), 11);
         assert_eq!(c.to_string(), "11");
-    }
-
-    #[test]
-    fn running_stats_mean_variance() {
-        let mut s = RunningStats::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 4);
-        assert!((s.mean() - 2.5).abs() < 1e-12);
-        assert!((s.variance() - 1.25).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 4.0);
-    }
-
-    #[test]
-    fn running_stats_empty_is_sane() {
-        let s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn running_stats_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = RunningStats::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
     }
 
     #[test]
