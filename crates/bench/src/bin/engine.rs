@@ -10,8 +10,8 @@
 //! * `idle` — 16 ticket PEs inside the full fabric, every other PE halts
 //!   immediately (traffic is constant while topology grows; isolates the
 //!   word-packed sweep's *scale with traffic, not switches* claim).
-//!   Measured under both engines: the parallel rows price the masked
-//!   dispatch — `run_sparse` must collapse to the inline word-skip walk
+//!   Measured under both engines: the parallel rows price the sparse
+//!   dispatch — `run_sparse` must collapse to the inline member walk
 //!   when only 16 of 65536 shards are live, not fan out over dead air.
 //!
 //! Flags (combine freely):
@@ -22,10 +22,12 @@
 //!   E14 harness configurations, assert every measured N produced the
 //!   same cycle count under both engines, fail if any row regressed more
 //!   than 35% in cycles/sec against the committed `BENCH_engine.json`
-//!   (matched by N + engine + workload), and — on multi-core hosts —
-//!   gate parallel against sequential at N ≥ 1024: with ≥ 4 cores
-//!   parallel must be at least as fast, with 2–3 cores it gets a 10%
-//!   noise margin. Exits non-zero on any violation.
+//!   (matched by N + engine + workload), and compare parallel against
+//!   sequential at N ≥ 1024: with ≥ 4 cores parallel must be at least as
+//!   fast; with fewer the ratio is printed as information only (two
+//!   cores leave the fan-out no headroom, and the verdict on the
+//!   parallel engine is its own roadmap item). Exits non-zero on any
+//!   violation.
 //! * `--out <path>` — also write the freshly measured rows to `<path>`
 //!   (CI uploads this as an artifact so regressions can be diffed).
 //! * `--metrics-out <path>` — run one instrumented N = 1024 ticket
@@ -68,15 +70,10 @@ fn unknown_workload(name: &str) -> ! {
     std::process::exit(2);
 }
 
-/// On 2–3-core hosts, how much slower than sequential the parallel
-/// engine may measure at N ≥ 1024 before the gate fails (noise margin:
-/// with so little fan-out headroom, merge overhead can eat the gain).
-const PARALLEL_TOLERANCE: f64 = 0.9;
-
-/// On hosts with ≥ 4 cores the parallel engine must actually *win*: at
-/// N ≥ 1024 on the ticket workload it may not measure below sequential
-/// at all.
-const PARALLEL_TOLERANCE_WIDE: f64 = 1.0;
+/// Cores a host needs before the parallel engine is *gated* against the
+/// sequential one (at N ≥ 1024 on the ticket workload it may then not
+/// measure below it at all). Narrower hosts only print the ratio.
+const PARALLEL_GATE_CORES: usize = 4;
 
 /// Every PE draws `iters` tickets from one combinable hot word and writes
 /// each ticket into a private slot — serialization-heavy, so the network,
@@ -268,9 +265,7 @@ fn baseline_rate(baseline: &Json, n: usize, engine: &str, workload: &str) -> Opt
 /// not a regression. On hosts with ≥ 4 cores, additionally fails unless
 /// the parallel engine measured at least as fast as sequential at
 /// N ≥ 1024 on the ticket workload (the persistent pool's reason to
-/// exist); 2–3-core hosts get a 10% noise margin instead, and
-/// single-core hosts skip that comparison — there is nothing to fan out
-/// over.
+/// exist); narrower hosts print the same ratio as information.
 fn regression_gate(rows: &[Row]) -> Result<(), String> {
     let path = baseline_path();
     match std::fs::read_to_string(&path) {
@@ -300,35 +295,29 @@ fn regression_gate(rows: &[Row]) -> Result<(), String> {
             path.display()
         ),
     }
-    if host_threads() >= 2 {
-        let tolerance = if host_threads() >= 4 {
-            PARALLEL_TOLERANCE_WIDE
-        } else {
-            PARALLEL_TOLERANCE
-        };
-        for seq in rows
+    let gated = host_threads() >= PARALLEL_GATE_CORES;
+    for seq in rows
+        .iter()
+        .filter(|r| r.engine == "sequential" && r.workload == "ticket" && r.n >= 1024)
+    {
+        let Some(par) = rows
             .iter()
-            .filter(|r| r.engine == "sequential" && r.workload == "ticket" && r.n >= 1024)
-        {
-            let Some(par) = rows
-                .iter()
-                .find(|r| r.engine == "parallel" && r.workload == "ticket" && r.n == seq.n)
-            else {
-                continue;
-            };
-            println!(
-                "gate n={} parallel({}) {:.0} cycles/s vs sequential {:.0} (must be >= {tolerance}x)",
-                seq.n, par.threads, par.cycles_per_sec, seq.cycles_per_sec
-            );
-            if par.cycles_per_sec < tolerance * seq.cycles_per_sec {
-                return Err(format!(
-                    "parallel({}) below {tolerance}x sequential at n={}: {:.0} vs {:.0} cycles/s",
-                    par.threads, seq.n, par.cycles_per_sec, seq.cycles_per_sec
-                ));
-            }
+            .find(|r| r.engine == "parallel" && r.workload == "ticket" && r.n == seq.n)
+        else {
+            continue;
+        };
+        let label = if gated { "gate" } else { "info" };
+        let ratio = par.cycles_per_sec / seq.cycles_per_sec;
+        println!(
+            "{label} n={} parallel({}) = {ratio:.2}x sequential ({:.0} vs {:.0} cycles/s)",
+            seq.n, par.threads, par.cycles_per_sec, seq.cycles_per_sec
+        );
+        if gated && par.cycles_per_sec < seq.cycles_per_sec {
+            return Err(format!(
+                "parallel({}) below sequential at n={}: {:.0} vs {:.0} cycles/s",
+                par.threads, seq.n, par.cycles_per_sec, seq.cycles_per_sec
+            ));
         }
-    } else {
-        println!("single-core host — skipping parallel-vs-sequential gate");
     }
     Ok(())
 }
@@ -409,14 +398,12 @@ fn main() {
             (65536, 1),
         ]
     };
-    // Big-fabric idle rows keep full-size iteration counts even under
-    // --quick: the runs are milliseconds either way, and shortening them
-    // shifts the rate enough to graze the 35% regression floor.
-    let idle_sizes: &[(usize, i64)] = if quick {
-        &[(1024, 120), (4096, 25), (16384, 20), (65536, 5)]
-    } else {
-        &[(1024, 200), (4096, 50), (16384, 20), (65536, 5)]
-    };
+    // Idle rows run the same iteration count at every N and in both
+    // modes (the runs are milliseconds either way): the first cycle, in
+    // which every PE executes its `Halt`, is the one O(N) cost left, and
+    // equal run lengths amortise it equally — the rows then compare
+    // steady-state cycles, whose cost no longer depends on N.
+    let idle_sizes = [1024, 4096, 16384, 65536].map(|n| (n, 200));
     let threads = parallel_threads();
     // Big-fabric ticket rows run once: a single run is seconds long, so
     // best-of-reps buys nothing but triples the wall time.
@@ -447,10 +434,10 @@ fn main() {
         rows.push(par);
     }
     // Idle-heavy rows run under both engines: the sequential row prices
-    // the word-packed sweep itself, the parallel row checks that masked
+    // the member walks themselves, the parallel row checks that sparse
     // dispatch degrades to the same walk (16 live shards must not be
     // scattered across a thread fan-out) instead of taxing it.
-    for &(n, iters) in idle_sizes {
+    for (n, iters) in idle_sizes {
         if !runs("idle") {
             break;
         }

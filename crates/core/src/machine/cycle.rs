@@ -1,12 +1,13 @@
 //! The cycle loop: `run`/`step`, the PE phase and its deferred-effect
-//! merge, the outbound flush, the backend cycle and reply delivery, and
-//! each shard's datapath cycle.
+//! merge, the outbound flush, the backend cycle and reply delivery, the
+//! park/wake rule of the ready set, and each shard's datapath cycle.
 
 use std::time::Instant;
 
 use ultra_net::message::{MsgKind, Reply};
 use ultra_obs::{EnginePhase, PhaseSpan};
 use ultra_pe::pni::PniError;
+use ultra_sim::active::Walk;
 use ultra_sim::{Cycle, PeId};
 
 use super::{
@@ -67,43 +68,46 @@ impl Machine {
             let (cum, gauges) = self.telemetry_sample();
             self.series.flush(self.now, cum, gauges);
         }
+        self.debug_check_ready_sets();
         RunOutcome { completed, cycles }
     }
 
     fn is_quiescent(&self) -> bool {
-        self.halted_count == self.virtual_pes()
-            && self.meta.is_empty()
-            && self.outgoing_mask.is_empty()
+        self.halted_count == self.virtual_pes() && self.meta.is_empty() && self.outgoing.is_empty()
     }
 
     /// Advances the machine one cycle.
     pub fn step(&mut self) {
         let now = self.now;
         let fired = self.fault_clock.due(now);
+        if !fired.is_empty() {
+            // A fault may halt contexts or re-key PNIs: every parked
+            // shard is settled and re-examined (`runnable = live`).
+            let mut walk = Walk::default();
+            while let Some(i) = walk.next(&self.live) {
+                self.wake(i);
+            }
+        }
         for fault in fired {
             self.apply_fault(fault);
         }
-        // Phase timing costs an `Instant::now` pair per phase, so the
-        // default path takes none of them.
-        if self.phases.is_enabled() {
-            let t0 = Instant::now();
-            self.flush_outgoing(now);
+        // Phase timing costs an `Instant::now` pair per phase: off by default.
+        let timed = self.phases.is_enabled();
+        let t0 = timed.then(Instant::now);
+        self.flush_outgoing(now);
+        if let Some(t0) = t0 {
             let dur = t0.elapsed().as_nanos() as u64;
             self.record_phase_span(now, EnginePhase::Flush, t0, dur, 0);
-            self.backend_cycle(now);
-            self.queue_due_retries(now);
-            self.release_barrier_if_complete();
-            let t0 = Instant::now();
-            self.pe_phase(now);
+        }
+        self.backend_cycle(now);
+        self.queue_due_retries(now);
+        self.release_barrier_if_complete();
+        let t0 = timed.then(Instant::now);
+        self.pe_phase(now);
+        if let Some(t0) = t0 {
             let dur = t0.elapsed().as_nanos() as u64;
             let chunks = self.pool.dispatch_stats().last_chunks as u32;
             self.record_phase_span(now, EnginePhase::PeShards, t0, dur, chunks);
-        } else {
-            self.flush_outgoing(now);
-            self.backend_cycle(now);
-            self.queue_due_retries(now);
-            self.release_barrier_if_complete();
-            self.pe_phase(now);
         }
         self.now += 1;
         self.telemetry_tick();
@@ -129,21 +133,21 @@ impl Machine {
         });
     }
 
-    /// Sparse-dispatch grain: one worker thread is engaged per this many
-    /// *active* units (live shards, busy banks), so near-idle cycles run
-    /// inline on the caller instead of waking the pool.
+    /// Sparse-dispatch grain: one worker thread per this many members
+    /// (runnable shards, busy banks), so near-idle cycles run inline.
     const SPARSE_GRAIN: usize = 32;
 
-    /// The datapath cycle of every live physical PE, fanned out over the
-    /// engine's threads (shards never touch each other within a cycle),
-    /// followed by the deferred-effect merge. Workers flag shards that
-    /// produced effects in [`Machine::fx_dirty`]; the merge then drains
-    /// only flagged shards, in ascending shard index order — the order
-    /// the sequential loop applies effects in, so every thread count
-    /// yields identical metadata, trace and halt streams. Fully-halted
-    /// shards are skipped outright (their datapath cycle is a no-op),
-    /// and the post-phase pass is a pointer-wide word walk instead of an
-    /// every-shard scan.
+    /// The datapath cycle of every runnable physical PE, fanned out over
+    /// the engine's threads (shards never touch each other within a
+    /// cycle), each followed by the merge of the effects it deferred —
+    /// applied to the members just visited in ascending shard index
+    /// order, the order the sequential loop applies effects in, so every
+    /// thread count yields identical metadata, trace and halt streams.
+    /// The merge retires from [`Machine::runnable`] every shard whose
+    /// cycle proved it parked or fully halted. Shards outside the set
+    /// are not visited at all: their datapath cycle is provably an idle
+    /// charge and nothing else, and that charge is stamped lazily
+    /// ([`PeShard::unstamped_idle`]).
     fn pe_phase(&mut self, now: Cycle) {
         let cx = CycleCtx {
             now,
@@ -151,24 +155,13 @@ impl Machine {
             barrier_generation: self.barrier_generation,
             trace_enabled: self.trace.enabled,
         };
-        let fx_dirty = &self.fx_dirty;
         self.pool.run_sparse(
             &mut self.shards,
-            self.live_mask.words(),
+            &mut self.runnable,
             Self::SPARSE_GRAIN,
+            |_, shard| shard.pe_cycle(cx),
             |i, shard| {
-                shard.pe_cycle(cx);
-                if !shard.fx.is_empty() {
-                    fx_dirty.mark(i);
-                }
-            },
-        );
-        for w in 0..self.fx_dirty.words() {
-            let mut bits = self.fx_dirty.take_word(w);
-            while bits != 0 {
-                let i = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let shard = &mut self.shards[i];
+                let mut stays = shard.parked_since.is_none();
                 for (id, meta) in shard.fx.meta.drain(..) {
                     self.meta.insert(id, meta);
                 }
@@ -179,35 +172,69 @@ impl Machine {
                     self.halted_count += shard.fx.halted;
                     shard.fx.halted = 0;
                     if shard.states.iter().all(|s| *s == CtxState::Halted) {
-                        self.live_mask.clear(i);
+                        self.live.remove(i);
+                        stays = false;
                     }
                 }
                 // An issue pushes its metadata and its outbound message
-                // together, so dirty shards are exactly the ones whose
-                // `outgoing` may have just become non-empty.
+                // together, so shards with effects are exactly the ones
+                // whose `outgoing` may have just become non-empty.
                 if !shard.outgoing.is_empty() {
-                    self.outgoing_mask.set(i);
+                    self.outgoing.insert(i);
                 }
-            }
+                stays
+            },
+        );
+    }
+
+    /// Returns parked shard `i` to the runnable set, first charging the
+    /// idle cycles it sat out (its contexts' states have not changed
+    /// since it parked, so the charge lands where per-cycle visits would
+    /// have put it). No-op on a shard that is not parked; callers about
+    /// to change a context's state wake first.
+    fn wake(&mut self, i: usize) {
+        let shard = &mut self.shards[i];
+        if let Some(since) = shard.parked_since.take() {
+            shard.charge_idle(self.now - since);
+            self.runnable.insert(i);
         }
     }
 
-    /// Tries to push queued outbound messages into the backend. Walks
-    /// the outgoing mask's words, so a mostly-drained machine pays one
-    /// word test per 64 shards instead of a queue probe per shard; each
-    /// word is snapshot before its bits are consumed, and only the bit
-    /// of the shard just flushed is ever cleared, so the walk is safe
-    /// against its own updates.
+    /// Debug-build check of the ready-set invariants — `runnable ⊆ live`,
+    /// and every live non-member is marked parked and re-proves it — run
+    /// where a run stops and where a snapshot is taken (O(N): never per
+    /// cycle).
+    pub(super) fn debug_check_ready_sets(&self) {
+        for (i, shard) in self.shards.iter().enumerate() {
+            if !cfg!(debug_assertions) {
+                return;
+            }
+            let live = shard.states.iter().any(|s| *s != CtxState::Halted);
+            let parked = live && !self.runnable.contains(i);
+            assert_eq!(self.live.contains(i), live, "shard {i}: live set");
+            assert!(
+                live || !self.runnable.contains(i),
+                "shard {i}: runnable ⊄ live"
+            );
+            assert_eq!(shard.parked_since.is_some(), parked, "shard {i}: flag");
+            let proof = shard.busy_until <= self.now
+                && (0..shard.states.len()).all(|c| shard.ctx_parked(c));
+            assert!(
+                !parked || proof,
+                "shard {i}: parked but a context could run"
+            );
+        }
+    }
+
+    /// Tries to push queued outbound messages into the backend, walking
+    /// the members of [`Machine::outgoing`]; only the shard just flushed
+    /// is ever removed, so the walk is safe against its own updates.
     fn flush_outgoing(&mut self, now: Cycle) {
-        for w in 0..self.outgoing_mask.words().len() {
-            let mut bits = self.outgoing_mask.word(w);
-            while bits != 0 {
-                let pe = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.flush_shard_outgoing(pe, now);
-                if self.shards[pe].outgoing.is_empty() {
-                    self.outgoing_mask.clear(pe);
-                }
+        let mut walk = Walk::default();
+        while let Some(pe) = walk.next(&self.outgoing) {
+            self.flush_shard_outgoing(pe, now);
+            if self.shards[pe].outgoing.is_empty() {
+                self.outgoing.remove(pe);
             }
         }
     }
@@ -304,26 +331,22 @@ impl Machine {
                 let t0 = timed.then(Instant::now);
                 // Banks are mutually independent and never read the
                 // network, so serving them fans out over the engine's
-                // threads — but only banks actually holding work: a bit
-                // in `bank_active` is set when a request is delivered
-                // and cleared once the bank drains idle, and an idle
-                // bank's cycle is a no-op, so the masked fan-out is
-                // exact. Outboxes then drain into the network in bank
-                // index order (the mask walk is ascending) — exactly the
-                // injection sequence the sequential interleaved loop
-                // produces.
+                // threads — but only banks actually holding work: a bank
+                // joins `bank_active` when a request is delivered and
+                // leaves once it drains idle, and an idle bank's cycle is
+                // a no-op, so cycling members only is exact. Outboxes
+                // then drain into the network in bank index order (the
+                // member walk is ascending) — exactly the injection
+                // sequence the sequential interleaved loop produces.
                 pool.run_sparse(
                     banks,
-                    self.bank_active.words(),
+                    &mut self.bank_active,
                     Self::SPARSE_GRAIN,
-                    |_, bank| bank.cycle(now),
-                );
-                for w in 0..self.bank_active.words().len() {
-                    let mut bits = self.bank_active.word(w);
-                    while bits != 0 {
-                        let b = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let bank = &mut banks[b];
+                    |_, bank| {
+                        bank.cycle(now);
+                        true
+                    },
+                    |_, bank| {
                         // Replies re-enter through the copy that carried
                         // the request (stalling if the reverse link is
                         // busy).
@@ -339,11 +362,9 @@ impl Machine {
                                 break;
                             }
                         }
-                        if bank.is_idle() {
-                            self.bank_active.clear(b);
-                        }
-                    }
-                }
+                        !bank.is_idle()
+                    },
+                );
                 if let Some(t0) = t0 {
                     let chunks = pool.dispatch_stats().last_chunks as u32;
                     bank_span = Some((t0, t0.elapsed().as_nanos() as u64, chunks));
@@ -362,7 +383,7 @@ impl Machine {
                     for copy in 0..d {
                         let events = nets.events_mut(copy);
                         for msg in events.requests_at_mm.drain(..) {
-                            self.bank_active.set(msg.addr.mm.0);
+                            self.bank_active.insert(msg.addr.mm.0);
                             banks[msg.addr.mm.0].push_request(msg);
                         }
                         for reply in events.replies_at_pe.drain(..) {
@@ -372,7 +393,7 @@ impl Machine {
                         for dropped in events.dropped.drain(..) {
                             // DropOnConflict: the PE must re-offer the
                             // request.
-                            self.outgoing_mask.set(dropped.src.0);
+                            self.outgoing.insert(dropped.src.0);
                             self.shards[dropped.src.0].outgoing.push_back(dropped);
                         }
                     }
@@ -406,6 +427,9 @@ impl Machine {
         };
         let ctx = meta.ctx;
         let phys = ctx / self.cfg.contexts_per_pe;
+        // A reply is the one thing that unlocks a register or drains a
+        // fence: the shard's next datapath cycle must look again.
+        self.wake(phys);
         let shard = &mut self.shards[phys];
         let c = ctx - shard.base;
         let matched = shard.pni.complete(reply);
@@ -439,10 +463,17 @@ impl Machine {
                 generation: self.barrier_generation,
             });
             self.barrier_generation += 1;
-            for shard in &mut self.shards {
-                for state in &mut shard.states {
-                    if *state == CtxState::WaitBarrier {
-                        *state = CtxState::Ready;
+            // Only live shards can hold a waiter. Each is woken before
+            // its states change: the cycles it sat out are barrier waits
+            // only while the charged context still says so.
+            let mut walk = Walk::default();
+            while let Some(i) = walk.next(&self.live) {
+                if self.shards[i].states.contains(&CtxState::WaitBarrier) {
+                    self.wake(i);
+                    for state in &mut self.shards[i].states {
+                        if *state == CtxState::WaitBarrier {
+                            *state = CtxState::Ready;
+                        }
                     }
                 }
             }
@@ -499,48 +530,39 @@ impl PeShard {
     }
 
     /// Whether local context `c` could execute an instruction right now
-    /// if given the datapath (resolving any completed waits).
+    /// if given the datapath (resolving any completed waits). With
+    /// multiprogramming a fence waits for *this context's* requests; the
+    /// shared PNI tracks per-PE, so a conservative fence waits for the
+    /// whole PNI to drain.
     fn resolve_waits(&mut self, c: usize, now: Cycle) -> bool {
-        match self.states[c].clone() {
-            CtxState::Halted | CtxState::WaitBarrier => false,
-            CtxState::WaitReg(r) => {
-                if self.interps[c].is_locked(r) {
-                    false
-                } else {
-                    self.states[c] = CtxState::Ready;
-                    true
-                }
+        match self.states[c] {
+            CtxState::Ready | CtxState::WaitIssue(..) => true,
+            CtxState::WaitUntil(at) if now < at => false,
+            _ if self.ctx_parked(c) => false,
+            _ => {
+                self.states[c] = CtxState::Ready;
+                true
             }
-            CtxState::WaitUntil(at) => {
-                if now < at {
-                    false
-                } else {
-                    self.states[c] = CtxState::Ready;
-                    true
-                }
-            }
-            CtxState::WaitFence => {
-                // With multiprogramming the fence waits for *this
-                // context's* requests; the shared PNI tracks per-PE, so a
-                // conservative fence waits for the whole PNI to drain.
-                if self.pni.outstanding() > 0 {
-                    false
-                } else {
-                    self.states[c] = CtxState::Ready;
-                    true
-                }
-            }
-            CtxState::WaitIssue(..) | CtxState::Ready => true,
         }
+    }
+
+    /// One cycle of the shard; returns whether it left anything for the
+    /// merge (deferred effects, or a park). The mid-instruction exit, the
+    /// most common visit, is inlined into the dispatch loop.
+    #[inline]
+    fn pe_cycle(&mut self, cx: CycleCtx) -> bool {
+        if self.busy_until > cx.now {
+            return false;
+        }
+        self.datapath_cycle(cx);
+        self.parked_since.is_some() || !self.fx.is_empty()
     }
 
     /// One datapath cycle: round-robin over the shard's contexts,
     /// executing the first one that can make progress (zero-cost context
     /// switching, §3.5 / HEP).
-    fn pe_cycle(&mut self, cx: CycleCtx) {
-        if self.busy_until > cx.now {
-            return; // mid-instruction
-        }
+    #[inline(never)]
+    fn datapath_cycle(&mut self, cx: CycleCtx) {
         let k = self.states.len();
         for offset in 0..k {
             let c = (self.cursor + offset) % k;
@@ -554,19 +576,66 @@ impl PeShard {
                 return;
             }
         }
-        // No context could use the datapath: a genuinely idle cycle,
-        // charged to the context whose turn it was (if it is still alive).
+        // No context could use the datapath: a genuinely idle cycle. If
+        // moreover every context waits on an event, all later cycles are
+        // the same idle cycle until the machine wakes the shard.
+        if self.charge_idle(1) && (0..k).all(|c| self.ctx_parked(c)) {
+            self.parked_since = Some(cx.now + 1);
+        }
+    }
+
+    /// Whether local context `c` waits on something no passing cycle can
+    /// resolve — only a delivered reply, a barrier release or a fault.
+    /// `Ready`, `WaitIssue` (re-attempts every cycle) and `WaitUntil`
+    /// (the clock resolves it) are not parked.
+    pub(super) fn ctx_parked(&self, c: usize) -> bool {
+        match self.states[c] {
+            CtxState::Halted | CtxState::WaitBarrier => true,
+            CtxState::WaitReg(r) => self.interps[c].is_locked(r),
+            CtxState::WaitFence => self.pni.outstanding() > 0,
+            CtxState::Ready | CtxState::WaitIssue(..) | CtxState::WaitUntil(_) => false,
+        }
+    }
+
+    /// The local context an idle datapath cycle is charged to — the one
+    /// whose turn it was, else the first still alive — and whether it is
+    /// waiting at a barrier. `None` once every context has halted.
+    fn idle_owner(&self) -> Option<(usize, bool)> {
+        let k = self.states.len();
         let owner = self.cursor % k;
-        if self.states[owner] != CtxState::Halted {
-            self.stats[owner].idle_cycles.incr();
-            if self.states[owner] == CtxState::WaitBarrier {
-                self.stats[owner].barrier_wait_cycles.incr();
+        let c = if self.states[owner] != CtxState::Halted {
+            owner
+        } else {
+            (0..k).find(|&c| self.states[c] != CtxState::Halted)?
+        };
+        Some((c, self.states[c] == CtxState::WaitBarrier))
+    }
+
+    /// Charges `cycles` idle datapath cycles; returns whether a context
+    /// was alive to take them.
+    pub(super) fn charge_idle(&mut self, cycles: u64) -> bool {
+        let Some((c, at_barrier)) = self.idle_owner() else {
+            return false;
+        };
+        self.stats[c].idle_cycles.add(cycles);
+        if at_barrier {
+            self.stats[c].barrier_wait_cycles.add(cycles);
+        }
+        true
+    }
+
+    /// The `(idle, barrier-wait)` cycles local context `c` is owed for the
+    /// cycles its parked shard has sat out — zero unless the shard is
+    /// parked and `c` is the context its idle cycles are charged to.
+    /// [`Machine::wake`] settles them; everywhere statistics leave the
+    /// machine before that, they are added on the fly — the way
+    /// `total_cycles` is.
+    pub(super) fn unstamped_idle(&self, c: usize, now: Cycle) -> (u64, u64) {
+        match (self.parked_since, self.idle_owner()) {
+            (Some(since), Some((owner, at_barrier))) if owner == c => {
+                (now - since, if at_barrier { now - since } else { 0 })
             }
-        } else if let Some(alive) = (0..k).find(|&c| self.states[c] != CtxState::Halted) {
-            self.stats[alive].idle_cycles.incr();
-            if self.states[alive] == CtxState::WaitBarrier {
-                self.stats[alive].barrier_wait_cycles.incr();
-            }
+            _ => (0, 0),
         }
     }
 

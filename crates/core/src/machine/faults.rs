@@ -149,15 +149,18 @@ impl Machine {
         for id in shard.pni.abandon_all() {
             self.meta.remove(&id);
         }
-        self.outgoing_mask.clear(pe);
-        self.live_mask.clear(pe);
+        self.outgoing.remove(pe);
+        self.live.remove(pe);
+        self.runnable.remove(pe);
     }
 
     /// Kills module `mm` mid-run: its contents are lost, queued requests
     /// are discarded (PNI timeouts recover them), and translation
     /// re-hashes around the cumulative dead set on every PNI.
     fn kill_mm(&mut self, mm: MmId) {
-        if self.dead_mms.contains(&mm) {
+        // The last survivor never dies: degraded-mode absorption may
+        // already have folded every other module into the dead set.
+        if self.dead_mms.contains(&mm) || self.dead_mms.len() + 1 >= self.cfg.net.pes {
             return;
         }
         self.dead_mms.push(mm);
@@ -180,7 +183,7 @@ impl Machine {
             let shard = &mut self.shards[pe];
             shard.pni.due_retries_into(now, &mut shard.outgoing);
             if !shard.outgoing.is_empty() {
-                self.outgoing_mask.set(pe);
+                self.outgoing.insert(pe);
             }
         }
     }

@@ -45,9 +45,7 @@ use ultra_net::stats::NetStats;
 use ultra_obs::{CounterSnapshot, GaugeSnapshot, HeatmapSnapshot, PhaseRecorder, TimeSeries};
 use ultra_pe::pni::Pni;
 use ultra_pe::stats::PeStats;
-use ultra_sim::{
-    AtomicBitmap, Cycle, IdMap, MmId, PackedMask, PeId, PoolDispatchStats, Value, WorkerPool,
-};
+use ultra_sim::{ActiveSet, Cycle, IdMap, MmId, PeId, PoolDispatchStats, Value, WorkerPool};
 
 use crate::engine::EngineMode;
 use crate::interp::{IssueSpec, PeInterp};
@@ -192,6 +190,11 @@ struct PeShard {
     /// cycle. Drained (capacity retained — no steady-state allocation)
     /// by the merge that follows each PE phase.
     fx: ShardFx,
+    /// `Some(c)` while the shard is parked — out of [`Machine::runnable`],
+    /// with cycles `c..` not yet charged to its idle counters (see
+    /// [`PeShard::unstamped_idle`]). Never serialized: a restored machine
+    /// starts with nothing parked.
+    parked_since: Option<Cycle>,
 }
 
 /// Machine-wide side effects a shard's datapath cycle would have applied
@@ -205,8 +208,6 @@ struct ShardFx {
 
 impl ShardFx {
     /// Whether the latest datapath cycle produced any deferred effect.
-    /// Shards with nothing to merge skip the post-phase drain entirely
-    /// (they never set their dirty bit).
     fn is_empty(&self) -> bool {
         self.meta.is_empty() && self.trace.is_empty() && self.halted == 0
     }
@@ -257,26 +258,24 @@ pub struct Machine {
     /// memory banks, network copies). A 1-thread pool runs everything
     /// inline on the caller — the sequential engine.
     pool: WorkerPool,
-    /// One bit per shard: set (by whichever worker ran the shard) when
-    /// its datapath cycle left deferred effects, drained in ascending
-    /// word order by the post-phase merge. The pool's completion barrier
-    /// orders every mark before the drain, and index order is the
-    /// sequential merge order, so the merge stream is identical at any
-    /// thread count.
-    fx_dirty: AtomicBitmap,
-    /// One bit per shard whose `outgoing` queue is non-empty. The
-    /// outbound flush and the quiescence/fast-forward checks walk words
-    /// of this mask instead of scanning every shard.
-    outgoing_mask: PackedMask,
-    /// One bit per shard with at least one non-halted context. The PE
-    /// phase dispatches over this mask; a fully-halted shard's datapath
-    /// cycle is provably a no-op (no context resolves, nothing charges).
-    live_mask: PackedMask,
-    /// One bit per memory bank holding work (network backend; zero-length
-    /// on the ideal backend). Set on request delivery, cleared when the
+    /// Shards whose `outgoing` queue is non-empty: what the outbound
+    /// flush walks and the quiescence and fast-forward checks count.
+    outgoing: ActiveSet,
+    /// Shards with at least one non-halted context.
+    live: ActiveSet,
+    /// `runnable ⊆ live`: the shards the PE phase and the fast-forward
+    /// scan visit. A shard leaves when its datapath cycle proves every
+    /// context parked on an event (a locked register, a barrier, a fence
+    /// with requests outstanding, or halted) — every later cycle would
+    /// charge one idle cycle and change nothing else — and re-enters on
+    /// exactly the events that can end such a wait: a reply delivered to
+    /// it, a barrier release, a fault firing ([`Machine::wake`]).
+    runnable: ActiveSet,
+    /// Memory banks holding work (network backend; empty universe on the
+    /// ideal backend). Inserted on request delivery, removed when the
     /// bank is observed idle after its reply drain; [`MemBank::cycle`]
-    /// on an idle bank is a no-op, so masked cycling is exact.
-    bank_active: PackedMask,
+    /// on an idle bank is a no-op, so cycling members only is exact.
+    bank_active: ActiveSet,
     /// Whether the PNI retry protocol is on (derived once from the fault
     /// plan; never changes mid-run). With retries off, whole phases —
     /// the retry queue walk, the fast-forward deadline scan — vanish.
@@ -331,6 +330,7 @@ impl Machine {
                     pni,
                     outgoing: VecDeque::new(),
                     fx: ShardFx::default(),
+                    parked_since: None,
                 }
             })
             .collect();
@@ -370,12 +370,11 @@ impl Machine {
                 }
             }
         };
-        let mut live_mask = PackedMask::new(n);
-        live_mask.rebuild(|_| true);
         let bank_universe = match cfg.backend {
             BackendKind::Network { .. } => n,
             BackendKind::Ideal { .. } => 0,
         };
+        let live = ActiveSet::from_members(n, 0..n);
         let mut machine = Self {
             hasher,
             shards,
@@ -395,10 +394,10 @@ impl Machine {
             fast_forwarded: 0,
             deliveries: Vec::new(),
             pool: WorkerPool::new(cfg.threads.max(1)),
-            fx_dirty: AtomicBitmap::new(n),
-            outgoing_mask: PackedMask::new(n),
-            live_mask,
-            bank_active: PackedMask::new(bank_universe),
+            outgoing: ActiveSet::new(n),
+            runnable: live.clone(),
+            live,
+            bank_active: ActiveSet::new(bank_universe),
             retry_enabled: retry.is_some(),
             series: TimeSeries::new(),
             phases: PhaseRecorder::new(),
@@ -529,13 +528,17 @@ impl Machine {
     /// Per-context statistics (indexed by virtual PE).
     #[must_use]
     pub fn pe_stats(&self) -> Vec<PeStats> {
+        let stamped = |shard: &PeShard, c: usize| {
+            let (idle, barrier) = shard.unstamped_idle(c, self.now);
+            let mut s = shard.stats[c].clone();
+            s.total_cycles = self.now;
+            s.idle_cycles.add(idle);
+            s.barrier_wait_cycles.add(barrier);
+            s
+        };
         self.shards
             .iter()
-            .flat_map(|s| s.stats.iter())
-            .map(|s| PeStats {
-                total_cycles: self.now,
-                ..s.clone()
-            })
+            .flat_map(|shard| (0..shard.stats.len()).map(move |c| stamped(shard, c)))
             .collect()
     }
 
@@ -601,11 +604,15 @@ impl Machine {
                 if range.contains(&(shard.base + i)) {
                     total.merge(s);
                     merged += 1;
+                    let (idle, barrier) = shard.unstamped_idle(i, self.now);
+                    total.idle_cycles.add(idle);
+                    total.barrier_wait_cycles.add(barrier);
                 }
             }
         }
-        // Every context has been alive for `now` cycles; stamping that
-        // here keeps `run_for` free of a per-PE pass after every slice.
+        // Every context has been alive for `now` cycles, and a parked
+        // shard's idle cycles are added above; stamping both here keeps
+        // `run_for` free of a per-PE pass after every slice.
         total.total_cycles = self.now * merged;
         total
     }

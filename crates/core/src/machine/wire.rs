@@ -5,7 +5,7 @@
 //! sets) or purely observational (trace, telemetry, phase spans,
 //! wall-clock) is not. See `crate::snapshot` for the framed public format.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Instant;
 
 use ultra_faults::{FaultClock, FaultPlan};
@@ -18,7 +18,7 @@ use ultra_pe::pni::Pni;
 use ultra_pe::stats::PeStats;
 use ultra_sim::clock::TimeScale;
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
-use ultra_sim::{AtomicBitmap, IdMap, MmId, PackedMask, PeId, WorkerPool};
+use ultra_sim::{ActiveSet, IdMap, MmId, PeId, WorkerPool};
 
 use super::{
     BackendImpl, BackendKind, CtxState, Machine, MachineConfig, PeShard, Purpose, ReqMeta, ShardFx,
@@ -211,6 +211,7 @@ impl Machine {
         w.u64(self.fast_forwarded);
         self.fault_clock.encode(w);
         self.meta.encode(w);
+        self.debug_check_ready_sets();
         w.usize(self.shards.len());
         for shard in &self.shards {
             debug_assert!(
@@ -220,8 +221,11 @@ impl Machine {
             shard.interps.encode(w);
             shard.states.encode(w);
             w.usize(shard.stats.len());
-            for stats in &shard.stats {
-                stats.encode_alive_for(self.now, w);
+            // A parked shard's pending idle cycles are written as if
+            // already charged, so the bytes never depend on who is parked.
+            for (c, stats) in shard.stats.iter().enumerate() {
+                let (idle, barrier) = shard.unstamped_idle(c, self.now);
+                stats.encode_alive_for(self.now, idle, barrier, w);
             }
             w.u64(shard.busy_until);
             w.usize(shard.cursor);
@@ -267,6 +271,9 @@ impl Machine {
         let dead_pes: Vec<PeId> = Vec::decode(r)?;
         if dead_mms.iter().any(|mm| mm.0 >= n) || dead_pes.iter().any(|pe| pe.0 >= n) {
             return Err(WireError::Invalid("dead module or PE index out of range").into());
+        }
+        if dead_mms.iter().collect::<BTreeSet<_>>().len() >= n {
+            return Err(WireError::Invalid("every memory module is dead").into());
         }
         let mut hasher = AddressHasher::new(n, cfg.translation);
         if !dead_mms.is_empty() {
@@ -315,6 +322,7 @@ impl Machine {
                 pni,
                 outgoing,
                 fx: ShardFx::default(),
+                parked_since: None,
             });
         }
         let backend = match (r.u8()?, cfg.backend) {
@@ -348,20 +356,21 @@ impl Machine {
             (0 | 1, _) => return Err(StateDecodeError::ConfigMismatch("backend kind")),
             _ => return Err(WireError::Invalid("backend state tag").into()),
         };
-        // The engine masks are pure accelerations of state just decoded,
-        // so they are never serialized — they are rebuilt here, keeping
-        // the wire format byte-identical to the pre-mask engine.
-        let mut live_mask = PackedMask::new(n);
-        live_mask.rebuild(|i| shards[i].states.iter().any(|s| *s != CtxState::Halted));
-        let mut outgoing_mask = PackedMask::new(n);
-        outgoing_mask.rebuild(|i| !shards[i].outgoing.is_empty());
+        // The engine's sets are pure accelerations of state just decoded:
+        // never serialized, rebuilt here. Nothing starts parked
+        // (`runnable = live`): each shard's first datapath cycle re-proves
+        // it, and its idle cycles up to `now` are in the decoded counters.
+        let live = ActiveSet::from_members(
+            n,
+            (0..n).filter(|&i| shards[i].states.iter().any(|s| *s != CtxState::Halted)),
+        );
+        let outgoing =
+            ActiveSet::from_members(n, (0..n).filter(|&i| !shards[i].outgoing.is_empty()));
         let bank_active = match &backend {
             BackendImpl::Network { banks, .. } => {
-                let mut m = PackedMask::new(n);
-                m.rebuild(|i| !banks[i].is_idle());
-                m
+                ActiveSet::from_members(n, (0..n).filter(|&i| !banks[i].is_idle()))
             }
-            BackendImpl::Ideal { .. } => PackedMask::new(0),
+            BackendImpl::Ideal { .. } => ActiveSet::new(0),
         };
         Ok(Self {
             hasher,
@@ -382,9 +391,9 @@ impl Machine {
             fast_forwarded,
             deliveries: Vec::new(),
             pool: WorkerPool::new(cfg.threads.max(1)),
-            fx_dirty: AtomicBitmap::new(n),
-            outgoing_mask,
-            live_mask,
+            outgoing,
+            runnable: live.clone(),
+            live,
             bank_active,
             retry_enabled: Self::retry_policy_for(&cfg).is_some(),
             series: TimeSeries::new(),

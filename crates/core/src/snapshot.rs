@@ -254,6 +254,7 @@ impl Machine {
         // the state that could contradict it; a real state spends well
         // over a byte per PE.
         cfg.net.check()?;
+        cfg.faults.check(cfg.net.pes)?;
         if cfg.net.pes > r.remaining() {
             return Err(WireError::Invalid("config echo names more PEs than state bytes").into());
         }
@@ -282,6 +283,8 @@ mod tests {
     use super::*;
     use crate::machine::MachineBuilder;
     use crate::program::{body, Expr, Op, Program};
+    use ultra_faults::FaultPlan;
+    use ultra_sim::{wire::Wire, MmId};
 
     fn ticket_program(rounds: i64) -> Program {
         Program::new(
@@ -520,6 +523,51 @@ mod tests {
             Machine::restore(&bytes[..bytes.len() - 4]),
             Err(SnapshotError::Corrupted(_))
         ));
+    }
+
+    #[test]
+    fn frame_with_every_module_dead_is_a_typed_error() {
+        let plan = |dead: &[usize]| {
+            dead.iter()
+                .fold(FaultPlan::none(), |p, &mm| p.dead_mm(MmId(mm)))
+        };
+        let donor = MachineBuilder::new(2)
+            .faults(plan(&[0]))
+            .build_spmd(&ticket_program(2));
+        let bytes = donor.snapshot();
+        let mut r = WireReader::new(&bytes);
+        r.take(SNAPSHOT_MAGIC.len()).unwrap();
+        r.u32().unwrap();
+        r.str().unwrap();
+        let cfg_at = bytes.len() - r.remaining();
+        let cfg_len = r.seq_len().unwrap();
+        r.take(cfg_len + 8 + 3).unwrap();
+        // The state opens with the cumulative dead list, here `[0]`:
+        // splice in `[0, 1]`, every module of the 2-PE machine.
+        let state_at = bytes.len() - r.remaining();
+        let mut forged = WireWriter::new();
+        forged.raw(&bytes[..state_at]);
+        vec![MmId(0), MmId(1)].encode(&mut forged);
+        forged.raw(&bytes[state_at + 16..]);
+        let invalid = |what| Some(SnapshotError::Corrupted(WireError::Invalid(what)));
+        assert_eq!(
+            Machine::restore(&forged.into_bytes()).err(),
+            invalid("every memory module is dead")
+        );
+        // The same through the config echo's fault plan.
+        let mut cfg = donor.cfg().clone();
+        cfg.faults = plan(&[0, 1]);
+        let mut echo = WireWriter::new();
+        cfg.encode_identity(&mut echo);
+        let mut forged = WireWriter::new();
+        forged.raw(&bytes[..cfg_at]);
+        forged.usize(echo.bytes().len());
+        forged.raw(echo.bytes());
+        forged.raw(&bytes[cfg_at + 8 + cfg_len..]);
+        assert_eq!(
+            Machine::restore(&forged.into_bytes()).err(),
+            invalid("fault plan kills every memory module")
+        );
     }
 
     #[test]

@@ -24,6 +24,7 @@ use ultracomputer::machine::{Machine, MachineBuilder};
 use ultracomputer::program::{body, Expr, Op, Program};
 use ultracomputer::ultra_faults::{Fault, FaultPlan};
 use ultracomputer::ultra_net::config::SweepMode;
+use ultracomputer::ultra_sim::clock::TimeScale;
 use ultracomputer::ultra_sim::rng::{Rng, SplitMix64};
 use ultracomputer::ultra_sim::MmId;
 use ultracomputer::{EngineTuning, MachineReport, SnapshotError, MAX_THREADS};
@@ -32,26 +33,33 @@ use ultracomputer::{EngineTuning, MachineReport, SnapshotError, MAX_THREADS};
 /// closing barrier — combining, register locking, bank traffic and
 /// barrier state all live at most cut points.
 fn ticket_program(rounds: i64) -> Program {
+    ticket_program_then(rounds, vec![])
+}
+
+/// [`ticket_program`] with `then` appended to every round.
+fn ticket_program_then(rounds: i64, then: Vec<Op>) -> Program {
+    let mut round = vec![
+        Op::FetchAdd {
+            addr: Expr::Const(0),
+            delta: Expr::Const(1),
+            dst: Some(0),
+        },
+        Op::Store {
+            addr: Expr::add(
+                Expr::add(Expr::Const(1024), Expr::mul(Expr::PeIndex, 64)),
+                Expr::Reg(1),
+            ),
+            value: Expr::Reg(0),
+        },
+    ];
+    round.extend(then);
     Program::new(
         body(vec![
             Op::For {
                 reg: 1,
                 from: Expr::Const(0),
                 to: Expr::Const(rounds),
-                body: body(vec![
-                    Op::FetchAdd {
-                        addr: Expr::Const(0),
-                        delta: Expr::Const(1),
-                        dst: Some(0),
-                    },
-                    Op::Store {
-                        addr: Expr::add(
-                            Expr::add(Expr::Const(1024), Expr::mul(Expr::PeIndex, 64)),
-                            Expr::Reg(1),
-                        ),
-                        value: Expr::Reg(0),
-                    },
-                ]),
+                body: body(round),
             },
             Op::Barrier,
             Op::Halt,
@@ -174,10 +182,10 @@ fn lossy_links_round_trip_with_a_pni_retry_pending_at_the_cut() {
 fn busy_traffic_cut_rebuilds_engine_masks() {
     // Cut while the fabric is saturated: requests mid-flight in the
     // network, banks with queued work, PEs with non-empty outgoing
-    // buffers. None of the engine's occupancy masks (live / outgoing /
-    // bank-active / fx-dirty) are serialized — restore must rebuild
-    // every one of them from the decoded shard and bank state, under
-    // every tuning, or the restored run wedges or diverges.
+    // buffers. None of the engine's sets (live / runnable / outgoing /
+    // bank-active) are serialized — restore must rebuild every one of
+    // them from the decoded shard and bank state, under every tuning,
+    // or the restored run wedges or diverges.
     let make = || MachineBuilder::new(16).build_spmd(&ticket_program(10));
 
     // Find an early cut with traffic still in the fabric (injected but
@@ -238,6 +246,81 @@ fn multiprogrammed_contexts_round_trip() {
             .build_spmd(&ticket_program(6))
     };
     check_scenario(&make, &[15, 80], "4 PEs x 2 contexts");
+}
+
+#[test]
+fn parked_shards_round_trip_and_account_every_idle_cycle() {
+    // Every way a context can wait, two contexts per PE, lossy links with
+    // the retry protocol on: fetch-and-add then a dependent store (locked
+    // register), a fence behind the store, a timed wait, and a closing
+    // barrier that PE 0 — eight times the rounds — keeps everyone else
+    // parked at for most of the run.
+    let program = |rounds| {
+        let nap = Op::WaitUntil {
+            cycle: Expr::add(Expr::Clock, Expr::Const(9)),
+        };
+        ticket_program_then(rounds, vec![Op::Fence, nap])
+    };
+    let (pes, k) = (8, 2);
+    let make_with = |threads: usize, fast_forward: bool| {
+        let programs = (0..pes * k)
+            .map(|ctx| program(if ctx < k { 24 } else { 3 }))
+            .collect();
+        MachineBuilder::new(pes)
+            .multiprogramming(k)
+            .time(TimeScale {
+                cycles_per_instruction: 1,
+                cycles_per_mm_access: 2,
+            })
+            .faults(FaultPlan::none().seed(5).link_loss(0.08))
+            .max_cycles(2_000_000)
+            .threads(threads)
+            .fast_forward(fast_forward)
+            .build(programs)
+    };
+    let waits = |m: &Machine| -> Vec<(u64, u64)> {
+        m.pe_stats()
+            .iter()
+            .map(|s| (s.idle_cycles.get(), s.barrier_wait_cycles.get()))
+            .collect()
+    };
+
+    // A cut with most PEs already waiting at the barrier (an idle cycle
+    // is charged to one context per PE).
+    let mut probe = make_with(1, true);
+    while waits(&probe).iter().filter(|w| w.1 > 0).count() < pes - 2 {
+        assert!(!probe.run_for(1).completed, "barrier never filled up");
+    }
+    let barrier_cut = probe.now() + 25;
+    let cuts = [7, 38, 90, barrier_cut];
+
+    for &cut in &cuts {
+        let mut stepped = make_with(1, false);
+        assert!(!stepped.run_for(cut).completed, "cut {cut} is mid-run");
+        for threads in [1, 3] {
+            let mut m = make_with(threads, true);
+            m.run_for(cut);
+            assert_eq!(m.now(), cut);
+            assert_eq!(
+                waits(&m),
+                waits(&stepped),
+                "cut {cut} threads {threads}: idle/barrier-wait read mid-run"
+            );
+            // Ground truth that needs no second engine: nobody has passed
+            // the barrier and every instruction holds the datapath one
+            // cycle, so each PE accounts for every cycle so far as either
+            // an instruction or an idle cycle.
+            for (pe, ctxs) in m.pe_stats().chunks(k).enumerate() {
+                let accounted: u64 = ctxs
+                    .iter()
+                    .map(|s| s.instructions.get() + s.idle_cycles.get())
+                    .sum();
+                assert_eq!(accounted, cut, "cut {cut} threads {threads}: PE {pe}");
+            }
+        }
+    }
+    assert!(probe.run().completed && probe.fault_summary().retries > 0);
+    check_scenario(&|| make_with(1, true), &cuts, "parked 8 PEs x 2 contexts");
 }
 
 #[test]

@@ -470,6 +470,32 @@ impl FaultPlan {
         mask
     }
 
+    /// Checks the plan against a machine of `mms` memory modules: every
+    /// module it kills must exist, and its boot-time and scheduled kills
+    /// together must leave one alive — translation re-hashes a dead
+    /// module's words onto the survivors, and with none there is nowhere
+    /// to hash to.
+    ///
+    /// # Errors
+    ///
+    /// Names the violated invariant — as a [`WireError`], like
+    /// `NetConfig::check`: the plans that need a fallible check are the
+    /// ones decoded from snapshot bytes.
+    pub fn check(&self, mms: usize) -> Result<(), WireError> {
+        let mut dead = self.dead_mms.clone();
+        dead.extend(self.schedule.iter().filter_map(|s| match s.fault {
+            Fault::KillMm { mm } => Some(mm.0),
+            _ => None,
+        }));
+        if dead.iter().any(|&mm| mm >= mms) {
+            return Err(WireError::Invalid("fault plan kills a module out of range"));
+        }
+        if dead.len() >= mms {
+            return Err(WireError::Invalid("fault plan kills every memory module"));
+        }
+        Ok(())
+    }
+
     /// Builds the injection clock that fires this plan's scheduled faults.
     #[must_use]
     pub fn clock(&self) -> FaultClock {
@@ -690,6 +716,22 @@ mod tests {
         }
         assert_eq!(clock.remaining(), clock2.remaining());
         assert_eq!(clock.next_due(), clock2.next_due());
+    }
+
+    #[test]
+    fn check_rejects_plans_that_leave_no_module() {
+        let invalid = |plan: &FaultPlan, mms| match plan.check(mms) {
+            Err(WireError::Invalid(what)) => what,
+            other => panic!("expected a typed rejection, got {other:?}"),
+        };
+        let boot = FaultPlan::none().dead_mm(MmId(0)).dead_mm(MmId(1));
+        assert!(boot.check(3).is_ok() && FaultPlan::none().check(1).is_ok());
+        assert!(invalid(&boot, 2).contains("every memory module"));
+        // Boot-time and scheduled kills count together.
+        let later = boot.schedule(50, Fault::KillMm { mm: MmId(2) });
+        assert!(later.check(4).is_ok());
+        assert!(invalid(&later, 3).contains("every memory module"));
+        assert!(invalid(&later, 2).contains("out of range"));
     }
 
     #[test]

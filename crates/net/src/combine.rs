@@ -186,8 +186,14 @@ pub fn try_combine(queued: &mut Message, incoming: &Message) -> Option<WaitEntry
     {
         return None;
     }
-    // The forwarded request now answers for every constituent of both.
-    let mut folded = queued.folded.clone();
+    // Declined before anything moves: on `None` neither argument changes.
+    if !kinds_combinable(queued.kind, incoming.kind) {
+        return None;
+    }
+    // The forwarded request now answers for every constituent of both:
+    // the queued list is extended in place (no copy of a spilled list)
+    // and put back once the arms below have settled the slot's identity.
+    let mut folded = std::mem::take(&mut queued.folded);
     folded.extend_from(&incoming.folded);
     use MsgKind::{FetchPhi, Load, Store};
 
@@ -220,13 +226,10 @@ pub fn try_combine(queued: &mut Message, incoming: &Message) -> Option<WaitEntry
 
         // FetchPhi + FetchPhi with the same operator (§3.1.3, Figure 3):
         // forward FΦ(φ(e,f)); the absorbed request gets φ(Y, e).
-        (FetchPhi(op_q), FetchPhi(op_i)) => {
-            if op_q != op_i {
-                return None;
-            }
+        (FetchPhi(op), FetchPhi(_)) => {
             let delta = queued.value;
-            queued.value = op_q.apply(queued.value, incoming.value);
-            wait_for(queued.id, incoming, ReplyRule::Phi(op_q, delta))
+            queued.value = op.apply(queued.value, incoming.value);
+            wait_for(queued.id, incoming, ReplyRule::Phi(op, delta))
         }
 
         // FetchPhi(e) queued, Load incoming: the load is serialized after

@@ -26,8 +26,6 @@
 //! * [`omega`] — the assembled network (plus [`omega::ReplicatedOmega`] for
 //!   the `d`-copy configurations of §4.1) with per-cycle advancement,
 //!   backpressure, and egress events.
-//! * [`active`] — per-stage sparse worklists so a cycle's cost follows
-//!   the messages in flight, not the switches built.
 //! * [`config`] / [`stats`] — configuration and instrumentation.
 //!
 //! # Example: one fetch-and-add through an 8-PE network
@@ -61,7 +59,6 @@
 //! assert_eq!(m.addr.mm, MmId(5));
 //! ```
 
-pub mod active;
 pub mod combine;
 pub mod config;
 pub mod message;
@@ -71,7 +68,6 @@ pub mod route;
 pub mod stats;
 pub mod switch;
 
-pub use active::ActiveSet;
 pub use config::{NetConfig, SweepMode, SwitchPolicy};
 pub use message::{Message, MsgId, MsgKind, PhiOp, Reply, ReplyKind};
 pub use omega::{NetworkEvents, OmegaNetwork, ReplicatedOmega};

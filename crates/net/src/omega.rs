@@ -25,7 +25,6 @@
 //! requests spread round-robin per PE and replies returned through the copy
 //! that carried the request.
 
-use crate::active::ActiveSet;
 #[cfg(test)]
 use crate::config::SwitchPolicy;
 use crate::config::{NetConfig, SweepMode};
@@ -36,8 +35,9 @@ use crate::stats::NetStats;
 use crate::switch::{AcceptOutcome, Switches};
 use ultra_faults::FaultMask;
 use ultra_obs::{CounterSnapshot, HeatmapSnapshot};
+use ultra_sim::active::Walk;
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
-use ultra_sim::{Cycle, WorkerPool};
+use ultra_sim::{ActiveSet, Cycle, WorkerPool};
 
 /// Occupancy (in percent of a stage's switches) above which
 /// [`SweepMode::Sparse`] scans that stage densely instead of walking the
@@ -432,28 +432,6 @@ impl OmegaNetwork {
             && self.active_rev.iter().all(ActiveSet::is_empty)
     }
 
-    /// The stage-`stage` switches currently holding forward traffic, in
-    /// ascending index order — the sparse sweep's exact visit list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stage` is out of range.
-    #[must_use]
-    pub fn active_forward_switches(&self, stage: usize) -> Vec<usize> {
-        self.active_fwd[stage].iter().collect()
-    }
-
-    /// The stage-`stage` switches currently holding reverse traffic, in
-    /// ascending index order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stage` is out of range.
-    #[must_use]
-    pub fn active_reverse_switches(&self, stage: usize) -> Vec<usize> {
-        self.active_rev[stage].iter().collect()
-    }
-
     /// Checks the occupancy-bookkeeping invariant: each direction's active
     /// set contains exactly the switches whose queues hold traffic in that
     /// direction. Returns the first discrepancy as an error string.
@@ -571,16 +549,15 @@ impl OmegaNetwork {
 
     /// Visits the stage-`s` switches holding forward traffic, ascending.
     ///
-    /// Sparse mode walks the active-set summary then bitset words; dense
-    /// mode (forced, or the occupancy fallback) scans every switch. Both
-    /// orders are ascending and a traffic-less switch is a no-op visit,
-    /// so the two modes execute the identical operation sequence.
+    /// Sparse mode walks the active set's members through its summary;
+    /// dense mode (forced, or the occupancy fallback) scans every switch.
+    /// Both orders are ascending and a traffic-less switch is a no-op
+    /// visit, so the two modes execute the identical operation sequence.
     ///
-    /// Walking the bitset while transmissions mutate the set is sound
-    /// because processing stage `s` can only (a) remove the switch just
-    /// processed — whose bits were already consumed from the local word
-    /// (and summary-word) snapshots — and (b) insert into stage `s+1`,
-    /// never into stage `s` itself.
+    /// Walking the set while transmissions mutate it is sound because
+    /// processing stage `s` can only (a) remove the switch just processed
+    /// — the cursor keeps its own copy of the word — and (b) insert into
+    /// stage `s+1`, never into stage `s` itself.
     fn sweep_stage_forward(&mut self, now: Cycle, s: usize) {
         let universe = self.routes.switches_per_stage();
         let dense = self.sweep == SweepMode::Dense
@@ -594,18 +571,9 @@ impl OmegaNetwork {
             }
             return;
         }
-        for sword in 0..self.active_fwd[s].summary_words() {
-            let mut sbits = self.active_fwd[s].summary_word(sword);
-            while sbits != 0 {
-                let w = sword * 64 + sbits.trailing_zeros() as usize;
-                sbits &= sbits - 1;
-                let mut bits = self.active_fwd[s].word(w);
-                while bits != 0 {
-                    let sw_idx = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    self.transmit_forward(now, s, sw_idx);
-                }
-            }
+        let mut walk = Walk::default();
+        while let Some(sw_idx) = walk.next(&self.active_fwd[s]) {
+            self.transmit_forward(now, s, sw_idx);
         }
     }
 
@@ -617,8 +585,8 @@ impl OmegaNetwork {
     }
 
     /// Reverse-direction mirror of [`OmegaNetwork::sweep_stage_forward`]:
-    /// same dense fallback, same empty-stage skip, same summary-then-word
-    /// walk, with transmissions landing in stage `s - 1`.
+    /// same dense fallback, same empty-stage skip, same member walk, with
+    /// transmissions landing in stage `s - 1`.
     fn sweep_stage_reverse(&mut self, now: Cycle, s: usize) {
         let universe = self.routes.switches_per_stage();
         let dense = self.sweep == SweepMode::Dense
@@ -632,18 +600,9 @@ impl OmegaNetwork {
             }
             return;
         }
-        for sword in 0..self.active_rev[s].summary_words() {
-            let mut sbits = self.active_rev[s].summary_word(sword);
-            while sbits != 0 {
-                let w = sword * 64 + sbits.trailing_zeros() as usize;
-                sbits &= sbits - 1;
-                let mut bits = self.active_rev[s].word(w);
-                while bits != 0 {
-                    let sw_idx = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    self.transmit_reverse(now, s, sw_idx);
-                }
-            }
+        let mut walk = Walk::default();
+        while let Some(sw_idx) = walk.next(&self.active_rev[s]) {
+            self.transmit_reverse(now, s, sw_idx);
         }
     }
 

@@ -33,7 +33,7 @@ pub struct PeStats {
 
 impl Wire for PeStats {
     fn encode(&self, w: &mut WireWriter) {
-        self.encode_alive_for(self.total_cycles, w);
+        self.encode_alive_for(self.total_cycles, 0, 0, w);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Self {
@@ -50,18 +50,25 @@ impl Wire for PeStats {
 }
 
 impl PeStats {
-    /// [`Wire::encode`] with `total_cycles` written in place of the stored
-    /// field — the machine keeps that field lazily (every context has been
-    /// alive since cycle 0) and stamps it where statistics leave it.
-    pub fn encode_alive_for(&self, total_cycles: Cycle, w: &mut WireWriter) {
+    /// [`Wire::encode`] with the machine's lazily kept fields stamped in
+    /// as they are written: `total_cycles` in place of the stored field
+    /// (every context has been alive since cycle 0), and the `idle` /
+    /// `barrier_wait` cycles a parked PE has sat out added to theirs.
+    pub fn encode_alive_for(
+        &self,
+        total_cycles: Cycle,
+        idle: u64,
+        barrier_wait: u64,
+        w: &mut WireWriter,
+    ) {
         self.instructions.encode(w);
-        self.idle_cycles.encode(w);
+        w.u64(self.idle_cycles.get() + idle);
         self.private_refs.encode(w);
         self.shared_refs.encode(w);
         self.cm_loads.encode(w);
         self.cm_access.encode(w);
         w.u64(total_cycles);
-        self.barrier_wait_cycles.encode(w);
+        w.u64(self.barrier_wait_cycles.get() + barrier_wait);
     }
 
     /// Creates zeroed counters.

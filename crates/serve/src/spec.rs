@@ -518,6 +518,7 @@ mod tests {
             (r#"{"copies": 2, "dead_copies": [2]}"#, "out of range"),
             (r#"{"dead_mms": [9]}"#, "out of range"),
             (r#"{"dead_copies": [0]}"#, "every network copy"),
+            (r#"{"pes": 2, "dead_mms": [0, 1]}"#, "every memory module"),
             (r#"{"cycles": 0}"#, "cycles"),
             (r#"{"telemetry_window": 0}"#, "positive"),
             (r#"{"frobnicate": 1}"#, "unknown field"),

@@ -18,6 +18,9 @@
 //!   by the Omega-network routing logic.
 //! * [`idmap`] — [`IdMap`], the `HashMap` alias on a fixed hasher that the
 //!   per-message maps (request ids, memory words) use.
+//! * [`active`] — [`ActiveSet`], the one set type: a two-level bitset
+//!   (bits + summary + count) whose ascending member walk is what every
+//!   per-cycle loop in the network and the cycle engine iterates.
 //! * [`pool`] — deterministic fork–join over mutable slices: the
 //!   persistent worker pool ([`pool::WorkerPool`]) the cycle engine
 //!   dispatches through every cycle.
@@ -40,21 +43,21 @@
 //! assert!(hist.mean() > 0.0);
 //! ```
 
+pub mod active;
 pub mod clock;
 pub mod idmap;
 pub mod ids;
 pub mod inline_vec;
-pub mod mask;
 pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod wire;
 
+pub use active::ActiveSet;
 pub use clock::Cycle;
 pub use idmap::IdMap;
 pub use ids::{digits, MemAddr, MmId, PeId, Value};
 pub use inline_vec::InlineVec;
-pub use mask::{AtomicBitmap, PackedMask};
 pub use pool::{PoolDispatchStats, WorkerPool};
 pub use rng::{Rng, SplitMix64};
 pub use stats::{Counter, Histogram};

@@ -34,6 +34,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
+use crate::active::{ActiveSet, Walk};
+
 /// A type-erased description of one fan-out: "apply `call` to elements
 /// `start..end` of the slice at `data`". Stamped into [`State`] under the
 /// lock; workers copy it out together with the epoch that published it.
@@ -223,76 +225,76 @@ impl WorkerPool {
         unsafe { self.dispatch_raw(data, n, ctx, run_chunk::<T, F>, chunk, chunks) }
     }
 
-    /// Applies `f(index, &mut item)` to every element whose bit is set in
-    /// `mask` (bit `i % 64` of word `i / 64` is element `i`), skipping
-    /// clear elements — and whole all-zero words — entirely.
+    /// Applies `f(index, &mut item)` to every member of `members` —
+    /// fanned out, members visited through the set's summary, so clear
+    /// elements cost nothing — and then, in ascending order on the calling
+    /// thread, `then(index, &mut item)` to every member whose `f` returned
+    /// `true`; a member for which `then` returns `false` is retired from
+    /// the set. `f` is the independent part of a phase (a shard's datapath
+    /// cycle, a bank's service cycle) and says whether it left anything
+    /// for `then`, the ordered epilogue (merging deferred effects,
+    /// draining replies).
     ///
-    /// The dispatch is **occupancy-adaptive**: the thread count is chosen
-    /// from the popcount of `mask` (one thread per `grain` set members,
-    /// capped at the pool size), so a low-traffic cycle with a handful of
-    /// set bits runs inline on the caller as a word-skipping scan instead
-    /// of paying worker wake-ups for empty chunks. Parallel chunks are
-    /// word-aligned so each worker owns whole mask words.
+    /// Two contracts keep every thread count the same computation. `f(j)`
+    /// must not observe what `then(i)` does: when the fan-out collapses to
+    /// the caller the pool runs `f(i); then(i)` back to back, while the
+    /// element is still in cache, instead of all of `f` first. And `then`
+    /// must be a no-op returning `true` on an element whose `f` returned
+    /// `false`: when the fan-out really ran on other threads nobody
+    /// recorded the verdicts, and `then` is applied to every member.
     ///
-    /// Effects are identical to the sequential masked loop
-    /// `for i in ascending set bits { f(i, &mut items[i]) }` under the
-    /// same deferred-effect contract as [`WorkerPool::run`]: every set
-    /// element is visited exactly once with exclusive access.
+    /// The dispatch is **occupancy-adaptive**: one thread per `grain`
+    /// members (from the set's count, capped at the pool size), so a cycle
+    /// with a handful of members runs inline on the caller instead of
+    /// paying worker wake-ups for empty chunks. Chunks are word-aligned.
     ///
     /// # Panics
     ///
-    /// Panics if `mask` has fewer than `items.len().div_ceil(64)` words
-    /// or sets a bit at or beyond `items.len()`; re-raises chunk panics
-    /// like [`WorkerPool::run`].
-    pub fn run_sparse<T, F>(&self, items: &mut [T], mask: &[u64], grain: usize, f: F)
-    where
+    /// Panics if a walk meets a member at or beyond `items.len()`;
+    /// re-raises chunk panics like [`WorkerPool::run`].
+    pub fn run_sparse<T, F, G>(
+        &self,
+        items: &mut [T],
+        members: &mut ActiveSet,
+        grain: usize,
+        f: F,
+        mut then: G,
+    ) where
         T: Send,
-        F: Fn(usize, &mut T) + Sync,
+        F: Fn(usize, &mut T) -> bool + Sync,
+        G: FnMut(usize, &mut T) -> bool,
     {
         let n = items.len();
         let words = n.div_ceil(64);
-        assert!(mask.len() >= words, "mask shorter than the slice");
-        let active: usize = mask[..words].iter().map(|w| w.count_ones() as usize).sum();
-        debug_assert!(
-            mask[..words]
-                .iter()
-                .enumerate()
-                .all(
-                    |(w, &bits)| (w * 64) + (64 - bits.leading_zeros() as usize) <= n || bits == 0
-                ),
-            "mask sets a bit beyond the slice"
-        );
-        if active == 0 {
-            self.count_dispatch(1);
-            return;
-        }
-        let want = active
+        let want = members
+            .len()
             .div_ceil(grain.max(1))
             .min(self.threads())
-            .min(words)
-            .max(1);
-        if want <= 1 || self.shared.is_none() {
+            .min(words);
+        let fan_out = want > 1 && self.shared.is_some();
+        if fan_out {
+            let chunk = words.div_ceil(want) * 64;
+            let chunks = n.div_ceil(chunk);
+            self.count_dispatch(chunks);
+            let mc = SparseCtx {
+                f: &f,
+                members: &*members,
+            };
+            let data: *mut () = items.as_mut_ptr().cast();
+            let ctx: *const () = (&mc as *const SparseCtx<'_, F>).cast();
+            // SAFETY: as in `run` — `data` is the live slice, `ctx` the
+            // live `SparseCtx` (closure + set borrows outlive the blocking
+            // dispatch), chunks are disjoint.
+            unsafe { self.dispatch_raw(data, n, ctx, run_chunk_sparse::<T, F>, chunk, chunks) }
+        } else {
             self.count_dispatch(1);
-            for (w, &word_bits) in mask[..words].iter().enumerate() {
-                let mut bits = word_bits;
-                while bits != 0 {
-                    let i = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    f(i, &mut items[i]);
-                }
-            }
-            return;
         }
-        let chunk = words.div_ceil(want) * 64;
-        let chunks = n.div_ceil(chunk);
-        self.count_dispatch(chunks);
-        let mc = MaskedCtx { f: &f, mask };
-        let data: *mut () = items.as_mut_ptr().cast();
-        let ctx: *const () = (&mc as *const MaskedCtx<'_, F>).cast();
-        // SAFETY: as in `run` — `data` is the live slice, `ctx` the live
-        // `MaskedCtx` (closure + mask borrows outlive the blocking
-        // dispatch), chunks are disjoint and word-aligned.
-        unsafe { self.dispatch_raw(data, n, ctx, run_chunk_masked::<T, F>, chunk, chunks) }
+        let mut walk = Walk::default();
+        while let Some(i) = walk.next(members) {
+            if (fan_out || f(i, &mut items[i])) && !then(i, &mut items[i]) {
+                members.remove(i);
+            }
+        }
     }
 
     fn count_dispatch(&self, chunks: usize) {
@@ -402,41 +404,33 @@ where
     }
 }
 
-/// The erased context of a masked fan-out: the caller's closure plus the
-/// membership words it filters by.
-struct MaskedCtx<'a, F> {
+/// The erased context of a sparse fan-out: the caller's closure plus the
+/// set it filters by.
+struct SparseCtx<'a, F> {
     f: &'a F,
-    mask: &'a [u64],
+    members: &'a ActiveSet,
 }
 
-/// Rebuilds the typed view of one word-aligned chunk and processes only
-/// its mask-set elements, skipping all-zero words in one test each.
+/// Rebuilds the typed view of one chunk and processes only the set's
+/// members inside it.
 ///
 /// # Safety
 ///
 /// As [`run_chunk`], plus `ctx` must point to a live
-/// [`MaskedCtx`]`<'_, F>` and `start` must be a multiple of 64.
-unsafe fn run_chunk_masked<T, F>(data: *mut (), ctx: *const (), start: usize, end: usize)
+/// [`SparseCtx`]`<'_, F>`.
+unsafe fn run_chunk_sparse<T, F>(data: *mut (), ctx: *const (), start: usize, end: usize)
 where
-    F: Fn(usize, &mut T),
+    F: Fn(usize, &mut T) -> bool,
 {
     let base = data.cast::<T>();
-    // SAFETY: caller contract — `ctx` is the caller's `MaskedCtx`, alive
+    // SAFETY: caller contract — `ctx` is the caller's `SparseCtx`, alive
     // until every chunk completes.
-    let mc = unsafe { &*ctx.cast::<MaskedCtx<'_, F>>() };
-    debug_assert_eq!(start % 64, 0, "masked chunks are word-aligned");
-    for w in start / 64..end.div_ceil(64) {
-        let mut bits = mc.mask[w];
-        while bits != 0 {
-            let i = w * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if i >= end {
-                break;
-            }
-            // SAFETY: caller contract — element `i` is inside the slice
-            // and exclusively ours for this epoch.
-            (mc.f)(i, unsafe { &mut *base.add(i) });
-        }
+    let mc = unsafe { &*ctx.cast::<SparseCtx<'_, F>>() };
+    let mut walk = Walk::starting_at(start);
+    while let Some(i) = walk.next(mc.members).filter(|&i| i < end) {
+        // SAFETY: caller contract — `start <= i < end`, so element `i` is
+        // inside the slice and exclusively ours for this epoch.
+        let _ = (mc.f)(i, unsafe { &mut *base.add(i) });
     }
 }
 
@@ -559,15 +553,12 @@ mod tests {
 
     #[test]
     fn run_sparse_matches_the_sequential_masked_loop() {
-        let mask_for = |n: usize, pred: &dyn Fn(usize) -> bool| {
-            let mut mask = vec![0u64; n.div_ceil(64)];
-            for i in (0..n).filter(|&i| pred(i)) {
-                mask[i / 64] |= 1 << (i % 64);
-            }
-            mask
-        };
         type Pred = Box<dyn Fn(usize) -> bool>;
-        let work = |i: usize, x: &mut u64| *x = x.wrapping_mul(31).wrapping_add(i as u64);
+        // Members divisible by three ask for the epilogue.
+        let work = |i: usize, x: &mut u64| {
+            *x = x.wrapping_mul(31).wrapping_add(i as u64);
+            i % 3 == 0
+        };
         let patterns: Vec<(&str, Pred)> = vec![
             ("dense", Box::new(|_| true)),
             ("sparse", Box::new(|i| i % 97 == 0)),
@@ -578,15 +569,33 @@ mod tests {
             for threads in [1usize, 2, 4, 8] {
                 for grain in [1usize, 16, 256] {
                     let n = 457;
-                    let mask = mask_for(n, pred);
+                    let mut members = ActiveSet::from_members(n, (0..n).filter(|&i| pred(i)));
                     let mut expect: Vec<u64> = (0..n as u64).collect();
                     for i in (0..n).filter(|&i| pred(i)) {
                         work(i, &mut expect[i]);
                     }
                     let pool = WorkerPool::new(threads);
                     let mut got: Vec<u64> = (0..n as u64).collect();
-                    pool.run_sparse(&mut got, &mask, grain, work);
-                    assert_eq!(got, expect, "{name} threads={threads} grain={grain}");
+                    // The epilogue sees each asking member after its `f`,
+                    // in ascending order, and retires the odd ones; on a
+                    // member that did not ask it must be (and is) a no-op.
+                    let mut seen = Vec::new();
+                    pool.run_sparse(&mut got, &mut members, grain, work, |i, x| {
+                        if i % 3 != 0 {
+                            return true;
+                        }
+                        seen.push((i, *x));
+                        i % 2 == 0
+                    });
+                    let label = format!("{name} threads={threads} grain={grain}");
+                    assert_eq!(got, expect, "{label}");
+                    let asked = |i: &usize| pred(*i) && i % 3 == 0;
+                    let want_seen: Vec<_> = (0..n).filter(asked).map(|i| (i, expect[i])).collect();
+                    assert_eq!(seen, want_seen, "{label}");
+                    let kept: Vec<_> = (0..n)
+                        .filter(|i| pred(*i) && !(asked(i) && i % 2 == 1))
+                        .collect();
+                    assert_eq!(members.iter().collect::<Vec<_>>(), kept, "{label}");
                 }
             }
         }
@@ -596,9 +605,15 @@ mod tests {
     fn run_sparse_empty_mask_touches_nothing() {
         let pool = WorkerPool::new(4);
         let mut v = vec![7u64; 100];
-        pool.run_sparse(&mut v, &[0, 0], 1, |_, _| unreachable!());
+        pool.run_sparse(
+            &mut v,
+            &mut ActiveSet::new(100),
+            1,
+            |_, _| unreachable!(),
+            |_, _| unreachable!(),
+        );
         assert!(v.iter().all(|&x| x == 7));
-        // An empty-mask dispatch is still accounted (as one inline chunk).
+        // An empty-set dispatch is still accounted (as one inline chunk).
         assert_eq!(pool.dispatch_stats().dispatches, 1);
         assert_eq!(pool.dispatch_stats().last_chunks, 1);
     }
@@ -607,16 +622,20 @@ mod tests {
     fn run_sparse_adapts_threads_to_occupancy() {
         let pool = WorkerPool::new(4);
         let mut v = vec![0u64; 256];
-        // 3 set bits with grain 64: one thread suffices — inline chunk.
-        let sparse_mask = [0b111u64, 0, 0, 0];
-        pool.run_sparse(&mut v, &sparse_mask, 64, |i, x| *x = i as u64 + 1);
+        let fill = |i: usize, x: &mut u64| {
+            *x = i as u64 + 1;
+            false
+        };
+        // 3 members with grain 64: one thread suffices — inline chunk.
+        let mut few = ActiveSet::from_members(256, 0..3);
+        pool.run_sparse(&mut v, &mut few, 64, fill, |_, _| true);
         assert_eq!(pool.dispatch_stats().last_chunks, 1);
         assert_eq!((v[0], v[1], v[2], v[3]), (1, 2, 3, 0));
-        // A full mask with grain 1 fans out across the pool.
-        let full_mask = [u64::MAX; 4];
-        pool.run_sparse(&mut v, &full_mask, 1, |i, x| *x = i as u64);
+        // A full set with grain 1 fans out across the pool.
+        let mut full = ActiveSet::from_members(256, 0..256);
+        pool.run_sparse(&mut v, &mut full, 1, fill, |_, _| true);
         assert_eq!(pool.dispatch_stats().last_chunks, 4);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == i as u64));
+        assert!(v.iter().enumerate().all(|(i, &x)| x == i as u64 + 1));
     }
 
     #[test]
