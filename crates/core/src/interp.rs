@@ -14,6 +14,7 @@
 //! machine.
 
 use ultra_net::message::MsgKind;
+use ultra_sim::heap::vec_bytes;
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{Cycle, PeId, Value};
 
@@ -250,6 +251,13 @@ impl PeInterp {
             }],
             halted: false,
         }
+    }
+
+    /// Heap bytes this interpreter owns. Frame bodies are shared with the
+    /// program they were cut from and are not counted.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.params) + vec_bytes(&self.frames)
     }
 
     /// The PE this interpreter animates.

@@ -45,12 +45,14 @@ use ultra_net::stats::NetStats;
 use ultra_obs::{CounterSnapshot, GaugeSnapshot, HeatmapSnapshot, PhaseRecorder, TimeSeries};
 use ultra_pe::pni::Pni;
 use ultra_pe::stats::PeStats;
+use ultra_sim::heap::{deque_bytes, map_bytes, vec_bytes};
 use ultra_sim::{ActiveSet, Cycle, IdMap, MmId, PeId, PoolDispatchStats, Value, WorkerPool};
 
 use crate::engine::EngineMode;
 use crate::interp::{IssueSpec, PeInterp};
 use crate::paracomputer::Paracomputer;
 use crate::program::{Program, Reg};
+use crate::snapshot::EngineTuning;
 use crate::trace::{Trace, TraceEvent};
 
 mod config;
@@ -95,6 +97,7 @@ struct ReqMeta {
     purpose: Purpose,
 }
 
+#[derive(Clone)]
 enum BackendImpl {
     Ideal {
         para: Paracomputer,
@@ -171,6 +174,7 @@ pub struct RunOutcome {
 /// in shard index order, which is exactly the order the sequential loop
 /// produces them in. Both engines therefore generate byte-identical
 /// event streams.
+#[derive(Clone)]
 struct PeShard {
     /// First virtual PE (context) index of this shard.
     base: usize,
@@ -199,7 +203,7 @@ struct PeShard {
 
 /// Machine-wide side effects a shard's datapath cycle would have applied
 /// in place under the sequential engine.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct ShardFx {
     meta: Vec<(MsgId, ReqMeta)>,
     trace: Vec<TraceEvent>,
@@ -210,6 +214,24 @@ impl ShardFx {
     /// Whether the latest datapath cycle produced any deferred effect.
     fn is_empty(&self) -> bool {
         self.meta.is_empty() && self.trace.is_empty() && self.halted == 0
+    }
+}
+
+impl PeShard {
+    /// Heap bytes this shard owns (see [`Machine::heap_bytes`]).
+    fn heap_bytes(&self) -> usize {
+        let interps: usize = self.interps.iter().map(PeInterp::heap_bytes).sum();
+        vec_bytes(&self.interps)
+            + interps
+            + vec_bytes(&self.states)
+            + vec_bytes(&self.stats)
+            + (self.stats.iter())
+                .map(|s| s.cm_access.heap_bytes())
+                .sum::<usize>()
+            + self.pni.heap_bytes()
+            + deque_bytes(&self.outgoing)
+            + vec_bytes(&self.fx.meta)
+            + vec_bytes(&self.fx.trace)
     }
 }
 
@@ -408,6 +430,91 @@ impl Machine {
         machine
     }
 
+    /// A second machine in this machine's exact simulation state with an
+    /// engine of its own: what
+    /// `Machine::restore_tuned(&self.snapshot(), tuning)` returns, without
+    /// the codec round trip. The copy gets a fresh worker pool for the
+    /// tuned thread count and starts with trace, telemetry and phase spans
+    /// off and empty; `self` is not touched, so any number of forks may be
+    /// taken from one donor, from several threads at once.
+    #[must_use]
+    pub fn fork(&self, tuning: EngineTuning) -> Self {
+        let mut cfg = self.cfg.clone();
+        tuning.apply(&mut cfg);
+        let fork = Self {
+            hasher: self.hasher.clone(),
+            shards: self.shards.clone(),
+            meta: self.meta.clone(),
+            backend: self.backend.clone(),
+            barrier_generation: self.barrier_generation,
+            barrier_arrived: self.barrier_arrived,
+            now: self.now,
+            halted_count: self.halted_count,
+            trace: Trace::new(),
+            fault_clock: self.fault_clock.clone(),
+            dead_mms: self.dead_mms.clone(),
+            duplicate_replies: self.duplicate_replies,
+            unroutable: self.unroutable,
+            dead_pes: self.dead_pes.clone(),
+            run_elapsed: None,
+            fast_forwarded: self.fast_forwarded,
+            deliveries: Vec::new(),
+            pool: WorkerPool::new(cfg.threads),
+            outgoing: self.outgoing.clone(),
+            live: self.live.clone(),
+            runnable: self.runnable.clone(),
+            bank_active: self.bank_active.clone(),
+            retry_enabled: self.retry_enabled,
+            series: TimeSeries::new(),
+            phases: PhaseRecorder::new(),
+            phase_epoch: Instant::now(),
+            cfg,
+        };
+        fork.debug_check_ready_sets();
+        fork
+    }
+
+    /// Turns a machine that has finished running into a donor for
+    /// [`Machine::fork`], in place of forking it once more: the worker
+    /// pool's threads are released (a shelved image must not hold OS
+    /// threads) and trace, telemetry and phase spans are dropped, which is
+    /// all a fork would have left behind.
+    #[must_use]
+    pub fn into_image(mut self) -> Self {
+        self.cfg.threads = 1;
+        self.pool = WorkerPool::new(1);
+        self.trace = Trace::new();
+        self.series = TimeSeries::new();
+        self.phases = PhaseRecorder::new();
+        self.run_elapsed = None;
+        self
+    }
+
+    /// An estimate of the heap bytes this machine keeps allocated — what
+    /// holding on to it (or to a [`Machine::fork`] of it) costs. It adds up
+    /// the buffers of every per-PE, per-bank and per-switch structure at
+    /// their capacities and leaves out what does not grow with the machine
+    /// (active sets, counters, observer rings, the worker pool).
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let shards: usize = self.shards.iter().map(PeShard::heap_bytes).sum();
+        let backend = match &self.backend {
+            BackendImpl::Ideal { para, pending, .. } => {
+                let queued: usize = pending.values().map(vec_bytes).sum();
+                para.heap_bytes() + queued
+            }
+            BackendImpl::Network {
+                nets,
+                banks,
+                copy_of,
+            } => {
+                let words: usize = banks.iter().map(MemBank::heap_bytes).sum();
+                nets.heap_bytes() + vec_bytes(banks) + words + map_bytes(copy_of)
+            }
+        };
+        vec_bytes(&self.shards) + shards + map_bytes(&self.meta) + backend
+    }
+
     /// The PNI retry policy `cfg` implies: the plan's explicit policy if
     /// it carries one, else a depth-derived default whenever the plan is
     /// unhealthy. Shared by [`Machine::new`] and [`Machine::decode_state`]
@@ -555,7 +662,8 @@ impl Machine {
 
     /// Test and microbench hook: forces the network's switch sweep
     /// (see `OmegaNetwork::set_sweep_mode`). No-op on the ideal backend;
-    /// not carried through a snapshot — re-apply it after a restore.
+    /// not carried through a snapshot — re-apply it after a restore (a
+    /// [`Machine::fork`] keeps it).
     #[doc(hidden)]
     pub fn set_sweep_mode(&mut self, mode: SweepMode) {
         if let BackendImpl::Network { nets, .. } = &mut self.backend {

@@ -19,6 +19,7 @@
 use std::collections::HashMap;
 
 use ultra_net::message::PhiOp;
+use ultra_sim::heap::map_bytes;
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{Rng, SplitMix64, Value};
 
@@ -107,6 +108,12 @@ impl Paracomputer {
             mem: HashMap::new(),
             rng: SplitMix64::new(seed),
         }
+    }
+
+    /// Heap bytes the memory owns: its touched words.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        map_bytes(&self.mem)
     }
 
     /// Reads a word directly (single-cycle paracomputer load).

@@ -11,6 +11,10 @@
 //! > state (and [`MachineReport::parity_string`]) of `run(k + m)`,
 //! > on every engine (sequential, parallel, fast-forward).
 //!
+//! [`Machine::fork`] makes the same copy in memory — the machine a
+//! restore of this machine's snapshot would return, without the bytes in
+//! between — and is tested against this codec as its reference.
+//!
 //! # Format
 //!
 //! ```text
@@ -167,7 +171,8 @@ impl From<StateDecodeError> for SnapshotError {
     }
 }
 
-/// Engine speed-knob overrides for [`Machine::restore_tuned`]. Every
+/// Engine speed-knob overrides for [`Machine::restore_tuned`] and
+/// [`Machine::fork`]. Every
 /// field is a pure speed choice — all settings are bit-identical — so a
 /// snapshot taken under one engine may resume under another. `None`
 /// keeps the donor machine's setting from the tuning echo.
@@ -177,6 +182,18 @@ pub struct EngineTuning {
     pub threads: Option<usize>,
     /// Idle-cycle fast-forward on or off.
     pub fast_forward: Option<bool>,
+}
+
+impl EngineTuning {
+    /// Overwrites `cfg`'s speed knobs with the `Some` fields.
+    pub(crate) fn apply(self, cfg: &mut MachineConfig) {
+        if let Some(threads) = self.threads {
+            cfg.threads = threads.clamp(1, MAX_THREADS);
+        }
+        if let Some(fast_forward) = self.fast_forward {
+            cfg.fast_forward = fast_forward;
+        }
+    }
 }
 
 /// The parity digest a snapshot carries: FNV-1a over the canonical
@@ -259,12 +276,7 @@ impl Machine {
             return Err(WireError::Invalid("config echo names more PEs than state bytes").into());
         }
         cfg.decode_tuning_into(&mut r)?;
-        if let Some(threads) = tuning.threads {
-            cfg.threads = threads.clamp(1, MAX_THREADS);
-        }
-        if let Some(fast_forward) = tuning.fast_forward {
-            cfg.fast_forward = fast_forward;
-        }
+        tuning.apply(&mut cfg);
         let machine = Machine::decode_state(cfg, &mut r)?;
         let expected = r.u64()?;
         if !r.is_empty() {

@@ -8,7 +8,10 @@
 //! tuning (donor settings — sequential —, parallel, fast-forward off,
 //! forced-dense sweep) and driven to completion; all of them — and the
 //! donor machine continuing past its own snapshot — must digest to the
-//! baseline's parity string. The fault scenarios deliberately cut while
+//! baseline's parity string. `Machine::fork` is held to the same cuts
+//! with the codec as its reference: a fork under each tuning (and a fork
+//! of that fork) carries the restored machine's snapshot bytes, at the
+//! cut and again some cycles on, and running it leaves the donor alone. The fault scenarios deliberately cut while
 //! recovery machinery is live: one cut is searched for dynamically so a
 //! PNI retry is *pending* (a loss happened, its timeout has not fired)
 //! at snapshot time, and one scenario snapshots before a scheduled fault
@@ -96,12 +99,70 @@ fn tunings() -> Vec<(&'static str, EngineTuning, SweepMode)> {
     ]
 }
 
-/// The property at one cut point: donor-continue and every restored
-/// engine reach the baseline digest.
+/// The property at one cut point: donor-continue, every restored engine
+/// and every fork reach the baseline digest — and [`Machine::fork`] is
+/// the codec round trip without the codec: under each tuning the fork,
+/// and a fork of the fork, hold the restored machine's snapshot bytes at
+/// the cut and again `more` cycles on, where the donor's own bytes are
+/// the same (donor tuning), and running them leaves the donor alone.
 fn check_cut(make: &dyn Fn() -> Machine, baseline: &str, cut: u64, label: &str) {
     let mut donor = make();
     donor.run_for(cut);
     let snapshot = donor.snapshot();
+    let more = 1 + SplitMix64::new(cut).below(40) as u64;
+    for (engine, tuning, sweep) in tunings() {
+        let at = format!("{label} cut {cut} [{engine}]");
+        let mut restored = Machine::restore_tuned(&snapshot, tuning)
+            .unwrap_or_else(|e| panic!("{at}: restore failed: {e}"));
+        let mut fork = donor.fork(tuning);
+        let mut second = fork.fork(EngineTuning::default());
+        assert_eq!(fork.snapshot(), restored.snapshot(), "{at}: fork");
+        assert_eq!(
+            second.snapshot(),
+            restored.snapshot(),
+            "{at}: fork of a fork"
+        );
+        for m in [&mut restored, &mut fork, &mut second] {
+            m.set_sweep_mode(sweep);
+            m.run_for(more);
+        }
+        assert_eq!(
+            donor.snapshot(),
+            snapshot,
+            "{at}: running a fork moved the donor"
+        );
+        assert_eq!(fork.snapshot(), restored.snapshot(), "{at}: fork + {more}");
+        assert_eq!(
+            second.snapshot(),
+            restored.snapshot(),
+            "{at}: fork of a fork + {more}"
+        );
+        for (what, mut m) in [
+            ("restored", restored),
+            ("fork", fork),
+            ("fork of a fork", second),
+        ] {
+            assert!(m.run().completed, "{at}: {what} run must finish");
+            assert_eq!(
+                digest(&m),
+                baseline,
+                "{at}: {what} diverged from the uninterrupted run"
+            );
+        }
+    }
+    let mut fork = donor.fork(EngineTuning::default());
+    assert_eq!(
+        fork.snapshot(),
+        snapshot,
+        "{label} cut {cut}: fork under the donor's tuning"
+    );
+    donor.run_for(more);
+    fork.run_for(more);
+    assert_eq!(
+        fork.snapshot(),
+        donor.snapshot(),
+        "{label} cut {cut}: fork + {more} against run({cut} + {more})"
+    );
     assert!(
         donor.run().completed,
         "{label} cut {cut}: donor must finish"
@@ -109,29 +170,17 @@ fn check_cut(make: &dyn Fn() -> Machine, baseline: &str, cut: u64, label: &str) 
     assert_eq!(
         digest(&donor),
         baseline,
-        "{label} cut {cut}: snapshotting perturbed the donor"
+        "{label} cut {cut}: snapshotting and forking perturbed the donor"
     );
-    for (engine, tuning, sweep) in tunings() {
-        let mut restored = Machine::restore_tuned(&snapshot, tuning)
-            .unwrap_or_else(|e| panic!("{label} cut {cut} [{engine}]: restore failed: {e}"));
-        restored.set_sweep_mode(sweep);
-        assert!(
-            restored.run().completed,
-            "{label} cut {cut} [{engine}]: restored run must finish"
-        );
-        assert_eq!(
-            digest(&restored),
-            baseline,
-            "{label} cut {cut} [{engine}]: diverged from the uninterrupted run"
-        );
-    }
 }
 
+/// Checks `cuts` and one more cut drawn anywhere in the run.
 fn check_scenario(make: &dyn Fn() -> Machine, cuts: &[u64], label: &str) {
     let mut full = make();
     assert!(full.run().completed, "{label}: baseline must complete");
     let baseline = digest(&full);
-    for &cut in cuts {
+    let anywhere = 1 + SplitMix64::new(full.now()).below(full.now() as usize - 1) as u64;
+    for &cut in cuts.iter().chain([&anywhere]) {
         check_cut(make, &baseline, cut, label);
     }
 }

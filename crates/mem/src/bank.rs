@@ -20,6 +20,7 @@ use std::collections::VecDeque;
 use ultra_net::message::{Message, MsgId, MsgKind, Reply};
 use ultra_net::omega::ReplicatedOmega;
 use ultra_obs::GaugeSnapshot;
+use ultra_sim::heap::{deque_bytes, map_bytes};
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{Counter, Cycle, IdMap, MmId, Value};
 
@@ -154,6 +155,16 @@ impl MemBank {
             dead: false,
             seen: None,
         }
+    }
+
+    /// Heap bytes this bank owns: its touched words, queues and dedup
+    /// cache.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        map_bytes(&self.words)
+            + deque_bytes(&self.queue)
+            + deque_bytes(&self.outbox)
+            + self.seen.as_ref().map_or(0, map_bytes)
     }
 
     /// This module's id.

@@ -28,6 +28,7 @@
 //! injective. With an empty dead set the remap layer is structurally
 //! absent and translation is bit-identical to the healthy hasher.
 
+use ultra_sim::heap::vec_bytes;
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{MemAddr, MmId};
 
@@ -107,6 +108,12 @@ impl AddressHasher {
             dead_rank: Vec::new(),
             live: Vec::new(),
         }
+    }
+
+    /// Heap bytes this translator owns (none while every module lives).
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.dead_rank) + vec_bytes(&self.live)
     }
 
     /// Switches the hasher into degraded mode: words whose healthy

@@ -36,6 +36,7 @@ use crate::switch::{AcceptOutcome, Switches};
 use ultra_faults::FaultMask;
 use ultra_obs::{CounterSnapshot, HeatmapSnapshot};
 use ultra_sim::active::Walk;
+use ultra_sim::heap::vec_bytes;
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{ActiveSet, Cycle, WorkerPool};
 
@@ -156,6 +157,19 @@ impl OmegaNetwork {
             next_id: 1,
             mask: FaultMask::healthy(),
         }
+    }
+
+    /// Heap bytes this network owns: switches, route tables and link
+    /// state (the per-stage active sets and counters are a rounding error
+    /// beside them).
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.switches.heap_bytes()
+            + self.routes.heap_bytes()
+            + vec_bytes(&self.pe_link_free)
+            + vec_bytes(&self.mm_link_free)
+            + vec_bytes(&self.fwd_egress)
+            + vec_bytes(&self.rev_egress)
     }
 
     /// Installs the boot-time fault state of this copy.
@@ -770,6 +784,17 @@ impl ReplicatedOmega {
             lanes,
             failovers: 0,
         }
+    }
+
+    /// Heap bytes all copies own.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.lanes)
+            + self
+                .lanes
+                .iter()
+                .map(|lane| lane.net.heap_bytes())
+                .sum::<usize>()
     }
 
     /// Requests that a faulted copy refused and a healthy copy then

@@ -28,6 +28,7 @@
 //! serve requests ([`crate::message::Message`]) and replies
 //! ([`crate::message::Reply`]).
 
+use ultra_sim::heap::vec_bytes;
 use ultra_sim::Cycle;
 
 /// Names one [`Slot`] of a [`Slab`].
@@ -101,6 +102,12 @@ impl<T> Slab<T> {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Heap bytes the slab owns: its high-water mark of slots.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.slots)
     }
 
     /// Stores `item`, a message of `packets` packets, and names its slot.

@@ -15,6 +15,7 @@
 //! implements that register update; the simulator routes redundantly from
 //! the full `src`/`addr` fields and debug-asserts agreement.
 
+use ultra_sim::heap::vec_bytes;
 use ultra_sim::ids::digits;
 use ultra_sim::{MmId, PeId};
 
@@ -323,6 +324,16 @@ impl RouteTables {
                 .then(|| topo.k().trailing_zeros()),
             topo,
         }
+    }
+
+    /// Heap bytes the tables own.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.fwd_port)
+            + vec_bytes(&self.rev_port)
+            + vec_bytes(&self.shuffle)
+            + vec_bytes(&self.unshuffle)
+            + vec_bytes(&self.weight)
     }
 
     /// The wrapped wiring.

@@ -37,6 +37,7 @@ use crate::message::{Message, MsgId, Reply, ReplyKind};
 use crate::queue::{Handle, OutQueue, Slab};
 use crate::route::{RouteTables, Topology};
 use crate::stats::NetStats;
+use ultra_sim::heap::{map_bytes, vec_bytes};
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{Cycle, IdMap};
 
@@ -114,6 +115,19 @@ impl Switches {
             data_packets: cfg.data_packets,
             ctl_packets: cfg.ctl_packets,
         }
+    }
+
+    /// Heap bytes the switches own: port and cell columns, the wait
+    /// buffer and both message slabs.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.to_mm)
+            + vec_bytes(&self.to_pe)
+            + vec_bytes(&self.wait_len)
+            + vec_bytes(&self.combines)
+            + map_bytes(&self.wait)
+            + self.requests.heap_bytes()
+            + self.replies.heap_bytes()
     }
 
     fn cell(&self, stage: usize, switch: usize) -> usize {

@@ -29,6 +29,7 @@
 use ultra_faults::RetryPolicy;
 use ultra_mem::AddressHasher;
 use ultra_net::message::{Message, MsgId, MsgKind, Reply};
+use ultra_sim::heap::{map_bytes, vec_bytes};
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{Counter, Cycle, IdMap, MemAddr, PeId, Value};
 
@@ -176,6 +177,17 @@ impl Pni {
             pending: IdMap::default(),
             due_scratch: Vec::new(),
         }
+    }
+
+    /// Heap bytes this interface owns: its request tables and its copy of
+    /// the address translator.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        map_bytes(&self.by_location)
+            + map_bytes(&self.inflight)
+            + map_bytes(&self.pending)
+            + vec_bytes(&self.due_scratch)
+            + self.hasher.heap_bytes()
     }
 
     /// Enables the timeout/retry recovery protocol.

@@ -1,13 +1,22 @@
-//! The snapshot prefix cache.
+//! The prefix cache.
 //!
 //! Sweep batches repeat a prefix: many jobs share a machine shape, seed
 //! and workload and differ only in how far (or with what telemetry) they
 //! run. Each executing job deposits its checkpoints here keyed by
 //! [`crate::spec::JobSpec::prefix_key`]; a later job with the same key
-//! restores the latest checkpoint at or below its own cycle target and
-//! simulates only the suffix. Snapshot restore is bit-identical to
-//! having run the prefix (the core snapshot contract), so cached resumes
-//! change wall-clock only, never results.
+//! takes the latest checkpoint at or below its own cycle target and
+//! simulates only the suffix. The server stores restored machine images
+//! ([`crate::image::Image`]: a resume is a fork, never a decode); the
+//! cache itself is generic over what a checkpoint is, and defaults to
+//! `ULTRASNP` frames. Either way a checkpoint resumes bit-identically to
+//! having run the prefix, so cached resumes change wall-clock only, never
+//! results.
+//!
+//! The cache is bounded: all keys share one byte budget
+//! ([`CACHE_BUDGET_BYTES`]), each entry costs its [`Footprint`], and the
+//! least recently used entry — inserted or handed out longest ago — goes
+//! first. An ascending sweep keeps reading the entry it wrote last, so it
+//! never loses its resume point to its own history.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,9 +25,23 @@ use std::sync::{Arc, Mutex};
 use ultra_obs::metrics::Counter as MetricCounter;
 use ultra_sim::Cycle;
 
-/// Checkpoints kept per prefix key; the earliest is evicted first (late
-/// checkpoints cover more of any future job's prefix).
-const PER_KEY_CAP: usize = 8;
+/// Bytes of checkpoints the cache holds across all keys. One entry larger
+/// than this is still admitted, alone, so a sweep over a machine that
+/// outgrows the budget keeps resuming.
+pub const CACHE_BUDGET_BYTES: usize = 32 << 20;
+
+/// What one cached checkpoint costs against [`CACHE_BUDGET_BYTES`].
+pub trait Footprint {
+    /// Heap bytes the checkpoint keeps alive (an estimate will do; it is
+    /// read once, when the checkpoint is inserted).
+    fn footprint_bytes(&self) -> usize;
+}
+
+impl Footprint for Vec<u8> {
+    fn footprint_bytes(&self) -> usize {
+        self.len()
+    }
+}
 
 /// Live instruments the cache reports into (registered by
 /// `crate::obs::ServeObs::cache_meter`). The cache keeps its own local
@@ -30,25 +53,85 @@ pub struct CacheMeter {
     pub hits: Arc<MetricCounter>,
     /// Lookups that found nothing.
     pub misses: Arc<MetricCounter>,
-    /// Checkpoints evicted by the per-key cap.
+    /// Checkpoints evicted to stay inside the byte budget.
     pub evictions: Arc<MetricCounter>,
 }
 
-/// Checkpoints of one prefix, indexed by the cycle they were taken at.
-type Checkpoints = BTreeMap<Cycle, Arc<Vec<u8>>>;
+struct Entry<T> {
+    payload: Arc<T>,
+    bytes: usize,
+    /// This entry's key in [`Shelf::lru`].
+    used: u64,
+}
 
-/// Shared snapshot store (see the module docs). Cheap to clone handles
-/// via [`Arc`]; interior mutability throughout.
-#[derive(Default)]
-pub struct SnapshotCache {
-    by_key: Mutex<HashMap<String, Checkpoints>>,
+/// Everything behind the cache's one lock.
+struct Shelf<T> {
+    /// Checkpoints of each prefix, indexed by the cycle they were taken at.
+    by_key: HashMap<Arc<str>, BTreeMap<Cycle, Entry<T>>>,
+    /// Use stamp → entry, oldest first: the eviction order.
+    lru: BTreeMap<u64, (Arc<str>, Cycle)>,
+    clock: u64,
+    bytes: usize,
+}
+
+impl<T> Shelf<T> {
+    fn stamp(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// The latest checkpoint of `key` at or below `cycle`, which becomes
+    /// the most recently used.
+    fn touch_best(&mut self, key: &str, cycle: Cycle) -> Option<(Cycle, Arc<T>)> {
+        let used = self.stamp();
+        let (&at, entry) = self.by_key.get_mut(key)?.range_mut(..=cycle).next_back()?;
+        let slot = self.lru.remove(&entry.used).expect("every entry is listed");
+        self.lru.insert(used, slot);
+        entry.used = used;
+        Some((at, Arc::clone(&entry.payload)))
+    }
+
+    /// Takes `(key, cycle)` off the shelf, if it is there.
+    fn remove(&mut self, key: &str, cycle: Cycle) -> Option<Arc<T>> {
+        let slots = self.by_key.get_mut(key)?;
+        let entry = slots.remove(&cycle)?;
+        if slots.is_empty() {
+            self.by_key.remove(key);
+        }
+        self.lru.remove(&entry.used);
+        self.bytes -= entry.bytes;
+        Some(entry.payload)
+    }
+}
+
+/// Shared checkpoint store (see the module docs). Interior mutability
+/// throughout; share it by reference.
+pub struct SnapshotCache<T = Vec<u8>> {
+    shelf: Mutex<Shelf<T>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     meter: Option<CacheMeter>,
 }
 
-impl SnapshotCache {
+impl<T> Default for SnapshotCache<T> {
+    fn default() -> Self {
+        Self {
+            shelf: Mutex::new(Shelf {
+                by_key: HashMap::new(),
+                lru: BTreeMap::new(),
+                clock: 0,
+                bytes: 0,
+            }),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            meter: None,
+        }
+    }
+}
+
+impl<T: Footprint> SnapshotCache<T> {
     /// An empty cache.
     #[must_use]
     pub fn new() -> Self {
@@ -65,16 +148,34 @@ impl SnapshotCache {
         }
     }
 
-    /// Deposits a checkpoint of `key` taken at `cycle`.
-    pub fn insert(&self, key: &str, cycle: Cycle, snapshot: Vec<u8>) {
+    /// Deposits a checkpoint of `key` taken at `cycle`, replacing one
+    /// already there, then evicts least-recently-used checkpoints until
+    /// the cache is back inside [`CACHE_BUDGET_BYTES`] or holds nothing
+    /// but the newcomer.
+    pub fn insert(&self, key: &str, cycle: Cycle, checkpoint: T) {
+        let bytes = checkpoint.footprint_bytes();
+        // Dropped after the lock is released: freeing a checkpoint (or
+        // sending an image home) is not the cache's critical section.
+        let mut displaced = Vec::new();
         let mut evicted = 0;
         {
-            let mut map = self.by_key.lock().expect("cache poisoned");
-            let slots = map.entry(key.to_owned()).or_default();
-            slots.insert(cycle, Arc::new(snapshot));
-            while slots.len() > PER_KEY_CAP {
-                let earliest = *slots.keys().next().expect("non-empty");
-                slots.remove(&earliest);
+            let mut shelf = self.shelf.lock().expect("cache poisoned");
+            displaced.extend(shelf.remove(key, cycle));
+            let used = shelf.stamp();
+            let key: Arc<str> = Arc::from(key);
+            shelf.lru.insert(used, (Arc::clone(&key), cycle));
+            shelf.bytes += bytes;
+            shelf.by_key.entry(key).or_default().insert(
+                cycle,
+                Entry {
+                    payload: Arc::new(checkpoint),
+                    bytes,
+                    used,
+                },
+            );
+            while shelf.bytes > CACHE_BUDGET_BYTES && shelf.lru.len() > 1 {
+                let (_, (key, cycle)) = shelf.lru.pop_first().expect("more than one entry");
+                displaced.extend(shelf.remove(&key, cycle));
                 evicted += 1;
             }
         }
@@ -87,29 +188,23 @@ impl SnapshotCache {
     }
 
     /// The latest checkpoint of `key` at or below `cycle`, if any.
-    /// Counts a hit or a miss.
+    /// Counts a hit or a miss; a hit makes the checkpoint the most
+    /// recently used.
     #[must_use]
-    pub fn best_at_or_below(&self, key: &str, cycle: Cycle) -> Option<(Cycle, Arc<Vec<u8>>)> {
-        let map = self.by_key.lock().expect("cache poisoned");
-        let found = map.get(key).and_then(|slots| {
-            slots
-                .range(..=cycle)
-                .next_back()
-                .map(|(&at, snap)| (at, Arc::clone(snap)))
-        });
-        match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(meter) = &self.meter {
-                    meter.hits.incr();
-                }
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if let Some(meter) = &self.meter {
-                    meter.misses.incr();
-                }
-            }
+    pub fn best_at_or_below(&self, key: &str, cycle: Cycle) -> Option<(Cycle, Arc<T>)> {
+        let found = self
+            .shelf
+            .lock()
+            .expect("cache poisoned")
+            .touch_best(key, cycle);
+        let meter = self.meter.as_ref();
+        let (local, metered) = match found {
+            Some(_) => (&self.hits, meter.map(|m| &m.hits)),
+            None => (&self.misses, meter.map(|m| &m.misses)),
+        };
+        local.fetch_add(1, Ordering::Relaxed);
+        if let Some(counter) = metered {
+            counter.incr();
         }
         found
     }
@@ -126,7 +221,7 @@ impl SnapshotCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Checkpoints evicted by the per-key cap since construction.
+    /// Checkpoints evicted by the byte budget since construction.
     #[must_use]
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
@@ -135,12 +230,7 @@ impl SnapshotCache {
     /// Total checkpoints currently held, across all keys.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.by_key
-            .lock()
-            .expect("cache poisoned")
-            .values()
-            .map(BTreeMap::len)
-            .sum()
+        self.shelf.lock().expect("cache poisoned").lru.len()
     }
 
     /// Whether the cache holds no checkpoints.
@@ -148,11 +238,31 @@ impl SnapshotCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Accounted bytes of the checkpoints currently held: the sum of
+    /// their footprints, at most [`CACHE_BUDGET_BYTES`] unless a single
+    /// oversized checkpoint is held alone.
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        self.shelf.lock().expect("cache poisoned").bytes
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A checkpoint that says what it costs.
+    struct Blob(u8, usize);
+
+    impl Footprint for Blob {
+        fn footprint_bytes(&self) -> usize {
+            self.1
+        }
+    }
+
+    /// A quarter of the budget: four fit, the fifth evicts.
+    const QUARTER: usize = CACHE_BUDGET_BYTES / 4;
 
     #[test]
     fn returns_the_latest_checkpoint_at_or_below_the_target() {
@@ -167,23 +277,39 @@ mod tests {
         assert!(cache.best_at_or_below("k", 50).is_none());
         assert!(cache.best_at_or_below("other", 1000).is_none());
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
+        assert_eq!((cache.len(), cache.bytes()), (3, 3));
     }
 
     #[test]
-    fn evicts_earliest_checkpoints_beyond_the_per_key_cap() {
+    fn evicts_least_recently_used_checkpoints_beyond_the_byte_budget() {
         let cache = SnapshotCache::new();
-        for cycle in 1..=(PER_KEY_CAP as Cycle + 3) {
-            cache.insert("k", cycle * 10, vec![cycle as u8]);
+        for cycle in 1..=4 {
+            cache.insert("k", cycle * 10, Blob(cycle as u8, QUARTER));
         }
-        assert_eq!(cache.len(), PER_KEY_CAP);
-        assert!(
-            cache.best_at_or_below("k", 30).is_none(),
-            "earliest checkpoints were evicted"
-        );
-        let (at, _) = cache
-            .best_at_or_below("k", Cycle::MAX)
-            .expect("latest survives");
-        assert_eq!(at, (PER_KEY_CAP as Cycle + 3) * 10);
+        assert_eq!((cache.len(), cache.bytes()), (4, CACHE_BUDGET_BYTES));
+        // A hit is a use: cycle 10 is now younger than 20, 30 and 40.
+        assert_eq!(cache.best_at_or_below("k", 10).unwrap().1 .0, 1);
+        cache.insert("other", 7, Blob(5, QUARTER));
+        cache.insert("k", 50, Blob(6, QUARTER));
+        assert_eq!((cache.len(), cache.bytes()), (4, CACHE_BUDGET_BYTES));
+        assert_eq!(cache.evictions(), 2);
+        let (at, _) = cache.best_at_or_below("k", 39).expect("10 survives");
+        assert_eq!(at, 10, "20 and 30 were the least recently used");
+        assert!(cache.best_at_or_below("other", 7).is_some());
+
+        // Replacing a checkpoint is not an eviction and is charged once.
+        cache.insert("k", 50, Blob(7, 1));
+        assert_eq!(cache.evictions(), 2);
+        assert_eq!(cache.bytes(), 3 * QUARTER + 1);
+        assert_eq!(cache.best_at_or_below("k", 50).unwrap().1 .0, 7);
+
+        // One entry larger than the whole budget is admitted, alone.
+        cache.insert("huge", 1, Blob(8, CACHE_BUDGET_BYTES + 1));
+        assert_eq!((cache.len(), cache.bytes()), (1, CACHE_BUDGET_BYTES + 1));
+        assert_eq!(cache.evictions(), 6);
+        assert!(cache.best_at_or_below("k", Cycle::MAX).is_none());
+        cache.insert("k", 60, Blob(9, 1));
+        assert_eq!((cache.len(), cache.bytes()), (1, 1), "and goes first");
     }
 
     #[test]
@@ -194,8 +320,8 @@ mod tests {
             evictions: Arc::new(MetricCounter::new()),
         };
         let cache = SnapshotCache::with_meter(meter.clone());
-        for cycle in 1..=(PER_KEY_CAP as Cycle + 2) {
-            cache.insert("k", cycle * 10, vec![cycle as u8]);
+        for cycle in 1..=6 {
+            cache.insert("k", cycle * 10, Blob(cycle as u8, QUARTER));
         }
         assert_eq!(cache.evictions(), 2);
         assert_eq!(meter.evictions.get(), 2);

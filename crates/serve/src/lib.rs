@@ -11,12 +11,18 @@
 //! * a bounded **priority queue** ([`queue::JobQueue`]) feeding a worker
 //!   pool, with per-job cancellation and wall-clock timeouts polled at
 //!   checkpoint boundaries;
-//! * a **snapshot prefix cache** ([`cache::SnapshotCache`]): every job
-//!   checkpoints its machine at a configurable cadence via
-//!   [`Machine::snapshot`], and a later job whose
-//!   [`spec::JobSpec::prefix_key`] matches restores the latest
-//!   checkpoint at or below its own cycle target instead of re-simulating
-//!   the shared prefix — bit-identical by the core snapshot contract;
+//! * a **prefix cache** ([`cache::SnapshotCache`]) of machine images
+//!   ([`image::Image`]): every job leaves a checkpoint at a configurable
+//!   cadence — a [`Machine::fork`] of the running machine, and at the
+//!   end the machine itself — and a later job whose
+//!   [`spec::JobSpec::prefix_key`] matches forks the latest checkpoint at
+//!   or below its own cycle target instead of re-simulating the shared
+//!   prefix. A fork is what a snapshot round trip returns (the core
+//!   crate's tests hold it to the `ULTRASNP` codec byte for byte), so a
+//!   resume is bit-identical; no snapshot is encoded or decoded anywhere
+//!   in the service. The cache holds at most
+//!   [`cache::CACHE_BUDGET_BYTES`] of images, least recently used out
+//!   first, and an evicted image is freed by the worker that built it;
 //! * the **workload registry** ([`spec::Workload`]): deterministic
 //!   programs parameterized by `(pes, rounds)`;
 //! * an optional **observability hub** ([`obs::ServeObs`], enabled via
@@ -37,6 +43,7 @@
 //! standard.
 
 pub mod cache;
+pub mod image;
 pub mod json;
 pub mod listen;
 pub mod obs;
@@ -57,6 +64,7 @@ use ultracomputer::machine::Machine;
 use ultracomputer::{EngineTuning, MachineReport};
 
 use crate::cache::SnapshotCache;
+use crate::image::Image;
 use crate::obs::{JobPhase, JobTrace, ObsOptions, ServeObs, SpanRecord};
 use crate::queue::JobQueue;
 use crate::spec::JobSpec;
@@ -164,12 +172,12 @@ pub(crate) struct Submission {
     pub(crate) reply: mpsc::Sender<JobOutcome>,
 }
 
-/// The resident service: cache + cancellation registry + optional
+/// The resident service: image cache + cancellation registry + optional
 /// observability hub. One instance outlives many batches; the prefix
 /// cache persists across them.
 #[derive(Default)]
 pub struct Server {
-    cache: SnapshotCache,
+    cache: SnapshotCache<Image>,
     cancels: Mutex<HashMap<String, Arc<AtomicBool>>>,
     obs: Option<Arc<ServeObs>>,
 }
@@ -204,7 +212,7 @@ impl Server {
     #[must_use]
     pub fn render_metrics(&self) -> Option<String> {
         let obs = self.obs.as_ref()?;
-        obs.set_cache_checkpoints(self.cache.len());
+        obs.set_cache_size(self.cache.len(), self.cache.bytes());
         Some(obs.render_prometheus())
     }
 
@@ -213,7 +221,7 @@ impl Server {
     #[must_use]
     pub fn metrics_json(&self) -> Option<String> {
         let obs = self.obs.as_ref()?;
-        obs.set_cache_checkpoints(self.cache.len());
+        obs.set_cache_size(self.cache.len(), self.cache.bytes());
         Some(obs.metrics_json())
     }
 
@@ -224,9 +232,9 @@ impl Server {
         Some(self.obs.as_ref()?.trace_json())
     }
 
-    /// The snapshot prefix cache (for stats and tests).
+    /// The prefix cache (for stats and tests).
     #[must_use]
-    pub fn cache(&self) -> &SnapshotCache {
+    pub fn cache(&self) -> &SnapshotCache<Image> {
         &self.cache
     }
 
@@ -251,10 +259,11 @@ impl Server {
     ///
     /// The execution loop is slice-based: `run_for(checkpoint_every)`
     /// until the workload completes or the budget is spent, depositing a
-    /// snapshot in the prefix cache after every slice (checkpoint-on-
-    /// budget comes for free: the final checkpoint of a budget-exhausted
-    /// job *is* the resume point for the next, longer job). Cancellation
-    /// and timeout are polled between slices.
+    /// fork of the machine in the prefix cache after every slice but the
+    /// last and the machine itself after that (checkpoint-on-budget comes
+    /// for free: the final checkpoint of a budget-exhausted job *is* the
+    /// resume point for the next, longer job). Cancellation and timeout
+    /// are polled between slices.
     pub fn run_job(&self, spec: &JobSpec) -> JobOutcome {
         self.run_job_ctx(spec, JobCtx::detached())
     }
@@ -264,13 +273,17 @@ impl Server {
     /// spans. All observability is recorded on the side — the machine,
     /// slice loop and result line are untouched by it.
     pub fn run_job_ctx(&self, spec: &JobSpec, ctx: JobCtx) -> JobOutcome {
-        self.execute(spec, ctx).0
+        let outcome = self.execute(spec, ctx).0;
+        image::free_returned();
+        outcome
     }
 
-    /// Runs one job and returns its outcome together with the machine
-    /// it ran on, so a worker can deliver the outcome first and pay for
-    /// tearing the machine down afterwards.
-    fn execute(&self, spec: &JobSpec, ctx: JobCtx) -> (JobOutcome, Machine) {
+    /// Runs one job and returns its outcome. The machine it ran on has
+    /// gone into the prefix cache as the job's last checkpoint; when it
+    /// made no progress past a checkpoint the cache already holds, it
+    /// comes back instead, so a worker can deliver the outcome first and
+    /// pay for tearing it down afterwards.
+    fn execute(&self, spec: &JobSpec, ctx: JobCtx) -> (JobOutcome, Option<Machine>) {
         let started = Instant::now();
         let seq = self.obs.as_ref().map_or(0, |o| o.next_job_seq());
         let queue_wait_us = ctx.enqueued_at.map(|t| {
@@ -301,36 +314,30 @@ impl Server {
         };
 
         // Resume from the best cached prefix, unless this job wants
-        // telemetry (a snapshot carries no telemetry history, so a
+        // telemetry (an image carries no telemetry history, so a
         // telemetry series must start from cycle 0 to be complete).
         let restore_started = Instant::now();
-        let mut machine = None;
-        if spec.telemetry_window.is_none() {
-            if let Some((cycle, snap)) = self.cache.best_at_or_below(&key, spec.cycles) {
-                let tuning = EngineTuning {
-                    threads: Some(spec.threads),
-                    ..EngineTuning::default()
-                };
-                match Machine::restore_tuned(&snap, tuning) {
-                    Ok(m) => {
-                        let msg =
-                            format!("cache hit: job `{}` resumed from cycle {cycle}", spec.id);
-                        flight(FlightLevel::Info, "cache", &msg);
-                        log.push(msg);
-                        machine = Some(m);
-                    }
-                    Err(e) => {
-                        let msg = format!(
-                            "cache snapshot for job `{}` rejected ({e}); running from cycle 0",
-                            spec.id
-                        );
-                        flight(FlightLevel::Warn, "cache", &msg);
-                        log.push(msg);
-                    }
-                }
+        let tuning = EngineTuning {
+            threads: Some(spec.threads),
+            ..EngineTuning::default()
+        };
+        let resumed = match spec.telemetry_window {
+            None => self.cache.best_at_or_below(&key, spec.cycles),
+            Some(_) => None,
+        };
+        // The cycle at which the cache is known to hold this machine's
+        // state (0: a machine nobody has run is not worth holding).
+        let mut shelved_at = 0;
+        let mut m = match resumed {
+            Some((cycle, image)) => {
+                let msg = format!("cache hit: job `{}` resumed from cycle {cycle}", spec.id);
+                flight(FlightLevel::Info, "cache", &msg);
+                log.push(msg);
+                shelved_at = cycle;
+                image.machine().fork(tuning)
             }
-        }
-        let mut m = machine.unwrap_or_else(|| spec.machine());
+            None => spec.machine(),
+        };
         if let Some(window) = spec.telemetry_window {
             m.enable_telemetry(window, TELEMETRY_CAPACITY);
         }
@@ -355,7 +362,12 @@ impl Server {
             }
             let slice_started = Instant::now();
             let outcome = m.run_for(remaining.min(spec.checkpoint_every));
-            self.cache.insert(&key, m.now(), m.snapshot());
+            // The job's last slice deposits nothing here: the machine
+            // itself goes into the cache once the result is rendered.
+            if !outcome.completed && m.now() < spec.cycles {
+                self.cache.insert(&key, m.now(), Image::copy_of(&m));
+                shelved_at = m.now();
+            }
             if let Some(obs) = &self.obs {
                 obs.observe_slice(elapsed_us(slice_started));
             }
@@ -448,14 +460,24 @@ impl Server {
             line,
             log,
         };
-        (outcome, m)
+        // In the cache before the outcome is out, so that a client holding
+        // the result can count on a longer job resuming from it.
+        let leftover = if m.now() > shelved_at {
+            self.cache.insert(&key, m.now(), Image::new(m));
+            None
+        } else {
+            Some(m)
+        };
+        (outcome, leftover)
     }
 
     /// One worker's life, shared by batch and listen mode: pop a
     /// submission, run it, hand the outcome to whoever waits for it,
-    /// and only then free the machine — teardown of a large machine is
-    /// a measurable share of a short job and must not sit in front of
-    /// the reply. Returns once `queue` is closed and drained.
+    /// and only then free machines — the job's own if the cache did not
+    /// take it, and the images this worker built that were evicted since
+    /// ([`image::free_returned`]). Teardown of a large machine is a
+    /// measurable share of a short job and must not sit in front of the
+    /// reply. Returns once `queue` is closed and drained.
     pub(crate) fn work(&self, worker: usize, queue: &JobQueue<Submission>) {
         let mut idle_since = Instant::now();
         while let Some(sub) = queue.pop() {
@@ -467,11 +489,12 @@ impl Server {
                 worker,
                 enqueued_at: Some(sub.enqueued_at),
             };
-            let (outcome, machine) = self.execute(&sub.spec, ctx);
+            let (outcome, leftover) = self.execute(&sub.spec, ctx);
             // A receiver that is gone (a disconnected client) just
             // drops its results.
             let _ = sub.reply.send(outcome);
-            drop(machine);
+            drop(leftover);
+            image::free_returned();
             if let Some(obs) = &self.obs {
                 obs.worker_busy(worker, elapsed_us(busy_since));
             }

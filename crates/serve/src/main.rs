@@ -221,11 +221,12 @@ fn run_batch_mode(server: &Server, path: &str, opts: &Options) -> ExitCode {
         "",
         "batch",
         &format!(
-            "{done}/{submitted} jobs done ({failed_jobs} failed); cache: {} hits, {} misses, {} evictions, {} checkpoints",
+            "{done}/{submitted} jobs done ({failed_jobs} failed); cache: {} hits, {} misses, {} evictions, {} checkpoints, {} bytes",
             server.cache().hits(),
             server.cache().misses(),
             server.cache().evictions(),
-            server.cache().len()
+            server.cache().len(),
+            server.cache().bytes()
         ),
     );
     if had_error || done != submitted || failed_jobs > 0 {

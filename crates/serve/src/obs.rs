@@ -6,7 +6,7 @@
 //! and owns four views of the running service:
 //!
 //! * a [`MetricsRegistry`] of live instruments — queue depth and
-//!   enqueue/dequeue counts, snapshot-cache hits/misses/evictions,
+//!   enqueue/dequeue counts, prefix-cache hits/misses/evictions,
 //!   per-worker busy/idle time, jobs by terminal status, reply
 //!   writes/lines/bytes of the connection writers — rendered on
 //!   demand as a Prometheus text exposition;
@@ -52,7 +52,7 @@ pub enum JobPhase {
     Parse,
     /// Sitting in the bounded priority queue.
     QueueWait,
-    /// Acquiring a machine: snapshot-cache lookup plus restore, or a
+    /// Acquiring a machine: prefix-cache lookup plus fork, or a
     /// fresh build.
     Restore,
     /// The `run_for` checkpoint-slice loop — the simulation itself.
@@ -159,6 +159,7 @@ pub struct ServeObs {
     epoch: Instant,
     trace_jobs: bool,
     cache_checkpoints: Arc<Gauge>,
+    cache_bytes: Arc<Gauge>,
     slice_us: Mutex<Histogram>,
     protocol_errors: Arc<Counter>,
     reply_writes: Arc<Counter>,
@@ -188,7 +189,12 @@ impl ServeObs {
         let cache_checkpoints = registry.gauge(
             "ultra_serve_cache_checkpoints",
             &[],
-            "snapshots currently held by the prefix cache",
+            "machine images currently held by the prefix cache",
+        );
+        let cache_bytes = registry.gauge(
+            "ultra_serve_cache_bytes",
+            &[],
+            "estimated heap bytes of the images the prefix cache holds",
         );
         let protocol_errors = registry.counter(
             "ultra_serve_protocol_errors_total",
@@ -217,6 +223,7 @@ impl ServeObs {
             epoch: Instant::now(),
             trace_jobs: opts.trace_jobs,
             cache_checkpoints,
+            cache_bytes,
             slice_us: Mutex::default(),
             protocol_errors,
             reply_writes,
@@ -320,7 +327,7 @@ impl ServeObs {
         }
     }
 
-    /// Handles to the snapshot-cache instruments, for wiring a
+    /// Handles to the prefix-cache instruments, for wiring a
     /// [`crate::cache::SnapshotCache`].
     #[must_use]
     pub fn cache_meter(&self) -> CacheMeter {
@@ -411,10 +418,12 @@ impl ServeObs {
             .incr();
     }
 
-    /// Publishes the prefix cache's current checkpoint count (read at
-    /// exposition time by [`crate::Server::render_metrics`]).
-    pub fn set_cache_checkpoints(&self, len: usize) {
+    /// Publishes the prefix cache's current checkpoint count and
+    /// accounted bytes (read at exposition time by
+    /// [`crate::Server::render_metrics`]).
+    pub fn set_cache_size(&self, len: usize, bytes: usize) {
         self.cache_checkpoints.set(len as i64);
+        self.cache_bytes.set(bytes as i64);
     }
 
     /// Retains one job's lifecycle spans for the trace export (no-op

@@ -6,7 +6,7 @@
 //! cadence, priority, timeout). Everything that affects *simulation
 //! state* folds into [`JobSpec::prefix_key`] — two jobs with equal keys
 //! walk bit-identical cycle sequences, which is what lets a sweep job
-//! resume from another job's cached snapshot.
+//! resume from another job's cached checkpoint.
 
 use std::collections::BTreeMap;
 
@@ -17,7 +17,7 @@ use ultracomputer::program::{body, Expr, Op, Program};
 
 use crate::json::Json;
 
-/// Default checkpoint cadence in cycles: snapshots land in the prefix
+/// Default checkpoint cadence in cycles: checkpoints land in the prefix
 /// cache (and cancellation/timeout are polled) every this many cycles.
 pub const DEFAULT_CHECKPOINT_EVERY: Cycle = 4096;
 
@@ -232,7 +232,7 @@ pub struct JobSpec {
     /// Total cycle budget: the job runs until the workload completes or
     /// the machine reaches this cycle, whichever is first.
     pub cycles: Cycle,
-    /// Checkpoint cadence: snapshot (and poll cancellation/timeout)
+    /// Checkpoint cadence: checkpoint (and poll cancellation/timeout)
     /// every this many cycles.
     pub checkpoint_every: Cycle,
     /// Queue priority (higher runs first; FIFO among equals).
@@ -241,7 +241,7 @@ pub struct JobSpec {
     pub timeout_ms: Option<u64>,
     /// When set, attach cycle-windowed telemetry with this window to the
     /// result. Telemetry jobs never *resume* from the prefix cache (a
-    /// snapshot carries no telemetry history) but still seed it.
+    /// checkpoint carries no telemetry history) but still seed it.
     pub telemetry_window: Option<u64>,
     /// Static fault plan.
     pub faults: FaultSpec,
@@ -406,7 +406,7 @@ impl JobSpec {
     /// `max_cycles` is pinned to `Cycle::MAX` — the job's budget is
     /// enforced by the server through [`Machine::run_for`] slices, so
     /// jobs differing only in budget share one config identity (and
-    /// therefore one snapshot-cache prefix).
+    /// therefore one prefix-cache key).
     #[must_use]
     pub fn machine(&self) -> Machine {
         let mut b = MachineBuilder::new(self.pes)
@@ -434,7 +434,7 @@ impl JobSpec {
         ultra_workloads::Serving::new(self.rounds.max(1) as usize, self.mean_gap).seed(self.seed)
     }
 
-    /// The snapshot-cache key: every field that shapes simulation state,
+    /// The prefix-cache key: every field that shapes simulation state,
     /// and nothing that doesn't. Budget, priority, timeout, telemetry,
     /// checkpoint cadence, engine threads and the job id are all
     /// excluded — jobs differing only in those walk bit-identical cycle

@@ -13,6 +13,7 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 
 use ultra_obs::flight::FlightLevel;
+use ultra_serve::cache::CACHE_BUDGET_BYTES;
 use ultra_serve::obs::ObsOptions;
 use ultra_serve::spec::{JobSpec, Workload};
 use ultra_serve::{JobOutcome, JobStatus, Server};
@@ -202,6 +203,78 @@ fn telemetry_jobs_attach_a_series_and_never_resume_from_cache() {
     // simulation (same parity digest, different id).
     let solo = Server::new().run_job(&plain);
     assert_eq!(field(&out.line, "parity"), field(&solo.line, "parity"));
+
+    // The converse: a telemetry job seeds the cache like any other, but
+    // what a later job forks from carries none of its observer state.
+    let server = Server::new();
+    let mut first = observed.clone();
+    first.cycles = 150;
+    first.checkpoint_every = 64;
+    let first_out = server.run_job(&first);
+    assert_eq!(field(&first_out.line, "status"), "budget-exhausted");
+    assert!(first_out.line.contains("\"telemetry\": {"));
+    for at in [64, 128, 150] {
+        let (cycle, image) = server
+            .cache()
+            .best_at_or_below(&plain.prefix_key(), at)
+            .expect("every slice of the telemetry job left a checkpoint");
+        assert_eq!(cycle, at);
+        let m = image.machine();
+        assert!(!m.telemetry().is_enabled() && m.telemetry().is_empty());
+        assert!(m.trace().is_empty() && m.phase_spans().is_empty());
+    }
+    let resumed = server.run_job(&plain);
+    assert!(
+        resumed
+            .log
+            .iter()
+            .any(|l| l.contains("resumed from cycle 150")),
+        "the plain job must resume from the telemetry job's last checkpoint: {:?}",
+        resumed.log
+    );
+    assert_eq!(
+        resumed.line, solo.line,
+        "resumed from a telemetry job's image"
+    );
+    assert!(!resumed.line.contains("telemetry"));
+}
+
+#[test]
+fn four_hundred_prefixes_stay_inside_the_cache_budget() {
+    // A client cycling seeds used to grow the server without limit: every
+    // key kept its checkpoints for ever. Now all keys share one budget.
+    let server = Server::new();
+    let specs: Vec<JobSpec> = (0..400)
+        .map(|seed| {
+            let mut spec = JobSpec::new(&format!("seed-{seed}"));
+            spec.pes = 64;
+            spec.seed = seed;
+            spec.workload = Workload::Ticket;
+            spec.rounds = 1;
+            spec
+        })
+        .collect();
+    let cache = server.cache();
+    let mut peak = 0;
+    let done = server.run_batch(specs, 2, 16, |out| {
+        assert_eq!(out.status, JobStatus::Completed);
+        peak = peak.max(cache.bytes());
+    });
+    assert_eq!(done, 400);
+    assert!(
+        cache.evictions() > 0 && cache.len() < 400,
+        "400 x 64 PEs must not fit: {} images, {} bytes",
+        cache.len(),
+        cache.bytes()
+    );
+    assert_eq!(cache.evictions() + cache.len() as u64, 400);
+    // No image of this shape is anywhere near the budget, so the
+    // allowance for one oversized entry held alone never applies.
+    assert!(
+        peak <= CACHE_BUDGET_BYTES,
+        "cache peaked at {peak} bytes, budget {CACHE_BUDGET_BYTES}"
+    );
+    assert!(cache.bytes() <= CACHE_BUDGET_BYTES);
 }
 
 #[test]
@@ -383,6 +456,8 @@ fn observability_never_changes_result_lines() {
         "ultra_serve_queue_enqueued_total",
         "ultra_serve_cache_hits_total",
         "ultra_serve_cache_misses_total",
+        "ultra_serve_cache_checkpoints",
+        "ultra_serve_cache_bytes",
         "ultra_serve_worker_busy_seconds_total",
         "ultra_serve_jobs_total{status=\"completed\"",
         "ultra_serve_job_latency_seconds{phase=\"total\"",

@@ -21,6 +21,8 @@
 //! * [`active`] — [`ActiveSet`], the one set type: a two-level bitset
 //!   (bits + summary + count) whose ascending member walk is what every
 //!   per-cycle loop in the network and the cycle engine iterates.
+//! * [`heap`] — capacity arithmetic for `Vec`, `VecDeque` and `HashMap`,
+//!   from which a machine estimates its own heap footprint.
 //! * [`pool`] — deterministic fork–join over mutable slices: the
 //!   persistent worker pool ([`pool::WorkerPool`]) the cycle engine
 //!   dispatches through every cycle.
@@ -45,6 +47,7 @@
 
 pub mod active;
 pub mod clock;
+pub mod heap;
 pub mod idmap;
 pub mod ids;
 pub mod inline_vec;

@@ -6,6 +6,7 @@
 
 use core::fmt;
 
+use crate::heap::vec_bytes;
 use crate::wire::{Wire, WireError, WireReader, WireWriter};
 
 /// A simple event counter.
@@ -99,6 +100,12 @@ impl Histogram {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Heap bytes the bins occupy.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.linear) + vec_bytes(&self.log)
     }
 
     /// Records one observation.
