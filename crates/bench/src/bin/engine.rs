@@ -1,8 +1,8 @@
 //! Cycle-engine throughput harness.
 //!
-//! Measures simulated-cycles/sec and PE·cycles/sec for the sequential and
-//! parallel engines at N ∈ {64, 256, 1024, 4096, 16384, 65536} on two
-//! workloads, and writes the rows to `BENCH_engine.json` at the repo root:
+//! Measures simulated-cycles/sec and PE·cycles/sec of the cycle engine at
+//! N ∈ {64, 256, 1024, 4096, 16384, 65536} on two workloads, and writes
+//! the rows to `BENCH_engine.json` at the repo root:
 //!
 //! * `ticket` — every PE hammers one combinable hot word (traffic scales
 //!   with N; measures the whole engine under load). The 65536 row runs in
@@ -10,24 +10,15 @@
 //! * `idle` — 16 ticket PEs inside the full fabric, every other PE halts
 //!   immediately (traffic is constant while topology grows; isolates the
 //!   word-packed sweep's *scale with traffic, not switches* claim).
-//!   Measured under both engines: the parallel rows price the sparse
-//!   dispatch — `run_sparse` must collapse to the inline member walk
-//!   when only 16 of 65536 shards are live, not fan out over dead air.
 //!
 //! Flags (combine freely):
 //!
 //! * `--quick` — CI-sized iteration counts (~10× shorter runs).
-//! * `--check` — instead of (over)writing the baseline: assert the
-//!   parallel engine is bit-identical to the sequential one on the E8 and
-//!   E14 harness configurations, assert every measured N produced the
-//!   same cycle count under both engines, fail if any row regressed more
-//!   than 35% in cycles/sec against the committed `BENCH_engine.json`
-//!   (matched by N + engine + workload), and compare parallel against
-//!   sequential at N ≥ 1024: with ≥ 4 cores parallel must be at least as
-//!   fast; with fewer the ratio is printed as information only (two
-//!   cores leave the fan-out no headroom, and the verdict on the
-//!   parallel engine is its own roadmap item). Exits non-zero on any
-//!   violation.
+//! * `--check` — instead of (over)writing the baseline: assert runs with
+//!   the idle fast-forward on and off are bit-identical on the E8 and E14
+//!   harness configurations, and fail if any row regressed more than 35%
+//!   in cycles/sec against the committed `BENCH_engine.json` (matched by
+//!   N + workload). Exits non-zero on any violation.
 //! * `--out <path>` — also write the freshly measured rows to `<path>`
 //!   (CI uploads this as an artifact so regressions can be diffed).
 //! * `--metrics-out <path>` — run one instrumented N = 1024 ticket
@@ -43,7 +34,6 @@
 //! regression gate is only meaningful across runs on comparable hardware.
 
 use std::path::PathBuf;
-use std::thread;
 use std::time::Instant;
 
 use ultra_bench::json::{flag_path, ObsFlags};
@@ -69,11 +59,6 @@ fn unknown_workload(name: &str) -> ! {
     );
     std::process::exit(2);
 }
-
-/// Cores a host needs before the parallel engine is *gated* against the
-/// sequential one (at N ≥ 1024 on the ticket workload it may then not
-/// measure below it at all). Narrower hosts only print the ratio.
-const PARALLEL_GATE_CORES: usize = 4;
 
 /// Every PE draws `iters` tickets from one combinable hot word and writes
 /// each ticket into a private slot — serialization-heavy, so the network,
@@ -124,9 +109,7 @@ fn idle_programs(n: usize, iters: i64) -> Vec<Program> {
 
 struct Row {
     n: usize,
-    engine: &'static str,
     workload: &'static str,
-    threads: usize,
     iters: i64,
     cycles: u64,
     wall_secs: f64,
@@ -142,16 +125,9 @@ impl Row {
 /// Best-of-`reps` measurement (minimum wall time): simulated cycles are
 /// deterministic across repetitions — asserted — so the fastest rep is
 /// the least-noisy estimate of the engine's cost.
-fn measure(
-    n: usize,
-    iters: i64,
-    workload: &'static str,
-    engine: &'static str,
-    threads: usize,
-    reps: u32,
-) -> (Row, RunOutcome) {
+fn measure(n: usize, iters: i64, workload: &'static str, reps: u32) -> Row {
     let build = || {
-        let b = MachineBuilder::new(n).threads(threads);
+        let b = MachineBuilder::new(n);
         match workload {
             "ticket" => b.build_spmd(&ticket_program(iters)),
             "idle" => {
@@ -166,7 +142,7 @@ fn measure(
         // Single-rep rows still need the process heap warmed at this
         // fabric size: the first-ever run at a new N pays first-touch
         // page faults for gigabyte-scale shard state, which would bill
-        // whichever engine happens to run first ~2x the steady cost.
+        // the measured run ~2x the steady cost.
         let mut warm = build();
         warm.run();
     }
@@ -188,25 +164,14 @@ fn measure(
         }
     }
     let (wall, out) = best.expect("reps >= 1");
-    let row = Row {
+    Row {
         n,
-        engine,
         workload,
-        threads,
         iters,
         cycles: out.cycles,
         wall_secs: wall,
         cycles_per_sec: out.cycles as f64 / wall,
-    };
-    (row, out)
-}
-
-fn host_threads() -> usize {
-    thread::available_parallelism().map_or(1, |p| p.get())
-}
-
-fn parallel_threads() -> usize {
-    host_threads().clamp(2, 4)
+    }
 }
 
 fn render_json(rows: &[Row]) -> String {
@@ -215,9 +180,7 @@ fn render_json(rows: &[Row]) -> String {
         .map(|r| {
             JsonObject::new()
                 .uint("n", r.n as u64)
-                .str("engine", r.engine)
                 .str("workload", r.workload)
-                .uint("threads", r.threads as u64)
                 .int("iters", r.iters)
                 .uint("cycles", r.cycles)
                 .float("wall_secs", r.wall_secs, 6)
@@ -226,13 +189,10 @@ fn render_json(rows: &[Row]) -> String {
                 .render()
         })
         .collect();
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut text = JsonObject::new()
         .str("bench", "engine")
-        .uint("host_threads", host_threads() as u64)
-        .uint("host_cores", host_threads() as u64)
-        // The harness does not pin worker threads to cores; recorded so a
-        // future pinned baseline is distinguishable from these rows.
-        .bool("pinned", false)
+        .uint("host_cores", cores as u64)
         .raw("rows", array_lines(&items, 4))
         .render();
     text.push('\n');
@@ -243,29 +203,22 @@ fn baseline_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json")
 }
 
-/// Finds the committed cycles/sec for `(n, engine, workload)` in the
-/// parsed baseline. Baselines written before the workload field existed
-/// implicitly measured the ticket workload, so a row without one matches
-/// `"ticket"` only.
-fn baseline_rate(baseline: &Json, n: usize, engine: &str, workload: &str) -> Option<f64> {
+/// Finds the committed cycles/sec for `(n, workload)` in the parsed
+/// baseline.
+fn baseline_rate(baseline: &Json, n: usize, workload: &str) -> Option<f64> {
     let rows = baseline.as_object()?.get("rows")?.as_array()?;
     rows.iter().filter_map(Json::as_object).find_map(|row| {
-        let row_workload = row.get("workload").map_or(Some("ticket"), Json::as_str);
-        (row.get("engine")?.as_str() == Some(engine)
-            && row.get("n")?.as_u64() == Some(n as u64)
-            && row_workload == Some(workload))
+        (row.get("n")?.as_u64() == Some(n as u64)
+            && row.get("workload")?.as_str() == Some(workload))
         .then(|| row.get("cycles_per_sec")?.as_f64())
         .flatten()
     })
 }
 
 /// Fails if any measured row regressed more than 35% in cycles/sec
-/// against the committed baseline row with the same (N, engine,
-/// workload). Missing baseline rows are skipped — a new N or workload is
-/// not a regression. On hosts with ≥ 4 cores, additionally fails unless
-/// the parallel engine measured at least as fast as sequential at
-/// N ≥ 1024 on the ticket workload (the persistent pool's reason to
-/// exist); narrower hosts print the same ratio as information.
+/// against the committed baseline row with the same (N, workload).
+/// Missing baseline rows are skipped — a new N or workload is not a
+/// regression.
 fn regression_gate(rows: &[Row]) -> Result<(), String> {
     let path = baseline_path();
     match std::fs::read_to_string(&path) {
@@ -273,19 +226,18 @@ fn regression_gate(rows: &[Row]) -> Result<(), String> {
             let baseline = parse(&baseline)
                 .map_err(|e| format!("{} is not valid JSON: {e}", path.display()))?;
             for row in rows {
-                let Some(committed) = baseline_rate(&baseline, row.n, row.engine, row.workload)
-                else {
+                let Some(committed) = baseline_rate(&baseline, row.n, row.workload) else {
                     continue;
                 };
                 let floor = 0.65 * committed;
                 println!(
-                    "gate n={} {} {}: {:.0} cycles/s vs committed {:.0} (floor {:.0})",
-                    row.n, row.engine, row.workload, row.cycles_per_sec, committed, floor
+                    "gate n={} {}: {:.0} cycles/s vs committed {:.0} (floor {:.0})",
+                    row.n, row.workload, row.cycles_per_sec, committed, floor
                 );
                 if row.cycles_per_sec < floor {
                     return Err(format!(
-                        "{} n={} ({}) regressed >35%: {:.0} cycles/s vs committed {:.0}",
-                        row.engine, row.n, row.workload, row.cycles_per_sec, committed
+                        "n={} ({}) regressed >35%: {:.0} cycles/s vs committed {:.0}",
+                        row.n, row.workload, row.cycles_per_sec, committed
                     ));
                 }
             }
@@ -295,39 +247,14 @@ fn regression_gate(rows: &[Row]) -> Result<(), String> {
             path.display()
         ),
     }
-    let gated = host_threads() >= PARALLEL_GATE_CORES;
-    for seq in rows
-        .iter()
-        .filter(|r| r.engine == "sequential" && r.workload == "ticket" && r.n >= 1024)
-    {
-        let Some(par) = rows
-            .iter()
-            .find(|r| r.engine == "parallel" && r.workload == "ticket" && r.n == seq.n)
-        else {
-            continue;
-        };
-        let label = if gated { "gate" } else { "info" };
-        let ratio = par.cycles_per_sec / seq.cycles_per_sec;
-        println!(
-            "{label} n={} parallel({}) = {ratio:.2}x sequential ({:.0} vs {:.0} cycles/s)",
-            seq.n, par.threads, par.cycles_per_sec, seq.cycles_per_sec
-        );
-        if gated && par.cycles_per_sec < seq.cycles_per_sec {
-            return Err(format!(
-                "parallel({}) below sequential at n={}: {:.0} vs {:.0} cycles/s",
-                par.threads, seq.n, par.cycles_per_sec, seq.cycles_per_sec
-            ));
-        }
-    }
     Ok(())
 }
 
 /// Bit-identity spot checks on the E8 (64 PEs, d = 1) and E14 (16 PEs,
-/// d = 2, copy 0 dead) harness configurations: sequential, parallel, and
-/// fast-forward-off runs must digest identically.
+/// d = 2, copy 0 dead) harness configurations: runs with the idle
+/// fast-forward on and off must digest identically.
 fn parity_check() -> Result<(), String> {
     type MakeBuilder = Box<dyn Fn() -> MachineBuilder>;
-    let threads = parallel_threads();
     let cases: [(&str, MakeBuilder, i64); 2] = [
         ("E8 n=64 d=1", Box::new(|| MachineBuilder::new(64)), 8),
         (
@@ -347,18 +274,10 @@ fn parity_check() -> Result<(), String> {
             m.run();
             MachineReport::from_machine(&m).parity_string()
         };
-        let seq = digest(make().threads(1));
-        let par = digest(make().threads(threads));
-        let stepped = digest(make().threads(1).fast_forward(false));
-        if seq != par {
-            return Err(format!(
-                "{label}: parallel({threads}) diverged from sequential"
-            ));
-        }
-        if seq != stepped {
+        if digest(make()) != digest(make().fast_forward(false)) {
             return Err(format!("{label}: fast-forward changed the simulation"));
         }
-        println!("parity {label}: sequential == parallel({threads}) == no-fast-forward");
+        println!("parity {label}: fast-forward == no-fast-forward");
     }
     Ok(())
 }
@@ -404,15 +323,18 @@ fn main() {
     // equal run lengths amortise it equally — the rows then compare
     // steady-state cycles, whose cost no longer depends on N.
     let idle_sizes = [1024, 4096, 16384, 65536].map(|n| (n, 200));
-    let threads = parallel_threads();
     // Big-fabric ticket rows run once: a single run is seconds long, so
     // best-of-reps buys nothing but triples the wall time.
     let reps_for = |n: usize| if n >= 16384 { 1 } else { 3 };
 
     let print_row = |r: &Row| {
         println!(
-            "n={:<5} {:<8} {:<10} threads={} cycles={:<8} wall={:.3}s  {:>10.0} cycles/s  {:>12.0} PE·cycles/s",
-            r.n, r.workload, r.engine, r.threads, r.cycles, r.wall_secs, r.cycles_per_sec,
+            "n={:<5} {:<8} cycles={:<8} wall={:.3}s  {:>10.0} cycles/s  {:>12.0} PE·cycles/s",
+            r.n,
+            r.workload,
+            r.cycles,
+            r.wall_secs,
+            r.cycles_per_sec,
             r.pe_cycles_per_sec()
         );
     };
@@ -421,37 +343,18 @@ fn main() {
         if !runs("ticket") {
             break;
         }
-        let reps = reps_for(n);
-        let (seq, seq_out) = measure(n, iters, "ticket", "sequential", 1, reps);
-        let (par, par_out) = measure(n, iters, "ticket", "parallel", threads, reps);
-        assert_eq!(
-            seq_out.cycles, par_out.cycles,
-            "engines disagreed on simulated time at n={n}"
-        );
-        print_row(&seq);
-        print_row(&par);
-        rows.push(seq);
-        rows.push(par);
+        let row = measure(n, iters, "ticket", reps_for(n));
+        print_row(&row);
+        rows.push(row);
     }
-    // Idle-heavy rows run under both engines: the sequential row prices
-    // the member walks themselves, the parallel row checks that sparse
-    // dispatch degrades to the same walk (16 live shards must not be
-    // scattered across a thread fan-out) instead of taxing it.
+    // Idle-heavy rows price the member walks themselves.
     for (n, iters) in idle_sizes {
         if !runs("idle") {
             break;
         }
-        let reps = reps_for(n);
-        let (seq, seq_out) = measure(n, iters, "idle", "sequential", 1, reps);
-        let (par, par_out) = measure(n, iters, "idle", "parallel", threads, reps);
-        assert_eq!(
-            seq_out.cycles, par_out.cycles,
-            "engines disagreed on simulated time at n={n} (idle)"
-        );
-        print_row(&seq);
-        print_row(&par);
-        rows.push(seq);
-        rows.push(par);
+        let row = measure(n, iters, "idle", reps_for(n));
+        print_row(&row);
+        rows.push(row);
     }
 
     if let Some(path) = &out_path {

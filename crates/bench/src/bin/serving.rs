@@ -11,15 +11,16 @@
 //! ```
 //!
 //! Every point is a deterministic function of `(pes, seed, requests,
-//! mean_gap)` — the same curve on every engine and every run, which is
+//! mean_gap)` — the same curve with fast-forward on or off and on every
+//! run, which is
 //! what lets CI diff the artifact byte-for-byte. Flags:
 //!
 //! * `--quick` — CI-sized run (fewer requests, fewer points).
 //! * `--pes <n>` / `--requests <n>` / `--seed <n>` — machine shape.
 //! * `--out <path>` — write the curve as a JSON artifact.
-//! * `--check` — re-run every point under the parallel engine and with
-//!   fast-forward disabled, and fail unless the rendered curve and the
-//!   parity digest are identical in all three; exits non-zero otherwise.
+//! * `--check` — re-run every point with fast-forward disabled, and fail
+//!   unless the rendered curve and the parity digest are identical in
+//!   both; exits non-zero otherwise.
 //! * `--metrics-out <path>` / `--trace-out <path>` — re-run the
 //!   highest-load point with cycle-windowed telemetry and write the
 //!   per-window series + heatmap as JSON / Chrome `trace_event` JSON.
@@ -65,19 +66,18 @@ struct Sweep {
 /// Mirrors `JobSpec::machine` in ultra-serve (network backend, pinned
 /// budget) so a sweep replayed through the service lands on the same
 /// parity digest as this bin.
-fn build(sweep: Sweep, gap: u64, threads: usize, fast_forward: bool) -> (Serving, Machine) {
+fn build(sweep: Sweep, gap: u64, fast_forward: bool) -> (Serving, Machine) {
     let s = Serving::new(sweep.requests, gap).seed(sweep.seed);
     let m = MachineBuilder::new(sweep.pes)
         .seed(sweep.seed)
-        .threads(threads)
         .fast_forward(fast_forward)
         .max_cycles(Cycle::MAX)
         .build_spmd(&s.program());
     (s, m)
 }
 
-fn measure(sweep: Sweep, gap: u64, threads: usize, fast_forward: bool) -> Point {
-    let (s, mut m) = build(sweep, gap, threads, fast_forward);
+fn measure(sweep: Sweep, gap: u64, fast_forward: bool) -> Point {
+    let (s, mut m) = build(sweep, gap, fast_forward);
     s.install(&mut m);
     let out = m.run();
     assert!(out.completed, "a serving sweep point must drain");
@@ -202,7 +202,7 @@ fn main() {
     );
     let mut points = Vec::new();
     for &gap in gaps {
-        let p = measure(sweep, gap, 1, true);
+        let p = measure(sweep, gap, true);
         println!(
             "{:>9} {:>10} {:>8} {:>8} {:>8} {:>8} {:>10.1} {:>12.4}",
             p.mean_gap, p.cycles, p.p50, p.p90, p.p99, p.max, p.mean, p.throughput
@@ -228,36 +228,29 @@ fn main() {
 
     if check {
         // Engine parity: the rendered point (and the parity digest inside
-        // it) must be byte-identical under the parallel engine and with
-        // fast-forward off.
-        let threads = std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
+        // it) must be byte-identical with fast-forward off.
         let mut failed = false;
         for (i, &gap) in gaps.iter().enumerate() {
             let base = point_json(&points[i]);
-            for (label, threads, ff) in [
-                ("parallel", threads.max(2), true),
-                ("no-fast-forward", 1, false),
-            ] {
-                let other = point_json(&measure(sweep, gap, threads, ff));
-                if other != base {
-                    eprintln!(
-                        "PARITY FAILURE at gap {gap} ({label}):\n  sequential: {base}\n  {label}: {other}"
-                    );
-                    failed = true;
-                }
+            let stepped = point_json(&measure(sweep, gap, false));
+            if stepped != base {
+                eprintln!(
+                    "PARITY FAILURE at gap {gap}:\n  fast-forward: {base}\n  no-fast-forward: {stepped}"
+                );
+                failed = true;
             }
         }
         if failed {
             std::process::exit(1);
         }
-        println!("parity: sequential == parallel == no-fast-forward on every point");
+        println!("parity: fast-forward == no-fast-forward on every point");
     }
 
     if obs.any() {
         // One instrumented run of the highest-load point; observation
         // never perturbs the simulation.
         let gap = *gaps.last().expect("sweep has points");
-        let (s, mut m) = build(sweep, gap, 1, true);
+        let (s, mut m) = build(sweep, gap, true);
         s.install(&mut m);
         m.enable_telemetry(1024, 1 << 16);
         m.enable_trace(1 << 16);

@@ -20,7 +20,7 @@ use ultra_net::message::{Message, MsgId};
 use ultra_net::omega::ReplicatedOmega;
 use ultra_obs::{HeatmapSnapshot, TimeSeries};
 use ultra_pe::traffic::TrafficPattern;
-use ultra_sim::{Cycle, Histogram, MmId, PeId, WorkerPool};
+use ultra_sim::{Cycle, Histogram, MmId, PeId};
 
 /// Configuration of one open-loop run.
 #[derive(Debug, Clone, Copy)]
@@ -191,7 +191,6 @@ fn run_open_loop_inner(
         failovers: 0,
         unroutable: 0,
     };
-    let pool = WorkerPool::new(1);
     let horizon = cfg.warmup + cfg.measure;
     // Drain window: let in-flight traffic finish (no new injections).
     let drain = horizon + 4 * (cfg.warmup + 100);
@@ -235,7 +234,7 @@ fn run_open_loop_inner(
             }
         }
         // 3. The fabric moves.
-        nets.cycle_inplace(now, &pool);
+        nets.cycle_inplace(now);
         for copy in 0..nets.copies() {
             let events = nets.events_mut(copy);
             for msg in events.requests_at_mm.drain(..) {

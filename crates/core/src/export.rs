@@ -11,8 +11,7 @@
 //!   duration spans covering their round trip, issues and halts become
 //!   instants.
 //! * **pid 2 "engine"** — host wall-clock time in real microseconds. One
-//!   thread track per [`EnginePhase`]; worker-pool fan-out rides along as a
-//!   counter.
+//!   thread track per [`EnginePhase`].
 //! * **pid 3 "telemetry"** — counter tracks sampled at window boundaries
 //!   (simulated time again), mirroring the [`TimeSeries`] the machine
 //!   recorded.
@@ -85,22 +84,13 @@ pub fn chrome_trace(m: &Machine) -> String {
     }
 
     for span in m.phase_spans().spans() {
-        let ts = span.start_ns as f64 / 1000.0;
         b.complete(
             span.phase.name(),
             PID_ENGINE,
             span.phase.track(),
-            ts,
+            span.start_ns as f64 / 1000.0,
             span.dur_ns as f64 / 1000.0,
         );
-        if span.pool_chunks > 0 {
-            b.counter(
-                "pool chunks",
-                PID_ENGINE,
-                ts,
-                &[(span.phase.name(), f64::from(span.pool_chunks))],
-            );
-        }
     }
 
     b.series(PID_TELEMETRY, m.telemetry());

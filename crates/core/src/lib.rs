@@ -48,10 +48,9 @@
 //! ```
 //!
 //! The substrate crates are re-exported for convenience: `ultra_net` (the
-//! combining network), `ultra_mem` (memory modules), `ultra_pe` (caches,
-//! PNIs, traffic), `ultra_sim` (clock/RNG/stats).
+//! combining network), `ultra_mem` (memory modules), `ultra_pe` (PNIs,
+//! traffic), `ultra_sim` (clock/RNG/stats).
 
-pub mod engine;
 pub mod export;
 pub mod interp;
 pub mod machine;
@@ -61,7 +60,6 @@ pub mod report;
 pub mod snapshot;
 pub mod trace;
 
-pub use engine::EngineMode;
 pub use export::chrome_trace;
 pub use machine::{
     BackendKind, FaultSummary, Machine, MachineBuilder, MachineConfig, RunOutcome, MAX_THREADS,

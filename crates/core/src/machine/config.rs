@@ -55,20 +55,15 @@ pub struct MachineConfig {
     /// leaves the machine bit-identical to a build without the fault
     /// subsystem.
     pub faults: FaultPlan,
-    /// Worker-thread budget per cycle-engine fan-out point (network
-    /// copies, memory banks, PE shards). `1` (the default) selects the
-    /// sequential engine. Every value produces bit-identical runs.
-    pub threads: usize,
     /// Skip provably idle stretches of cycles (all traffic drained,
     /// every context parked) by jumping straight to the next scheduled
     /// event. Bit-identical to per-cycle stepping; on by default.
     pub fast_forward: bool,
 }
 
-/// Most engine threads a machine may have. Each is an OS thread spawned
-/// at build or restore, and the count reaches the machine from outside
-/// the process twice — a service job line, a snapshot's tuning echo —
-/// so all three places share this bound.
+/// Bound on the retired engine thread count, which two wire formats
+/// still carry: a service job line's `"threads"` and a snapshot's tuning
+/// echo. Both keep their `1..=MAX_THREADS` check and ignore the value.
 pub const MAX_THREADS: usize = 64;
 
 /// Builder for [`Machine`] (see the crate examples).
@@ -97,29 +92,16 @@ impl MachineBuilder {
                 barrier_parties: None,
                 contexts_per_pe: 1,
                 faults: FaultPlan::none(),
-                threads: 1,
                 fast_forward: true,
             },
         }
     }
 
-    /// Opts into the parallel cycle engine: with `threads > 1` each
-    /// cycle fans its independent units — network copies, memory banks,
-    /// PE shards — out over up to that many OS threads. The default is
-    /// the sequential engine (`1`), the faster one on every host measured
-    /// so far (`BENCH_engine.json`). Deferred-effect merging keeps every
-    /// thread count bit-identical to it.
-    ///
-    /// A budget above [`MAX_THREADS`] is cut to it — the count is a speed
-    /// choice only, and a snapshot of this machine must restore.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
+    /// No-op, kept only so existing callers compile: the cycle engine is
+    /// sequential, and a host's other cores serve other jobs
+    /// (`ultra-serve --workers`).
     #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "need at least one engine thread");
-        self.cfg.threads = threads.min(MAX_THREADS);
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 

@@ -1,6 +1,6 @@
-//! The cycle loop: `run`/`step`, the PE phase and its deferred-effect
-//! merge, the outbound flush, the backend cycle and reply delivery, the
-//! park/wake rule of the ready set, and each shard's datapath cycle.
+//! The cycle loop: `run`/`step`, the PE phase, the outbound flush, the
+//! backend cycle and reply delivery, the park/wake rule of the ready set,
+//! and each shard's datapath cycle.
 
 use std::time::Instant;
 
@@ -11,7 +11,7 @@ use ultra_sim::active::Walk;
 use ultra_sim::{Cycle, PeId};
 
 use super::{
-    BackendImpl, CtxState, CycleCtx, Machine, PeShard, Purpose, ReqMeta, RunOutcome,
+    BackendImpl, CtxState, CycleCtx, CycleSinks, Machine, PeShard, Purpose, ReqMeta, RunOutcome,
     BARRIER_VADDR_BASE,
 };
 use crate::interp::{Fetched, IssueSpec};
@@ -97,7 +97,7 @@ impl Machine {
         self.flush_outgoing(now);
         if let Some(t0) = t0 {
             let dur = t0.elapsed().as_nanos() as u64;
-            self.record_phase_span(now, EnginePhase::Flush, t0, dur, 0);
+            self.record_phase_span(now, EnginePhase::Flush, t0, dur);
         }
         self.backend_cycle(now);
         self.queue_due_retries(now);
@@ -106,8 +106,7 @@ impl Machine {
         self.pe_phase(now);
         if let Some(t0) = t0 {
             let dur = t0.elapsed().as_nanos() as u64;
-            let chunks = self.pool.dispatch_stats().last_chunks as u32;
-            self.record_phase_span(now, EnginePhase::PeShards, t0, dur, chunks);
+            self.record_phase_span(now, EnginePhase::PeShards, t0, dur);
         }
         self.now += 1;
         self.telemetry_tick();
@@ -115,76 +114,55 @@ impl Machine {
 
     /// Records one wall-clock phase span that started at `t0` and took
     /// `dur_ns`.
-    fn record_phase_span(
-        &mut self,
-        cycle: Cycle,
-        phase: EnginePhase,
-        t0: Instant,
-        dur_ns: u64,
-        chunks: u32,
-    ) {
+    fn record_phase_span(&mut self, cycle: Cycle, phase: EnginePhase, t0: Instant, dur_ns: u64) {
         let start_ns = t0.saturating_duration_since(self.phase_epoch).as_nanos() as u64;
         self.phases.record(PhaseSpan {
             cycle,
             phase,
             start_ns,
             dur_ns,
-            pool_chunks: chunks,
         });
     }
 
-    /// Sparse-dispatch grain: one worker thread per this many members
-    /// (runnable shards, busy banks), so near-idle cycles run inline.
-    const SPARSE_GRAIN: usize = 32;
-
-    /// The datapath cycle of every runnable physical PE, fanned out over
-    /// the engine's threads (shards never touch each other within a
-    /// cycle), each followed by the merge of the effects it deferred —
-    /// applied to the members just visited in ascending shard index
-    /// order, the order the sequential loop applies effects in, so every
-    /// thread count yields identical metadata, trace and halt streams.
-    /// The merge retires from [`Machine::runnable`] every shard whose
-    /// cycle proved it parked or fully halted. Shards outside the set
-    /// are not visited at all: their datapath cycle is provably an idle
-    /// charge and nothing else, and that charge is stamped lazily
+    /// The datapath cycle of every runnable physical PE, in ascending
+    /// shard order, each followed at once by its epilogue: a shard that
+    /// issued joins [`Machine::outgoing`], and one whose cycle proved it
+    /// parked or fully halted leaves [`Machine::runnable`]. Shards outside
+    /// the set are not visited at all: their datapath cycle is provably an
+    /// idle charge and nothing else, and that charge is stamped lazily
     /// ([`PeShard::unstamped_idle`]).
     fn pe_phase(&mut self, now: Cycle) {
         let cx = CycleCtx {
             now,
             cpi: self.cfg.time.cycles_per_instruction,
             barrier_generation: self.barrier_generation,
-            trace_enabled: self.trace.enabled,
         };
-        self.pool.run_sparse(
-            &mut self.shards,
-            &mut self.runnable,
-            Self::SPARSE_GRAIN,
-            |_, shard| shard.pe_cycle(cx),
-            |i, shard| {
-                let mut stays = shard.parked_since.is_none();
-                for (id, meta) in shard.fx.meta.drain(..) {
-                    self.meta.insert(id, meta);
-                }
-                for event in shard.fx.trace.drain(..) {
-                    self.trace.record(event);
-                }
-                if shard.fx.halted > 0 {
-                    self.halted_count += shard.fx.halted;
-                    shard.fx.halted = 0;
-                    if shard.states.iter().all(|s| *s == CtxState::Halted) {
-                        self.live.remove(i);
-                        stays = false;
-                    }
-                }
-                // An issue pushes its metadata and its outbound message
-                // together, so shards with effects are exactly the ones
-                // whose `outgoing` may have just become non-empty.
-                if !shard.outgoing.is_empty() {
-                    self.outgoing.insert(i);
-                }
-                stays
-            },
-        );
+        let mut sinks = CycleSinks {
+            meta: &mut self.meta,
+            trace: &mut self.trace,
+            halted_count: &mut self.halted_count,
+        };
+        let mut walk = Walk::default();
+        while let Some(i) = walk.next(&self.runnable) {
+            let shard = &mut self.shards[i];
+            // Mid-instruction: the most common visit, and nothing to do.
+            if shard.busy_until > now {
+                continue;
+            }
+            let halted_before = *sinks.halted_count;
+            shard.datapath_cycle(cx, &mut sinks);
+            if !shard.outgoing.is_empty() {
+                self.outgoing.insert(i);
+            }
+            let all_halted = *sinks.halted_count != halted_before
+                && shard.states.iter().all(|s| *s == CtxState::Halted);
+            if all_halted {
+                self.live.remove(i);
+            }
+            if all_halted || shard.parked_since.is_some() {
+                self.runnable.remove(i);
+            }
+        }
     }
 
     /// Returns parked shard `i` to the runnable set, first charging the
@@ -279,7 +257,6 @@ impl Machine {
 
     /// Advances the memory system and delivers completions.
     fn backend_cycle(&mut self, now: Cycle) {
-        let pool = &self.pool;
         let timed = self.phases.is_enabled();
         // Staged first to avoid borrowing `self` across the delivery; the
         // buffer is pooled on the machine so steady state never allocates.
@@ -287,8 +264,8 @@ impl Machine {
         debug_assert!(deliveries.is_empty());
         // Spans are staged here and recorded after the backend borrow
         // ends.
-        let mut bank_span: Option<(Instant, u64, u32)> = None;
-        let mut net_span: Option<(Instant, u64, u32)> = None;
+        let mut bank_span: Option<(Instant, u64)> = None;
+        let mut net_span: Option<(Instant, u64)> = None;
         match &mut self.backend {
             BackendImpl::Ideal { para, pending, .. } => {
                 let t0 = timed.then(Instant::now);
@@ -320,7 +297,7 @@ impl Machine {
                     }
                 }
                 if let Some(t0) = t0 {
-                    bank_span = Some((t0, t0.elapsed().as_nanos() as u64, 0));
+                    bank_span = Some((t0, t0.elapsed().as_nanos() as u64));
                 }
             }
             BackendImpl::Network {
@@ -329,56 +306,46 @@ impl Machine {
                 copy_of,
             } => {
                 let t0 = timed.then(Instant::now);
-                // Banks are mutually independent and never read the
-                // network, so serving them fans out over the engine's
-                // threads — but only banks actually holding work: a bank
-                // joins `bank_active` when a request is delivered and
-                // leaves once it drains idle, and an idle bank's cycle is
-                // a no-op, so cycling members only is exact. Outboxes
-                // then drain into the network in bank index order (the
-                // member walk is ascending) — exactly the injection
-                // sequence the sequential interleaved loop produces.
-                pool.run_sparse(
-                    banks,
-                    &mut self.bank_active,
-                    Self::SPARSE_GRAIN,
-                    |_, bank| {
-                        bank.cycle(now);
-                        true
-                    },
-                    |_, bank| {
-                        // Replies re-enter through the copy that carried
-                        // the request (stalling if the reverse link is
-                        // busy).
-                        while let Some(reply) = bank.pop_reply() {
-                            let Some(&copy) = copy_of.get(&(reply.id, reply.attempt)) else {
-                                // An answer to an attempt whose twin already
-                                // round-tripped; nobody is waiting for it.
-                                self.duplicate_replies += 1;
-                                continue;
-                            };
-                            if let Err(refused) = nets.try_inject_reply(copy, reply, now) {
-                                bank.return_reply(refused);
-                                break;
-                            }
+                // Only banks holding work are served: a bank joins
+                // `bank_active` when a request is delivered and leaves
+                // once it drains idle, and an idle bank's cycle is a
+                // no-op, so cycling members only is exact. Each outbox
+                // drains into the network right after its bank's cycle,
+                // in bank index order (the member walk is ascending).
+                let mut walk = Walk::default();
+                while let Some(mm) = walk.next(&self.bank_active) {
+                    let bank = &mut banks[mm];
+                    bank.cycle(now);
+                    // Replies re-enter through the copy that carried the
+                    // request (stalling if the reverse link is busy).
+                    while let Some(reply) = bank.pop_reply() {
+                        let Some(&copy) = copy_of.get(&(reply.id, reply.attempt)) else {
+                            // An answer to an attempt whose twin already
+                            // round-tripped; nobody is waiting for it.
+                            self.duplicate_replies += 1;
+                            continue;
+                        };
+                        if let Err(refused) = nets.try_inject_reply(copy, reply, now) {
+                            bank.return_reply(refused);
+                            break;
                         }
-                        !bank.is_idle()
-                    },
-                );
+                    }
+                    if bank.is_idle() {
+                        self.bank_active.remove(mm);
+                    }
+                }
                 if let Some(t0) = t0 {
-                    let chunks = pool.dispatch_stats().last_chunks as u32;
-                    bank_span = Some((t0, t0.elapsed().as_nanos() as u64, chunks));
+                    bank_span = Some((t0, t0.elapsed().as_nanos() as u64));
                 }
                 let t0 = timed.then(Instant::now);
-                // The fabric moves — the d copies share nothing within a
-                // cycle, so they advance in parallel into their pooled
-                // event buffers; arrivals then drain in fixed copy order.
+                // The fabric moves — the d copies advance into their
+                // pooled event buffers, which then drain in copy order.
                 // Arrivals at MMs enter bank queues; arrivals at PEs are
                 // delivered below. A fully drained fabric (checked after
                 // the reply injections above) cycles to itself with empty
                 // event buffers, so the whole phase is skipped.
                 if !nets.is_drained() {
-                    nets.cycle_inplace(now, pool);
+                    nets.cycle_inplace(now);
                     let d = nets.copies();
                     for copy in 0..d {
                         let events = nets.events_mut(copy);
@@ -399,16 +366,15 @@ impl Machine {
                     }
                 }
                 if let Some(t0) = t0 {
-                    let chunks = pool.dispatch_stats().last_chunks as u32;
-                    net_span = Some((t0, t0.elapsed().as_nanos() as u64, chunks));
+                    net_span = Some((t0, t0.elapsed().as_nanos() as u64));
                 }
             }
         }
-        if let Some((t0, dur, chunks)) = bank_span {
-            self.record_phase_span(now, EnginePhase::MemBanks, t0, dur, chunks);
+        if let Some((t0, dur)) = bank_span {
+            self.record_phase_span(now, EnginePhase::MemBanks, t0, dur);
         }
-        if let Some((t0, dur, chunks)) = net_span {
-            self.record_phase_span(now, EnginePhase::Network, t0, dur, chunks);
+        if let Some((t0, dur)) = net_span {
+            self.record_phase_span(now, EnginePhase::Network, t0, dur);
         }
         for reply in deliveries.drain(..) {
             self.deliver_reply(&reply, now);
@@ -483,14 +449,15 @@ impl Machine {
 
 impl PeShard {
     /// Issues `spec` for local context `c` through the shard's PNI and
-    /// queues the message for injection. Metadata and trace writes are
-    /// deferred into [`ShardFx`].
+    /// queues the message for injection, recording its metadata and trace
+    /// event in `sinks`.
     fn attempt_issue(
         &mut self,
         c: usize,
         spec: &IssueSpec,
         purpose: Purpose,
         cx: CycleCtx,
+        sinks: &mut CycleSinks<'_>,
     ) -> bool {
         if !self.outgoing.is_empty() {
             return false; // the PNI's outbound buffer is occupied
@@ -498,25 +465,23 @@ impl PeShard {
         match self.pni.issue(spec.kind, spec.vaddr, spec.value, cx.now) {
             Ok(msg) => {
                 let ctx = self.base + c;
-                self.fx.meta.push((
+                sinks.meta.insert(
                     msg.id,
                     ReqMeta {
                         ctx,
                         dst: spec.dst,
                         purpose,
                     },
-                ));
+                );
                 if let Some(dst) = spec.dst {
                     self.interps[c].lock(dst);
                 }
-                if cx.trace_enabled {
-                    self.fx.trace.push(TraceEvent::Issue {
-                        cycle: cx.now,
-                        pe: PeId(ctx),
-                        kind: spec.kind,
-                        vaddr: spec.vaddr,
-                    });
-                }
+                sinks.trace.record(TraceEvent::Issue {
+                    cycle: cx.now,
+                    pe: PeId(ctx),
+                    kind: spec.kind,
+                    vaddr: spec.vaddr,
+                });
                 let s = &mut self.stats[c];
                 s.shared_refs.incr();
                 if spec.kind.reply_carries_data() {
@@ -546,30 +511,18 @@ impl PeShard {
         }
     }
 
-    /// One cycle of the shard; returns whether it left anything for the
-    /// merge (deferred effects, or a park). The mid-instruction exit, the
-    /// most common visit, is inlined into the dispatch loop.
-    #[inline]
-    fn pe_cycle(&mut self, cx: CycleCtx) -> bool {
-        if self.busy_until > cx.now {
-            return false;
-        }
-        self.datapath_cycle(cx);
-        self.parked_since.is_some() || !self.fx.is_empty()
-    }
-
     /// One datapath cycle: round-robin over the shard's contexts,
     /// executing the first one that can make progress (zero-cost context
     /// switching, §3.5 / HEP).
     #[inline(never)]
-    fn datapath_cycle(&mut self, cx: CycleCtx) {
+    fn datapath_cycle(&mut self, cx: CycleCtx, sinks: &mut CycleSinks<'_>) {
         let k = self.states.len();
         for offset in 0..k {
             let c = (self.cursor + offset) % k;
             if !self.resolve_waits(c, cx.now) {
                 continue;
             }
-            let advanced = self.ctx_execute(c, cx);
+            let advanced = self.ctx_execute(c, cx, sinks);
             if advanced {
                 // HEP-style: next instruction goes to the next context.
                 self.cursor = (self.cursor + offset + 1) % k;
@@ -641,11 +594,11 @@ impl PeShard {
 
     /// Attempts to execute one instruction of local context `c`. Returns
     /// whether the datapath was consumed.
-    fn ctx_execute(&mut self, c: usize, cx: CycleCtx) -> bool {
+    fn ctx_execute(&mut self, c: usize, cx: CycleCtx, sinks: &mut CycleSinks<'_>) -> bool {
         let now = cx.now;
         let cpi = cx.cpi;
         if let CtxState::WaitIssue(spec, purpose) = self.states[c].clone() {
-            if self.attempt_issue(c, &spec, purpose, cx) {
+            if self.attempt_issue(c, &spec, purpose, cx, sinks) {
                 self.states[c] = if purpose == Purpose::Barrier {
                     CtxState::WaitBarrier
                 } else {
@@ -661,13 +614,11 @@ impl PeShard {
         match self.interps[c].next_op(now) {
             Fetched::Halted => {
                 self.states[c] = CtxState::Halted;
-                self.fx.halted += 1;
-                if cx.trace_enabled {
-                    self.fx.trace.push(TraceEvent::Halt {
-                        cycle: now,
-                        pe: PeId(self.base + c),
-                    });
-                }
+                *sinks.halted_count += 1;
+                sinks.trace.record(TraceEvent::Halt {
+                    cycle: now,
+                    pe: PeId(self.base + c),
+                });
                 // Halting consumes no datapath time; let another context
                 // run this cycle.
                 false
@@ -701,7 +652,7 @@ impl PeShard {
                 true
             }
             Fetched::Issue(spec) => {
-                if self.attempt_issue(c, &spec, Purpose::Data, cx) {
+                if self.attempt_issue(c, &spec, Purpose::Data, cx, sinks) {
                     self.stats[c].instructions.incr();
                     self.busy_until = now + cpi;
                     true
@@ -717,7 +668,7 @@ impl PeShard {
                     value: 1,
                     dst: None,
                 };
-                if self.attempt_issue(c, &spec, Purpose::Barrier, cx) {
+                if self.attempt_issue(c, &spec, Purpose::Barrier, cx, sinks) {
                     self.states[c] = CtxState::WaitBarrier;
                     self.stats[c].instructions.incr();
                     self.busy_until = now + cpi;

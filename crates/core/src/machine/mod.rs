@@ -46,14 +46,13 @@ use ultra_obs::{CounterSnapshot, GaugeSnapshot, HeatmapSnapshot, PhaseRecorder, 
 use ultra_pe::pni::Pni;
 use ultra_pe::stats::PeStats;
 use ultra_sim::heap::{deque_bytes, map_bytes, vec_bytes};
-use ultra_sim::{ActiveSet, Cycle, IdMap, MmId, PeId, PoolDispatchStats, Value, WorkerPool};
+use ultra_sim::{ActiveSet, Cycle, IdMap, MmId, PeId, Value};
 
-use crate::engine::EngineMode;
 use crate::interp::{IssueSpec, PeInterp};
 use crate::paracomputer::Paracomputer;
 use crate::program::{Program, Reg};
 use crate::snapshot::EngineTuning;
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::Trace;
 
 mod config;
 mod cycle;
@@ -167,13 +166,10 @@ pub struct RunOutcome {
 }
 
 /// One physical PE's slice of the machine: its interpreter contexts,
-/// datapath occupancy, network interface and outbound queue. This is the
-/// unit the parallel engine fans out — within a cycle no shard reads
-/// another shard, and writes to the machine-wide sinks (request
-/// metadata, trace, halt count) are deferred into [`ShardFx`] and merged
-/// in shard index order, which is exactly the order the sequential loop
-/// produces them in. Both engines therefore generate byte-identical
-/// event streams.
+/// datapath occupancy, network interface and outbound queue. Within a
+/// cycle no shard reads another shard; its datapath cycle writes the
+/// machine-wide sinks (request metadata, trace, halt count) through
+/// [`CycleSinks`].
 #[derive(Clone)]
 struct PeShard {
     /// First virtual PE (context) index of this shard.
@@ -190,31 +186,11 @@ struct PeShard {
     pni: Pni,
     /// Outgoing messages awaiting network acceptance.
     outgoing: VecDeque<Message>,
-    /// Deferred machine-wide effects of this shard's latest datapath
-    /// cycle. Drained (capacity retained — no steady-state allocation)
-    /// by the merge that follows each PE phase.
-    fx: ShardFx,
     /// `Some(c)` while the shard is parked — out of [`Machine::runnable`],
     /// with cycles `c..` not yet charged to its idle counters (see
     /// [`PeShard::unstamped_idle`]). Never serialized: a restored machine
     /// starts with nothing parked.
     parked_since: Option<Cycle>,
-}
-
-/// Machine-wide side effects a shard's datapath cycle would have applied
-/// in place under the sequential engine.
-#[derive(Clone, Default)]
-struct ShardFx {
-    meta: Vec<(MsgId, ReqMeta)>,
-    trace: Vec<TraceEvent>,
-    halted: usize,
-}
-
-impl ShardFx {
-    /// Whether the latest datapath cycle produced any deferred effect.
-    fn is_empty(&self) -> bool {
-        self.meta.is_empty() && self.trace.is_empty() && self.halted == 0
-    }
 }
 
 impl PeShard {
@@ -230,8 +206,6 @@ impl PeShard {
                 .sum::<usize>()
             + self.pni.heap_bytes()
             + deque_bytes(&self.outgoing)
-            + vec_bytes(&self.fx.meta)
-            + vec_bytes(&self.fx.trace)
     }
 }
 
@@ -242,7 +216,15 @@ struct CycleCtx {
     /// Cycles per PE instruction.
     cpi: Cycle,
     barrier_generation: u64,
-    trace_enabled: bool,
+}
+
+/// The machine-wide state a shard's datapath cycle writes, borrowed
+/// field by field from the [`Machine`] while the PE phase walks its
+/// shards.
+struct CycleSinks<'a> {
+    meta: &'a mut IdMap<MsgId, ReqMeta>,
+    trace: &'a mut Trace,
+    halted_count: &'a mut usize,
 }
 
 /// The assembled machine.
@@ -276,10 +258,6 @@ pub struct Machine {
     /// Pooled completion buffer for [`Machine::backend_cycle`] — replies
     /// are staged here each cycle, so the hot path never allocates.
     deliveries: Vec<Reply>,
-    /// Persistent worker threads for the per-cycle fan-outs (PE shards,
-    /// memory banks, network copies). A 1-thread pool runs everything
-    /// inline on the caller — the sequential engine.
-    pool: WorkerPool,
     /// Shards whose `outgoing` queue is non-empty: what the outbound
     /// flush walks and the quiescence and fast-forward checks count.
     outgoing: ActiveSet,
@@ -351,7 +329,6 @@ impl Machine {
                     cursor: 0,
                     pni,
                     outgoing: VecDeque::new(),
-                    fx: ShardFx::default(),
                     parked_since: None,
                 }
             })
@@ -415,7 +392,6 @@ impl Machine {
             run_elapsed: None,
             fast_forwarded: 0,
             deliveries: Vec::new(),
-            pool: WorkerPool::new(cfg.threads.max(1)),
             outgoing: ActiveSet::new(n),
             runnable: live.clone(),
             live,
@@ -430,13 +406,11 @@ impl Machine {
         machine
     }
 
-    /// A second machine in this machine's exact simulation state with an
-    /// engine of its own: what
+    /// A second machine in this machine's exact simulation state: what
     /// `Machine::restore_tuned(&self.snapshot(), tuning)` returns, without
-    /// the codec round trip. The copy gets a fresh worker pool for the
-    /// tuned thread count and starts with trace, telemetry and phase spans
-    /// off and empty; `self` is not touched, so any number of forks may be
-    /// taken from one donor, from several threads at once.
+    /// the codec round trip. The copy starts with trace, telemetry and
+    /// phase spans off and empty; `self` is not touched, so any number of
+    /// forks may be taken from one donor, from several threads at once.
     #[must_use]
     pub fn fork(&self, tuning: EngineTuning) -> Self {
         let mut cfg = self.cfg.clone();
@@ -459,7 +433,6 @@ impl Machine {
             run_elapsed: None,
             fast_forwarded: self.fast_forwarded,
             deliveries: Vec::new(),
-            pool: WorkerPool::new(cfg.threads),
             outgoing: self.outgoing.clone(),
             live: self.live.clone(),
             runnable: self.runnable.clone(),
@@ -475,14 +448,11 @@ impl Machine {
     }
 
     /// Turns a machine that has finished running into a donor for
-    /// [`Machine::fork`], in place of forking it once more: the worker
-    /// pool's threads are released (a shelved image must not hold OS
-    /// threads) and trace, telemetry and phase spans are dropped, which is
-    /// all a fork would have left behind.
+    /// [`Machine::fork`], in place of forking it once more: trace,
+    /// telemetry and phase spans are dropped, which is all a fork would
+    /// have left behind.
     #[must_use]
     pub fn into_image(mut self) -> Self {
-        self.cfg.threads = 1;
-        self.pool = WorkerPool::new(1);
         self.trace = Trace::new();
         self.series = TimeSeries::new();
         self.phases = PhaseRecorder::new();
@@ -494,7 +464,7 @@ impl Machine {
     /// holding on to it (or to a [`Machine::fork`] of it) costs. It adds up
     /// the buffers of every per-PE, per-bank and per-switch structure at
     /// their capacities and leaves out what does not grow with the machine
-    /// (active sets, counters, observer rings, the worker pool).
+    /// (active sets, counters, observer rings).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let shards: usize = self.shards.iter().map(PeShard::heap_bytes).sum();
@@ -552,7 +522,7 @@ impl Machine {
     /// machine records one [`ultra_obs::Sample`] — per-window network
     /// counter deltas plus instantaneous queue/wait gauges — into a ring
     /// of `capacity` samples. Purely observational: the sampled series
-    /// is bit-identical across engines and fast-forward settings, and
+    /// is bit-identical across fast-forward settings, and
     /// enabling it leaves `parity_string` unchanged.
     ///
     /// # Panics
@@ -588,12 +558,6 @@ impl Machine {
     #[must_use]
     pub fn phase_spans(&self) -> &PhaseRecorder {
         &self.phases
-    }
-
-    /// The worker pool's cumulative dispatch accounting.
-    #[must_use]
-    pub fn pool_dispatch_stats(&self) -> PoolDispatchStats {
-        self.pool.dispatch_stats()
     }
 
     /// The hot-spot heatmap of the network fabric — per-switch combine
@@ -647,17 +611,6 @@ impl Machine {
             .iter()
             .flat_map(|shard| (0..shard.stats.len()).map(move |c| stamped(shard, c)))
             .collect()
-    }
-
-    /// The cycle engine this machine runs: [`EngineMode::Parallel`] when
-    /// built with more than one thread, [`EngineMode::Sequential`]
-    /// otherwise.
-    #[must_use]
-    pub fn engine_mode(&self) -> EngineMode {
-        match self.pool.threads() {
-            0 | 1 => EngineMode::Sequential,
-            threads => EngineMode::Parallel { threads },
-        }
     }
 
     /// Test and microbench hook: forces the network's switch sweep

@@ -3,6 +3,7 @@ use ultra_mem::TranslationMode;
 
 use super::*;
 use crate::program::{body, Expr, Op};
+use crate::trace::TraceEvent;
 
 fn counter_program(increments: i64) -> Program {
     // Every PE adds `increments` times 1 to the shared word 0.
@@ -479,50 +480,10 @@ fn multiprogramming_barriers_span_all_contexts() {
     }
 }
 
-// ---- cycle engine: parallel parity & idle fast-forward ----
+// ---- cycle engine: sweep-mode parity & idle fast-forward ----
 
 fn digest(m: &Machine) -> String {
     crate::report::MachineReport::from_machine(m).parity_string()
-}
-
-#[test]
-fn parallel_engine_is_bit_identical_to_sequential() {
-    // Same config at 1, 2 and 4 threads, with every fan-out point
-    // exercised: d = 2 network copies, 8 banks, 8 PE shards with two
-    // contexts each, plus tracing so the deferred-event merge order
-    // is checked too.
-    let run = |threads: usize| {
-        let mut m = MachineBuilder::new(8)
-            .network(2)
-            .multiprogramming(2)
-            .threads(threads)
-            .build_spmd(&counter_program(6));
-        m.enable_trace(4096);
-        assert!(m.run().completed);
-        let events: Vec<TraceEvent> = m.trace().events().copied().collect();
-        (digest(&m), events, m.read_shared(0))
-    };
-    let (seq, seq_events, seq_mem) = run(1);
-    for threads in [2, 4] {
-        let (par, par_events, par_mem) = run(threads);
-        assert_eq!(seq, par, "parity digest diverged at {threads} threads");
-        assert_eq!(
-            seq_events, par_events,
-            "trace diverged at {threads} threads"
-        );
-        assert_eq!(seq_mem, par_mem);
-    }
-}
-
-#[test]
-fn engine_is_sequential_unless_threads_is_set() {
-    // No host-dependent heuristic: a wide machine built without
-    // `.threads()` is sequential on any host.
-    let halt = Program::new(body(vec![Op::Halt]), vec![]);
-    let wide = MachineBuilder::new(4096).build_spmd(&halt);
-    assert_eq!(wide.engine_mode(), EngineMode::Sequential);
-    let pinned = MachineBuilder::new(8).threads(3).build_spmd(&halt);
-    assert_eq!(pinned.engine_mode(), EngineMode::Parallel { threads: 3 });
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! Snapshot state serialization.
 //!
 //! Everything the simulation's future depends on is written; everything
-//! rebuildable from the config (hasher, route tables, worker pool, active
-//! sets) or purely observational (trace, telemetry, phase spans,
-//! wall-clock) is not. See `crate::snapshot` for the framed public format.
+//! rebuildable from the config (hasher, route tables, active sets) or
+//! purely observational (trace, telemetry, phase spans, wall-clock) is
+//! not. See `crate::snapshot` for the framed public format.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Instant;
@@ -18,10 +18,10 @@ use ultra_pe::pni::Pni;
 use ultra_pe::stats::PeStats;
 use ultra_sim::clock::TimeScale;
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
-use ultra_sim::{ActiveSet, IdMap, MmId, PeId, WorkerPool};
+use ultra_sim::{ActiveSet, IdMap, MmId, PeId};
 
 use super::{
-    BackendImpl, BackendKind, CtxState, Machine, MachineConfig, PeShard, Purpose, ReqMeta, ShardFx,
+    BackendImpl, BackendKind, CtxState, Machine, MachineConfig, PeShard, Purpose, ReqMeta,
     MAX_THREADS,
 };
 use crate::interp::{IssueSpec, PeInterp};
@@ -119,10 +119,10 @@ impl Wire for ReqMeta {
 
 impl MachineConfig {
     /// Serializes the fields that define *what* is being simulated — the
-    /// snapshot's config-identity echo. The speed knobs (`threads`,
-    /// `fast_forward`) are excluded: every setting of them is
-    /// bit-identical, so a snapshot may legally be resumed under
-    /// different ones (see [`crate::snapshot::EngineTuning`]).
+    /// snapshot's config-identity echo. The speed knob `fast_forward` is
+    /// excluded: both settings are bit-identical, so a snapshot may
+    /// legally be resumed under the other (see
+    /// [`crate::snapshot::EngineTuning`]).
     pub(crate) fn encode_identity(&self, w: &mut WireWriter) {
         self.net.encode(w);
         self.backend.encode(w);
@@ -135,8 +135,8 @@ impl MachineConfig {
         self.faults.encode(w);
     }
 
-    /// Inverse of [`MachineConfig::encode_identity`]; the speed knobs
-    /// come back at their defaults until the tuning echo overwrites them.
+    /// Inverse of [`MachineConfig::encode_identity`]; `fast_forward`
+    /// comes back at its default until the tuning echo overwrites it.
     pub(crate) fn decode_identity(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Self {
             net: NetConfig::decode(r)?,
@@ -148,18 +148,18 @@ impl MachineConfig {
             barrier_parties: Option::decode(r)?,
             contexts_per_pe: r.usize()?,
             faults: FaultPlan::decode(r)?,
-            threads: 1,
             fast_forward: true,
         })
     }
 
-    /// Serializes the speed knobs, so a plain [`crate::snapshot`] restore
-    /// reproduces the donor machine's engine exactly. Format v1 has two
-    /// retired slots between them — an automatic-thread-selection flag
-    /// and a sweep-mode tag — written as the constants a default-built
-    /// machine always wrote, so frames stay byte-identical.
+    /// Serializes the speed knob, so a plain [`crate::snapshot`] restore
+    /// reproduces the donor machine's engine exactly. Format v1 has three
+    /// retired slots before it — an engine thread count, an
+    /// automatic-thread-selection flag and a sweep-mode tag — written as
+    /// the constants a default-built machine always wrote, so frames stay
+    /// byte-identical.
     pub(crate) fn encode_tuning(&self, w: &mut WireWriter) {
-        w.usize(self.threads);
+        w.usize(1);
         w.bool(true);
         w.u8(0);
         w.bool(self.fast_forward);
@@ -168,9 +168,7 @@ impl MachineConfig {
     /// Applies a serialized tuning echo onto `self`. The retired slots
     /// are range-checked and ignored.
     pub(crate) fn decode_tuning_into(&mut self, r: &mut WireReader<'_>) -> Result<(), WireError> {
-        self.threads = r.usize()?;
-        // Every one of them is an OS thread the restore would spawn.
-        if !(1..=MAX_THREADS).contains(&self.threads) {
+        if !(1..=MAX_THREADS).contains(&r.usize()?) {
             return Err(WireError::Invalid("engine thread count out of range"));
         }
         // Both retired slots only ever held 0 or 1: a bool's range check.
@@ -214,10 +212,6 @@ impl Machine {
         self.debug_check_ready_sets();
         w.usize(self.shards.len());
         for shard in &self.shards {
-            debug_assert!(
-                shard.fx.meta.is_empty() && shard.fx.trace.is_empty() && shard.fx.halted == 0,
-                "shard effects must be merged before a snapshot"
-            );
             shard.interps.encode(w);
             shard.states.encode(w);
             w.usize(shard.stats.len());
@@ -252,7 +246,7 @@ impl Machine {
     }
 
     /// Reassembles a machine from `cfg` plus serialized state.
-    /// Rebuildable structure (hasher, pool, route tables) is
+    /// Rebuildable structure (hasher, route tables) is
     /// reconstructed from `cfg`; observational state (trace, telemetry,
     /// phase spans) starts disabled, exactly as on a fresh machine.
     pub(crate) fn decode_state(
@@ -321,7 +315,6 @@ impl Machine {
                 cursor: cursor % k,
                 pni,
                 outgoing,
-                fx: ShardFx::default(),
                 parked_since: None,
             });
         }
@@ -390,7 +383,6 @@ impl Machine {
             run_elapsed: None,
             fast_forwarded,
             deliveries: Vec::new(),
-            pool: WorkerPool::new(cfg.threads.max(1)),
             outgoing,
             runnable: live.clone(),
             live,

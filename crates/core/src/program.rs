@@ -397,7 +397,7 @@ impl Cond {
 }
 
 /// A block of statements, cheaply shareable between frames (atomically
-/// refcounted so interpreter contexts can cross engine threads).
+/// refcounted so a machine can cross `ultra-serve`'s worker threads).
 pub type Body = Arc<[Op]>;
 
 /// Builds a [`Body`] from statements.

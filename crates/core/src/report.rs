@@ -12,7 +12,6 @@ use ultra_pe::stats::PeStats;
 use ultra_sim::clock::TimeScale;
 use ultra_sim::Cycle;
 
-use crate::engine::EngineMode;
 use crate::machine::{FaultSummary, Machine};
 
 /// Summary of one machine run, in the paper's units.
@@ -32,8 +31,6 @@ pub struct MachineReport {
     pub faults: FaultSummary,
     /// Wall-clock duration of the run (`None` if the machine never ran).
     pub elapsed: Option<Duration>,
-    /// The cycle engine that produced the run.
-    pub engine: EngineMode,
     /// Cycles the engine skipped via idle fast-forward (still included
     /// in [`MachineReport::cycles`]).
     pub fast_forwarded: Cycle,
@@ -69,7 +66,6 @@ impl MachineReport {
             pes: active,
             faults: m.fault_summary(),
             elapsed: m.last_run_elapsed(),
-            engine: m.engine_mode(),
             fast_forwarded: m.fast_forwarded_cycles(),
             fast_forward_enabled: m.cfg().fast_forward,
             // Default-off: the footer (and harness stdout) only grows a
@@ -98,10 +94,9 @@ impl MachineReport {
 
     /// A canonical digest of everything the simulation computed —
     /// cycles, merged PE statistics, network statistics and fault
-    /// summary, but *not* wall-clock time or engine mode. Two runs are
-    /// bit-identical exactly when their parity strings are equal; the
-    /// engine-parity tests compare sequential and parallel runs this
-    /// way.
+    /// summary, but *not* wall-clock time or engine settings. Two runs
+    /// are bit-identical exactly when their parity strings are equal; the
+    /// engine-parity tests compare fast-forward on and off this way.
     #[must_use]
     pub fn parity_string(&self) -> String {
         format!(
@@ -224,12 +219,7 @@ impl fmt::Display for MachineReport {
             )?;
         }
         if let Some(elapsed) = self.elapsed {
-            write!(
-                f,
-                "\n  engine: {} | {:.3} s wall",
-                self.engine,
-                elapsed.as_secs_f64()
-            )?;
+            write!(f, "\n  {:.3} s wall", elapsed.as_secs_f64())?;
             if let Some(cps) = self.cycles_per_sec() {
                 write!(f, " | {cps:.0} cycles/s")?;
             }
@@ -281,8 +271,8 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("avg CM access"));
         assert!(
-            text.contains("engine: sequential | "),
-            "footer names the engine, sequential by default: {text}"
+            text.contains(" s wall | "),
+            "footer reports wall time: {text}"
         );
         assert!(text.contains("cycles/s"), "footer reports throughput");
         assert!(r.elapsed.is_some());

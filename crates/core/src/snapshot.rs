@@ -9,7 +9,7 @@
 //!
 //! > `run(k)` → `snapshot` → `restore` → `run(m)` produces exactly the
 //! > state (and [`MachineReport::parity_string`]) of `run(k + m)`,
-//! > on every engine (sequential, parallel, fast-forward).
+//! > with idle fast-forward on or off.
 //!
 //! [`Machine::fork`] makes the same copy in memory — the machine a
 //! restore of this machine's snapshot would return, without the bytes in
@@ -24,7 +24,8 @@
 //! config     bytes    length-prefixed config-identity echo (geometry,
 //!                     backend, time scale, translation, seed, budget,
 //!                     barrier parties, contexts, fault plan)
-//! tuning     fixed    speed knobs (threads, two retired bytes, fast-forward)
+//! tuning     fixed    retired thread count (always 1), two retired bytes,
+//!                     fast-forward
 //! state      ...      full machine state (see machine/wire.rs)
 //! digest     u64      FNV-1a of the donor's parity string
 //! ```
@@ -32,7 +33,7 @@
 //! Everything before `state` is validated with typed errors before any
 //! state is decoded, including the sizes the state is built by: the
 //! network geometry must pass [`ultra_net::config::NetConfig::check`],
-//! the thread count [`crate::MAX_THREADS`], and the PE count cannot
+//! the retired thread count `1..=`[`crate::MAX_THREADS`], and the PE count cannot
 //! exceed the bytes that follow. All failures are [`SnapshotError`]s —
 //! corrupt or hostile bytes never panic and never allocate unboundedly
 //! (the last test of `crates/core/tests/snapshot_roundtrip.rs` flips bits
@@ -54,16 +55,16 @@
 //! those disabled, exactly like a freshly built one. They never feed
 //! back into the simulation, so their absence cannot perturb parity.
 //!
-//! The engine speed knobs ride along as a *tuning echo* (so a plain
-//! restore reproduces the donor's engine) but are excluded from the
-//! config identity: [`Machine::restore_tuned`] may override them, since
-//! every setting is bit-identical by construction.
+//! The engine speed knob rides along as a *tuning echo* (so a plain
+//! restore reproduces the donor's engine) but is excluded from the
+//! config identity: [`Machine::restore_tuned`] may override it, since
+//! both settings are bit-identical by construction.
 
 use std::fmt;
 
 use ultra_sim::wire::{fnv1a, WireError, WireReader, WireWriter};
 
-use crate::machine::{Machine, MachineConfig, StateDecodeError, MAX_THREADS};
+use crate::machine::{Machine, MachineConfig, StateDecodeError};
 use crate::report::MachineReport;
 
 /// Leading magic of every snapshot.
@@ -172,24 +173,21 @@ impl From<StateDecodeError> for SnapshotError {
 }
 
 /// Engine speed-knob overrides for [`Machine::restore_tuned`] and
-/// [`Machine::fork`]. Every
-/// field is a pure speed choice — all settings are bit-identical — so a
-/// snapshot taken under one engine may resume under another. `None`
-/// keeps the donor machine's setting from the tuning echo.
+/// [`Machine::fork`]. A pure speed choice — both settings are
+/// bit-identical — so a snapshot taken under one may resume under the
+/// other. `None` keeps the donor machine's setting from the tuning echo.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineTuning {
-    /// Worker-thread budget (`Some(1)` forces the sequential engine).
+    /// No-op, kept only so existing callers compile: the cycle engine is
+    /// sequential.
     pub threads: Option<usize>,
     /// Idle-cycle fast-forward on or off.
     pub fast_forward: Option<bool>,
 }
 
 impl EngineTuning {
-    /// Overwrites `cfg`'s speed knobs with the `Some` fields.
+    /// Overwrites `cfg`'s speed knob when it is `Some`.
     pub(crate) fn apply(self, cfg: &mut MachineConfig) {
-        if let Some(threads) = self.threads {
-            cfg.threads = threads.clamp(1, MAX_THREADS);
-        }
         if let Some(fast_forward) = self.fast_forward {
             cfg.fast_forward = fast_forward;
         }
@@ -233,10 +231,10 @@ impl Machine {
         Self::restore_tuned(bytes, EngineTuning::default())
     }
 
-    /// Restores a machine, overriding the donor's engine speed knobs
-    /// with any `Some` fields of `tuning`. A sweep job can thus take a
-    /// checkpoint under the parallel engine and resume it sequentially
-    /// (or vice versa) with bit-identical results.
+    /// Restores a machine, overriding the donor's engine speed knob
+    /// with `tuning`'s when it is `Some`. A checkpoint taken with
+    /// fast-forward on can thus resume with it off (or vice versa) with
+    /// bit-identical results.
     ///
     /// # Errors
     ///
@@ -425,20 +423,13 @@ mod tests {
             r.run();
             digest(&r)
         };
-        for tuning in [
-            EngineTuning {
-                threads: Some(2),
-                ..EngineTuning::default()
-            },
-            EngineTuning {
-                fast_forward: Some(false),
-                ..EngineTuning::default()
-            },
-        ] {
-            let mut r = Machine::restore_tuned(&bytes, tuning).unwrap();
-            r.run();
-            assert_eq!(digest(&r), plain, "{tuning:?} must be bit-identical");
-        }
+        let tuning = EngineTuning {
+            fast_forward: Some(false),
+            ..EngineTuning::default()
+        };
+        let mut r = Machine::restore_tuned(&bytes, tuning).unwrap();
+        r.run();
+        assert_eq!(digest(&r), plain, "{tuning:?} must be bit-identical");
     }
 
     #[test]
@@ -585,36 +576,49 @@ mod tests {
     #[test]
     fn retired_v1_tuning_slots_are_range_checked_and_ignored() {
         let bytes = mid_run_machine().snapshot();
-        // Walk the frame header to the two retired bytes (automatic
-        // thread selection, sweep-mode tag) right after the thread budget.
+        // Walk the frame header to the retired slots: the engine thread
+        // count (a u64), then automatic thread selection and the
+        // sweep-mode tag (a byte each).
         let mut r = WireReader::new(&bytes);
         r.take(SNAPSHOT_MAGIC.len()).unwrap();
         r.u32().unwrap();
         r.str().unwrap();
         let cfg_len = r.seq_len().unwrap();
         r.take(cfg_len).unwrap();
-        r.usize().unwrap();
-        let at = bytes.len() - r.remaining();
-        assert_eq!(bytes[at..at + 2], [1, 0], "what every v1 writer emits");
+        let threads_at = bytes.len() - r.remaining();
+        let at = threads_at + 8;
+        assert_eq!(
+            bytes[threads_at..at + 2],
+            [1, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+            "what every v1 writer emits"
+        );
         let plain = {
             let mut m = Machine::restore(&bytes).unwrap();
             m.run();
             digest(&m)
         };
+        let with_threads = |threads: u64| {
+            let mut frame = bytes.clone();
+            frame[threads_at..at].copy_from_slice(&threads.to_le_bytes());
+            frame
+        };
         // The other legal values a v1 writer could have left there.
-        let mut legal = bytes.clone();
+        let mut legal = with_threads(3);
         legal[at] = 0;
         legal[at + 1] = 1;
         let mut m = Machine::restore(&legal).expect("legal retired values restore");
-        assert_eq!(m.engine_mode(), crate::engine::EngineMode::Sequential);
         m.run();
         assert_eq!(digest(&m), plain);
+        let mut bad_frames = vec![with_threads(0), with_threads(65)];
         for slot in [at, at + 1] {
             let mut bad = bytes.clone();
             bad[slot] = 7;
+            bad_frames.push(bad);
+        }
+        for bad in bad_frames {
             assert!(
                 matches!(Machine::restore(&bad), Err(SnapshotError::Corrupted(_))),
-                "byte {slot} = 7 must be a typed error"
+                "an out-of-range retired slot must be a typed error"
             );
         }
     }

@@ -1,12 +1,12 @@
 //! Snapshot round-trip property: `run(k) → snapshot → restore → run(m)`
-//! is bit-identical to `run(k+m)` — on every engine, through every kind
-//! of mid-run machine state.
+//! is bit-identical to `run(k+m)` — under every engine tuning, through
+//! every kind of mid-run machine state.
 //!
 //! Each scenario builds a machine, runs the *uninterrupted* baseline to
 //! completion, then re-runs it with a snapshot cut at several mid-run
 //! points. At each cut the snapshot is restored under every engine
-//! tuning (donor settings — sequential —, parallel, fast-forward off,
-//! forced-dense sweep) and driven to completion; all of them — and the
+//! tuning (donor settings, fast-forward off, forced-dense sweep) and
+//! driven to completion; all of them — and the
 //! donor machine continuing past its own snapshot — must digest to the
 //! baseline's parity string. `Machine::fork` is held to the same cuts
 //! with the codec as its reference: a fork under each tuning (and a fork
@@ -19,9 +19,7 @@
 //!
 //! The last test turns to frames that are *not* a donor's: whatever a
 //! flipped bit does to the bytes, `Machine::restore` answers `Ok` or a
-//! typed `SnapshotError` — it never unwinds, and it never builds an
-//! engine wider than `MAX_THREADS` (an unbounded `threads` slot spawns
-//! OS threads until the process aborts).
+//! typed `SnapshotError` — it never unwinds.
 
 use ultracomputer::machine::{Machine, MachineBuilder};
 use ultracomputer::program::{body, Expr, Op, Program};
@@ -30,7 +28,7 @@ use ultracomputer::ultra_net::config::SweepMode;
 use ultracomputer::ultra_sim::clock::TimeScale;
 use ultracomputer::ultra_sim::rng::{Rng, SplitMix64};
 use ultracomputer::ultra_sim::MmId;
-use ultracomputer::{EngineTuning, MachineReport, SnapshotError, MAX_THREADS};
+use ultracomputer::{EngineTuning, MachineReport, SnapshotError};
 
 /// Tickets from a hot counter, a private-slot store per round, and a
 /// closing barrier — combining, register locking, bank traffic and
@@ -80,14 +78,6 @@ fn tunings() -> Vec<(&'static str, EngineTuning, SweepMode)> {
     vec![
         ("donor", donor, SweepMode::Sparse),
         (
-            "parallel-3",
-            EngineTuning {
-                threads: Some(3),
-                ..donor
-            },
-            SweepMode::Sparse,
-        ),
-        (
             "no-fast-forward",
             EngineTuning {
                 fast_forward: Some(false),
@@ -99,7 +89,7 @@ fn tunings() -> Vec<(&'static str, EngineTuning, SweepMode)> {
     ]
 }
 
-/// The property at one cut point: donor-continue, every restored engine
+/// The property at one cut point: donor-continue, every restored tuning
 /// and every fork reach the baseline digest — and [`Machine::fork`] is
 /// the codec round trip without the codec: under each tuning the fork,
 /// and a fork of the fork, hold the restored machine's snapshot bytes at
@@ -311,7 +301,7 @@ fn parked_shards_round_trip_and_account_every_idle_cycle() {
         ticket_program_then(rounds, vec![Op::Fence, nap])
     };
     let (pes, k) = (8, 2);
-    let make_with = |threads: usize, fast_forward: bool| {
+    let make_with = |fast_forward: bool| {
         let programs = (0..pes * k)
             .map(|ctx| program(if ctx < k { 24 } else { 3 }))
             .collect();
@@ -323,7 +313,6 @@ fn parked_shards_round_trip_and_account_every_idle_cycle() {
             })
             .faults(FaultPlan::none().seed(5).link_loss(0.08))
             .max_cycles(2_000_000)
-            .threads(threads)
             .fast_forward(fast_forward)
             .build(programs)
     };
@@ -336,7 +325,7 @@ fn parked_shards_round_trip_and_account_every_idle_cycle() {
 
     // A cut with most PEs already waiting at the barrier (an idle cycle
     // is charged to one context per PE).
-    let mut probe = make_with(1, true);
+    let mut probe = make_with(true);
     while waits(&probe).iter().filter(|w| w.1 > 0).count() < pes - 2 {
         assert!(!probe.run_for(1).completed, "barrier never filled up");
     }
@@ -344,32 +333,30 @@ fn parked_shards_round_trip_and_account_every_idle_cycle() {
     let cuts = [7, 38, 90, barrier_cut];
 
     for &cut in &cuts {
-        let mut stepped = make_with(1, false);
+        let mut stepped = make_with(false);
         assert!(!stepped.run_for(cut).completed, "cut {cut} is mid-run");
-        for threads in [1, 3] {
-            let mut m = make_with(threads, true);
-            m.run_for(cut);
-            assert_eq!(m.now(), cut);
-            assert_eq!(
-                waits(&m),
-                waits(&stepped),
-                "cut {cut} threads {threads}: idle/barrier-wait read mid-run"
-            );
-            // Ground truth that needs no second engine: nobody has passed
-            // the barrier and every instruction holds the datapath one
-            // cycle, so each PE accounts for every cycle so far as either
-            // an instruction or an idle cycle.
-            for (pe, ctxs) in m.pe_stats().chunks(k).enumerate() {
-                let accounted: u64 = ctxs
-                    .iter()
-                    .map(|s| s.instructions.get() + s.idle_cycles.get())
-                    .sum();
-                assert_eq!(accounted, cut, "cut {cut} threads {threads}: PE {pe}");
-            }
+        let mut m = make_with(true);
+        m.run_for(cut);
+        assert_eq!(m.now(), cut);
+        assert_eq!(
+            waits(&m),
+            waits(&stepped),
+            "cut {cut}: idle/barrier-wait read mid-run"
+        );
+        // Ground truth that needs no second engine: nobody has passed
+        // the barrier and every instruction holds the datapath one
+        // cycle, so each PE accounts for every cycle so far as either
+        // an instruction or an idle cycle.
+        for (pe, ctxs) in m.pe_stats().chunks(k).enumerate() {
+            let accounted: u64 = ctxs
+                .iter()
+                .map(|s| s.instructions.get() + s.idle_cycles.get())
+                .sum();
+            assert_eq!(accounted, cut, "cut {cut}: PE {pe}");
         }
     }
     assert!(probe.run().completed && probe.fault_summary().retries > 0);
-    check_scenario(&|| make_with(1, true), &cuts, "parked 8 PEs x 2 contexts");
+    check_scenario(&|| make_with(true), &cuts, "parked 8 PEs x 2 contexts");
 }
 
 #[test]
@@ -396,11 +383,7 @@ fn a_flipped_bit_restores_or_fails_with_a_typed_error() {
     let sampled = (0..2_500).map(|_| exhaustive_bits + rng.below(sampled_bits));
     for bit in (0..exhaustive_bits).chain(sampled) {
         frame[bit / 8] ^= 1 << (bit % 8);
-        let result: Result<Machine, SnapshotError> = Machine::restore(&frame);
+        let _: Result<Machine, SnapshotError> = Machine::restore(&frame);
         frame[bit / 8] ^= 1 << (bit % 8);
-        if let Ok(m) = result {
-            let threads = m.cfg().threads;
-            assert!(threads <= MAX_THREADS, "bit {bit}: {threads} threads");
-        }
     }
 }

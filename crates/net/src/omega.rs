@@ -38,7 +38,7 @@ use ultra_obs::{CounterSnapshot, HeatmapSnapshot};
 use ultra_sim::active::Walk;
 use ultra_sim::heap::vec_bytes;
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
-use ultra_sim::{ActiveSet, Cycle, WorkerPool};
+use ultra_sim::{ActiveSet, Cycle};
 
 /// Occupancy (in percent of a stage's switches) above which
 /// [`SweepMode::Sparse`] scans that stage densely instead of walking the
@@ -737,9 +737,8 @@ fn extract_ready<T>(pending: &mut Vec<(Cycle, T)>, now: Cycle, mut sink: impl Fn
 
 /// One network copy plus its reusable per-cycle event buffer.
 ///
-/// Keeping the buffer beside the copy lets [`ReplicatedOmega::cycle_inplace`]
-/// fan the copies out across threads over a single slice — each lane is an
-/// independent unit of per-cycle work with its own output.
+/// Keeping the buffer beside the copy gives each copy its own pooled
+/// output, drained in place after [`ReplicatedOmega::cycle_inplace`].
 #[derive(Debug, Clone)]
 struct CopyLane {
     net: OmegaNetwork,
@@ -878,15 +877,13 @@ impl ReplicatedOmega {
         self.lanes[copy].net.try_inject_reply(reply, now)
     }
 
-    /// Advances every copy one cycle into its lane's pooled event buffer,
-    /// fanning the independent copies out over `pool`'s worker threads.
-    /// Results land in fixed lane order regardless of the pool width, so
-    /// the parallel and sequential engines observe identical event
-    /// streams; read them back with [`ReplicatedOmega::events_mut`].
-    pub fn cycle_inplace(&mut self, now: Cycle, pool: &WorkerPool) {
-        pool.run(&mut self.lanes, |_, lane| {
+    /// Advances every copy one cycle, in copy order, into its lane's
+    /// pooled event buffer; read them back with
+    /// [`ReplicatedOmega::events_mut`].
+    pub fn cycle_inplace(&mut self, now: Cycle) {
+        for lane in &mut self.lanes {
             lane.net.cycle_into(now, &mut lane.events);
-        });
+        }
     }
 
     /// The pooled event buffer copy `i` filled during the last
@@ -1049,8 +1046,7 @@ mod tests {
 
     /// Advances every copy of `rep` and returns the tagged events.
     fn rep_cyc(rep: &mut ReplicatedOmega, now: Cycle) -> Vec<(usize, NetworkEvents)> {
-        let pool = WorkerPool::new(1);
-        rep.cycle_inplace(now, &pool);
+        rep.cycle_inplace(now);
         (0..rep.copies())
             .map(|i| (i, rep.events_mut(i).clone()))
             .collect()
@@ -1412,9 +1408,8 @@ mod tests {
             );
             let _ = rep.try_inject_request(msg, 0);
         }
-        let pool = WorkerPool::new(1);
         for now in 0..3 {
-            rep.cycle_inplace(now, &pool);
+            rep.cycle_inplace(now);
         }
 
         let mut w = WireWriter::new();
@@ -1430,8 +1425,8 @@ mod tests {
 
         // Both instances must produce the same event stream from here on.
         for now in 3..40 {
-            rep.cycle_inplace(now, &pool);
-            twin.cycle_inplace(now, &pool);
+            rep.cycle_inplace(now);
+            twin.cycle_inplace(now);
             for i in 0..rep.copies() {
                 assert_eq!(rep.events_mut(i).clone(), {
                     let ev = twin.events_mut(i);

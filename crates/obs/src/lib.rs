@@ -9,7 +9,7 @@
 //!   the machine samples at window boundaries, turning cumulative
 //!   counters into rate-over-time curves. Off by default, zero
 //!   allocation once enabled, and deterministic: the sampled series is
-//!   bit-identical across the sequential and parallel cycle engines.
+//!   bit-identical with the idle fast-forward on and off.
 //! * [`chrome`] — a hand-serialized Chrome/Perfetto `trace_event` JSON
 //!   writer ([`ChromeTraceBuilder`]), so event rings, engine-phase
 //!   spans and telemetry series load directly in `ui.perfetto.dev`.

@@ -16,9 +16,8 @@
 //! recorder cannot change a run. Boundaries are defined in *simulated*
 //! cycles, and the idle fast-forward emits one sample per crossed
 //! boundary with the same (unchanged) cumulative counters a stepped run
-//! would have seen — the series is therefore bit-identical across the
-//! sequential engine, the parallel engine at any thread count, and
-//! fast-forward on/off.
+//! would have seen — the series is therefore bit-identical with the
+//! fast-forward on and off.
 
 use std::collections::VecDeque;
 
@@ -362,9 +361,6 @@ pub struct PhaseSpan {
     pub start_ns: u64,
     /// Wall-clock duration in nanoseconds.
     pub dur_ns: u64,
-    /// Worker-pool chunks the phase fanned out over (0 when the phase
-    /// did not dispatch through the pool).
-    pub pool_chunks: u32,
 }
 
 /// A fixed-capacity ring of [`PhaseSpan`]s — per-cycle engine phase
@@ -537,7 +533,6 @@ mod tests {
             phase: EnginePhase::Network,
             start_ns: 0,
             dur_ns: 1,
-            pool_chunks: 0,
         });
         assert_eq!(pr.spans().count(), 0, "disabled recorder stores nothing");
         pr.enable(2);
@@ -547,7 +542,6 @@ mod tests {
                 phase: EnginePhase::PeShards,
                 start_ns: c * 10,
                 dur_ns: 5,
-                pool_chunks: 4,
             });
         }
         assert_eq!(pr.dropped(), 3);

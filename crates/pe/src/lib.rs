@@ -1,11 +1,6 @@
-//! Processing-element-side components of the Ultracomputer (paper §3.2,
-//! §3.4, §3.5).
+//! Processing-element-side components of the Ultracomputer (paper §3.4,
+//! §3.5).
 //!
-//! * [`cache`] — the PE-local cache (§3.2): write-back with the two
-//!   software-visible commands of §3.4, **release** (drop without
-//!   write-back) and **flush** (force write-back), which together let tasks
-//!   cache shared read-write data during periods of exclusive or read-only
-//!   use.
 //! * [`pni`] — the processor-network interface (§3.4): virtual→physical
 //!   translation (with the §3.1.4 hashing), request id management, and the
 //!   pipelining policy — at most one outstanding reference per memory
@@ -15,13 +10,14 @@
 //!   driving the §4 network-performance experiments.
 //! * [`stats`] — per-PE instruction/idle accounting matching Table 1's
 //!   columns.
+//!
+//! The §3.2 write-back PE cache is not modelled: private references are
+//! counted, not simulated (DESIGN.md §6).
 
-pub mod cache;
 pub mod pni;
 pub mod stats;
 pub mod traffic;
 
-pub use cache::{Cache, CacheConfig, ReadOutcome, WriteOutcome};
 pub use pni::{Pni, PniError};
 pub use stats::PeStats;
 pub use traffic::{HotspotTraffic, RequestSpec, TrafficPattern, UniformTraffic};

@@ -3,8 +3,8 @@
 //! "The PNI performs four functions: virtual to physical address
 //! translation, assembly/disassembly of memory requests, enforcement of the
 //! network pipeline policy, and cache management." Assembly/disassembly is
-//! absorbed by the packet-length model in `ultra-net`; cache management
-//! lives in [`crate::cache`]; this module implements translation and the
+//! absorbed by the packet-length model in `ultra-net`; the PE cache is not
+//! modelled (DESIGN.md §6); this module implements translation and the
 //! pipeline policy:
 //!
 //! * requests to **distinct** locations may be pipelined (issued before

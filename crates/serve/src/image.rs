@@ -1,7 +1,7 @@
 //! What the prefix cache holds: a machine, ready to be forked.
 //!
-//! A cached checkpoint is a restored [`Machine`] — observer state off,
-//! no worker threads — and a resume is [`Machine::fork`] off it, so a
+//! A cached checkpoint is a restored [`Machine`] with observer state
+//! off, and a resume is [`Machine::fork`] off it, so a
 //! sweep job costs its suffix and one copy, not a decode and an encode of
 //! the whole machine.
 //!
@@ -51,11 +51,7 @@ impl Image {
     /// calling thread builds the copy and goes on running the original.
     #[must_use]
     pub fn copy_of(machine: &Machine) -> Self {
-        // One thread: a shelved machine must not hold a worker pool.
-        Self::new(machine.fork(EngineTuning {
-            threads: Some(1),
-            ..EngineTuning::default()
-        }))
+        Self::new(machine.fork(EngineTuning::default()))
     }
 
     /// The shelved machine, to fork from.

@@ -317,10 +317,6 @@ impl Server {
         // telemetry (an image carries no telemetry history, so a
         // telemetry series must start from cycle 0 to be complete).
         let restore_started = Instant::now();
-        let tuning = EngineTuning {
-            threads: Some(spec.threads),
-            ..EngineTuning::default()
-        };
         let resumed = match spec.telemetry_window {
             None => self.cache.best_at_or_below(&key, spec.cycles),
             Some(_) => None,
@@ -334,7 +330,7 @@ impl Server {
                 flight(FlightLevel::Info, "cache", &msg);
                 log.push(msg);
                 shelved_at = cycle;
-                image.machine().fork(tuning)
+                image.machine().fork(EngineTuning::default())
             }
             None => spec.machine(),
         };

@@ -28,7 +28,8 @@ pub const DEFAULT_CYCLE_BUDGET: Cycle = 10_000_000;
 /// job line is outside input and `pes` sizes every allocation.
 pub const MAX_PES: usize = 1 << 20;
 
-/// Most engine threads a job may ask for: the machine's own bound.
+/// Bound on a job line's retired `"threads"` field (checked, then
+/// ignored): the machine's own bound.
 pub use ultracomputer::MAX_THREADS;
 
 /// Most network copies a job may ask for (each is a whole fabric).
@@ -225,9 +226,10 @@ pub struct JobSpec {
     pub mean_gap: u64,
     /// Network copies `d` (1 = single copy).
     pub copies: usize,
-    /// Engine thread budget for this job's machine (a speed knob — every
-    /// value is bit-identical; the default 1 leaves server-level
-    /// parallelism to the worker pool).
+    /// No-op, kept only so existing callers compile: a job line's
+    /// `"threads"` is range-checked (`1..=MAX_THREADS`) and ignored. The
+    /// cycle engine is sequential; the server's `--workers` use the
+    /// host's other cores.
     pub threads: usize,
     /// Total cycle budget: the job runs until the workload completes or
     /// the machine reaches this cycle, whichever is first.
@@ -411,7 +413,6 @@ impl JobSpec {
     pub fn machine(&self) -> Machine {
         let mut b = MachineBuilder::new(self.pes)
             .seed(self.seed)
-            .threads(self.threads)
             .max_cycles(Cycle::MAX);
         if self.copies > 1 {
             b = b.network(self.copies);
@@ -436,7 +437,7 @@ impl JobSpec {
 
     /// The prefix-cache key: every field that shapes simulation state,
     /// and nothing that doesn't. Budget, priority, timeout, telemetry,
-    /// checkpoint cadence, engine threads and the job id are all
+    /// checkpoint cadence, the retired thread count and the job id are all
     /// excluded — jobs differing only in those walk bit-identical cycle
     /// sequences and may share checkpoints.
     #[must_use]

@@ -15,6 +15,7 @@ use std::thread;
 use ultra_obs::flight::FlightLevel;
 use ultra_serve::cache::CACHE_BUDGET_BYTES;
 use ultra_serve::obs::ObsOptions;
+use ultra_serve::protocol::{classify, Request};
 use ultra_serve::spec::{JobSpec, Workload};
 use ultra_serve::{JobOutcome, JobStatus, Server};
 
@@ -140,6 +141,23 @@ fn concurrent_batch_matches_one_shot_runs_and_resumes_from_the_prefix_cache() {
             spec.id
         );
         assert_eq!(field(&served.line, "status"), "completed", "{}", spec.id);
+    }
+    // A job line's `"threads"` is range-checked and ignored: `ticket-99`
+    // sent as a line, with and without it, answers byte-identically.
+    let ticket_99 =
+        r#"{"id": "ticket-99", "pes": 8, "seed": 99, "workload": "ticket", "rounds": 10"#;
+    for line in [
+        format!("{ticket_99}}}"),
+        format!(r#"{ticket_99}, "threads": 2}}"#),
+    ] {
+        let Ok(Request::Job(spec)) = classify(&server, &line, 1) else {
+            panic!("{line} is a job line");
+        };
+        assert_eq!(
+            Server::new().run_job(&spec).line,
+            outcomes["ticket-99"].line,
+            "{line}"
+        );
     }
 
     // The sweep job resumed from the warm-up's checkpoint.

@@ -166,15 +166,6 @@ pub struct Walk {
 }
 
 impl Walk {
-    /// A cursor that starts at index `from` instead of 0.
-    #[must_use]
-    pub fn starting_at(from: usize) -> Self {
-        Self {
-            next_from: from,
-            ..Self::default()
-        }
-    }
-
     /// The next member of `set`, or `None` once the walk is past the last.
     #[inline]
     pub fn next(&mut self, set: &ActiveSet) -> Option<usize> {

@@ -23,9 +23,6 @@
 //!   per-cycle loop in the network and the cycle engine iterates.
 //! * [`heap`] — capacity arithmetic for `Vec`, `VecDeque` and `HashMap`,
 //!   from which a machine estimates its own heap footprint.
-//! * [`pool`] — deterministic fork–join over mutable slices: the
-//!   persistent worker pool ([`pool::WorkerPool`]) the cycle engine
-//!   dispatches through every cycle.
 //! * [`wire`] — the hand-rolled binary format machine snapshots are
 //!   written in ([`wire::Wire`], [`wire::WireWriter`],
 //!   [`wire::WireReader`]).
@@ -51,7 +48,6 @@ pub mod heap;
 pub mod idmap;
 pub mod ids;
 pub mod inline_vec;
-pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod wire;
@@ -61,7 +57,6 @@ pub use clock::Cycle;
 pub use idmap::IdMap;
 pub use ids::{digits, MemAddr, MmId, PeId, Value};
 pub use inline_vec::InlineVec;
-pub use pool::{PoolDispatchStats, WorkerPool};
 pub use rng::{Rng, SplitMix64};
 pub use stats::{Counter, Histogram};
 pub use wire::{Wire, WireError, WireReader, WireWriter};

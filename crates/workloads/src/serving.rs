@@ -108,7 +108,7 @@ impl Serving {
     /// Gap `i` is drawn from an exponential distribution with mean
     /// [`Self::mean_gap`] via inverse-CDF on a [`SplitMix64`] stream, so
     /// the schedule is a pure function of `(seed, mean_gap, requests)` —
-    /// the same table on every engine and every run.
+    /// the same table on every run.
     #[must_use]
     pub fn arrivals(&self) -> Vec<u64> {
         let mut rng = SplitMix64::new(self.seed ^ 0xA55A_7EA5_0F75_11E5);

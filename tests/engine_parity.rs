@@ -1,8 +1,8 @@
-//! Property tests for the cycle engines (`ultracomputer::engine`).
+//! Property tests for the cycle engine's speed knobs.
 //!
-//! The contract: the parallel engine (any thread count) and the idle
-//! fast-forward are pure *speed* knobs — a run is **bit-identical** to
-//! the sequential, per-cycle reference regardless of either. Identity is
+//! The contract: the idle fast-forward and the network's sparse switch
+//! sweep are pure *speed* knobs — a run is **bit-identical** to the
+//! per-cycle, dense-sweep reference regardless of either. Identity is
 //! checked through [`MachineReport::parity_string`] (cycles, merged PE
 //! statistics, network statistics, fault summary), the full event trace,
 //! and final shared memory, across random configurations, fault plans
@@ -118,21 +118,9 @@ fn run_swept(
 }
 
 fn assert_engines_agree(make: impl Fn() -> MachineBuilder, program: &Program, label: &str) {
-    let seq = run(make().threads(1), program, true);
-    for threads in [2usize, 4] {
-        let par = run(make().threads(threads), program, true);
-        assert_eq!(
-            seq.parity, par.parity,
-            "{label}: parity digest diverged at {threads} threads"
-        );
-        assert_eq!(
-            seq.trace, par.trace,
-            "{label}: trace diverged at {threads} threads"
-        );
-        assert_eq!(seq.hot_word, par.hot_word, "{label}: memory diverged");
-    }
-    // Fast-forward off must match too (it defaults to on above).
-    let stepped = run(make().threads(1).fast_forward(false), program, true);
+    let seq = run(make(), program, true);
+    // Fast-forward off must match (it defaults to on above).
+    let stepped = run(make().fast_forward(false), program, true);
     assert_eq!(
         seq.parity, stepped.parity,
         "{label}: fast-forward changed the simulation"
@@ -143,7 +131,7 @@ fn assert_engines_agree(make: impl Fn() -> MachineBuilder, program: &Program, la
     );
     // The dense full-topology sweep must match the default sparse
     // active-set walk (runs above use the sparse default).
-    let dense = run_swept(make().threads(1), program, true, SweepMode::Dense);
+    let dense = run_swept(make(), program, true, SweepMode::Dense);
     assert_eq!(
         seq.parity, dense.parity,
         "{label}: sweep mode changed the simulation"
@@ -184,14 +172,13 @@ fn serving_latency_curve_is_bit_identical_across_engines() {
     // don't: timed waits ([`Op::WaitUntil`]) parked across long
     // fast-forwardable gaps at light load, and backlogged (already-past)
     // arrival targets at heavy load. The whole latency histogram — not
-    // just a few percentiles — must survive every engine unchanged.
+    // just a few percentiles — must survive fast-forward unchanged.
     use ultra_workloads::Serving;
     for gap in [150u64, 4] {
         let s = Serving::new(96, gap).seed(13);
-        let run = |threads: usize, ff: bool| {
+        let run = |ff: bool| {
             let mut m = MachineBuilder::new(8)
                 .seed(13)
-                .threads(threads)
                 .fast_forward(ff)
                 .build_spmd(&s.program());
             s.install(&mut m);
@@ -201,19 +188,8 @@ fn serving_latency_curve_is_bit_identical_across_engines() {
                 s.latencies(&m),
             )
         };
-        let (seq_parity, seq_lat) = run(1, true);
-        for threads in [2usize, 4] {
-            let (parity, lat) = run(threads, true);
-            assert_eq!(
-                seq_parity, parity,
-                "gap {gap}: parity diverged at {threads} threads"
-            );
-            assert_eq!(
-                seq_lat, lat,
-                "gap {gap}: latency histogram diverged at {threads} threads"
-            );
-        }
-        let (stepped_parity, stepped_lat) = run(1, false);
+        let (seq_parity, seq_lat) = run(true);
+        let (stepped_parity, stepped_lat) = run(false);
         assert_eq!(
             seq_parity, stepped_parity,
             "gap {gap}: fast-forward changed the simulation"
@@ -269,46 +245,9 @@ fn engines_agree_on_e8_configuration() {
     assert_engines_agree(make, &ticket_program(4), "E8 configuration");
 }
 
-/// The persistent pool replaced per-cycle `thread::scope` fan-outs in the
-/// engine; its dispatch must be effect-identical to the plain index-order
-/// loop (every element visited once, with its index, with exclusive
-/// access) for arbitrary slice lengths and thread counts.
-#[test]
-fn pool_dispatch_matches_scoped_fanout() {
-    use ultra_sim::WorkerPool;
-    forall(10, "pool vs scoped fan-out", |rng| {
-        let len = rng.range_u64(0..40) as usize;
-        let threads = 1 + rng.range_u64(0..5) as usize;
-        let salt = rng.next_u64();
-        let work = move |i: usize, x: &mut u64| {
-            let mut h = (*x).wrapping_add(salt);
-            for _ in 0..20 {
-                h = h.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(i as u64);
-            }
-            *x = h;
-        };
-        let mut looped: Vec<u64> = (0..len as u64).map(|i| i * 7 + 3).collect();
-        let in_order = |v: &mut [u64]| v.iter_mut().enumerate().for_each(|(i, x)| work(i, x));
-        in_order(&mut looped);
-        let pool = WorkerPool::new(threads);
-        let mut pooled: Vec<u64> = (0..len as u64).map(|i| i * 7 + 3).collect();
-        // Reuse across dispatches is the pool's whole point — run twice
-        // through the same pool and compare the second pass too.
-        pool.run(&mut pooled, work);
-        assert_eq!(pooled, looped, "len={len} threads={threads}");
-        in_order(&mut looped);
-        pool.run(&mut pooled, work);
-        assert_eq!(
-            pooled, looped,
-            "second dispatch, len={len} threads={threads}"
-        );
-    });
-}
-
 /// Cycle-windowed telemetry is defined in *simulated* time, so the
 /// recorded series and the end-of-run heatmap must be bit-identical
-/// across the sequential engine, the parallel engine at any thread
-/// count, and fast-forward on/off — and enabling it must not change the
+/// with fast-forward on and off — and enabling it must not change the
 /// parity digest at all.
 #[test]
 fn telemetry_is_bit_identical_across_engines_and_inert() {
@@ -341,24 +280,9 @@ fn telemetry_is_bit_identical_across_engines_and_inert() {
             load_barrier_program(iters)
         };
         let make = || MachineBuilder::new(n).seed(seed);
-        let seq = run_observed(make().threads(1), &program, window);
+        let seq = run_observed(make(), &program, window);
         assert!(!seq.samples.is_empty(), "telemetry recorded nothing");
-        for threads in [2usize, 4] {
-            let par = run_observed(make().threads(threads), &program, window);
-            assert_eq!(
-                seq.samples, par.samples,
-                "telemetry series diverged at {threads} threads (window {window})"
-            );
-            assert_eq!(
-                seq.heatmap, par.heatmap,
-                "heatmap diverged at {threads} threads"
-            );
-            assert_eq!(
-                seq.parity, par.parity,
-                "parity diverged at {threads} threads"
-            );
-        }
-        let stepped = run_observed(make().threads(1).fast_forward(false), &program, window);
+        let stepped = run_observed(make().fast_forward(false), &program, window);
         assert_eq!(
             seq.samples, stepped.samples,
             "fast-forward changed the telemetry series (window {window})"
@@ -368,7 +292,7 @@ fn telemetry_is_bit_identical_across_engines_and_inert() {
             "fast-forward changed the heatmap"
         );
         // Inert: the same machine without telemetry digests identically.
-        let bare = run(make().threads(1), &program, false);
+        let bare = run(make(), &program, false);
         assert_eq!(
             seq.parity, bare.parity,
             "enabling telemetry perturbed the simulation"
@@ -381,10 +305,9 @@ fn telemetry_is_bit_identical_across_engines_and_inert() {
 /// inactive PEs halt on cycle 0, so from cycle 1 on every phase (PE
 /// dispatch, outbound flush, bank cycling, fast-forward scans) runs off
 /// the sparse masks, and the loss-triggered PNI retries exercise the
-/// retry-enabled variants of those scans. One sequential and one 4-thread
-/// run must digest identically, and so must a fully stepped run with the
-/// fast-forward off (the masked idle paths do the same bookkeeping the
-/// per-cycle walk did).
+/// retry-enabled variants of those scans. A fully stepped run with the
+/// fast-forward off must digest identically (the masked idle paths do
+/// the same bookkeeping the per-cycle walk did).
 #[test]
 fn engines_agree_at_sixteen_k_pes_under_faults() {
     const N: usize = 16384;
@@ -399,10 +322,9 @@ fn engines_agree_at_sixteen_k_pes_under_faults() {
             }
         })
         .collect();
-    let run_wide = |threads: usize, fast_forward: bool| {
+    let run_wide = |fast_forward: bool| {
         let mut m = MachineBuilder::new(N)
             .network(1)
-            .threads(threads)
             .fast_forward(fast_forward)
             .faults(FaultPlan::none().seed(23).link_loss(0.05))
             .max_cycles(2_000_000)
@@ -415,16 +337,9 @@ fn engines_agree_at_sixteen_k_pes_under_faults() {
             hot_word: m.read_shared(0),
         }
     };
-    let seq = run_wide(1, true);
+    let seq = run_wide(true);
     assert_eq!(seq.hot_word, (ACTIVE * 2) as Value, "every ticket claimed");
-    let par = run_wide(4, true);
-    assert_eq!(
-        seq.parity, par.parity,
-        "16K PEs: parity diverged at 4 threads"
-    );
-    assert_eq!(seq.trace, par.trace, "16K PEs: trace diverged at 4 threads");
-    assert_eq!(seq.hot_word, par.hot_word, "16K PEs: memory diverged");
-    let stepped = run_wide(1, false);
+    let stepped = run_wide(false);
     assert_eq!(
         seq.parity, stepped.parity,
         "16K PEs: fast-forward changed the simulation"
@@ -437,7 +352,7 @@ fn engines_agree_at_sixteen_k_pes_under_faults() {
 
 /// The E14c degradation configuration: 16 PEs, d = 2 with copy 0
 /// fail-stopped at boot — `FaultSummary` (failovers, refusals) must be
-/// byte-identical between engines, not just final memory.
+/// byte-identical under every speed knob, not just final memory.
 #[test]
 fn engines_agree_on_e14_configuration() {
     let healthy = || MachineBuilder::new(16).network(2);
