@@ -1,26 +1,21 @@
-//! Micro-bench: the cost of a single `Machine::step()` at N = 256.
+//! Micro-bench: the cost of a single `Machine::step()`.
 //!
-//! Isolates the cycle engine's hot path — one full machine cycle over
-//! the fanned-out shards, banks, and network copies — from whole-run
-//! effects (program completion, drain tails). `machine_step` steps a
-//! machine whose ticket traffic is in full flight, so the pooled buffers
-//! (`NetworkEvents` lanes, PNI retry scratch, shard effect queues,
-//! delivery staging) are warm and the path is allocation-free.
-//! `merge_phase` steps a mostly-halted N = 1024 machine (16 live shards,
-//! fast-forward off) so the row isolates the engine's occupancy-mask
-//! bookkeeping — dirty-word effect drain, masked flush, masked bank
-//! sweep — rather than the PE work itself.
-//! `network_cycle` prices the seed's allocating `OmegaNetwork::cycle`
-//! against the pooled `cycle_into` it was replaced with, under identical
-//! hot-spot load. `sweep_occupancy` compares the sparse active-set walk
-//! against the dense full-topology scan at 1%, 10% and 90% switch
-//! occupancy — the data behind the sparse sweep's dense-fallback
-//! threshold (sparse wins big at low occupancy, converges with dense as
-//! occupancy saturates, so the fallback engages only near-saturation).
+//! Isolates the cycle engine's hot path — one machine cycle over the PE
+//! shards, banks and network copies — from whole-run effects (program
+//! completion, drain tails). `machine_step` steps an N = 256 machine
+//! whose ticket traffic is in full flight, so the pooled buffers
+//! (`NetworkEvents`, PNI retry scratch, delivery staging) are warm and
+//! the path is allocation-free. `merge_phase` steps a mostly-halted
+//! N = 1024 machine (16 live shards, fast-forward off), so the row
+//! prices the ready-set bookkeeping around the live work — the member
+//! walks over runnable shards, busy banks and occupied switches — rather
+//! than the PE work itself. `network_cycle` prices a fresh
+//! `NetworkEvents` buffer per `OmegaNetwork::cycle_into` call against
+//! one reused buffer, under identical hot-spot load.
 
 use std::hint::black_box;
 use ultra_bench::microbench::Group;
-use ultra_net::config::{NetConfig, SweepMode};
+use ultra_net::config::NetConfig;
 use ultra_net::message::{Message, MsgKind, PhiOp};
 use ultra_net::omega::{NetworkEvents, OmegaNetwork};
 use ultra_sim::{MemAddr, MmId, PeId};
@@ -79,13 +74,11 @@ fn bench_machine_step() {
 }
 
 /// The merge phase in isolation: a mostly-halted N = 1024 machine where
-/// only 16 shards produce effects each cycle. Per-step cost here is
-/// dominated by the engine's bookkeeping around the live work — the
-/// dirty-word drain of shard effects, the masked outgoing flush, the
-/// masked bank/network sweep — not by the work itself. Before the
-/// occupancy masks this path walked all 1024 shards (and every bank)
-/// per cycle; with them it touches only the 16 live lanes' words, so
-/// this row is the direct price of the merge machinery at low occupancy.
+/// only 16 shards do work each cycle. Per-step cost here is dominated by
+/// the engine's bookkeeping around the live work — the walks over the
+/// runnable shards, the busy banks and the occupied switches — not by the
+/// work itself, so this row is the direct price of that bookkeeping at
+/// low occupancy.
 fn bench_merge_phase() {
     const IDLE_N: usize = 1024;
     const ACTIVE: usize = 16;
@@ -136,8 +129,7 @@ fn drive_network(mut advance: impl FnMut(&mut OmegaNetwork, u64)) {
 fn bench_network_cycle() {
     let mut group = Group::new("network_cycle_n256");
     group.sample_size(10);
-    // Reproduces the seed's removed allocating `cycle` API (a fresh event
-    // buffer per call): this row *is* the price of that path.
+    // A fresh event buffer per call: the price of not reusing one.
     group.bench("allocating_seed_path", || {
         drive_network(|net, now| {
             let mut events = NetworkEvents::default();
@@ -155,51 +147,8 @@ fn bench_network_cycle() {
     group.finish();
 }
 
-/// Drives one network copy with `active` PEs sending uniform (pe → mm =
-/// pe) traffic, so the fraction of switches carrying messages tracks the
-/// fraction of active PEs.
-fn drive_network_occupancy(net: &mut OmegaNetwork, active: usize) {
-    let mut events = NetworkEvents::default();
-    for now in 0..STEPS_PER_SAMPLE as u64 {
-        for pe in 0..active {
-            let id = net.next_msg_id();
-            let msg = Message::request(
-                id,
-                MsgKind::FetchPhi(PhiOp::Add),
-                MemAddr::new(MmId(pe), 0),
-                1,
-                PeId(pe),
-                now,
-            );
-            let _ = net.try_inject_request(msg, now);
-        }
-        net.cycle_into(now, &mut events);
-        black_box(events.requests_at_mm.len());
-    }
-}
-
-/// Sparse vs dense sweeps at 1%, 10% and 90% occupancy — the measured
-/// basis for the dense-fallback threshold baked into the network.
-fn bench_sweep_occupancy() {
-    let mut group = Group::new("sweep_occupancy_n256");
-    group.sample_size(10);
-    for (label, pct) in [("1pct", 1usize), ("10pct", 10), ("90pct", 90)] {
-        let active = (N * pct / 100).max(1);
-        for (mode_label, mode) in [("sparse", SweepMode::Sparse), ("dense", SweepMode::Dense)] {
-            let name = format!("{label}_{mode_label}");
-            group.bench(&name, || {
-                let mut net = OmegaNetwork::new(NetConfig::small(N));
-                net.set_sweep_mode(mode);
-                drive_network_occupancy(&mut net, active);
-            });
-        }
-    }
-    group.finish();
-}
-
 fn main() {
     bench_machine_step();
     bench_merge_phase();
     bench_network_cycle();
-    bench_sweep_occupancy();
 }

@@ -375,7 +375,7 @@ fn main() {
         println!(
             "instrumented n={n}: {} cycles, {} telemetry windows, {} phase spans",
             out.cycles,
-            m.telemetry().len(),
+            m.telemetry().samples().len(),
             m.phase_spans().len()
         );
         obs.write("engine", m.telemetry(), m.heatmap().as_ref(), || {

@@ -259,7 +259,7 @@ fn main() {
         println!(
             "instrumented gap={gap}: {} cycles, {} telemetry windows",
             out.cycles,
-            m.telemetry().len()
+            m.telemetry().samples().len()
         );
         obs.write("serving", m.telemetry(), m.heatmap().as_ref(), || {
             chrome_trace(&m)

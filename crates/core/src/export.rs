@@ -59,7 +59,7 @@ pub fn chrome_trace(m: &Machine) -> String {
         b.thread_name(PID_ENGINE, phase.track(), phase.name());
     }
 
-    for event in m.trace().events() {
+    for event in m.trace().iter() {
         match *event {
             TraceEvent::Issue {
                 cycle, pe, kind, ..
@@ -83,7 +83,7 @@ pub fn chrome_trace(m: &Machine) -> String {
         }
     }
 
-    for span in m.phase_spans().spans() {
+    for span in m.phase_spans().iter() {
         b.complete(
             span.phase.name(),
             PID_ENGINE,

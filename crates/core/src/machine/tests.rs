@@ -284,22 +284,22 @@ fn trace_records_the_story_of_a_run() {
     assert!(m.run().completed);
     let issues = m
         .trace()
-        .events()
+        .iter()
         .filter(|e| matches!(e, TraceEvent::Issue { .. }))
         .count();
     let replies = m
         .trace()
-        .events()
+        .iter()
         .filter(|e| matches!(e, TraceEvent::Reply { .. }))
         .count();
     let halts = m
         .trace()
-        .events()
+        .iter()
         .filter(|e| matches!(e, TraceEvent::Halt { .. }))
         .count();
     let releases = m
         .trace()
-        .events()
+        .iter()
         .filter(|e| matches!(e, TraceEvent::BarrierRelease { .. }))
         .count();
     assert_eq!(issues, 8, "4 fetch-adds + 4 barrier arrivals");
@@ -307,7 +307,7 @@ fn trace_records_the_story_of_a_run() {
     assert_eq!(halts, 4);
     assert_eq!(releases, 1);
     // Events are recorded in nondecreasing cycle order.
-    let cycles: Vec<_> = m.trace().events().map(TraceEvent::cycle).collect();
+    let cycles: Vec<_> = m.trace().iter().map(TraceEvent::cycle).collect();
     assert!(cycles.windows(2).all(|w| w[0] <= w[1]));
     assert_eq!(m.trace().dropped(), 0);
 }
@@ -496,7 +496,7 @@ fn dense_sweep_is_bit_identical_to_sparse() {
         m.set_sweep_mode(mode);
         m.enable_trace(4096);
         assert!(m.run().completed);
-        let events: Vec<TraceEvent> = m.trace().events().copied().collect();
+        let events: Vec<TraceEvent> = m.trace().iter().copied().collect();
         (digest(&m), events, m.read_shared(0))
     };
     assert_eq!(

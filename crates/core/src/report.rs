@@ -147,16 +147,6 @@ impl MachineReport {
         self.pe.shared_refs_per_instruction()
     }
 
-    /// Offered network load in messages per PE per network cycle (the
-    /// analytic model's `p`).
-    #[must_use]
-    pub fn traffic_intensity(&self) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        self.pe.shared_refs.get() as f64 / (self.pes as f64 * self.cycles as f64)
-    }
-
     /// Run time in PE instruction times.
     #[must_use]
     pub fn instruction_times(&self) -> f64 {

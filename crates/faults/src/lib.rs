@@ -241,14 +241,6 @@ pub struct NetShape {
     pub mms: usize,
 }
 
-impl NetShape {
-    /// Total forward switch output ports across all copies.
-    #[must_use]
-    pub fn total_ports(&self) -> usize {
-        self.copies * self.stages * self.switches_per_stage * self.k
-    }
-}
-
 /// A complete, deterministic description of what is broken in one machine.
 ///
 /// Static faults exist from boot; scheduled faults fire at exact cycles via
@@ -411,12 +403,6 @@ impl FaultPlan {
             }
         }
         plan
-    }
-
-    /// The plan's seed.
-    #[must_use]
-    pub fn plan_seed(&self) -> u64 {
-        self.seed
     }
 
     /// Memory modules dead from boot, ascending.

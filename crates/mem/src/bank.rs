@@ -200,12 +200,6 @@ impl MemBank {
         }
     }
 
-    /// Whether the module has fail-stopped.
-    #[must_use]
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
     /// Degrades (or restores) the per-request service time — the slow-MM
     /// fault. Takes effect from the next request to enter service.
     ///
@@ -515,7 +509,6 @@ mod tests {
         bank.push_request(req(1, MsgKind::Load, 0, 0));
         bank.cycle(0);
         bank.kill();
-        assert!(bank.is_dead());
         assert!(bank.is_idle(), "all in-flight work discarded");
         assert_eq!(bank.peek(3), 0, "contents lost");
         bank.push_request(req(2, MsgKind::Store, 0, 9));

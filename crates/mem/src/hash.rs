@@ -144,12 +144,6 @@ impl AddressHasher {
         self.live = live;
     }
 
-    /// Whether any module is being remapped around.
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        !self.live.is_empty()
-    }
-
     /// Number of modules being spread over.
     #[must_use]
     pub fn n_mms(&self) -> usize {
@@ -275,7 +269,6 @@ mod tests {
         let mut degraded = AddressHasher::new(16, TranslationMode::Hashed);
         degraded.set_dead_mms(&[MmId(3)]);
         degraded.set_dead_mms(&[]);
-        assert!(!degraded.is_degraded());
         for v in 0..5_000 {
             assert_eq!(healthy.translate(v), degraded.translate(v));
         }
@@ -286,7 +279,6 @@ mod tests {
         for mode in [TranslationMode::Interleaved, TranslationMode::Hashed] {
             let mut h = AddressHasher::new(16, mode);
             h.set_dead_mms(&[MmId(0), MmId(5), MmId(11)]);
-            assert!(h.is_degraded());
             let mut seen = HashSet::new();
             for v in 0..10_000 {
                 let a = h.translate(v);

@@ -46,12 +46,11 @@ impl Wire for SwitchPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SweepMode {
     /// Visit only switches holding traffic, via the per-stage active
-    /// sets, falling back to a dense scan for stages whose occupancy
-    /// exceeds the fallback threshold.
+    /// sets.
     #[default]
     Sparse,
     /// Always scan every switch of every stage — the seed behaviour,
-    /// kept as the parity reference and for threshold benchmarking.
+    /// kept as the parity reference.
     Dense,
 }
 
@@ -167,13 +166,6 @@ impl NetConfig {
         cfg
     }
 
-    /// Effective multiplexing factor `m` of the analytic model (§4.1): the
-    /// switch cycles needed to input one data-carrying message.
-    #[must_use]
-    pub fn multiplexing_factor(&self) -> u32 {
-        u32::from(self.data_packets)
-    }
-
     /// Checks the invariants: `pes` a positive power of `k ≥ 2`, no
     /// zero-length packet, request queues that hold a data message.
     ///
@@ -242,7 +234,6 @@ mod tests {
         assert_eq!(cfg.request_queue_packets, 15);
         assert_eq!(cfg.data_packets, 3);
         assert_eq!(cfg.ctl_packets, 1);
-        assert_eq!(cfg.multiplexing_factor(), 3);
     }
 
     #[test]

@@ -95,12 +95,6 @@ impl PhiOp {
             PhiOp::Second => None,
         }
     }
-
-    /// Whether the operator is commutative (all but [`PhiOp::Second`]).
-    #[must_use]
-    pub fn is_commutative(self) -> bool {
-        !matches!(self, PhiOp::Second)
-    }
 }
 
 impl Wire for PhiOp {

@@ -40,15 +40,6 @@ use ultra_sim::heap::vec_bytes;
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{ActiveSet, Cycle};
 
-/// Occupancy (in percent of a stage's switches) above which
-/// [`SweepMode::Sparse`] scans that stage densely instead of walking the
-/// active-set bitset. Chosen from the `engine_step` occupancy microbench
-/// (`sweep_occupancy_n256`): the bitset walk measures ~16× faster at 1%
-/// occupancy, ~3× at 10%, and still ~1.3× at 90%, so the dense fallback
-/// is purely a worst-case guard near saturation and the threshold sits
-/// high.
-const DENSE_FALLBACK_PERCENT: usize = 75;
-
 /// Everything that emerged from the network during one cycle.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetworkEvents {
@@ -564,26 +555,24 @@ impl OmegaNetwork {
     /// Visits the stage-`s` switches holding forward traffic, ascending.
     ///
     /// Sparse mode walks the active set's members through its summary;
-    /// dense mode (forced, or the occupancy fallback) scans every switch.
-    /// Both orders are ascending and a traffic-less switch is a no-op
-    /// visit, so the two modes execute the identical operation sequence.
+    /// dense mode (forced through [`OmegaNetwork::set_sweep_mode`]) scans
+    /// every switch. Both orders are ascending and a traffic-less switch
+    /// is a no-op visit, so the two modes execute the identical operation
+    /// sequence.
     ///
     /// Walking the set while transmissions mutate it is sound because
     /// processing stage `s` can only (a) remove the switch just processed
     /// — the cursor keeps its own copy of the word — and (b) insert into
     /// stage `s+1`, never into stage `s` itself.
     fn sweep_stage_forward(&mut self, now: Cycle, s: usize) {
-        let universe = self.routes.switches_per_stage();
-        let dense = self.sweep == SweepMode::Dense
-            || self.active_fwd[s].len() * 100 >= universe * DENSE_FALLBACK_PERCENT;
-        if !dense && self.active_fwd[s].is_empty() {
-            return; // idle stage: skip without touching a single switch
-        }
-        if dense {
-            for sw_idx in 0..universe {
+        if self.sweep == SweepMode::Dense {
+            for sw_idx in 0..self.routes.switches_per_stage() {
                 self.transmit_forward(now, s, sw_idx);
             }
             return;
+        }
+        if self.active_fwd[s].is_empty() {
+            return; // idle stage: skip without touching a single switch
         }
         let mut walk = Walk::default();
         while let Some(sw_idx) = walk.next(&self.active_fwd[s]) {
@@ -599,19 +588,16 @@ impl OmegaNetwork {
     }
 
     /// Reverse-direction mirror of [`OmegaNetwork::sweep_stage_forward`]:
-    /// same dense fallback, same empty-stage skip, same member walk, with
+    /// same forced dense scan, same empty-stage skip, same member walk, with
     /// transmissions landing in stage `s - 1`.
     fn sweep_stage_reverse(&mut self, now: Cycle, s: usize) {
-        let universe = self.routes.switches_per_stage();
-        let dense = self.sweep == SweepMode::Dense
-            || self.active_rev[s].len() * 100 >= universe * DENSE_FALLBACK_PERCENT;
-        if !dense && self.active_rev[s].is_empty() {
-            return;
-        }
-        if dense {
-            for sw_idx in 0..universe {
+        if self.sweep == SweepMode::Dense {
+            for sw_idx in 0..self.routes.switches_per_stage() {
                 self.transmit_reverse(now, s, sw_idx);
             }
+            return;
+        }
+        if self.active_rev[s].is_empty() {
             return;
         }
         let mut walk = Walk::default();

@@ -94,7 +94,7 @@ impl ChromeTraceBuilder {
         let as_f64 = |fields: &[(&'static str, u64)]| -> Vec<(&str, f64)> {
             fields.iter().map(|&(k, v)| (k, v as f64)).collect()
         };
-        for s in series.samples() {
+        for s in series.samples().iter() {
             let ts = (s.start + s.len) as f64;
             self.counter("window rates", pid, ts, &as_f64(&s.counters.fields()));
             self.counter("gauges", pid, ts, &as_f64(&s.gauges.fields()));

@@ -12,11 +12,11 @@
 //! Events render as NDJSON through [`JsonObject`] (sorted keys), so a
 //! dump is greppable and `json.tool`-parseable line by line.
 
-use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::json::JsonObject;
+use crate::ring::Ring;
 
 /// Event severity, ordered `Debug < Info < Warn < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -89,23 +89,21 @@ impl FlightEvent {
     }
 }
 
-/// Ring interior.
-#[derive(Debug, Default)]
+/// The recorder's interior: the sequence counter and the event ring.
+#[derive(Debug)]
 struct FlightState {
     next_seq: u64,
-    dropped: u64,
-    ring: VecDeque<FlightEvent>,
+    ring: Ring<FlightEvent>,
 }
 
-/// A lock-cheap bounded ring of the last K service events.
+/// A lock-cheap bounded [`Ring`] of the last K service events.
 ///
-/// The only synchronization is one short mutex hold per record (push +
-/// possible pop); rendering happens outside any lock held by other
-/// recorders. Capacity is fixed at construction; once full, the oldest
-/// event is dropped and counted in [`FlightRecorder::dropped`].
+/// The only synchronization is one short mutex hold per record; rendering
+/// happens outside any lock held by other recorders. Capacity is fixed at
+/// construction; once full, the oldest event is dropped and counted in
+/// the ring's [`Ring::dropped`].
 #[derive(Debug)]
 pub struct FlightRecorder {
-    capacity: usize,
     start: Instant,
     state: Mutex<FlightState>,
 }
@@ -118,11 +116,11 @@ impl FlightRecorder {
     /// Panics if `capacity` is zero.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "flight recorder capacity must be positive");
+        let mut ring = Ring::new();
+        ring.enable(capacity);
         Self {
-            capacity,
             start: Instant::now(),
-            state: Mutex::new(FlightState::default()),
+            state: Mutex::new(FlightState { next_seq: 0, ring }),
         }
     }
 
@@ -146,12 +144,8 @@ impl FlightRecorder {
             detail: detail.to_owned(),
         };
         state.next_seq += 1;
-        if state.ring.len() == self.capacity {
-            state.ring.pop_front();
-            state.dropped += 1;
-        }
         let line = ev.render();
-        state.ring.push_back(ev);
+        state.ring.record(ev);
         line
     }
 
@@ -159,36 +153,13 @@ impl FlightRecorder {
     /// oldest first.
     #[must_use]
     pub fn dump(&self) -> Vec<String> {
-        let state = self.state.lock().expect("flight recorder poisoned");
-        state.ring.iter().map(FlightEvent::render).collect()
+        self.with_ring(|ring| ring.iter().map(FlightEvent::render).collect())
     }
 
-    /// How many events the ring currently holds.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .expect("flight recorder poisoned")
-            .ring
-            .len()
-    }
-
-    /// Whether the ring is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// How many events have been evicted to make room.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.state.lock().expect("flight recorder poisoned").dropped
-    }
-
-    /// The fixed capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// Reads the event ring — its length, capacity and drop count, say —
+    /// under one hold of the recorder's lock.
+    pub fn with_ring<R>(&self, read: impl FnOnce(&Ring<FlightEvent>) -> R) -> R {
+        read(&self.state.lock().expect("flight recorder poisoned").ring)
     }
 }
 
@@ -207,16 +178,13 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_the_last_k_and_counts_drops() {
+    fn sequence_numbers_survive_the_ring_wrap() {
         let rec = FlightRecorder::new(3);
         for i in 0..5 {
             rec.record(FlightLevel::Info, "j", "tick", &format!("n={i}"));
         }
-        assert_eq!(rec.len(), 3);
-        assert_eq!(rec.dropped(), 2);
         let dump = rec.dump();
-        assert_eq!(dump.len(), 3);
-        // Oldest-first, and sequence numbers survive the wrap.
+        // Oldest-first, numbered from the first event ever recorded.
         assert!(dump[0].contains("\"seq\": 2"), "{}", dump[0]);
         assert!(dump[2].contains("\"seq\": 4"), "{}", dump[2]);
         assert!(dump[0].contains("\"detail\": \"n=2\""));
@@ -247,7 +215,7 @@ mod tests {
         let rec = FlightRecorder::new(8);
         rec.record(FlightLevel::Debug, "j", "slice", "cycle=100");
         rec.record(FlightLevel::Error, "j", "result", "boom");
-        assert_eq!(rec.len(), 2);
+        assert_eq!(rec.dump().len(), 2);
     }
 
     #[test]

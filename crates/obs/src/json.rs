@@ -195,15 +195,6 @@ impl Json {
         }
     }
 
-    /// The value as a boolean, if it is one.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Self::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as an array slice, if it is an array.
     #[must_use]
     pub fn as_array(&self) -> Option<&[Json]> {
@@ -499,7 +490,7 @@ mod tests {
         assert_eq!(obj["id"].as_str(), Some("a-1"));
         assert_eq!(obj["pes"].as_u64(), Some(8));
         assert_eq!(obj["link_loss"].as_f64(), Some(0.25));
-        assert_eq!(obj["telemetry"].as_bool(), Some(true));
+        assert_eq!(obj["telemetry"], Json::Bool(true));
         assert_eq!(obj["note"], Json::Null);
         let mms: Vec<u64> = obj["dead_mms"]
             .as_array()

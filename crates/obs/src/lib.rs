@@ -27,9 +27,12 @@
 //! * [`flight`] — a bounded flight recorder ([`FlightRecorder`]) keeping
 //!   the last K structured NDJSON job events for post-mortem dumps.
 //!
-//! Underneath all of them sits [`json`], the workspace's one JSON
-//! writer and reader (no serde): every text artifact the repo emits or
-//! accepts goes through it.
+//! Underneath all of them sit [`ring`], the one bounded drop-oldest
+//! buffer ([`Ring`]) that every recorder — the machine's event trace,
+//! its phase spans and telemetry windows, the flight recorder and the
+//! service's job spans — keeps its entries in, and [`json`], the
+//! workspace's one JSON writer and reader (no serde): every text
+//! artifact the repo emits or accepts goes through it.
 //!
 //! Everything here is passive: recording never feeds back into the
 //! simulation, so enabling telemetry cannot perturb `parity_string`.
@@ -39,12 +42,14 @@ pub mod flight;
 pub mod heatmap;
 pub mod json;
 pub mod metrics;
+pub mod ring;
 pub mod series;
 
 pub use chrome::ChromeTraceBuilder;
 pub use flight::{FlightEvent, FlightLevel, FlightRecorder};
 pub use heatmap::HeatmapSnapshot;
 pub use metrics::{Counter, Gauge, MetricKind, MetricsRegistry, PromWriter};
+pub use ring::Ring;
 pub use series::{
     CounterSnapshot, EnginePhase, GaugeSnapshot, PhaseRecorder, PhaseSpan, Sample, TimeSeries,
 };

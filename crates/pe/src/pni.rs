@@ -262,17 +262,10 @@ impl Pni {
 
     /// Collects the requests whose deadline has passed and re-issues each
     /// under its original id with an incremented attempt counter and a
-    /// backed-off deadline. Empty unless the retry protocol is enabled.
-    /// Deterministic: timed-out requests are returned in id order.
-    pub fn due_retries(&mut self, now: Cycle) -> Vec<Message> {
-        let mut out = Vec::new();
-        self.due_retries_into(now, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`Pni::due_retries`]: appends the re-issued
-    /// requests to `out` instead of returning a fresh vector. The common case
-    /// (nothing timed out) touches no heap at all.
+    /// backed-off deadline, appending them to `out`. Appends nothing
+    /// unless the retry protocol is enabled. Deterministic: timed-out
+    /// requests are appended in id order. The common case (nothing timed
+    /// out) touches no heap at all.
     pub fn due_retries_into(&mut self, now: Cycle, out: &mut impl Extend<Message>) {
         let Some(policy) = self.retry else {
             return;
@@ -302,7 +295,7 @@ impl Pni {
     }
 
     /// The earliest deadline among outstanding requests under the retry
-    /// protocol — the next cycle at which [`Pni::due_retries`] could
+    /// protocol — the next cycle at which [`Pni::due_retries_into`] could
     /// produce anything. `None` when nothing is outstanding (or the retry
     /// protocol is disabled). The idle fast-forward uses this to bound its
     /// jump.
@@ -357,33 +350,6 @@ impl Pni {
         now: Cycle,
     ) -> Result<Message, PniError> {
         let addr = self.translate(vaddr);
-        self.issue_at(kind, Some(vaddr), addr, value, now)
-    }
-
-    /// Like [`Pni::issue`] but with a pre-translated physical address.
-    ///
-    /// # Errors
-    ///
-    /// [`PniError::LocationBusy`] if a reference to the same location is
-    /// already outstanding.
-    pub fn issue_physical(
-        &mut self,
-        kind: MsgKind,
-        addr: MemAddr,
-        value: Value,
-        now: Cycle,
-    ) -> Result<Message, PniError> {
-        self.issue_at(kind, None, addr, value, now)
-    }
-
-    fn issue_at(
-        &mut self,
-        kind: MsgKind,
-        vaddr: Option<usize>,
-        addr: MemAddr,
-        value: Value,
-        now: Cycle,
-    ) -> Result<Message, PniError> {
         if self.by_location.contains_key(&addr) {
             self.stats.location_conflicts.incr();
             return Err(PniError::LocationBusy);
@@ -399,7 +365,7 @@ impl Pni {
                 id,
                 PendingRequest {
                     kind,
-                    vaddr,
+                    vaddr: Some(vaddr),
                     addr,
                     value,
                     attempt: 0,
@@ -447,6 +413,12 @@ mod tests {
 
     fn pni() -> Pni {
         Pni::new(PeId(3), AddressHasher::new(8, TranslationMode::Interleaved))
+    }
+
+    fn due(p: &mut Pni, now: Cycle) -> Vec<Message> {
+        let mut out = Vec::new();
+        p.due_retries_into(now, &mut out);
+        out
     }
 
     #[test]
@@ -516,16 +488,16 @@ mod tests {
             backoff_cap: 3,
         });
         let m = p.issue(MsgKind::fetch_add(), 7, 1, 0).unwrap();
-        assert!(p.due_retries(9).is_empty(), "deadline not yet reached");
-        let retries = p.due_retries(10);
+        assert!(due(&mut p, 9).is_empty(), "deadline not yet reached");
+        let retries = due(&mut p, 10);
         assert_eq!(retries.len(), 1);
         assert_eq!(retries[0].id, m.id, "retry reuses the sequence number");
         assert_eq!(retries[0].attempt, 1);
         assert_eq!(retries[0].folded, vec![m.id]);
         assert_eq!(p.stats().retries.get(), 1);
         // Backoff: next deadline is base << 1 after the retry instant.
-        assert!(p.due_retries(10 + 19).is_empty());
-        let again = p.due_retries(10 + 20);
+        assert!(due(&mut p, 10 + 19).is_empty());
+        let again = due(&mut p, 10 + 20);
         assert_eq!(again.len(), 1);
         assert_eq!(again[0].attempt, 2);
     }
@@ -539,7 +511,7 @@ mod tests {
         });
         let m = p.issue(MsgKind::Load, 7, 0, 0).unwrap();
         assert!(p.complete(&Reply::to_request(&m, 3)));
-        assert!(p.due_retries(1_000).is_empty());
+        assert!(due(&mut p, 1_000).is_empty());
     }
 
     #[test]
@@ -552,7 +524,7 @@ mod tests {
         let ids: Vec<MsgId> = (0..6)
             .map(|i| p.issue(MsgKind::Load, i, 0, 0).unwrap().id)
             .collect();
-        let retried: Vec<MsgId> = p.due_retries(100).iter().map(|m| m.id).collect();
+        let retried: Vec<MsgId> = due(&mut p, 100).iter().map(|m| m.id).collect();
         assert_eq!(retried, ids);
     }
 
@@ -569,7 +541,7 @@ mod tests {
         let new_addr = degraded.translate(2);
         assert_ne!(new_addr, m.addr, "vaddr 2 must re-translate");
         p.set_hasher(degraded);
-        let retries = p.due_retries(100);
+        let retries = due(&mut p, 100);
         assert_eq!(retries[0].addr, new_addr, "retry targets the adoptive MM");
         assert!(p.is_location_busy(2), "busy under the NEW translation");
         // The reply still completes by id even though the address moved.
@@ -582,7 +554,7 @@ mod tests {
     fn retry_disabled_means_no_bookkeeping() {
         let mut p = pni();
         let _ = p.issue(MsgKind::Load, 1, 0, 0).unwrap();
-        assert!(p.due_retries(u64::MAX - 1).is_empty());
+        assert!(due(&mut p, u64::MAX - 1).is_empty());
     }
 
     #[test]
@@ -594,7 +566,7 @@ mod tests {
         });
         let _ = p.issue(MsgKind::fetch_add(), 7, 1, 0).unwrap();
         let _ = p.issue(MsgKind::Load, 9, 0, 0).unwrap();
-        let _ = p.due_retries(10); // leave a retry attempt in flight
+        let _ = due(&mut p, 10); // leave a retry attempt in flight
         let mut w = WireWriter::new();
         p.encode_state(&mut w);
         let bytes = w.into_bytes();
@@ -605,7 +577,7 @@ mod tests {
         assert_eq!(twin.outstanding(), p.outstanding());
         assert_eq!(twin.next_retry_deadline(), p.next_retry_deadline());
         // Future retries and id allocation continue identically.
-        assert_eq!(p.due_retries(1_000), twin.due_retries(1_000));
+        assert_eq!(due(&mut p, 1_000), due(&mut twin, 1_000));
         let ma = p.issue(MsgKind::Load, 100, 0, 0).unwrap();
         let mb = twin.issue(MsgKind::Load, 100, 0, 0).unwrap();
         assert_eq!(ma.id, mb.id);

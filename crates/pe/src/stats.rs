@@ -98,28 +98,6 @@ impl PeStats {
             .saturating_sub(self.barrier_wait_cycles.get())
     }
 
-    /// Fraction of cycles spent idle (Table 1 "idle cycles" column).
-    #[must_use]
-    pub fn idle_fraction(&self) -> f64 {
-        if self.total_cycles == 0 {
-            0.0
-        } else {
-            self.idle_cycles.get() as f64 / self.total_cycles as f64
-        }
-    }
-
-    /// Idle cycles per central-memory load (Table 1 column 3). Reported in
-    /// the caller's preferred time unit by dividing externally.
-    #[must_use]
-    pub fn idle_per_cm_load(&self) -> f64 {
-        let loads = self.cm_loads.get();
-        if loads == 0 {
-            0.0
-        } else {
-            self.idle_cycles.get() as f64 / loads as f64
-        }
-    }
-
     /// Memory references (shared + private) per instruction.
     #[must_use]
     pub fn mem_refs_per_instruction(&self) -> f64 {
@@ -151,13 +129,8 @@ mod tests {
     fn ratios_from_counters() {
         let mut s = PeStats::new();
         s.instructions.add(100);
-        s.idle_cycles.add(40);
-        s.total_cycles = 200;
         s.shared_refs.add(8);
         s.private_refs.add(12);
-        s.cm_loads.add(8);
-        assert!((s.idle_fraction() - 0.2).abs() < 1e-12);
-        assert!((s.idle_per_cm_load() - 5.0).abs() < 1e-12);
         assert!((s.mem_refs_per_instruction() - 0.2).abs() < 1e-12);
         assert!((s.shared_refs_per_instruction() - 0.08).abs() < 1e-12);
     }
@@ -165,9 +138,8 @@ mod tests {
     #[test]
     fn empty_stats_are_zero() {
         let s = PeStats::new();
-        assert_eq!(s.idle_fraction(), 0.0);
-        assert_eq!(s.idle_per_cm_load(), 0.0);
         assert_eq!(s.mem_refs_per_instruction(), 0.0);
+        assert_eq!(s.shared_refs_per_instruction(), 0.0);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! * a bounded [`FlightRecorder`] of structured NDJSON job events — the
 //!   replacement for ad-hoc `eprintln!` — where every event is retained
 //!   at every level and `--log-level` only gates what reaches stderr;
-//! * optional per-job **lifecycle spans** exported through
+//! * optional per-job **lifecycle spans** of the newest
+//!   [`JOB_TRACE_CAPACITY`] jobs, kept in a [`Ring`] and exported through
 //!   [`ChromeTraceBuilder`]: one Perfetto process per worker, one thread
 //!   per job (stable job sequence ids), one span per phase.
 //!
@@ -37,7 +38,7 @@ use std::time::Instant;
 use ultra_obs::flight::{FlightLevel, FlightRecorder};
 use ultra_obs::json::{array_lines, JsonObject};
 use ultra_obs::metrics::{Counter, Gauge, MetricsRegistry};
-use ultra_obs::ChromeTraceBuilder;
+use ultra_obs::{ChromeTraceBuilder, Ring};
 use ultra_sim::stats::Histogram;
 
 use crate::cache::CacheMeter;
@@ -98,8 +99,9 @@ pub struct ObsOptions {
     /// ring regardless.
     pub log_level: FlightLevel,
     /// Whether to retain per-job lifecycle spans for a Chrome trace
-    /// export (unbounded growth per job — batch-length, not
-    /// service-lifetime, workloads).
+    /// export. The spans of the newest [`JOB_TRACE_CAPACITY`] jobs are
+    /// kept; older jobs' spans are dropped, so a long-lived server's
+    /// trace store stays bounded.
     pub trace_jobs: bool,
 }
 
@@ -112,6 +114,11 @@ impl Default for ObsOptions {
         }
     }
 }
+
+/// How many jobs' lifecycle spans [`ServeObs`] retains for the trace
+/// export when [`ObsOptions::trace_jobs`] is on; the oldest job's spans
+/// make room for the newest.
+pub const JOB_TRACE_CAPACITY: usize = 1 << 14;
 
 /// One phase span of one job, in microseconds since the service epoch.
 #[derive(Debug, Clone)]
@@ -157,7 +164,6 @@ pub struct ServeObs {
     flight: FlightRecorder,
     log_level: FlightLevel,
     epoch: Instant,
-    trace_jobs: bool,
     cache_checkpoints: Arc<Gauge>,
     cache_bytes: Arc<Gauge>,
     slice_us: Mutex<Histogram>,
@@ -166,7 +172,7 @@ pub struct ServeObs {
     reply_lines: Arc<Counter>,
     reply_bytes: Arc<Counter>,
     latency: Mutex<LatencyMap>,
-    traces: Mutex<Vec<JobTrace>>,
+    traces: Mutex<Ring<JobTrace>>,
     next_seq: AtomicU64,
 }
 
@@ -216,12 +222,15 @@ impl ServeObs {
             &[],
             "bytes written to connections",
         );
+        let mut traces = Ring::new();
+        if opts.trace_jobs {
+            traces.enable(JOB_TRACE_CAPACITY);
+        }
         Self {
             registry,
             flight: FlightRecorder::new(opts.flight_capacity),
             log_level: opts.log_level,
             epoch: Instant::now(),
-            trace_jobs: opts.trace_jobs,
             cache_checkpoints,
             cache_bytes,
             slice_us: Mutex::default(),
@@ -230,7 +239,7 @@ impl ServeObs {
             reply_lines,
             reply_bytes,
             latency: Mutex::new(BTreeMap::new()),
-            traces: Mutex::new(Vec::new()),
+            traces: Mutex::new(traces),
             next_seq: AtomicU64::new(0),
         }
     }
@@ -244,7 +253,7 @@ impl ServeObs {
     /// Whether per-job lifecycle spans are being retained.
     #[must_use]
     pub fn trace_jobs(&self) -> bool {
-        self.trace_jobs
+        self.traces.lock().expect("traces poisoned").is_enabled()
     }
 
     /// Microseconds since the hub was created.
@@ -426,12 +435,11 @@ impl ServeObs {
         self.cache_bytes.set(bytes as i64);
     }
 
-    /// Retains one job's lifecycle spans for the trace export (no-op
+    /// Retains one job's lifecycle spans for the trace export, evicting
+    /// the oldest job's when [`JOB_TRACE_CAPACITY`] are held (no-op
     /// unless span tracing is on).
     pub fn record_trace(&self, trace: JobTrace) {
-        if self.trace_jobs {
-            self.traces.lock().expect("traces poisoned").push(trace);
-        }
+        self.traces.lock().expect("traces poisoned").record(trace);
     }
 
     /// The full Prometheus text exposition: every registry instrument
@@ -445,17 +453,14 @@ impl ServeObs {
                 "gauge",
                 "events currently held by the flight recorder",
             );
-            w.sample("ultra_serve_flight_events", &[], self.flight.len() as f64);
+            let (events, dropped) = self.flight.with_ring(|r| (r.len(), r.dropped()));
+            w.sample("ultra_serve_flight_events", &[], events as f64);
             w.family(
                 "ultra_serve_flight_dropped_total",
                 "counter",
                 "flight events evicted by the ring bound",
             );
-            w.sample(
-                "ultra_serve_flight_dropped_total",
-                &[],
-                self.flight.dropped() as f64,
-            );
+            w.sample("ultra_serve_flight_dropped_total", &[], dropped as f64);
             w.family(
                 "ultra_serve_slice_us",
                 "histogram",
@@ -537,11 +542,13 @@ impl ServeObs {
             })
             .collect();
         drop(latency);
-        let flight = JsonObject::new()
-            .uint("capacity", self.flight.capacity() as u64)
-            .uint("events", self.flight.len() as u64)
-            .uint("dropped", self.flight.dropped())
-            .render();
+        let flight = self.flight.with_ring(|r| {
+            JsonObject::new()
+                .uint("capacity", r.capacity() as u64)
+                .uint("events", r.len() as u64)
+                .uint("dropped", r.dropped())
+                .render()
+        });
         let mut text = JsonObject::new()
             .raw("flight", flight)
             .raw("latency", array_lines(&lat_rows, 4))
@@ -557,7 +564,13 @@ impl ServeObs {
     /// off or no jobs ran.
     #[must_use]
     pub fn trace_json(&self) -> String {
-        let mut traces = self.traces.lock().expect("traces poisoned").clone();
+        let mut traces: Vec<JobTrace> = self
+            .traces
+            .lock()
+            .expect("traces poisoned")
+            .iter()
+            .cloned()
+            .collect();
         traces.sort_by_key(|t| t.seq);
         let mut b = ChromeTraceBuilder::new();
         let workers: std::collections::BTreeSet<usize> = traces.iter().map(|t| t.worker).collect();
@@ -684,5 +697,33 @@ mod tests {
             spans: Vec::new(),
         });
         assert!(!obs.trace_json().contains("thread_name"));
+    }
+
+    #[test]
+    fn retained_job_spans_are_bounded_to_the_newest_jobs() {
+        let obs = ServeObs::new(ObsOptions {
+            trace_jobs: true,
+            ..ObsOptions::default()
+        });
+        let jobs = JOB_TRACE_CAPACITY as u64 + 3;
+        for seq in 0..jobs {
+            obs.record_trace(JobTrace {
+                seq,
+                id: format!("j{seq}"),
+                worker: 0,
+                workload: "counter",
+                spans: Vec::new(),
+            });
+        }
+        assert_eq!(obs.traces.lock().unwrap().len(), JOB_TRACE_CAPACITY);
+        // Every job the trace names, by the number in its thread name.
+        let text = obs.trace_json();
+        let mut named: Vec<u64> = text
+            .split("\"job j")
+            .skip(1)
+            .map(|rest| rest[..rest.find(' ').unwrap()].parse().unwrap())
+            .collect();
+        named.sort_unstable();
+        assert_eq!(named, (3..jobs).collect::<Vec<_>>());
     }
 }

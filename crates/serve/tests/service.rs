@@ -238,7 +238,7 @@ fn telemetry_jobs_attach_a_series_and_never_resume_from_cache() {
             .expect("every slice of the telemetry job left a checkpoint");
         assert_eq!(cycle, at);
         let m = image.machine();
-        assert!(!m.telemetry().is_enabled() && m.telemetry().is_empty());
+        assert!(!m.telemetry().is_enabled() && m.telemetry().samples().is_empty());
         assert!(m.trace().is_empty() && m.phase_spans().is_empty());
     }
     let resumed = server.run_job(&plain);

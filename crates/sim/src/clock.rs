@@ -51,12 +51,6 @@ impl TimeScale {
     pub fn cycles_to_instructions(&self, cycles: Cycle) -> f64 {
         cycles as f64 / self.cycles_per_instruction as f64
     }
-
-    /// Converts a duration in PE instruction times to network cycles.
-    #[must_use]
-    pub fn instructions_to_cycles(&self, instructions: Cycle) -> Cycle {
-        instructions * self.cycles_per_instruction
-    }
 }
 
 #[cfg(test)]
@@ -70,6 +64,5 @@ mod tests {
         assert_eq!(ts.cycles_per_mm_access, 2);
         // 16 network cycles == 8 PE instruction times (paper §4.2).
         assert!((ts.cycles_to_instructions(16) - 8.0).abs() < f64::EPSILON);
-        assert_eq!(ts.instructions_to_cycles(8), 16);
     }
 }

@@ -30,7 +30,7 @@ use core::fmt;
 /// v.push(8);
 /// v.push(9); // spills
 /// assert_eq!(v.len(), 3);
-/// assert_eq!(v.to_vec(), vec![7, 8, 9]);
+/// assert_eq!(v, vec![7, 8, 9]);
 /// ```
 #[derive(Clone)]
 pub struct InlineVec<T, const N: usize> {
@@ -110,12 +110,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
             self.push(v);
         }
     }
-
-    /// Copies the elements out into a plain `Vec`.
-    #[must_use]
-    pub fn to_vec(&self) -> Vec<T> {
-        self.iter().copied().collect()
-    }
 }
 
 impl<T: Copy + Default + crate::wire::Wire, const N: usize> crate::wire::Wire for InlineVec<T, N> {
@@ -171,16 +165,6 @@ impl<T: Copy + Default, const N: usize> From<Vec<T>> for InlineVec<T, N> {
     }
 }
 
-impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut v = Self::new();
-        for value in iter {
-            v.push(value);
-        }
-        v
-    }
-}
-
 impl<'a, T: Copy + Default, const N: usize> IntoIterator for &'a InlineVec<T, N> {
     type Item = &'a T;
     type IntoIter = core::iter::Chain<core::slice::Iter<'a, T>, core::slice::Iter<'a, T>>;
@@ -204,7 +188,7 @@ mod tests {
             v.push(i);
         }
         assert_eq!(v.len(), 3);
-        assert_eq!(v.to_vec(), vec![0, 1, 2]);
+        assert_eq!(v, vec![0, 1, 2]);
     }
 
     #[test]
@@ -214,28 +198,28 @@ mod tests {
             v.push(i);
         }
         assert_eq!(v.len(), 7);
-        assert_eq!(v.to_vec(), (0..7).collect::<Vec<_>>());
+        assert_eq!(v, (0..7).collect::<Vec<_>>());
         assert!(v.contains(&6));
         assert!(!v.contains(&7));
     }
 
     #[test]
     fn clear_resets_and_allows_reuse() {
-        let mut v: InlineVec<u32, 2> = (0..5).collect();
+        let mut v: InlineVec<u32, 2> = vec![0, 1, 2, 3, 4].into();
         v.clear();
         assert!(v.is_empty());
         assert_eq!(v.len(), 0);
         v.push(9);
-        assert_eq!(v.to_vec(), vec![9]);
+        assert_eq!(v, vec![9]);
     }
 
     #[test]
     fn equality_ignores_representation_boundary() {
-        let a: InlineVec<u32, 2> = (0..4).collect();
-        let b: InlineVec<u32, 2> = (0..4).collect();
+        let a: InlineVec<u32, 2> = vec![0, 1, 2, 3].into();
+        let b: InlineVec<u32, 2> = vec![0, 1, 2, 3].into();
         assert_eq!(a, b);
         assert_eq!(a, vec![0, 1, 2, 3]);
-        let c: InlineVec<u32, 2> = (0..3).collect();
+        let c: InlineVec<u32, 2> = vec![0, 1, 2].into();
         assert_ne!(a, c);
     }
 
@@ -244,7 +228,7 @@ mod tests {
         let mut a: InlineVec<u32, 2> = InlineVec::one(1);
         let b: InlineVec<u32, 2> = vec![2, 3, 4].into();
         a.extend_from(&b);
-        assert_eq!(a.to_vec(), vec![1, 2, 3, 4]);
+        assert_eq!(a, vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -259,7 +243,7 @@ mod tests {
 
     #[test]
     fn reference_iteration_works() {
-        let v: InlineVec<u32, 2> = (10..15).collect();
+        let v: InlineVec<u32, 2> = vec![10, 11, 12, 13, 14].into();
         let sum: u32 = (&v).into_iter().copied().sum();
         assert_eq!(sum, 10 + 11 + 12 + 13 + 14);
     }

@@ -112,7 +112,7 @@ fn run_swept(
     m.run();
     RunResult {
         parity: MachineReport::from_machine(&m).parity_string(),
-        trace: m.trace().events().copied().collect(),
+        trace: m.trace().iter().copied().collect(),
         hot_word: m.read_shared(0),
     }
 }
@@ -264,7 +264,7 @@ fn telemetry_is_bit_identical_across_engines_and_inert() {
         m.run();
         Observed {
             parity: MachineReport::from_machine(&m).parity_string(),
-            samples: m.telemetry().samples().copied().collect(),
+            samples: m.telemetry().samples().iter().copied().collect(),
             heatmap: m.heatmap(),
         }
     }
@@ -333,7 +333,7 @@ fn engines_agree_at_sixteen_k_pes_under_faults() {
         assert!(m.run().completed, "16K-PE run must complete");
         RunResult {
             parity: MachineReport::from_machine(&m).parity_string(),
-            trace: m.trace().events().copied().collect(),
+            trace: m.trace().iter().copied().collect(),
             hot_word: m.read_shared(0),
         }
     };

@@ -112,8 +112,8 @@ fn no_faults_plan_is_bit_identical_to_a_faultless_build() {
         let plain = run(None);
         let idle = run(Some(FaultPlan::none()));
         assert_eq!(plain.now(), idle.now(), "cycle-for-cycle identical");
-        let a: Vec<TraceEvent> = plain.trace().events().copied().collect();
-        let b: Vec<TraceEvent> = idle.trace().events().copied().collect();
+        let a: Vec<TraceEvent> = plain.trace().iter().copied().collect();
+        let b: Vec<TraceEvent> = idle.trace().iter().copied().collect();
         assert_eq!(a, b, "identical traces");
         let (sa, sb) = (plain.net_stats(), idle.net_stats());
         for (x, y) in [
@@ -156,8 +156,8 @@ fn faulty_runs_are_deterministic_in_the_plan_seed() {
         let (one, two) = (run(), run());
         assert_eq!(one.now(), two.now(), "same cycle count");
         assert_eq!(one.fault_summary(), two.fault_summary(), "same counters");
-        let a: Vec<TraceEvent> = one.trace().events().copied().collect();
-        let b: Vec<TraceEvent> = two.trace().events().copied().collect();
+        let a: Vec<TraceEvent> = one.trace().iter().copied().collect();
+        let b: Vec<TraceEvent> = two.trace().iter().copied().collect();
         assert_eq!(a, b, "one seed, one trace");
     });
 }

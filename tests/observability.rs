@@ -70,7 +70,11 @@ fn window_sums_equal_net_stats_totals() {
             .build_spmd(&ticket_program(iters));
         m.enable_telemetry(window, 1 << 14);
         assert!(m.run().completed);
-        assert_eq!(m.telemetry().dropped(), 0, "ring must hold the whole run");
+        assert_eq!(
+            m.telemetry().samples().dropped(),
+            0,
+            "ring must hold the whole run"
+        );
         let totals = m.telemetry().totals();
         let net = MachineReport::from_machine(&m).net;
         assert_eq!(totals.injected_requests, net.injected_requests.get());
@@ -83,7 +87,7 @@ fn window_sums_equal_net_stats_totals() {
         assert_eq!(totals.fault_dropped, net.fault_dropped.get());
         assert_eq!(totals.fault_refusals, net.fault_refusals.get());
         // Windows tile simulated time: consecutive, no gaps or overlaps.
-        let samples: Vec<_> = m.telemetry().samples().copied().collect();
+        let samples: Vec<_> = m.telemetry().samples().iter().copied().collect();
         for pair in samples.windows(2) {
             assert_eq!(pair[0].start + pair[0].len, pair[1].start);
         }
@@ -155,7 +159,7 @@ fn series_chrome_trace_is_structurally_valid() {
     let hot = MemAddr::new(MmId(0), 0);
     let mut traffic = HotspotTraffic::new(16, 0.1, 0.3, hot, 7);
     let (_, obs) = run_open_loop_observed(cfg, &FaultPlan::none(), &mut traffic, 128, 1024);
-    assert!(obs.series.len() > 1, "run spans several windows");
+    assert!(obs.series.samples().len() > 1, "run spans several windows");
     let text = ultra_bench::json::series_chrome_trace("hotspot", &obs.series);
     assert_valid_trace_event_json(&text);
 }
@@ -175,7 +179,7 @@ fn observed_open_loop_matches_plain_runner() {
     assert_eq!(plain.combines, observed.combines);
     assert_eq!(plain.stalled_attempts, observed.stalled_attempts);
     assert_eq!(plain.queue_high_water, observed.queue_high_water);
-    assert_eq!(obs.series.dropped(), 0);
+    assert_eq!(obs.series.samples().dropped(), 0);
     let totals = obs.series.totals();
     assert_eq!(totals.combines, observed.combines);
     let heat_combines: u64 = obs.heatmap.combines().iter().sum();
