@@ -3,24 +3,25 @@
 //!
 //! The paper's §4 network studies are *open loop*: each PE offers
 //! Bernoulli(p) traffic regardless of outstanding replies. [`run_open_loop`]
-//! drives an [`ultra_net::OmegaNetwork`] (or several copies) against real
-//! [`ultra_mem::MemBank`]s with that traffic and reports transit and
-//! round-trip statistics — the simulated counterpart of the §4.1 analytic
-//! model and the engine behind the Figure 7 validation points, the
-//! hot-spot ablation (E6), the queue-depth study (E7) and the bandwidth
-//! scaling study (E8).
+//! drives an [`ultra_mem::Fabric`] (the `d` network copies and memory
+//! banks the machine itself uses) with that traffic and reports transit
+//! and round-trip statistics — the simulated counterpart of the §4.1
+//! analytic model and the engine behind the Figure 7 validation points,
+//! the hot-spot ablation (E6), the queue-depth study (E7), the bandwidth
+//! scaling study (E8) and the fault sweeps (E14). Only the PE side is its
+//! own: one outbound buffer per PE, and a request the network drops is
+//! re-offered only if that buffer is free.
 
 pub mod json;
 pub mod microbench;
 
 use ultra_faults::FaultPlan;
-use ultra_mem::{telemetry_gauges, AddressHasher, MemBank, TranslationMode};
+use ultra_mem::{AddressHasher, Fabric, Offer, TranslationMode};
 use ultra_net::config::NetConfig;
-use ultra_net::message::{Message, MsgId};
-use ultra_net::omega::ReplicatedOmega;
+use ultra_net::message::{Message, MsgId, Reply};
 use ultra_obs::{HeatmapSnapshot, TimeSeries};
 use ultra_pe::traffic::TrafficPattern;
-use ultra_sim::{Cycle, Histogram, MmId, PeId};
+use ultra_sim::{Cycle, Histogram, PeId};
 
 /// Configuration of one open-loop run.
 #[derive(Debug, Clone, Copy)]
@@ -52,7 +53,7 @@ impl OpenLoopConfig {
 }
 
 /// What an open-loop run measured.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OpenLoopReport {
     /// Requests injected during the measurement window.
     pub injected: u64,
@@ -86,10 +87,6 @@ pub struct OpenLoopReport {
 /// Every PE holds at most one un-injected request (the PNI outbound
 /// buffer); generator emissions while the buffer is full are counted in
 /// `stalled_attempts` and discarded — the open-loop convention.
-///
-/// # Panics
-///
-/// Panics on internal inconsistencies (lost replies).
 #[must_use]
 pub fn run_open_loop(cfg: OpenLoopConfig, traffic: &mut dyn TrafficPattern) -> OpenLoopReport {
     run_open_loop_faulty(cfg, &FaultPlan::none(), traffic)
@@ -100,10 +97,6 @@ pub fn run_open_loop(cfg: OpenLoopConfig, traffic: &mut dyn TrafficPattern) -> O
 /// dead MMs are killed and the generated traffic is re-hashed around
 /// them exactly as the machine's degraded translation would. With
 /// [`FaultPlan::none`] this is identical to the healthy runner.
-///
-/// # Panics
-///
-/// Panics on internal inconsistencies (lost replies).
 #[must_use]
 pub fn run_open_loop_faulty(
     cfg: OpenLoopConfig,
@@ -133,8 +126,7 @@ pub struct OpenLoopObservation {
 ///
 /// # Panics
 ///
-/// Panics on internal inconsistencies (lost replies) and on zero
-/// `window`/`capacity`.
+/// Panics on zero `window`/`capacity`.
 #[must_use]
 pub fn run_open_loop_observed(
     cfg: OpenLoopConfig,
@@ -156,41 +148,13 @@ fn run_open_loop_inner(
     series: &mut TimeSeries,
 ) -> (OpenLoopReport, HeatmapSnapshot) {
     let n = cfg.net.pes;
-    let mut nets = ReplicatedOmega::new(cfg.net, cfg.copies);
-    for c in 0..cfg.copies {
-        let mask = plan.mask_for_copy(c);
-        if !mask.is_healthy() {
-            nets.copy_mut(c).set_fault_mask(mask);
-        }
-    }
+    let mut fabric = Fabric::new(cfg.net, cfg.copies, cfg.mm_service, plan);
     let mut hasher = AddressHasher::new(n, TranslationMode::Interleaved);
-    let dead = plan.dead_mms();
-    if !dead.is_empty() {
-        hasher.set_dead_mms(&dead);
-    }
-    let mut banks: Vec<MemBank> = (0..n)
-        .map(|i| MemBank::new(MmId(i), cfg.mm_service))
-        .collect();
-    for mm in &dead {
-        banks[mm.0].kill();
-    }
-    let mut copy_of: std::collections::HashMap<MsgId, usize> = std::collections::HashMap::new();
+    hasher.set_dead_mms(&plan.dead_mms());
     let mut pending: Vec<Option<Message>> = vec![None; n];
+    let mut deliveries: Vec<Reply> = Vec::new();
     let mut next_id: u64 = 1;
-    let mut report = OpenLoopReport {
-        injected: 0,
-        completed: 0,
-        round_trip: Histogram::new(),
-        forward_transit_mean: 0.0,
-        drops: 0,
-        combines: 0,
-        throughput: 0.0,
-        stalled_attempts: 0,
-        queue_high_water: 0,
-        fault_refusals: 0,
-        failovers: 0,
-        unroutable: 0,
-    };
+    let mut report = OpenLoopReport::default();
     let horizon = cfg.warmup + cfg.measure;
     // Drain window: let in-flight traffic finish (no new injections).
     let drain = horizon + 4 * (cfg.warmup + 100);
@@ -199,64 +163,36 @@ fn run_open_loop_inner(
         // 1. Flush pending injections.
         for slot in pending.iter_mut() {
             if let Some(msg) = slot.take() {
-                // A request every copy refuses outright (dead copy or a
-                // dead port on its only route) can never inject: abandon
-                // it instead of wedging this PE's buffer forever.
-                if (0..nets.copies()).all(|c| nets.copy(c).fault_refuses(&msg)) {
-                    report.unroutable += 1;
-                    continue;
-                }
-                let id = msg.id;
                 let issued_at = msg.issued_at;
-                match nets.try_inject_request(msg, now) {
-                    Ok(copy) => {
-                        copy_of.insert(id, copy);
+                match fabric.offer(msg, now) {
+                    Offer::Injected => {
                         if (cfg.warmup..horizon).contains(&issued_at) {
                             report.injected += 1;
                         }
                     }
-                    Err(m) => *slot = Some(m),
+                    Offer::Refused(m) => *slot = Some(m),
+                    // Abandoned instead of wedging this PE's buffer forever.
+                    Offer::Unroutable => report.unroutable += 1,
                 }
             }
         }
-        // 2. Memory banks serve and reply.
-        for bank in &mut banks {
-            bank.cycle(now);
-            while let Some(r) = bank.peek_reply() {
-                let copy = copy_of[&r.id];
-                let reply = r.clone();
-                match nets.try_inject_reply(copy, reply, now) {
-                    Ok(()) => {
-                        let _ = bank.pop_reply();
-                    }
-                    Err(_) => break,
-                }
+        // 2. Memory banks serve and reply; 3. the fabric moves. Every
+        // reply has its request in flight: nothing retries here.
+        let duplicates = fabric.serve_banks(now);
+        debug_assert_eq!(duplicates, 0, "lost track of a reply's copy");
+        fabric.advance(now, &mut deliveries, |dropped| {
+            // Retry from the PE if its buffer is free.
+            let slot = &mut pending[dropped.src.0];
+            if slot.is_none() {
+                *slot = Some(dropped);
             }
-        }
-        // 3. The fabric moves.
-        nets.cycle_inplace(now);
-        for copy in 0..nets.copies() {
-            let events = nets.events_mut(copy);
-            for msg in events.requests_at_mm.drain(..) {
-                banks[msg.addr.mm.0].push_request(msg);
-            }
-            for reply in events.replies_at_pe.drain(..) {
-                copy_of.remove(&reply.id);
-                if reply.request_issued_at >= cfg.warmup && reply.request_issued_at < horizon {
-                    report.completed += 1;
-                    report
-                        .round_trip
-                        .record(now.saturating_sub(reply.request_issued_at));
-                }
-            }
-            let dropped = std::mem::take(&mut events.dropped);
-            for dropped in dropped {
-                // Retry from the PE (its buffer is free: the drop came from
-                // a message already injected).
-                let pe = dropped.src.0;
-                if pending[pe].is_none() {
-                    pending[pe] = Some(dropped);
-                }
+        });
+        for reply in deliveries.drain(..) {
+            if (cfg.warmup..horizon).contains(&reply.request_issued_at) {
+                report.completed += 1;
+                report
+                    .round_trip
+                    .record(now.saturating_sub(reply.request_issued_at));
             }
         }
         // 4. Generators emit (only before the horizon).
@@ -282,15 +218,12 @@ fn run_open_loop_inner(
         }
         // 5. Window boundary: record the delta (no-op unless observed).
         while series.due(now + 1) {
-            series.sample(nets.telemetry_counters(), telemetry_gauges(&nets, &banks));
+            series.sample(fabric.nets().telemetry_counters(), fabric.gauges());
         }
     }
-    series.flush(
-        drain,
-        nets.telemetry_counters(),
-        telemetry_gauges(&nets, &banks),
-    );
+    series.flush(drain, fabric.nets().telemetry_counters(), fabric.gauges());
 
+    let nets = fabric.nets();
     let totals = nets.net_stats();
     report.forward_transit_mean = totals.forward_transit.mean();
     report.queue_high_water = nets.request_queue_high_water();
@@ -300,12 +233,6 @@ fn run_open_loop_inner(
     report.failovers = nets.failovers();
     report.throughput = report.completed as f64 / (n as f64 * cfg.measure as f64);
     (report, nets.heatmap())
-}
-
-/// Formats a value/percent cell for the table binaries.
-#[must_use]
-pub fn pct(x: f64) -> String {
-    format!("{:>4.0}%", 100.0 * x)
 }
 
 #[cfg(test)]

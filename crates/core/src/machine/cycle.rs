@@ -4,6 +4,7 @@
 
 use std::time::Instant;
 
+use ultra_mem::Offer;
 use ultra_net::message::{MsgKind, Reply};
 use ultra_obs::{EnginePhase, PhaseSpan};
 use ultra_pe::pni::PniError;
@@ -228,29 +229,18 @@ impl Machine {
                     let due = now + *latency;
                     pending.entry(due).or_default().push(msg);
                 }
-                BackendImpl::Network { nets, copy_of, .. } => {
-                    // A request every copy refuses (dead copy, or a
-                    // dead port on its only route in each) can never
-                    // inject: abandon it rather than wedging this
-                    // PE's queue; the PNI timeout re-issues it under
-                    // whatever translation the degraded hash uses by
-                    // then.
-                    if (0..nets.copies()).all(|c| nets.copy(c).fault_refuses(&msg)) {
-                        self.unroutable += 1;
-                        continue;
+                BackendImpl::Network(fabric) => match fabric.offer(msg, now) {
+                    Offer::Injected => {}
+                    Offer::Refused(refused) => {
+                        // Backpressure; retry next cycle.
+                        self.shards[pe].outgoing.push_front(refused);
+                        break;
                     }
-                    let key = (msg.id, msg.attempt);
-                    match nets.try_inject_request(msg, now) {
-                        Ok(copy) => {
-                            copy_of.insert(key, copy);
-                        }
-                        Err(refused) => {
-                            // Backpressure; retry next cycle.
-                            self.shards[pe].outgoing.push_front(refused);
-                            break;
-                        }
-                    }
-                }
+                    // Abandoned rather than wedging this PE's queue; the
+                    // PNI timeout re-issues it under whatever translation
+                    // the degraded hash uses by then.
+                    Offer::Unroutable => self.unroutable += 1,
+                },
             }
         }
     }
@@ -300,71 +290,18 @@ impl Machine {
                     bank_span = Some((t0, t0.elapsed().as_nanos() as u64));
                 }
             }
-            BackendImpl::Network {
-                nets,
-                banks,
-                copy_of,
-            } => {
+            BackendImpl::Network(fabric) => {
                 let t0 = timed.then(Instant::now);
-                // Only banks holding work are served: a bank joins
-                // `bank_active` when a request is delivered and leaves
-                // once it drains idle, and an idle bank's cycle is a
-                // no-op, so cycling members only is exact. Each outbox
-                // drains into the network right after its bank's cycle,
-                // in bank index order (the member walk is ascending).
-                let mut walk = Walk::default();
-                while let Some(mm) = walk.next(&self.bank_active) {
-                    let bank = &mut banks[mm];
-                    bank.cycle(now);
-                    // Replies re-enter through the copy that carried the
-                    // request (stalling if the reverse link is busy).
-                    while let Some(reply) = bank.pop_reply() {
-                        let Some(&copy) = copy_of.get(&(reply.id, reply.attempt)) else {
-                            // An answer to an attempt whose twin already
-                            // round-tripped; nobody is waiting for it.
-                            self.duplicate_replies += 1;
-                            continue;
-                        };
-                        if let Err(refused) = nets.try_inject_reply(copy, reply, now) {
-                            bank.return_reply(refused);
-                            break;
-                        }
-                    }
-                    if bank.is_idle() {
-                        self.bank_active.remove(mm);
-                    }
-                }
+                self.duplicate_replies += fabric.serve_banks(now);
                 if let Some(t0) = t0 {
                     bank_span = Some((t0, t0.elapsed().as_nanos() as u64));
                 }
                 let t0 = timed.then(Instant::now);
-                // The fabric moves — the d copies advance into their
-                // pooled event buffers, which then drain in copy order.
-                // Arrivals at MMs enter bank queues; arrivals at PEs are
-                // delivered below. A fully drained fabric (checked after
-                // the reply injections above) cycles to itself with empty
-                // event buffers, so the whole phase is skipped.
-                if !nets.is_drained() {
-                    nets.cycle_inplace(now);
-                    let d = nets.copies();
-                    for copy in 0..d {
-                        let events = nets.events_mut(copy);
-                        for msg in events.requests_at_mm.drain(..) {
-                            self.bank_active.insert(msg.addr.mm.0);
-                            banks[msg.addr.mm.0].push_request(msg);
-                        }
-                        for reply in events.replies_at_pe.drain(..) {
-                            copy_of.remove(&(reply.id, reply.attempt));
-                            deliveries.push(reply);
-                        }
-                        for dropped in events.dropped.drain(..) {
-                            // DropOnConflict: the PE must re-offer the
-                            // request.
-                            self.outgoing.insert(dropped.src.0);
-                            self.shards[dropped.src.0].outgoing.push_back(dropped);
-                        }
-                    }
-                }
+                fabric.advance(now, &mut deliveries, |dropped| {
+                    // DropOnConflict: the PE must re-offer the request.
+                    self.outgoing.insert(dropped.src.0);
+                    self.shards[dropped.src.0].outgoing.push_back(dropped);
+                });
                 if let Some(t0) = t0 {
                     net_span = Some((t0, t0.elapsed().as_nanos() as u64));
                 }

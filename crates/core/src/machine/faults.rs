@@ -13,15 +13,17 @@ impl Machine {
     pub(super) fn apply_fault(&mut self, fault: Fault) {
         match fault {
             Fault::KillCopy { copy } => {
-                if let BackendImpl::Network { nets, .. } = &mut self.backend {
-                    nets.copy_mut(copy).kill();
+                if let BackendImpl::Network(fabric) = &mut self.backend {
+                    fabric.nets_mut().copy_mut(copy).kill();
                 }
             }
             Fault::KillMm { mm } => self.kill_mm(mm),
             Fault::SlowMm { mm, factor } => {
-                if let BackendImpl::Network { banks, .. } = &mut self.backend {
-                    banks[mm.0]
-                        .set_service_time(self.cfg.time.cycles_per_mm_access * Cycle::from(factor));
+                if let BackendImpl::Network(fabric) = &mut self.backend {
+                    let service = self.cfg.time.cycles_per_mm_access;
+                    fabric
+                        .bank_mut(mm)
+                        .set_service_time(service * Cycle::from(factor));
                 }
             }
             Fault::KillSwitchPort {
@@ -30,8 +32,8 @@ impl Machine {
                 switch,
                 port,
             } => {
-                if let BackendImpl::Network { nets, .. } = &mut self.backend {
-                    let net = nets.copy_mut(copy);
+                if let BackendImpl::Network(fabric) = &mut self.backend {
+                    let net = fabric.nets_mut().copy_mut(copy);
                     let mut mask = net.fault_mask().clone();
                     mask.kill_port(stage, switch, port);
                     net.set_fault_mask(mask);
@@ -42,8 +44,9 @@ impl Machine {
                 stage,
                 switch,
             } => {
-                if let BackendImpl::Network { nets, .. } = &mut self.backend {
-                    let _ = nets.copy_mut(copy).poison_wait_entry(stage, switch);
+                if let BackendImpl::Network(fabric) = &mut self.backend {
+                    let net = fabric.nets_mut().copy_mut(copy);
+                    let _ = net.poison_wait_entry(stage, switch);
                 }
             }
         }
@@ -67,9 +70,10 @@ impl Machine {
     pub(super) fn absorb_unreachable(&mut self) {
         let n = self.cfg.net.pes;
         let reach: Vec<Vec<bool>> = {
-            let BackendImpl::Network { nets, .. } = &self.backend else {
+            let BackendImpl::Network(fabric) = &self.backend else {
                 return;
             };
+            let nets = fabric.nets();
             // One copy with intact routing reaches everything. Link loss
             // alone never severs a route (a lossy link drops individual
             // injections; `fault_refuses` ignores it), so only dead copies
@@ -165,8 +169,8 @@ impl Machine {
         }
         self.dead_mms.push(mm);
         self.hasher.set_dead_mms(&self.dead_mms);
-        if let BackendImpl::Network { banks, .. } = &mut self.backend {
-            banks[mm.0].kill();
+        if let BackendImpl::Network(fabric) = &mut self.backend {
+            fabric.bank_mut(mm).kill();
         }
         for shard in &mut self.shards {
             shard.pni.set_hasher(self.hasher.clone());

@@ -26,8 +26,8 @@ impl Machine {
                     next = min_event(next, due);
                 }
             }
-            BackendImpl::Network { nets, .. } => {
-                if !nets.is_drained() || !self.bank_active.is_empty() {
+            BackendImpl::Network(fabric) => {
+                if !fabric.is_idle() {
                     return;
                 }
             }

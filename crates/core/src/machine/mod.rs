@@ -11,7 +11,8 @@
 //! * [`BackendKind::Network`] — the §3 hardware: requests traverse `d`
 //!   copies of the combining Omega network to real memory banks with
 //!   finite service rates. This is the configuration of the §4.2 NETSIM
-//!   studies.
+//!   studies; the copies and banks are one [`ultra_mem::Fabric`], the
+//!   same type the open-loop harness drives.
 //!
 //! §3.5's latency fallback is supported too: "If the latency remains an
 //! impediment to performance, we would hardware-multiprogram the PEs (as
@@ -37,10 +38,9 @@ use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use ultra_faults::{FaultClock, RetryPolicy};
-use ultra_mem::{telemetry_gauges, AddressHasher, MemBank};
+use ultra_mem::{AddressHasher, Fabric};
 use ultra_net::config::{NetConfig, SweepMode};
 use ultra_net::message::{Message, MsgId, Reply};
-use ultra_net::omega::ReplicatedOmega;
 use ultra_net::stats::NetStats;
 use ultra_obs::{CounterSnapshot, GaugeSnapshot, HeatmapSnapshot, PhaseRecorder, TimeSeries};
 use ultra_pe::pni::Pni;
@@ -63,7 +63,6 @@ mod tests;
 mod wire;
 
 pub use config::{BackendKind, MachineBuilder, MachineConfig, MAX_THREADS};
-pub(crate) use wire::StateDecodeError;
 
 /// Virtual addresses at and above this are reserved for machine-assisted
 /// barriers (one word per barrier generation).
@@ -104,16 +103,7 @@ enum BackendImpl {
         /// due cycle → requests applied (as a simultaneous batch) then.
         pending: BTreeMap<Cycle, Vec<Message>>,
     },
-    Network {
-        nets: ReplicatedOmega,
-        banks: Vec<MemBank>,
-        /// Which copy carried each in-flight request (replies return the
-        /// same way). Keyed by attempt too: a retry may travel a
-        /// different copy than the original, and each answer must return
-        /// through the copy that carried its request so decombining
-        /// matches.
-        copy_of: IdMap<(MsgId, u32), usize>,
-    },
+    Network(Fabric),
 }
 
 /// Aggregate resilience counters for one run. All zero under
@@ -271,11 +261,6 @@ pub struct Machine {
     /// exactly the events that can end such a wait: a reply delivered to
     /// it, a barrier release, a fault firing ([`Machine::wake`]).
     runnable: ActiveSet,
-    /// Memory banks holding work (network backend; empty universe on the
-    /// ideal backend). Inserted on request delivery, removed when the
-    /// bank is observed idle after its reply drain; [`MemBank::cycle`]
-    /// on an idle bank is a no-op, so cycling members only is exact.
-    bank_active: ActiveSet,
     /// Whether the PNI retry protocol is on (derived once from the fault
     /// plan; never changes mid-run). With retries off, whole phases —
     /// the retry queue walk, the fast-forward deadline scan — vanish.
@@ -307,9 +292,7 @@ impl Machine {
         let plan = cfg.faults.clone();
         let mut hasher = AddressHasher::new(n, cfg.translation);
         let static_dead = plan.dead_mms();
-        if !static_dead.is_empty() {
-            hasher.set_dead_mms(&static_dead);
-        }
+        hasher.set_dead_mms(&static_dead);
         let retry = Self::retry_policy_for(&cfg);
         let shards: Vec<PeShard> = (0..n)
             .map(|phys| {
@@ -340,38 +323,12 @@ impl Machine {
                 pending: BTreeMap::new(),
             },
             BackendKind::Network { copies } => {
-                let mut nets = ReplicatedOmega::new(cfg.net, copies);
-                for c in 0..copies {
-                    let mask = plan.mask_for_copy(c);
-                    if !mask.is_healthy() {
-                        nets.copy_mut(c).set_fault_mask(mask);
-                    }
+                let mut fabric = Fabric::new(cfg.net, copies, cfg.time.cycles_per_mm_access, &plan);
+                if retry.is_some() {
+                    fabric.enable_dedup();
                 }
-                let mut banks: Vec<MemBank> = (0..n)
-                    .map(|i| MemBank::new(MmId(i), cfg.time.cycles_per_mm_access))
-                    .collect();
-                for mm in &static_dead {
-                    banks[mm.0].kill();
-                }
-                for (i, bank) in banks.iter_mut().enumerate() {
-                    let factor = plan.slow_factor(MmId(i));
-                    if factor > 1 {
-                        bank.set_service_time(cfg.time.cycles_per_mm_access * Cycle::from(factor));
-                    }
-                    if retry.is_some() {
-                        bank.enable_dedup();
-                    }
-                }
-                BackendImpl::Network {
-                    nets,
-                    banks,
-                    copy_of: IdMap::default(),
-                }
+                BackendImpl::Network(fabric)
             }
-        };
-        let bank_universe = match cfg.backend {
-            BackendKind::Network { .. } => n,
-            BackendKind::Ideal { .. } => 0,
         };
         let live = ActiveSet::from_members(n, 0..n);
         let mut machine = Self {
@@ -395,7 +352,6 @@ impl Machine {
             outgoing: ActiveSet::new(n),
             runnable: live.clone(),
             live,
-            bank_active: ActiveSet::new(bank_universe),
             retry_enabled: retry.is_some(),
             series: TimeSeries::new(),
             phases: PhaseRecorder::new(),
@@ -436,7 +392,6 @@ impl Machine {
             outgoing: self.outgoing.clone(),
             live: self.live.clone(),
             runnable: self.runnable.clone(),
-            bank_active: self.bank_active.clone(),
             retry_enabled: self.retry_enabled,
             series: TimeSeries::new(),
             phases: PhaseRecorder::new(),
@@ -473,14 +428,7 @@ impl Machine {
                 let queued: usize = pending.values().map(vec_bytes).sum();
                 para.heap_bytes() + queued
             }
-            BackendImpl::Network {
-                nets,
-                banks,
-                copy_of,
-            } => {
-                let words: usize = banks.iter().map(MemBank::heap_bytes).sum();
-                nets.heap_bytes() + vec_bytes(banks) + words + map_bytes(copy_of)
-            }
+            BackendImpl::Network(fabric) => fabric.heap_bytes(),
         };
         vec_bytes(&self.shards) + shards + map_bytes(&self.meta) + backend
     }
@@ -568,7 +516,7 @@ impl Machine {
     pub fn heatmap(&self) -> Option<HeatmapSnapshot> {
         match &self.backend {
             BackendImpl::Ideal { .. } => None,
-            BackendImpl::Network { nets, .. } => Some(nets.heatmap()),
+            BackendImpl::Network(fabric) => Some(fabric.nets().heatmap()),
         }
     }
 
@@ -619,7 +567,8 @@ impl Machine {
     /// [`Machine::fork`] keeps it).
     #[doc(hidden)]
     pub fn set_sweep_mode(&mut self, mode: SweepMode) {
-        if let BackendImpl::Network { nets, .. } = &mut self.backend {
+        if let BackendImpl::Network(fabric) = &mut self.backend {
+            let nets = fabric.nets_mut();
             for c in 0..nets.copies() {
                 nets.copy_mut(c).set_sweep_mode(mode);
             }
@@ -683,7 +632,7 @@ impl Machine {
     pub fn net_stats(&self) -> NetStats {
         match &self.backend {
             BackendImpl::Ideal { .. } => NetStats::new(0),
-            BackendImpl::Network { nets, .. } => nets.net_stats(),
+            BackendImpl::Network(fabric) => fabric.nets().net_stats(),
         }
     }
 
@@ -709,7 +658,8 @@ impl Machine {
                 .sum(),
             ..FaultSummary::default()
         };
-        if let BackendImpl::Network { nets, banks, .. } = &self.backend {
+        if let BackendImpl::Network(fabric) = &self.backend {
+            let nets = fabric.nets();
             f.failovers = nets.failovers();
             for i in 0..nets.copies() {
                 let s = nets.copy(i).stats();
@@ -717,7 +667,7 @@ impl Machine {
                 f.dropped += s.fault_dropped.get();
                 f.stuck_wait_entries += s.stuck_wait_entries.get();
             }
-            for bank in banks {
+            for bank in fabric.banks() {
                 let s = bank.stats();
                 f.dedup_hits += s.dedup_hits.get();
                 f.dedup_swallowed += s.dedup_swallowed.get();
@@ -734,8 +684,7 @@ impl Machine {
     pub fn max_mm_queue_depth(&self) -> usize {
         match &self.backend {
             BackendImpl::Ideal { .. } => 0,
-            BackendImpl::Network { banks, .. } => banks
-                .iter()
+            BackendImpl::Network(fabric) => (fabric.banks().iter())
                 .map(|b| b.stats().max_queue_depth)
                 .max()
                 .unwrap_or(0),
@@ -748,7 +697,7 @@ impl Machine {
         let addr = self.hasher.translate(vaddr);
         match &self.backend {
             BackendImpl::Ideal { para, .. } => para.load(Self::flat_key(addr, self.cfg.net.pes)),
-            BackendImpl::Network { banks, .. } => banks[addr.mm.0].peek(addr.offset),
+            BackendImpl::Network(fabric) => fabric.banks()[addr.mm.0].peek(addr.offset),
         }
     }
 
@@ -758,7 +707,7 @@ impl Machine {
         let n = self.cfg.net.pes;
         match &mut self.backend {
             BackendImpl::Ideal { para, .. } => para.store(Self::flat_key(addr, n), value),
-            BackendImpl::Network { banks, .. } => banks[addr.mm.0].poke(addr.offset, value),
+            BackendImpl::Network(fabric) => fabric.bank_mut(addr.mm).poke(addr.offset, value),
         }
     }
 
@@ -771,9 +720,7 @@ impl Machine {
     fn telemetry_sample(&self) -> (CounterSnapshot, GaugeSnapshot) {
         match &self.backend {
             BackendImpl::Ideal { .. } => Default::default(),
-            BackendImpl::Network { nets, banks, .. } => {
-                (nets.telemetry_counters(), telemetry_gauges(nets, banks))
-            }
+            BackendImpl::Network(fabric) => (fabric.nets().telemetry_counters(), fabric.gauges()),
         }
     }
 

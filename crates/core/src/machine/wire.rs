@@ -9,10 +9,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Instant;
 
 use ultra_faults::{FaultClock, FaultPlan};
-use ultra_mem::{AddressHasher, MemBank, TranslationMode};
+use ultra_mem::{AddressHasher, Fabric, StateDecodeError, TranslationMode};
 use ultra_net::config::NetConfig;
 use ultra_net::message::{Message, MsgId};
-use ultra_net::omega::ReplicatedOmega;
 use ultra_obs::{PhaseRecorder, TimeSeries};
 use ultra_pe::pni::Pni;
 use ultra_pe::stats::PeStats;
@@ -179,22 +178,6 @@ impl MachineConfig {
     }
 }
 
-/// Why a serialized machine state failed to reassemble.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum StateDecodeError {
-    /// The bytes themselves are malformed.
-    Wire(WireError),
-    /// The bytes are well-formed but disagree with the config echo they
-    /// arrived with (wrong shard count, wrong backend, wrong geometry).
-    ConfigMismatch(&'static str),
-}
-
-impl From<WireError> for StateDecodeError {
-    fn from(e: WireError) -> Self {
-        Self::Wire(e)
-    }
-}
-
 impl Machine {
     /// Serializes the full simulation state (config excluded — the
     /// snapshot layer frames it separately).
@@ -232,15 +215,9 @@ impl Machine {
                 para.encode(w);
                 pending.encode(w);
             }
-            BackendImpl::Network {
-                nets,
-                banks,
-                copy_of,
-            } => {
+            BackendImpl::Network(fabric) => {
                 w.u8(1);
-                nets.encode_state(w);
-                banks.encode(w);
-                copy_of.encode(w);
+                fabric.encode(w);
             }
         }
     }
@@ -325,26 +302,7 @@ impl Machine {
                 pending: BTreeMap::decode(r)?,
             },
             (1, BackendKind::Network { copies }) => {
-                let nets = ReplicatedOmega::decode_state(r)?;
-                if nets.copies() != copies {
-                    return Err(StateDecodeError::ConfigMismatch("network copy count"));
-                }
-                if nets.copy(0).cfg() != &cfg.net {
-                    return Err(StateDecodeError::ConfigMismatch("network geometry"));
-                }
-                let banks: Vec<MemBank> = Vec::decode(r)?;
-                if banks.len() != n {
-                    return Err(StateDecodeError::ConfigMismatch("memory bank count"));
-                }
-                let copy_of: IdMap<(MsgId, u32), usize> = IdMap::decode(r)?;
-                if copy_of.values().any(|&c| c >= copies) {
-                    return Err(WireError::Invalid("in-flight copy index out of range").into());
-                }
-                BackendImpl::Network {
-                    nets,
-                    banks,
-                    copy_of,
-                }
+                BackendImpl::Network(Fabric::decode(r, &cfg.net, copies)?)
             }
             (0 | 1, _) => return Err(StateDecodeError::ConfigMismatch("backend kind")),
             _ => return Err(WireError::Invalid("backend state tag").into()),
@@ -359,12 +317,6 @@ impl Machine {
         );
         let outgoing =
             ActiveSet::from_members(n, (0..n).filter(|&i| !shards[i].outgoing.is_empty()));
-        let bank_active = match &backend {
-            BackendImpl::Network { banks, .. } => {
-                ActiveSet::from_members(n, (0..n).filter(|&i| !banks[i].is_idle()))
-            }
-            BackendImpl::Ideal { .. } => ActiveSet::new(0),
-        };
         Ok(Self {
             hasher,
             shards,
@@ -386,7 +338,6 @@ impl Machine {
             outgoing,
             runnable: live.clone(),
             live,
-            bank_active,
             retry_enabled: Self::retry_policy_for(&cfg).is_some(),
             series: TimeSeries::new(),
             phases: PhaseRecorder::new(),

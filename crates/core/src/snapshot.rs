@@ -62,9 +62,10 @@
 
 use std::fmt;
 
+use ultra_mem::StateDecodeError;
 use ultra_sim::wire::{fnv1a, WireError, WireReader, WireWriter};
 
-use crate::machine::{Machine, MachineConfig, StateDecodeError};
+use crate::machine::{Machine, MachineConfig};
 use crate::report::MachineReport;
 
 /// Leading magic of every snapshot.

@@ -18,8 +18,6 @@
 use std::collections::VecDeque;
 
 use ultra_net::message::{Message, MsgId, MsgKind, Reply};
-use ultra_net::omega::ReplicatedOmega;
-use ultra_obs::GaugeSnapshot;
 use ultra_sim::heap::{deque_bytes, map_bytes};
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{Counter, Cycle, IdMap, MmId, Value};
@@ -359,21 +357,6 @@ impl MemBank {
     /// that offer replies by value.
     pub fn return_reply(&mut self, reply: Reply) {
         self.outbox.push_front(reply);
-    }
-}
-
-/// The instantaneous gauges a telemetry window samples at its boundary:
-/// the deepest request queue over `banks` and the wait-buffer entries
-/// outstanding in `nets`.
-#[must_use]
-pub fn telemetry_gauges(nets: &ReplicatedOmega, banks: &[MemBank]) -> GaugeSnapshot {
-    GaugeSnapshot {
-        mm_queue_depth_max: banks
-            .iter()
-            .map(|b| b.queue_depth() as u64)
-            .max()
-            .unwrap_or(0),
-        wait_occupancy: nets.total_wait_occupancy(),
     }
 }
 

@@ -12,6 +12,9 @@
 //! requests, a fixed service time, the fetch-and-phi ALU, and an outbox of
 //! replies awaiting injection into the reverse network.
 //!
+//! [`Fabric`] puts the banks behind the `d` network copies (§4.1); the
+//! machine's network backend and the open-loop harness both drive it.
+//!
 //! [`hash::AddressHasher`] implements §3.1.4: "introducing a hashing
 //! function when translating the virtual address to a physical address
 //! assures that this unfavorable situation [all PEs hitting one MM] occurs
@@ -44,7 +47,9 @@
 //! ```
 
 pub mod bank;
+pub mod fabric;
 pub mod hash;
 
-pub use bank::{telemetry_gauges, MemBank, MemStats};
+pub use bank::{MemBank, MemStats};
+pub use fabric::{Fabric, Offer, StateDecodeError};
 pub use hash::{AddressHasher, TranslationMode};

@@ -294,7 +294,7 @@ impl OmegaNetwork {
 
     /// Moves this network's id counter to `base` — used by
     /// [`ReplicatedOmega`] to keep copies' ids disjoint.
-    pub fn set_msg_id_base(&mut self, base: u64) {
+    pub(crate) fn set_msg_id_base(&mut self, base: u64) {
         self.next_id = base;
     }
 
@@ -848,19 +848,6 @@ impl ReplicatedOmega {
             }
         }
         Err(msg)
-    }
-
-    /// Injects a reply into copy `copy` (the one that carried the request).
-    ///
-    /// # Errors
-    ///
-    /// Returns the reply back if that copy refused it this cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `copy >= d`.
-    pub fn try_inject_reply(&mut self, copy: usize, reply: Reply, now: Cycle) -> Result<(), Reply> {
-        self.lanes[copy].net.try_inject_reply(reply, now)
     }
 
     /// Advances every copy one cycle, in copy order, into its lane's

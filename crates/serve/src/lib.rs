@@ -137,25 +137,15 @@ pub struct JobOutcome {
 }
 
 /// Execution context for one job: which worker runs it and when it was
-/// enqueued, for queue-wait accounting and span attribution. Direct
-/// calls outside any worker pool use [`JobCtx::detached`].
-#[derive(Debug, Clone, Copy)]
-pub struct JobCtx {
-    /// Worker index executing the job (0 for detached runs).
-    pub worker: usize,
+/// enqueued, for queue-wait accounting and span attribution. A direct
+/// call outside any worker pool runs under the default (worker 0, never
+/// queued).
+#[derive(Debug, Clone, Copy, Default)]
+struct JobCtx {
+    /// Worker index executing the job.
+    worker: usize,
     /// When the job entered the queue, if it was queued.
-    pub enqueued_at: Option<Instant>,
-}
-
-impl JobCtx {
-    /// A context for a job run outside any queue or worker pool.
-    #[must_use]
-    pub fn detached() -> Self {
-        Self {
-            worker: 0,
-            enqueued_at: None,
-        }
-    }
+    enqueued_at: Option<Instant>,
 }
 
 /// Wall-clock microseconds since `t` (saturating).
@@ -265,15 +255,7 @@ impl Server {
     /// resume point for the next, longer job). Cancellation and timeout
     /// are polled between slices.
     pub fn run_job(&self, spec: &JobSpec) -> JobOutcome {
-        self.run_job_ctx(spec, JobCtx::detached())
-    }
-
-    /// [`Server::run_job`] with an explicit execution context, so
-    /// worker pools can attribute queue wait, busy time and lifecycle
-    /// spans. All observability is recorded on the side — the machine,
-    /// slice loop and result line are untouched by it.
-    pub fn run_job_ctx(&self, spec: &JobSpec, ctx: JobCtx) -> JobOutcome {
-        let outcome = self.execute(spec, ctx).0;
+        let outcome = self.execute(spec, JobCtx::default()).0;
         image::free_returned();
         outcome
     }
