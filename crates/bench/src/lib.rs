@@ -218,21 +218,22 @@ fn run_open_loop_inner(
         }
         // 5. Window boundary: record the delta (no-op unless observed).
         while series.due(now + 1) {
-            series.sample(fabric.nets().telemetry_counters(), fabric.gauges());
+            let (counters, gauges) = fabric.telemetry_sample();
+            series.sample(counters, gauges);
         }
     }
-    series.flush(drain, fabric.nets().telemetry_counters(), fabric.gauges());
+    let (counters, gauges) = fabric.telemetry_sample();
+    series.flush(drain, counters, gauges);
 
-    let nets = fabric.nets();
-    let totals = nets.net_stats();
+    let totals = fabric.net_stats();
     report.forward_transit_mean = totals.forward_transit.mean();
-    report.queue_high_water = nets.request_queue_high_water();
+    report.queue_high_water = fabric.request_queue_high_water();
     report.drops = totals.drops.get();
     report.combines = totals.combines.get();
     report.fault_refusals = totals.fault_refusals.get();
-    report.failovers = nets.failovers();
+    report.failovers = fabric.failovers();
     report.throughput = report.completed as f64 / (n as f64 * cfg.measure as f64);
-    (report, nets.heatmap())
+    (report, fabric.heatmap())
 }
 
 #[cfg(test)]

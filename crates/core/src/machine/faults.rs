@@ -2,8 +2,7 @@
 //! reconfiguration that follows (route loss, dead modules, retries).
 
 use ultra_faults::Fault;
-use ultra_net::message::{Message, MsgId, MsgKind};
-use ultra_sim::{Cycle, MemAddr, MmId, PeId};
+use ultra_sim::{Cycle, MmId, PeId};
 
 use super::{BackendImpl, CtxState, Machine};
 
@@ -12,11 +11,6 @@ impl Machine {
     /// network backend; on the ideal backend they are no-ops.
     pub(super) fn apply_fault(&mut self, fault: Fault) {
         match fault {
-            Fault::KillCopy { copy } => {
-                if let BackendImpl::Network(fabric) = &mut self.backend {
-                    fabric.nets_mut().copy_mut(copy).kill();
-                }
-            }
             Fault::KillMm { mm } => self.kill_mm(mm),
             Fault::SlowMm { mm, factor } => {
                 if let BackendImpl::Network(fabric) = &mut self.backend {
@@ -26,32 +20,13 @@ impl Machine {
                         .set_service_time(service * Cycle::from(factor));
                 }
             }
-            Fault::KillSwitchPort {
-                copy,
-                stage,
-                switch,
-                port,
-            } => {
+            _ => {
                 if let BackendImpl::Network(fabric) = &mut self.backend {
-                    let net = fabric.nets_mut().copy_mut(copy);
-                    let mut mask = net.fault_mask().clone();
-                    mask.kill_port(stage, switch, port);
-                    net.set_fault_mask(mask);
+                    if fabric.apply_copy_fault(fault) {
+                        self.absorb_unreachable();
+                    }
                 }
             }
-            Fault::StickWaitEntry {
-                copy,
-                stage,
-                switch,
-            } => {
-                if let BackendImpl::Network(fabric) = &mut self.backend {
-                    let net = fabric.nets_mut().copy_mut(copy);
-                    let _ = net.poison_wait_entry(stage, switch);
-                }
-            }
-        }
-        if matches!(fault, Fault::KillCopy { .. } | Fault::KillSwitchPort { .. }) {
-            self.absorb_unreachable();
         }
     }
 
@@ -69,39 +44,11 @@ impl Machine {
     ///    survives.
     pub(super) fn absorb_unreachable(&mut self) {
         let n = self.cfg.net.pes;
-        let reach: Vec<Vec<bool>> = {
-            let BackendImpl::Network(fabric) = &self.backend else {
-                return;
-            };
-            let nets = fabric.nets();
-            // One copy with intact routing reaches everything. Link loss
-            // alone never severs a route (a lossy link drops individual
-            // injections; `fault_refuses` ignores it), so only dead copies
-            // and dead ports matter here — a loss-only plan skips the
-            // O(PEs x MMs) route probe entirely.
-            if (0..nets.copies()).any(|c| {
-                let mask = nets.copy(c).fault_mask();
-                !mask.copy_dead() && !mask.any_port_dead()
-            }) {
-                return;
-            }
-            (0..n)
-                .map(|pe| {
-                    (0..n)
-                        .map(|mm| {
-                            let probe = Message::request(
-                                MsgId(0),
-                                MsgKind::Load,
-                                MemAddr::new(MmId(mm), 0),
-                                0,
-                                PeId(pe),
-                                0,
-                            );
-                            (0..nets.copies()).any(|c| !nets.copy(c).fault_refuses(&probe))
-                        })
-                        .collect()
-                })
-                .collect()
+        let BackendImpl::Network(fabric) = &self.backend else {
+            return;
+        };
+        let Some(reach) = fabric.reachability() else {
+            return;
         };
         for (pe, row) in reach.iter().enumerate() {
             if row.iter().all(|&ok| !ok) {

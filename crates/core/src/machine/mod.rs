@@ -39,13 +39,14 @@ use std::time::{Duration, Instant};
 
 use ultra_faults::{FaultClock, RetryPolicy};
 use ultra_mem::{AddressHasher, Fabric};
-use ultra_net::config::{NetConfig, SweepMode};
+use ultra_net::config::SweepMode;
 use ultra_net::message::{Message, MsgId, Reply};
 use ultra_net::stats::NetStats;
 use ultra_obs::{CounterSnapshot, GaugeSnapshot, HeatmapSnapshot, PhaseRecorder, TimeSeries};
 use ultra_pe::pni::Pni;
 use ultra_pe::stats::PeStats;
 use ultra_sim::heap::{deque_bytes, map_bytes, vec_bytes};
+use ultra_sim::ids::digits;
 use ultra_sim::{ActiveSet, Cycle, IdMap, MmId, PeId, Value};
 
 use crate::interp::{IssueSpec, PeInterp};
@@ -76,7 +77,8 @@ enum CtxState {
     WaitIssue(IssueSpec, Purpose),
     WaitBarrier,
     WaitFence,
-    /// Parked by [`Op::WaitUntil`] until the clock reaches the cycle.
+    /// Parked by [`crate::program::Op::WaitUntil`] until the clock reaches
+    /// the cycle.
     WaitUntil(Cycle),
     Halted,
 }
@@ -439,19 +441,9 @@ impl Machine {
     /// so a restored machine derives the same `retry_enabled` gate.
     fn retry_policy_for(cfg: &MachineConfig) -> Option<RetryPolicy> {
         cfg.faults.retry_policy().or_else(|| {
-            (!cfg.faults.is_healthy()).then(|| RetryPolicy::for_depth(Self::net_depth(&cfg.net)))
+            (!cfg.faults.is_healthy())
+                .then(|| RetryPolicy::for_depth(digits::count(cfg.net.pes, cfg.net.k) as usize))
         })
-    }
-
-    /// Network depth in stages (`log_k N`).
-    fn net_depth(net: &NetConfig) -> usize {
-        let mut stages = 0;
-        let mut reach = 1;
-        while reach < net.pes {
-            reach *= net.k;
-            stages += 1;
-        }
-        stages.max(1)
     }
 
     /// Enables event tracing with room for `capacity` events (ring
@@ -516,7 +508,7 @@ impl Machine {
     pub fn heatmap(&self) -> Option<HeatmapSnapshot> {
         match &self.backend {
             BackendImpl::Ideal { .. } => None,
-            BackendImpl::Network(fabric) => Some(fabric.nets().heatmap()),
+            BackendImpl::Network(fabric) => Some(fabric.heatmap()),
         }
     }
 
@@ -562,16 +554,13 @@ impl Machine {
     }
 
     /// Test and microbench hook: forces the network's switch sweep
-    /// (see `OmegaNetwork::set_sweep_mode`). No-op on the ideal backend;
+    /// (see `Fabric::set_sweep_mode`). No-op on the ideal backend;
     /// not carried through a snapshot — re-apply it after a restore (a
     /// [`Machine::fork`] keeps it).
     #[doc(hidden)]
     pub fn set_sweep_mode(&mut self, mode: SweepMode) {
         if let BackendImpl::Network(fabric) = &mut self.backend {
-            let nets = fabric.nets_mut();
-            for c in 0..nets.copies() {
-                nets.copy_mut(c).set_sweep_mode(mode);
-            }
+            fabric.set_sweep_mode(mode);
         }
     }
 
@@ -632,7 +621,7 @@ impl Machine {
     pub fn net_stats(&self) -> NetStats {
         match &self.backend {
             BackendImpl::Ideal { .. } => NetStats::new(0),
-            BackendImpl::Network(fabric) => fabric.nets().net_stats(),
+            BackendImpl::Network(fabric) => fabric.net_stats(),
         }
     }
 
@@ -659,14 +648,11 @@ impl Machine {
             ..FaultSummary::default()
         };
         if let BackendImpl::Network(fabric) = &self.backend {
-            let nets = fabric.nets();
-            f.failovers = nets.failovers();
-            for i in 0..nets.copies() {
-                let s = nets.copy(i).stats();
-                f.refusals += s.fault_refusals.get();
-                f.dropped += s.fault_dropped.get();
-                f.stuck_wait_entries += s.stuck_wait_entries.get();
-            }
+            let s = fabric.net_stats();
+            f.failovers = fabric.failovers();
+            f.refusals = s.fault_refusals.get();
+            f.dropped = s.fault_dropped.get();
+            f.stuck_wait_entries = s.stuck_wait_entries.get();
             for bank in fabric.banks() {
                 let s = bank.stats();
                 f.dedup_hits += s.dedup_hits.get();
@@ -720,7 +706,7 @@ impl Machine {
     fn telemetry_sample(&self) -> (CounterSnapshot, GaugeSnapshot) {
         match &self.backend {
             BackendImpl::Ideal { .. } => Default::default(),
-            BackendImpl::Network(fabric) => (fabric.nets().telemetry_counters(), fabric.gauges()),
+            BackendImpl::Network(fabric) => fabric.telemetry_sample(),
         }
     }
 

@@ -1,21 +1,25 @@
 //! The memory side of the machine: `d` copies of the combining Omega
 //! network in front of one [`MemBank`] per memory module (§3.1, §4.1).
-//! A reply re-enters the network through the copy that carried its
-//! request, so decombining matches; a request every copy refuses outright
-//! is reported unroutable rather than wedging its PE; only banks holding
-//! work are cycled. The boot-time [`FaultPlan`]'s static faults are
-//! applied once, at construction. PE buffers, counters and what to do
-//! with a dropped request stay with the caller.
+//! Each PE spreads its requests over the copies round-robin, failing over
+//! to the next copy when one refuses; a reply re-enters the network
+//! through the copy that carried its request, so decombining matches; a
+//! request every copy refuses outright is reported unroutable rather than
+//! wedging its PE; only banks holding work are cycled. Every fault on the
+//! copies is applied here: the boot-time [`FaultPlan`]'s static faults at
+//! construction, scheduled ones through [`Fabric::apply_copy_fault`]. PE
+//! buffers, counters and what to do with a dropped request stay with the
+//! caller.
 
-use ultra_faults::FaultPlan;
-use ultra_net::config::NetConfig;
-use ultra_net::message::{Message, MsgId, Reply};
-use ultra_net::omega::ReplicatedOmega;
-use ultra_obs::GaugeSnapshot;
+use ultra_faults::{Fault, FaultPlan};
+use ultra_net::config::{NetConfig, SweepMode};
+use ultra_net::message::{Message, MsgId, MsgKind, Reply};
+use ultra_net::omega::{NetworkEvents, OmegaNetwork};
+use ultra_net::stats::NetStats;
+use ultra_obs::{CounterSnapshot, GaugeSnapshot, HeatmapSnapshot};
 use ultra_sim::active::Walk;
 use ultra_sim::heap::{map_bytes, vec_bytes};
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
-use ultra_sim::{ActiveSet, Cycle, IdMap, MmId};
+use ultra_sim::{ActiveSet, Cycle, IdMap, MemAddr, MmId, PeId};
 
 use crate::MemBank;
 
@@ -51,7 +55,14 @@ impl From<WireError> for StateDecodeError {
 /// `d` network copies plus one bank per memory module.
 #[derive(Debug, Clone)]
 pub struct Fabric {
-    nets: ReplicatedOmega,
+    nets: Vec<OmegaNetwork>,
+    /// Per PE, the copy its next request tries first.
+    cursor: Vec<usize>,
+    /// Requests a faulted copy refused and a later copy carried.
+    failovers: u64,
+    /// The one buffer every copy's cycle fills and [`Fabric::advance`]
+    /// drains before the next copy cycles; empty between calls.
+    events: NetworkEvents,
     banks: Vec<MemBank>,
     /// Which copy carried each in-flight request. Keyed by attempt too: a
     /// retry may travel a different copy than the original.
@@ -71,13 +82,17 @@ impl Fabric {
     /// Panics if `copies == 0`, `mm_service == 0` or `net` is invalid.
     #[must_use]
     pub fn new(net: NetConfig, copies: usize, mm_service: Cycle, plan: &FaultPlan) -> Self {
-        let mut nets = ReplicatedOmega::new(net, copies);
-        for c in 0..copies {
-            let mask = plan.mask_for_copy(c);
-            if !mask.is_healthy() {
-                nets.copy_mut(c).set_fault_mask(mask);
-            }
-        }
+        assert!(copies >= 1, "need at least one network copy");
+        let nets = (0..copies)
+            .map(|c| {
+                let mut copy = OmegaNetwork::new(net);
+                // Disjoint id spaces so wait-buffer keys can never collide
+                // across copies.
+                copy.set_msg_id_base(1 + ((c as u64) << 48));
+                copy.set_fault_mask(plan.mask_for_copy(c));
+                copy
+            })
+            .collect();
         let mut banks: Vec<MemBank> = (0..net.pes)
             .map(|i| {
                 let factor = Cycle::from(plan.slow_factor(MmId(i)).max(1));
@@ -89,10 +104,88 @@ impl Fabric {
         }
         Self {
             nets,
+            cursor: vec![0; net.pes],
+            failovers: 0,
+            events: NetworkEvents::default(),
             banks,
             copy_of: IdMap::default(),
             busy: ActiveSet::new(net.pes),
         }
+    }
+
+    /// Applies a fired fault on one copy — [`Fault::KillCopy`],
+    /// [`Fault::KillSwitchPort`] or [`Fault::StickWaitEntry`] — and returns
+    /// whether it may have severed routes (see [`Fabric::reachability`]).
+    /// Module faults are left to the caller, which also re-hashes
+    /// translation around them: they return `false` untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault names a copy, stage or switch that does not
+    /// exist.
+    pub fn apply_copy_fault(&mut self, fault: Fault) -> bool {
+        match fault {
+            Fault::KillCopy { copy } => self.nets[copy].kill(),
+            Fault::KillSwitchPort {
+                copy,
+                stage,
+                switch,
+                port,
+            } => {
+                let net = &mut self.nets[copy];
+                let mut mask = net.fault_mask().clone();
+                mask.kill_port(stage, switch, port);
+                net.set_fault_mask(mask);
+            }
+            Fault::StickWaitEntry {
+                copy,
+                stage,
+                switch,
+            } => {
+                self.nets[copy].poison_wait_entry(stage, switch);
+                return false;
+            }
+            Fault::KillMm { .. } | Fault::SlowMm { .. } => return false,
+        }
+        true
+    }
+
+    /// Which modules each PE can still reach through some copy: `None`
+    /// when one copy's routing is intact, so every PE reaches every
+    /// module, else `reach[pe][mm]`. Link loss drops single injections
+    /// and never severs a route, so a loss-only plan skips the
+    /// O(PEs × MMs) route probe.
+    #[must_use]
+    pub fn reachability(&self) -> Option<Vec<Vec<bool>>> {
+        let intact = |net: &OmegaNetwork| {
+            let mask = net.fault_mask();
+            !mask.copy_dead() && !mask.any_port_dead()
+        };
+        if self.nets.iter().any(intact) {
+            return None;
+        }
+        let n = self.banks.len();
+        let routable = |pe, mm| {
+            let addr = MemAddr::new(MmId(mm), 0);
+            self.routable(&Message::request(
+                MsgId(0),
+                MsgKind::Load,
+                addr,
+                0,
+                PeId(pe),
+                0,
+            ))
+        };
+        Some(
+            (0..n)
+                .map(|pe| (0..n).map(|mm| routable(pe, mm)).collect())
+                .collect(),
+        )
+    }
+
+    /// Whether some copy's faults let it carry `msg` (it may be busy).
+    fn routable(&self, msg: &Message) -> bool {
+        self.nets.iter().any(|net| !net.fault_refuses(msg))
     }
 
     /// Turns on every bank's exactly-once dedup cache (for retries).
@@ -100,21 +193,36 @@ impl Fabric {
         self.banks.iter_mut().for_each(MemBank::enable_dedup);
     }
 
-    /// Offers a request to the network copies at cycle `now`.
+    /// Offers a request at cycle `now` to the copies, starting at the
+    /// next one in its PE's round-robin order.
     #[inline]
     pub fn offer(&mut self, msg: Message, now: Cycle) -> Offer {
-        let nets = &self.nets;
-        if (0..nets.copies()).all(|c| nets.copy(c).fault_refuses(&msg)) {
+        if !self.routable(&msg) {
             return Offer::Unroutable;
         }
         let key = (msg.id, msg.attempt);
-        match self.nets.try_inject_request(msg, now) {
-            Ok(copy) => {
-                self.copy_of.insert(key, copy);
-                Offer::Injected
+        let pe = msg.src.0;
+        let d = self.nets.len();
+        let start = self.cursor[pe];
+        let mut msg = msg;
+        let mut fault_refused = false;
+        for offset in 0..d {
+            let copy = (start + offset) % d;
+            let net = &mut self.nets[copy];
+            fault_refused |= net.fault_refuses(&msg);
+            match net.try_inject_request(msg, now) {
+                Ok(()) => {
+                    if fault_refused {
+                        self.failovers += 1;
+                    }
+                    self.cursor[pe] = (copy + 1) % d;
+                    self.copy_of.insert(key, copy);
+                    return Offer::Injected;
+                }
+                Err(m) => msg = m,
             }
-            Err(refused) => Offer::Refused(refused),
         }
+        Offer::Refused(msg)
     }
 
     /// Cycles every busy bank in bank order, each followed by draining its
@@ -132,7 +240,7 @@ impl Fabric {
                     duplicates += 1;
                     continue;
                 };
-                if let Err(refused) = self.nets.copy_mut(copy).try_inject_reply(reply, now) {
+                if let Err(refused) = self.nets[copy].try_inject_reply(reply, now) {
                     bank.return_reply(refused);
                     break;
                 }
@@ -144,22 +252,22 @@ impl Fabric {
         duplicates
     }
 
-    /// Moves the network one cycle (skipped when drained: it would cycle
-    /// to itself). Requests reaching a module join its bank, replies
-    /// reaching a PE go to `deliveries`, dropped requests to `on_drop`,
-    /// in copy order.
+    /// Moves every copy one cycle, in copy order (a drained copy is
+    /// skipped: it would cycle to itself). Requests reaching a module
+    /// join its bank, replies reaching a PE go to `deliveries`, dropped
+    /// requests to `on_drop`.
     pub fn advance(
         &mut self,
         now: Cycle,
         deliveries: &mut Vec<Reply>,
         mut on_drop: impl FnMut(Message),
     ) {
-        if self.nets.is_drained() {
-            return;
-        }
-        self.nets.cycle_inplace(now);
-        for copy in 0..self.nets.copies() {
-            let events = self.nets.events_mut(copy);
+        let events = &mut self.events;
+        for net in &mut self.nets {
+            if net.is_drained() {
+                continue;
+            }
+            net.cycle_into(now, events);
             for msg in events.requests_at_mm.drain(..) {
                 self.busy.insert(msg.addr.mm.0);
                 self.banks[msg.addr.mm.0].push_request(msg);
@@ -172,41 +280,114 @@ impl Fabric {
         }
     }
 
-    /// Whether the network is drained and every bank idle.
+    /// Whether every copy is drained and every bank idle.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.nets.is_drained() && self.busy.is_empty()
+        self.nets.iter().all(OmegaNetwork::is_drained) && self.busy.is_empty()
     }
 
-    /// The gauges a telemetry window samples at its boundary: the deepest
-    /// bank request queue and the wait-buffer entries across the copies.
+    /// The copies' statistics rolled up: scalar counters summed, transit
+    /// histograms merged. `combines_by_stage` stays empty — the machine's
+    /// parity digest is taken over this value's `Debug` form, which has
+    /// never carried the per-copy stage detail.
     #[must_use]
-    pub fn gauges(&self) -> GaugeSnapshot {
-        GaugeSnapshot {
-            mm_queue_depth_max: (self.banks.iter())
-                .map(|b| b.queue_depth() as u64)
-                .max()
-                .unwrap_or(0),
-            wait_occupancy: self.nets.total_wait_occupancy(),
+    pub fn net_stats(&self) -> NetStats {
+        let mut total = NetStats::new(0);
+        for net in &self.nets {
+            let s = net.stats();
+            total.injected_requests.add(s.injected_requests.get());
+            total.delivered_requests.add(s.delivered_requests.get());
+            total.injected_replies.add(s.injected_replies.get());
+            total.delivered_replies.add(s.delivered_replies.get());
+            total.combines.add(s.combines.get());
+            total.decombines.add(s.decombines.get());
+            total.wait_buffer_declines.add(s.wait_buffer_declines.get());
+            total.drops.add(s.drops.get());
+            total.inject_stalls.add(s.inject_stalls.get());
+            total.fault_dropped.add(s.fault_dropped.get());
+            total.fault_refusals.add(s.fault_refusals.get());
+            total.stuck_wait_entries.add(s.stuck_wait_entries.get());
+            total.forward_transit.merge(&s.forward_transit);
+            total.reverse_transit.merge(&s.reverse_transit);
+        }
+        total
+    }
+
+    /// What a telemetry window samples at its boundary: the copies'
+    /// cumulative scalar counters summed, the deepest bank request queue
+    /// and the wait-buffer entries across the copies. No allocation, no
+    /// histogram merge — this runs at every window boundary.
+    #[must_use]
+    pub fn telemetry_sample(&self) -> (CounterSnapshot, GaugeSnapshot) {
+        let mut c = CounterSnapshot::default();
+        let mut wait_occupancy = 0;
+        for net in &self.nets {
+            let s = net.stats();
+            c.injected_requests += s.injected_requests.get();
+            c.delivered_requests += s.delivered_requests.get();
+            c.injected_replies += s.injected_replies.get();
+            c.delivered_replies += s.delivered_replies.get();
+            c.combines += s.combines.get();
+            c.decombines += s.decombines.get();
+            c.inject_stalls += s.inject_stalls.get();
+            c.fault_dropped += s.fault_dropped.get();
+            c.fault_refusals += s.fault_refusals.get();
+            wait_occupancy += net.total_wait_occupancy();
+        }
+        let mm_queue_depth_max = (self.banks.iter())
+            .map(|b| b.queue_depth() as u64)
+            .max()
+            .unwrap_or(0);
+        let gauges = GaugeSnapshot {
+            mm_queue_depth_max,
+            wait_occupancy,
+        };
+        (c, gauges)
+    }
+
+    /// The hot-spot heatmap merged across the copies: combine counts and
+    /// wait occupancy sum per switch position, queue high-water marks
+    /// take the per-position maximum.
+    #[must_use]
+    pub fn heatmap(&self) -> HeatmapSnapshot {
+        let mut merged = self.nets[0].heatmap();
+        for net in &self.nets[1..] {
+            merged.merge(&net.heatmap());
+        }
+        merged
+    }
+
+    /// Requests that a faulted copy refused and a later copy then
+    /// carried — the §4.1 redundancy actually doing its job.
+    #[must_use]
+    pub fn failovers(&self) -> u64 {
+        self.failovers
+    }
+
+    /// Largest forward-queue packet occupancy across all copies.
+    #[must_use]
+    pub fn request_queue_high_water(&self) -> usize {
+        (self.nets.iter())
+            .map(OmegaNetwork::request_queue_high_water)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Test hook: forces every copy's switch sweep (the dense scan is the
+    /// parity reference for the sparse walk). Not part of a snapshot.
+    #[doc(hidden)]
+    pub fn set_sweep_mode(&mut self, mode: SweepMode) {
+        for net in &mut self.nets {
+            net.set_sweep_mode(mode);
         }
     }
 
     /// Heap bytes the copies, the banks and the in-flight map own.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
+        let nets: usize = self.nets.iter().map(OmegaNetwork::heap_bytes).sum();
         let words: usize = self.banks.iter().map(MemBank::heap_bytes).sum();
-        self.nets.heap_bytes() + vec_bytes(&self.banks) + words + map_bytes(&self.copy_of)
-    }
-
-    /// The network copies.
-    #[must_use]
-    pub fn nets(&self) -> &ReplicatedOmega {
-        &self.nets
-    }
-
-    /// The network copies, for fault hooks and test knobs.
-    pub fn nets_mut(&mut self) -> &mut ReplicatedOmega {
-        &mut self.nets
+        vec_bytes(&self.nets) + nets + vec_bytes(&self.banks) + words + map_bytes(&self.copy_of)
     }
 
     /// The banks, indexed by module.
@@ -220,9 +401,18 @@ impl Fabric {
         &mut self.banks[mm.0]
     }
 
-    /// Serializes the copies, the banks and the in-flight map, in order.
+    /// Serializes the copies, the round-robin cursors and failover count,
+    /// the banks and the in-flight map, in order.
     pub fn encode(&self, w: &mut WireWriter) {
-        self.nets.encode_state(w);
+        w.usize(self.nets.len());
+        for net in &self.nets {
+            net.encode_state(w);
+            // Retired v1 slot: the copy's event buffer, empty between
+            // cycles, written as its three list lengths.
+            (0..3).for_each(|_| w.usize(0));
+        }
+        self.cursor.encode(w);
+        w.u64(self.failovers);
         self.banks.encode(w);
         self.copy_of.encode(w);
     }
@@ -232,22 +422,37 @@ impl Fabric {
     ///
     /// # Errors
     ///
-    /// A [`StateDecodeError`] on malformed bytes (an in-flight copy index
-    /// out of range included) or a copy count, geometry or bank count
-    /// that disagrees with `net`/`copies`.
+    /// A [`StateDecodeError`] on malformed bytes (a non-empty retired
+    /// event slot, or a cursor or in-flight copy index out of range,
+    /// included) or a copy count, geometry or bank count that disagrees
+    /// with `net`/`copies`.
     pub fn decode(
         r: &mut WireReader<'_>,
         net: &NetConfig,
         copies: usize,
     ) -> Result<Self, StateDecodeError> {
         let mismatch = |what| Err(StateDecodeError::ConfigMismatch(what));
-        let nets = ReplicatedOmega::decode_state(r)?;
-        if nets.copies() != copies {
+        if r.seq_len()? != copies {
             return mismatch("network copy count");
         }
-        if nets.copy(0).cfg() != net {
-            return mismatch("network geometry");
+        let mut nets = Vec::with_capacity(copies);
+        for _ in 0..copies {
+            let copy = OmegaNetwork::decode_state(r)?;
+            if copy.cfg() != net {
+                return mismatch("network geometry");
+            }
+            for _ in 0..3 {
+                if r.usize()? != 0 {
+                    return Err(WireError::Invalid("retired event slot not empty").into());
+                }
+            }
+            nets.push(copy);
         }
+        let cursor: Vec<usize> = Vec::decode(r)?;
+        if cursor.len() != net.pes || cursor.iter().any(|&c| c >= copies) {
+            return Err(WireError::Invalid("round-robin cursor out of range").into());
+        }
+        let failovers = r.u64()?;
         let banks: Vec<MemBank> = Vec::decode(r)?;
         if banks.len() != net.pes {
             return mismatch("memory bank count");
@@ -259,6 +464,9 @@ impl Fabric {
         let busy = ActiveSet::from_members(net.pes, (0..net.pes).filter(|&i| !banks[i].is_idle()));
         Ok(Self {
             nets,
+            cursor,
+            failovers,
+            events: NetworkEvents::default(),
             banks,
             copy_of,
             busy,
@@ -269,8 +477,6 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ultra_net::message::MsgKind;
-    use ultra_sim::{MemAddr, PeId};
 
     fn load(id: u64, pe: usize, mm: usize, now: Cycle) -> Message {
         Message::request(
@@ -290,6 +496,12 @@ mod tests {
         dups
     }
 
+    fn encoded(fabric: &Fabric) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        fabric.encode(&mut w);
+        w.into_bytes()
+    }
+
     #[test]
     fn dead_copy_fails_over_and_the_reply_returns_through_the_live_one() {
         let plan = FaultPlan::none().dead_copy(0);
@@ -297,7 +509,7 @@ mod tests {
         let msg = load(1, 3, 5, 0);
         assert!(matches!(fabric.offer(msg, 0), Offer::Injected));
         assert_eq!(fabric.copy_of[&(MsgId(1), 0)], 1, "carried by copy 1");
-        assert_eq!(fabric.nets().failovers(), 1);
+        assert_eq!(fabric.failovers(), 1);
         let mut deliveries = Vec::new();
         for now in 0..100 {
             assert_eq!(step(&mut fabric, now, &mut deliveries), 0);
@@ -307,7 +519,7 @@ mod tests {
         }
         assert_eq!(deliveries.len(), 1, "the reply came back");
         assert_eq!(deliveries[0].id, MsgId(1));
-        let copy = |c: usize| fabric.nets().copy(c).stats().clone();
+        let copy = |c: usize| fabric.nets[c].stats().clone();
         assert_eq!(copy(1).delivered_replies.get(), 1, "through copy 1");
         assert_eq!(copy(0).injected_replies.get(), 0);
         assert!(fabric.copy_of.is_empty());
@@ -354,16 +566,11 @@ mod tests {
             step(&mut fabric, now, &mut deliveries);
         }
         assert!(!fabric.is_idle() && !fabric.copy_of.is_empty());
-        let bytes = |f: &Fabric| {
-            let mut w = WireWriter::new();
-            f.encode(&mut w);
-            w.into_bytes()
-        };
-        let first = bytes(&fabric);
+        let first = encoded(&fabric);
         let mut r = WireReader::new(&first);
         let twin = Fabric::decode(&mut r, &NetConfig::small(8), 2).expect("decode");
         assert!(r.is_empty());
-        assert_eq!(bytes(&twin), first);
+        assert_eq!(encoded(&twin), first);
         assert_eq!(
             twin.busy.iter().collect::<Vec<_>>(),
             fabric.busy.iter().collect::<Vec<_>>()
@@ -373,5 +580,121 @@ mod tests {
             Fabric::decode(&mut r, &NetConfig::small(8), 1).unwrap_err(),
             StateDecodeError::ConfigMismatch("network copy count")
         );
+    }
+
+    #[test]
+    fn replicated_round_robins_and_keeps_ids_disjoint() {
+        let mut fabric = Fabric::new(NetConfig::small(8), 2, 2, &FaultPlan::none());
+        assert!(matches!(fabric.offer(load(1, 0, 1, 0), 0), Offer::Injected));
+        assert!(matches!(fabric.offer(load(2, 0, 1, 0), 0), Offer::Injected));
+        let copy = |id| fabric.copy_of[&(MsgId(id), 0)];
+        assert_eq!((copy(1), copy(2)), (0, 1), "round robin alternates copies");
+        let ids: Vec<MsgId> = fabric.nets.iter_mut().map(|n| n.next_msg_id()).collect();
+        assert_eq!(ids, [MsgId(1), MsgId(1 + (1 << 48))]);
+        let mut deliveries = Vec::new();
+        for now in 0..40 {
+            step(&mut fabric, now, &mut deliveries);
+        }
+        assert_eq!(deliveries.len(), 2, "both copies deliver");
+    }
+
+    #[test]
+    fn dead_copy_fails_over_to_the_survivor() {
+        let mut fabric = Fabric::new(NetConfig::small(8), 2, 2, &FaultPlan::none());
+        assert!(fabric.apply_copy_fault(Fault::KillCopy { copy: 0 }));
+        // PE 0's round robin points at the dead copy 0 before each
+        // request: both fail over to copy 1.
+        let mut deliveries = Vec::new();
+        for now in 0..60 {
+            if now % 10 == 0 && now < 20 {
+                assert!(matches!(
+                    fabric.offer(load(now + 1, 0, 1, now), now),
+                    Offer::Injected
+                ));
+            }
+            step(&mut fabric, now, &mut deliveries);
+        }
+        assert_eq!(
+            fabric.failovers(),
+            2,
+            "dead copy forced a failover each time"
+        );
+        let dead = fabric.nets[0].stats();
+        assert_eq!(
+            (dead.fault_refusals.get(), dead.injected_requests.get()),
+            (2, 0)
+        );
+        assert_eq!(
+            deliveries.len(),
+            2,
+            "all traffic completes through the survivor"
+        );
+    }
+
+    #[test]
+    fn replicated_state_round_trips_through_wire() {
+        // Sixteen fetch-and-adds on one word, three cycles in: queues,
+        // egress links and wait buffers of both copies hold traffic. The
+        // decoded twin re-encodes byte-identically and behaves identically.
+        let cfg = NetConfig::small(16);
+        let mut fabric = Fabric::new(cfg, 2, 2, &FaultPlan::none());
+        for pe in 0..16 {
+            let addr = MemAddr::new(MmId(6), 0);
+            let msg = Message::request(
+                MsgId(1 + pe as u64),
+                MsgKind::fetch_add(),
+                addr,
+                1,
+                PeId(pe),
+                0,
+            );
+            let _ = fabric.offer(msg, 0);
+        }
+        let (mut deliveries, mut twin_deliveries) = (Vec::new(), Vec::new());
+        for now in 0..3 {
+            step(&mut fabric, now, &mut deliveries);
+        }
+        let bytes = encoded(&fabric);
+        let mut r = WireReader::new(&bytes);
+        let mut twin = Fabric::decode(&mut r, &cfg, 2).expect("decode");
+        assert!(r.is_empty(), "decode consumed every byte");
+        assert_eq!(encoded(&twin), bytes, "re-encode is byte-identical");
+        for now in 3..60 {
+            step(&mut fabric, now, &mut deliveries);
+            step(&mut twin, now, &mut twin_deliveries);
+        }
+        assert_eq!(deliveries.len(), 16);
+        assert_eq!(twin_deliveries, deliveries);
+        let stats = |f: &Fabric| format!("{:?}", f.net_stats());
+        assert_eq!(stats(&twin), stats(&fabric));
+    }
+
+    #[test]
+    fn corrupt_network_snapshot_is_an_error_not_a_panic() {
+        let cfg = NetConfig::small(8);
+        let bytes = encoded(&Fabric::new(cfg, 1, 1, &FaultPlan::none()));
+        // Truncation at every prefix length must error cleanly.
+        for cut in 0..bytes.len() {
+            assert!(Fabric::decode(&mut WireReader::new(&bytes[..cut]), &cfg, 1).is_err());
+        }
+    }
+
+    #[test]
+    fn a_non_empty_retired_event_slot_is_a_typed_error() {
+        let cfg = NetConfig::small(8);
+        let fabric = Fabric::new(cfg, 1, 1, &FaultPlan::none());
+        let bytes = encoded(&fabric);
+        let mut w = WireWriter::new();
+        w.usize(1);
+        fabric.nets[0].encode_state(&mut w);
+        let slot = w.into_bytes().len();
+        for list in 0..3 {
+            let mut bad = bytes.clone();
+            bad[slot + 8 * list] = 1;
+            assert_eq!(
+                Fabric::decode(&mut WireReader::new(&bad), &cfg, 1).unwrap_err(),
+                StateDecodeError::Wire(WireError::Invalid("retired event slot not empty"))
+            );
+        }
     }
 }

@@ -202,6 +202,7 @@ fn mix(mut z: u64) -> u64 {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use ultra_sim::rng::{Rng, SplitMix64};
 
     #[test]
     fn interleaved_is_modulo() {
@@ -276,17 +277,28 @@ mod tests {
 
     #[test]
     fn degraded_translation_avoids_dead_modules_and_stays_injective() {
-        for mode in [TranslationMode::Interleaved, TranslationMode::Hashed] {
-            let mut h = AddressHasher::new(16, mode);
-            h.set_dead_mms(&[MmId(0), MmId(5), MmId(11)]);
-            let mut seen = HashSet::new();
-            for v in 0..10_000 {
-                let a = h.translate(v);
-                assert!(
-                    ![0usize, 5, 11].contains(&a.mm.0),
-                    "vaddr {v} landed on a dead module ({mode:?})"
-                );
-                assert!(seen.insert((a.mm, a.offset)), "collision at {v} ({mode:?})");
+        // One seeded dead set of every size 1..N for N = 2..1024, both
+        // modes, over a window of two words per module.
+        let mut rng = SplitMix64::new(0x5B1E_C7ED);
+        for n in (1..=10).map(|b| 1usize << b) {
+            let mut order: Vec<usize> = (0..n).collect();
+            for size in 1..n {
+                rng.shuffle(&mut order);
+                let dead: Vec<MmId> = order[..size].iter().map(|&m| MmId(m)).collect();
+                let mut is_dead = vec![false; n];
+                dead.iter().for_each(|mm| is_dead[mm.0] = true);
+                for mode in [TranslationMode::Interleaved, TranslationMode::Hashed] {
+                    let mut h = AddressHasher::new(n, mode);
+                    h.set_dead_mms(&dead);
+                    let mut words: Vec<MemAddr> = (0..2 * n).map(|v| h.translate(v)).collect();
+                    let case = format!("N {n}, {size} dead, {mode:?}");
+                    assert!(
+                        words.iter().all(|a| !is_dead[a.mm.0]),
+                        "dead module hit ({case})"
+                    );
+                    words.sort_unstable();
+                    assert!(words.windows(2).all(|w| w[0] != w[1]), "collision ({case})");
+                }
             }
         }
     }

@@ -23,9 +23,9 @@
 //! * [`switch`] — the k×k bidirectional switches (k ToMM queues, k ToPE
 //!   queues and a wait buffer each), held column-wise for the whole
 //!   network.
-//! * [`omega`] — the assembled network (plus [`omega::ReplicatedOmega`] for
-//!   the `d`-copy configurations of §4.1) with per-cycle advancement,
-//!   backpressure, and egress events.
+//! * [`omega`] — the assembled network with per-cycle advancement,
+//!   backpressure, and egress events (the `d` copies of §4.1 are
+//!   `ultra_mem::Fabric`'s).
 //! * [`config`] / [`stats`] — configuration and instrumentation.
 //!
 //! # Example: one fetch-and-add through an 8-PE network
@@ -70,6 +70,6 @@ pub mod switch;
 
 pub use config::{NetConfig, SweepMode, SwitchPolicy};
 pub use message::{Message, MsgId, MsgKind, PhiOp, Reply, ReplyKind};
-pub use omega::{NetworkEvents, OmegaNetwork, ReplicatedOmega};
+pub use omega::{NetworkEvents, OmegaNetwork};
 pub use route::{RouteTables, Topology};
 pub use stats::NetStats;

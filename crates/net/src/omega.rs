@@ -19,11 +19,6 @@
 //! direction, processing stages sink-first so that a message moves at most
 //! one hop per cycle while freed space propagates without extra dead
 //! cycles.
-//!
-//! [`ReplicatedOmega`] stacks `d` identical copies (§4.1: "use several
-//! copies of the same network, thereby reducing the effective load"), with
-//! requests spread round-robin per PE and replies returned through the copy
-//! that carried the request.
 
 #[cfg(test)]
 use crate::config::SwitchPolicy;
@@ -34,7 +29,7 @@ use crate::route::{ForwardHop, ReverseHop, RouteTables, Topology};
 use crate::stats::NetStats;
 use crate::switch::{AcceptOutcome, Switches};
 use ultra_faults::FaultMask;
-use ultra_obs::{CounterSnapshot, HeatmapSnapshot};
+use ultra_obs::HeatmapSnapshot;
 use ultra_sim::active::Walk;
 use ultra_sim::heap::vec_bytes;
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
@@ -66,21 +61,6 @@ impl NetworkEvents {
         self.requests_at_mm.clear();
         self.replies_at_pe.clear();
         self.dropped.clear();
-    }
-}
-
-impl Wire for NetworkEvents {
-    fn encode(&self, w: &mut WireWriter) {
-        self.requests_at_mm.encode(w);
-        self.replies_at_pe.encode(w);
-        self.dropped.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            requests_at_mm: Vec::decode(r)?,
-            replies_at_pe: Vec::decode(r)?,
-            dropped: Vec::decode(r)?,
-        })
     }
 }
 
@@ -292,9 +272,9 @@ impl OmegaNetwork {
         MsgId(id)
     }
 
-    /// Moves this network's id counter to `base` — used by
-    /// [`ReplicatedOmega`] to keep copies' ids disjoint.
-    pub(crate) fn set_msg_id_base(&mut self, base: u64) {
+    /// Moves this network's id counter to `base`, so that the `d` copies
+    /// of a machine draw disjoint ids.
+    pub fn set_msg_id_base(&mut self, base: u64) {
         self.next_id = base;
     }
 
@@ -721,289 +701,6 @@ fn extract_ready<T>(pending: &mut Vec<(Cycle, T)>, now: Cycle, mut sink: impl Fn
     }
 }
 
-/// One network copy plus its reusable per-cycle event buffer.
-///
-/// Keeping the buffer beside the copy gives each copy its own pooled
-/// output, drained in place after [`ReplicatedOmega::cycle_inplace`].
-#[derive(Debug, Clone)]
-struct CopyLane {
-    net: OmegaNetwork,
-    events: NetworkEvents,
-}
-
-/// `d` identical network copies (§4.1) behind one injection interface.
-///
-/// Requests from each PE are spread round-robin over the copies; the copy
-/// index is reported back so the MNI can return the reply through the same
-/// copy.
-#[derive(Debug, Clone)]
-pub struct ReplicatedOmega {
-    lanes: Vec<CopyLane>,
-    cursor: Vec<usize>,
-    failovers: u64,
-}
-
-impl ReplicatedOmega {
-    /// Builds `d` copies of the network described by `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d == 0` or `cfg` is invalid.
-    #[must_use]
-    pub fn new(cfg: NetConfig, d: usize) -> Self {
-        assert!(d >= 1, "need at least one network copy");
-        let lanes: Vec<CopyLane> = (0..d)
-            .map(|i| {
-                let mut net = OmegaNetwork::new(cfg);
-                // Disjoint id spaces so wait-buffer keys can never collide
-                // across copies.
-                net.set_msg_id_base(1 + ((i as u64) << 48));
-                CopyLane {
-                    net,
-                    events: NetworkEvents::default(),
-                }
-            })
-            .collect();
-        Self {
-            cursor: vec![0; cfg.pes],
-            lanes,
-            failovers: 0,
-        }
-    }
-
-    /// Heap bytes all copies own.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.lanes)
-            + self
-                .lanes
-                .iter()
-                .map(|lane| lane.net.heap_bytes())
-                .sum::<usize>()
-    }
-
-    /// Requests that a faulted copy refused and a healthy copy then
-    /// carried — the §4.1 redundancy actually doing its job.
-    #[must_use]
-    pub fn failovers(&self) -> u64 {
-        self.failovers
-    }
-
-    /// Number of copies `d`.
-    #[must_use]
-    pub fn copies(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Immutable access to copy `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= d`.
-    #[must_use]
-    pub fn copy(&self, i: usize) -> &OmegaNetwork {
-        &self.lanes[i].net
-    }
-
-    /// Mutable access to copy `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= d`.
-    pub fn copy_mut(&mut self, i: usize) -> &mut OmegaNetwork {
-        &mut self.lanes[i].net
-    }
-
-    /// Injects a request into the next copy in this PE's round-robin order,
-    /// falling back to the other copies if it is busy. Returns the copy
-    /// index used.
-    ///
-    /// # Errors
-    ///
-    /// Returns the message back if every copy refused it this cycle.
-    // See `OmegaNetwork::try_inject_request`: refusal hands the flat message
-    // back by value on purpose; boxing it would put an allocation on the
-    // zero-allocation path.
-    #[allow(clippy::result_large_err)]
-    pub fn try_inject_request(&mut self, msg: Message, now: Cycle) -> Result<usize, Message> {
-        let pe = msg.src.0;
-        let d = self.lanes.len();
-        let start = self.cursor[pe];
-        let mut msg = msg;
-        let mut fault_refused = false;
-        for offset in 0..d {
-            let i = (start + offset) % d;
-            if self.lanes[i].net.fault_refuses(&msg) {
-                fault_refused = true;
-            }
-            match self.lanes[i].net.try_inject_request(msg, now) {
-                Ok(()) => {
-                    if fault_refused {
-                        self.failovers += 1;
-                    }
-                    self.cursor[pe] = (i + 1) % d;
-                    return Ok(i);
-                }
-                Err(m) => msg = m,
-            }
-        }
-        Err(msg)
-    }
-
-    /// Advances every copy one cycle, in copy order, into its lane's
-    /// pooled event buffer; read them back with
-    /// [`ReplicatedOmega::events_mut`].
-    pub fn cycle_inplace(&mut self, now: Cycle) {
-        for lane in &mut self.lanes {
-            lane.net.cycle_into(now, &mut lane.events);
-        }
-    }
-
-    /// The pooled event buffer copy `i` filled during the last
-    /// [`ReplicatedOmega::cycle_inplace`]; the caller drains it in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= d`.
-    pub fn events_mut(&mut self, i: usize) -> &mut NetworkEvents {
-        &mut self.lanes[i].events
-    }
-
-    /// Whether every copy's fabric is drained (see
-    /// [`OmegaNetwork::is_drained`]).
-    #[must_use]
-    pub fn is_drained(&self) -> bool {
-        self.lanes.iter().all(|l| l.net.is_drained())
-    }
-
-    /// Largest forward-queue packet occupancy across all copies.
-    #[must_use]
-    pub fn request_queue_high_water(&self) -> usize {
-        self.lanes
-            .iter()
-            .map(|l| l.net.request_queue_high_water())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The `d` copies' statistics rolled up: scalar counters summed,
-    /// transit histograms merged. `combines_by_stage` stays empty — the
-    /// machine's parity digest is taken over this value's `Debug` form,
-    /// which has never carried the per-copy stage detail.
-    #[must_use]
-    pub fn net_stats(&self) -> NetStats {
-        let mut total = NetStats::new(0);
-        for lane in &self.lanes {
-            let s = lane.net.stats();
-            total.injected_requests.add(s.injected_requests.get());
-            total.delivered_requests.add(s.delivered_requests.get());
-            total.injected_replies.add(s.injected_replies.get());
-            total.delivered_replies.add(s.delivered_replies.get());
-            total.combines.add(s.combines.get());
-            total.decombines.add(s.decombines.get());
-            total.wait_buffer_declines.add(s.wait_buffer_declines.get());
-            total.drops.add(s.drops.get());
-            total.inject_stalls.add(s.inject_stalls.get());
-            total.fault_dropped.add(s.fault_dropped.get());
-            total.fault_refusals.add(s.fault_refusals.get());
-            total.stuck_wait_entries.add(s.stuck_wait_entries.get());
-            total.forward_transit.merge(&s.forward_transit);
-            total.reverse_transit.merge(&s.reverse_transit);
-        }
-        total
-    }
-
-    /// The cumulative scalar counters a telemetry window samples, summed
-    /// across the copies. No allocation, no histogram merges — this runs
-    /// at every window boundary.
-    #[must_use]
-    pub fn telemetry_counters(&self) -> CounterSnapshot {
-        let mut c = CounterSnapshot::default();
-        for lane in &self.lanes {
-            let s = lane.net.stats();
-            c.injected_requests += s.injected_requests.get();
-            c.delivered_requests += s.delivered_requests.get();
-            c.injected_replies += s.injected_replies.get();
-            c.delivered_replies += s.delivered_replies.get();
-            c.combines += s.combines.get();
-            c.decombines += s.decombines.get();
-            c.inject_stalls += s.inject_stalls.get();
-            c.fault_dropped += s.fault_dropped.get();
-            c.fault_refusals += s.fault_refusals.get();
-        }
-        c
-    }
-
-    /// Wait-buffer entries outstanding across every switch of every copy.
-    #[must_use]
-    pub fn total_wait_occupancy(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| l.net.total_wait_occupancy())
-            .sum()
-    }
-
-    /// Serializes every copy's state plus the round-robin cursors and
-    /// failover count.
-    pub fn encode_state(&self, w: &mut WireWriter) {
-        w.usize(self.lanes.len());
-        for lane in &self.lanes {
-            lane.net.encode_state(w);
-            // Pooled event buffers are drained every machine cycle, but
-            // serializing them costs a few bytes and removes any doubt.
-            lane.events.encode(w);
-        }
-        self.cursor.encode(w);
-        w.u64(self.failovers);
-    }
-
-    /// Rebuilds the replicated network from
-    /// [`ReplicatedOmega::encode_state`] bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the bytes are truncated, malformed, or
-    /// internally inconsistent.
-    pub fn decode_state(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let d = r.seq_len()?;
-        if d == 0 {
-            return Err(WireError::Invalid("zero network copies"));
-        }
-        let mut lanes = Vec::with_capacity(d);
-        for _ in 0..d {
-            lanes.push(CopyLane {
-                net: OmegaNetwork::decode_state(r)?,
-                events: NetworkEvents::decode(r)?,
-            });
-        }
-        let pes = lanes[0].net.cfg().pes;
-        if lanes.iter().any(|l| l.net.cfg().pes != pes) {
-            return Err(WireError::Invalid("copies disagree on pe count"));
-        }
-        let cursor: Vec<usize> = Vec::decode(r)?;
-        if cursor.len() != pes || cursor.iter().any(|&c| c >= d) {
-            return Err(WireError::Invalid("round-robin cursor out of range"));
-        }
-        Ok(Self {
-            lanes,
-            cursor,
-            failovers: r.u64()?,
-        })
-    }
-
-    /// The hot-spot heatmap merged across the `d` copies: combine counts
-    /// and wait occupancy sum per switch position, queue high-water marks
-    /// take the per-position maximum.
-    #[must_use]
-    pub fn heatmap(&self) -> HeatmapSnapshot {
-        let mut merged = self.lanes[0].net.heatmap();
-        for lane in &self.lanes[1..] {
-            merged.merge(&lane.net.heatmap());
-        }
-        merged
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1015,14 +712,6 @@ mod tests {
         let mut events = NetworkEvents::default();
         net.cycle_into(now, &mut events);
         events
-    }
-
-    /// Advances every copy of `rep` and returns the tagged events.
-    fn rep_cyc(rep: &mut ReplicatedOmega, now: Cycle) -> Vec<(usize, NetworkEvents)> {
-        rep.cycle_inplace(now);
-        (0..rep.copies())
-            .map(|i| (i, rep.events_mut(i).clone()))
-            .collect()
     }
 
     fn load(net: &mut OmegaNetwork, pe: usize, mm: usize, offset: usize) -> MsgId {
@@ -1232,67 +921,6 @@ mod tests {
     }
 
     #[test]
-    fn replicated_round_robins_and_keeps_ids_disjoint() {
-        let cfg = NetConfig::small(8);
-        let mut rep = ReplicatedOmega::new(cfg, 2);
-        assert_eq!(rep.copies(), 2);
-        let m = |id: u64| {
-            Message::request(
-                MsgId(id),
-                MsgKind::Load,
-                MemAddr::new(MmId(1), 0),
-                0,
-                PeId(0),
-                0,
-            )
-        };
-        let c1 = rep.try_inject_request(m(1), 0).unwrap();
-        let c2 = rep.try_inject_request(m(2), 0).unwrap();
-        assert_ne!(c1, c2, "round robin alternates copies");
-        // Both copies advance; both deliver.
-        let mut total = 0;
-        for now in 0..30 {
-            for (_i, ev) in rep_cyc(&mut rep, now) {
-                total += ev.requests_at_mm.len();
-            }
-        }
-        assert_eq!(total, 2);
-    }
-
-    #[test]
-    fn dead_copy_fails_over_to_the_survivor() {
-        let cfg = NetConfig::small(8);
-        let mut rep = ReplicatedOmega::new(cfg, 2);
-        rep.copy_mut(0).kill();
-        let m = |id: u64| {
-            Message::request(
-                MsgId(id),
-                MsgKind::Load,
-                MemAddr::new(MmId(1), id as usize), // distinct words: no combining
-                0,
-                PeId(0),
-                0,
-            )
-        };
-        // PE 0's round robin starts at copy 0, which is dead: both
-        // requests must land on copy 1 (the second on a later cycle, once
-        // copy 1's PE link is free again).
-        let c1 = rep.try_inject_request(m(1), 0).unwrap();
-        let c2 = rep.try_inject_request(m(2), 10).unwrap();
-        assert_eq!((c1, c2), (1, 1));
-        assert!(rep.failovers() >= 1, "dead copy forced a failover");
-        assert_eq!(rep.copy(0).stats().fault_refusals.get(), 2);
-        assert_eq!(rep.copy(0).stats().injected_requests.get(), 0);
-        let mut total = 0;
-        for now in 0..40 {
-            for (_i, ev) in rep_cyc(&mut rep, now) {
-                total += ev.requests_at_mm.len();
-            }
-        }
-        assert_eq!(total, 2, "all traffic completes through the survivor");
-    }
-
-    #[test]
     fn dead_port_blocks_exactly_the_routes_crossing_it() {
         let mut net = OmegaNetwork::new(NetConfig::small(8));
         // Kill the stage-0 output port PE 0's route to MM 1 uses.
@@ -1363,66 +991,14 @@ mod tests {
     }
 
     #[test]
-    fn replicated_state_round_trips_through_wire() {
-        // Build a replicated network with traffic mid-flight (queues,
-        // egress links, wait buffers all non-empty), snapshot it, and check
-        // that the decoded twin is byte-identical and behaves identically.
-        let mut rep = ReplicatedOmega::new(NetConfig::small(16), 2);
-        let mut id = 0u64;
-        for pe in 0..16 {
-            id += 1;
-            let msg = Message::request(
-                MsgId(id),
-                MsgKind::fetch_add(),
-                MemAddr::new(MmId(6), 0),
-                1,
-                PeId(pe),
-                0,
-            );
-            let _ = rep.try_inject_request(msg, 0);
-        }
-        for now in 0..3 {
-            rep.cycle_inplace(now);
-        }
-
-        let mut w = WireWriter::new();
-        rep.encode_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
-        let mut twin = ReplicatedOmega::decode_state(&mut r).expect("decode");
-        assert!(r.is_empty(), "decode consumed every byte");
-
-        let mut w2 = WireWriter::new();
-        twin.encode_state(&mut w2);
-        assert_eq!(bytes, w2.into_bytes(), "re-encode is byte-identical");
-
-        // Both instances must produce the same event stream from here on.
-        for now in 3..40 {
-            rep.cycle_inplace(now);
-            twin.cycle_inplace(now);
-            for i in 0..rep.copies() {
-                assert_eq!(rep.events_mut(i).clone(), {
-                    let ev = twin.events_mut(i);
-                    ev.clone()
-                });
-            }
-        }
-        assert_eq!(
-            rep.net_stats().combines.get(),
-            twin.net_stats().combines.get()
-        );
-    }
-
-    #[test]
     fn corrupt_network_snapshot_is_an_error_not_a_panic() {
-        let rep = ReplicatedOmega::new(NetConfig::small(8), 1);
         let mut w = WireWriter::new();
-        rep.encode_state(&mut w);
+        OmegaNetwork::new(NetConfig::small(8)).encode_state(&mut w);
         let bytes = w.into_bytes();
         // Truncation at every prefix length must error cleanly.
         for cut in 0..bytes.len() {
             let mut r = WireReader::new(&bytes[..cut]);
-            assert!(ReplicatedOmega::decode_state(&mut r).is_err());
+            assert!(OmegaNetwork::decode_state(&mut r).is_err());
         }
     }
 

@@ -12,8 +12,9 @@
 //! it enters holding the destination, and each stage replaces the digit it
 //! consumed with the arrival-port digit, so the origin address materializes
 //! exactly when the destination digits run out. [`Topology::step_amalgam`]
-//! implements that register update; the simulator routes redundantly from
-//! the full `src`/`addr` fields and debug-asserts agreement.
+//! implements that register update, and the switches route by it
+//! ([`RouteTables::amalgam_out_port`]); debug builds assert that it agrees
+//! with the digit route of the full `src`/`addr` fields.
 
 use ultra_sim::heap::vec_bytes;
 use ultra_sim::ids::digits;

@@ -354,7 +354,7 @@ impl ServeObs {
             evictions: self.registry.counter(
                 "ultra_serve_cache_evictions_total",
                 &[],
-                "checkpoints evicted by the per-key cap",
+                "checkpoints evicted by the LRU byte budget",
             ),
         }
     }

@@ -28,6 +28,10 @@ pub const DEFAULT_CYCLE_BUDGET: Cycle = 10_000_000;
 /// job line is outside input and `pes` sizes every allocation.
 pub const MAX_PES: usize = 1 << 20;
 
+/// Most requests a serving job may ask for: its `rounds` sizes the
+/// arrival schedule and the words installed before the run.
+pub const MAX_SERVING_REQUESTS: usize = 1 << 20;
+
 /// Bound on a job line's retired `"threads"` field (checked, then
 /// ignored): the machine's own bound.
 pub use ultracomputer::MAX_THREADS;
@@ -391,6 +395,12 @@ impl JobSpec {
         if self.faults.dead_copies.len() >= self.copies {
             return Err("cannot kill every network copy".into());
         }
+        if self.workload == Workload::Serving && self.rounds > MAX_SERVING_REQUESTS as i64 {
+            return Err(format!(
+                "rounds must be in 1..={MAX_SERVING_REQUESTS} for the serving workload, got {}",
+                self.rounds
+            ));
+        }
         if self.mean_gap < 1 {
             return Err("mean_gap must be >= 1".into());
         }
@@ -528,6 +538,10 @@ mod tests {
             (r#"{"copies": 17}"#, "copies must be in 1..=16, got 17"),
             (r#"{"threads": 65}"#, "threads must be in 1..=64, got 65"),
             (r#"{"threads": 0}"#, "threads must be in 1..=64, got 0"),
+            (
+                r#"{"workload": "serving", "rounds": 1048577}"#,
+                "rounds must be in 1..=1048576 for the serving workload, got 1048577",
+            ),
         ] {
             let err = spec_of(line).unwrap_err();
             assert!(
@@ -543,6 +557,13 @@ mod tests {
             format!(r#"{{"pes": {MAX_PES}, "copies": {MAX_COPIES}, "threads": {MAX_THREADS}}}"#);
         let spec = spec_of(&line).unwrap();
         assert_eq!((spec.pes, spec.copies, spec.threads), (1 << 20, 16, 64));
+        let line = format!(r#"{{"workload": "serving", "rounds": {MAX_SERVING_REQUESTS}}}"#);
+        assert_eq!(spec_of(&line).unwrap().rounds, 1 << 20);
+        let closed = format!(r#"{{"rounds": {}}}"#, 2 * MAX_SERVING_REQUESTS);
+        assert!(
+            spec_of(&closed).is_ok(),
+            "the bound is the serving workload's only"
+        );
     }
 
     #[test]

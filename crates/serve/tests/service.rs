@@ -499,12 +499,13 @@ fn observability_never_changes_result_lines() {
 fn over_bound_job_lines_are_rejected_and_their_neighbours_complete() {
     use std::io::Write;
     use std::process::{Command, Stdio};
-    use ultra_serve::spec::{MAX_COPIES, MAX_PES, MAX_THREADS};
+    use ultra_serve::spec::{MAX_COPIES, MAX_PES, MAX_SERVING_REQUESTS, MAX_THREADS};
 
     let batch = r#"{"id": "before", "pes": 16, "workload": "ticket", "rounds": 2}
 {"pes": 16, "workload": "ticket", "rounds": 2, "cycles": 100, "threads": 200000}
 {"pes": 268435456}
 {"pes": 16, "copies": 4096}
+{"pes": 16, "workload": "serving", "rounds": 9007199254740992}
 {"id": "after", "pes": 16, "workload": "ticket", "rounds": 2}
 "#;
     let mut child = Command::new(env!("CARGO_BIN_EXE_ultra-serve"))
@@ -522,12 +523,13 @@ fn over_bound_job_lines_are_rejected_and_their_neighbours_complete() {
     assert_eq!(out.status.code(), Some(1), "server died: {:?}", out.status);
     let stdout = String::from_utf8(out.stdout).expect("utf-8 results");
     let by_id: HashMap<String, &str> = stdout.lines().map(|l| (field(l, "id"), l)).collect();
-    assert_eq!(by_id.len(), 5, "one result line per input line: {stdout}");
+    assert_eq!(by_id.len(), 6, "one result line per input line: {stdout}");
     // A rejected line is answered under its line number.
     for (id, name, max) in [
         ("job-2", "threads", MAX_THREADS),
         ("job-3", "pes", MAX_PES),
         ("job-4", "copies", MAX_COPIES),
+        ("job-5", "rounds", MAX_SERVING_REQUESTS),
     ] {
         assert_eq!(field(by_id[id], "status"), "error");
         let error = field(by_id[id], "error");

@@ -116,10 +116,11 @@ impl Serving {
         (0..self.requests)
             .map(|_| {
                 // u in (0, 1]: never ln(0); a gap may round to zero
-                // (bursts are part of a Poisson process).
+                // (bursts are part of a Poisson process). A huge mean gap
+                // saturates the clock instead of overflowing it.
                 let u = 1.0 - rng.f64();
                 let gap = -(self.mean_gap as f64) * u.ln();
-                at += gap.min(1e15) as u64;
+                at = at.saturating_add(gap.min(1e15) as u64);
                 at
             })
             .collect()
@@ -226,6 +227,11 @@ mod tests {
         let span = (a[a.len() - 1] - a[0]) as f64 / (a.len() - 1) as f64;
         assert!((span - 50.0).abs() < 15.0, "mean gap {span} far from 50");
         assert_ne!(a, Serving::new(200, 50).seed(4).arrivals());
+        let huge = Serving::new(20_000, u64::MAX).arrivals();
+        assert!(
+            huge.windows(2).all(|w| w[0] <= w[1]),
+            "saturates, never wraps"
+        );
     }
 
     #[test]
