@@ -103,6 +103,7 @@ pub struct InterleavedQueueSim {
     procs: Vec<Proc>,
     rng: SplitMix64,
     next_delete_id: usize,
+    steps: u64,
 }
 
 impl InterleavedQueueSim {
@@ -120,13 +121,8 @@ impl InterleavedQueueSim {
             procs: Vec::new(),
             rng: SplitMix64::new(seed),
             next_delete_id: 0,
+            steps: 0,
         }
-    }
-
-    /// Queue capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.size
     }
 
     /// Adds a virtual processor that will insert `datum`.
@@ -163,10 +159,13 @@ impl InterleavedQueueSim {
                 Proc::Delete { id, .. } => events.push(SimEvent::DeleteStart(*id)),
             }
         }
-        let mut steps = 0;
         while self.procs.iter().any(|p| !p.done()) {
-            steps += 1;
-            assert!(steps <= max_steps, "interleaving stuck after {steps} steps");
+            self.steps += 1;
+            assert!(
+                self.steps <= max_steps,
+                "interleaving stuck after {} steps",
+                self.steps
+            );
             let live: Vec<usize> = (0..self.procs.len())
                 .filter(|&i| !self.procs[i].done())
                 .collect();
@@ -174,6 +173,12 @@ impl InterleavedQueueSim {
             self.step(pick, &mut events);
         }
         events
+    }
+
+    /// Scheduler steps taken so far, one shared-memory operation each.
+    #[must_use]
+    pub fn steps(&self) -> u64 {
+        self.steps
     }
 
     /// Executes one shared-memory operation of processor `i`.
@@ -466,5 +471,30 @@ mod tests {
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10), "different seeds explore differently");
+    }
+
+    /// The appendix queue's conservation and FIFO condition hold for
+    /// arbitrary mixes of inserts/deletes, capacities, and interleavings.
+    /// Cases come from a fixed [`SplitMix64`] stream, so every run
+    /// explores identical inputs.
+    #[test]
+    fn interleaved_queue_sim_properties() {
+        for case in 0..10u64 {
+            let mut rng = SplitMix64::new(0x57E5_57E5 ^ case.wrapping_mul(0x9e37_79b9));
+            let size = 1 + rng.below(11);
+            let inserts = rng.below(30) as i64;
+            let deletes = rng.below(30);
+            let seed = rng.next_u64();
+            let mut sim = InterleavedQueueSim::new(size, seed);
+            for v in 0..inserts {
+                sim.spawn_insert(1000 + v);
+            }
+            for _ in 0..deletes {
+                sim.spawn_delete();
+            }
+            let events = sim.run(5_000_000);
+            sim.check_conservation(&events);
+            sim.check_fifo_condition(&events);
+        }
     }
 }

@@ -82,8 +82,8 @@ impl Proc {
 /// use ultra_algorithms::sim::rwlock::InterleavedRwSim;
 ///
 /// let mut sim = InterleavedRwSim::new(7);
-/// for i in 0..6 {
-///     sim.spawn_reader(i);
+/// for _ in 0..6 {
+///     sim.spawn_reader();
 /// }
 /// for v in 1..4 {
 ///     sim.spawn_writer(v * 11);
@@ -131,8 +131,8 @@ impl InterleavedRwSim {
         }
     }
 
-    /// Adds a reader (`_id` kept for call-site readability).
-    pub fn spawn_reader(&mut self, _id: usize) {
+    /// Adds a reader.
+    pub fn spawn_reader(&mut self) {
         self.procs.push(Proc::Reader {
             state: ReaderState::Announce,
         });
@@ -289,8 +289,8 @@ mod tests {
     fn readers_never_observe_torn_writes() {
         for seed in 0..60 {
             let mut sim = InterleavedRwSim::new(seed);
-            for i in 0..8 {
-                sim.spawn_reader(i);
+            for _ in 0..8 {
+                sim.spawn_reader();
             }
             for v in 1..5 {
                 sim.spawn_writer(v * 100);
@@ -306,8 +306,8 @@ mod tests {
     #[test]
     fn readers_only_never_block() {
         let mut sim = InterleavedRwSim::new(3);
-        for i in 0..16 {
-            sim.spawn_reader(i);
+        for _ in 0..16 {
+            sim.spawn_reader();
         }
         let r = sim.run(100_000);
         // Read path: announce, check, read, read, retire = 5 steps each.

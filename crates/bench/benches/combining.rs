@@ -33,7 +33,6 @@ fn bench_hotspot_policies() {
             black_box(run_open_loop(cfg, &mut traffic));
         });
     }
-    group.finish();
 }
 
 fn hot_counter_program(rounds: i64) -> Program {
@@ -73,7 +72,6 @@ fn bench_machine_hot_counter() {
         assert!(out.completed);
         black_box(m.read_shared(0));
     });
-    group.finish();
 }
 
 fn main() {

@@ -70,7 +70,6 @@ fn bench_machine_step() {
         }
         black_box(m.now());
     });
-    group.finish();
 }
 
 /// The merge phase in isolation: a mostly-halted N = 1024 machine where
@@ -108,7 +107,6 @@ fn bench_merge_phase() {
         }
         black_box(m.now());
     });
-    group.finish();
 }
 
 /// Drives one network copy under hot-spot fetch-and-add load with the
@@ -144,7 +142,6 @@ fn bench_network_cycle() {
             black_box(events.replies_at_pe.len());
         });
     });
-    group.finish();
 }
 
 fn main() {

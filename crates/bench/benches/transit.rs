@@ -31,7 +31,6 @@ fn bench_open_loop() {
             black_box(run_open_loop(cfg, &mut traffic));
         });
     }
-    group.finish();
 }
 
 /// A closed loop over the public fabric API: every PE keeps exactly one
@@ -144,7 +143,6 @@ fn bench_hop_scaling() {
         "hop_scaling/ratio_4096_over_64: {:.2}",
         floors[2] / floors[0]
     );
-    group.finish();
 }
 
 fn bench_analytic() {
@@ -153,7 +151,6 @@ fn bench_analytic() {
     group.bench("figure7_curve", || {
         black_box(model.figure7_curve(0.9, 100));
     });
-    group.finish();
 }
 
 fn main() {

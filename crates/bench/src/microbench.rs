@@ -6,7 +6,8 @@
 //! module provides the minimal surface they need: named groups, a
 //! configurable sample count, and median/min/mean reporting over samples.
 //! It is intentionally simple — the benches compare *relative* costs of
-//! the paper's coordination structures, not nanosecond-exact latencies.
+//! the simulator's network, switch and engine paths, not nanosecond-exact
+//! latencies.
 
 use std::time::{Duration, Instant};
 
@@ -58,9 +59,6 @@ impl Group {
             self.samples
         );
     }
-
-    /// Finishes the group (parity with the Criterion API; prints nothing).
-    pub fn finish(&mut self) {}
 }
 
 /// Default samples per measurement.

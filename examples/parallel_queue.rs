@@ -1,78 +1,43 @@
-//! The appendix's critical-section-free queue on real threads.
+//! The appendix's critical-section-free queue under a storm of
+//! simultaneous inserts and deletes.
 //!
-//! Producers and consumers share one bounded FIFO whose coordination is
-//! pure fetch-and-add (slot claims, occupancy bounds); per the appendix,
-//! "when a queue is neither full nor empty our program allows many
-//! insertions and many deletions to proceed completely in parallel with
-//! no serial code executed."
+//! Every virtual processor runs the appendix's `Insert` or `Delete` one
+//! shared-memory operation per step over the paracomputer, and a seeded
+//! scheduler interleaves them arbitrarily. Coordination is pure
+//! fetch-and-add (slot claims, occupancy bounds) with no critical section,
+//! and whatever the interleaving, no item is lost or duplicated and the
+//! appendix's FIFO condition holds.
 //!
 //! ```text
 //! cargo run --release -p ultracomputer --example parallel_queue
 //! ```
 
-use std::sync::Arc;
-use std::time::Instant;
-use ultra_algorithms::UltraQueue;
+use ultra_algorithms::{InterleavedQueueSim, SimEvent};
 
 fn main() {
-    let queue = Arc::new(UltraQueue::new(256));
-    let producers = 4;
-    let consumers = 4;
-    let per_producer = 50_000i64;
+    let (size, inserts, deletes) = (64, 1_000, 1_000);
+    let mut sim = InterleavedQueueSim::new(size, 7);
+    for v in 0..inserts {
+        sim.spawn_insert(v);
+    }
+    for _ in 0..deletes {
+        sim.spawn_delete();
+    }
+    let events = sim.run(100_000_000);
+    sim.check_conservation(&events);
+    sim.check_fifo_condition(&events);
 
-    let start = Instant::now();
-    let mut handles = Vec::new();
-    for p in 0..producers {
-        let q = Arc::clone(&queue);
-        handles.push(std::thread::spawn(move || {
-            for i in 0..per_producer {
-                q.enqueue(p * per_producer + i);
-            }
-        }));
-    }
-    let takers: Vec<_> = (0..consumers)
-        .map(|_| {
-            let q = Arc::clone(&queue);
-            std::thread::spawn(move || {
-                let mut sum = 0i64;
-                let mut count = 0i64;
-                loop {
-                    let v = q.dequeue();
-                    if v < 0 {
-                        break;
-                    }
-                    sum += v;
-                    count += 1;
-                }
-                (sum, count)
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    for _ in 0..consumers {
-        queue.enqueue(-1); // poison
-    }
-    let (mut sum, mut count) = (0i64, 0i64);
-    for t in takers {
-        let (s, c) = t.join().unwrap();
-        sum += s;
-        count += c;
-    }
-    let elapsed = start.elapsed();
-
-    let total = producers * per_producer;
-    assert_eq!(count, total, "every item delivered exactly once");
-    assert_eq!(sum, total * (total - 1) / 2, "and none were corrupted");
+    let count = |f: fn(&SimEvent) -> bool| events.iter().filter(|e| f(e)).count();
     println!(
-        "{} items through a 256-slot queue, {} producers / {} consumers",
-        total, producers, consumers
+        "{inserts} inserts + {deletes} deletes on a {size}-slot queue: \
+         {} inserted ({} full), {} deleted ({} empty)",
+        count(|e| matches!(e, SimEvent::InsertDone(_))),
+        count(|e| matches!(e, SimEvent::InsertOverflow(_))),
+        count(|e| matches!(e, SimEvent::DeleteDone(..))),
+        count(|e| matches!(e, SimEvent::DeleteUnderflow(_))),
     );
     println!(
-        "{:.2} Mops in {:.2?} ({:.2} Mops/s), zero items lost or duplicated",
-        2.0 * total as f64 / 1e6,
-        elapsed,
-        2.0 * total as f64 / elapsed.as_secs_f64() / 1e6
+        "{} one-memory-op steps, zero items lost or duplicated, FIFO condition holds",
+        sim.steps()
     );
 }

@@ -1,66 +1,21 @@
-//! The §2.3 readers–writers coordination, two ways:
-//!
-//! 1. on real threads ([`ultra_algorithms::FaaRwLock`]) — readers
-//!    announce themselves with a single fetch-and-add, no critical
-//!    section on the read path;
-//! 2. as an exhaustively interleaved simulation
-//!    ([`ultra_algorithms::InterleavedRwSim`]) — demonstrating that no
-//!    interleaving of the one-memory-op steps produces a torn read or a
-//!    writer overlap.
+//! The §2.3 readers–writers coordination as an interleaved simulation
+//! ([`ultra_algorithms::InterleavedRwSim`]): readers announce themselves
+//! with a single fetch-and-add, no critical section on the read path, and
+//! no interleaving of the one-memory-op steps produces a torn read or a
+//! writer overlap.
 //!
 //! ```text
 //! cargo run --release -p ultracomputer --example readers_writers
 //! ```
 
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
-use ultra_algorithms::{FaaRwLock, InterleavedRwSim};
+use ultra_algorithms::InterleavedRwSim;
 
 fn main() {
-    // --- native threads ---
-    let lock = Arc::new(FaaRwLock::new());
-    let cell = Arc::new(AtomicI64::new(0));
-    let mut handles = Vec::new();
-    for _ in 0..2 {
-        let lock = Arc::clone(&lock);
-        let cell = Arc::clone(&cell);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..2_000 {
-                lock.write(|| {
-                    let v = cell.load(Ordering::SeqCst);
-                    cell.store(v + 1, Ordering::SeqCst);
-                    cell.store(v + 2, Ordering::SeqCst);
-                });
-            }
-        }));
-    }
-    for _ in 0..4 {
-        let lock = Arc::clone(&lock);
-        let cell = Arc::clone(&cell);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..4_000 {
-                lock.read(|| {
-                    if cell.load(Ordering::SeqCst) % 2 != 0 {
-                        panic!("reader caught a writer mid-update");
-                    }
-                });
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    println!(
-        "native: 4,000 writer sections + 16,000 reader sections, value = {} (exact), zero torn reads",
-        cell.load(Ordering::SeqCst)
-    );
-
-    // --- interleaved simulation ---
     let mut total_steps = 0;
     for seed in 0..200 {
         let mut sim = InterleavedRwSim::new(seed);
-        for i in 0..6 {
-            sim.spawn_reader(i);
+        for _ in 0..6 {
+            sim.spawn_reader();
         }
         for v in 1..4 {
             sim.spawn_writer(v * 7);

@@ -4,7 +4,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 mkdir -p results
-for bin in packaging fig7 table1 table2 table3 hotspot queue_depth bandwidth multiprog speedup degradation native_queue; do
+for bin in packaging fig7 table1 table2 table3 hotspot queue_depth bandwidth multiprog speedup degradation; do
     echo "== $bin =="
     cargo run --release -q -p ultra-bench --bin "$bin" | tee "results/$bin.txt"
     echo
