@@ -61,9 +61,7 @@ pub mod snapshot;
 pub mod trace;
 
 pub use export::chrome_trace;
-pub use machine::{
-    BackendKind, FaultSummary, Machine, MachineBuilder, MachineConfig, RunOutcome, MAX_THREADS,
-};
+pub use machine::{BackendKind, FaultSummary, Machine, MachineBuilder, MachineConfig, RunOutcome};
 pub use paracomputer::{MemOp, Paracomputer};
 pub use program::{Expr, Op, Program};
 pub use report::MachineReport;

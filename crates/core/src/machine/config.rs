@@ -61,11 +61,6 @@ pub struct MachineConfig {
     pub fast_forward: bool,
 }
 
-/// Bound on the retired engine thread count, which two wire formats
-/// still carry: a service job line's `"threads"` and a snapshot's tuning
-/// echo. Both keep their `1..=MAX_THREADS` check and ignore the value.
-pub const MAX_THREADS: usize = 64;
-
 /// Builder for [`Machine`] (see the crate examples).
 #[derive(Debug, Clone)]
 pub struct MachineBuilder {

@@ -63,7 +63,7 @@ mod ff;
 mod tests;
 mod wire;
 
-pub use config::{BackendKind, MachineBuilder, MachineConfig, MAX_THREADS};
+pub use config::{BackendKind, MachineBuilder, MachineConfig};
 
 /// Virtual addresses at and above this are reserved for machine-assisted
 /// barriers (one word per barrier generation).

@@ -21,7 +21,6 @@ use ultra_sim::{ActiveSet, IdMap, MmId, PeId};
 
 use super::{
     BackendImpl, BackendKind, CtxState, Machine, MachineConfig, PeShard, Purpose, ReqMeta,
-    MAX_THREADS,
 };
 use crate::interp::{IssueSpec, PeInterp};
 use crate::paracomputer::Paracomputer;
@@ -135,7 +134,8 @@ impl MachineConfig {
     }
 
     /// Inverse of [`MachineConfig::encode_identity`]; `fast_forward`
-    /// comes back at its default until the tuning echo overwrites it.
+    /// comes back at its default until the snapshot's tuning echo
+    /// overwrites it.
     pub(crate) fn decode_identity(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Self {
             net: NetConfig::decode(r)?,
@@ -149,32 +149,6 @@ impl MachineConfig {
             faults: FaultPlan::decode(r)?,
             fast_forward: true,
         })
-    }
-
-    /// Serializes the speed knob, so a plain [`crate::snapshot`] restore
-    /// reproduces the donor machine's engine exactly. Format v1 has three
-    /// retired slots before it — an engine thread count, an
-    /// automatic-thread-selection flag and a sweep-mode tag — written as
-    /// the constants a default-built machine always wrote, so frames stay
-    /// byte-identical.
-    pub(crate) fn encode_tuning(&self, w: &mut WireWriter) {
-        w.usize(1);
-        w.bool(true);
-        w.u8(0);
-        w.bool(self.fast_forward);
-    }
-
-    /// Applies a serialized tuning echo onto `self`. The retired slots
-    /// are range-checked and ignored.
-    pub(crate) fn decode_tuning_into(&mut self, r: &mut WireReader<'_>) -> Result<(), WireError> {
-        if !(1..=MAX_THREADS).contains(&r.usize()?) {
-            return Err(WireError::Invalid("engine thread count out of range"));
-        }
-        // Both retired slots only ever held 0 or 1: a bool's range check.
-        r.bool()?;
-        r.bool()?;
-        self.fast_forward = r.bool()?;
-        Ok(())
     }
 }
 

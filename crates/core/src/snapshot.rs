@@ -15,7 +15,7 @@
 //! restore of this machine's snapshot would return, without the bytes in
 //! between — and is tested against this codec as its reference.
 //!
-//! # Format
+//! # Format (v2)
 //!
 //! ```text
 //! magic      8 bytes  b"ULTRASNP"
@@ -24,29 +24,33 @@
 //! config     bytes    length-prefixed config-identity echo (geometry,
 //!                     backend, time scale, translation, seed, budget,
 //!                     barrier parties, contexts, fault plan)
-//! tuning     fixed    retired thread count (always 1), two retired bytes,
-//!                     fast-forward
+//! tuning     bool     fast-forward
 //! state      ...      full machine state (see machine/wire.rs)
 //! digest     u64      FNV-1a of the donor's parity string
+//! checksum   u64      FNV-1a of every byte before it
 //! ```
 //!
-//! Everything before `state` is validated with typed errors before any
-//! state is decoded, including the sizes the state is built by: the
-//! network geometry must pass [`ultra_net::config::NetConfig::check`],
-//! the retired thread count `1..=`[`crate::MAX_THREADS`], and the PE count cannot
+//! Restore checks the magic and the format, then the checksum, then
+//! everything else with typed errors before any state is decoded,
+//! including the sizes the state is built by: the network geometry must
+//! pass [`ultra_net::config::NetConfig::check`] and the PE count cannot
 //! exceed the bytes that follow. All failures are [`SnapshotError`]s —
-//! corrupt or hostile bytes never panic and never allocate unboundedly
-//! (the last test of `crates/core/tests/snapshot_roundtrip.rs` flips bits
-//! to hold that).
+//! corrupt or hostile bytes never panic and never allocate unboundedly.
 //!
-//! The trailing digest is **not** a checksum of the frame. It is FNV-1a
-//! of the donor's *parity string* — cycle count, merged PE, network and
-//! fault statistics — recomputed from the restored machine and
-//! compared: it catches a state that decodes but reports differently,
-//! and nothing else. Of the 89,272 single-bit flips of an 8-PE mid-run
-//! frame, 41,376 restore `Ok`: a memory word, a register, a queue
-//! timestamp or the seed changed and no statistic noticed. A
-//! whole-frame checksum needs format v2 (DESIGN.md §6).
+//! The checksum catches accidental corruption, not forgery. Each FNV-1a
+//! step is a bijection of the running hash for a fixed byte, so a frame
+//! that differs from the sealed one in a single byte never matches: all
+//! 89,056 single-bit flips of an 8-PE mid-run frame are errors
+//! (v1 frames had no checksum, and 41,376 of their 89,272 flips restored
+//! `Ok` as a different machine). A forged frame can carry a valid
+//! checksum, so every typed decode check stays; the last tests of
+//! `crates/core/tests/snapshot_roundtrip.rs` flip bits and reseal to hold
+//! that.
+//!
+//! The digest before the checksum is FNV-1a of the donor's *parity
+//! string* — cycle count, merged PE, network and fault statistics —
+//! recomputed from the restored machine and compared: it catches a
+//! decoder that rebuilds a machine reporting differently from the donor.
 //!
 //! # What is *not* in a snapshot
 //!
@@ -74,7 +78,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ULTRASNP";
 /// Current snapshot format version. Bumped on any layout change; old
 /// formats are rejected with [`SnapshotError::UnsupportedVersion`]
 /// rather than misread.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 /// The crate version stamped into (and required of) every snapshot.
 /// State layout follows crate internals, so restore demands an exact
@@ -104,8 +108,8 @@ pub enum SnapshotError {
         /// Which invariant failed.
         what: &'static str,
     },
-    /// The bytes are structurally invalid (truncated, bad tag, bad
-    /// length prefix).
+    /// The bytes are structurally invalid (truncated, checksum
+    /// mismatch, bad tag, bad length prefix).
     Corrupted(WireError),
     /// The restored machine's parity digest does not match the digest
     /// the donor recorded — the state decoded but is not the donor's.
@@ -215,9 +219,10 @@ impl Machine {
         let cfg_bytes = cw.into_bytes();
         w.usize(cfg_bytes.len());
         w.raw(&cfg_bytes);
-        self.cfg().encode_tuning(&mut w);
+        w.bool(self.cfg().fast_forward);
         self.encode_state(&mut w);
         w.u64(parity_digest(self));
+        w.u64(fnv1a(w.bytes()));
         w.into_bytes()
     }
 
@@ -252,6 +257,12 @@ impl Machine {
         if found != SNAPSHOT_FORMAT_VERSION {
             return Err(SnapshotError::UnsupportedVersion { found });
         }
+        // The trailing checksum seals every byte before it, header too.
+        let sealed = r.take(r.remaining().saturating_sub(8))?;
+        if r.u64()? != fnv1a(&bytes[..bytes.len() - 8]) {
+            return Err(WireError::Invalid("frame checksum mismatch").into());
+        }
+        let mut r = WireReader::new(sealed);
         let snapshot_version = r.str()?;
         if snapshot_version != SNAPSHOT_CRATE_VERSION {
             return Err(SnapshotError::CrateVersionMismatch {
@@ -274,7 +285,7 @@ impl Machine {
         if cfg.net.pes > r.remaining() {
             return Err(WireError::Invalid("config echo names more PEs than state bytes").into());
         }
-        cfg.decode_tuning_into(&mut r)?;
+        cfg.fast_forward = r.bool()?;
         tuning.apply(&mut cfg);
         let machine = Machine::decode_state(cfg, &mut r)?;
         let expected = r.u64()?;
@@ -325,6 +336,15 @@ mod tests {
 
     fn digest(m: &Machine) -> String {
         MachineReport::from_machine(m).parity_string()
+    }
+
+    /// Rewrites a forged frame's checksum trailer, so restore gets past
+    /// it to the check the forgery is aimed at.
+    fn reseal(mut frame: Vec<u8>) -> Vec<u8> {
+        let at = frame.len() - 8;
+        let sum = fnv1a(&frame[..at]);
+        frame[at..].copy_from_slice(&sum.to_le_bytes());
+        frame
     }
 
     /// A mid-run machine with traffic in flight.
@@ -450,12 +470,15 @@ mod tests {
     #[test]
     fn unsupported_format_version_is_rejected() {
         let mut bytes = mid_run_machine().snapshot();
-        // The u32 format version sits right after the 8-byte magic.
-        bytes[8] = 0xEE;
-        assert_eq!(
-            Machine::restore(&bytes).err(),
-            Some(SnapshotError::UnsupportedVersion { found: 0xEE })
-        );
+        // The u32 format version sits right after the 8-byte magic; it is
+        // checked before the checksum, so a v1 frame is named as one.
+        for found in [1u32, 0xEE] {
+            bytes[8..12].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                Machine::restore(&bytes).err(),
+                Some(SnapshotError::UnsupportedVersion { found })
+            );
+        }
     }
 
     #[test]
@@ -469,7 +492,7 @@ mod tests {
         forged.str("0.0.0-elsewhere");
         forged.raw(&bytes[tail..]);
         assert_eq!(
-            Machine::restore(&forged.into_bytes()).err(),
+            Machine::restore(&reseal(forged.into_bytes())).err(),
             Some(SnapshotError::CrateVersionMismatch {
                 snapshot: "0.0.0-elsewhere".into(),
                 running: SNAPSHOT_CRATE_VERSION,
@@ -493,7 +516,7 @@ mod tests {
         forged.extend_from_slice(&big[cfg_at..cfg_end(&big)]);
         forged.extend_from_slice(&small[cfg_end(&small)..]);
         assert_eq!(
-            Machine::restore(&forged).err(),
+            Machine::restore(&reseal(forged)).err(),
             Some(SnapshotError::ConfigMismatch {
                 what: "PE shard count"
             })
@@ -503,10 +526,11 @@ mod tests {
     #[test]
     fn digest_mismatch_is_rejected() {
         let mut bytes = mid_run_machine().snapshot();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
+        // The parity digest is the u64 before the checksum.
+        let digest_at = bytes.len() - 16;
+        bytes[digest_at] ^= 0xFF;
         assert!(matches!(
-            Machine::restore(&bytes),
+            Machine::restore(&reseal(bytes)),
             Err(SnapshotError::DigestMismatch { .. })
         ));
     }
@@ -522,7 +546,7 @@ mod tests {
         let mut gouged = bytes.clone();
         gouged.drain(bytes.len() / 2..bytes.len() / 2 + 9);
         assert!(Machine::restore(&gouged).is_err());
-        // Truncating just the digest is Corrupted, not a misread.
+        // Truncating just the trailer is Corrupted, not a misread.
         assert!(matches!(
             Machine::restore(&bytes[..bytes.len() - 4]),
             Err(SnapshotError::Corrupted(_))
@@ -545,7 +569,7 @@ mod tests {
         r.str().unwrap();
         let cfg_at = bytes.len() - r.remaining();
         let cfg_len = r.seq_len().unwrap();
-        r.take(cfg_len + 8 + 3).unwrap();
+        r.take(cfg_len + 1).unwrap();
         // The state opens with the cumulative dead list, here `[0]`:
         // splice in `[0, 1]`, every module of the 2-PE machine.
         let state_at = bytes.len() - r.remaining();
@@ -555,7 +579,7 @@ mod tests {
         forged.raw(&bytes[state_at + 16..]);
         let invalid = |what| Some(SnapshotError::Corrupted(WireError::Invalid(what)));
         assert_eq!(
-            Machine::restore(&forged.into_bytes()).err(),
+            Machine::restore(&reseal(forged.into_bytes())).err(),
             invalid("every memory module is dead")
         );
         // The same through the config echo's fault plan.
@@ -569,59 +593,9 @@ mod tests {
         forged.raw(echo.bytes());
         forged.raw(&bytes[cfg_at + 8 + cfg_len..]);
         assert_eq!(
-            Machine::restore(&forged.into_bytes()).err(),
+            Machine::restore(&reseal(forged.into_bytes())).err(),
             invalid("fault plan kills every memory module")
         );
-    }
-
-    #[test]
-    fn retired_v1_tuning_slots_are_range_checked_and_ignored() {
-        let bytes = mid_run_machine().snapshot();
-        // Walk the frame header to the retired slots: the engine thread
-        // count (a u64), then automatic thread selection and the
-        // sweep-mode tag (a byte each).
-        let mut r = WireReader::new(&bytes);
-        r.take(SNAPSHOT_MAGIC.len()).unwrap();
-        r.u32().unwrap();
-        r.str().unwrap();
-        let cfg_len = r.seq_len().unwrap();
-        r.take(cfg_len).unwrap();
-        let threads_at = bytes.len() - r.remaining();
-        let at = threads_at + 8;
-        assert_eq!(
-            bytes[threads_at..at + 2],
-            [1, 0, 0, 0, 0, 0, 0, 0, 1, 0],
-            "what every v1 writer emits"
-        );
-        let plain = {
-            let mut m = Machine::restore(&bytes).unwrap();
-            m.run();
-            digest(&m)
-        };
-        let with_threads = |threads: u64| {
-            let mut frame = bytes.clone();
-            frame[threads_at..at].copy_from_slice(&threads.to_le_bytes());
-            frame
-        };
-        // The other legal values a v1 writer could have left there.
-        let mut legal = with_threads(3);
-        legal[at] = 0;
-        legal[at + 1] = 1;
-        let mut m = Machine::restore(&legal).expect("legal retired values restore");
-        m.run();
-        assert_eq!(digest(&m), plain);
-        let mut bad_frames = vec![with_threads(0), with_threads(65)];
-        for slot in [at, at + 1] {
-            let mut bad = bytes.clone();
-            bad[slot] = 7;
-            bad_frames.push(bad);
-        }
-        for bad in bad_frames {
-            assert!(
-                matches!(Machine::restore(&bad), Err(SnapshotError::Corrupted(_))),
-                "an out-of-range retired slot must be a typed error"
-            );
-        }
     }
 
     #[test]

@@ -407,9 +407,6 @@ impl Fabric {
         w.usize(self.nets.len());
         for net in &self.nets {
             net.encode_state(w);
-            // Retired v1 slot: the copy's event buffer, empty between
-            // cycles, written as its three list lengths.
-            (0..3).for_each(|_| w.usize(0));
         }
         self.cursor.encode(w);
         w.u64(self.failovers);
@@ -422,10 +419,9 @@ impl Fabric {
     ///
     /// # Errors
     ///
-    /// A [`StateDecodeError`] on malformed bytes (a non-empty retired
-    /// event slot, or a cursor or in-flight copy index out of range,
-    /// included) or a copy count, geometry or bank count that disagrees
-    /// with `net`/`copies`.
+    /// A [`StateDecodeError`] on malformed bytes (a cursor or in-flight
+    /// copy index out of range included) or a copy count, geometry or
+    /// bank count that disagrees with `net`/`copies`.
     pub fn decode(
         r: &mut WireReader<'_>,
         net: &NetConfig,
@@ -440,11 +436,6 @@ impl Fabric {
             let copy = OmegaNetwork::decode_state(r)?;
             if copy.cfg() != net {
                 return mismatch("network geometry");
-            }
-            for _ in 0..3 {
-                if r.usize()? != 0 {
-                    return Err(WireError::Invalid("retired event slot not empty").into());
-                }
             }
             nets.push(copy);
         }
@@ -676,25 +667,6 @@ mod tests {
         // Truncation at every prefix length must error cleanly.
         for cut in 0..bytes.len() {
             assert!(Fabric::decode(&mut WireReader::new(&bytes[..cut]), &cfg, 1).is_err());
-        }
-    }
-
-    #[test]
-    fn a_non_empty_retired_event_slot_is_a_typed_error() {
-        let cfg = NetConfig::small(8);
-        let fabric = Fabric::new(cfg, 1, 1, &FaultPlan::none());
-        let bytes = encoded(&fabric);
-        let mut w = WireWriter::new();
-        w.usize(1);
-        fabric.nets[0].encode_state(&mut w);
-        let slot = w.into_bytes().len();
-        for list in 0..3 {
-            let mut bad = bytes.clone();
-            bad[slot + 8 * list] = 1;
-            assert_eq!(
-                Fabric::decode(&mut WireReader::new(&bad), &cfg, 1).unwrap_err(),
-                StateDecodeError::Wire(WireError::Invalid("retired event slot not empty"))
-            );
         }
     }
 }

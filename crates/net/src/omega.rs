@@ -454,7 +454,6 @@ impl OmegaNetwork {
     pub fn encode_state(&self, w: &mut WireWriter) {
         self.cfg.encode(w);
         self.switches.encode_state(w);
-        w.u8(0); // retired v1 slot: the sweep-mode tag, always written sparse
         self.pe_link_free.encode(w);
         self.mm_link_free.encode(w);
         w.usize(self.fwd_egress.len());
@@ -497,7 +496,6 @@ impl OmegaNetwork {
                 }
             }
         }
-        r.bool()?; // retired v1 slot: the sweep-mode tag was 0 or 1
         net.pe_link_free = Vec::decode(r)?;
         net.mm_link_free = Vec::decode(r)?;
         if net.pe_link_free.len() != net.cfg.pes || net.mm_link_free.len() != net.cfg.pes {

@@ -33,8 +33,8 @@ pub const MAX_PES: usize = 1 << 20;
 pub const MAX_SERVING_REQUESTS: usize = 1 << 20;
 
 /// Bound on a job line's retired `"threads"` field (checked, then
-/// ignored): the machine's own bound.
-pub use ultracomputer::MAX_THREADS;
+/// ignored): the engine thread count it once set.
+pub const MAX_THREADS: usize = 64;
 
 /// Most network copies a job may ask for (each is a whole fabric).
 pub const MAX_COPIES: usize = 16;

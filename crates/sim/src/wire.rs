@@ -496,9 +496,12 @@ impl<T: Wire + Ord + Hash + Eq> Wire for HashSet<T> {
     }
 }
 
-/// FNV-1a 64-bit hash — the snapshot format's digest primitive. Tiny,
-/// dependency-free, and stable across platforms; used to fingerprint a
-/// machine's parity string, not for adversarial integrity.
+/// FNV-1a 64-bit hash — the snapshot format's digest and checksum. Tiny,
+/// dependency-free, and stable across platforms. Each step is a bijection
+/// of the running hash for a fixed byte, so inputs of equal length that
+/// differ in one byte never collide: a frame's checksum trailer catches
+/// every single-byte corruption. Not for adversarial integrity — anyone
+/// can reseal a forged frame.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
