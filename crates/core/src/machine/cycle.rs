@@ -69,7 +69,7 @@ impl Machine {
             let (cum, gauges) = self.telemetry_sample();
             self.series.flush(self.now, cum, gauges);
         }
-        self.debug_check_ready_sets();
+        self.debug_check_invariants();
         RunOutcome { completed, cycles }
     }
 
@@ -179,15 +179,16 @@ impl Machine {
         }
     }
 
-    /// Debug-build check of the ready-set invariants — `runnable ⊆ live`,
-    /// and every live non-member is marked parked and re-proves it — run
-    /// where a run stops and where a snapshot is taken (O(N): never per
-    /// cycle).
-    pub(super) fn debug_check_ready_sets(&self) {
+    /// Debug-build check of the machine's invariants, run where a run
+    /// stops and where a snapshot is taken (O(N): never per cycle): the
+    /// ready sets (`runnable ⊆ live`, and every live non-member is marked
+    /// parked and re-proves it), and a copy map no larger than the
+    /// requests in flight (an entry leaves wherever its request is lost).
+    pub(super) fn debug_check_invariants(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
         for (i, shard) in self.shards.iter().enumerate() {
-            if !cfg!(debug_assertions) {
-                return;
-            }
             let live = shard.states.iter().any(|s| *s != CtxState::Halted);
             let parked = live && !self.runnable.contains(i);
             assert_eq!(self.live.contains(i), live, "shard {i}: live set");
@@ -201,6 +202,13 @@ impl Machine {
             assert!(
                 !parked || proof,
                 "shard {i}: parked but a context could run"
+            );
+        }
+        if let BackendImpl::Network(fabric) = &self.backend {
+            let (entries, in_flight) = (fabric.copy_map_len(), fabric.requests_in_flight());
+            assert!(
+                entries <= in_flight,
+                "copy map: {entries} entries, {in_flight} in flight"
             );
         }
     }

@@ -117,7 +117,7 @@ impl Machine {
         self.dead_mms.push(mm);
         self.hasher.set_dead_mms(&self.dead_mms);
         if let BackendImpl::Network(fabric) = &mut self.backend {
-            fabric.bank_mut(mm).kill();
+            fabric.kill_bank(mm);
         }
         for shard in &mut self.shards {
             shard.pni.set_hasher(self.hasher.clone());

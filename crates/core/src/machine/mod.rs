@@ -400,7 +400,7 @@ impl Machine {
             phase_epoch: Instant::now(),
             cfg,
         };
-        fork.debug_check_ready_sets();
+        fork.debug_check_invariants();
         fork
     }
 

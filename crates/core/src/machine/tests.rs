@@ -358,6 +358,100 @@ fn lossy_links_with_retry_stay_exactly_once() {
     assert!(f.retries >= f.dropped, "every loss needs a retry");
 }
 
+fn fabric(m: &Machine) -> &Fabric {
+    match &m.backend {
+        BackendImpl::Network(fabric) => fabric,
+        BackendImpl::Ideal { .. } => panic!("network backend expected"),
+    }
+}
+
+#[test]
+fn long_lossy_run_keeps_the_copy_map_bounded() {
+    // A hot spot under link loss, with a module dying mid-run and a
+    // timeout short enough to retry requests still in flight: requests
+    // are lost on links, discarded by the dead module and swallowed by
+    // the dedup cache. None of them may leave a copy-map entry behind.
+    let hasher = AddressHasher::new(16, TranslationMode::Hashed);
+    let counter = hasher.translate(0).mm;
+    let victim = (100..116)
+        .map(|w| hasher.translate(w).mm)
+        .find(|&mm| mm != counter);
+    let victim = victim.expect("a store word off the counter's module");
+    let plan = FaultPlan::none()
+        .seed(0x10_55)
+        .link_loss(0.08)
+        .retry(RetryPolicy {
+            base_timeout: 24,
+            backoff_cap: 3,
+        })
+        .schedule(305, Fault::KillMm { mm: victim });
+    // Each PE adds to the counter and stores to a word of its own.
+    let p = Program::new(
+        body(vec![
+            Op::For {
+                reg: 1,
+                from: Expr::Const(0),
+                to: Expr::Const(40),
+                body: body(vec![
+                    Op::FetchAdd {
+                        addr: Expr::Const(0),
+                        delta: Expr::Const(1),
+                        dst: None,
+                    },
+                    Op::Store {
+                        addr: Expr::add(Expr::Const(100), Expr::PeIndex),
+                        value: Expr::Reg(1),
+                    },
+                ]),
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    let mut m = MachineBuilder::new(16)
+        .faults(plan)
+        .max_cycles(4_000_000)
+        .build_spmd(&p);
+    loop {
+        let done = m.run_for(200).completed;
+        let f = fabric(&m);
+        let (entries, in_flight) = (f.copy_map_len(), f.requests_in_flight());
+        assert!(
+            entries <= in_flight,
+            "{entries} entries, {in_flight} in flight"
+        );
+        if done {
+            break;
+        }
+    }
+    assert_eq!(m.read_shared(0), 16 * 40, "exactly once");
+    let f = m.fault_summary();
+    assert!(
+        f.dropped > 0 && f.dead_discards > 0 && f.dedup_swallowed > 0,
+        "{f:?}"
+    );
+    assert_eq!(
+        fabric(&m).copy_map_len(),
+        0,
+        "nothing in flight, nothing mapped"
+    );
+}
+
+#[test]
+fn fault_free_hot_spot_carries_no_retry_bookkeeping() {
+    // Cut mid-slice with combined requests in flight: no message carries
+    // a folded-id list, and the single-copy fabric keeps no copy map.
+    let mut m = MachineBuilder::new(64).build_spmd(&counter_program(8));
+    assert!(!m.run_for(40).completed);
+    let f = fabric(&m);
+    assert!(f.requests().count() > 0 && f.net_stats().combines.get() > 0);
+    let queued = m.shards.iter().flat_map(|s| &s.outgoing);
+    assert!(f.requests().chain(queued).all(|msg| msg.folded.is_none()));
+    assert_eq!(f.copy_map_len(), 0, "requests in flight, none mapped");
+    assert!(m.run().completed);
+    assert_eq!(m.read_shared(0), 64 * 8);
+}
+
 #[test]
 fn scheduled_copy_death_mid_run_is_survivable() {
     let mut m = MachineBuilder::new(8)

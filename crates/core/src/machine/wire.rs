@@ -166,7 +166,7 @@ impl Machine {
         w.u64(self.fast_forwarded);
         self.fault_clock.encode(w);
         self.meta.encode(w);
-        self.debug_check_ready_sets();
+        self.debug_check_invariants();
         w.usize(self.shards.len());
         for shard in &self.shards {
             shard.interps.encode(w);

@@ -180,6 +180,12 @@ impl MemBank {
         }
     }
 
+    /// Whether the exactly-once dedup cache is on.
+    #[must_use]
+    pub fn dedup_enabled(&self) -> bool {
+        self.seen.is_some()
+    }
+
     /// Fail-stops this module: contents, queued work, and undelivered
     /// replies are all lost, and every future request is discarded
     /// unserved (its PE recovers via retry against the re-hashed
@@ -232,22 +238,38 @@ impl MemBank {
         self.words.insert(offset, value);
     }
 
-    /// Accepts a request delivered by the network.
+    /// Accepts a request delivered by the network. Returns `false` when
+    /// the module is dead and discards it.
     ///
     /// # Panics
     ///
     /// Panics if the request is addressed to a different module.
-    pub fn push_request(&mut self, msg: Message) {
+    pub fn push_request(&mut self, msg: Message) -> bool {
         assert_eq!(msg.addr.mm, self.mm, "request delivered to wrong module");
         if self.dead {
             // Discarded before application: the issuing PE's retry (after
             // translation re-hashes around this module) is the request's
             // first and only application.
             self.stats.dead_discards.incr();
-            return;
+            return false;
         }
         self.queue.push_back(msg);
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
+        true
+    }
+
+    /// The requests this module holds, queued or in service.
+    pub fn requests(&self) -> impl Iterator<Item = &Message> {
+        self.queue
+            .iter()
+            .chain(self.in_service.as_ref().map(|(_, m)| m))
+    }
+
+    /// The `(id, attempt)` of every request this module holds: queued, in
+    /// service, or answered by a reply not yet sent back.
+    pub fn in_flight(&self) -> impl Iterator<Item = (MsgId, u32)> + '_ {
+        let requests = self.requests().map(|m| (m.id, m.attempt));
+        requests.chain(self.outbox.iter().map(|r| (r.id, r.attempt)))
     }
 
     /// Requests waiting (not counting the one in service).
@@ -265,8 +287,9 @@ impl MemBank {
 
     /// Advances one cycle: starts service if idle, and completes the
     /// in-flight request when its time is up, moving the reply to the
-    /// outbox.
-    pub fn cycle(&mut self, now: Cycle) {
+    /// outbox. Returns the `(id, attempt)` of a request the dedup cache
+    /// swallowed without a reply, the one way a served request gets none.
+    pub fn cycle(&mut self, now: Cycle) -> Option<(MsgId, u32)> {
         if self.in_service.is_none() {
             if let Some(msg) = self.queue.pop_front() {
                 self.in_service = Some((now + self.service_time, msg));
@@ -278,9 +301,14 @@ impl MemBank {
         if let Some((done_at, _)) = self.in_service {
             if now + 1 >= done_at {
                 let (_, msg) = self.in_service.take().expect("checked");
+                let replies = self.outbox.len();
                 self.serve(&msg);
+                if self.outbox.len() == replies {
+                    return Some((msg.id, msg.attempt));
+                }
             }
         }
+        None
     }
 
     /// Serves one request at completion time: consults the dedup cache
@@ -288,7 +316,7 @@ impl MemBank {
     /// reply owed (if any).
     fn serve(&mut self, msg: &Message) {
         if let Some(seen) = &self.seen {
-            if let Some(dup) = msg.folded.iter().find_map(|id| seen.get(id)) {
+            if let Some(dup) = msg.constituents().iter().find_map(|id| seen.get(id)) {
                 // Some constituent of this request was already applied —
                 // never apply again. Retries carry exactly one folded id,
                 // so a cached exact value answers the duplicate directly;
@@ -309,7 +337,7 @@ impl MemBank {
         if let Some(seen) = &mut self.seen {
             // The survivor id's observed value is exactly `value`; the
             // absorbed constituents' values live in the wait buffers.
-            for &id in &msg.folded {
+            for &id in msg.constituents() {
                 seen.insert(id, if id == msg.id { Some(value) } else { None });
             }
         }
@@ -494,7 +522,7 @@ mod tests {
         bank.kill();
         assert!(bank.is_idle(), "all in-flight work discarded");
         assert_eq!(bank.peek(3), 0, "contents lost");
-        bank.push_request(req(2, MsgKind::Store, 0, 9));
+        assert!(!bank.push_request(req(2, MsgKind::Store, 0, 9)));
         assert!(bank.is_idle(), "dead module accepts nothing");
         for now in 0..10 {
             bank.cycle(now);
@@ -543,7 +571,7 @@ mod tests {
         bank.enable_dedup();
         // A combined amalgam: survivor id 1 folding ids 1 and 2.
         let mut amalgam = req(1, MsgKind::FetchPhi(PhiOp::Add), 0, 8);
-        amalgam.folded = vec![MsgId(1), MsgId(2)].into();
+        amalgam.folded = Some(Box::new(vec![MsgId(1), MsgId(2)]));
         bank.push_request(amalgam);
         bank.cycle(0);
         assert_eq!(bank.pop_reply().unwrap().value, 0);
@@ -552,7 +580,11 @@ mod tests {
         // the combining tree, so the module must not invent one.
         let dup = req(2, MsgKind::FetchPhi(PhiOp::Add), 0, 3).as_retry(1, 10);
         bank.push_request(dup);
-        bank.cycle(10);
+        assert_eq!(
+            bank.cycle(10),
+            Some((MsgId(2), 1)),
+            "names what it swallowed"
+        );
         assert!(bank.pop_reply().is_none(), "swallowed, not re-applied");
         assert_eq!(bank.peek(0), 8, "applied exactly once");
         assert_eq!(bank.stats().dedup_swallowed.get(), 1);

@@ -2,7 +2,9 @@
 //! network in front of one [`MemBank`] per memory module (§3.1, §4.1).
 //! Each PE spreads its requests over the copies round-robin, failing over
 //! to the next copy when one refuses; a reply re-enters the network
-//! through the copy that carried its request, so decombining matches; a
+//! through the copy that carried its request, so decombining matches
+//! (which copy that was is recorded only where it can be other than copy 0,
+//! or where the retry protocol runs); a
 //! request every copy refuses outright is reported unroutable rather than
 //! wedging its PE; only banks holding work are cycled. Every fault on the
 //! copies is applied here: the boot-time [`FaultPlan`]'s static faults at
@@ -13,7 +15,7 @@
 use ultra_faults::{Fault, FaultPlan};
 use ultra_net::config::{NetConfig, SweepMode};
 use ultra_net::message::{Message, MsgId, MsgKind, Reply};
-use ultra_net::omega::{NetworkEvents, OmegaNetwork};
+use ultra_net::omega::{Injected, NetworkEvents, OmegaNetwork};
 use ultra_net::stats::NetStats;
 use ultra_obs::{CounterSnapshot, GaugeSnapshot, HeatmapSnapshot};
 use ultra_sim::active::Walk;
@@ -64,9 +66,10 @@ pub struct Fabric {
     /// drains before the next copy cycles; empty between calls.
     events: NetworkEvents,
     banks: Vec<MemBank>,
-    /// Which copy carried each in-flight request. Keyed by attempt too: a
-    /// retry may travel a different copy than the original.
-    copy_of: IdMap<(MsgId, u32), usize>,
+    /// Which copy carried each in-flight request, keyed by attempt too (a
+    /// retry may travel another copy). `None` — every reply returns on
+    /// copy 0 — unless there are several copies or the dedup cache is on.
+    copy_of: Option<IdMap<(MsgId, u32), usize>>,
     /// Banks holding work: joined on request delivery, left once observed
     /// idle (an idle bank's cycle is a no-op). Rebuilt on decode.
     busy: ActiveSet,
@@ -108,7 +111,7 @@ impl Fabric {
             failovers: 0,
             events: NetworkEvents::default(),
             banks,
-            copy_of: IdMap::default(),
+            copy_of: (copies > 1).then(IdMap::default),
             busy: ActiveSet::new(net.pes),
         }
     }
@@ -188,9 +191,21 @@ impl Fabric {
         self.nets.iter().any(|net| !net.fault_refuses(msg))
     }
 
-    /// Turns on every bank's exactly-once dedup cache (for retries).
+    /// Turns on every bank's exactly-once dedup cache (for retries), and
+    /// with it the copy map.
     pub fn enable_dedup(&mut self) {
         self.banks.iter_mut().for_each(MemBank::enable_dedup);
+        self.copy_of.get_or_insert_with(IdMap::default);
+    }
+
+    /// Fail-stops module `mm` ([`MemBank::kill`]) and forgets the copies
+    /// of the requests it discards.
+    pub fn kill_bank(&mut self, mm: MmId) {
+        let bank = &mut self.banks[mm.0];
+        if let Some(copy_of) = &mut self.copy_of {
+            bank.in_flight().for_each(|key| _ = copy_of.remove(&key));
+        }
+        bank.kill();
     }
 
     /// Offers a request at cycle `now` to the copies, starting at the
@@ -211,12 +226,14 @@ impl Fabric {
             let net = &mut self.nets[copy];
             fault_refused |= net.fault_refuses(&msg);
             match net.try_inject_request(msg, now) {
-                Ok(()) => {
+                Ok(injected) => {
                     if fault_refused {
                         self.failovers += 1;
                     }
                     self.cursor[pe] = (copy + 1) % d;
-                    self.copy_of.insert(key, copy);
+                    if let (Some(copy_of), Injected::Entered) = (&mut self.copy_of, injected) {
+                        copy_of.insert(key, copy);
+                    }
                     return Offer::Injected;
                 }
                 Err(m) => msg = m,
@@ -227,16 +244,24 @@ impl Fabric {
 
     /// Cycles every busy bank in bank order, each followed by draining its
     /// replies into their copies until one is refused. Returns the replies
-    /// discarded because no request waits for them (an attempt whose twin
-    /// already round-tripped).
+    /// discarded because no request waits for them (only possible with
+    /// the copy map kept).
     pub fn serve_banks(&mut self, now: Cycle) -> u64 {
         let mut duplicates = 0;
         let mut walk = Walk::default();
         while let Some(mm) = walk.next(&self.busy) {
             let bank = &mut self.banks[mm];
-            bank.cycle(now);
+            let swallowed = bank.cycle(now);
+            if let (Some(copy_of), Some(key)) = (&mut self.copy_of, swallowed) {
+                copy_of.remove(&key);
+            }
             while let Some(reply) = bank.pop_reply() {
-                let Some(&copy) = self.copy_of.get(&(reply.id, reply.attempt)) else {
+                let key = (reply.id, reply.attempt);
+                let copy = self
+                    .copy_of
+                    .as_ref()
+                    .map_or(Some(0), |c| c.get(&key).copied());
+                let Some(copy) = copy else {
                     duplicates += 1;
                     continue;
                 };
@@ -263,21 +288,55 @@ impl Fabric {
         mut on_drop: impl FnMut(Message),
     ) {
         let events = &mut self.events;
+        let mut forget = |id, attempt| {
+            if let Some(copy_of) = &mut self.copy_of {
+                copy_of.remove(&(id, attempt));
+            }
+        };
         for net in &mut self.nets {
             if net.is_drained() {
                 continue;
             }
             net.cycle_into(now, events);
             for msg in events.requests_at_mm.drain(..) {
-                self.busy.insert(msg.addr.mm.0);
-                self.banks[msg.addr.mm.0].push_request(msg);
+                let (mm, id, attempt) = (msg.addr.mm.0, msg.id, msg.attempt);
+                self.busy.insert(mm);
+                if !self.banks[mm].push_request(msg) {
+                    forget(id, attempt);
+                }
             }
             for reply in events.replies_at_pe.drain(..) {
-                self.copy_of.remove(&(reply.id, reply.attempt));
+                forget(reply.id, reply.attempt);
                 deliveries.push(reply);
             }
-            events.dropped.drain(..).for_each(&mut on_drop);
+            for msg in events.dropped.drain(..) {
+                forget(msg.id, msg.attempt);
+                on_drop(msg);
+            }
         }
+    }
+
+    /// Every request the copies and banks hold (absorbed ones excepted).
+    pub fn requests(&self) -> impl Iterator<Item = &Message> {
+        let nets = self.nets.iter().flat_map(OmegaNetwork::requests);
+        nets.chain(self.banks.iter().flat_map(MemBank::requests))
+    }
+
+    /// Entries in the copy map: 0 where it is not kept.
+    #[must_use]
+    pub fn copy_map_len(&self) -> usize {
+        self.copy_of.as_ref().map_or(0, IdMap::len)
+    }
+
+    /// Requests in flight, each counted where it sits: as a request or
+    /// reply in a copy, as an absorbed request in a wait buffer, or held
+    /// by a bank. No copy-map entry outlives its request, so
+    /// [`Fabric::copy_map_len`] never exceeds this.
+    #[must_use]
+    pub fn requests_in_flight(&self) -> usize {
+        let nets: usize = self.nets.iter().map(OmegaNetwork::requests_in_flight).sum();
+        let banks: usize = self.banks.iter().map(|b| b.in_flight().count()).sum();
+        nets + banks
     }
 
     /// Whether every copy is drained and every bank idle.
@@ -387,7 +446,8 @@ impl Fabric {
     pub fn heap_bytes(&self) -> usize {
         let nets: usize = self.nets.iter().map(OmegaNetwork::heap_bytes).sum();
         let words: usize = self.banks.iter().map(MemBank::heap_bytes).sum();
-        vec_bytes(&self.nets) + nets + vec_bytes(&self.banks) + words + map_bytes(&self.copy_of)
+        let copy_of = self.copy_of.as_ref().map_or(0, map_bytes);
+        vec_bytes(&self.nets) + nets + vec_bytes(&self.banks) + words + copy_of
     }
 
     /// The banks, indexed by module.
@@ -402,7 +462,7 @@ impl Fabric {
     }
 
     /// Serializes the copies, the round-robin cursors and failover count,
-    /// the banks and the in-flight map, in order.
+    /// the banks and the copy map (empty where it is not kept), in order.
     pub fn encode(&self, w: &mut WireWriter) {
         w.usize(self.nets.len());
         for net in &self.nets {
@@ -411,7 +471,10 @@ impl Fabric {
         self.cursor.encode(w);
         w.u64(self.failovers);
         self.banks.encode(w);
-        self.copy_of.encode(w);
+        match &self.copy_of {
+            Some(copy_of) => copy_of.encode(w),
+            None => w.usize(0),
+        }
     }
 
     /// Rebuilds a fabric from [`Fabric::encode`] bytes that must describe
@@ -420,8 +483,9 @@ impl Fabric {
     /// # Errors
     ///
     /// A [`StateDecodeError`] on malformed bytes (a cursor or in-flight
-    /// copy index out of range included) or a copy count, geometry or
-    /// bank count that disagrees with `net`/`copies`.
+    /// copy index out of range, or copy-map entries where the map is not
+    /// kept, included) or a copy count, geometry or bank count that
+    /// disagrees with `net`/`copies`.
     pub fn decode(
         r: &mut WireReader<'_>,
         net: &NetConfig,
@@ -452,6 +516,13 @@ impl Fabric {
         if copy_of.values().any(|&c| c >= copies) {
             return Err(WireError::Invalid("in-flight copy index out of range").into());
         }
+        // Kept exactly where `new` and `enable_dedup` would keep it.
+        let kept = copies > 1 || banks.iter().any(MemBank::dedup_enabled);
+        if !kept && !copy_of.is_empty() {
+            return Err(
+                WireError::Invalid("copy map on a single-copy fabric without dedup").into(),
+            );
+        }
         let busy = ActiveSet::from_members(net.pes, (0..net.pes).filter(|&i| !banks[i].is_idle()));
         Ok(Self {
             nets,
@@ -459,7 +530,7 @@ impl Fabric {
             failovers,
             events: NetworkEvents::default(),
             banks,
-            copy_of,
+            copy_of: kept.then_some(copy_of),
             busy,
         })
     }
@@ -499,7 +570,8 @@ mod tests {
         let mut fabric = Fabric::new(NetConfig::small(8), 2, 2, &plan);
         let msg = load(1, 3, 5, 0);
         assert!(matches!(fabric.offer(msg, 0), Offer::Injected));
-        assert_eq!(fabric.copy_of[&(MsgId(1), 0)], 1, "carried by copy 1");
+        let copy_of = |f: &Fabric| f.copy_of.clone().expect("two copies keep the map");
+        assert_eq!(copy_of(&fabric)[&(MsgId(1), 0)], 1, "carried by copy 1");
         assert_eq!(fabric.failovers(), 1);
         let mut deliveries = Vec::new();
         for now in 0..100 {
@@ -513,7 +585,7 @@ mod tests {
         let copy = |c: usize| fabric.nets[c].stats().clone();
         assert_eq!(copy(1).delivered_replies.get(), 1, "through copy 1");
         assert_eq!(copy(0).injected_replies.get(), 0);
-        assert!(fabric.copy_of.is_empty());
+        assert!(copy_of(&fabric).is_empty());
         assert!(fabric.is_idle());
     }
 
@@ -525,13 +597,15 @@ mod tests {
             fabric.offer(load(1, 0, 0, 0), 0),
             Offer::Unroutable
         ));
-        assert!(fabric.copy_of.is_empty());
+        assert_eq!(fabric.copy_map_len(), 0);
         assert!(fabric.is_idle());
     }
 
     #[test]
     fn a_reply_nobody_waits_for_is_a_duplicate() {
         let mut fabric = Fabric::new(NetConfig::small(8), 1, 1, &FaultPlan::none());
+        // The dedup cache of the retry protocol keeps the copy map.
+        fabric.enable_dedup();
         // A request reaches bank 2 without an in-flight entry: the answer
         // to an attempt whose twin already round-tripped.
         fabric.bank_mut(MmId(2)).push_request(load(9, 0, 2, 0));
@@ -540,6 +614,87 @@ mod tests {
         assert_eq!(step(&mut fabric, 0, &mut deliveries), 1);
         assert!(deliveries.is_empty());
         assert!(fabric.is_idle(), "discarded, not re-injected");
+    }
+
+    #[test]
+    fn a_single_copy_without_dedup_keeps_no_copy_map() {
+        let cfg = NetConfig::small(8);
+        let mut fabric = Fabric::new(cfg, 1, 1, &FaultPlan::none());
+        let mut deliveries = Vec::new();
+        for pe in 0..8 {
+            assert!(matches!(
+                fabric.offer(load(1 + pe as u64, pe, 2, 0), 0),
+                Offer::Injected
+            ));
+        }
+        step(&mut fabric, 0, &mut deliveries);
+        assert!(fabric.copy_of.is_none() && fabric.requests_in_flight() > 0);
+        // An untracked fabric writes an empty map, and refuses to decode
+        // one that is not.
+        let bytes = encoded(&fabric);
+        let twin = Fabric::decode(&mut WireReader::new(&bytes), &cfg, 1).expect("decode");
+        assert!(twin.copy_of.is_none());
+        let mut tracked = fabric.clone();
+        tracked.copy_of = Some([((MsgId(1), 0), 0)].into_iter().collect());
+        let bytes = encoded(&tracked);
+        assert!(Fabric::decode(&mut WireReader::new(&bytes), &cfg, 1).is_err());
+        for now in 1..40 {
+            assert_eq!(step(&mut fabric, now, &mut deliveries), 0);
+        }
+        assert_eq!(deliveries.len(), 8, "every reply returns on copy 0");
+        assert_eq!(fabric.requests_in_flight(), 0);
+    }
+
+    #[test]
+    fn lost_and_swallowed_requests_leave_no_copy_map_entry() {
+        // Only the injections a lossy link lets through enter the map.
+        let lossy = FaultPlan::none().seed(3).link_loss(0.5);
+        let mut fabric = Fabric::new(NetConfig::small(8), 1, 1, &lossy);
+        fabric.enable_dedup();
+        for pe in 0..8 {
+            assert!(matches!(
+                fabric.offer(load(1 + pe as u64, pe, 2, 0), 0),
+                Offer::Injected
+            ));
+        }
+        let stats = fabric.net_stats();
+        assert!(stats.fault_dropped.get() > 0, "some are lost on the link");
+        assert_eq!(fabric.copy_map_len() as u64, stats.injected_requests.get());
+        // A module that dies holding work forgets its requests' copies,
+        // and so does a dead module a request reaches later.
+        let mut fabric = Fabric::new(NetConfig::small(8), 2, 1, &FaultPlan::none());
+        let mut deliveries = Vec::new();
+        assert!(matches!(fabric.offer(load(1, 0, 2, 0), 0), Offer::Injected));
+        assert!(matches!(fabric.offer(load(2, 1, 3, 0), 0), Offer::Injected));
+        let mut now = 0;
+        while fabric.banks[2].is_idle() {
+            step(&mut fabric, now, &mut deliveries);
+            now += 1;
+        }
+        fabric.kill_bank(MmId(2));
+        fabric.kill_bank(MmId(3));
+        for now in now..now + 40 {
+            step(&mut fabric, now, &mut deliveries);
+        }
+        assert!(deliveries.is_empty() && fabric.is_idle());
+        assert_eq!(fabric.copy_map_len(), 0, "discarded at dead modules");
+        // A retry the dedup cache swallows gets no reply and no entry.
+        let mut fabric = Fabric::new(NetConfig::small(8), 1, 1, &FaultPlan::none());
+        fabric.enable_dedup();
+        let mut amalgam = load(1, 0, 2, 0).tracked();
+        amalgam.folded.as_mut().expect("tracked").push(MsgId(2));
+        fabric.bank_mut(MmId(2)).push_request(amalgam);
+        fabric.busy.insert(2);
+        assert_eq!(step(&mut fabric, 0, &mut deliveries), 1, "nobody waits");
+        let retry = load(2, 1, 2, 1).as_retry(1, 1);
+        assert!(matches!(fabric.offer(retry, 1), Offer::Injected));
+        assert_eq!(fabric.copy_map_len(), 1);
+        for now in 1..40 {
+            step(&mut fabric, now, &mut deliveries);
+        }
+        assert_eq!(fabric.banks[2].stats().dedup_swallowed.get(), 1);
+        assert_eq!(fabric.copy_map_len(), 0, "swallowed by the dedup cache");
+        assert!(deliveries.is_empty());
     }
 
     #[test]
@@ -556,7 +711,7 @@ mod tests {
             }
             step(&mut fabric, now, &mut deliveries);
         }
-        assert!(!fabric.is_idle() && !fabric.copy_of.is_empty());
+        assert!(!fabric.is_idle() && fabric.copy_map_len() > 0);
         let first = encoded(&fabric);
         let mut r = WireReader::new(&first);
         let twin = Fabric::decode(&mut r, &NetConfig::small(8), 2).expect("decode");
@@ -578,7 +733,8 @@ mod tests {
         let mut fabric = Fabric::new(NetConfig::small(8), 2, 2, &FaultPlan::none());
         assert!(matches!(fabric.offer(load(1, 0, 1, 0), 0), Offer::Injected));
         assert!(matches!(fabric.offer(load(2, 0, 1, 0), 0), Offer::Injected));
-        let copy = |id| fabric.copy_of[&(MsgId(id), 0)];
+        let copy_of = fabric.copy_of.as_ref().expect("two copies keep the map");
+        let copy = |id| copy_of[&(MsgId(id), 0)];
         assert_eq!((copy(1), copy(2)), (0, 1), "round robin alternates copies");
         let ids: Vec<MsgId> = fabric.nets.iter_mut().map(|n| n.next_msg_id()).collect();
         assert_eq!(ids, [MsgId(1), MsgId(1 + (1 << 48))]);

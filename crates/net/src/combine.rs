@@ -158,6 +158,21 @@ pub fn kinds_combinable(a: MsgKind, b: MsgKind) -> bool {
     }
 }
 
+/// Whether the retry protocol keeps two requests apart. Retried requests
+/// never combine: the original issue may still be alive somewhere in the
+/// machine, and the exactly-once guarantee requires that a duplicate of an
+/// already-applied logical request is only ever recognized at the MM's
+/// dedup cache — folding it into a fresh request would smuggle its effect
+/// past that cache. The same rule keeps apart the (pathological) meeting
+/// of two messages that already share a folded constituent; without lists
+/// that is one id compare.
+#[must_use]
+pub fn retry_forbids(queued: &Message, incoming: &Message) -> bool {
+    queued.attempt > 0
+        || incoming.attempt > 0
+        || (queued.constituents().iter()).any(|id| incoming.constituents().contains(id))
+}
+
 /// Attempts to combine `incoming` into the queued request `queued`.
 ///
 /// On success the queued slot is mutated into the request that continues
@@ -170,31 +185,21 @@ pub fn kinds_combinable(a: MsgKind, b: MsgKind) -> bool {
 /// for wait-buffer capacity.
 #[must_use]
 pub fn try_combine(queued: &mut Message, incoming: &Message) -> Option<WaitEntry> {
-    if queued.addr != incoming.addr {
-        return None;
-    }
-    // Retried requests never combine: the original issue may still be
-    // alive somewhere in the machine, and the exactly-once guarantee
-    // requires that a duplicate of an already-applied logical request is
-    // only ever recognized at the MM's dedup cache — folding it into a
-    // fresh request would smuggle its effect past that cache. The same
-    // check also declines the (pathological) meeting of two messages that
-    // already share a folded constituent.
-    if queued.attempt > 0
-        || incoming.attempt > 0
-        || queued.folded.iter().any(|id| incoming.folded.contains(id))
+    // Declined before anything moves: on `None` neither argument changes.
+    if queued.addr != incoming.addr
+        || retry_forbids(queued, incoming)
+        || !kinds_combinable(queued.kind, incoming.kind)
     {
         return None;
     }
-    // Declined before anything moves: on `None` neither argument changes.
-    if !kinds_combinable(queued.kind, incoming.kind) {
-        return None;
-    }
-    // The forwarded request now answers for every constituent of both:
-    // the queued list is extended in place (no copy of a spilled list)
-    // and put back once the arms below have settled the slot's identity.
-    let mut folded = std::mem::take(&mut queued.folded);
-    folded.extend_from(&incoming.folded);
+    // On a machine running the retry protocol every message carries its
+    // folded-id list, and the forwarded request now answers for every
+    // constituent of both: the queued list is extended in place and put
+    // back once the arms below have settled the slot's identity.
+    let folded = queued.folded.take().map(|mut list| {
+        list.extend_from_slice(incoming.constituents());
+        list
+    });
     use MsgKind::{FetchPhi, Load, Store};
 
     // Each arm decides: (a) what the forwarded request looks like (mutation
@@ -465,25 +470,36 @@ mod tests {
 
     #[test]
     fn combining_merges_folded_id_lists() {
-        let mut q = req(1, MsgKind::fetch_add(), 5, 0);
-        let i = req(2, MsgKind::fetch_add(), 9, 1);
+        let mut q = req(1, MsgKind::fetch_add(), 5, 0).tracked();
+        let i = req(2, MsgKind::fetch_add(), 9, 1).tracked();
         try_combine(&mut q, &i).unwrap();
-        assert_eq!(q.folded, vec![MsgId(1), MsgId(2)]);
+        assert_eq!(q.constituents(), [MsgId(1), MsgId(2)]);
         // A second combine keeps accumulating constituents.
-        let j = req(3, MsgKind::fetch_add(), 1, 2);
+        let j = req(3, MsgKind::fetch_add(), 1, 2).tracked();
         try_combine(&mut q, &j).unwrap();
-        assert_eq!(q.folded, vec![MsgId(1), MsgId(2), MsgId(3)]);
+        assert_eq!(q.constituents(), [MsgId(1), MsgId(2), MsgId(3)]);
     }
 
     #[test]
     fn identity_swap_arms_keep_merged_folded_list() {
         // Load + Store swaps identity to the store; the folded list must
         // still cover both constituents.
-        let mut q = req(1, MsgKind::Load, 0, 0);
-        let i = req(2, MsgKind::Store, 55, 1);
+        let mut q = req(1, MsgKind::Load, 0, 0).tracked();
+        let i = req(2, MsgKind::Store, 55, 1).tracked();
         try_combine(&mut q, &i).unwrap();
         assert_eq!(q.id, MsgId(2));
-        assert_eq!(q.folded, vec![MsgId(1), MsgId(2)]);
+        assert_eq!(q.constituents(), [MsgId(1), MsgId(2)]);
+    }
+
+    #[test]
+    fn messages_without_lists_combine_without_lists() {
+        let mut q = req(1, MsgKind::fetch_add(), 5, 0);
+        let i = req(2, MsgKind::fetch_add(), 9, 1);
+        try_combine(&mut q, &i).unwrap();
+        assert_eq!(q.folded, None, "nothing to merge on a fault-free machine");
+        // Without lists, two messages with one id still never meet.
+        let mut twin = req(1, MsgKind::fetch_add(), 1, 2);
+        assert!(try_combine(&mut twin, &q).is_none());
     }
 
     #[test]
@@ -502,9 +518,9 @@ mod tests {
 
     #[test]
     fn shared_constituents_never_combine() {
-        let mut q = req(1, MsgKind::fetch_add(), 5, 0);
+        let mut q = req(1, MsgKind::fetch_add(), 5, 0).tracked();
         let mut i = req(2, MsgKind::fetch_add(), 9, 1);
-        i.folded = vec![MsgId(2), MsgId(1)].into();
+        i.folded = Some(Box::new(vec![MsgId(2), MsgId(1)]));
         assert!(try_combine(&mut q, &i).is_none());
     }
 

@@ -14,15 +14,7 @@
 //! message with a data word is **three** packets.
 
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
-use ultra_sim::{Cycle, InlineVec, MemAddr, PeId, Value};
-
-/// The folded-id list of a [`Message`].
-///
-/// Uncombined messages hold exactly one id; combining merges the lists, so
-/// the length only exceeds the inline capacity in deep combining trees.
-/// Inline storage keeps `Message` construction — the cycle engine's hot
-/// path — free of per-message heap allocation.
-pub type FoldedIds = InlineVec<MsgId, 4>;
+use ultra_sim::{Cycle, MemAddr, PeId, Value};
 
 /// Unique identifier of an outstanding memory request.
 ///
@@ -186,6 +178,10 @@ impl Wire for MsgKind {
 /// routes using `addr`/`src` directly and *checks* the amalgam against them
 /// (see `route::tests`), mirroring how the real hardware would get by with a
 /// single D-digit address.
+///
+/// A fault-free message is a flat 72-byte value: the folded-id list that
+/// the retry protocol's dedup cache needs is off the message (`folded` is
+/// `None`) unless the issuing PNI runs that protocol ([`Message::tracked`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Unique request id (survives combining).
@@ -208,15 +204,18 @@ pub struct Message {
     /// alive, and two live copies of one id must not meet in a wait buffer.
     pub attempt: u32,
     /// Every logical request folded into this message by combining (its
-    /// own id plus each absorbed message's folded list). The MM's dedup
-    /// cache records all of them, so a retry of any constituent of an
-    /// already-applied combined request is recognized as a duplicate.
-    pub folded: FoldedIds,
+    /// own id plus each absorbed message's list), carried only by a
+    /// machine that runs the retry protocol: the MM's dedup cache records
+    /// all of them, so a retry of any constituent of an already-applied
+    /// combined request is recognized as a duplicate. `None` — every
+    /// fault-free message — stands for "just my own id"
+    /// ([`Message::constituents`]).
+    pub folded: Option<Box<Vec<MsgId>>>,
 }
 
 impl Message {
-    /// Builds a request about to enter the network; the amalgam starts as
-    /// the destination MM number.
+    /// Builds a request about to enter the network, without a folded-id
+    /// list; the amalgam starts as the destination MM number.
     #[must_use]
     pub fn request(
         id: MsgId,
@@ -235,21 +234,37 @@ impl Message {
             issued_at,
             amalgam: addr.mm.0,
             attempt: 0,
-            folded: FoldedIds::one(id),
+            folded: None,
         }
+    }
+
+    /// Gives this request its folded-id list, holding its own id: how a
+    /// PNI running the retry protocol issues every request.
+    #[must_use]
+    pub fn tracked(mut self) -> Self {
+        self.folded = Some(Box::new(vec![self.id]));
+        self
     }
 
     /// Marks this message as retry attempt `attempt` of the same logical
     /// request (same id/sequence number), re-entering the network at
-    /// `now`.
+    /// `now`. A retry always carries its list, reset to its own id.
     #[must_use]
     pub fn as_retry(mut self, attempt: u32, now: Cycle) -> Self {
         self.attempt = attempt;
         self.issued_at = now;
         self.amalgam = self.addr.mm.0;
-        self.folded.clear();
-        self.folded.push(self.id);
-        self
+        self.tracked()
+    }
+
+    /// The logical requests this message answers for: its folded-id list,
+    /// or its own id when it carries none.
+    #[must_use]
+    pub fn constituents(&self) -> &[MsgId] {
+        match &self.folded {
+            Some(list) => list,
+            None => std::slice::from_ref(&self.id),
+        }
     }
 
     /// Length of the forward message in packets under the §4.2 model.
@@ -273,7 +288,12 @@ impl Wire for Message {
         w.u64(self.issued_at);
         w.usize(self.amalgam);
         w.u32(self.attempt);
-        self.folded.encode(w);
+        // An untracked message writes an empty list; a tracked one is
+        // never empty.
+        match &self.folded {
+            Some(list) => list.encode(w),
+            None => w.usize(0),
+        }
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Self {
@@ -285,7 +305,9 @@ impl Wire for Message {
             issued_at: r.u64()?,
             amalgam: r.usize()?,
             attempt: r.u32()?,
-            folded: FoldedIds::decode(r)?,
+            folded: Some(Vec::decode(r)?)
+                .filter(|l| !l.is_empty())
+                .map(Box::new),
         })
     }
 }
@@ -481,6 +503,32 @@ mod tests {
         let store_reply = Reply::to_request(&msg(MsgKind::Store), 0);
         assert_eq!(store_reply.kind, ReplyKind::Ack);
         assert_eq!(store_reply.packets(3, 1), 1);
+    }
+
+    #[test]
+    fn messages_stay_small() {
+        assert!(std::mem::size_of::<Message>() <= 72);
+        assert!(std::mem::size_of::<Reply>() <= 72);
+    }
+
+    #[test]
+    fn folded_lists_round_trip_through_wire() {
+        let round_trip = |m: &Message| {
+            let mut w = WireWriter::new();
+            m.encode(&mut w);
+            let bytes = w.into_bytes();
+            Message::decode(&mut WireReader::new(&bytes)).expect("decode")
+        };
+        let plain = msg(MsgKind::Load);
+        assert_eq!(round_trip(&plain), plain);
+        assert_eq!(plain.constituents(), [MsgId(1)]);
+        let mut tracked = msg(MsgKind::Load).tracked();
+        tracked.folded.as_mut().unwrap().push(MsgId(4));
+        assert_eq!(round_trip(&tracked), tracked);
+        assert_eq!(tracked.constituents(), [MsgId(1), MsgId(4)]);
+        let retry = plain.as_retry(2, 9);
+        assert_eq!(retry.constituents(), [MsgId(1)]);
+        assert!(retry.folded.is_some(), "a retry carries its list");
     }
 
     #[test]

@@ -64,6 +64,17 @@ impl NetworkEvents {
     }
 }
 
+/// What became of a request the network took from its PE.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Injected {
+    /// It reached the entry switch.
+    Entered,
+    /// A lossy PE→network link swallowed it on the wire: the link time is
+    /// spent and the request is gone, before any combining or memory
+    /// application. Recovery is the PNI's timeout/retry.
+    Lost,
+}
+
 /// One `N`-PE combining Omega network.
 #[derive(Debug, Clone)]
 pub struct OmegaNetwork {
@@ -242,6 +253,23 @@ impl OmegaNetwork {
         self.switches.total_wait_occupancy() as u64
     }
 
+    /// The requests this copy holds (absorbed ones excepted: a wait
+    /// buffer keeps only what their replies need).
+    pub fn requests(&self) -> impl Iterator<Item = &Message> {
+        self.switches.requests().items().chain(&self.pending_drops)
+    }
+
+    /// Requests in flight in this copy: each request and reply in its
+    /// slabs, each absorbed request in a wait buffer, and each drop not
+    /// yet handed back by [`OmegaNetwork::cycle_into`].
+    #[must_use]
+    pub fn requests_in_flight(&self) -> usize {
+        self.switches.requests().live()
+            + self.switches.replies().live()
+            + self.switches.total_wait_occupancy()
+            + self.pending_drops.len()
+    }
+
     /// Snapshots the per-switch hot-spot matrices: cumulative combine
     /// counts, request-queue high-water marks, and instantaneous
     /// wait-buffer occupancy for every switch in the fabric.
@@ -278,18 +306,19 @@ impl OmegaNetwork {
         self.next_id = base;
     }
 
-    /// Offers a request to the network at cycle `now`.
+    /// Offers a request to the network at cycle `now`; on success, says
+    /// whether it entered or a lossy link swallowed it.
     ///
     /// # Errors
     ///
     /// Returns the message back if the PE's input link is still streaming a
     /// previous message or the entry switch has no room (backpressure); the
     /// caller should retry next cycle.
-    // Returning the refused message by value is the point of the API — the
-    // caller keeps ownership without a clone — and `Message` is deliberately
-    // a flat, id-inline struct the hot path memcpys rather than boxes.
-    #[allow(clippy::result_large_err)]
-    pub fn try_inject_request(&mut self, msg: Message, now: Cycle) -> Result<(), Message> {
+    // Returning the refused message by value is the point of the API: the
+    // caller keeps ownership without a clone, and a fault-free `Message` is
+    // a flat 72-byte value (its folded-id list is `None`) that the hot
+    // path memcpys rather than boxes.
+    pub fn try_inject_request(&mut self, msg: Message, now: Cycle) -> Result<Injected, Message> {
         if self.fault_refuses(&msg) {
             self.stats.fault_refusals.incr();
             return Err(msg);
@@ -313,7 +342,7 @@ impl OmegaNetwork {
         // *before* any combining or memory application.
         if self.mask.roll_link_loss() {
             self.stats.fault_dropped.incr();
-            return Ok(());
+            return Ok(Injected::Lost);
         }
         self.stats.injected_requests.incr();
         let handle = self.switches.admit_request(msg);
@@ -332,7 +361,7 @@ impl OmegaNetwork {
         // Every outcome leaves the entry switch holding forward traffic —
         // a drop only happens when the target queue is already non-empty.
         self.active_fwd[0].insert(sw);
-        Ok(())
+        Ok(Injected::Entered)
     }
 
     /// Offers a reply (from an MNI) to the reverse network at cycle `now`.

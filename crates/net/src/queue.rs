@@ -184,6 +184,11 @@ impl<T> Slab<T> {
         }
     }
 
+    /// The messages stored, in slot order.
+    pub fn items(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().filter_map(|slot| slot.item.as_ref())
+    }
+
     /// Messages currently stored.
     #[must_use]
     pub fn live(&self) -> usize {

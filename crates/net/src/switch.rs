@@ -31,7 +31,7 @@
 //! records and twelve bytes of counters — no heap of its own — and a sweep
 //! over a stage reads consecutive memory.
 
-use crate::combine::{kinds_combinable, try_combine, WaitEntry};
+use crate::combine::{kinds_combinable, retry_forbids, try_combine, WaitEntry};
 use crate::config::{NetConfig, SwitchPolicy};
 use crate::message::{Message, MsgId, Reply, ReplyKind};
 use crate::queue::{Handle, OutQueue, Slab};
@@ -347,8 +347,8 @@ impl Switches {
     }
 
     /// Whether switch `(stage, switch)` can take `msg` right now (an
-    /// upstream switch or PNI calls this before transmitting). Combinable
-    /// requests are always acceptable: they consume no queue space.
+    /// upstream switch or PNI calls this before transmitting). A request
+    /// that will combine is always acceptable: it consumes no queue space.
     #[must_use]
     pub fn can_accept_request(
         &self,
@@ -367,10 +367,13 @@ impl Switches {
             SwitchPolicy::QueuedNoCombine => {
                 queue.can_accept(self.packets_of(msg), self.request_capacity)
             }
+            // `accept_request` offers `msg` to the first candidate only; a
+            // retry it declines must find queue space like any request.
             SwitchPolicy::QueuedCombining => {
                 queue.can_accept(self.packets_of(msg), self.request_capacity)
                     || ((self.wait_len[cell] as usize) < self.wait_capacity
-                        && self.combine_candidate(queue, msg).is_some())
+                        && (self.combine_candidate(queue, msg))
+                            .is_some_and(|h| !retry_forbids(self.requests.get(h).item(), msg)))
             }
         }
     }

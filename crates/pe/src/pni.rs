@@ -23,8 +23,10 @@
 //! counter and exponential backoff. Retried messages never combine in the
 //! network, and the memory modules' dedup cache guarantees each sequence
 //! number is applied at most once, so a retried fetch-and-add still gets
-//! its §2.1 serialization-chain ticket exactly once. Disabled (the
-//! default), none of this bookkeeping exists.
+//! its §2.1 serialization-chain ticket exactly once. Every request then
+//! carries the folded-id list that cache reads ([`Message::tracked`]).
+//! Disabled (the default), none of this bookkeeping exists, and requests
+//! carry no list.
 
 use ultra_faults::RetryPolicy;
 use ultra_mem::AddressHasher;
@@ -360,6 +362,7 @@ impl Pni {
         self.inflight.insert(id, addr);
         self.stats.issued.incr();
         self.stats.max_outstanding = self.stats.max_outstanding.max(self.inflight.len());
+        let msg = Message::request(id, kind, addr, value, self.pe, now);
         if let Some(policy) = self.retry {
             self.pending.insert(
                 id,
@@ -372,8 +375,10 @@ impl Pni {
                     deadline: policy.deadline(now, 0),
                 },
             );
+            // The MMs' dedup cache reads the folded-id list.
+            return Ok(msg.tracked());
         }
-        Ok(Message::request(id, kind, addr, value, self.pe, now))
+        Ok(msg)
     }
 
     /// Records the arrival of `reply`, freeing its location for new
@@ -493,7 +498,9 @@ mod tests {
         assert_eq!(retries.len(), 1);
         assert_eq!(retries[0].id, m.id, "retry reuses the sequence number");
         assert_eq!(retries[0].attempt, 1);
-        assert_eq!(retries[0].folded, vec![m.id]);
+        assert_eq!(m.constituents(), [m.id]);
+        assert!(m.folded.is_some(), "a retrying PNI issues with a list");
+        assert_eq!(retries[0].folded, Some(Box::new(vec![m.id])));
         assert_eq!(p.stats().retries.get(), 1);
         // Backoff: next deadline is base << 1 after the retry instant.
         assert!(due(&mut p, 10 + 19).is_empty());
@@ -553,7 +560,8 @@ mod tests {
     #[test]
     fn retry_disabled_means_no_bookkeeping() {
         let mut p = pni();
-        let _ = p.issue(MsgKind::Load, 1, 0, 0).unwrap();
+        let m = p.issue(MsgKind::Load, 1, 0, 0).unwrap();
+        assert_eq!(m.folded, None, "no folded-id list");
         assert!(due(&mut p, u64::MAX - 1).is_empty());
     }
 

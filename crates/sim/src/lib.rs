@@ -47,7 +47,6 @@ pub mod clock;
 pub mod heap;
 pub mod idmap;
 pub mod ids;
-pub mod inline_vec;
 pub mod rng;
 pub mod stats;
 pub mod wire;
@@ -56,7 +55,6 @@ pub use active::ActiveSet;
 pub use clock::Cycle;
 pub use idmap::IdMap;
 pub use ids::{digits, MemAddr, MmId, PeId, Value};
-pub use inline_vec::InlineVec;
 pub use rng::{Rng, SplitMix64};
 pub use stats::{Counter, Histogram};
 pub use wire::{Wire, WireError, WireReader, WireWriter};

@@ -16,7 +16,7 @@ use ultra_sim::{MmId, Value};
 use ultracomputer::machine::Machine;
 use ultracomputer::program::{body, Expr, Op, Program};
 use ultracomputer::trace::TraceEvent;
-use ultracomputer::MachineBuilder;
+use ultracomputer::{EngineTuning, MachineBuilder};
 
 /// Deterministic "forall": seeded cases, failures reported with the case
 /// number so they replay exactly.
@@ -180,6 +180,62 @@ fn fetch_add_is_exactly_once_under_lossy_links_and_retry() {
             "each lost request needs at least one retry"
         );
         assert_tickets_exact(&mut m, n as i64 * iters, "lossy links");
+    });
+}
+
+/// A lossy, retrying hot spot with a timeout short enough to retry
+/// requests still in flight is cut mid-run with combined requests in
+/// flight; `resume` copies the machine at the cut. Both the copy and the
+/// original finish with exact tickets, on the same cycle.
+fn exactly_once_across_a_cut(label: &str, resume: impl Fn(&Machine) -> Machine) {
+    forall(6, label, |rng| {
+        let n = 16;
+        let iters = 4 + rng.below(6) as i64;
+        let plan = FaultPlan::none()
+            .seed(rng.next_u64())
+            .link_loss(0.02 + rng.f64() * 0.08)
+            .retry(RetryPolicy {
+                base_timeout: 12 + rng.below(4) as u64,
+                backoff_cap: 3,
+            });
+        let mut m = MachineBuilder::new(n)
+            .faults(plan)
+            .max_cycles(4_000_000)
+            .build_spmd(&ticket_program(iters));
+        assert!(!m.run_for(10 + rng.below(100) as u64).completed);
+        // Step to a cycle where some combine still awaits its reply.
+        let absorbed_in_flight = |m: &Machine| {
+            let s = m.net_stats();
+            s.combines.get() > s.decombines.get()
+        };
+        while !absorbed_in_flight(&m) {
+            assert!(
+                !m.run_for(1).completed,
+                "no combine in flight before the end"
+            );
+        }
+        let mut copy = resume(&m);
+        for (m, what) in [(&mut m, "original"), (&mut copy, "copy")] {
+            assert!(m.run().completed, "{what}: retries must recover every loss");
+            assert_tickets_exact(m, n as i64 * iters, what);
+        }
+        assert_eq!(copy.now(), m.now(), "the cut changes nothing");
+        let f = m.fault_summary();
+        assert!(f.dropped > 0 && f.dedup_swallowed > 0, "{f:?}");
+    });
+}
+
+#[test]
+fn fetch_add_is_exactly_once_across_a_fork_mid_run() {
+    exactly_once_across_a_cut("exactly_once_across_fork", |m| {
+        m.fork(EngineTuning::default())
+    });
+}
+
+#[test]
+fn fetch_add_is_exactly_once_across_a_restore_mid_run() {
+    exactly_once_across_a_cut("exactly_once_across_restore", |m| {
+        Machine::restore(&m.snapshot()).expect("restore")
     });
 }
 
