@@ -15,13 +15,9 @@
 
 use ultra_net::message::MsgKind;
 use ultra_sim::heap::vec_bytes;
-use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{Cycle, PeId, Value};
 
-use crate::program::{
-    decode_body, encode_body, Body, EvalCtx, Expr, FrameLimitExceeded, Op, Program, Reg,
-    MAX_DECODE_DEPTH, NUM_REGS,
-};
+use crate::program::{Body, EvalCtx, Expr, FrameLimitExceeded, Op, Program, Reg, NUM_REGS};
 
 /// What the PE's next instruction needs from the machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,39 +62,6 @@ pub struct IssueSpec {
     pub dst: Option<Reg>,
 }
 
-impl Wire for IssueSpec {
-    fn encode(&self, w: &mut WireWriter) {
-        self.kind.encode(w);
-        w.usize(self.vaddr);
-        w.i64(self.value);
-        self.dst.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            kind: MsgKind::decode(r)?,
-            vaddr: r.usize()?,
-            value: r.i64()?,
-            dst: decode_reg_opt(r)?,
-        })
-    }
-}
-
-/// Decodes an optional register index, bounds-checked against
-/// [`NUM_REGS`].
-fn decode_reg_opt(r: &mut WireReader<'_>) -> Result<Option<Reg>, WireError> {
-    Option::<Reg>::decode(r)?
-        .map(decode_reg_checked)
-        .transpose()
-}
-
-fn decode_reg_checked(reg: Reg) -> Result<Reg, WireError> {
-    if (reg as usize) < NUM_REGS {
-        Ok(reg)
-    } else {
-        Err(WireError::Invalid("register index out of range"))
-    }
-}
-
 #[derive(Debug, Clone)]
 enum FrameCtl {
     Seq,
@@ -120,106 +83,6 @@ struct Frame {
     body: Body,
     pc: usize,
     ctl: FrameCtl,
-}
-
-impl Wire for FrameCtl {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            Self::Seq => w.u8(0),
-            Self::For { reg, end } => {
-                w.u8(1);
-                w.u8(*reg);
-                w.i64(*end);
-            }
-            Self::SelfSched {
-                reg,
-                counter,
-                limit,
-            } => {
-                w.u8(2);
-                w.u8(*reg);
-                w.usize(*counter);
-                w.i64(*limit);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => Self::Seq,
-            1 => Self::For {
-                reg: decode_reg_checked(r.u8()?)?,
-                end: r.i64()?,
-            },
-            2 => Self::SelfSched {
-                reg: decode_reg_checked(r.u8()?)?,
-                counter: r.usize()?,
-                limit: r.i64()?,
-            },
-            _ => return Err(WireError::Invalid("frame control tag")),
-        })
-    }
-}
-
-impl Wire for Frame {
-    fn encode(&self, w: &mut WireWriter) {
-        encode_body(&self.body, w);
-        // `PC_AWAIT_CLAIM` (`usize::MAX`) rides through the fixed-width
-        // `u64` encoding unchanged.
-        w.usize(self.pc);
-        self.ctl.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let body = decode_body(r, MAX_DECODE_DEPTH)?;
-        let pc = r.usize()?;
-        let ctl = FrameCtl::decode(r)?;
-        let await_claim_ok = matches!(ctl, FrameCtl::SelfSched { .. }) && pc == PC_AWAIT_CLAIM;
-        if pc > body.len() && !await_claim_ok {
-            return Err(WireError::Invalid("frame pc out of range"));
-        }
-        Ok(Self { body, pc, ctl })
-    }
-}
-
-impl Wire for PeInterp {
-    fn encode(&self, w: &mut WireWriter) {
-        self.pe.encode(w);
-        w.usize(self.n_pes);
-        self.params.encode(w);
-        for reg in &self.regs {
-            w.i64(*reg);
-        }
-        for locked in &self.locked {
-            w.bool(*locked);
-        }
-        self.frames.encode(w);
-        w.bool(self.halted);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let pe = PeId::decode(r)?;
-        let n_pes = r.usize()?;
-        let params = Vec::decode(r)?;
-        let mut regs = [0; NUM_REGS];
-        for reg in &mut regs {
-            *reg = r.i64()?;
-        }
-        let mut locked = [false; NUM_REGS];
-        for flag in &mut locked {
-            *flag = r.bool()?;
-        }
-        let frames: Vec<Frame> = Vec::decode(r)?;
-        if frames.len() >= FrameLimitExceeded::LIMIT {
-            return Err(WireError::Invalid("frame stack too deep"));
-        }
-        Ok(Self {
-            pe,
-            n_pes,
-            params,
-            regs,
-            locked,
-            frames,
-            halted: r.bool()?,
-        })
-    }
 }
 
 /// Interpreter state for one PE.
@@ -1029,9 +892,8 @@ mod tests {
     }
 
     #[test]
-    fn mid_run_interpreter_round_trips_through_wire() {
-        use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
-        // Snapshot inside a self-scheduled loop, with a claim in flight
+    fn mid_run_interpreter_clone_replays_identically() {
+        // Fork inside a self-scheduled loop, with a claim in flight
         // (locked register, PC_AWAIT_CLAIM frame) — the hardest state.
         let p = Program::new(
             body(vec![
@@ -1060,10 +922,7 @@ mod tests {
         };
         interp.lock(spec.dst.unwrap());
 
-        let mut w = WireWriter::new();
-        interp.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut copy = PeInterp::decode(&mut WireReader::new(&bytes)).unwrap();
+        let mut copy = interp.clone();
 
         // Both copies must replay identically from here.
         let drive = |i: &mut PeInterp| -> Vec<Fetched> {
@@ -1087,18 +946,6 @@ mod tests {
         };
         assert_eq!(drive(&mut interp), drive(&mut copy));
         assert_eq!(interp.regs(), copy.regs());
-
-        // Truncation is an error, never a panic.
-        for cut in 0..bytes.len() {
-            assert!(PeInterp::decode(&mut WireReader::new(&bytes[..cut])).is_err());
-        }
-        // A register index past the file is rejected.
-        let mut w = WireWriter::new();
-        FrameCtl::For { reg: 200, end: 3 }.encode(&mut w);
-        assert_eq!(
-            FrameCtl::decode(&mut WireReader::new(&w.into_bytes())).err(),
-            Some(WireError::Invalid("register index out of range"))
-        );
     }
 
     #[test]

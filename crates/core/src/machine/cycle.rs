@@ -41,6 +41,26 @@ impl Machine {
         outcome
     }
 
+    /// Runs to cycle `target` the way a donor can have got there:
+    /// `run_for`, then [`Machine::step`] past a completion — after which
+    /// nothing but scheduled events happen, so with fast-forward on the
+    /// idle stretch up to the next one is jumped.
+    pub(super) fn advance_to(&mut self, target: Cycle) {
+        while self.now < target {
+            self.run_for(target - self.now);
+            if self.now == target {
+                break;
+            }
+            self.step();
+            if self.cfg.fast_forward {
+                let budget = self.cfg.max_cycles;
+                self.cfg.max_cycles = budget.min(target);
+                self.fast_forward_idle();
+                self.cfg.max_cycles = budget;
+            }
+        }
+    }
+
     fn run_inner(&mut self) -> RunOutcome {
         // A machine that already completed must stay a fixed point:
         // without this check a resumed (restored or re-run) quiescent
@@ -180,11 +200,13 @@ impl Machine {
     }
 
     /// Debug-build check of the machine's invariants, run where a run
-    /// stops and where a snapshot is taken (O(N): never per cycle): the
-    /// ready sets (`runnable ⊆ live`, and every live non-member is marked
-    /// parked and re-proves it), and a copy map no larger than the
-    /// requests in flight (an entry leaves wherever its request is lost).
-    pub(super) fn debug_check_invariants(&self) {
+    /// stops, where a fork or a snapshot is taken and where a restore
+    /// ends (O(N): never per cycle): the ready sets (`runnable ⊆ live`,
+    /// and every live non-member is marked parked and re-proves it), a
+    /// copy map no larger than the requests in flight (an entry leaves
+    /// wherever its request is lost), and each network copy's wait table
+    /// (its per-switch counts sum to its size, none over `wait_entries`).
+    pub(crate) fn debug_check_invariants(&self) {
         if !cfg!(debug_assertions) {
             return;
         }
@@ -210,6 +232,7 @@ impl Machine {
                 entries <= in_flight,
                 "copy map: {entries} entries, {in_flight} in flight"
             );
+            fabric.check_wait_tables();
         }
     }
 

@@ -31,10 +31,11 @@
 //!
 //! Layout: `config` (what to build), `cycle` (the schedule above and each
 //! shard's datapath cycle), `ff` (idle fast-forward), `faults` (fault
-//! application and degraded-mode reconfiguration), `wire` (snapshot
-//! state); this file holds the types, the assembly and the accessors.
+//! application and degraded-mode reconfiguration), `wire` (the snapshot
+//! recipe); this file holds the types, the assembly and the accessors.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ultra_faults::{FaultClock, RetryPolicy};
@@ -180,8 +181,7 @@ struct PeShard {
     outgoing: VecDeque<Message>,
     /// `Some(c)` while the shard is parked — out of [`Machine::runnable`],
     /// with cycles `c..` not yet charged to its idle counters (see
-    /// [`PeShard::unstamped_idle`]). Never serialized: a restored machine
-    /// starts with nothing parked.
+    /// [`PeShard::unstamped_idle`]).
     parked_since: Option<Cycle>,
 }
 
@@ -198,6 +198,60 @@ impl PeShard {
                 .sum::<usize>()
             + self.pni.heap_bytes()
             + deque_bytes(&self.outgoing)
+    }
+}
+
+/// How a machine was made, past its config: with the config, all a
+/// snapshot holds. [`Machine::replay`] rebuilds the machine from it and
+/// runs it to any cycle the donor reached.
+#[derive(Debug, Clone)]
+pub(crate) struct Recipe {
+    /// One program per context, as `(count, program)` runs of equal
+    /// consecutive programs.
+    pub(crate) programs: Vec<(usize, Program)>,
+    /// Every [`Machine::write_shared`] as `(cycle, vaddr, value)`, in
+    /// call order.
+    pub(crate) writes: Vec<(Cycle, usize, Value)>,
+}
+
+impl Recipe {
+    /// The recipe of a machine built from `programs`, one per context.
+    /// Equal bodies are compared by pointer first, so an SPMD build of
+    /// many contexts costs one comparison each. Parameters compare
+    /// element by element: `==` on two `Vec<i64>` calls `memcmp`, which
+    /// cost 40× more per pair on empty vectors at 4096 PEs.
+    fn new(programs: &[Program]) -> Self {
+        let same = |a: &Program, b: &Program| {
+            (Arc::ptr_eq(&a.ops, &b.ops) || a.ops == b.ops) && a.params.iter().eq(&b.params)
+        };
+        let mut runs: Vec<(usize, Program)> = Vec::new();
+        for program in programs {
+            match runs.last_mut() {
+                Some((count, run)) if same(run, program) => *count += 1,
+                _ => runs.push((1, program.clone())),
+            }
+        }
+        Self {
+            programs: runs,
+            writes: Vec::new(),
+        }
+    }
+
+    /// The programs, one per context.
+    pub(crate) fn contexts(&self) -> Vec<Program> {
+        (self.programs.iter())
+            .flat_map(|(count, program)| std::iter::repeat(program).take(*count))
+            .cloned()
+            .collect()
+    }
+
+    /// Heap bytes the recipe owns. Program bodies are shared with the
+    /// interpreters and are not counted.
+    fn heap_bytes(&self) -> usize {
+        let params: usize = (self.programs.iter())
+            .map(|(_, program)| vec_bytes(&program.params))
+            .sum();
+        std::mem::size_of::<Self>() + vec_bytes(&self.programs) + params + vec_bytes(&self.writes)
     }
 }
 
@@ -222,6 +276,8 @@ struct CycleSinks<'a> {
 /// The assembled machine.
 pub struct Machine {
     cfg: MachineConfig,
+    /// How the machine was made; shared by every fork.
+    recipe: Arc<Recipe>,
     hasher: AddressHasher,
     /// One shard per physical PE.
     shards: Vec<PeShard>,
@@ -334,6 +390,7 @@ impl Machine {
         };
         let live = ActiveSet::from_members(n, 0..n);
         let mut machine = Self {
+            recipe: Arc::new(Recipe::new(&programs)),
             hasher,
             shards,
             meta: IdMap::default(),
@@ -366,14 +423,15 @@ impl Machine {
 
     /// A second machine in this machine's exact simulation state: what
     /// `Machine::restore_tuned(&self.snapshot(), tuning)` returns, without
-    /// the codec round trip. The copy starts with trace, telemetry and
-    /// phase spans off and empty; `self` is not touched, so any number of
-    /// forks may be taken from one donor, from several threads at once.
+    /// the replay. The copy starts with trace, telemetry and phase spans
+    /// off and empty; `self` is not touched, so any number of forks may be
+    /// taken from one donor, from several threads at once.
     #[must_use]
     pub fn fork(&self, tuning: EngineTuning) -> Self {
         let mut cfg = self.cfg.clone();
         tuning.apply(&mut cfg);
         let fork = Self {
+            recipe: Arc::clone(&self.recipe),
             hasher: self.hasher.clone(),
             shards: self.shards.clone(),
             meta: self.meta.clone(),
@@ -404,6 +462,34 @@ impl Machine {
         fork
     }
 
+    /// Rebuilds the machine `recipe` describes under `cfg` and replays it
+    /// to cycle `cycle`: it runs up to each logged write and applies it,
+    /// then runs on to `cycle` (see [`Machine::advance_to`]). The result
+    /// reports `fast_forwarded` skipped cycles, the donor's count, since
+    /// the replay's own depends on how it was sliced.
+    pub(crate) fn replay(
+        cfg: MachineConfig,
+        recipe: &Recipe,
+        cycle: Cycle,
+        fast_forwarded: Cycle,
+    ) -> Self {
+        let mut machine = Self::new(cfg, recipe.contexts());
+        for &(at, vaddr, value) in &recipe.writes {
+            machine.advance_to(at);
+            machine.write_shared(vaddr, value);
+        }
+        machine.advance_to(cycle);
+        machine.fast_forwarded = fast_forwarded;
+        machine.run_elapsed = None;
+        machine.debug_check_invariants();
+        machine
+    }
+
+    /// How this machine was made (see [`Recipe`]).
+    pub(crate) fn recipe(&self) -> &Recipe {
+        &self.recipe
+    }
+
     /// Turns a machine that has finished running into a donor for
     /// [`Machine::fork`], in place of forking it once more: trace,
     /// telemetry and phase spans are dropped, which is all a fork would
@@ -420,8 +506,9 @@ impl Machine {
     /// An estimate of the heap bytes this machine keeps allocated — what
     /// holding on to it (or to a [`Machine::fork`] of it) costs. It adds up
     /// the buffers of every per-PE, per-bank and per-switch structure at
-    /// their capacities and leaves out what does not grow with the machine
-    /// (active sets, counters, observer rings).
+    /// their capacities, and the recipe a fork shares, and leaves out what
+    /// does not grow with the machine (active sets, counters, observer
+    /// rings).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let shards: usize = self.shards.iter().map(PeShard::heap_bytes).sum();
@@ -432,13 +519,16 @@ impl Machine {
             }
             BackendImpl::Network(fabric) => fabric.heap_bytes(),
         };
-        vec_bytes(&self.shards) + shards + map_bytes(&self.meta) + backend
+        vec_bytes(&self.shards)
+            + shards
+            + map_bytes(&self.meta)
+            + backend
+            + self.recipe.heap_bytes()
     }
 
     /// The PNI retry policy `cfg` implies: the plan's explicit policy if
     /// it carries one, else a depth-derived default whenever the plan is
-    /// unhealthy. Shared by [`Machine::new`] and [`Machine::decode_state`]
-    /// so a restored machine derives the same `retry_enabled` gate.
+    /// unhealthy.
     fn retry_policy_for(cfg: &MachineConfig) -> Option<RetryPolicy> {
         cfg.faults.retry_policy().or_else(|| {
             (!cfg.faults.is_healthy())
@@ -555,7 +645,7 @@ impl Machine {
 
     /// Test and microbench hook: forces the network's switch sweep
     /// (see `Fabric::set_sweep_mode`). No-op on the ideal backend;
-    /// not carried through a snapshot — re-apply it after a restore (a
+    /// not part of a snapshot's recipe — re-apply it after a restore (a
     /// [`Machine::fork`] keeps it).
     #[doc(hidden)]
     pub fn set_sweep_mode(&mut self, mode: SweepMode) {
@@ -687,8 +777,12 @@ impl Machine {
         }
     }
 
-    /// Writes a shared word directly (initialization; not timed).
+    /// Writes a shared word directly (initialization; not timed). The
+    /// write joins the machine's recipe, so a snapshot replays it.
     pub fn write_shared(&mut self, vaddr: usize, value: Value) {
+        Arc::make_mut(&mut self.recipe)
+            .writes
+            .push((self.now, vaddr, value));
         let addr = self.hasher.translate(vaddr);
         let n = self.cfg.net.pes;
         match &mut self.backend {

@@ -199,7 +199,26 @@ impl From<Value> for Expr {
 /// bytes — far above anything a workload generator emits, low enough that
 /// a corrupted snapshot cannot drive the decoder's recursion off the
 /// stack.
-pub(crate) const MAX_DECODE_DEPTH: usize = 64;
+const MAX_DECODE_DEPTH: usize = 64;
+
+/// A register index from program bytes, bounds-checked against
+/// [`NUM_REGS`]: the interpreter indexes its register file with it, and
+/// a restore runs the program.
+fn check_reg(reg: Reg) -> Result<Reg, WireError> {
+    if (reg as usize) < NUM_REGS {
+        Ok(reg)
+    } else {
+        Err(WireError::Invalid("register index out of range"))
+    }
+}
+
+fn decode_reg(r: &mut WireReader<'_>) -> Result<Reg, WireError> {
+    check_reg(r.u8()?)
+}
+
+fn decode_dst(r: &mut WireReader<'_>) -> Result<Option<Reg>, WireError> {
+    Option::<Reg>::decode(r)?.map(check_reg).transpose()
+}
 
 fn decode_expr(r: &mut WireReader<'_>, depth: usize) -> Result<Expr, WireError> {
     if depth == 0 {
@@ -207,7 +226,7 @@ fn decode_expr(r: &mut WireReader<'_>, depth: usize) -> Result<Expr, WireError> 
     }
     Ok(match r.u8()? {
         0 => Expr::Const(r.i64()?),
-        1 => Expr::Reg(r.u8()?),
+        1 => Expr::Reg(decode_reg(r)?),
         2 => Expr::PeIndex,
         3 => Expr::NumPes,
         4 => Expr::Param(r.u8()?),
@@ -617,7 +636,7 @@ fn decode_op(r: &mut WireReader<'_>, depth: usize) -> Result<Op, WireError> {
         2 => Op::PrivateRef(r.u32()?),
         3 => Op::Load {
             addr: Expr::decode(r)?,
-            dst: r.u8()?,
+            dst: decode_reg(r)?,
         },
         4 => Op::Store {
             addr: Expr::decode(r)?,
@@ -626,28 +645,28 @@ fn decode_op(r: &mut WireReader<'_>, depth: usize) -> Result<Op, WireError> {
         5 => Op::FetchAdd {
             addr: Expr::decode(r)?,
             delta: Expr::decode(r)?,
-            dst: Option::decode(r)?,
+            dst: decode_dst(r)?,
         },
         6 => Op::FetchPhi {
             op: PhiOp::decode(r)?,
             addr: Expr::decode(r)?,
             operand: Expr::decode(r)?,
-            dst: Option::decode(r)?,
+            dst: decode_dst(r)?,
         },
         7 => Op::Barrier,
         8 => Op::Fence,
         9 => Op::Set {
-            reg: r.u8()?,
+            reg: decode_reg(r)?,
             value: Expr::decode(r)?,
         },
         10 => Op::For {
-            reg: r.u8()?,
+            reg: decode_reg(r)?,
             from: Expr::decode(r)?,
             to: Expr::decode(r)?,
             body: decode_body(r, depth)?,
         },
         11 => Op::SelfSched {
-            reg: r.u8()?,
+            reg: decode_reg(r)?,
             counter: Expr::decode(r)?,
             limit: Expr::decode(r)?,
             body: decode_body(r, depth)?,
@@ -667,20 +686,17 @@ fn decode_op(r: &mut WireReader<'_>, depth: usize) -> Result<Op, WireError> {
 
 /// Serializes a statement block as a full inline tree (sharing via `Arc`
 /// is a memory optimization, not part of program identity).
-pub fn encode_body(body: &Body, w: &mut WireWriter) {
+fn encode_body(body: &Body, w: &mut WireWriter) {
     w.usize(body.len());
     for op in body.iter() {
         encode_op(op, w);
     }
 }
 
-/// Decodes a statement block written by [`encode_body`].
-///
-/// # Errors
-///
-/// Returns a [`WireError`] on truncated or malformed bytes, or when the
-/// block nesting exceeds the decoder's recursion bound.
-pub fn decode_body(r: &mut WireReader<'_>, depth: usize) -> Result<Body, WireError> {
+/// Decodes a statement block written by [`encode_body`]; errors on
+/// truncated or malformed bytes, or when the block nesting exceeds the
+/// decoder's recursion bound.
+fn decode_body(r: &mut WireReader<'_>, depth: usize) -> Result<Body, WireError> {
     if depth == 0 {
         return Err(WireError::Invalid("statement nesting too deep"));
     }
@@ -920,6 +936,47 @@ mod tests {
         let twin = Program::decode(&mut r).expect("decode");
         assert!(r.is_empty());
         assert_eq!(prog, twin);
+    }
+
+    #[test]
+    fn out_of_range_registers_are_rejected() {
+        let decode = |op: Op| {
+            let mut w = WireWriter::new();
+            Program::new(body(vec![op]), vec![]).encode(&mut w);
+            Program::decode(&mut WireReader::new(w.bytes()))
+        };
+        let invalid = Err(WireError::Invalid("register index out of range"));
+        let past = NUM_REGS as Reg;
+        assert_eq!(
+            decode(Op::Load {
+                addr: Expr::Reg(past),
+                dst: 0
+            }),
+            invalid
+        );
+        assert_eq!(
+            decode(Op::Load {
+                addr: Expr::Const(0),
+                dst: past
+            }),
+            invalid
+        );
+        let fetch_add = Op::FetchAdd {
+            addr: Expr::Const(0),
+            delta: Expr::Const(1),
+            dst: Some(past),
+        };
+        assert_eq!(decode(fetch_add), invalid);
+        let set = Op::Set {
+            reg: past,
+            value: Expr::Const(0),
+        };
+        assert_eq!(decode(set), invalid);
+        let last = Op::Set {
+            reg: past - 1,
+            value: Expr::Reg(past - 1),
+        };
+        assert!(decode(last).is_ok());
     }
 
     #[test]

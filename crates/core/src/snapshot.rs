@@ -1,21 +1,21 @@
 //! Versioned, deterministic [`Machine`] snapshots.
 //!
-//! [`Machine::snapshot`] serializes the *complete* simulation state —
-//! interpreter frames, PNI retry timers, in-flight network messages,
-//! memory words, fault clocks, rng streams — into a self-contained,
-//! version-stamped byte vector; [`Machine::restore`] reassembles a
-//! machine that is bit-identical to the donor. The contract, enforced by
-//! the `snapshot_roundtrip` property tests, is:
+//! A snapshot holds *how a machine was made*, not its live state. Under
+//! the serialization principle a run is a pure function of what it was
+//! given — the config (fault plan and seed included), one program per
+//! context, and the untimed [`Machine::write_shared`] writes — so
+//! [`Machine::snapshot`] writes exactly those, plus the cycle reached,
+//! and [`Machine::restore`] rebuilds the machine with [`Machine::new`]
+//! and replays it to that cycle. The contract, enforced by the
+//! `snapshot_roundtrip` property tests, is:
 //!
 //! > `run(k)` → `snapshot` → `restore` → `run(m)` produces exactly the
 //! > state (and [`MachineReport::parity_string`]) of `run(k + m)`,
 //! > with idle fast-forward on or off.
 //!
-//! [`Machine::fork`] makes the same copy in memory — the machine a
-//! restore of this machine's snapshot would return, without the bytes in
-//! between — and is tested against this codec as its reference.
+//! [`Machine::fork`] makes the same copy in memory, without the replay.
 //!
-//! # Format (v2)
+//! # Format (v3)
 //!
 //! ```text
 //! magic      8 bytes  b"ULTRASNP"
@@ -25,32 +25,56 @@
 //!                     backend, time scale, translation, seed, budget,
 //!                     barrier parties, contexts, fault plan)
 //! tuning     bool     fast-forward
-//! state      ...      full machine state (see machine/wire.rs)
+//! programs   seq      (count u64, program) runs of equal consecutive
+//!                     programs, one program per context in all
+//! writes     seq      (cycle u64, vaddr u64, value i64), in call order
+//! cycle      u64      the donor's cycle
+//! skipped    u64      the donor's fast-forwarded cycle count
 //! digest     u64      FNV-1a of the donor's parity string
 //! checksum   u64      FNV-1a of every byte before it
 //! ```
 //!
+//! A frame's length therefore follows the programs and the write log,
+//! not the traffic in flight: a machine's frame is as long mid-run as at
+//! cycle 0.
+//!
+//! # Restore is rebuild plus replay
+//!
 //! Restore checks the magic and the format, then the checksum, then
-//! everything else with typed errors before any state is decoded,
-//! including the sizes the state is built by: the network geometry must
-//! pass [`ultra_net::config::NetConfig::check`] and the PE count cannot
-//! exceed the bytes that follow. All failures are [`SnapshotError`]s —
-//! corrupt or hostile bytes never panic and never allocate unboundedly.
+//! everything else with typed errors before it builds anything: the
+//! network geometry must pass [`ultra_net::config::NetConfig::check`] and
+//! the fault plan [`ultra_faults::FaultPlan::check`]; the machine may
+//! hold at most [`MAX_CONTEXTS`] contexts (and network ports); the
+//! program runs must cover exactly its contexts; the write log must be in
+//! cycle order and end by the frame's cycle; and the frame's cycle must
+//! lie within the machine's cycle budget, which `run` and `run_for` never
+//! pass. Then it builds the machine and replays it: `run_for` up to each
+//! logged write, the write, `run_for` up to the frame's cycle — and
+//! [`Machine::step`] past a completion, as a donor may have done. A
+//! replay that panics (a forged program computing a negative address,
+//! say) is [`SnapshotError::ReplayPanicked`]. All failures are
+//! [`SnapshotError`]s — corrupt or hostile bytes never panic the caller
+//! and never allocate unboundedly.
+//!
+//! The price is time: a restore costs what running the recipe to the
+//! frame's cycle costs — cycles × PEs, not the frame's bytes: tens of
+//! milliseconds for a 1024-PE ticket machine at cycle 512. Nothing
+//! served, benchmarked or table-producing restores: the job server keeps
+//! [`Machine::fork`] images.
+//!
+//! # What the checksum and the digest guard
 //!
 //! The checksum catches accidental corruption, not forgery. Each FNV-1a
 //! step is a bijection of the running hash for a fixed byte, so a frame
-//! that differs from the sealed one in a single byte never matches: all
-//! 89,056 single-bit flips of an 8-PE mid-run frame are errors
-//! (v1 frames had no checksum, and 41,376 of their 89,272 flips restored
-//! `Ok` as a different machine). A forged frame can carry a valid
-//! checksum, so every typed decode check stays; the last tests of
-//! `crates/core/tests/snapshot_roundtrip.rs` flip bits and reseal to hold
-//! that.
+//! that differs from the sealed one in a single byte never matches. A
+//! forged frame can carry a valid checksum, so every typed check stays;
+//! the last tests of `crates/core/tests/snapshot_roundtrip.rs` flip bits
+//! and reseal to hold that.
 //!
 //! The digest before the checksum is FNV-1a of the donor's *parity
 //! string* — cycle count, merged PE, network and fault statistics —
-//! recomputed from the restored machine and compared: it catches a
-//! decoder that rebuilds a machine reporting differently from the donor.
+//! recomputed from the replayed machine and compared: it checks that the
+//! replay was deterministic, that the recipe rebuilt the donor.
 //!
 //! # What is *not* in a snapshot
 //!
@@ -62,14 +86,17 @@
 //! The engine speed knob rides along as a *tuning echo* (so a plain
 //! restore reproduces the donor's engine) but is excluded from the
 //! config identity: [`Machine::restore_tuned`] may override it, since
-//! both settings are bit-identical by construction.
+//! both settings are bit-identical by construction. The donor's count of
+//! fast-forwarded cycles is carried as a number, because a replay's own
+//! count depends on how it was sliced.
 
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 
-use ultra_mem::StateDecodeError;
-use ultra_sim::wire::{fnv1a, WireError, WireReader, WireWriter};
+use ultra_sim::wire::{fnv1a, Wire, WireError, WireReader, WireWriter};
+use ultra_sim::Cycle;
 
-use crate::machine::{Machine, MachineConfig};
+use crate::machine::{BackendKind, Machine, MachineConfig, Recipe};
 use crate::report::MachineReport;
 
 /// Leading magic of every snapshot.
@@ -78,12 +105,19 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ULTRASNP";
 /// Current snapshot format version. Bumped on any layout change; old
 /// formats are rejected with [`SnapshotError::UnsupportedVersion`]
 /// rather than misread.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
 /// The crate version stamped into (and required of) every snapshot.
-/// State layout follows crate internals, so restore demands an exact
-/// match rather than guessing at cross-version compatibility.
+/// What a recipe replays to follows the engine's code, so restore
+/// demands an exact match rather than guessing at cross-version
+/// compatibility.
 pub const SNAPSHOT_CRATE_VERSION: &str = env!("CARGO_PKG_VERSION");
+
+/// The largest machine a frame may describe, in contexts (`pes ×
+/// contexts_per_pe`) and in network ports (`pes × copies`): the largest
+/// machine the repository runs. A restore builds what the frame names,
+/// so this bound is checked before anything is built.
+pub const MAX_CONTEXTS: usize = 1 << 20;
 
 /// Why a snapshot could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,17 +136,21 @@ pub enum SnapshotError {
         /// Version attempting the restore.
         running: &'static str,
     },
-    /// The state payload disagrees with the config echo it was framed
-    /// with (wrong shard count, backend kind, network geometry, …).
-    ConfigMismatch {
-        /// Which invariant failed.
-        what: &'static str,
-    },
     /// The bytes are structurally invalid (truncated, checksum
-    /// mismatch, bad tag, bad length prefix).
+    /// mismatch, bad tag, bad length prefix) or describe a machine no
+    /// restore builds (too large, program runs that miss the contexts,
+    /// a write log out of order, a cycle past the budget).
     Corrupted(WireError),
-    /// The restored machine's parity digest does not match the digest
-    /// the donor recorded — the state decoded but is not the donor's.
+    /// Replaying the frame's recipe panicked short of the frame's cycle:
+    /// no donor can have run it there.
+    ReplayPanicked {
+        /// The frame's cycle.
+        cycle: Cycle,
+        /// What the replay panicked with.
+        message: String,
+    },
+    /// The replayed machine's parity digest does not match the digest
+    /// the donor recorded — the recipe did not rebuild the donor.
     DigestMismatch {
         /// Digest recorded in the snapshot.
         expected: u64,
@@ -138,10 +176,13 @@ impl fmt::Display for SnapshotError {
                     "snapshot written by crate version {snapshot}, running {running}"
                 )
             }
-            Self::ConfigMismatch { what } => {
-                write!(f, "snapshot state disagrees with its config echo: {what}")
-            }
             Self::Corrupted(e) => write!(f, "corrupted snapshot: {e}"),
+            Self::ReplayPanicked { cycle, message } => {
+                write!(
+                    f,
+                    "replaying the snapshot's recipe to cycle {cycle} panicked: {message}"
+                )
+            }
             Self::DigestMismatch { expected, found } => {
                 write!(
                     f,
@@ -165,15 +206,6 @@ impl std::error::Error for SnapshotError {
 impl From<WireError> for SnapshotError {
     fn from(e: WireError) -> Self {
         Self::Corrupted(e)
-    }
-}
-
-impl From<StateDecodeError> for SnapshotError {
-    fn from(e: StateDecodeError) -> Self {
-        match e {
-            StateDecodeError::Wire(w) => Self::Corrupted(w),
-            StateDecodeError::ConfigMismatch(what) => Self::ConfigMismatch { what },
-        }
     }
 }
 
@@ -205,25 +237,95 @@ fn parity_digest(m: &Machine) -> u64 {
     fnv1a(MachineReport::from_machine(m).parity_string().as_bytes())
 }
 
+/// The sealed frame of the machine `cfg` and `recipe` make, run to
+/// `cycle` with `skipped` cycles fast-forwarded, digesting to `digest`.
+fn frame(
+    cfg: &MachineConfig,
+    recipe: &Recipe,
+    cycle: Cycle,
+    skipped: Cycle,
+    digest: u64,
+) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.raw(&SNAPSHOT_MAGIC);
+    w.u32(SNAPSHOT_FORMAT_VERSION);
+    w.str(SNAPSHOT_CRATE_VERSION);
+    let mut cw = WireWriter::new();
+    cfg.encode_identity(&mut cw);
+    w.usize(cw.bytes().len());
+    w.raw(cw.bytes());
+    w.bool(cfg.fast_forward);
+    recipe.encode(&mut w);
+    w.u64(cycle);
+    w.u64(skipped);
+    w.u64(digest);
+    w.u64(fnv1a(w.bytes()));
+    w.into_bytes()
+}
+
+/// The number of contexts `cfg` builds, if a frame may describe it: at
+/// most [`MAX_CONTEXTS`] contexts and network ports. (A size the
+/// builders reject, such as zero copies, panics in the replay.)
+fn buildable_contexts(cfg: &MachineConfig) -> Result<usize, WireError> {
+    let within = |n: Option<usize>| n.filter(|&n| n <= MAX_CONTEXTS);
+    let contexts = within(cfg.net.pes.checked_mul(cfg.contexts_per_pe))
+        .ok_or(WireError::Invalid("machine exceeds 2^20 contexts"))?;
+    if let BackendKind::Network { copies } = cfg.backend {
+        within(cfg.net.pes.checked_mul(copies))
+            .ok_or(WireError::Invalid("network exceeds 2^20 ports"))?;
+    }
+    Ok(contexts)
+}
+
+/// Checks that replaying `recipe` to `cycle` can reproduce a donor:
+/// program runs covering exactly `contexts`, a write log in cycle order
+/// that ends by `cycle`, a cycle within `cfg`'s budget whose reports do
+/// not overflow, and no more skipped cycles than cycles.
+fn check_replay(
+    cfg: &MachineConfig,
+    contexts: usize,
+    recipe: &Recipe,
+    cycle: Cycle,
+    skipped: Cycle,
+) -> Result<(), WireError> {
+    let covered =
+        (recipe.programs.iter()).fold(0usize, |sum, &(count, _)| sum.saturating_add(count));
+    if covered != contexts {
+        return Err(WireError::Invalid("program runs do not cover the contexts"));
+    }
+    if recipe.writes.windows(2).any(|w| w[0].0 > w[1].0) {
+        return Err(WireError::Invalid("write log out of cycle order"));
+    }
+    if recipe.writes.last().is_some_and(|&(at, ..)| at > cycle) {
+        return Err(WireError::Invalid("write log past the frame's cycle"));
+    }
+    if cycle > cfg.max_cycles {
+        return Err(WireError::Invalid("frame cycle past the cycle budget"));
+    }
+    // Reports multiply the clock by a context count.
+    if cycle.checked_mul(contexts as u64).is_none() {
+        return Err(WireError::Invalid("cycle count out of range"));
+    }
+    if skipped > cycle {
+        return Err(WireError::Invalid("more cycles skipped than run"));
+    }
+    Ok(())
+}
+
 impl Machine {
-    /// Serializes the machine into a self-contained, version-stamped
-    /// snapshot. Deterministic: equal machine states yield equal bytes.
+    /// Serializes the machine's recipe and cycle into a self-contained,
+    /// version-stamped snapshot. Deterministic: equal machines yield
+    /// equal bytes.
     #[must_use]
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.raw(&SNAPSHOT_MAGIC);
-        w.u32(SNAPSHOT_FORMAT_VERSION);
-        w.str(SNAPSHOT_CRATE_VERSION);
-        let mut cw = WireWriter::new();
-        self.cfg().encode_identity(&mut cw);
-        let cfg_bytes = cw.into_bytes();
-        w.usize(cfg_bytes.len());
-        w.raw(&cfg_bytes);
-        w.bool(self.cfg().fast_forward);
-        self.encode_state(&mut w);
-        w.u64(parity_digest(self));
-        w.u64(fnv1a(w.bytes()));
-        w.into_bytes()
+        self.debug_check_invariants();
+        frame(
+            self.cfg(),
+            self.recipe(),
+            self.now(),
+            self.fast_forwarded_cycles(),
+            parity_digest(self),
+        )
     }
 
     /// Restores a machine from [`Machine::snapshot`] bytes, reproducing
@@ -277,21 +379,27 @@ impl Machine {
         if !cr.is_empty() {
             return Err(WireError::Invalid("config echo has trailing bytes").into());
         }
-        // The echo sizes what `decode_state` builds before it reaches
-        // the state that could contradict it; a real state spends well
-        // over a byte per PE.
         cfg.net.check()?;
         cfg.faults.check(cfg.net.pes)?;
-        if cfg.net.pes > r.remaining() {
-            return Err(WireError::Invalid("config echo names more PEs than state bytes").into());
-        }
+        let contexts = buildable_contexts(&cfg)?;
         cfg.fast_forward = r.bool()?;
         tuning.apply(&mut cfg);
-        let machine = Machine::decode_state(cfg, &mut r)?;
+        let recipe = Recipe::decode(&mut r)?;
+        let cycle = r.u64()?;
+        let skipped = r.u64()?;
         let expected = r.u64()?;
         if !r.is_empty() {
             return Err(WireError::Invalid("snapshot has trailing bytes").into());
         }
+        check_replay(&cfg, contexts, &recipe, cycle, skipped)?;
+        let replay = || Machine::replay(cfg, &recipe, cycle, skipped);
+        let machine = panic::catch_unwind(AssertUnwindSafe(replay)).map_err(|payload| {
+            let message = (payload.downcast_ref::<String>().map(String::as_str))
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("a non-text panic")
+                .to_owned();
+            SnapshotError::ReplayPanicked { cycle, message }
+        })?;
         let found = parity_digest(&machine);
         if found != expected {
             return Err(SnapshotError::DigestMismatch { expected, found });
@@ -306,7 +414,7 @@ mod tests {
     use crate::machine::MachineBuilder;
     use crate::program::{body, Expr, Op, Program};
     use ultra_faults::FaultPlan;
-    use ultra_sim::{wire::Wire, MmId};
+    use ultra_sim::MmId;
 
     fn ticket_program(rounds: i64) -> Program {
         Program::new(
@@ -390,9 +498,8 @@ mod tests {
     fn snapshot_cut_through_a_timed_wait_resumes_exactly() {
         // Park every PE on a long [`Op::WaitUntil`], cut the snapshot
         // while they sleep, and resume: the wake cycles stored afterward
-        // must match an uninterrupted run exactly — the parked target is
-        // simulation state ([`CtxState::WaitUntil`] on the wire), not
-        // something re-derived at restore time.
+        // must match an uninterrupted run exactly — the replay parks
+        // every PE on the same target the donor did.
         let program = Program::new(
             body(vec![
                 Op::WaitUntil {
@@ -471,8 +578,8 @@ mod tests {
     fn unsupported_format_version_is_rejected() {
         let mut bytes = mid_run_machine().snapshot();
         // The u32 format version sits right after the 8-byte magic; it is
-        // checked before the checksum, so a v1 frame is named as one.
-        for found in [1u32, 0xEE] {
+        // checked before the checksum, so a v1 or v2 frame is named as one.
+        for found in [1u32, 2, 0xEE] {
             bytes[8..12].copy_from_slice(&found.to_le_bytes());
             assert_eq!(
                 Machine::restore(&bytes).err(),
@@ -502,7 +609,8 @@ mod tests {
 
     #[test]
     fn config_mismatch_is_rejected() {
-        // Splice the config echo of a 16-PE machine onto an 8-PE state.
+        // Splice the config echo of a 16-PE machine onto an 8-PE recipe:
+        // its eight programs cannot cover sixteen contexts.
         let small = mid_run_machine().snapshot();
         let big = MachineBuilder::new(16)
             .build_spmd(&ticket_program(2))
@@ -517,10 +625,79 @@ mod tests {
         forged.extend_from_slice(&small[cfg_end(&small)..]);
         assert_eq!(
             Machine::restore(&reseal(forged)).err(),
-            Some(SnapshotError::ConfigMismatch {
-                what: "PE shard count"
-            })
+            Some(SnapshotError::Corrupted(WireError::Invalid(
+                "program runs do not cover the contexts"
+            )))
         );
+    }
+
+    #[test]
+    fn a_frame_naming_two_to_the_thirty_pes_fails_before_building() {
+        let donor = mid_run_machine();
+        let mut cfg = donor.cfg().clone();
+        cfg.net.pes = 1 << 30;
+        cfg.net
+            .check()
+            .expect("a consistent geometry, only too large");
+        let forged = frame(&cfg, donor.recipe(), donor.now(), 0, 0);
+        let started = std::time::Instant::now();
+        assert_eq!(
+            Machine::restore(&forged).err(),
+            Some(SnapshotError::Corrupted(WireError::Invalid(
+                "machine exceeds 2^20 contexts"
+            )))
+        );
+        assert!(started.elapsed().as_millis() < 100, "nothing was built");
+    }
+
+    #[test]
+    fn forged_recipes_are_typed_errors() {
+        let donor = mid_run_machine();
+        let (cfg, now) = (donor.cfg().clone(), donor.now());
+        let restore = |cfg: &MachineConfig, recipe: &Recipe, cycle, skipped| {
+            Machine::restore(&frame(cfg, recipe, cycle, skipped, 0)).err()
+        };
+        let invalid = |what| Some(SnapshotError::Corrupted(WireError::Invalid(what)));
+        let mut recipe = donor.recipe().clone();
+        recipe.programs[0].0 -= 1;
+        let short = invalid("program runs do not cover the contexts");
+        assert_eq!(restore(&cfg, &recipe, now, 0), short);
+        recipe.programs.push((usize::MAX, Program::empty()));
+        assert_eq!(restore(&cfg, &recipe, now, 0), short);
+
+        let mut recipe = donor.recipe().clone();
+        recipe.writes = vec![(9, 0, 1), (3, 1, 1)];
+        let unordered = invalid("write log out of cycle order");
+        assert_eq!(restore(&cfg, &recipe, now, 0), unordered);
+        recipe.writes = vec![(now + 1, 0, 1)];
+        let late = invalid("write log past the frame's cycle");
+        assert_eq!(restore(&cfg, &recipe, now, 0), late);
+
+        let recipe = donor.recipe();
+        let budget = cfg.max_cycles;
+        let unreachable = invalid("frame cycle past the cycle budget");
+        assert_eq!(restore(&cfg, recipe, budget + 1, 0), unreachable);
+        let skipped = invalid("more cycles skipped than run");
+        assert_eq!(restore(&cfg, recipe, now, now + 1), skipped);
+
+        // A program that panics before the frame's cycle: the replay
+        // panics where a donor could not have run on.
+        let mut recipe = recipe.clone();
+        recipe.programs = vec![(
+            8,
+            Program::new(
+                body(vec![Op::Load {
+                    addr: Expr::Const(-5),
+                    dst: 0,
+                }]),
+                vec![],
+            ),
+        )];
+        assert!(matches!(
+            restore(&cfg, &recipe, 10, 0),
+            Some(SnapshotError::ReplayPanicked { cycle: 10, ref message })
+                if message.contains("negative address")
+        ));
     }
 
     #[test]
@@ -562,39 +739,13 @@ mod tests {
         let donor = MachineBuilder::new(2)
             .faults(plan(&[0]))
             .build_spmd(&ticket_program(2));
-        let bytes = donor.snapshot();
-        let mut r = WireReader::new(&bytes);
-        r.take(SNAPSHOT_MAGIC.len()).unwrap();
-        r.u32().unwrap();
-        r.str().unwrap();
-        let cfg_at = bytes.len() - r.remaining();
-        let cfg_len = r.seq_len().unwrap();
-        r.take(cfg_len + 1).unwrap();
-        // The state opens with the cumulative dead list, here `[0]`:
-        // splice in `[0, 1]`, every module of the 2-PE machine.
-        let state_at = bytes.len() - r.remaining();
-        let mut forged = WireWriter::new();
-        forged.raw(&bytes[..state_at]);
-        vec![MmId(0), MmId(1)].encode(&mut forged);
-        forged.raw(&bytes[state_at + 16..]);
-        let invalid = |what| Some(SnapshotError::Corrupted(WireError::Invalid(what)));
-        assert_eq!(
-            Machine::restore(&reseal(forged.into_bytes())).err(),
-            invalid("every memory module is dead")
-        );
-        // The same through the config echo's fault plan.
         let mut cfg = donor.cfg().clone();
         cfg.faults = plan(&[0, 1]);
-        let mut echo = WireWriter::new();
-        cfg.encode_identity(&mut echo);
-        let mut forged = WireWriter::new();
-        forged.raw(&bytes[..cfg_at]);
-        forged.usize(echo.bytes().len());
-        forged.raw(echo.bytes());
-        forged.raw(&bytes[cfg_at + 8 + cfg_len..]);
         assert_eq!(
-            Machine::restore(&reseal(forged.into_bytes())).err(),
-            invalid("fault plan kills every memory module")
+            Machine::restore(&frame(&cfg, donor.recipe(), 0, 0, 0)).err(),
+            Some(SnapshotError::Corrupted(WireError::Invalid(
+                "fault plan kills every memory module"
+            )))
         );
     }
 

@@ -3,19 +3,20 @@
 //! every kind of mid-run machine state.
 //!
 //! Each scenario builds a machine, runs the *uninterrupted* baseline to
-//! completion, then re-runs it with a snapshot cut at several mid-run
-//! points. At each cut the snapshot is restored under every engine
-//! tuning (donor settings, fast-forward off, forced-dense sweep) and
-//! driven to completion; all of them — and the
-//! donor machine continuing past its own snapshot — must digest to the
-//! baseline's parity string. `Machine::fork` is held to the same cuts
-//! with the codec as its reference: a fork under each tuning (and a fork
-//! of that fork) carries the restored machine's snapshot bytes, at the
-//! cut and again some cycles on, and running it leaves the donor alone. The fault scenarios deliberately cut while
-//! recovery machinery is live: one cut is searched for dynamically so a
-//! PNI retry is *pending* (a loss happened, its timeout has not fired)
-//! at snapshot time, and one scenario snapshots before a scheduled fault
-//! so the restored clock must still fire it.
+//! completion, then re-runs it with a cut at several mid-run points. At
+//! each cut the donor is restored from its snapshot, forked, and the
+//! fork forked again, under every engine tuning (donor settings,
+//! fast-forward off, forced-dense sweep); each copy must equal the donor
+//! running on — cycles, parity digest, memory digest, skipped cycles and
+//! the report — at the cut, some cycles on and at completion, and the
+//! donor's completed run must equal the baseline. The fork is compared
+//! with the donor, not with the restored machine: its copy is complete
+//! by construction, and a snapshot is only the donor's recipe replayed.
+//! The fault scenarios deliberately cut while recovery machinery is
+//! live: one cut is searched for dynamically so a PNI retry is *pending*
+//! (a loss happened, its timeout has not fired) at the cut, and one
+//! scenario cuts before a scheduled fault so the replayed clock must
+//! still fire it.
 //!
 //! The last tests turn to frames that are *not* a donor's. A flipped bit
 //! alone is always an error: the frame's checksum trailer no longer
@@ -23,6 +24,7 @@
 //! the checksum cannot see — makes `Machine::restore` answer `Ok` or a
 //! typed `SnapshotError`; it never unwinds.
 
+use ultra_workloads::{serving, Serving};
 use ultracomputer::machine::{Machine, MachineBuilder};
 use ultracomputer::program::{body, Expr, Op, Program};
 use ultracomputer::ultra_faults::{Fault, FaultPlan};
@@ -72,8 +74,40 @@ fn ticket_program_then(rounds: i64, then: Vec<Op>) -> Program {
     )
 }
 
-fn digest(m: &Machine) -> String {
-    MachineReport::from_machine(m).parity_string()
+/// What a machine shows from outside.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Observed {
+    cycles: u64,
+    parity: String,
+    /// FNV-1a of the words the scenarios write.
+    memory: u64,
+    report: String,
+    fast_forwarded: u64,
+}
+
+impl Observed {
+    fn of(m: &Machine) -> Self {
+        let words = (0..2048)
+            .chain(serving::ARRIVAL_BASE..serving::ARRIVAL_BASE + 64)
+            .chain(serving::DONE_BASE..serving::DONE_BASE + 64);
+        let image: Vec<u8> = words
+            .flat_map(|word| m.read_shared(word).to_le_bytes())
+            .collect();
+        let report = MachineReport::from_machine(m).without_wall_clock();
+        Self {
+            cycles: m.now(),
+            parity: report.parity_string(),
+            memory: fnv1a(&image),
+            report: report.to_string(),
+            fast_forwarded: m.fast_forwarded_cycles(),
+        }
+    }
+
+    /// Everything but the skipped-cycle count, which depends on how a
+    /// run was sliced into `run_for` calls and on the tuning.
+    fn run(&self) -> (u64, &str, u64, &str) {
+        (self.cycles, &self.parity, self.memory, &self.report)
+    }
 }
 
 fn tunings() -> Vec<(&'static str, EngineTuning, SweepMode)> {
@@ -92,86 +126,78 @@ fn tunings() -> Vec<(&'static str, EngineTuning, SweepMode)> {
     ]
 }
 
-/// The property at one cut point: donor-continue, every restored tuning
-/// and every fork reach the baseline digest — and [`Machine::fork`] is
-/// the codec round trip without the codec: under each tuning the fork,
-/// and a fork of the fork, hold the restored machine's snapshot bytes at
-/// the cut and again `more` cycles on, where the donor's own bytes are
-/// the same (donor tuning), and running them leaves the donor alone.
-fn check_cut(make: &dyn Fn() -> Machine, baseline: &str, cut: u64, label: &str) {
+/// The property at one cut point. Under each tuning the restored
+/// machine, a fork and a fork of that fork equal the donor — in cycles,
+/// parity, memory, skipped cycles and report — at the cut, again `more`
+/// cycles on, and at completion, where the donor's run also equals the
+/// uninterrupted `baseline`. Without fast-forward the copies skip no
+/// further cycles, so their count stays at the cut's. Running the
+/// copies leaves the donor alone.
+fn check_cut(make: &dyn Fn() -> Machine, baseline: &Observed, cut: u64, label: &str) {
     let mut donor = make();
     donor.run_for(cut);
+    let at_cut = Observed::of(&donor);
     let snapshot = donor.snapshot();
     let more = 1 + SplitMix64::new(cut).below(40) as u64;
+    let mut copies = Vec::new();
     for (engine, tuning, sweep) in tunings() {
         let at = format!("{label} cut {cut} [{engine}]");
-        let mut restored = Machine::restore_tuned(&snapshot, tuning)
+        let restored = Machine::restore_tuned(&snapshot, tuning)
             .unwrap_or_else(|e| panic!("{at}: restore failed: {e}"));
-        let mut fork = donor.fork(tuning);
-        let mut second = fork.fork(EngineTuning::default());
-        assert_eq!(fork.snapshot(), restored.snapshot(), "{at}: fork");
-        assert_eq!(
-            second.snapshot(),
-            restored.snapshot(),
-            "{at}: fork of a fork"
-        );
-        for m in [&mut restored, &mut fork, &mut second] {
-            m.set_sweep_mode(sweep);
-            m.run_for(more);
-        }
-        assert_eq!(
-            donor.snapshot(),
-            snapshot,
-            "{at}: running a fork moved the donor"
-        );
-        assert_eq!(fork.snapshot(), restored.snapshot(), "{at}: fork + {more}");
-        assert_eq!(
-            second.snapshot(),
-            restored.snapshot(),
-            "{at}: fork of a fork + {more}"
-        );
+        let fork = donor.fork(tuning);
+        let second = fork.fork(EngineTuning::default());
         for (what, mut m) in [
             ("restored", restored),
             ("fork", fork),
             ("fork of a fork", second),
         ] {
-            assert!(m.run().completed, "{at}: {what} run must finish");
-            assert_eq!(
-                digest(&m),
-                baseline,
-                "{at}: {what} diverged from the uninterrupted run"
-            );
+            let at = format!("{at}: {what}");
+            assert_eq!(Observed::of(&m), at_cut, "{at}: at the cut");
+            m.set_sweep_mode(sweep);
+            m.run_for(more);
+            copies.push((at, tuning.fast_forward != Some(false), m));
         }
     }
-    let mut fork = donor.fork(EngineTuning::default());
     assert_eq!(
-        fork.snapshot(),
-        snapshot,
-        "{label} cut {cut}: fork under the donor's tuning"
+        Observed::of(&donor),
+        at_cut,
+        "{label} cut {cut}: running the copies moved the donor"
     );
     donor.run_for(more);
-    fork.run_for(more);
-    assert_eq!(
-        fork.snapshot(),
-        donor.snapshot(),
-        "{label} cut {cut}: fork + {more} against run({cut} + {more})"
-    );
+    let on = Observed::of(&donor);
     assert!(
         donor.run().completed,
         "{label} cut {cut}: donor must finish"
     );
+    let done = Observed::of(&donor);
     assert_eq!(
-        digest(&donor),
-        baseline,
+        done.run(),
+        baseline.run(),
         "{label} cut {cut}: snapshotting and forking perturbed the donor"
     );
+    for (at, fast_forward, mut m) in copies {
+        let skipped = |o: &Observed| {
+            if fast_forward {
+                o.fast_forwarded
+            } else {
+                at_cut.fast_forwarded
+            }
+        };
+        let mine = Observed::of(&m);
+        assert_eq!(mine.run(), on.run(), "{at} + {more}");
+        assert_eq!(mine.fast_forwarded, skipped(&on), "{at} + {more}: skipped");
+        assert!(m.run().completed, "{at}: run must finish");
+        let mine = Observed::of(&m);
+        assert_eq!(mine.run(), done.run(), "{at}: diverged at completion");
+        assert_eq!(mine.fast_forwarded, skipped(&done), "{at}: skipped");
+    }
 }
 
 /// Checks `cuts` and one more cut drawn anywhere in the run.
 fn check_scenario(make: &dyn Fn() -> Machine, cuts: &[u64], label: &str) {
     let mut full = make();
     assert!(full.run().completed, "{label}: baseline must complete");
-    let baseline = digest(&full);
+    let baseline = Observed::of(&full);
     let anywhere = 1 + SplitMix64::new(full.now()).below(full.now() as usize - 1) as u64;
     for &cut in cuts.iter().chain([&anywhere]) {
         check_cut(make, &baseline, cut, label);
@@ -214,7 +240,7 @@ fn lossy_links_round_trip_with_a_pni_retry_pending_at_the_cut() {
         full.fault_summary().retries > 0,
         "scenario must actually exercise the retry protocol"
     );
-    let baseline = digest(&full);
+    let baseline = Observed::of(&full);
     for cut in [pending_cut, pending_cut + 37, 400] {
         check_cut(&make, &baseline, cut, "lossy 8-PE ticket");
     }
@@ -225,9 +251,9 @@ fn busy_traffic_cut_rebuilds_engine_masks() {
     // Cut while the fabric is saturated: requests mid-flight in the
     // network, banks with queued work, PEs with non-empty outgoing
     // buffers. None of the engine's sets (live / runnable / outgoing /
-    // bank-active) are serialized — restore must rebuild every one of
-    // them from the decoded shard and bank state, under every tuning,
-    // or the restored run wedges or diverges.
+    // bank-active) is in a frame — the replay must arrive at every one
+    // of them, under every tuning, or the restored run wedges or
+    // diverges.
     let make = || MachineBuilder::new(16).build_spmd(&ticket_program(10));
 
     // Find an early cut with traffic still in the fabric (injected but
@@ -362,6 +388,68 @@ fn parked_shards_round_trip_and_account_every_idle_cycle() {
     check_scenario(&|| make_with(true), &cuts, "parked 8 PEs x 2 contexts");
 }
 
+#[test]
+fn a_serving_machine_with_a_write_log_round_trips() {
+    // The arrival schedule and the KV records are untimed writes before
+    // cycle 0: the replay must apply them before the first cycle.
+    let requests = Serving::new(64, 40).seed(7);
+    let make = || {
+        let mut m = MachineBuilder::new(8).build_spmd(&requests.program());
+        requests.install(&mut m);
+        m
+    };
+    check_scenario(&make, &[90, 700], "serving 8 PEs");
+}
+
+#[test]
+fn a_write_between_slices_replays_at_its_cycle() {
+    // Every PE sleeps to cycle 60, then copies word 5000 to its own
+    // slot; the donor writes word 5000 at cycle 30, mid-run.
+    let program = Program::new(
+        body(vec![
+            Op::WaitUntil {
+                cycle: Expr::Const(60),
+            },
+            Op::Load {
+                addr: Expr::Const(5000),
+                dst: 0,
+            },
+            Op::Store {
+                addr: Expr::add(Expr::Const(1024), Expr::PeIndex),
+                value: Expr::Reg(0),
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    let mut donor = MachineBuilder::new(8).build_spmd(&program);
+    donor.write_shared(5000, 3);
+    donor.run_for(30);
+    donor.write_shared(5000, 41);
+    donor.run_for(10);
+    let mut restored = Machine::restore(&donor.snapshot()).expect("restore");
+    assert_eq!(Observed::of(&restored), Observed::of(&donor));
+    assert!(donor.run().completed && restored.run().completed);
+    assert_eq!(Observed::of(&restored), Observed::of(&donor));
+    assert_eq!(restored.read_shared(1024 + 7), 41);
+}
+
+#[test]
+fn a_frame_holds_no_live_state() {
+    // A 1024-PE ticket machine mid-run, requests in the fabric: its
+    // frame is as long as at cycle 0.
+    let make = || MachineBuilder::new(1024).build_spmd(&ticket_program(2));
+    let mut m = make();
+    let empty = m.snapshot().len();
+    m.run_for(12);
+    let s = m.net_stats();
+    assert!(s.injected_requests.get() > s.delivered_requests.get());
+    let frame = m.snapshot();
+    assert_eq!(frame.len(), empty, "frame length follows traffic");
+    let restored = Machine::restore(&frame).expect("restore");
+    assert_eq!(Observed::of(&restored), Observed::of(&m));
+}
+
 /// An 8-PE ticket machine 40 cycles in, traffic in flight.
 fn mid_run_frame() -> Vec<u8> {
     let mut donor = MachineBuilder::new(8).build_spmd(&ticket_program(6));
@@ -377,7 +465,7 @@ fn reseal(frame: &mut [u8]) {
 }
 
 /// Flips each of `bits` in turn, reseals the frame, and restores it:
-/// whatever the flip does to the state, the answer is `Ok` or a typed
+/// whatever the flip does to the recipe, the answer is `Ok` or a typed
 /// error, never an unwind.
 fn restore_resealed_flips(frame: &[u8], bits: impl Iterator<Item = usize>) {
     let mut forged = frame.to_vec();
@@ -402,23 +490,24 @@ fn every_raw_bit_flip_is_an_error() {
 #[test]
 fn a_flipped_bit_restores_or_fails_with_a_typed_error() {
     let frame = mid_run_frame();
-    // The state starts past magic (8), format (4), the length-prefixed
+    // The recipe starts past magic (8), format (4), the length-prefixed
     // crate version and config echo, and the 1-byte tuning echo.
     let len_at = |at: usize| u64::from_le_bytes(frame[at..at + 8].try_into().unwrap()) as usize;
     let cfg_len_at = 20 + len_at(12);
-    let state_at = cfg_len_at + 8 + len_at(cfg_len_at) + 1;
-    assert!((100..frame.len() / 2).contains(&state_at), "{state_at}");
+    let recipe_at = cfg_len_at + 8 + len_at(cfg_len_at) + 1;
+    assert!((100..frame.len() - 80).contains(&recipe_at), "{recipe_at}");
 
-    // Everything before the state and the state's leading scalars (dead
-    // lists, clock, barrier and fault counters) is flipped exhaustively:
-    // every size the restore allocates or multiplies by is decoded
-    // there. The rest, ~11 KiB, is sampled; the ignored test below
-    // flips all of it.
-    let exhaustive_bits = (state_at + 64) * 8;
-    let sampled_bits = frame.len() * 8 - exhaustive_bits;
+    // Everything that sizes what the restore builds or how far it
+    // replays — the header, the config echo, the run count and the
+    // first run's length, and the trailing cycle, skipped count and
+    // digest — is flipped exhaustively. The program bodies between
+    // are sampled; the ignored test below flips all of it.
+    let head_bits = (recipe_at + 16) * 8;
+    let tail_bits = (frame.len() - 40) * 8..frame.len() * 8;
+    let body_bits = tail_bits.start - head_bits;
     let mut rng = SplitMix64::new(0x5eed_f11b);
-    let sampled = (0..2_500).map(|_| exhaustive_bits + rng.below(sampled_bits));
-    restore_resealed_flips(&frame, (0..exhaustive_bits).chain(sampled));
+    let sampled = (0..600).map(|_| head_bits + rng.below(body_bits));
+    restore_resealed_flips(&frame, (0..head_bits).chain(sampled).chain(tail_bits));
 }
 
 #[test]

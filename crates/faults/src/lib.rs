@@ -600,23 +600,6 @@ impl FaultMask {
     }
 }
 
-impl Wire for FaultMask {
-    fn encode(&self, w: &mut WireWriter) {
-        w.bool(self.copy_dead);
-        self.dead_ports.encode(w);
-        w.f64(self.link_loss);
-        self.rng.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            copy_dead: r.bool()?,
-            dead_ports: HashSet::decode(r)?,
-            link_loss: r.f64()?,
-            rng: SplitMix64::decode(r)?,
-        })
-    }
-}
-
 /// Drains a [`FaultPlan`]'s schedule in cycle order.
 #[derive(Debug, Clone)]
 pub struct FaultClock {
@@ -652,21 +635,6 @@ impl FaultClock {
     }
 }
 
-impl Wire for FaultClock {
-    fn encode(&self, w: &mut WireWriter) {
-        self.pending.encode(w);
-        w.usize(self.cursor);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let pending: Vec<ScheduledFault> = Vec::decode(r)?;
-        let cursor = r.usize()?;
-        if cursor > pending.len() {
-            return Err(WireError::Invalid("fault-clock cursor out of range"));
-        }
-        Ok(Self { pending, cursor })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -681,27 +649,22 @@ mod tests {
             .dead_switch_port(0, 2, 1, 0)
             .link_loss(0.05)
             .schedule(100, Fault::KillMm { mm: MmId(2) })
+            .schedule(
+                120,
+                Fault::KillSwitchPort {
+                    copy: 1,
+                    stage: 0,
+                    switch: 3,
+                    port: 1,
+                },
+            )
             .retry(RetryPolicy::for_depth(6));
-        let mut mask = plan.mask_for_copy(0);
-        let _ = mask.roll_link_loss(); // advance the RNG off its seed
-        let mut clock = plan.clock();
-        let _ = clock.due(100);
         let mut w = WireWriter::new();
         plan.encode(&mut w);
-        mask.encode(&mut w);
-        clock.encode(&mut w);
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
-        let plan2 = FaultPlan::decode(&mut r).unwrap();
-        let mut mask2 = FaultMask::decode(&mut r).unwrap();
-        let clock2 = FaultClock::decode(&mut r).unwrap();
+        assert_eq!(FaultPlan::decode(&mut r).unwrap(), plan);
         assert!(r.is_empty());
-        assert_eq!(plan, plan2);
-        for _ in 0..32 {
-            assert_eq!(mask.roll_link_loss(), mask2.roll_link_loss());
-        }
-        assert_eq!(clock.remaining(), clock2.remaining());
-        assert_eq!(clock.next_due(), clock2.next_due());
     }
 
     #[test]

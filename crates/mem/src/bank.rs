@@ -19,7 +19,6 @@ use std::collections::VecDeque;
 
 use ultra_net::message::{Message, MsgId, MsgKind, Reply};
 use ultra_sim::heap::{deque_bytes, map_bytes};
-use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{Counter, Cycle, IdMap, MmId, Value};
 
 /// Instrumentation for one memory bank.
@@ -47,33 +46,6 @@ pub struct MemStats {
     pub dead_discards: Counter,
 }
 
-impl Wire for MemStats {
-    fn encode(&self, w: &mut WireWriter) {
-        self.served.encode(w);
-        self.loads.encode(w);
-        self.stores.encode(w);
-        self.fetch_phis.encode(w);
-        w.usize(self.max_queue_depth);
-        self.busy_cycles.encode(w);
-        self.dedup_hits.encode(w);
-        self.dedup_swallowed.encode(w);
-        self.dead_discards.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            served: Counter::decode(r)?,
-            loads: Counter::decode(r)?,
-            stores: Counter::decode(r)?,
-            fetch_phis: Counter::decode(r)?,
-            max_queue_depth: r.usize()?,
-            busy_cycles: Counter::decode(r)?,
-            dedup_hits: Counter::decode(r)?,
-            dedup_swallowed: Counter::decode(r)?,
-            dead_discards: Counter::decode(r)?,
-        })
-    }
-}
-
 /// A memory module plus its MNI: FIFO request queue, fixed service time,
 /// fetch-and-phi ALU, and a reply outbox.
 ///
@@ -97,39 +69,6 @@ pub struct MemBank {
     /// as an absorbed constituent of a combined request, whose exact
     /// observed value only the combining tree knows.
     seen: Option<IdMap<MsgId, Option<Value>>>,
-}
-
-impl Wire for MemBank {
-    fn encode(&self, w: &mut WireWriter) {
-        self.mm.encode(w);
-        self.words.encode(w);
-        self.queue.encode(w);
-        self.in_service.encode(w);
-        self.outbox.encode(w);
-        // Serialized rather than rebuilt from config: the slow-MM fault
-        // mutates it mid-run.
-        w.u64(self.service_time);
-        self.stats.encode(w);
-        w.bool(self.dead);
-        self.seen.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let bank = Self {
-            mm: MmId::decode(r)?,
-            words: IdMap::decode(r)?,
-            queue: VecDeque::decode(r)?,
-            in_service: Option::decode(r)?,
-            outbox: VecDeque::decode(r)?,
-            service_time: r.u64()?,
-            stats: MemStats::decode(r)?,
-            dead: r.bool()?,
-            seen: Option::decode(r)?,
-        };
-        if bank.service_time == 0 {
-            return Err(WireError::Invalid("zero bank service time"));
-        }
-        Ok(bank)
-    }
 }
 
 impl MemBank {
@@ -178,12 +117,6 @@ impl MemBank {
         if self.seen.is_none() {
             self.seen = Some(IdMap::default());
         }
-    }
-
-    /// Whether the exactly-once dedup cache is on.
-    #[must_use]
-    pub fn dedup_enabled(&self) -> bool {
-        self.seen.is_some()
     }
 
     /// Fail-stops this module: contents, queued work, and undelivered
@@ -409,38 +342,6 @@ mod tests {
     fn unwritten_words_read_zero() {
         let bank = MemBank::new(MmId(0), 1);
         assert_eq!(bank.peek(12345), 0);
-    }
-
-    #[test]
-    fn bank_state_round_trips_through_wire() {
-        let mut bank = MemBank::new(MmId(0), 2);
-        bank.enable_dedup();
-        bank.set_service_time(5); // a slow-MM fault took effect
-        bank.push_request(req(1, MsgKind::Store, 7, 42));
-        bank.push_request(req(2, MsgKind::fetch_add(), 7, 1));
-        bank.cycle(0); // request 1 enters service, mid-flight at snapshot
-        let mut w = WireWriter::new();
-        bank.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
-        let mut twin = MemBank::decode(&mut r).expect("decode");
-        assert!(r.is_empty());
-        // Both finish the queued work identically.
-        for now in 1..30 {
-            bank.cycle(now);
-            twin.cycle(now);
-            assert_eq!(bank.pop_reply(), twin.pop_reply());
-        }
-        assert_eq!(bank.peek(7), twin.peek(7));
-        assert_eq!(bank.stats().served.get(), twin.stats().served.get());
-        // Corrupting the service time to zero is an error, not a panic.
-        let mut w = WireWriter::new();
-        bank.encode(&mut w);
-        let good = w.into_bytes();
-        for cut in 0..good.len() {
-            let mut r = WireReader::new(&good[..cut]);
-            assert!(MemBank::decode(&mut r).is_err());
-        }
     }
 
     #[test]

@@ -20,7 +20,6 @@ use ultra_net::stats::NetStats;
 use ultra_obs::{CounterSnapshot, GaugeSnapshot, HeatmapSnapshot};
 use ultra_sim::active::Walk;
 use ultra_sim::heap::{map_bytes, vec_bytes};
-use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{ActiveSet, Cycle, IdMap, MemAddr, MmId, PeId};
 
 use crate::MemBank;
@@ -36,22 +35,6 @@ pub enum Offer {
     /// Every copy refuses its route outright (a dead copy, or a dead port
     /// on its only route): it has been dropped.
     Unroutable,
-}
-
-/// Why serialized state failed to reassemble.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StateDecodeError {
-    /// The bytes themselves are malformed.
-    Wire(WireError),
-    /// The bytes are well-formed but disagree with the config they were
-    /// decoded against; names what.
-    ConfigMismatch(&'static str),
-}
-
-impl From<WireError> for StateDecodeError {
-    fn from(e: WireError) -> Self {
-        Self::Wire(e)
-    }
 }
 
 /// `d` network copies plus one bank per memory module.
@@ -71,7 +54,7 @@ pub struct Fabric {
     /// copy 0 — unless there are several copies or the dedup cache is on.
     copy_of: Option<IdMap<(MsgId, u32), usize>>,
     /// Banks holding work: joined on request delivery, left once observed
-    /// idle (an idle bank's cycle is a no-op). Rebuilt on decode.
+    /// idle (an idle bank's cycle is a no-op).
     busy: ActiveSet,
 }
 
@@ -441,6 +424,18 @@ impl Fabric {
         }
     }
 
+    /// Checks every copy's wait-table bookkeeping (see
+    /// [`OmegaNetwork::check_wait_table`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violation.
+    pub fn check_wait_tables(&self) {
+        for net in &self.nets {
+            net.check_wait_table();
+        }
+    }
+
     /// Heap bytes the copies, the banks and the in-flight map own.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
@@ -459,80 +454,6 @@ impl Fabric {
     /// Bank `mm`, for fault hooks and untimed reads and writes.
     pub fn bank_mut(&mut self, mm: MmId) -> &mut MemBank {
         &mut self.banks[mm.0]
-    }
-
-    /// Serializes the copies, the round-robin cursors and failover count,
-    /// the banks and the copy map (empty where it is not kept), in order.
-    pub fn encode(&self, w: &mut WireWriter) {
-        w.usize(self.nets.len());
-        for net in &self.nets {
-            net.encode_state(w);
-        }
-        self.cursor.encode(w);
-        w.u64(self.failovers);
-        self.banks.encode(w);
-        match &self.copy_of {
-            Some(copy_of) => copy_of.encode(w),
-            None => w.usize(0),
-        }
-    }
-
-    /// Rebuilds a fabric from [`Fabric::encode`] bytes that must describe
-    /// `copies` copies of `net`.
-    ///
-    /// # Errors
-    ///
-    /// A [`StateDecodeError`] on malformed bytes (a cursor or in-flight
-    /// copy index out of range, or copy-map entries where the map is not
-    /// kept, included) or a copy count, geometry or bank count that
-    /// disagrees with `net`/`copies`.
-    pub fn decode(
-        r: &mut WireReader<'_>,
-        net: &NetConfig,
-        copies: usize,
-    ) -> Result<Self, StateDecodeError> {
-        let mismatch = |what| Err(StateDecodeError::ConfigMismatch(what));
-        if r.seq_len()? != copies {
-            return mismatch("network copy count");
-        }
-        let mut nets = Vec::with_capacity(copies);
-        for _ in 0..copies {
-            let copy = OmegaNetwork::decode_state(r)?;
-            if copy.cfg() != net {
-                return mismatch("network geometry");
-            }
-            nets.push(copy);
-        }
-        let cursor: Vec<usize> = Vec::decode(r)?;
-        if cursor.len() != net.pes || cursor.iter().any(|&c| c >= copies) {
-            return Err(WireError::Invalid("round-robin cursor out of range").into());
-        }
-        let failovers = r.u64()?;
-        let banks: Vec<MemBank> = Vec::decode(r)?;
-        if banks.len() != net.pes {
-            return mismatch("memory bank count");
-        }
-        let copy_of: IdMap<(MsgId, u32), usize> = IdMap::decode(r)?;
-        if copy_of.values().any(|&c| c >= copies) {
-            return Err(WireError::Invalid("in-flight copy index out of range").into());
-        }
-        // Kept exactly where `new` and `enable_dedup` would keep it.
-        let kept = copies > 1 || banks.iter().any(MemBank::dedup_enabled);
-        if !kept && !copy_of.is_empty() {
-            return Err(
-                WireError::Invalid("copy map on a single-copy fabric without dedup").into(),
-            );
-        }
-        let busy = ActiveSet::from_members(net.pes, (0..net.pes).filter(|&i| !banks[i].is_idle()));
-        Ok(Self {
-            nets,
-            cursor,
-            failovers,
-            events: NetworkEvents::default(),
-            banks,
-            copy_of: kept.then_some(copy_of),
-            busy,
-        })
     }
 }
 
@@ -556,12 +477,6 @@ mod tests {
         let dups = fabric.serve_banks(now);
         fabric.advance(now, deliveries, |m| panic!("unexpected drop of {m:?}"));
         dups
-    }
-
-    fn encoded(fabric: &Fabric) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        fabric.encode(&mut w);
-        w.into_bytes()
     }
 
     #[test]
@@ -629,15 +544,6 @@ mod tests {
         }
         step(&mut fabric, 0, &mut deliveries);
         assert!(fabric.copy_of.is_none() && fabric.requests_in_flight() > 0);
-        // An untracked fabric writes an empty map, and refuses to decode
-        // one that is not.
-        let bytes = encoded(&fabric);
-        let twin = Fabric::decode(&mut WireReader::new(&bytes), &cfg, 1).expect("decode");
-        assert!(twin.copy_of.is_none());
-        let mut tracked = fabric.clone();
-        tracked.copy_of = Some([((MsgId(1), 0), 0)].into_iter().collect());
-        let bytes = encoded(&tracked);
-        assert!(Fabric::decode(&mut WireReader::new(&bytes), &cfg, 1).is_err());
         for now in 1..40 {
             assert_eq!(step(&mut fabric, now, &mut deliveries), 0);
         }
@@ -698,37 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn encoding_round_trips_mid_traffic() {
-        let plan = FaultPlan::none().slow_mm(MmId(3), 3);
-        let mut fabric = Fabric::new(NetConfig::small(8), 2, 2, &plan);
-        fabric.enable_dedup();
-        let mut deliveries = Vec::new();
-        let mut id = 0;
-        for now in 0..12 {
-            for pe in 0..8 {
-                id += 1;
-                let _ = fabric.offer(load(id, pe, (pe * 3 + now as usize) % 8, now), now);
-            }
-            step(&mut fabric, now, &mut deliveries);
-        }
-        assert!(!fabric.is_idle() && fabric.copy_map_len() > 0);
-        let first = encoded(&fabric);
-        let mut r = WireReader::new(&first);
-        let twin = Fabric::decode(&mut r, &NetConfig::small(8), 2).expect("decode");
-        assert!(r.is_empty());
-        assert_eq!(encoded(&twin), first);
-        assert_eq!(
-            twin.busy.iter().collect::<Vec<_>>(),
-            fabric.busy.iter().collect::<Vec<_>>()
-        );
-        let mut r = WireReader::new(&first);
-        assert_eq!(
-            Fabric::decode(&mut r, &NetConfig::small(8), 1).unwrap_err(),
-            StateDecodeError::ConfigMismatch("network copy count")
-        );
-    }
-
-    #[test]
     fn replicated_round_robins_and_keeps_ids_disjoint() {
         let mut fabric = Fabric::new(NetConfig::small(8), 2, 2, &FaultPlan::none());
         assert!(matches!(fabric.offer(load(1, 0, 1, 0), 0), Offer::Injected));
@@ -776,53 +651,5 @@ mod tests {
             2,
             "all traffic completes through the survivor"
         );
-    }
-
-    #[test]
-    fn replicated_state_round_trips_through_wire() {
-        // Sixteen fetch-and-adds on one word, three cycles in: queues,
-        // egress links and wait buffers of both copies hold traffic. The
-        // decoded twin re-encodes byte-identically and behaves identically.
-        let cfg = NetConfig::small(16);
-        let mut fabric = Fabric::new(cfg, 2, 2, &FaultPlan::none());
-        for pe in 0..16 {
-            let addr = MemAddr::new(MmId(6), 0);
-            let msg = Message::request(
-                MsgId(1 + pe as u64),
-                MsgKind::fetch_add(),
-                addr,
-                1,
-                PeId(pe),
-                0,
-            );
-            let _ = fabric.offer(msg, 0);
-        }
-        let (mut deliveries, mut twin_deliveries) = (Vec::new(), Vec::new());
-        for now in 0..3 {
-            step(&mut fabric, now, &mut deliveries);
-        }
-        let bytes = encoded(&fabric);
-        let mut r = WireReader::new(&bytes);
-        let mut twin = Fabric::decode(&mut r, &cfg, 2).expect("decode");
-        assert!(r.is_empty(), "decode consumed every byte");
-        assert_eq!(encoded(&twin), bytes, "re-encode is byte-identical");
-        for now in 3..60 {
-            step(&mut fabric, now, &mut deliveries);
-            step(&mut twin, now, &mut twin_deliveries);
-        }
-        assert_eq!(deliveries.len(), 16);
-        assert_eq!(twin_deliveries, deliveries);
-        let stats = |f: &Fabric| format!("{:?}", f.net_stats());
-        assert_eq!(stats(&twin), stats(&fabric));
-    }
-
-    #[test]
-    fn corrupt_network_snapshot_is_an_error_not_a_panic() {
-        let cfg = NetConfig::small(8);
-        let bytes = encoded(&Fabric::new(cfg, 1, 1, &FaultPlan::none()));
-        // Truncation at every prefix length must error cleanly.
-        for cut in 0..bytes.len() {
-            assert!(Fabric::decode(&mut WireReader::new(&bytes[..cut]), &cfg, 1).is_err());
-        }
     }
 }

@@ -51,5 +51,5 @@ pub mod fabric;
 pub mod hash;
 
 pub use bank::{MemBank, MemStats};
-pub use fabric::{Fabric, Offer, StateDecodeError};
+pub use fabric::{Fabric, Offer};
 pub use hash::{AddressHasher, TranslationMode};

@@ -29,7 +29,6 @@
 //! its own request demands.
 
 use crate::message::{Message, MsgId, MsgKind, PhiOp, Reply, ReplyKind};
-use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{Cycle, MemAddr, PeId, Value};
 
 /// How to manufacture the absorbed request's reply from the survivor's
@@ -45,33 +44,6 @@ pub enum ReplyRule {
     Const(Value),
     /// The absorbed request receives a dataless acknowledgement.
     Ack,
-}
-
-impl Wire for ReplyRule {
-    fn encode(&self, w: &mut WireWriter) {
-        match *self {
-            Self::PassThrough => w.u8(0),
-            Self::Phi(op, delta) => {
-                w.u8(1);
-                op.encode(w);
-                w.i64(delta);
-            }
-            Self::Const(v) => {
-                w.u8(2);
-                w.i64(v);
-            }
-            Self::Ack => w.u8(3),
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => Self::PassThrough,
-            1 => Self::Phi(PhiOp::decode(r)?, r.i64()?),
-            2 => Self::Const(r.i64()?),
-            3 => Self::Ack,
-            _ => return Err(WireError::Invalid("reply-rule tag")),
-        })
-    }
 }
 
 /// A wait-buffer record: everything needed to answer the absorbed request
@@ -93,29 +65,6 @@ pub struct WaitEntry {
     pub absorbed_reply_kind: ReplyKind,
     /// Value-manufacturing rule.
     pub rule: ReplyRule,
-}
-
-impl Wire for WaitEntry {
-    fn encode(&self, w: &mut WireWriter) {
-        self.survivor.encode(w);
-        self.absorbed_id.encode(w);
-        self.absorbed_pe.encode(w);
-        self.addr.encode(w);
-        w.u64(self.absorbed_issued_at);
-        self.absorbed_reply_kind.encode(w);
-        self.rule.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            survivor: MsgId::decode(r)?,
-            absorbed_id: MsgId::decode(r)?,
-            absorbed_pe: PeId::decode(r)?,
-            addr: MemAddr::decode(r)?,
-            absorbed_issued_at: r.u64()?,
-            absorbed_reply_kind: ReplyKind::decode(r)?,
-            rule: ReplyRule::decode(r)?,
-        })
-    }
 }
 
 impl WaitEntry {

@@ -32,7 +32,6 @@ use ultra_faults::FaultMask;
 use ultra_obs::HeatmapSnapshot;
 use ultra_sim::active::Walk;
 use ultra_sim::heap::vec_bytes;
-use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{ActiveSet, Cycle};
 
 /// Everything that emerged from the network during one cycle.
@@ -225,7 +224,8 @@ impl OmegaNetwork {
 
     /// Test and microbench hook: forces how the per-cycle sweeps iterate
     /// switches (the dense scan is the parity reference for the sparse
-    /// walk). Not part of a snapshot — a restored network sweeps sparsely.
+    /// walk). Not part of a machine snapshot: a restored machine sweeps
+    /// sparsely.
     #[doc(hidden)]
     pub fn set_sweep_mode(&mut self, mode: SweepMode) {
         self.sweep = mode;
@@ -446,6 +446,16 @@ impl OmegaNetwork {
             && self.active_rev.iter().all(ActiveSet::is_empty)
     }
 
+    /// Checks the wait table's bookkeeping (see
+    /// [`Switches::check_wait_table`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violation.
+    pub fn check_wait_table(&self) {
+        self.switches.check_wait_table();
+    }
+
     /// Checks the occupancy-bookkeeping invariant: each direction's active
     /// set contains exactly the switches whose queues hold traffic in that
     /// direction. Returns the first discrepancy as an error string.
@@ -474,80 +484,6 @@ impl OmegaNetwork {
             }
         }
         Ok(())
-    }
-
-    /// Serializes the network's full dynamic state (switch queues, wait
-    /// buffers, link timing, in-flight egress, statistics, fault mask).
-    /// Routing tables and active sets are not written: they are re-derived
-    /// from the config and from queue occupancy on decode.
-    pub fn encode_state(&self, w: &mut WireWriter) {
-        self.cfg.encode(w);
-        self.switches.encode_state(w);
-        self.pe_link_free.encode(w);
-        self.mm_link_free.encode(w);
-        w.usize(self.fwd_egress.len());
-        for &(tail_arrival, handle) in &self.fwd_egress {
-            w.u64(tail_arrival);
-            self.switches.requests().get(handle).item().encode(w);
-        }
-        w.usize(self.rev_egress.len());
-        for &(tail_arrival, handle) in &self.rev_egress {
-            w.u64(tail_arrival);
-            self.switches.replies().get(handle).item().encode(w);
-        }
-        self.pending_drops.encode(w);
-        w.u64(self.next_id);
-        self.stats.encode(w);
-        self.mask.encode(w);
-    }
-
-    /// Rebuilds a network from [`OmegaNetwork::encode_state`] bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the bytes are truncated, malformed, or
-    /// internally inconsistent (e.g. a stage count disagreeing with the
-    /// embedded configuration).
-    pub fn decode_state(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let cfg = NetConfig::decode(r)?;
-        cfg.check()?;
-        let mut net = OmegaNetwork::new(cfg);
-        net.switches = Switches::decode_state(r, &net.cfg)?;
-        let n_stages = net.routes.stages();
-        // Re-derive active-set membership from queue occupancy.
-        for s in 0..n_stages {
-            for i in 0..net.routes.switches_per_stage() {
-                if net.switches.has_forward_traffic(s, i) {
-                    net.active_fwd[s].insert(i);
-                }
-                if net.switches.has_reverse_traffic(s, i) {
-                    net.active_rev[s].insert(i);
-                }
-            }
-        }
-        net.pe_link_free = Vec::decode(r)?;
-        net.mm_link_free = Vec::decode(r)?;
-        if net.pe_link_free.len() != net.cfg.pes || net.mm_link_free.len() != net.cfg.pes {
-            return Err(WireError::Invalid("link-timing vector length mismatch"));
-        }
-        for _ in 0..r.seq_len()? {
-            let tail_arrival = r.u64()?;
-            let handle = net.switches.admit_request(Message::decode(r)?);
-            net.fwd_egress.push((tail_arrival, handle));
-        }
-        for _ in 0..r.seq_len()? {
-            let tail_arrival = r.u64()?;
-            let handle = net.switches.admit_reply(Reply::decode(r)?);
-            net.rev_egress.push((tail_arrival, handle));
-        }
-        net.pending_drops = Vec::decode(r)?;
-        net.next_id = r.u64()?;
-        net.stats = NetStats::decode(r)?;
-        if net.stats.combines_by_stage.len() != n_stages {
-            return Err(WireError::Invalid("per-stage counter length mismatch"));
-        }
-        net.mask = FaultMask::decode(r)?;
-        Ok(net)
     }
 
     /// Forward sweep, MM side first so freed space propagates upstream
@@ -1015,18 +951,6 @@ mod tests {
         assert!(lost > 0, "p = 0.5 must lose some of 20");
         assert!(delivered > 0, "p = 0.5 must deliver some of 20");
         assert_eq!((delivered, lost), run(7), "same seed, same losses");
-    }
-
-    #[test]
-    fn corrupt_network_snapshot_is_an_error_not_a_panic() {
-        let mut w = WireWriter::new();
-        OmegaNetwork::new(NetConfig::small(8)).encode_state(&mut w);
-        let bytes = w.into_bytes();
-        // Truncation at every prefix length must error cleanly.
-        for cut in 0..bytes.len() {
-            let mut r = WireReader::new(&bytes[..cut]);
-            assert!(OmegaNetwork::decode_state(&mut r).is_err());
-        }
     }
 
     #[test]

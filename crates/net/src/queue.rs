@@ -288,17 +288,9 @@ impl OutQueue {
             self.can_accept(slot.packets, capacity_packets),
             "queue overflow: caller must check"
         );
+        debug_assert!(slot.item.is_some(), "only live slots are queued");
         slot.head_arrival = head_arrival;
         slot.combined_here = false;
-        self.link(slab, handle);
-    }
-
-    /// Appends slot `handle` to the chain and accounts its packets, with
-    /// no capacity check (snapshot decode restores queues a combine has
-    /// transiently over-filled).
-    pub(crate) fn link<T>(&mut self, slab: &mut Slab<T>, handle: Handle) {
-        let slot = slab.get_mut(handle);
-        debug_assert!(slot.item.is_some(), "only live slots are queued");
         slot.next = NIL;
         self.packets_used += u32::from(slot.packets);
         self.max_packets_used = self.max_packets_used.max(self.packets_used);
@@ -399,12 +391,6 @@ impl OutQueue {
     #[must_use]
     pub fn link_free_at(&self) -> Cycle {
         self.link_free_at
-    }
-
-    /// Restores the two fields a snapshot carries beside the chain.
-    pub(crate) fn restore_timing(&mut self, max_packets_used: u32, link_free_at: Cycle) {
-        self.max_packets_used = max_packets_used;
-        self.link_free_at = link_free_at;
     }
 }
 

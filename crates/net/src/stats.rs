@@ -1,6 +1,5 @@
 //! Network instrumentation.
 
-use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{Counter, Histogram};
 
 /// Counters and distributions accumulated by one network instance.
@@ -43,45 +42,6 @@ pub struct NetStats {
     pub fault_refusals: Counter,
     /// Wait-buffer slots permanently lost to stuck-entry faults.
     pub stuck_wait_entries: Counter,
-}
-
-impl Wire for NetStats {
-    fn encode(&self, w: &mut WireWriter) {
-        self.injected_requests.encode(w);
-        self.delivered_requests.encode(w);
-        self.injected_replies.encode(w);
-        self.delivered_replies.encode(w);
-        self.combines.encode(w);
-        self.combines_by_stage.encode(w);
-        self.decombines.encode(w);
-        self.wait_buffer_declines.encode(w);
-        self.drops.encode(w);
-        self.inject_stalls.encode(w);
-        self.forward_transit.encode(w);
-        self.reverse_transit.encode(w);
-        self.fault_dropped.encode(w);
-        self.fault_refusals.encode(w);
-        self.stuck_wait_entries.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            injected_requests: Counter::decode(r)?,
-            delivered_requests: Counter::decode(r)?,
-            injected_replies: Counter::decode(r)?,
-            delivered_replies: Counter::decode(r)?,
-            combines: Counter::decode(r)?,
-            combines_by_stage: Vec::decode(r)?,
-            decombines: Counter::decode(r)?,
-            wait_buffer_declines: Counter::decode(r)?,
-            drops: Counter::decode(r)?,
-            inject_stalls: Counter::decode(r)?,
-            forward_transit: Histogram::decode(r)?,
-            reverse_transit: Histogram::decode(r)?,
-            fault_dropped: Counter::decode(r)?,
-            fault_refusals: Counter::decode(r)?,
-            stuck_wait_entries: Counter::decode(r)?,
-        })
-    }
 }
 
 impl NetStats {

@@ -38,7 +38,6 @@ use crate::queue::{Handle, OutQueue, Slab};
 use crate::route::{RouteTables, Topology};
 use crate::stats::NetStats;
 use ultra_sim::heap::{map_bytes, vec_bytes};
-use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{Cycle, IdMap};
 
 /// What became of a request offered to a switch.
@@ -170,6 +169,24 @@ impl Switches {
     #[must_use]
     pub fn total_wait_occupancy(&self) -> usize {
         self.wait.len()
+    }
+
+    /// Checks the wait table's bookkeeping: the per-switch counts sum to
+    /// the entries in the table, and no switch holds more entries than
+    /// its `wait_entries`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violation.
+    pub fn check_wait_table(&self) {
+        let counted: usize = self.wait_len.iter().map(|&n| n as usize).sum();
+        assert_eq!(counted, self.wait.len(), "wait table: Σ wait_len");
+        if let Some(cell) = (self.wait_len.iter()).position(|&n| n as usize > self.wait_capacity) {
+            panic!(
+                "wait table: switch cell {cell} holds {} of {} entries",
+                self.wait_len[cell], self.wait_capacity
+            );
+        }
     }
 
     /// Whether any ToMM (forward) output queue of the switch holds a
@@ -581,103 +598,6 @@ impl Switches {
             );
         }
     }
-
-    /// Serializes the dynamic state of switch `(stage, switch)` — queues
-    /// walked head first, wait buffer sorted by survivor id, combine count
-    /// — in the layout every snapshot since format 1 has used. Static
-    /// parameters (policy, packet lengths) are not written; they are
-    /// re-derived from the [`NetConfig`] on decode. `wait` is this cell's
-    /// entries, sorted (see [`Switches::encode_state`]).
-    fn encode_switch(
-        &self,
-        stage: usize,
-        switch: usize,
-        wait: &[(&(u32, MsgId), &WaitEntry)],
-        w: &mut WireWriter,
-    ) {
-        let cell = self.cell(stage, switch);
-        let base = cell * self.k;
-        w.usize(stage);
-        w.usize(switch);
-        encode_queues(
-            &self.to_mm[base..base + self.k],
-            &self.requests,
-            self.request_capacity,
-            w,
-        );
-        encode_queues(
-            &self.to_pe[base..base + self.k],
-            &self.replies,
-            self.reply_capacity,
-            w,
-        );
-        w.usize(wait.len());
-        for ((_, survivor), entry) in wait {
-            survivor.encode(w);
-            entry.encode(w);
-        }
-        w.u64(self.combines[cell]);
-    }
-
-    /// Serializes every switch, stage by stage: `stages`, then per stage
-    /// its width and each switch's state.
-    pub fn encode_state(&self, w: &mut WireWriter) {
-        // One sort groups the network-wide wait table by cell, each
-        // cell's entries ascending by survivor — the order the per-switch
-        // maps of format 1 were written in.
-        let mut wait: Vec<(&(u32, MsgId), &WaitEntry)> = self.wait.iter().collect();
-        wait.sort_unstable_by_key(|(key, _)| **key);
-        let mut rest = wait.as_slice();
-        w.usize(self.stages);
-        for stage in 0..self.stages {
-            w.usize(self.width);
-            for switch in 0..self.width {
-                let held = self.wait_len[self.cell(stage, switch)] as usize;
-                let (mine, others) = rest.split_at(held);
-                rest = others;
-                self.encode_switch(stage, switch, mine, w);
-            }
-        }
-    }
-
-    /// Rebuilds the switches from [`Switches::encode_state`] bytes plus
-    /// the network configuration they were created under.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the bytes are truncated, malformed, or
-    /// disagree with `cfg`'s geometry.
-    pub fn decode_state(r: &mut WireReader<'_>, cfg: &NetConfig) -> Result<Self, WireError> {
-        let mut this = Switches::new(cfg);
-        if r.seq_len()? != this.stages {
-            return Err(WireError::Invalid("stage count mismatch"));
-        }
-        for stage in 0..this.stages {
-            if r.seq_len()? != this.width {
-                return Err(WireError::Invalid("stage width mismatch"));
-            }
-            for switch in 0..this.width {
-                if r.usize()? != stage || r.usize()? != switch {
-                    return Err(WireError::Invalid("switch out of position"));
-                }
-                let cell = this.cell(stage, switch);
-                let base = cell * this.k;
-                let (k, cap) = (this.k, this.request_capacity);
-                decode_queues(r, &mut this.to_mm[base..base + k], &mut this.requests, cap)?;
-                let cap = this.reply_capacity;
-                decode_queues(r, &mut this.to_pe[base..base + k], &mut this.replies, cap)?;
-                for _ in 0..r.seq_len()? {
-                    let survivor = MsgId::decode(r)?;
-                    let entry = WaitEntry::decode(r)?;
-                    if this.wait.insert((cell as u32, survivor), entry).is_none() {
-                        this.wait_len[cell] += 1;
-                    }
-                }
-                this.combines[cell] = r.u64()?;
-            }
-        }
-        Ok(this)
-    }
 }
 
 fn high_water(queues: &[OutQueue]) -> usize {
@@ -686,68 +606,6 @@ fn high_water(queues: &[OutQueue]) -> usize {
         .map(OutQueue::max_packets_used)
         .max()
         .unwrap_or(0)
-}
-
-/// Writes one switch side's `k` queues: per queue the slots head first
-/// (message, head arrival, combined flag, packet length), then the
-/// occupancy high-water mark, the capacity and the link timing.
-fn encode_queues<T: Wire>(
-    queues: &[OutQueue],
-    slab: &Slab<T>,
-    capacity: usize,
-    w: &mut WireWriter,
-) {
-    w.usize(queues.len());
-    for q in queues {
-        w.usize(q.len(slab));
-        for (_, slot) in q.iter(slab) {
-            slot.item().encode(w);
-            w.u64(slot.head_arrival);
-            w.bool(slot.combined_here);
-            w.u8(slot.packets);
-        }
-        w.usize(q.max_packets_used());
-        w.usize(capacity);
-        w.u64(q.link_free_at());
-    }
-}
-
-/// Reads what [`encode_queues`] wrote into `queues`, re-homing every
-/// message in `slab`.
-fn decode_queues<T: Wire>(
-    r: &mut WireReader<'_>,
-    queues: &mut [OutQueue],
-    slab: &mut Slab<T>,
-    capacity: usize,
-) -> Result<(), WireError> {
-    if r.seq_len()? != queues.len() {
-        return Err(WireError::Invalid("switch port count mismatch"));
-    }
-    for q in queues {
-        let len = r.seq_len()?;
-        // Occupancy is a `u32`; a length that could overflow it is corrupt
-        // input, not a queue.
-        if len > (u32::MAX / 255) as usize {
-            return Err(WireError::Invalid("queue length out of range"));
-        }
-        for _ in 0..len {
-            let item = T::decode(r)?;
-            let head_arrival = r.u64()?;
-            let combined_here = r.bool()?;
-            let handle = slab.insert(item, r.u8()?);
-            let slot = slab.get_mut(handle);
-            slot.head_arrival = head_arrival;
-            slot.combined_here = combined_here;
-            q.link(slab, handle);
-        }
-        let max_packets_used = u32::try_from(r.usize()?)
-            .map_err(|_| WireError::Invalid("queue high-water mark out of range"))?;
-        if r.usize()? != capacity {
-            return Err(WireError::Invalid("queue capacity disagrees with config"));
-        }
-        q.restore_timing(max_packets_used, r.u64()?);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1081,36 +939,5 @@ mod tests {
         let mut other = req(3, 4, 3, MsgKind::fetch_add(), 9);
         other.addr.offset = 99;
         assert!(!sw.can_accept_request(0, sw0, &other, &t));
-    }
-
-    #[test]
-    fn switch_state_round_trips_through_wire() {
-        // Queued, combined and wait-buffer state in two switches; the
-        // decoded twin must re-encode to the same bytes (handles may be
-        // renumbered, chains may not be reordered).
-        let t = topo();
-        let c = cfg();
-        let mut stats = NetStats::new(t.stages());
-        let mut sw = Switches::new(&c);
-        for (id, pe, mm) in [(1, 0, 3), (2, 4, 3), (3, 1, 6), (4, 5, 2), (5, 0, 3)] {
-            into_stage0(
-                &mut sw,
-                &t,
-                req(id, pe, mm, MsgKind::fetch_add(), id as i64),
-                &mut stats,
-            );
-        }
-        assert!(sw.poison_wait_entry(1, 2, &mut stats));
-        let mut w = WireWriter::new();
-        sw.encode_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
-        let twin = Switches::decode_state(&mut r, &c).expect("decode");
-        assert!(r.is_empty());
-        assert_eq!(twin.requests().live(), sw.requests().live());
-        assert_eq!(twin.total_wait_occupancy(), sw.total_wait_occupancy());
-        let mut w2 = WireWriter::new();
-        twin.encode_state(&mut w2);
-        assert_eq!(bytes, w2.into_bytes());
     }
 }

@@ -32,7 +32,6 @@ use ultra_faults::RetryPolicy;
 use ultra_mem::AddressHasher;
 use ultra_net::message::{Message, MsgId, MsgKind, Reply};
 use ultra_sim::heap::{map_bytes, vec_bytes};
-use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{Counter, Cycle, IdMap, MemAddr, PeId, Value};
 
 /// Why the PNI refused to issue a request.
@@ -121,46 +120,6 @@ pub struct PniStats {
     pub retries: Counter,
 }
 
-impl Wire for PendingRequest {
-    fn encode(&self, w: &mut WireWriter) {
-        self.kind.encode(w);
-        self.vaddr.encode(w);
-        self.addr.encode(w);
-        w.i64(self.value);
-        w.u32(self.attempt);
-        w.u64(self.deadline);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            kind: MsgKind::decode(r)?,
-            vaddr: Option::decode(r)?,
-            addr: MemAddr::decode(r)?,
-            value: r.i64()?,
-            attempt: r.u32()?,
-            deadline: r.u64()?,
-        })
-    }
-}
-
-impl Wire for PniStats {
-    fn encode(&self, w: &mut WireWriter) {
-        self.issued.encode(w);
-        self.completed.encode(w);
-        self.location_conflicts.encode(w);
-        w.usize(self.max_outstanding);
-        self.retries.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            issued: Counter::decode(r)?,
-            completed: Counter::decode(r)?,
-            location_conflicts: Counter::decode(r)?,
-            max_outstanding: r.usize()?,
-            retries: Counter::decode(r)?,
-        })
-    }
-}
-
 impl Pni {
     /// Creates the interface for `pe`. Request ids are drawn from a
     /// PE-disjoint space so that ids are unique machine-wide.
@@ -195,47 +154,6 @@ impl Pni {
     /// Enables the timeout/retry recovery protocol.
     pub fn enable_retry(&mut self, policy: RetryPolicy) {
         self.retry = Some(policy);
-    }
-
-    /// Serializes the interface's dynamic state. The translation function
-    /// is not written — the machine rebuilds it from its own config and
-    /// passes it back to [`Pni::decode_state`].
-    pub fn encode_state(&self, w: &mut WireWriter) {
-        self.pe.encode(w);
-        // `by_location` is the exact inverse of `inflight`; only one side
-        // is written.
-        self.inflight.encode(w);
-        w.u64(self.next_id);
-        self.stats.encode(w);
-        self.retry.encode(w);
-        self.pending.encode(w);
-    }
-
-    /// Rebuilds the interface from [`Pni::encode_state`] bytes plus the
-    /// translation function in effect at snapshot time.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the bytes are truncated or malformed.
-    pub fn decode_state(r: &mut WireReader<'_>, hasher: AddressHasher) -> Result<Self, WireError> {
-        let pe = PeId::decode(r)?;
-        let inflight: IdMap<MsgId, MemAddr> = IdMap::decode(r)?;
-        let by_location: IdMap<MemAddr, MsgId> =
-            inflight.iter().map(|(&id, &addr)| (addr, id)).collect();
-        if by_location.len() != inflight.len() {
-            return Err(WireError::Invalid("duplicate outstanding location"));
-        }
-        Ok(Self {
-            pe,
-            hasher,
-            by_location,
-            inflight,
-            next_id: r.u64()?,
-            stats: PniStats::decode(r)?,
-            retry: Option::decode(r)?,
-            pending: IdMap::decode(r)?,
-            due_scratch: Vec::new(),
-        })
     }
 
     /// Replaces the translation function — the machine calls this on every
@@ -563,38 +481,6 @@ mod tests {
         let m = p.issue(MsgKind::Load, 1, 0, 0).unwrap();
         assert_eq!(m.folded, None, "no folded-id list");
         assert!(due(&mut p, u64::MAX - 1).is_empty());
-    }
-
-    #[test]
-    fn pni_state_round_trips_through_wire() {
-        let mut p = pni();
-        p.enable_retry(RetryPolicy {
-            base_timeout: 10,
-            backoff_cap: 3,
-        });
-        let _ = p.issue(MsgKind::fetch_add(), 7, 1, 0).unwrap();
-        let _ = p.issue(MsgKind::Load, 9, 0, 0).unwrap();
-        let _ = due(&mut p, 10); // leave a retry attempt in flight
-        let mut w = WireWriter::new();
-        p.encode_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
-        let hasher = AddressHasher::new(8, TranslationMode::Interleaved);
-        let mut twin = Pni::decode_state(&mut r, hasher).expect("decode");
-        assert!(r.is_empty());
-        assert_eq!(twin.outstanding(), p.outstanding());
-        assert_eq!(twin.next_retry_deadline(), p.next_retry_deadline());
-        // Future retries and id allocation continue identically.
-        assert_eq!(due(&mut p, 1_000), due(&mut twin, 1_000));
-        let ma = p.issue(MsgKind::Load, 100, 0, 0).unwrap();
-        let mb = twin.issue(MsgKind::Load, 100, 0, 0).unwrap();
-        assert_eq!(ma.id, mb.id);
-        // Truncated bytes error cleanly at every cut.
-        for cut in 0..bytes.len() {
-            let mut r = WireReader::new(&bytes[..cut]);
-            let h = AddressHasher::new(8, TranslationMode::Interleaved);
-            assert!(Pni::decode_state(&mut r, h).is_err());
-        }
     }
 
     #[test]

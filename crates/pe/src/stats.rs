@@ -5,7 +5,6 @@
 //! references per instruction, and shared references per instruction. All
 //! of those derive from the counters kept here.
 
-use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{Counter, Cycle, Histogram};
 
 /// Counters for one PE's run.
@@ -31,46 +30,7 @@ pub struct PeStats {
     pub barrier_wait_cycles: Counter,
 }
 
-impl Wire for PeStats {
-    fn encode(&self, w: &mut WireWriter) {
-        self.encode_alive_for(self.total_cycles, 0, 0, w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            instructions: Counter::decode(r)?,
-            idle_cycles: Counter::decode(r)?,
-            private_refs: Counter::decode(r)?,
-            shared_refs: Counter::decode(r)?,
-            cm_loads: Counter::decode(r)?,
-            cm_access: Histogram::decode(r)?,
-            total_cycles: r.u64()?,
-            barrier_wait_cycles: Counter::decode(r)?,
-        })
-    }
-}
-
 impl PeStats {
-    /// [`Wire::encode`] with the machine's lazily kept fields stamped in
-    /// as they are written: `total_cycles` in place of the stored field
-    /// (every context has been alive since cycle 0), and the `idle` /
-    /// `barrier_wait` cycles a parked PE has sat out added to theirs.
-    pub fn encode_alive_for(
-        &self,
-        total_cycles: Cycle,
-        idle: u64,
-        barrier_wait: u64,
-        w: &mut WireWriter,
-    ) {
-        self.instructions.encode(w);
-        w.u64(self.idle_cycles.get() + idle);
-        self.private_refs.encode(w);
-        self.shared_refs.encode(w);
-        self.cm_loads.encode(w);
-        self.cm_access.encode(w);
-        w.u64(total_cycles);
-        w.u64(self.barrier_wait_cycles.get() + barrier_wait);
-    }
-
     /// Creates zeroed counters.
     #[must_use]
     pub fn new() -> Self {

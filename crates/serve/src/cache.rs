@@ -5,12 +5,13 @@
 //! run. Each executing job deposits its checkpoints here keyed by
 //! [`crate::spec::JobSpec::prefix_key`]; a later job with the same key
 //! takes the latest checkpoint at or below its own cycle target and
-//! simulates only the suffix. The server stores restored machine images
-//! ([`crate::image::Image`]: a resume is a fork, never a decode); the
-//! cache itself is generic over what a checkpoint is, and defaults to
-//! `ULTRASNP` frames. Either way a checkpoint resumes bit-identically to
-//! having run the prefix, so cached resumes change wall-clock only, never
-//! results.
+//! simulates only the suffix. The server stores machine images
+//! ([`crate::image::Image`]: a resume is a fork, never a restore); the
+//! cache itself is generic over what a checkpoint is, and its default,
+//! `Vec<u8>`, holds `ULTRASNP` frames, which hold a machine's recipe
+//! and replay it on restore. Either way a checkpoint resumes
+//! bit-identically to having run the prefix, so cached resumes change
+//! wall-clock only, never results.
 //!
 //! The cache is bounded: all keys share one byte budget
 //! ([`CACHE_BUDGET_BYTES`]), each entry costs its [`Footprint`], and the

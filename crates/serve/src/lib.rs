@@ -17,10 +17,10 @@
 //!   end the machine itself — and a later job whose
 //!   [`spec::JobSpec::prefix_key`] matches forks the latest checkpoint at
 //!   or below its own cycle target instead of re-simulating the shared
-//!   prefix. A fork is what a snapshot round trip returns (the core
-//!   crate's tests hold it to the `ULTRASNP` codec byte for byte), so a
-//!   resume is bit-identical; no snapshot is encoded or decoded anywhere
-//!   in the service. The cache holds at most
+//!   prefix. A fork copies every field of the machine (the core crate's
+//!   tests hold it, and a snapshot's replay, to the donor running on),
+//!   so a resume is bit-identical; no snapshot is written or restored
+//!   anywhere in the service. The cache holds at most
 //!   [`cache::CACHE_BUDGET_BYTES`] of images, least recently used out
 //!   first, and an evicted image is freed by the worker that built it;
 //! * the **workload registry** ([`spec::Workload`]): deterministic
@@ -51,7 +51,9 @@ pub mod protocol;
 pub mod queue;
 pub mod spec;
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
@@ -449,13 +451,44 @@ impl Server {
         (outcome, leftover)
     }
 
+    /// The outcome of a job whose execution panicked: one `error`
+    /// result line and a flight-recorder event. The job's cancel flag
+    /// was dropped in the unwind; its registry entry goes with it unless
+    /// another running job shares the id.
+    fn panicked(&self, spec: &JobSpec, payload: &(dyn Any + Send)) -> JobOutcome {
+        let message = (payload.downcast_ref::<String>().map(String::as_str))
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("a non-text panic");
+        let message = format!("job panicked: {message}");
+        if let Some(obs) = &self.obs {
+            obs.job_done(spec.workload.name(), JobStatus::Error);
+            obs.log(FlightLevel::Error, &spec.id, "panic", &message);
+        }
+        let mut cancels = self.cancels.lock().expect("cancel registry poisoned");
+        if cancels
+            .get(&spec.id)
+            .is_some_and(|flag| Arc::strong_count(flag) == 1)
+        {
+            cancels.remove(&spec.id);
+        }
+        drop(cancels);
+        JobOutcome {
+            id: spec.id.clone(),
+            status: JobStatus::Error,
+            line: error_line(&spec.id, &message),
+            log: vec![message],
+        }
+    }
+
     /// One worker's life, shared by batch and listen mode: pop a
     /// submission, run it, hand the outcome to whoever waits for it,
     /// and only then free machines — the job's own if the cache did not
     /// take it, and the images this worker built that were evicted since
     /// ([`image::free_returned`]). Teardown of a large machine is a
     /// measurable share of a short job and must not sit in front of the
-    /// reply. Returns once `queue` is closed and drained.
+    /// reply. A job that panics answers with an `error` line, and the
+    /// worker goes on to the next. Returns once `queue` is closed and
+    /// drained.
     pub(crate) fn work(&self, worker: usize, queue: &JobQueue<Submission>) {
         let mut idle_since = Instant::now();
         while let Some(sub) = queue.pop() {
@@ -467,7 +500,9 @@ impl Server {
                 worker,
                 enqueued_at: Some(sub.enqueued_at),
             };
-            let (outcome, leftover) = self.execute(&sub.spec, ctx);
+            let run = panic::catch_unwind(AssertUnwindSafe(|| self.execute(&sub.spec, ctx)));
+            let (outcome, leftover) =
+                run.unwrap_or_else(|payload| (self.panicked(&sub.spec, payload.as_ref()), None));
             // A receiver that is gone (a disconnected client) just
             // drops its results.
             let _ = sub.reply.send(outcome);

@@ -542,3 +542,57 @@ fn over_bound_job_lines_are_rejected_and_their_neighbours_complete() {
         assert_eq!(field(by_id[id], "status"), "completed", "{}", by_id[id]);
     }
 }
+
+/// A job that panics mid-execution costs only itself: one `error` line,
+/// a flight-recorder event, and the worker goes on. `pes = 3` passes no
+/// validation here — the spec is built in code — so the machine builder
+/// panics on it.
+#[test]
+fn a_panicking_job_is_one_error_line_and_the_worker_goes_on() {
+    let job = |id: &str, pes: usize| {
+        let mut spec = JobSpec::new(id);
+        spec.pes = pes;
+        spec.workload = Workload::Ticket;
+        spec.rounds = 4;
+        spec
+    };
+    let specs = vec![job("before", 8), job("broken", 3), job("after", 16)];
+    let server = Arc::new(Server::with_obs(ObsOptions {
+        log_level: FlightLevel::Error,
+        ..ObsOptions::default()
+    }));
+    // One worker: the jobs after the panic run on the worker it hit. A
+    // worker that died with its job would leave the others queued
+    // forever, so the results are awaited with a deadline.
+    let (tx, rx) = mpsc::channel();
+    let batch = (Arc::clone(&server), specs.clone());
+    thread::spawn(move || {
+        let (server, specs) = batch;
+        server.run_batch(specs, 1, 4, |out| {
+            let _ = tx.send(out);
+        })
+    });
+    let mut lines = HashMap::new();
+    for _ in 0..3 {
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a result line for every job");
+        lines.insert(out.id.clone(), (out.status, out.line));
+    }
+    assert_eq!(lines.len(), 3, "three result lines");
+    let (status, line) = &lines["broken"];
+    assert_eq!(*status, JobStatus::Error);
+    assert_eq!(field(line, "status"), "error");
+    assert!(field(line, "error").starts_with("job panicked: "), "{line}");
+    for spec in [&specs[0], &specs[2]] {
+        let solo = Server::new().run_job(spec);
+        assert_eq!(lines[&spec.id], (JobStatus::Completed, solo.line));
+    }
+    let events = server.obs().expect("obs on").dump_flight();
+    assert!(
+        events
+            .iter()
+            .any(|e| e.contains("\"broken\"") && e.contains("panic")),
+        "{events:?}"
+    );
+}

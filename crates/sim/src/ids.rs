@@ -40,15 +40,6 @@ impl From<usize> for PeId {
     }
 }
 
-impl Wire for PeId {
-    fn encode(&self, w: &mut WireWriter) {
-        w.usize(self.0);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self(r.usize()?))
-    }
-}
-
 impl Wire for MmId {
     fn encode(&self, w: &mut WireWriter) {
         w.usize(self.0);
@@ -91,19 +82,6 @@ impl MemAddr {
     #[must_use]
     pub fn new(mm: MmId, offset: usize) -> Self {
         Self { mm, offset }
-    }
-}
-
-impl Wire for MemAddr {
-    fn encode(&self, w: &mut WireWriter) {
-        self.mm.encode(w);
-        w.usize(self.offset);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            mm: MmId::decode(r)?,
-            offset: r.usize()?,
-        })
     }
 }
 

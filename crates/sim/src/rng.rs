@@ -10,8 +10,6 @@
 
 use core::ops::Range;
 
-use crate::wire::{Wire, WireError, WireReader, WireWriter};
-
 /// A deterministic source of pseudo-random numbers.
 ///
 /// All simulator components draw randomness through this trait so that the
@@ -111,15 +109,6 @@ impl SplitMix64 {
     }
 }
 
-impl Wire for SplitMix64 {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.state);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self { state: r.u64()? })
-    }
-}
-
 impl Rng for SplitMix64 {
     fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -207,18 +196,6 @@ mod tests {
         let mut rng = SplitMix64::new(8);
         let hits = (0..100_000).filter(|_| rng.chance(0.25)).count();
         assert!((23_000..27_000).contains(&hits), "hits = {hits}");
-    }
-
-    #[test]
-    fn generators_round_trip_through_wire() {
-        let mut sm = SplitMix64::new(3);
-        let _ = sm.next_u64(); // advance off the seed
-        let mut w = WireWriter::new();
-        sm.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
-        let mut sm2 = SplitMix64::decode(&mut r).unwrap();
-        assert_eq!(sm.next_u64(), sm2.next_u64());
     }
 
     #[test]

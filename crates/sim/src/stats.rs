@@ -7,7 +7,6 @@
 use core::fmt;
 
 use crate::heap::vec_bytes;
-use crate::wire::{Wire, WireError, WireReader, WireWriter};
 
 /// A simple event counter.
 ///
@@ -51,15 +50,6 @@ impl Counter {
 impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.0.fmt(f)
-    }
-}
-
-impl Wire for Counter {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.0);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self(r.u64()?))
     }
 }
 
@@ -272,46 +262,9 @@ impl Histogram {
     }
 }
 
-impl Wire for Histogram {
-    fn encode(&self, w: &mut WireWriter) {
-        self.linear.encode(w);
-        self.log.encode(w);
-        w.u64(self.count);
-        w.u128(self.sum);
-        w.u64(self.max);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            linear: Vec::decode(r)?,
-            log: Vec::decode(r)?,
-            count: r.u64()?,
-            sum: r.u128()?,
-            max: r.u64()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_round_trip_through_wire() {
-        let mut c = Counter::new();
-        c.add(7);
-        let mut h = Histogram::new();
-        for v in [1, 4, 4, 300, 70_000] {
-            h.record(v);
-        }
-        let mut w = WireWriter::new();
-        c.encode(&mut w);
-        h.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
-        assert_eq!(Counter::decode(&mut r).unwrap(), c);
-        assert_eq!(Histogram::decode(&mut r).unwrap(), h);
-        assert!(r.is_empty());
-    }
 
     #[test]
     fn counter_accumulates() {

@@ -12,8 +12,9 @@
 //! * `memory` — FNV-1a over the first 2048 shared words;
 //! * `snapshot` — FNV-1a of a mid-run [`Machine::snapshot`] with traffic in
 //!   the fabric, minus the crate-version header and the checksum trailer
-//!   (re-recorded for snapshot format v2), so the snapshot *bytes*
-//!   (queue walk order, wait-buffer encoding) are pinned too.
+//!   (re-recorded for snapshot format v3, whose frame holds the machine's
+//!   recipe, cycle and parity digest rather than its live state), so the
+//!   frame *bytes* are pinned too.
 //!
 //! A deliberate change to the modelled machine re-records them: run with
 //! `GOLDEN_PRINT=1 cargo test -p ultra-integration-tests --test
@@ -177,7 +178,7 @@ fn hot_spot_fetch_add() {
         cycles: 234,
         parity: 0xad53_bbc6_4098_48e7,
         memory: 0x0bf7_3301_b067_5cd0,
-        snapshot: 0xeb95_1d08_aa58_b094,
+        snapshot: 0x5377_a41a_70dd_529a,
     };
     check("hot_spot_fetch_add", &got, &want);
 }
@@ -189,7 +190,7 @@ fn hashed_load_store() {
         cycles: 228,
         parity: 0xf536_e60f_59e6_45c3,
         memory: 0x7826_3321_07a0_022e,
-        snapshot: 0xde6c_68da_c477_004a,
+        snapshot: 0x2619_16bb_0d47_d09b,
     };
     check("hashed_load_store", &got, &want);
 }
@@ -201,7 +202,7 @@ fn mixed_kinds_on_three_words() {
         cycles: 314,
         parity: 0x7073_5e9c_8f21_d3a2,
         memory: 0x5551_28f7_2926_ef4f,
-        snapshot: 0x1570_e6a9_52d3_76bd,
+        snapshot: 0x7460_f3c9_b4ce_5bd6,
     };
     check("mixed_kinds_on_three_words", &got, &want);
 }
@@ -218,7 +219,7 @@ fn lossy_links_with_retries() {
         cycles: 2195,
         parity: 0x13ee_a538_885f_0bf9,
         memory: 0xec0f_aa34_eed1_3785,
-        snapshot: 0x9ed7_0afc_d03a_d891,
+        snapshot: 0xd105_775d_a5bf_397d,
     };
     check("lossy_links_with_retries", &got, &want);
 }
@@ -231,7 +232,7 @@ fn four_by_four_switches() {
         cycles: 326,
         parity: 0x5b3e_adc3_a993_186b,
         memory: 0x41ff_2884_353c_eddc,
-        snapshot: 0x04a2_e0d8_7676_5e28,
+        snapshot: 0xd792_7a41_ebe6_bedf,
     };
     check("four_by_four_switches", &got, &want);
 }
@@ -244,7 +245,7 @@ fn two_network_copies() {
         cycles: 247,
         parity: 0x3674_93ad_0979_7148,
         memory: 0x5b13_91eb_319e_c084,
-        snapshot: 0xe9d2_f932_fd16_350b,
+        snapshot: 0x30fe_ec04_f4ba_ab75,
     };
     check("two_network_copies", &got, &want);
 }
@@ -258,7 +259,7 @@ fn drop_on_conflict_policy() {
         cycles: 250,
         parity: 0x7671_1598_ae35_9949,
         memory: 0x5244_b84a_3bd1_aa05,
-        snapshot: 0xe78f_9fb4_0827_578b,
+        snapshot: 0x46e7_6a49_6ff9_347a,
     };
     check("drop_on_conflict_policy", &got, &want);
 }
@@ -277,7 +278,7 @@ fn tight_queues_and_wait_buffers() {
         cycles: 297,
         parity: 0x9e16_4845_0391_f484,
         memory: 0xc7ff_3383_c994_39f9,
-        snapshot: 0x10f2_4c32_49d9_25f4,
+        snapshot: 0x23c6_a7ff_bb58_92a3,
     };
     check("tight_queues_and_wait_buffers", &got, &want);
 }
