@@ -204,8 +204,11 @@ impl Machine {
     /// ends (O(N): never per cycle): the ready sets (`runnable ⊆ live`,
     /// and every live non-member is marked parked and re-proves it), a
     /// copy map no larger than the requests in flight (an entry leaves
-    /// wherever its request is lost), and each network copy's wait table
-    /// (its per-switch counts sum to its size, none over `wait_entries`).
+    /// wherever its request is lost), each network copy's wait table (its
+    /// per-switch counts sum to its size, none over `wait_entries`), and
+    /// each copy's request conservation (`injected_requests =
+    /// delivered_requests + combines + drops + slab-live`, see
+    /// `OmegaNetwork::check_invariants`).
     pub(crate) fn debug_check_invariants(&self) {
         if !cfg!(debug_assertions) {
             return;
@@ -232,7 +235,7 @@ impl Machine {
                 entries <= in_flight,
                 "copy map: {entries} entries, {in_flight} in flight"
             );
-            fabric.check_wait_tables();
+            fabric.check_networks();
         }
     }
 

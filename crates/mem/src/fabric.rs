@@ -424,15 +424,15 @@ impl Fabric {
         }
     }
 
-    /// Checks every copy's wait-table bookkeeping (see
-    /// [`OmegaNetwork::check_wait_table`]).
+    /// Checks every copy's bookkeeping: its wait table and its request
+    /// conservation (see [`OmegaNetwork::check_invariants`]).
     ///
     /// # Panics
     ///
     /// Panics on the first violation.
-    pub fn check_wait_tables(&self) {
+    pub fn check_networks(&self) {
         for net in &self.nets {
-            net.check_wait_table();
+            net.check_invariants();
         }
     }
 

@@ -25,7 +25,8 @@
 //! identity element is needed and the rules apply even to the
 //! non-commutative swap operator. Where the forwarded request must be the
 //! *other* one (e.g. Load+Store), the queued slot takes over the incoming
-//! request's identity; the reply kind seen by each PE is always the kind
+//! request's identity — and, in the switch, its routing register (the
+//! slab link's amalgam); the reply kind seen by each PE is always the kind
 //! its own request demands.
 
 use crate::message::{Message, MsgId, MsgKind, PhiOp, Reply, ReplyKind};
@@ -69,10 +70,10 @@ pub struct WaitEntry {
 
 impl WaitEntry {
     /// Manufactures the absorbed request's reply given the survivor's reply
-    /// value `y`. The reverse-trip `amalgam` must be supplied by the caller
-    /// (it depends on the stage at which the entry lives).
+    /// value `y`. Its reverse-trip amalgam is the switch's to derive (it
+    /// depends on the stage at which the entry lives).
     #[must_use]
-    pub fn make_reply(&self, y: Value, amalgam: usize) -> Reply {
+    pub fn make_reply(&self, y: Value) -> Reply {
         let value = match self.rule {
             ReplyRule::PassThrough => y,
             ReplyRule::Phi(op, delta) => op.apply(y, delta),
@@ -87,7 +88,6 @@ impl WaitEntry {
             kind: self.absorbed_reply_kind,
             request_issued_at: self.absorbed_issued_at,
             mm_injected_at: 0,
-            amalgam,
             // Only attempt-0 requests ever combine, so the absorbed
             // request's owed reply is always for its original issue.
             attempt: 0,
@@ -264,7 +264,6 @@ mod tests {
         let mut a = req(1, MsgKind::Load, 0, 0);
         let mut b = req(2, MsgKind::Load, 0, 1);
         b.addr = MemAddr::new(MmId(2), 8);
-        b.amalgam = a.amalgam;
         assert!(try_combine(&mut a, &b).is_none());
     }
 
@@ -276,7 +275,7 @@ mod tests {
         assert_eq!(q.kind, MsgKind::Load);
         assert_eq!(e.survivor, MsgId(1));
         assert_eq!(e.absorbed_id, MsgId(2));
-        let r = e.make_reply(42, 0);
+        let r = e.make_reply(42);
         assert_eq!(r.value, 42);
         assert_eq!(r.kind, ReplyKind::Value);
         assert_eq!(r.dst, PeId(1));
@@ -292,7 +291,7 @@ mod tests {
         assert_eq!(q.kind, MsgKind::fetch_add());
         assert_eq!(q.value, 14);
         assert_eq!(q.id, MsgId(1));
-        let r = e.make_reply(100, 0); // memory held X = 100
+        let r = e.make_reply(100); // memory held X = 100
         assert_eq!(r.value, 105, "absorbed F&A observes X + e");
         assert_eq!(r.id, MsgId(2));
     }
@@ -303,7 +302,7 @@ mod tests {
         let i = req(2, MsgKind::Store, 9, 1);
         let e = try_combine(&mut q, &i).unwrap();
         assert_eq!(q.value, 9, "paper: datum of R-old replaced by R-new's");
-        let r = e.make_reply(0, 0);
+        let r = e.make_reply(0);
         assert_eq!(r.kind, ReplyKind::Ack);
     }
 
@@ -313,7 +312,7 @@ mod tests {
         let i = req(2, MsgKind::Load, 0, 1);
         let e = try_combine(&mut q, &i).unwrap();
         assert_eq!(q.kind, MsgKind::Store);
-        let r = e.make_reply(0, 0);
+        let r = e.make_reply(0);
         assert_eq!(r.value, 77);
         assert_eq!(r.kind, ReplyKind::Value);
     }
@@ -327,7 +326,7 @@ mod tests {
         assert_eq!(q.id, MsgId(2), "slot takes the store's identity");
         assert_eq!(e.survivor, MsgId(2));
         assert_eq!(e.absorbed_id, MsgId(1));
-        let r = e.make_reply(0, 0);
+        let r = e.make_reply(0);
         assert_eq!(r.value, 55);
         assert_eq!(r.kind, ReplyKind::Value);
         assert_eq!(r.dst, PeId(0));
@@ -339,7 +338,7 @@ mod tests {
         let i = req(2, MsgKind::Load, 0, 1);
         let e = try_combine(&mut q, &i).unwrap();
         assert_eq!(q.value, 4, "forwarded operand unchanged (identity)");
-        let r = e.make_reply(10, 0);
+        let r = e.make_reply(10);
         assert_eq!(r.value, 14, "load observes X + e");
     }
 
@@ -351,7 +350,7 @@ mod tests {
         assert_eq!(q.kind, MsgKind::fetch_add(), "fetch must reach memory");
         assert_eq!(q.id, MsgId(2));
         assert_eq!(e.absorbed_id, MsgId(1));
-        let r = e.make_reply(10, 0);
+        let r = e.make_reply(10);
         assert_eq!(r.value, 10, "load serialized before the fetch sees X");
     }
 
@@ -364,7 +363,7 @@ mod tests {
         let e = try_combine(&mut q, &i).unwrap();
         assert_eq!(q.kind, MsgKind::Store);
         assert_eq!(q.value, 12);
-        let r = e.make_reply(0, 0);
+        let r = e.make_reply(0);
         assert_eq!(r.value, 7, "fetch-and-add observes f");
         assert_eq!(r.kind, ReplyKind::Value);
     }
@@ -378,7 +377,7 @@ mod tests {
         assert_eq!(q.id, MsgId(2));
         assert_eq!(q.value, 12, "memory must end at f + e");
         assert_eq!(e.absorbed_id, MsgId(1));
-        let r = e.make_reply(0, 0);
+        let r = e.make_reply(0);
         assert_eq!(r.value, 7, "fetch-and-add observes f");
     }
 
@@ -391,7 +390,7 @@ mod tests {
         let i = req(2, MsgKind::FetchPhi(PhiOp::Second), 9, 1);
         let e = try_combine(&mut q, &i).unwrap();
         assert_eq!(q.value, 9, "forwarded operand is φ(e,f) = f");
-        let r = e.make_reply(100, 0);
+        let r = e.make_reply(100);
         assert_eq!(r.value, 5, "second swap observes the first's datum");
     }
 
@@ -406,7 +405,7 @@ mod tests {
             MsgKind::FetchPhi(PhiOp::Second),
             MsgKind::Load
         ));
-        let r = e.make_reply(100, 0);
+        let r = e.make_reply(100);
         assert_eq!(r.value, 5);
     }
 
@@ -479,7 +478,7 @@ mod tests {
         let i = req(2, MsgKind::FetchPhi(PhiOp::Max), 9, 1);
         let e = try_combine(&mut q, &i).unwrap();
         assert_eq!(q.value, 9);
-        let r = e.make_reply(3, 0);
+        let r = e.make_reply(3);
         assert_eq!(r.value, 5, "second max observes max(X, e) = max(3,5)");
     }
 }

@@ -141,15 +141,13 @@ impl MsgKind {
 
 /// A memory request travelling from a PE toward an MM.
 ///
-/// `amalgam` is the §3.1.1 routing register: it enters the network holding
-/// the destination MM number; each stage consumes one destination digit to
-/// pick an output port and replaces it with the input-port digit, so that on
-/// arrival at the MM it holds the originating PE number. The simulator
-/// routes using `addr`/`src` directly and *checks* the amalgam against them
-/// (see `route::tests`), mirroring how the real hardware would get by with a
-/// single D-digit address.
+/// The §3.1.1 routing register — the origin/destination *amalgam* — is
+/// not part of the message: it is fabric state, a word of the slot's link
+/// record in the request slab ([`crate::queue::Link::amalgam`]). The
+/// fabric derives it from `addr` when the request enters and steps it at
+/// every switch, so a hop routes without reading the message at all.
 ///
-/// A fault-free message is a flat 72-byte value: the folded-id list that
+/// A fault-free message is a flat 64-byte value: the folded-id list that
 /// the retry protocol's dedup cache needs is off the message (`folded` is
 /// `None`) unless the issuing PNI runs that protocol ([`Message::tracked`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -166,8 +164,6 @@ pub struct Message {
     pub src: PeId,
     /// Cycle at which the PNI injected the request.
     pub issued_at: Cycle,
-    /// The origin/destination amalgam address (§3.1.1).
-    pub amalgam: usize,
     /// Retry attempt: 0 for the original issue, incremented by the PNI on
     /// each timeout re-issue (the id doubles as the sequence number).
     /// Retried messages are never combined — the original may still be
@@ -185,7 +181,7 @@ pub struct Message {
 
 impl Message {
     /// Builds a request about to enter the network, without a folded-id
-    /// list; the amalgam starts as the destination MM number.
+    /// list.
     #[must_use]
     pub fn request(
         id: MsgId,
@@ -202,7 +198,6 @@ impl Message {
             value,
             src,
             issued_at,
-            amalgam: addr.mm.0,
             attempt: 0,
             folded: None,
         }
@@ -223,7 +218,6 @@ impl Message {
     pub fn as_retry(mut self, attempt: u32, now: Cycle) -> Self {
         self.attempt = attempt;
         self.issued_at = now;
-        self.amalgam = self.addr.mm.0;
         self.tracked()
     }
 
@@ -257,7 +251,9 @@ pub enum ReplyKind {
     Ack,
 }
 
-/// A reply travelling from an MM back to a PE.
+/// A reply travelling from an MM back to a PE. Like a request's, its
+/// reverse-trip amalgam is a word of its link record in the reply slab,
+/// derived from `dst` when it enters the fabric.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reply {
     /// Id of the request being answered.
@@ -275,9 +271,6 @@ pub struct Reply {
     /// Cycle at which the MNI injected this reply into the reverse network
     /// (set by the network on injection; used for reverse-transit stats).
     pub mm_injected_at: Cycle,
-    /// The reverse-trip amalgam: starts as the destination PE number and is
-    /// consumed digit-by-digit on the way back (§3.1.1).
-    pub amalgam: usize,
     /// Which attempt of the request this reply answers (copied from the
     /// request; lets the PNI/machine pair replies with retried issues).
     pub attempt: u32,
@@ -299,7 +292,6 @@ impl Reply {
             },
             request_issued_at: req.issued_at,
             mm_injected_at: 0,
-            amalgam: req.src.0,
             attempt: req.attempt,
         }
     }
@@ -400,8 +392,8 @@ mod tests {
 
     #[test]
     fn messages_stay_small() {
-        assert!(std::mem::size_of::<Message>() <= 72);
-        assert!(std::mem::size_of::<Reply>() <= 72);
+        assert_eq!(std::mem::size_of::<Message>(), 64);
+        assert_eq!(std::mem::size_of::<Reply>(), 64);
     }
 
     #[test]
@@ -417,12 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn request_amalgam_starts_as_destination() {
-        let m = msg(MsgKind::Load);
-        assert_eq!(m.amalgam, 3);
-    }
-
-    #[test]
     fn reply_inherits_request_identity() {
         let m = msg(MsgKind::fetch_add());
         let r = Reply::to_request(&m, 100);
@@ -431,6 +417,5 @@ mod tests {
         assert_eq!(r.addr, m.addr);
         assert_eq!(r.value, 100);
         assert_eq!(r.request_issued_at, 5);
-        assert_eq!(r.amalgam, m.src.0);
     }
 }

@@ -316,7 +316,7 @@ impl OmegaNetwork {
     /// caller should retry next cycle.
     // Returning the refused message by value is the point of the API: the
     // caller keeps ownership without a clone, and a fault-free `Message` is
-    // a flat 72-byte value (its folded-id list is `None`) that the hot
+    // a flat 64-byte value (its folded-id list is `None`) that the hot
     // path memcpys rather than boxes.
     pub fn try_inject_request(&mut self, msg: Message, now: Cycle) -> Result<Injected, Message> {
         if self.fault_refuses(&msg) {
@@ -329,7 +329,7 @@ impl OmegaNetwork {
             return Err(msg);
         }
         let (sw, in_port) = self.routes.pe_entry(pe);
-        if !self.switches.can_accept_request(0, sw, &msg, &self.routes) {
+        if !self.switches.can_admit_request(sw, &msg, &self.routes) {
             self.stats.inject_stalls.incr();
             return Err(msg);
         }
@@ -377,17 +377,14 @@ impl OmegaNetwork {
         }
         let last = self.routes.stages() - 1;
         let (sw, in_port) = self.routes.reverse_entry(mm);
-        if !self
-            .switches
-            .can_accept_reply(last, sw, &reply, &self.routes)
-        {
+        if !self.switches.can_admit_reply(sw, &reply, &self.routes) {
             return Err(reply);
         }
         reply.mm_injected_at = now;
         let len = reply.packets(self.cfg.data_packets, self.cfg.ctl_packets);
         self.mm_link_free[mm.0] = now + Cycle::from(len);
         self.stats.injected_replies.incr();
-        let handle = self.switches.admit_reply(reply);
+        let handle = self.switches.admit_reply(reply, last, &self.routes);
         self.switches.accept_reply(
             last,
             sw,
@@ -413,13 +410,23 @@ impl OmegaNetwork {
         // Drain tails that completed arrival at the fabric edge.
         let (stats, switches) = (&mut self.stats, &mut self.switches);
         extract_ready(&mut self.fwd_egress, now, |handle| {
+            let amalgam = switches.requests().link(handle).amalgam;
             let m = switches.release_request(handle);
+            debug_assert_eq!(
+                amalgam, m.src.0,
+                "amalgam has become the origin PE number (§3.1.1)"
+            );
             stats.delivered_requests.incr();
             stats.forward_transit.record(now - m.issued_at);
             events.requests_at_mm.push(m);
         });
         extract_ready(&mut self.rev_egress, now, |handle| {
+            let amalgam = switches.replies().link(handle).amalgam;
             let r = switches.release_reply(handle);
+            debug_assert_eq!(
+                amalgam, r.addr.mm.0,
+                "reverse amalgam has become the MM number (§3.1.1)"
+            );
             stats.delivered_replies.incr();
             stats.reverse_transit.record(now - r.mm_injected_at);
             events.replies_at_pe.push(r);
@@ -446,14 +453,40 @@ impl OmegaNetwork {
             && self.active_rev.iter().all(ActiveSet::is_empty)
     }
 
-    /// Checks the wait table's bookkeeping (see
-    /// [`Switches::check_wait_table`]).
+    /// Checks this copy's bookkeeping: the wait table (see
+    /// [`Switches::check_wait_table`]) and request conservation. Every
+    /// request the copy took in is, by its counters, delivered to its MM,
+    /// absorbed by a combine, killed by a drop (a kill not yet handed back
+    /// by [`OmegaNetwork::cycle_into`] is still counted) or live in the
+    /// request slab:
+    ///
+    /// `injected_requests = delivered_requests + combines + drops + live`,
+    ///
+    /// with the pending drops a part of `drops`. A request a lossy link
+    /// swallows was never injected (it counts in `fault_dropped`).
     ///
     /// # Panics
     ///
     /// Panics on the first violation.
-    pub fn check_wait_table(&self) {
+    pub fn check_invariants(&self) {
         self.switches.check_wait_table();
+        let s = &self.stats;
+        let live = self.switches.requests().live() as u64;
+        let accounted = s.delivered_requests.get() + s.combines.get() + s.drops.get() + live;
+        assert_eq!(
+            s.injected_requests.get(),
+            accounted,
+            "request conservation: injected = delivered {} + combined {} + dropped {} + live {live}",
+            s.delivered_requests.get(),
+            s.combines.get(),
+            s.drops.get(),
+        );
+        assert!(
+            self.pending_drops.len() as u64 <= s.drops.get(),
+            "request conservation: {} pending drops, {} counted",
+            self.pending_drops.len(),
+            s.drops.get()
+        );
     }
 
     /// Checks the occupancy-bookkeeping invariant: each direction's active
@@ -558,21 +591,14 @@ impl OmegaNetwork {
                 continue;
             };
             match self.routes.forward_next(s, sw_idx, port) {
-                ForwardHop::ToMm(mm) => {
+                ForwardHop::ToMm(_) => {
                     let handle = self.switches.transmit_request(s, sw_idx, port, now);
-                    let sent = self.switches.requests().get(handle).item();
-                    debug_assert_eq!(sent.addr.mm, mm, "last-stage egress reaches its MM");
-                    debug_assert_eq!(
-                        sent.amalgam, sent.src.0,
-                        "amalgam has become the origin PE number (§3.1.1)"
-                    );
                     self.fwd_egress.push((now + Cycle::from(len), handle));
                 }
                 ForwardHop::ToSwitch(next_sw, next_port) => {
-                    let msg = self.switches.requests().get(head).item();
                     if !self
                         .switches
-                        .can_accept_request(s + 1, next_sw, msg, &self.routes)
+                        .can_accept_request(s + 1, next_sw, head, &self.routes)
                     {
                         continue; // backpressure: try again next cycle
                     }
@@ -610,21 +636,14 @@ impl OmegaNetwork {
                 continue;
             };
             match self.routes.reverse_next(s, sw_idx, port) {
-                ReverseHop::ToPe(pe) => {
+                ReverseHop::ToPe(_) => {
                     let handle = self.switches.transmit_reply(s, sw_idx, port, now);
-                    let sent = self.switches.replies().get(handle).item();
-                    debug_assert_eq!(sent.dst, pe, "stage-0 egress reaches the right PE");
-                    debug_assert_eq!(
-                        sent.amalgam, sent.addr.mm.0,
-                        "reverse amalgam has become the MM number (§3.1.1)"
-                    );
                     self.rev_egress.push((now + Cycle::from(len), handle));
                 }
                 ReverseHop::ToSwitch(prev_sw, prev_port) => {
-                    let reply = self.switches.replies().get(head).item();
                     if !self
                         .switches
-                        .can_accept_reply(s - 1, prev_sw, reply, &self.routes)
+                        .can_accept_reply(s - 1, prev_sw, head, &self.routes)
                     {
                         continue;
                     }
@@ -951,6 +970,48 @@ mod tests {
         assert!(lost > 0, "p = 0.5 must lose some of 20");
         assert!(delivered > 0, "p = 0.5 must deliver some of 20");
         assert_eq!((delivered, lost), run(7), "same seed, same losses");
+    }
+
+    #[test]
+    fn request_conservation_holds_every_cycle_under_every_policy() {
+        for policy in [
+            SwitchPolicy::QueuedCombining,
+            SwitchPolicy::QueuedNoCombine,
+            SwitchPolicy::DropOnConflict,
+        ] {
+            let mut cfg = NetConfig::small(16);
+            cfg.policy = policy;
+            cfg.request_queue_packets = 4;
+            let mut net = OmegaNetwork::new(cfg);
+            let mut events = NetworkEvents::default();
+            for now in 0..120 {
+                for pe in (0..16).filter(|pe| (pe + now as usize) % 3 == 0) {
+                    let id = net.next_msg_id();
+                    let msg = Message::request(
+                        id,
+                        MsgKind::fetch_add(),
+                        MemAddr::new(MmId(pe % 2), 0),
+                        1,
+                        PeId(pe),
+                        now,
+                    );
+                    let _ = net.try_inject_request(msg, now);
+                    net.check_invariants();
+                }
+                net.cycle_into(now, &mut events);
+                net.check_invariants();
+                for req in events.requests_at_mm.drain(..) {
+                    let _ = net.try_inject_reply(Reply::to_request(&req, 0), now);
+                }
+            }
+            let s = net.stats();
+            assert!(s.delivered_requests.get() > 0, "{policy:?}");
+            match policy {
+                SwitchPolicy::QueuedCombining => assert!(s.combines.get() > 0),
+                SwitchPolicy::DropOnConflict => assert!(s.drops.get() > 0),
+                SwitchPolicy::QueuedNoCombine => {}
+            }
+        }
     }
 
     #[test]

@@ -22,67 +22,64 @@
 //! in-flight message sits once in a per-network [`Slab`] and is named by a
 //! `u32` [`Handle`]; an [`OutQueue`] is a 24-byte record — head and tail
 //! handles, packet occupancy, link timing — and the messages queued on it
-//! are chained through the `next` handle inside their [`Slot`]. Moving a
+//! are chained through the `next` handle of their [`Link`]. Moving a
 //! message from one switch to the next unlinks a handle here and links it
-//! there; the body never moves. The generic parameter lets one slab type
-//! serve requests ([`crate::message::Message`]) and replies
+//! there; the body never moves.
+//!
+//! The slab is two columns indexed by the same handle. The **link
+//! column** holds, per slot, the 24 bytes a hop reads and writes: the
+//! chain, the head's arrival cycle, the packet length, the pair-only
+//! combine flag and the §3.1.1 routing register (the amalgam). The **body
+//! column** holds the messages themselves. Deciding whether a head may
+//! leave, whether the next switch has room for it, and moving it there
+//! touches only the link column; a body is read only to search a
+//! non-empty queue for a combining partner or to match a wait-buffer
+//! entry. The generic parameter lets one slab type serve requests
+//! ([`crate::message::Message`]) and replies
 //! ([`crate::message::Reply`]).
 
 use ultra_sim::heap::vec_bytes;
 use ultra_sim::Cycle;
 
-/// Names one [`Slot`] of a [`Slab`].
+/// Names one slot of a [`Slab`].
 pub type Handle = u32;
 
 /// The "no slot" handle: an empty queue's head, the last slot's `next`.
 pub const NIL: Handle = Handle::MAX;
 
-/// A message in the fabric plus its queue bookkeeping.
+/// The part of a slot a hop touches: its queue bookkeeping and the
+/// message's routing register.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Slot<T> {
-    /// The message; `None` only while the slot is on the free list.
-    item: Option<T>,
+pub struct Link {
     /// Cycle at which the message head finished arriving in its current
     /// queue; it may not be transmitted before this.
     pub head_arrival: Cycle,
+    /// The §3.1.1 origin/destination amalgam: it enters the network
+    /// holding the destination (an MM number on the forward trip, a PE
+    /// number on the reverse trip); each stage reads its output port from
+    /// one digit and overwrites that digit with the arrival port, so the
+    /// register holds the origin when the message leaves the fabric.
+    pub amalgam: usize,
     /// The slot behind this one in its queue (or on the free list).
     next: Handle,
-    /// Whether this slot has already taken part in a combine in this switch
-    /// (§3.3 pair-only restriction).
-    pub combined_here: bool,
     /// Current length in packets (can change when a combine mutates the
     /// message kind).
     pub packets: u8,
+    /// Whether this slot has already taken part in a combine in this switch
+    /// (§3.3 pair-only restriction).
+    pub combined_here: bool,
 }
 
-impl<T> Slot<T> {
-    /// The message held.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a freed slot — a stale handle, which is a fabric bug.
-    #[must_use]
-    pub fn item(&self) -> &T {
-        self.item.as_ref().expect("handle names a live slot")
-    }
-
-    /// Mutable access to the message held.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a freed slot.
-    pub fn item_mut(&mut self) -> &mut T {
-        self.item.as_mut().expect("handle names a live slot")
-    }
-}
-
-/// Every in-flight message of one kind, stored once.
+/// Every in-flight message of one kind, stored once, as a link column
+/// and a body column (see the module docs).
 ///
 /// Freed slots are chained into a free list and reused last-freed-first,
 /// so the slab's footprint is the high-water mark of messages in flight.
 #[derive(Debug, Clone)]
 pub struct Slab<T> {
-    slots: Vec<Slot<T>>,
+    links: Vec<Link>,
+    /// The messages; `None` only while the slot is on the free list.
+    bodies: Vec<Option<T>>,
     free: Handle,
     live: usize,
 }
@@ -90,7 +87,8 @@ pub struct Slab<T> {
 impl<T> Default for Slab<T> {
     fn default() -> Self {
         Self {
-            slots: Vec::new(),
+            links: Vec::new(),
+            bodies: Vec::new(),
             free: NIL,
             live: 0,
         }
@@ -104,39 +102,44 @@ impl<T> Slab<T> {
         Self::default()
     }
 
-    /// Heap bytes the slab owns: its high-water mark of slots.
+    /// Heap bytes the slab owns: its high-water mark of slots, both
+    /// columns.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.slots)
+        vec_bytes(&self.links) + vec_bytes(&self.bodies)
     }
 
-    /// Stores `item`, a message of `packets` packets, and names its slot.
-    /// The slot starts unlinked; [`OutQueue::push`] queues it.
+    /// Stores `item`, a message of `packets` packets whose routing
+    /// register starts at `amalgam`, and names its slot. The slot starts
+    /// unlinked; [`OutQueue::push`] queues it.
     ///
     /// # Panics
     ///
     /// Panics if the slab would exceed `u32::MAX - 1` slots.
-    pub fn insert(&mut self, item: T, packets: u8) -> Handle {
-        let slot = Slot {
-            item: Some(item),
+    pub fn insert(&mut self, item: T, packets: u8, amalgam: usize) -> Handle {
+        let link = Link {
             head_arrival: 0,
+            amalgam,
             next: NIL,
-            combined_here: false,
             packets,
+            combined_here: false,
         };
         self.live += 1;
         let handle = self.free;
         if handle == NIL {
-            let handle = Handle::try_from(self.slots.len())
+            let handle = Handle::try_from(self.links.len())
                 .ok()
                 .filter(|&h| h != NIL)
                 .expect("slab handles fit in u32");
-            self.slots.push(slot);
+            self.links.push(link);
+            self.bodies.push(Some(item));
             return handle;
         }
-        let freed = std::mem::replace(&mut self.slots[handle as usize], slot);
-        debug_assert!(freed.item.is_none(), "free list holds only freed slots");
-        self.free = freed.next;
+        let i = handle as usize;
+        debug_assert!(self.bodies[i].is_none(), "free list holds only freed slots");
+        self.free = self.links[i].next;
+        self.links[i] = link;
+        self.bodies[i] = Some(item);
         handle
     }
 
@@ -147,46 +150,61 @@ impl<T> Slab<T> {
     ///
     /// Panics if `handle` does not name a live slot.
     pub fn remove(&mut self, handle: Handle) -> T {
-        let slot = &mut self.slots[handle as usize];
-        let item = slot.item.take().expect("handle names a live slot");
-        slot.next = self.free;
+        let item = self.bodies[handle as usize]
+            .take()
+            .expect("handle names a live slot");
+        self.links[handle as usize].next = self.free;
         self.free = handle;
         self.live -= 1;
         item
     }
 
-    /// The live slot `handle` names.
+    /// The link record of slot `handle`.
     #[must_use]
-    pub fn get(&self, handle: Handle) -> &Slot<T> {
-        &self.slots[handle as usize]
+    pub fn link(&self, handle: Handle) -> &Link {
+        &self.links[handle as usize]
     }
 
-    /// Mutable access to the live slot `handle` names.
-    pub fn get_mut(&mut self, handle: Handle) -> &mut Slot<T> {
-        &mut self.slots[handle as usize]
+    /// Mutable access to the link record of slot `handle`.
+    pub fn link_mut(&mut self, handle: Handle) -> &mut Link {
+        &mut self.links[handle as usize]
     }
 
-    /// Two distinct slots at once — the combining step mutates the queued
+    /// The message slot `handle` holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a freed slot — a stale handle, which is a fabric bug.
+    #[must_use]
+    pub fn body(&self, handle: Handle) -> &T {
+        self.bodies[handle as usize]
+            .as_ref()
+            .expect("handle names a live slot")
+    }
+
+    /// Two distinct bodies at once — the combining step mutates the queued
     /// request while reading the incoming one.
     ///
     /// # Panics
     ///
-    /// Panics if `a == b`.
-    pub fn pair_mut(&mut self, a: Handle, b: Handle) -> (&mut Slot<T>, &mut Slot<T>) {
-        assert_ne!(a, b, "pair_mut needs two distinct slots");
+    /// Panics if `a == b` or either slot is free.
+    pub fn bodies_mut(&mut self, a: Handle, b: Handle) -> (&mut T, &T) {
+        assert_ne!(a, b, "bodies_mut needs two distinct slots");
         let (a, b) = (a as usize, b as usize);
-        if a < b {
-            let (lo, hi) = self.slots.split_at_mut(b);
-            (&mut lo[a], &mut hi[0])
+        let (a, b) = if a < b {
+            let (lo, hi) = self.bodies.split_at_mut(b);
+            (&mut lo[a], &hi[0])
         } else {
-            let (lo, hi) = self.slots.split_at_mut(a);
-            (&mut hi[0], &mut lo[b])
-        }
+            let (lo, hi) = self.bodies.split_at_mut(a);
+            (&mut hi[0], &lo[b])
+        };
+        let live = "handle names a live slot";
+        (a.as_mut().expect(live), b.as_ref().expect(live))
     }
 
     /// The messages stored, in slot order.
     pub fn items(&self) -> impl Iterator<Item = &T> {
-        self.slots.iter().filter_map(|slot| slot.item.as_ref())
+        self.bodies.iter().filter_map(Option::as_ref)
     }
 
     /// Messages currently stored.
@@ -205,7 +223,7 @@ impl<T> Slab<T> {
     /// [`Slab::live`].
     #[must_use]
     pub fn slots(&self) -> usize {
-        self.slots.len()
+        self.links.len()
     }
 }
 
@@ -214,7 +232,7 @@ impl<T> Slab<T> {
 /// which every operation that follows the chain takes as an argument; the
 /// capacity is the network's configuration, not the queue's state, and is
 /// passed where it is checked (`usize::MAX` models the analytic infinite
-/// queue).
+/// queue). Only the slab's link column is read or written here.
 ///
 /// # Example
 ///
@@ -223,7 +241,7 @@ impl<T> Slab<T> {
 ///
 /// let mut slab: Slab<&str> = Slab::new();
 /// let mut q = OutQueue::new();
-/// let hello = slab.insert("hello", 3);
+/// let hello = slab.insert("hello", 3, 0);
 /// q.push(&mut slab, hello, 5, 15);
 /// assert_eq!(q.packets_used(), 3);
 /// assert!(!q.ready_to_transmit(&slab, 4)); // head not fully usable before cycle 5
@@ -283,21 +301,20 @@ impl OutQueue {
         head_arrival: Cycle,
         capacity_packets: usize,
     ) {
-        let slot = slab.get_mut(handle);
+        let link = slab.link_mut(handle);
         assert!(
-            self.can_accept(slot.packets, capacity_packets),
+            self.can_accept(link.packets, capacity_packets),
             "queue overflow: caller must check"
         );
-        debug_assert!(slot.item.is_some(), "only live slots are queued");
-        slot.head_arrival = head_arrival;
-        slot.combined_here = false;
-        slot.next = NIL;
-        self.packets_used += u32::from(slot.packets);
+        link.head_arrival = head_arrival;
+        link.combined_here = false;
+        link.next = NIL;
+        self.packets_used += u32::from(link.packets);
         self.max_packets_used = self.max_packets_used.max(self.packets_used);
         if self.tail == NIL {
             self.head = handle;
         } else {
-            slab.get_mut(self.tail).next = handle;
+            slab.link_mut(self.tail).next = handle;
         }
         self.tail = handle;
     }
@@ -306,7 +323,7 @@ impl OutQueue {
     /// is non-empty, the link is idle, and the head has arrived.
     #[must_use]
     pub fn ready_to_transmit<T>(&self, slab: &Slab<T>, now: Cycle) -> bool {
-        now >= self.link_free_at && self.head != NIL && now >= slab.get(self.head).head_arrival
+        now >= self.link_free_at && self.head != NIL && now >= slab.link(self.head).head_arrival
     }
 
     /// Unlinks the head for transmission starting at `now`, marking the
@@ -319,14 +336,14 @@ impl OutQueue {
     pub fn pop_for_transmit<T>(&mut self, slab: &mut Slab<T>, now: Cycle) -> Handle {
         assert!(self.ready_to_transmit(slab, now), "transmit when not ready");
         let handle = self.head;
-        let slot = slab.get_mut(handle);
-        self.head = slot.next;
+        let link = slab.link_mut(handle);
+        self.head = link.next;
         if self.head == NIL {
             self.tail = NIL;
         }
-        slot.next = NIL;
-        self.packets_used -= u32::from(slot.packets);
-        self.link_free_at = now + Cycle::from(slot.packets);
+        link.next = NIL;
+        self.packets_used -= u32::from(link.packets);
+        self.link_free_at = now + Cycle::from(link.packets);
         handle
     }
 
@@ -344,22 +361,16 @@ impl OutQueue {
         self.head
     }
 
-    /// The slot at the head of the queue, if any.
-    #[must_use]
-    pub fn front<'a, T>(&self, slab: &'a Slab<T>) -> Option<&'a Slot<T>> {
-        (self.head != NIL).then(|| slab.get(self.head))
-    }
-
     /// Adjusts the recorded packet length of queued slot `handle` after a
     /// combine mutated its message kind (e.g. a Load slot adopting a
     /// Store's identity grows from one packet to three). Capacity may be
     /// transiently exceeded: the incoming message's packets had already
     /// been granted queue space.
     pub fn resize_slot<T>(&mut self, slab: &mut Slab<T>, handle: Handle, packets: u8) {
-        let slot = slab.get_mut(handle);
-        self.packets_used = self.packets_used - u32::from(slot.packets) + u32::from(packets);
+        let link = slab.link_mut(handle);
+        self.packets_used = self.packets_used - u32::from(link.packets) + u32::from(packets);
         self.max_packets_used = self.max_packets_used.max(self.packets_used);
-        slot.packets = packets;
+        link.packets = packets;
     }
 
     /// Number of queued messages (walks the chain).
@@ -394,8 +405,8 @@ impl OutQueue {
     }
 }
 
-/// Head-first walk over one queue's chain; yields each slot with its
-/// handle.
+/// Head-first walk over one queue's chain; yields each slot's handle with
+/// its link record.
 #[derive(Debug)]
 pub struct Iter<'a, T> {
     slab: &'a Slab<T>,
@@ -403,16 +414,16 @@ pub struct Iter<'a, T> {
 }
 
 impl<'a, T> Iterator for Iter<'a, T> {
-    type Item = (Handle, &'a Slot<T>);
+    type Item = (Handle, &'a Link);
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.at == NIL {
             return None;
         }
         let handle = self.at;
-        let slot = self.slab.get(handle);
-        self.at = slot.next;
-        Some((handle, slot))
+        let link = self.slab.link(handle);
+        self.at = link.next;
+        Some((handle, link))
     }
 }
 
@@ -438,14 +449,14 @@ mod tests {
         }
 
         fn push(&mut self, item: u32, packets: u8, head_arrival: Cycle) -> Handle {
-            let h = self.slab.insert(item, packets);
+            let h = self.slab.insert(item, packets, 0);
             self.q.push(&mut self.slab, h, head_arrival, self.capacity);
             h
         }
 
         fn pop(&mut self, now: Cycle) -> (u32, u8) {
             let h = self.q.pop_for_transmit(&mut self.slab, now);
-            let packets = self.slab.get(h).packets;
+            let packets = self.slab.link(h).packets;
             (self.slab.remove(h), packets)
         }
     }
@@ -521,17 +532,17 @@ mod tests {
     }
 
     #[test]
-    fn iter_mut_sees_all_entries() {
+    fn iter_walks_the_chain_head_first() {
         let mut f = Fixture::new(usize::MAX);
-        f.push(1, 1, 0);
-        f.push(2, 1, 0);
-        let handles: Vec<Handle> = f.q.iter(&f.slab).map(|(h, _)| h).collect();
-        assert_eq!(handles.len(), 2);
-        for h in handles {
-            *f.slab.get_mut(h).item_mut() *= 10;
-        }
-        assert_eq!(f.pop(0).0, 10);
-        assert_eq!(f.pop(1).0, 20);
+        let first = f.push(1, 1, 0);
+        let second = f.push(2, 3, 4);
+        let walked: Vec<(Handle, u8, Cycle)> = (f.q.iter(&f.slab))
+            .map(|(h, l)| (h, l.packets, l.head_arrival))
+            .collect();
+        assert_eq!(walked, [(first, 1, 0), (second, 3, 4)]);
+        assert_eq!(*f.slab.body(second), 2);
+        assert_eq!(f.pop(0).0, 1);
+        assert_eq!(f.pop(4).0, 2);
     }
 
     #[test]
@@ -545,12 +556,14 @@ mod tests {
     #[test]
     fn freed_handles_are_reused_last_freed_first() {
         let mut slab: Slab<u32> = Slab::new();
-        let a = slab.insert(1, 1);
-        let b = slab.insert(2, 1);
+        let a = slab.insert(1, 1, 0);
+        let b = slab.insert(2, 1, 0);
         assert_eq!(slab.remove(a), 1);
         assert_eq!(slab.remove(b), 2);
-        assert_eq!(slab.insert(3, 1), b);
-        assert_eq!(slab.insert(4, 1), a);
+        assert_eq!(slab.insert(3, 1, 5), b);
+        assert_eq!(slab.insert(4, 1, 6), a);
+        assert_eq!(slab.link(b).amalgam, 5, "a reused slot starts afresh");
+        assert!(!slab.link(b).combined_here);
         assert_eq!(slab.slots(), 2, "no growth while free slots exist");
         assert_eq!(slab.live(), 2);
     }
@@ -559,14 +572,31 @@ mod tests {
     fn a_hop_moves_the_handle_not_the_body() {
         let mut slab: Slab<u32> = Slab::new();
         let (mut up, mut down) = (OutQueue::new(), OutQueue::new());
-        let h = slab.insert(7, 3);
+        let h = slab.insert(7, 3, 9);
         up.push(&mut slab, h, 0, 15);
         let moved = up.pop_for_transmit(&mut slab, 0);
         down.push(&mut slab, moved, 1, 15);
         assert_eq!(moved, h);
         assert!(up.is_empty());
-        assert_eq!(down.front(&slab).map(|s| *s.item()), Some(7));
+        assert_eq!(down.head(), h);
+        assert_eq!(*slab.body(h), 7);
+        assert_eq!(slab.link(h).amalgam, 9, "the register rides in the link");
         assert_eq!(down.packets_used(), 3);
         assert_eq!(slab.live(), 1);
+    }
+
+    /// A hop reads one port record and one link record; a field added to
+    /// either, or to a message, must not silently push it across another
+    /// cache line.
+    #[test]
+    fn layout_keeps_a_hop_on_few_cache_lines() {
+        use crate::message::{Message, Reply};
+        use std::mem::size_of;
+        assert!(size_of::<Link>() <= 24, "link record {}", size_of::<Link>());
+        assert_eq!(size_of::<OutQueue>(), 24);
+        assert_eq!(size_of::<Message>(), 64);
+        assert_eq!(size_of::<Reply>(), 64);
+        assert_eq!(size_of::<Option<Message>>(), 64, "the body column's slot");
+        assert_eq!(size_of::<Option<Reply>>(), 64);
     }
 }

@@ -13,8 +13,10 @@
 //! consumed with the arrival-port digit, so the origin address materializes
 //! exactly when the destination digits run out. [`Topology::step_amalgam`]
 //! implements that register update, and the switches route by it
-//! ([`RouteTables::amalgam_out_port`]); debug builds assert that it agrees
-//! with the digit route of the full `src`/`addr` fields.
+//! ([`RouteTables::amalgam_out_port`]) from the slab's link records, where
+//! it lives; debug builds assert at the fabric edge that it has become the
+//! origin, and `crates/net/tests/fabric_storage.rs` checks it against the
+//! digit route of the full `src`/`addr` fields at every stage.
 
 use ultra_sim::heap::vec_bytes;
 use ultra_sim::ids::digits;

@@ -30,6 +30,13 @@
 //! `(switch cell, survivor id)`. An idle switch therefore costs `2k` port
 //! records and twelve bytes of counters — no heap of its own — and a sweep
 //! over a stage reads consecutive memory.
+//!
+//! A hop reads the port record and the 24-byte link record of the message
+//! it moves, never the message: the output port comes from the link's
+//! amalgam, which this module derives at admission and steps at each
+//! switch. A message body is read only to search a non-empty ToMM queue
+//! for a combining partner and to match the wait table at a switch that
+//! holds wait entries.
 
 use crate::combine::{kinds_combinable, retry_forbids, try_combine, WaitEntry};
 use crate::config::{NetConfig, SwitchPolicy};
@@ -277,16 +284,22 @@ impl Switches {
     }
 
     /// Stores `msg` in the request slab, unlinked — the fabric-edge step
-    /// before [`Switches::accept_request`] queues it.
+    /// before [`Switches::accept_request`] queues it in a stage-0 switch.
+    /// Its routing register starts as the destination MM number.
     pub fn admit_request(&mut self, msg: Message) -> Handle {
         let packets = self.packets_of(&msg);
-        self.requests.insert(msg, packets)
+        let amalgam = msg.addr.mm.0;
+        self.requests.insert(msg, packets, amalgam)
     }
 
-    /// Stores `reply` in the reply slab, unlinked.
-    pub fn admit_reply(&mut self, reply: Reply) -> Handle {
+    /// Stores `reply` in the reply slab, unlinked, about to enter a
+    /// switch of `stage`: its routing register starts as what the
+    /// stages behind it would have made of the destination PE number
+    /// (the number itself at the last stage, where MNIs inject).
+    pub fn admit_reply(&mut self, reply: Reply, stage: usize, topo: &RouteTables) -> Handle {
         let packets = self.reply_packets(&reply);
-        self.replies.insert(reply, packets)
+        let amalgam = topo.reverse_amalgam_at(reply.dst, reply.addr.mm, stage);
+        self.replies.insert(reply, packets, amalgam)
     }
 
     /// Takes a request that left its last queue out of the fabric.
@@ -311,7 +324,7 @@ impl Switches {
     ) -> Option<(Handle, u8)> {
         let q = &self.to_mm[self.cell(stage, switch) * self.k + port];
         q.ready_to_transmit(&self.requests, now)
-            .then(|| (q.head(), self.requests.get(q.head()).packets))
+            .then(|| (q.head(), self.requests.link(q.head()).packets))
     }
 
     /// Reverse-direction mirror of [`Switches::forward_head_ready`].
@@ -325,7 +338,7 @@ impl Switches {
     ) -> Option<(Handle, u8)> {
         let q = &self.to_pe[self.cell(stage, switch) * self.k + port];
         q.ready_to_transmit(&self.replies, now)
-            .then(|| (q.head(), self.replies.get(q.head()).packets))
+            .then(|| (q.head(), self.replies.link(q.head()).packets))
     }
 
     /// Unlinks the head of ToMM queue `(stage, switch, port)` for
@@ -363,34 +376,61 @@ impl Switches {
         self.to_pe[q].pop_for_transmit(&mut self.replies, now)
     }
 
-    /// Whether switch `(stage, switch)` can take `msg` right now (an
-    /// upstream switch or PNI calls this before transmitting). A request
-    /// that will combine is always acceptable: it consumes no queue space.
+    /// Whether stage-0 switch `switch` can take `msg`, a request not yet
+    /// admitted, right now — the PNI's check before injecting.
+    #[must_use]
+    pub fn can_admit_request(&self, switch: usize, msg: &Message, topo: &RouteTables) -> bool {
+        let port = topo.forward_out_port(msg.addr.mm, 0);
+        self.request_room(self.cell(0, switch), port, self.packets_of(msg), || msg)
+    }
+
+    /// Whether switch `(stage, switch)` can take the in-flight request
+    /// `handle` right now (an upstream switch calls this before
+    /// transmitting). Reads the request's link record; its body only if a
+    /// full target queue must be searched for a combining partner.
     #[must_use]
     pub fn can_accept_request(
         &self,
         stage: usize,
         switch: usize,
-        msg: &Message,
+        handle: Handle,
         topo: &RouteTables,
     ) -> bool {
-        let cell = self.cell(stage, switch);
-        let out_port = topo.amalgam_out_port(msg.amalgam, stage);
-        debug_assert_eq!(out_port, topo.forward_out_port(msg.addr.mm, stage));
-        let queue = &self.to_mm[cell * self.k + out_port];
+        let link = self.requests.link(handle);
+        let port = topo.amalgam_out_port(link.amalgam, stage);
+        self.request_room(self.cell(stage, switch), port, link.packets, || {
+            self.requests.body(handle)
+        })
+    }
+
+    /// Whether ToMM port `port` of cell `cell` has room for a request of
+    /// `packets` packets. A request that will combine is always
+    /// acceptable: it consumes no queue space. `incoming` yields the
+    /// request itself, asked for only when that search must run.
+    fn request_room<'a>(
+        &'a self,
+        cell: usize,
+        port: usize,
+        packets: u8,
+        incoming: impl FnOnce() -> &'a Message,
+    ) -> bool {
+        let queue = &self.to_mm[cell * self.k + port];
         match self.policy {
             // Drops are decided (and reported) inside `accept_request`.
             SwitchPolicy::DropOnConflict => true,
-            SwitchPolicy::QueuedNoCombine => {
-                queue.can_accept(self.packets_of(msg), self.request_capacity)
-            }
-            // `accept_request` offers `msg` to the first candidate only; a
-            // retry it declines must find queue space like any request.
+            SwitchPolicy::QueuedNoCombine => queue.can_accept(packets, self.request_capacity),
+            // `accept_request` offers the request to the first candidate
+            // only; a retry it declines must find queue space like any
+            // request.
             SwitchPolicy::QueuedCombining => {
-                queue.can_accept(self.packets_of(msg), self.request_capacity)
+                queue.can_accept(packets, self.request_capacity)
                     || ((self.wait_len[cell] as usize) < self.wait_capacity
-                        && (self.combine_candidate(queue, msg))
-                            .is_some_and(|h| !retry_forbids(self.requests.get(h).item(), msg)))
+                        && !queue.is_empty()
+                        && {
+                            let msg = incoming();
+                            (self.combine_candidate(queue, msg))
+                                .is_some_and(|h| !retry_forbids(self.requests.body(h), msg))
+                        })
             }
         }
     }
@@ -400,10 +440,11 @@ impl Switches {
     fn combine_candidate(&self, queue: &OutQueue, msg: &Message) -> Option<Handle> {
         queue
             .iter(&self.requests)
-            .find(|(_, s)| {
-                !s.combined_here
-                    && s.item().addr == msg.addr
-                    && kinds_combinable(s.item().kind, msg.kind)
+            .find(|&(handle, link)| {
+                let queued = self.requests.body(handle);
+                !link.combined_here
+                    && queued.addr == msg.addr
+                    && kinds_combinable(queued.kind, msg.kind)
             })
             .map(|(handle, _)| handle)
     }
@@ -432,14 +473,9 @@ impl Switches {
         stats: &mut NetStats,
     ) -> AcceptOutcome {
         let cell = self.cell(stage, switch);
-        let msg = self.requests.get_mut(handle).item_mut();
-        let (out_port, updated) = topo.step_amalgam(msg.amalgam, stage, in_port);
-        debug_assert_eq!(
-            out_port,
-            topo.forward_out_port(msg.addr.mm, stage),
-            "amalgam routing must agree with destination-digit routing"
-        );
-        msg.amalgam = updated;
+        let link = self.requests.link_mut(handle);
+        let (out_port, updated) = topo.step_amalgam(link.amalgam, stage, in_port);
+        link.amalgam = updated;
         let q = cell * self.k + out_port;
 
         if self.policy == SwitchPolicy::DropOnConflict {
@@ -453,21 +489,27 @@ impl Switches {
                 return AcceptOutcome::Queued;
             }
             stats.drops.incr();
-            // The retry re-enters the network from the PE: restore the
-            // amalgam to its injection-time state (the full destination).
-            let mut msg = self.requests.remove(handle);
-            msg.amalgam = msg.addr.mm.0;
-            return AcceptOutcome::Dropped(msg);
+            // The retry re-enters from the PE, where admission derives a
+            // fresh routing register.
+            return AcceptOutcome::Dropped(self.requests.remove(handle));
         }
 
-        if self.policy == SwitchPolicy::QueuedCombining {
-            let incoming = self.requests.get(handle).item();
+        if self.policy == SwitchPolicy::QueuedCombining && !self.to_mm[q].is_empty() {
+            let incoming = self.requests.body(handle);
             if let Some(candidate) = self.combine_candidate(&self.to_mm[q], incoming) {
                 if (self.wait_len[cell] as usize) < self.wait_capacity {
-                    let (slot, incoming) = self.requests.pair_mut(candidate, handle);
-                    if let Some(entry) = try_combine(slot.item_mut(), incoming.item()) {
-                        slot.combined_here = true;
-                        let new_packets = slot.item().packets(self.data_packets, self.ctl_packets);
+                    let (queued, incoming) = self.requests.bodies_mut(candidate, handle);
+                    let incoming_id = incoming.id;
+                    if let Some(entry) = try_combine(queued, incoming) {
+                        let new_packets = queued.packets(self.data_packets, self.ctl_packets);
+                        // A slot that took over the incoming request's
+                        // identity (Load+Store, Load+FΦ, FΦ+Store) now
+                        // routes as that request did.
+                        if entry.survivor == incoming_id {
+                            let amalgam = self.requests.link(handle).amalgam;
+                            self.requests.link_mut(candidate).amalgam = amalgam;
+                        }
+                        self.requests.link_mut(candidate).combined_here = true;
                         self.to_mm[q].resize_slot(&mut self.requests, candidate, new_packets);
                         self.requests.remove(handle);
                         let prior = self.wait.insert((cell as u32, entry.survivor), entry);
@@ -496,23 +538,63 @@ impl Switches {
         AcceptOutcome::Queued
     }
 
-    /// Whether switch `(stage, switch)` can take `reply` right now,
-    /// *including* space for any decombined reply its arrival would spawn.
+    /// Whether last-stage switch `switch` can take `reply`, not yet
+    /// admitted, right now — the MNI's check before injecting.
+    #[must_use]
+    pub fn can_admit_reply(&self, switch: usize, reply: &Reply, topo: &RouteTables) -> bool {
+        let stage = self.stages - 1;
+        let port = topo.reverse_out_port(reply.dst, stage);
+        let len = self.reply_packets(reply);
+        self.reply_room(self.cell(stage, switch), port, len, topo, stage, || {
+            reply.id
+        })
+    }
+
+    /// Whether switch `(stage, switch)` can take the in-flight reply
+    /// `handle` right now, *including* space for any decombined reply its
+    /// arrival would spawn. Reads the reply's body only at a switch that
+    /// holds wait entries.
     #[must_use]
     pub fn can_accept_reply(
         &self,
         stage: usize,
         switch: usize,
-        reply: &Reply,
+        handle: Handle,
         topo: &RouteTables,
     ) -> bool {
-        let cell = self.cell(stage, switch);
+        let link = self.replies.link(handle);
+        let port = topo.amalgam_out_port(link.amalgam, stage);
+        self.reply_room(
+            self.cell(stage, switch),
+            port,
+            link.packets,
+            topo,
+            stage,
+            || self.replies.body(handle).id,
+        )
+    }
+
+    /// Whether ToPE port `port` of cell `cell` has room for a reply of
+    /// `len` packets plus the reply its wait entry (if any) would spawn;
+    /// `id` yields the reply's id, asked for only if the cell holds wait
+    /// entries.
+    fn reply_room(
+        &self,
+        cell: usize,
+        port: usize,
+        len: u8,
+        topo: &RouteTables,
+        stage: usize,
+        id: impl FnOnce() -> MsgId,
+    ) -> bool {
         let base = cell * self.k;
-        let port = topo.amalgam_out_port(reply.amalgam, stage);
-        debug_assert_eq!(port, topo.reverse_out_port(reply.dst, stage));
-        let len = self.reply_packets(reply);
         let cap = self.reply_capacity;
-        match self.wait_entry(cell, reply.id) {
+        // A cell with an empty buffer — the common case — answers from its
+        // counter alone, without asking for the id.
+        let entry = (self.wait_len[cell] > 0)
+            .then(|| self.wait.get(&(cell as u32, id())))
+            .flatten();
+        match entry {
             None => self.to_pe[base + port].can_accept(len, cap),
             Some(entry) => {
                 let spawn_port = topo.reverse_out_port(entry.absorbed_pe, stage);
@@ -528,15 +610,6 @@ impl Switches {
                 }
             }
         }
-    }
-
-    /// The wait entry cell `cell` holds for survivor `id`; a cell with an
-    /// empty buffer — the common case — answers from its counter alone.
-    fn wait_entry(&self, cell: usize, id: MsgId) -> Option<&WaitEntry> {
-        if self.wait_len[cell] == 0 {
-            return None;
-        }
-        self.wait.get(&(cell as u32, id))
     }
 
     /// Routes the admitted reply `handle` into the proper ToPE queue of
@@ -559,15 +632,9 @@ impl Switches {
     ) {
         let cell = self.cell(stage, switch);
         let base = cell * self.k;
-        let reply = self.replies.get_mut(handle).item_mut();
-        let (out_port, updated) = topo.step_amalgam(reply.amalgam, stage, in_port);
-        debug_assert_eq!(
-            out_port,
-            topo.reverse_out_port(reply.dst, stage),
-            "reverse amalgam routing must agree with PE-digit routing"
-        );
-        reply.amalgam = updated;
-        let (id, value, mm_injected_at) = (reply.id, reply.value, reply.mm_injected_at);
+        let link = self.replies.link_mut(handle);
+        let (out_port, updated) = topo.step_amalgam(link.amalgam, stage, in_port);
+        link.amalgam = updated;
         self.to_pe[base + out_port].push(
             &mut self.replies,
             handle,
@@ -578,18 +645,19 @@ impl Switches {
         if self.wait_len[cell] == 0 {
             return;
         }
+        let reply = self.replies.body(handle);
+        let (id, value, mm_injected_at) = (reply.id, reply.value, reply.mm_injected_at);
         if let Some(entry) = self.wait.remove(&(cell as u32, id)) {
             self.wait_len[cell] -= 1;
-            let spawn_amalgam = topo.reverse_amalgam_at(entry.absorbed_pe, entry.addr.mm, stage);
-            let mut spawn = entry.make_reply(value, spawn_amalgam);
+            let mut spawn = entry.make_reply(value);
             spawn.mm_injected_at = mm_injected_at;
-            let (spawn_port, spawn_updated) = topo.step_amalgam(spawn.amalgam, stage, in_port);
-            debug_assert_eq!(spawn_port, topo.reverse_out_port(spawn.dst, stage));
-            spawn.amalgam = spawn_updated;
             stats.decombines.incr();
+            let spawn = self.admit_reply(spawn, stage, topo);
+            let link = self.replies.link_mut(spawn);
+            let (spawn_port, spawn_updated) = topo.step_amalgam(link.amalgam, stage, in_port);
+            link.amalgam = spawn_updated;
             // The spawned reply streams out right behind the triggering one;
             // model its head as available one packet later.
-            let spawn = self.admit_reply(spawn);
             self.to_pe[base + spawn_port].push(
                 &mut self.replies,
                 spawn,
@@ -691,9 +759,9 @@ mod tests {
         assert_eq!(sw.wait_occupancy(0, sw0), 1);
         assert_eq!(sw.combines(0, sw0), 1);
         assert_eq!(stats.combines.get(), 1);
-        let slot = sw.to_mm_queue(0, sw0, 0).front(sw.requests()).unwrap();
-        assert_eq!(slot.item().value, 14, "operands summed");
-        assert!(slot.combined_here);
+        let head = sw.to_mm_queue(0, sw0, 0).head();
+        assert_eq!(sw.requests().body(head).value, 14, "operands summed");
+        assert!(sw.requests().link(head).combined_here);
     }
 
     #[test]
@@ -805,7 +873,6 @@ mod tests {
             panic!("conflicting request must be killed, got {outcome:?}");
         };
         assert_eq!(killed.id, MsgId(3));
-        assert_eq!(killed.amalgam, 3, "amalgam restored for the retry");
         assert_eq!(stats.drops.get(), 1);
         assert_eq!(sw.requests().live(), 2, "the killed request left the slab");
     }
@@ -828,13 +895,12 @@ mod tests {
         let survivor = sw.release_request(sent);
         assert_eq!(survivor.value, 14);
         assert!(sw.requests().is_empty());
-        let mut reply = Reply::to_request(&survivor, 100);
-        // Entering stage 0 on the reverse trip: amalgam must be what a reply
-        // would carry at that point.
-        reply.amalgam = t.reverse_amalgam_at(reply.dst, reply.addr.mm, 0);
+        let reply = Reply::to_request(&survivor, 100);
         let in_port = t.forward_out_port(reply.addr.mm, 0);
-        assert!(sw.can_accept_reply(0, sw0, &reply, &t));
-        let handle = sw.admit_reply(reply);
+        // Entering stage 0 on the reverse trip: admission gives it the
+        // amalgam a reply carries at that point.
+        let handle = sw.admit_reply(reply, 0, &t);
+        assert!(sw.can_accept_reply(0, sw0, handle, &t));
         sw.accept_reply(0, sw0, handle, in_port, 2, &t, &mut stats);
         assert_eq!(stats.decombines.get(), 1);
         assert_eq!(sw.wait_occupancy(0, sw0), 0);
@@ -873,11 +939,10 @@ mod tests {
             kind: ReplyKind::Value,
             request_issued_at: 0,
             mm_injected_at: 0,
-            amalgam: t.reverse_amalgam_at(PeId(0), MmId(3), 0),
             attempt: 0,
         };
         let in_port = t.forward_out_port(MmId(3), 0);
-        let handle = sw.admit_reply(r);
+        let handle = sw.admit_reply(r, 0, &t);
         sw.accept_reply(0, 0, handle, in_port, 1, &t, &mut stats);
         let port = t.reverse_out_port(PeId(0), 0);
         assert_eq!(sw.to_pe_queue(0, 0, port).len(sw.replies()), 1);
@@ -934,10 +999,50 @@ mod tests {
         // Queue now holds 3 packets = full, but a combinable twin must still
         // be acceptable (it takes no space).
         let twin = req(2, 4, 3, MsgKind::fetch_add(), 9);
-        assert!(sw.can_accept_request(0, sw0, &twin, &t));
+        assert!(sw.can_admit_request(sw0, &twin, &t));
         // A request to a different word behind the same port is refused.
         let mut other = req(3, 4, 3, MsgKind::fetch_add(), 9);
         other.addr.offset = 99;
-        assert!(!sw.can_accept_request(0, sw0, &other, &t));
+        assert!(!sw.can_admit_request(sw0, &other, &t));
+        // The same answers for the two once admitted.
+        let (twin, other) = (sw.admit_request(twin), sw.admit_request(other));
+        assert!(sw.can_accept_request(0, sw0, twin, &t));
+        assert!(!sw.can_accept_request(0, sw0, other, &t));
+    }
+
+    #[test]
+    fn admitted_request_amalgam_starts_as_destination() {
+        let t = topo();
+        let mut sw = Switches::new(&cfg());
+        let handle = sw.admit_request(req(1, 2, 5, MsgKind::Load, 0));
+        assert_eq!(sw.requests().link(handle).amalgam, 5);
+        let reply = Reply::to_request(&req(2, 6, 3, MsgKind::Load, 0), 0);
+        let last = t.stages() - 1;
+        let handle = sw.admit_reply(reply, last, &t);
+        assert_eq!(
+            sw.replies().link(handle).amalgam,
+            6,
+            "an MNI injects at the PE number"
+        );
+    }
+
+    #[test]
+    fn identity_takeover_takes_the_incoming_routing_register() {
+        let t = topo();
+        let mut stats = NetStats::new(t.stages());
+        let (sw0, _) = t.pe_entry(PeId(0));
+        let mut sw = Switches::new(&cfg());
+        // PEs 0 and 4 enter switch `sw0` on different ports, so their
+        // registers differ after the stage-0 step.
+        into_stage0(&mut sw, &t, req(1, 0, 3, MsgKind::Load, 0), &mut stats);
+        let store = sw.admit_request(req(2, 4, 3, MsgKind::Store, 7));
+        let (_, in_port) = t.pe_entry(PeId(4));
+        let (_, expect) = t.step_amalgam(3, 0, in_port);
+        let outcome = sw.accept_request(0, sw0, store, in_port, 1, &t, &mut stats);
+        assert_eq!(outcome, AcceptOutcome::Combined);
+        let head = sw.to_mm_queue(0, sw0, 0).head();
+        assert_eq!(sw.requests().body(head).id, MsgId(2), "the store survives");
+        assert_eq!(sw.requests().link(head).amalgam, expect);
+        assert_eq!(sw.requests().link(head).packets, 3, "grown into a store");
     }
 }

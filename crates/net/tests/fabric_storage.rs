@@ -1,21 +1,24 @@
-//! Seeded model tests of the fabric's storage: the message [`Slab`], the
-//! [`OutQueue`] port records chained through it, and the network-wide
-//! wait table behind [`Switches`].
+//! Seeded model tests of the fabric's storage: the message [`Slab`] with
+//! its link and body columns, the [`OutQueue`] port records chained
+//! through it, the routing register (amalgam) each link carries, and the
+//! network-wide wait table behind [`Switches`].
 //!
 //! The reference is the structure the fabric used to be built from — one
 //! plain `VecDeque` of slots per queue — written out here in the test.
 //! Random push / pop-for-transmit / hop / combine-resize sequences must
-//! leave every queue's walk, packet accounting, high-water mark and link
-//! timing equal to the model's; a handle the slab hands out must never
-//! name a message that is still live; and a drained fabric must hold an
-//! empty slab and an empty wait table.
+//! leave every queue's walk, packet accounting, high-water mark, link
+//! timing and every slot's amalgam equal to the model's; a handle the slab
+//! hands out must never name a message that is still live; a request's
+//! link must route by its destination digit at every forward stage and a
+//! reply's by its PE digit at every reverse stage; and a drained fabric
+//! must hold an empty slab and an empty wait table.
 
 use std::collections::{HashMap, VecDeque};
 
 use ultra_net::config::NetConfig;
 use ultra_net::message::{Message, MsgId, MsgKind, PhiOp, Reply};
 use ultra_net::queue::{Handle, OutQueue, Slab, NIL};
-use ultra_net::route::{RouteTables, Topology};
+use ultra_net::route::{ForwardHop, ReverseHop, RouteTables, Topology};
 use ultra_net::stats::NetStats;
 use ultra_net::switch::{AcceptOutcome, Switches};
 use ultra_sim::rng::{Rng, SplitMix64};
@@ -28,6 +31,7 @@ struct ModelSlot {
     packets: u8,
     head_arrival: Cycle,
     combined_here: bool,
+    amalgam: usize,
 }
 
 /// The pre-slab queue: a `VecDeque` that owns its slots.
@@ -61,23 +65,29 @@ impl ModelQueue {
         slot
     }
 
-    fn resize(&mut self, index: usize, packets: u8) {
+    /// A combine: the slot's length changes, and when it takes over the
+    /// incoming request's identity it takes its routing register too.
+    fn combine(&mut self, index: usize, packets: u8, takeover: Option<usize>) {
         let slot = &mut self.entries[index];
         self.packets_used = self.packets_used - slot.packets as usize + packets as usize;
         self.max_packets_used = self.max_packets_used.max(self.packets_used);
         slot.packets = packets;
         slot.combined_here = true;
+        if let Some(amalgam) = takeover {
+            slot.amalgam = amalgam;
+        }
     }
 }
 
 fn assert_queue_matches(q: &OutQueue, slab: &Slab<u64>, model: &ModelQueue, what: &str) {
     let walked: Vec<ModelSlot> = q
         .iter(slab)
-        .map(|(_, s)| ModelSlot {
-            item: *s.item(),
-            packets: s.packets,
-            head_arrival: s.head_arrival,
-            combined_here: s.combined_here,
+        .map(|(h, link)| ModelSlot {
+            item: *slab.body(h),
+            packets: link.packets,
+            head_arrival: link.head_arrival,
+            combined_here: link.combined_here,
+            amalgam: link.amalgam,
         })
         .collect();
     let expect: Vec<ModelSlot> = model.entries.iter().cloned().collect();
@@ -92,7 +102,7 @@ fn assert_queue_matches(q: &OutQueue, slab: &Slab<u64>, model: &ModelQueue, what
     );
     assert_eq!(q.link_free_at(), model.link_free_at, "{what}: link timing");
     assert_eq!(
-        q.front(slab).map(|s| *s.item()),
+        (q.head() != NIL).then(|| *slab.body(q.head())),
         model.entries.front().map(|s| s.item),
         "{what}: front"
     );
@@ -126,7 +136,8 @@ fn queues_chained_through_one_slab_match_the_vecdeque_model() {
                     assert_eq!(fits, model[qi].can_accept(packets, capacity));
                     if fits {
                         let head_arrival = now + rng.below(3) as Cycle;
-                        let handle = slab.insert(next_item, packets);
+                        let amalgam = rng.below(1 << 12);
+                        let handle = slab.insert(next_item, packets, amalgam);
                         assert!(
                             live.insert(handle, next_item).is_none(),
                             "case {case} step {step}: handle {handle} reissued while live"
@@ -137,6 +148,7 @@ fn queues_chained_through_one_slab_match_the_vecdeque_model() {
                             packets,
                             head_arrival,
                             combined_here: false,
+                            amalgam,
                         });
                         next_item += 1;
                     }
@@ -149,10 +161,12 @@ fn queues_chained_through_one_slab_match_the_vecdeque_model() {
                         let handle = real[qi].pop_for_transmit(&mut slab, now);
                         let popped = model[qi].pop(now);
                         assert_eq!(live[&handle], popped.item, "FIFO order");
-                        assert_eq!(slab.get(handle).packets, popped.packets);
+                        assert_eq!(slab.link(handle).packets, popped.packets);
+                        assert_eq!(slab.link(handle).amalgam, popped.amalgam);
                         let to = rng.below(queues);
                         if to != qi && real[to].can_accept(popped.packets, capacity) {
-                            // The hop: same handle, new queue, fresh flags.
+                            // The hop: same handle, new queue, fresh flags,
+                            // the register as it was.
                             real[to].push(&mut slab, handle, now + 1, capacity);
                             model[to].push(ModelSlot {
                                 head_arrival: now + 1,
@@ -166,15 +180,21 @@ fn queues_chained_through_one_slab_match_the_vecdeque_model() {
                         }
                     }
                 }
-                // a combine mutates a queued slot's length in place
+                // a combine mutates a queued slot's length in place, and an
+                // identity takeover overwrites its register
                 6 => {
                     if !model[qi].entries.is_empty() {
                         let index = rng.below(model[qi].entries.len());
                         let packets = if rng.below(2) == 0 { 1 } else { 3 };
+                        let takeover = (rng.below(2) == 0).then(|| rng.below(1 << 12));
                         let (handle, _) = real[qi].iter(&slab).nth(index).expect("in range");
-                        slab.get_mut(handle).combined_here = true;
+                        let link = slab.link_mut(handle);
+                        link.combined_here = true;
+                        if let Some(amalgam) = takeover {
+                            link.amalgam = amalgam;
+                        }
                         real[qi].resize_slot(&mut slab, handle, packets);
-                        model[qi].resize(index, packets);
+                        model[qi].combine(index, packets, takeover);
                     }
                 }
                 _ => now += 1 + rng.below(3) as Cycle,
@@ -198,7 +218,7 @@ fn queues_chained_through_one_slab_match_the_vecdeque_model() {
         for qi in 0..queues {
             assert_queue_matches(&real[qi], &slab, &model[qi], "before drain");
             while !real[qi].is_empty() {
-                let head = real[qi].front(&slab).expect("non-empty").head_arrival;
+                let head = slab.link(real[qi].head()).head_arrival;
                 now = now.max(real[qi].link_free_at()).max(head);
                 let handle = real[qi].pop_for_transmit(&mut slab, now);
                 assert_eq!(slab.remove(handle), model[qi].pop(now).item);
@@ -247,7 +267,7 @@ fn wait_entries_and_slabs_balance_under_random_switch_traffic() {
                     let addr = MemAddr::new(MmId(rng.below(8)), rng.below(2));
                     let msg = Message::request(MsgId(next_id), kind, addr, 1, pe, now);
                     let (switch, in_port) = topo.pe_entry(pe);
-                    if sw.can_accept_request(0, switch, &msg, &topo) {
+                    if sw.can_admit_request(switch, &msg, &topo) {
                         next_id += 1;
                         issued.push(msg.id);
                         let handle = sw.admit_request(msg);
@@ -266,15 +286,14 @@ fn wait_entries_and_slabs_balance_under_random_switch_traffic() {
                     }
                     let handle = sw.transmit_request(0, switch, port, now);
                     let survivor = sw.release_request(handle);
-                    let mut reply = Reply::to_request(&survivor, 100);
-                    reply.amalgam = topo.reverse_amalgam_at(reply.dst, reply.addr.mm, 0);
+                    let reply = Reply::to_request(&survivor, 100);
                     let in_port = topo.forward_out_port(reply.addr.mm, 0);
+                    let handle = sw.admit_reply(reply, 0, &topo);
                     assert!(
-                        sw.can_accept_reply(0, switch, &reply, &topo),
+                        sw.can_accept_reply(0, switch, handle, &topo),
                         "reply queues are unbounded"
                     );
                     let before = stats.decombines.get();
-                    let handle = sw.admit_reply(reply);
                     sw.accept_reply(0, switch, handle, in_port, now, &topo, &mut stats);
                     held[switch] -= (stats.decombines.get() - before) as usize;
                     // Deliver whatever is ready on this switch's ToPE side.
@@ -304,10 +323,9 @@ fn wait_entries_and_slabs_balance_under_random_switch_traffic() {
                     }
                     let handle = sw.transmit_request(0, switch, port, now);
                     let survivor = sw.release_request(handle);
-                    let mut reply = Reply::to_request(&survivor, 100);
-                    reply.amalgam = topo.reverse_amalgam_at(reply.dst, reply.addr.mm, 0);
+                    let reply = Reply::to_request(&survivor, 100);
                     let in_port = topo.forward_out_port(reply.addr.mm, 0);
-                    let handle = sw.admit_reply(reply);
+                    let handle = sw.admit_reply(reply, 0, &topo);
                     sw.accept_reply(0, switch, handle, in_port, now, &topo, &mut stats);
                 }
             }
@@ -346,4 +364,218 @@ fn wait_entries_and_slabs_balance_under_random_switch_traffic() {
             "case {case}: every request answered exactly once"
         );
     }
+}
+
+/// Checks every queued slot's routing register against the message it
+/// belongs to. A request queued on ToMM port `p` of stage `s` has taken
+/// that port by its destination digit, and its register holds the source
+/// digits of stages `0..=s` above the destination digits still to come —
+/// so it picks the destination digit at the next stage. A reply queued on
+/// ToPE port `p` of stage `s` mirrors that with the PE and MM digits.
+fn assert_links_route_by_digits(sw: &Switches, topo: &RouteTables, what: &str) {
+    let last = topo.stages() - 1;
+    for stage in 0..=last {
+        for switch in 0..topo.switches_per_stage() {
+            for port in 0..topo.k() {
+                let q = sw.to_mm_queue(stage, switch, port);
+                for (h, link) in q.iter(sw.requests()) {
+                    let msg = sw.requests().body(h);
+                    let mm = msg.addr.mm;
+                    assert_eq!(port, topo.forward_out_port(mm, stage), "{what}");
+                    assert_eq!(
+                        link.amalgam,
+                        topo.reverse_amalgam_at(msg.src, mm, stage),
+                        "{what}: request {:?} at stage {stage}",
+                        msg.id
+                    );
+                    if stage < last {
+                        assert_eq!(
+                            topo.amalgam_out_port(link.amalgam, stage + 1),
+                            topo.forward_out_port(mm, stage + 1),
+                            "{what}: destination digit at stage {}",
+                            stage + 1
+                        );
+                    }
+                }
+                let q = sw.to_pe_queue(stage, switch, port);
+                for (h, link) in q.iter(sw.replies()) {
+                    let reply = sw.replies().body(h);
+                    let (pe, mm) = (reply.dst, reply.addr.mm);
+                    assert_eq!(port, topo.reverse_out_port(pe, stage), "{what}");
+                    let expect = match stage {
+                        0 => mm.0,
+                        s => topo.reverse_amalgam_at(pe, mm, s - 1),
+                    };
+                    assert_eq!(link.amalgam, expect, "{what}: reply {:?}", reply.id);
+                    if stage > 0 {
+                        assert_eq!(
+                            topo.amalgam_out_port(link.amalgam, stage - 1),
+                            topo.reverse_out_port(pe, stage - 1),
+                            "{what}: PE digit at stage {}",
+                            stage - 1
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Requests cross every stage of 16-PE fabrics (k = 2 and k = 4, tight
+/// queues, few words so they combine in every arity of identity), memory
+/// answers each at once, and replies cross back, decombining. After every
+/// cycle each queued link must route by the digits of the message it holds
+/// — which fails if a hop mis-steps the register or an identity-takeover
+/// combine keeps the absorbed request's — and at the end every request is
+/// answered exactly once with both slabs and the wait table empty.
+#[test]
+fn link_amalgams_route_by_digits_at_every_stage() {
+    let mut takeovers = 0;
+    for case in 0..12u64 {
+        let k = if case % 2 == 0 { 2 } else { 4 };
+        let cfg = NetConfig {
+            k,
+            wait_entries: 2,
+            request_queue_packets: 6,
+            ..NetConfig::small(16)
+        };
+        let topo = RouteTables::new(Topology::new(16, k));
+        let last = topo.stages() - 1;
+        let mut rng = SplitMix64::new(0xA3A1_0000 ^ case.wrapping_mul(0x9e37_79b9));
+        let mut sw = Switches::new(&cfg);
+        let mut stats = NetStats::new(topo.stages());
+        let mut at_mm: VecDeque<Message> = VecDeque::new();
+        let (mut issued, mut answered) = (Vec::new(), Vec::new());
+        let mut next_id = 1u64;
+
+        for now in 0..900 as Cycle {
+            // Up to four PEs offer a request while the run is young.
+            for _ in 0..if now < 600 { rng.below(5) } else { 0 } {
+                let pe = PeId(rng.below(16));
+                let kind = match rng.below(4) {
+                    0 => MsgKind::Load,
+                    1 => MsgKind::Store,
+                    _ => MsgKind::FetchPhi(PhiOp::Add),
+                };
+                let addr = MemAddr::new(MmId(rng.below(3)), 0);
+                let msg = Message::request(MsgId(next_id), kind, addr, 1, pe, now);
+                let (switch, in_port) = topo.pe_entry(pe);
+                if sw.can_admit_request(switch, &msg, &topo) {
+                    next_id += 1;
+                    issued.push(msg.id);
+                    let handle = sw.admit_request(msg);
+                    sw.accept_request(0, switch, handle, in_port, now, &topo, &mut stats);
+                }
+            }
+            // Forward sweep, MM side first.
+            for stage in (0..=last).rev() {
+                for switch in 0..topo.switches_per_stage() {
+                    for port in 0..k {
+                        let Some((head, _)) = sw.forward_head_ready(stage, switch, port, now)
+                        else {
+                            continue;
+                        };
+                        match topo.forward_next(stage, switch, port) {
+                            ForwardHop::ToMm(mm) => {
+                                let h = sw.transmit_request(stage, switch, port, now);
+                                let msg = sw.release_request(h);
+                                assert_eq!(msg.addr.mm, mm, "egress reaches its MM");
+                                at_mm.push_back(msg);
+                            }
+                            ForwardHop::ToSwitch(next, next_port) => {
+                                if !sw.can_accept_request(stage + 1, next, head, &topo) {
+                                    continue;
+                                }
+                                let incoming = sw.requests().body(head).id;
+                                let h = sw.transmit_request(stage, switch, port, now);
+                                let outcome = sw.accept_request(
+                                    stage + 1,
+                                    next,
+                                    h,
+                                    next_port,
+                                    now + 1,
+                                    &topo,
+                                    &mut stats,
+                                );
+                                // An absorbed request's id is gone from the
+                                // queues; one that survives took the slot over.
+                                let survived = (0..k).any(|p| {
+                                    let q = sw.to_mm_queue(stage + 1, next, p);
+                                    q.iter(sw.requests())
+                                        .any(|(h, _)| sw.requests().body(h).id == incoming)
+                                });
+                                if outcome == AcceptOutcome::Combined && survived {
+                                    takeovers += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            // Memory answers in arrival order, as fast as the MNI links take
+            // replies.
+            while let Some(msg) = at_mm.front() {
+                let reply = Reply::to_request(msg, 100);
+                let (switch, in_port) = topo.reverse_entry(msg.addr.mm);
+                if !sw.can_admit_reply(switch, &reply, &topo) {
+                    break;
+                }
+                at_mm.pop_front();
+                let handle = sw.admit_reply(reply, last, &topo);
+                sw.accept_reply(last, switch, handle, in_port, now, &topo, &mut stats);
+            }
+            // Reverse sweep, PE side first.
+            for stage in 0..=last {
+                for switch in 0..topo.switches_per_stage() {
+                    for port in 0..k {
+                        let Some((head, _)) = sw.reverse_head_ready(stage, switch, port, now)
+                        else {
+                            continue;
+                        };
+                        match topo.reverse_next(stage, switch, port) {
+                            ReverseHop::ToPe(pe) => {
+                                let h = sw.transmit_reply(stage, switch, port, now);
+                                let reply = sw.release_reply(h);
+                                assert_eq!(reply.dst, pe, "egress reaches its PE");
+                                answered.push(reply.id);
+                            }
+                            ReverseHop::ToSwitch(prev, prev_port) => {
+                                if !sw.can_accept_reply(stage - 1, prev, head, &topo) {
+                                    continue;
+                                }
+                                let h = sw.transmit_reply(stage, switch, port, now);
+                                sw.accept_reply(
+                                    stage - 1,
+                                    prev,
+                                    h,
+                                    prev_port,
+                                    now + 1,
+                                    &topo,
+                                    &mut stats,
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            assert_links_route_by_digits(&sw, &topo, &format!("case {case} cycle {now}"));
+        }
+
+        assert!(sw.requests().is_empty(), "case {case}: request slab empty");
+        assert!(sw.replies().is_empty(), "case {case}: reply slab empty");
+        assert_eq!(
+            sw.total_wait_occupancy(),
+            0,
+            "case {case}: wait table empty"
+        );
+        assert_eq!(stats.combines.get(), stats.decombines.get());
+        assert!(
+            stats.combines.get() > 0,
+            "case {case}: traffic must combine"
+        );
+        issued.sort_unstable();
+        answered.sort_unstable();
+        assert_eq!(issued, answered, "case {case}: answered exactly once");
+    }
+    assert!(takeovers > 0, "identity takeovers must occur");
 }

@@ -76,10 +76,11 @@ impl std::error::Error for PniError {}
 pub struct Pni {
     pe: PeId,
     hasher: AddressHasher,
-    /// Physical location → outstanding request id.
-    by_location: IdMap<MemAddr, MsgId>,
-    /// Outstanding id → physical location (for completion).
-    inflight: IdMap<MsgId, MemAddr>,
+    /// Every outstanding request and the physical location it references.
+    /// A PE keeps only a handful in flight, so a linear search of this
+    /// one short buffer answers both "is this location busy" and "which
+    /// location does this reply free".
+    outstanding: Vec<(MsgId, MemAddr)>,
     next_id: u64,
     stats: PniStats,
     /// The recovery protocol, if enabled.
@@ -128,8 +129,7 @@ impl Pni {
         Self {
             pe,
             hasher,
-            by_location: IdMap::default(),
-            inflight: IdMap::default(),
+            outstanding: Vec::new(),
             // Top 20 bits reserved for the PE number: unique across 2^20 PEs
             // and 2^44 requests each.
             next_id: ((pe.0 as u64) << 44) + 1,
@@ -140,12 +140,11 @@ impl Pni {
         }
     }
 
-    /// Heap bytes this interface owns: its request tables and its copy of
-    /// the address translator.
+    /// Heap bytes this interface owns: its outstanding list, its retry
+    /// table and its copy of the address translator.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        map_bytes(&self.by_location)
-            + map_bytes(&self.inflight)
+        vec_bytes(&self.outstanding)
             + map_bytes(&self.pending)
             + vec_bytes(&self.due_scratch)
             + self.hasher.heap_bytes()
@@ -170,14 +169,11 @@ impl Pni {
                 state.addr = self.hasher.translate(v);
             }
         }
-        // Rebuilt in id order, so that if the new translation ever folded
-        // two outstanding words onto one location the survivor would not
-        // depend on the map's iteration order.
-        let mut live: Vec<(MsgId, MemAddr)> =
-            self.pending.iter().map(|(&id, s)| (id, s.addr)).collect();
-        live.sort_unstable_by_key(|&(id, _)| id);
-        self.inflight = live.iter().copied().collect();
-        self.by_location = live.iter().map(|&(id, addr)| (addr, id)).collect();
+        // Rebuilt in id order, so the list does not depend on the retry
+        // table's iteration order.
+        self.outstanding.clear();
+        (self.outstanding).extend(self.pending.iter().map(|(&id, s)| (id, s.addr)));
+        self.outstanding.sort_unstable_by_key(|&(id, _)| id);
     }
 
     /// Collects the requests whose deadline has passed and re-issues each
@@ -229,10 +225,8 @@ impl Pni {
     /// late replies for its traffic are recognized as orphans rather
     /// than retried forever.
     pub fn abandon_all(&mut self) -> Vec<MsgId> {
-        let mut ids: Vec<MsgId> = self.inflight.keys().copied().collect();
+        let mut ids: Vec<MsgId> = self.outstanding.drain(..).map(|(id, _)| id).collect();
         ids.sort_unstable();
-        self.inflight.clear();
-        self.by_location.clear();
         self.pending.clear();
         ids
     }
@@ -270,16 +264,15 @@ impl Pni {
         now: Cycle,
     ) -> Result<Message, PniError> {
         let addr = self.translate(vaddr);
-        if self.by_location.contains_key(&addr) {
+        if self.references(addr) {
             self.stats.location_conflicts.incr();
             return Err(PniError::LocationBusy);
         }
         let id = MsgId(self.next_id);
         self.next_id += 1;
-        self.by_location.insert(addr, id);
-        self.inflight.insert(id, addr);
+        self.outstanding.push((id, addr));
         self.stats.issued.incr();
-        self.stats.max_outstanding = self.stats.max_outstanding.max(self.inflight.len());
+        self.stats.max_outstanding = self.stats.max_outstanding.max(self.outstanding.len());
         let msg = Message::request(id, kind, addr, value, self.pe, now);
         if let Some(policy) = self.retry {
             self.pending.insert(
@@ -303,28 +296,32 @@ impl Pni {
     /// references. Returns `true` if the reply matched an outstanding
     /// request of this PE.
     pub fn complete(&mut self, reply: &Reply) -> bool {
-        match self.inflight.remove(&reply.id) {
-            Some(addr) => {
-                let removed = self.by_location.remove(&addr);
-                debug_assert_eq!(removed, Some(reply.id));
-                self.pending.remove(&reply.id);
-                self.stats.completed.incr();
-                true
-            }
-            None => false,
+        let Some(i) = self.outstanding.iter().position(|&(id, _)| id == reply.id) else {
+            return false;
+        };
+        self.outstanding.swap_remove(i);
+        if self.retry.is_some() {
+            self.pending.remove(&reply.id);
         }
+        self.stats.completed.incr();
+        true
     }
 
     /// Number of requests awaiting replies.
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.inflight.len()
+        self.outstanding.len()
     }
 
     /// Whether a reference to virtual word `vaddr` is outstanding.
     #[must_use]
     pub fn is_location_busy(&self, vaddr: usize) -> bool {
-        self.by_location.contains_key(&self.translate(vaddr))
+        self.references(self.translate(vaddr))
+    }
+
+    /// Whether a request to physical location `addr` is outstanding.
+    fn references(&self, addr: MemAddr) -> bool {
+        self.outstanding.iter().any(|&(_, held)| held == addr)
     }
 }
 
@@ -397,7 +394,6 @@ mod tests {
             kind: ReplyKind::Ack,
             request_issued_at: 0,
             mm_injected_at: 0,
-            amalgam: 0,
             attempt: 0,
         };
         assert!(!p.complete(&foreign));
@@ -481,6 +477,85 @@ mod tests {
         let m = p.issue(MsgKind::Load, 1, 0, 0).unwrap();
         assert_eq!(m.folded, None, "no folded-id list");
         assert!(due(&mut p, u64::MAX - 1).is_empty());
+    }
+
+    #[test]
+    fn out_of_order_completion_frees_exactly_its_own_location() {
+        let mut p = pni();
+        let msgs: Vec<Message> = (0..4)
+            .map(|v| p.issue(MsgKind::Load, v, 0, 0).unwrap())
+            .collect();
+        assert!(p.complete(&Reply::to_request(&msgs[1], 0)));
+        assert_eq!(p.outstanding(), 3);
+        assert_eq!(p.stats().max_outstanding, 4, "a high-water mark");
+        assert!(!p.is_location_busy(1), "its own location is free");
+        for v in [0, 2, 3] {
+            assert!(p.is_location_busy(v), "word {v} still referenced");
+            assert_eq!(p.issue(MsgKind::Load, v, 0, 1), Err(PniError::LocationBusy));
+        }
+        let again = p.issue(MsgKind::Store, 1, 5, 1).unwrap();
+        assert_eq!(p.stats().max_outstanding, 4);
+        // Completing the rest in another order empties the list.
+        for m in [&msgs[3], &again, &msgs[0], &msgs[2]] {
+            assert!(p.complete(&Reply::to_request(m, 0)));
+        }
+        assert_eq!(p.outstanding(), 0);
+        assert!(!p.complete(&Reply::to_request(&msgs[2], 0)));
+        assert_eq!(p.stats().completed.get(), 5);
+    }
+
+    #[test]
+    fn set_hasher_under_retry_rekeys_in_id_order() {
+        let mut p = pni();
+        p.enable_retry(RetryPolicy {
+            base_timeout: 8,
+            backoff_cap: 3,
+        });
+        let msgs: Vec<Message> = (0..6)
+            .map(|v| p.issue(MsgKind::Load, v, 0, 0).unwrap())
+            .collect();
+        // Out-of-order completions leave the list out of id order.
+        p.complete(&Reply::to_request(&msgs[0], 0));
+        p.complete(&Reply::to_request(&msgs[3], 0));
+        let mut degraded = AddressHasher::new(8, TranslationMode::Interleaved);
+        degraded.set_dead_mms(&[ultra_sim::MmId(2)]);
+        p.set_hasher(degraded.clone());
+        let expect: Vec<(MsgId, MemAddr)> = [1, 2, 4, 5]
+            .iter()
+            .map(|&v| (msgs[v].id, degraded.translate(v)))
+            .collect();
+        assert_eq!(p.outstanding, expect);
+    }
+
+    #[test]
+    fn abandon_all_returns_sorted_ids_and_forgets_everything() {
+        let mut p = pni();
+        p.enable_retry(RetryPolicy {
+            base_timeout: 8,
+            backoff_cap: 3,
+        });
+        let msgs: Vec<Message> = (0..5)
+            .map(|v| p.issue(MsgKind::Load, v, 0, 0).unwrap())
+            .collect();
+        p.complete(&Reply::to_request(&msgs[1], 0));
+        let ids = p.abandon_all();
+        assert_eq!(ids, [msgs[0].id, msgs[2].id, msgs[3].id, msgs[4].id]);
+        assert_eq!(p.outstanding(), 0);
+        assert!(!p.is_location_busy(0));
+        assert!(due(&mut p, 1_000).is_empty(), "no retry survives");
+        assert!(!p.complete(&Reply::to_request(&msgs[0], 0)));
+    }
+
+    #[test]
+    fn heap_bytes_counts_the_outstanding_list() {
+        let mut p = pni();
+        let base = p.heap_bytes();
+        for v in 0..9 {
+            let _ = p.issue(MsgKind::Load, v, 0, 0).unwrap();
+        }
+        let entry = std::mem::size_of::<(MsgId, MemAddr)>();
+        assert!(p.outstanding.capacity() >= 9);
+        assert_eq!(p.heap_bytes(), base + p.outstanding.capacity() * entry);
     }
 
     #[test]
