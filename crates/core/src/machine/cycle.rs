@@ -12,8 +12,8 @@ use ultra_sim::active::Walk;
 use ultra_sim::{Cycle, PeId};
 
 use super::{
-    BackendImpl, CtxState, CycleCtx, CycleSinks, Machine, PeShard, Purpose, ReqMeta, RunOutcome,
-    BARRIER_VADDR_BASE,
+    BackendImpl, Context, CtxState, CycleCtx, CycleSinks, Machine, PeShard, Purpose, ReqMeta,
+    RunOutcome, BARRIER_VADDR_BASE,
 };
 use crate::interp::{Fetched, IssueSpec};
 use crate::trace::TraceEvent;
@@ -163,6 +163,7 @@ impl Machine {
             trace: &mut self.trace,
             halted_count: &mut self.halted_count,
         };
+        let k = self.cfg.contexts_per_pe;
         let mut walk = Walk::default();
         while let Some(i) = walk.next(&self.runnable) {
             let shard = &mut self.shards[i];
@@ -170,13 +171,14 @@ impl Machine {
             if shard.busy_until > now {
                 continue;
             }
+            let ctxs = &mut self.ctxs[i * k..][..k];
             let halted_before = *sinks.halted_count;
-            shard.datapath_cycle(cx, &mut sinks);
+            shard.datapath_cycle(ctxs, cx, &mut sinks);
             if !shard.outgoing.is_empty() {
                 self.outgoing.insert(i);
             }
             let all_halted = *sinks.halted_count != halted_before
-                && shard.states.iter().all(|s| *s == CtxState::Halted);
+                && ctxs.iter().all(|ctx| ctx.state == CtxState::Halted);
             if all_halted {
                 self.live.remove(i);
             }
@@ -192,9 +194,10 @@ impl Machine {
     /// have put it). No-op on a shard that is not parked; callers about
     /// to change a context's state wake first.
     fn wake(&mut self, i: usize) {
-        let shard = &mut self.shards[i];
+        let now = self.now;
+        let (shard, ctxs) = self.shard_mut(i);
         if let Some(since) = shard.parked_since.take() {
-            shard.charge_idle(self.now - since);
+            shard.charge_idle(ctxs, now - since);
             self.runnable.insert(i);
         }
     }
@@ -214,7 +217,8 @@ impl Machine {
             return;
         }
         for (i, shard) in self.shards.iter().enumerate() {
-            let live = shard.states.iter().any(|s| *s != CtxState::Halted);
+            let ctxs = self.ctxs_of(i);
+            let live = ctxs.iter().any(|ctx| ctx.state != CtxState::Halted);
             let parked = live && !self.runnable.contains(i);
             assert_eq!(self.live.contains(i), live, "shard {i}: live set");
             assert!(
@@ -222,8 +226,8 @@ impl Machine {
                 "shard {i}: runnable ⊄ live"
             );
             assert_eq!(shard.parked_since.is_some(), parked, "shard {i}: flag");
-            let proof = shard.busy_until <= self.now
-                && (0..shard.states.len()).all(|c| shard.ctx_parked(c));
+            let proof =
+                shard.busy_until <= self.now && ctxs.iter().all(|ctx| shard.ctx_parked(ctx));
             assert!(
                 !parked || proof,
                 "shard {i}: parked but a context could run"
@@ -367,11 +371,10 @@ impl Machine {
         // A reply is the one thing that unlocks a register or drains a
         // fence: the shard's next datapath cycle must look again.
         self.wake(phys);
-        let shard = &mut self.shards[phys];
-        let c = ctx - shard.base;
-        let matched = shard.pni.complete(reply);
+        let matched = self.shards[phys].pni.complete(reply);
         debug_assert!(matched, "PNI lost track of an outstanding request");
-        shard.stats[c]
+        let context = &mut self.ctxs[ctx];
+        (context.stats)
             .cm_access
             .record(now.saturating_sub(reply.request_issued_at));
         self.trace.record(TraceEvent::Reply {
@@ -382,7 +385,7 @@ impl Machine {
         match meta.purpose {
             Purpose::Data => {
                 if let Some(dst) = meta.dst {
-                    shard.interps[c].write_and_unlock(dst, reply.value);
+                    context.interp.write_and_unlock(dst, reply.value);
                 }
             }
             Purpose::Barrier => {
@@ -405,11 +408,12 @@ impl Machine {
             // only while the charged context still says so.
             let mut walk = Walk::default();
             while let Some(i) = walk.next(&self.live) {
-                if self.shards[i].states.contains(&CtxState::WaitBarrier) {
+                let waiting = |ctx: &Context| ctx.state == CtxState::WaitBarrier;
+                if self.ctxs_of(i).iter().any(waiting) {
                     self.wake(i);
-                    for state in &mut self.shards[i].states {
-                        if *state == CtxState::WaitBarrier {
-                            *state = CtxState::Ready;
+                    for ctx in self.shard_mut(i).1 {
+                        if waiting(ctx) {
+                            ctx.state = CtxState::Ready;
                         }
                     }
                 }
@@ -419,12 +423,13 @@ impl Machine {
 }
 
 impl PeShard {
-    /// Issues `spec` for local context `c` through the shard's PNI and
-    /// queues the message for injection, recording its metadata and trace
-    /// event in `sinks`.
+    /// Issues `spec` for `ctx`, virtual PE `vpe`, through the shard's PNI
+    /// and queues the message for injection, recording its metadata and
+    /// trace event in `sinks`.
     fn attempt_issue(
         &mut self,
-        c: usize,
+        ctx: &mut Context,
+        vpe: usize,
         spec: &IssueSpec,
         purpose: Purpose,
         cx: CycleCtx,
@@ -435,25 +440,24 @@ impl PeShard {
         }
         match self.pni.issue(spec.kind, spec.vaddr, spec.value, cx.now) {
             Ok(msg) => {
-                let ctx = self.base + c;
                 sinks.meta.insert(
                     msg.id,
                     ReqMeta {
-                        ctx,
+                        ctx: vpe,
                         dst: spec.dst,
                         purpose,
                     },
                 );
                 if let Some(dst) = spec.dst {
-                    self.interps[c].lock(dst);
+                    ctx.interp.lock(dst);
                 }
                 sinks.trace.record(TraceEvent::Issue {
                     cycle: cx.now,
-                    pe: PeId(ctx),
+                    pe: PeId(vpe),
                     kind: spec.kind,
                     vaddr: spec.vaddr,
                 });
-                let s = &mut self.stats[c];
+                let s = &mut ctx.stats;
                 s.shared_refs.incr();
                 if spec.kind.reply_carries_data() {
                     s.cm_loads.incr();
@@ -465,35 +469,34 @@ impl PeShard {
         }
     }
 
-    /// Whether local context `c` could execute an instruction right now
-    /// if given the datapath (resolving any completed waits). With
-    /// multiprogramming a fence waits for *this context's* requests; the
-    /// shared PNI tracks per-PE, so a conservative fence waits for the
-    /// whole PNI to drain.
-    fn resolve_waits(&mut self, c: usize, now: Cycle) -> bool {
-        match self.states[c] {
+    /// Whether `ctx` could execute an instruction right now if given the
+    /// datapath (resolving any completed waits). With multiprogramming a
+    /// fence waits for *this context's* requests; the shared PNI tracks
+    /// per-PE, so a conservative fence waits for the whole PNI to drain.
+    fn resolve_waits(&self, ctx: &mut Context, now: Cycle) -> bool {
+        match ctx.state {
             CtxState::Ready | CtxState::WaitIssue(..) => true,
             CtxState::WaitUntil(at) if now < at => false,
-            _ if self.ctx_parked(c) => false,
+            _ if self.ctx_parked(ctx) => false,
             _ => {
-                self.states[c] = CtxState::Ready;
+                ctx.state = CtxState::Ready;
                 true
             }
         }
     }
 
-    /// One datapath cycle: round-robin over the shard's contexts,
+    /// One datapath cycle over the shard's contexts `ctxs`: round-robin,
     /// executing the first one that can make progress (zero-cost context
     /// switching, §3.5 / HEP).
     #[inline(never)]
-    fn datapath_cycle(&mut self, cx: CycleCtx, sinks: &mut CycleSinks<'_>) {
-        let k = self.states.len();
+    fn datapath_cycle(&mut self, ctxs: &mut [Context], cx: CycleCtx, sinks: &mut CycleSinks<'_>) {
+        let k = ctxs.len();
         for offset in 0..k {
             let c = (self.cursor + offset) % k;
-            if !self.resolve_waits(c, cx.now) {
+            if !self.resolve_waits(&mut ctxs[c], cx.now) {
                 continue;
             }
-            let advanced = self.ctx_execute(c, cx, sinks);
+            let advanced = self.ctx_execute(&mut ctxs[c], self.vpe(k, c), cx, sinks);
             if advanced {
                 // HEP-style: next instruction goes to the next context.
                 self.cursor = (self.cursor + offset + 1) % k;
@@ -503,59 +506,59 @@ impl PeShard {
         // No context could use the datapath: a genuinely idle cycle. If
         // moreover every context waits on an event, all later cycles are
         // the same idle cycle until the machine wakes the shard.
-        if self.charge_idle(1) && (0..k).all(|c| self.ctx_parked(c)) {
+        if self.charge_idle(ctxs, 1) && ctxs.iter().all(|ctx| self.ctx_parked(ctx)) {
             self.parked_since = Some(cx.now + 1);
         }
     }
 
-    /// Whether local context `c` waits on something no passing cycle can
-    /// resolve — only a delivered reply, a barrier release or a fault.
-    /// `Ready`, `WaitIssue` (re-attempts every cycle) and `WaitUntil`
-    /// (the clock resolves it) are not parked.
-    pub(super) fn ctx_parked(&self, c: usize) -> bool {
-        match self.states[c] {
+    /// Whether `ctx`, one of this shard's contexts, waits on something no
+    /// passing cycle can resolve — only a delivered reply, a barrier
+    /// release or a fault. `Ready`, `WaitIssue` (re-attempts every cycle)
+    /// and `WaitUntil` (the clock resolves it) are not parked.
+    pub(super) fn ctx_parked(&self, ctx: &Context) -> bool {
+        match ctx.state {
             CtxState::Halted | CtxState::WaitBarrier => true,
-            CtxState::WaitReg(r) => self.interps[c].is_locked(r),
+            CtxState::WaitReg(r) => ctx.interp.is_locked(r),
             CtxState::WaitFence => self.pni.outstanding() > 0,
             CtxState::Ready | CtxState::WaitIssue(..) | CtxState::WaitUntil(_) => false,
         }
     }
 
-    /// The local context an idle datapath cycle is charged to — the one
-    /// whose turn it was, else the first still alive — and whether it is
-    /// waiting at a barrier. `None` once every context has halted.
-    fn idle_owner(&self) -> Option<(usize, bool)> {
-        let k = self.states.len();
-        let owner = self.cursor % k;
-        let c = if self.states[owner] != CtxState::Halted {
+    /// The local context of `ctxs` an idle datapath cycle is charged to —
+    /// the one whose turn it was, else the first still alive — and whether
+    /// it is waiting at a barrier. `None` once every context has halted.
+    fn idle_owner(&self, ctxs: &[Context]) -> Option<(usize, bool)> {
+        let owner = self.cursor % ctxs.len();
+        let c = if ctxs[owner].state != CtxState::Halted {
             owner
         } else {
-            (0..k).find(|&c| self.states[c] != CtxState::Halted)?
+            (ctxs.iter()).position(|ctx| ctx.state != CtxState::Halted)?
         };
-        Some((c, self.states[c] == CtxState::WaitBarrier))
+        Some((c, ctxs[c].state == CtxState::WaitBarrier))
     }
 
-    /// Charges `cycles` idle datapath cycles; returns whether a context
-    /// was alive to take them.
-    pub(super) fn charge_idle(&mut self, cycles: u64) -> bool {
-        let Some((c, at_barrier)) = self.idle_owner() else {
+    /// Charges `cycles` idle datapath cycles to one of the shard's
+    /// contexts `ctxs`; returns whether a context was alive to take them.
+    pub(super) fn charge_idle(&self, ctxs: &mut [Context], cycles: u64) -> bool {
+        let Some((c, at_barrier)) = self.idle_owner(ctxs) else {
             return false;
         };
-        self.stats[c].idle_cycles.add(cycles);
+        let s = &mut ctxs[c].stats;
+        s.idle_cycles.add(cycles);
         if at_barrier {
-            self.stats[c].barrier_wait_cycles.add(cycles);
+            s.barrier_wait_cycles.add(cycles);
         }
         true
     }
 
-    /// The `(idle, barrier-wait)` cycles local context `c` is owed for the
-    /// cycles its parked shard has sat out — zero unless the shard is
-    /// parked and `c` is the context its idle cycles are charged to.
-    /// [`Machine::wake`] settles them; everywhere statistics leave the
+    /// The `(idle, barrier-wait)` cycles local context `c` of `ctxs` is
+    /// owed for the cycles its parked shard has sat out — zero unless the
+    /// shard is parked and `c` is the context its idle cycles are charged
+    /// to. [`Machine::wake`] settles them; everywhere statistics leave the
     /// machine before that, they are added on the fly — the way
     /// `total_cycles` is.
-    pub(super) fn unstamped_idle(&self, c: usize, now: Cycle) -> (u64, u64) {
-        match (self.parked_since, self.idle_owner()) {
+    pub(super) fn unstamped_idle(&self, ctxs: &[Context], c: usize, now: Cycle) -> (u64, u64) {
+        match (self.parked_since, self.idle_owner(ctxs)) {
             (Some(since), Some((owner, at_barrier))) if owner == c => {
                 (now - since, if at_barrier { now - since } else { 0 })
             }
@@ -563,32 +566,38 @@ impl PeShard {
         }
     }
 
-    /// Attempts to execute one instruction of local context `c`. Returns
-    /// whether the datapath was consumed.
-    fn ctx_execute(&mut self, c: usize, cx: CycleCtx, sinks: &mut CycleSinks<'_>) -> bool {
+    /// Attempts to execute one instruction of `ctx`, virtual PE `vpe`.
+    /// Returns whether the datapath was consumed.
+    fn ctx_execute(
+        &mut self,
+        ctx: &mut Context,
+        vpe: usize,
+        cx: CycleCtx,
+        sinks: &mut CycleSinks<'_>,
+    ) -> bool {
         let now = cx.now;
         let cpi = cx.cpi;
-        if let CtxState::WaitIssue(spec, purpose) = self.states[c].clone() {
-            if self.attempt_issue(c, &spec, purpose, cx, sinks) {
-                self.states[c] = if purpose == Purpose::Barrier {
+        if let CtxState::WaitIssue(spec, purpose) = ctx.state.clone() {
+            if self.attempt_issue(ctx, vpe, &spec, purpose, cx, sinks) {
+                ctx.state = if purpose == Purpose::Barrier {
                     CtxState::WaitBarrier
                 } else {
                     CtxState::Ready
                 };
-                self.stats[c].instructions.incr();
+                ctx.stats.instructions.incr();
                 self.busy_until = now + cpi;
                 return true;
             }
             return false;
         }
 
-        match self.interps[c].next_op(now) {
+        match ctx.interp.next_op(now) {
             Fetched::Halted => {
-                self.states[c] = CtxState::Halted;
+                ctx.state = CtxState::Halted;
                 *sinks.halted_count += 1;
                 sinks.trace.record(TraceEvent::Halt {
                     cycle: now,
-                    pe: PeId(self.base + c),
+                    pe: PeId(vpe),
                 });
                 // Halting consumes no datapath time; let another context
                 // run this cycle.
@@ -598,37 +607,37 @@ impl PeShard {
                 instructions,
                 private_refs,
             } => {
-                let s = &mut self.stats[c];
+                let s = &mut ctx.stats;
                 s.instructions.add(u64::from(instructions));
                 s.private_refs.add(u64::from(private_refs));
                 self.busy_until = now + Cycle::from(instructions) * cpi;
                 true
             }
             Fetched::BlockedOnReg(r) => {
-                self.states[c] = CtxState::WaitReg(r);
+                ctx.state = CtxState::WaitReg(r);
                 false
             }
             Fetched::SleepUntil(at) => {
                 // The wait instruction itself costs one slot (it is the
                 // fetch that fixed the target); the context then parks.
-                self.states[c] = CtxState::WaitUntil(at);
-                self.stats[c].instructions.incr();
+                ctx.state = CtxState::WaitUntil(at);
+                ctx.stats.instructions.incr();
                 self.busy_until = now + cpi;
                 true
             }
             Fetched::Fence => {
-                self.states[c] = CtxState::WaitFence;
-                self.stats[c].instructions.incr();
+                ctx.state = CtxState::WaitFence;
+                ctx.stats.instructions.incr();
                 self.busy_until = now + cpi;
                 true
             }
             Fetched::Issue(spec) => {
-                if self.attempt_issue(c, &spec, Purpose::Data, cx, sinks) {
-                    self.stats[c].instructions.incr();
+                if self.attempt_issue(ctx, vpe, &spec, Purpose::Data, cx, sinks) {
+                    ctx.stats.instructions.incr();
                     self.busy_until = now + cpi;
                     true
                 } else {
-                    self.states[c] = CtxState::WaitIssue(spec, Purpose::Data);
+                    ctx.state = CtxState::WaitIssue(spec, Purpose::Data);
                     false
                 }
             }
@@ -639,13 +648,13 @@ impl PeShard {
                     value: 1,
                     dst: None,
                 };
-                if self.attempt_issue(c, &spec, Purpose::Barrier, cx, sinks) {
-                    self.states[c] = CtxState::WaitBarrier;
-                    self.stats[c].instructions.incr();
+                if self.attempt_issue(ctx, vpe, &spec, Purpose::Barrier, cx, sinks) {
+                    ctx.state = CtxState::WaitBarrier;
+                    ctx.stats.instructions.incr();
                     self.busy_until = now + cpi;
                     true
                 } else {
-                    self.states[c] = CtxState::WaitIssue(spec, Purpose::Barrier);
+                    ctx.state = CtxState::WaitIssue(spec, Purpose::Barrier);
                     false
                 }
             }

@@ -1,6 +1,8 @@
 //! Applying fired faults to the live machine and the degraded-mode
 //! reconfiguration that follows (route loss, dead modules, retries).
 
+use std::sync::Arc;
+
 use ultra_faults::Fault;
 use ultra_sim::{Cycle, MmId, PeId};
 
@@ -87,13 +89,14 @@ impl Machine {
             return;
         }
         self.dead_pes.push(PeId(pe));
-        let shard = &mut self.shards[pe];
-        for state in &mut shard.states {
-            if *state != CtxState::Halted {
-                *state = CtxState::Halted;
+        let k = self.cfg.contexts_per_pe;
+        for ctx in &mut self.ctxs[pe * k..][..k] {
+            if ctx.state != CtxState::Halted {
+                ctx.state = CtxState::Halted;
                 self.halted_count += 1;
             }
         }
+        let shard = &mut self.shards[pe];
         for msg in shard.outgoing.drain(..) {
             self.meta.remove(&msg.id);
         }
@@ -115,12 +118,14 @@ impl Machine {
             return;
         }
         self.dead_mms.push(mm);
-        self.hasher.set_dead_mms(&self.dead_mms);
+        // Every PNI (and every fork) shares the old translator: the new
+        // one is built once and handed to each PNI by reference.
+        Arc::make_mut(&mut self.hasher).set_dead_mms(&self.dead_mms);
         if let BackendImpl::Network(fabric) = &mut self.backend {
             fabric.kill_bank(mm);
         }
         for shard in &mut self.shards {
-            shard.pni.set_hasher(self.hasher.clone());
+            shard.pni.set_hasher(Arc::clone(&self.hasher));
         }
     }
 

@@ -4,7 +4,7 @@
 use ultra_sim::active::Walk;
 use ultra_sim::Cycle;
 
-use super::{BackendImpl, CtxState, Machine, PeShard};
+use super::{BackendImpl, Context, CtxState, Machine, PeShard};
 
 impl Machine {
     /// Skips a stretch of cycles during which the machine provably does
@@ -36,7 +36,7 @@ impl Machine {
         // ones can hold a context that runs or wakes by the clock.
         let mut walk = Walk::default();
         while let Some(i) = walk.next(&self.runnable) {
-            match self.shards[i].next_self_wake(now) {
+            match self.shards[i].next_self_wake(self.ctxs_of(i), now) {
                 Some(at) if at <= now => return, // could run now: no skipping
                 Some(at) => next = min_event(next, at),
                 None => {}
@@ -68,9 +68,9 @@ impl Machine {
         // shards are stamped when they wake.
         let mut walk = Walk::default();
         while let Some(i) = walk.next(&self.runnable) {
-            let shard = &mut self.shards[i];
+            let (shard, ctxs) = self.shard_mut(i);
             if shard.busy_until <= now {
-                shard.charge_idle(skipped);
+                shard.charge_idle(ctxs, skipped);
             }
         }
         self.fast_forwarded += skipped;
@@ -90,15 +90,15 @@ impl PeShard {
     /// `WaitIssue` re-attempts each cycle, bumping PNI conflict counters
     /// — else the earliest timed wake-up still ahead; `None` when every
     /// context is parked on an event.
-    fn next_self_wake(&self, now: Cycle) -> Option<Cycle> {
+    fn next_self_wake(&self, ctxs: &[Context], now: Cycle) -> Option<Cycle> {
         if self.busy_until > now {
             return Some(self.busy_until);
         }
         let mut next = None;
-        for (c, state) in self.states.iter().enumerate() {
-            match state {
-                CtxState::WaitUntil(at) if *at > now => next = min_event(next, *at),
-                _ if self.ctx_parked(c) => {}
+        for ctx in ctxs {
+            match ctx.state {
+                CtxState::WaitUntil(at) if at > now => next = min_event(next, at),
+                _ if self.ctx_parked(ctx) => {}
                 _ => return Some(now),
             }
         }

@@ -158,19 +158,30 @@ pub struct RunOutcome {
     pub cycles: Cycle,
 }
 
-/// One physical PE's slice of the machine: its interpreter contexts,
-/// datapath occupancy, network interface and outbound queue. Within a
-/// cycle no shard reads another shard; its datapath cycle writes the
-/// machine-wide sinks (request metadata, trace, halt count) through
-/// [`CycleSinks`].
+/// One context (virtual PE): its interpreter, why it is not executing,
+/// and its counters. The machine keeps every context in one column
+/// indexed by virtual PE; shard `i` owns `ctxs[i·k..(i+1)·k]`.
+#[derive(Clone)]
+struct Context {
+    interp: PeInterp,
+    state: CtxState,
+    stats: PeStats,
+}
+
+impl Context {
+    /// Heap bytes this context owns (see [`Machine::heap_bytes`]).
+    fn heap_bytes(&self) -> usize {
+        self.interp.heap_bytes() + self.stats.cm_access.heap_bytes()
+    }
+}
+
+/// One physical PE's slice of the machine past its contexts: datapath
+/// occupancy, network interface and outbound queue. Within a cycle no
+/// shard reads another shard's state or contexts; its datapath cycle
+/// writes the machine-wide sinks (request metadata, trace, halt count)
+/// through [`CycleSinks`].
 #[derive(Clone)]
 struct PeShard {
-    /// First virtual PE (context) index of this shard.
-    base: usize,
-    /// The shard's `k` interpreter contexts.
-    interps: Vec<PeInterp>,
-    states: Vec<CtxState>,
-    stats: Vec<PeStats>,
     /// Datapath occupancy.
     busy_until: Cycle,
     /// Round-robin context cursor (HEP-style).
@@ -188,16 +199,14 @@ struct PeShard {
 impl PeShard {
     /// Heap bytes this shard owns (see [`Machine::heap_bytes`]).
     fn heap_bytes(&self) -> usize {
-        let interps: usize = self.interps.iter().map(PeInterp::heap_bytes).sum();
-        vec_bytes(&self.interps)
-            + interps
-            + vec_bytes(&self.states)
-            + vec_bytes(&self.stats)
-            + (self.stats.iter())
-                .map(|s| s.cm_access.heap_bytes())
-                .sum::<usize>()
-            + self.pni.heap_bytes()
-            + deque_bytes(&self.outgoing)
+        self.pni.heap_bytes() + deque_bytes(&self.outgoing)
+    }
+
+    /// Virtual PE index of local context `c`, for a shard of `k`
+    /// contexts: shard `i` is PE `i`, and its contexts follow on from
+    /// `i · k`.
+    fn vpe(&self, k: usize, c: usize) -> usize {
+        self.pni.pe().0 * k + c
     }
 }
 
@@ -278,9 +287,12 @@ pub struct Machine {
     cfg: MachineConfig,
     /// How the machine was made; shared by every fork.
     recipe: Arc<Recipe>,
-    hasher: AddressHasher,
+    /// The address translator every PNI shares.
+    hasher: Arc<AddressHasher>,
     /// One shard per physical PE.
     shards: Vec<PeShard>,
+    /// Every context, indexed by virtual PE (see [`Context`]).
+    ctxs: Vec<Context>,
     meta: IdMap<MsgId, ReqMeta>,
     backend: BackendImpl,
     barrier_generation: u64,
@@ -351,21 +363,22 @@ impl Machine {
         let mut hasher = AddressHasher::new(n, cfg.translation);
         let static_dead = plan.dead_mms();
         hasher.set_dead_mms(&static_dead);
+        let hasher = Arc::new(hasher);
         let retry = Self::retry_policy_for(&cfg);
+        let ctxs: Vec<Context> = (programs.iter().enumerate())
+            .map(|(vid, program)| Context {
+                interp: PeInterp::new(PeId(vid), vpes, program),
+                state: CtxState::Ready,
+                stats: PeStats::new(),
+            })
+            .collect();
         let shards: Vec<PeShard> = (0..n)
             .map(|phys| {
-                let base = phys * k;
-                let mut pni = Pni::new(PeId(phys), hasher.clone());
+                let mut pni = Pni::new(PeId(phys), Arc::clone(&hasher));
                 if let Some(policy) = retry {
                     pni.enable_retry(policy);
                 }
                 PeShard {
-                    base,
-                    interps: (base..base + k)
-                        .map(|vid| PeInterp::new(PeId(vid), vpes, &programs[vid]))
-                        .collect(),
-                    states: vec![CtxState::Ready; k],
-                    stats: (0..k).map(|_| PeStats::new()).collect(),
                     busy_until: 0,
                     cursor: 0,
                     pni,
@@ -393,6 +406,7 @@ impl Machine {
             recipe: Arc::new(Recipe::new(&programs)),
             hasher,
             shards,
+            ctxs,
             meta: IdMap::default(),
             backend,
             barrier_generation: 0,
@@ -432,8 +446,9 @@ impl Machine {
         tuning.apply(&mut cfg);
         let fork = Self {
             recipe: Arc::clone(&self.recipe),
-            hasher: self.hasher.clone(),
+            hasher: Arc::clone(&self.hasher),
             shards: self.shards.clone(),
+            ctxs: self.ctxs.clone(),
             meta: self.meta.clone(),
             backend: self.backend.clone(),
             barrier_generation: self.barrier_generation,
@@ -505,13 +520,14 @@ impl Machine {
 
     /// An estimate of the heap bytes this machine keeps allocated — what
     /// holding on to it (or to a [`Machine::fork`] of it) costs. It adds up
-    /// the buffers of every per-PE, per-bank and per-switch structure at
-    /// their capacities, and the recipe a fork shares, and leaves out what
-    /// does not grow with the machine (active sets, counters, observer
-    /// rings).
+    /// the buffers of every per-PE, per-context, per-bank and per-switch
+    /// structure at their capacities, the translator every PNI shares
+    /// (once) and the recipe a fork shares, and leaves out what does not
+    /// grow with the machine (active sets, counters, observer rings).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let shards: usize = self.shards.iter().map(PeShard::heap_bytes).sum();
+        let ctxs: usize = self.ctxs.iter().map(Context::heap_bytes).sum();
         let backend = match &self.backend {
             BackendImpl::Ideal { para, pending, .. } => {
                 let queued: usize = pending.values().map(vec_bytes).sum();
@@ -521,6 +537,10 @@ impl Machine {
         };
         vec_bytes(&self.shards)
             + shards
+            + vec_bytes(&self.ctxs)
+            + ctxs
+            + std::mem::size_of::<AddressHasher>()
+            + self.hasher.heap_bytes()
             + map_bytes(&self.meta)
             + backend
             + self.recipe.heap_bytes()
@@ -602,6 +622,18 @@ impl Machine {
         }
     }
 
+    /// Shard `i`'s contexts.
+    fn ctxs_of(&self, i: usize) -> &[Context] {
+        let k = self.cfg.contexts_per_pe;
+        &self.ctxs[i * k..][..k]
+    }
+
+    /// Shard `i` and its contexts, both mutable.
+    fn shard_mut(&mut self, i: usize) -> (&mut PeShard, &mut [Context]) {
+        let k = self.cfg.contexts_per_pe;
+        (&mut self.shards[i], &mut self.ctxs[i * k..][..k])
+    }
+
     /// Number of physical PEs.
     #[must_use]
     pub fn pes(&self) -> usize {
@@ -629,17 +661,18 @@ impl Machine {
     /// Per-context statistics (indexed by virtual PE).
     #[must_use]
     pub fn pe_stats(&self) -> Vec<PeStats> {
-        let stamped = |shard: &PeShard, c: usize| {
-            let (idle, barrier) = shard.unstamped_idle(c, self.now);
-            let mut s = shard.stats[c].clone();
-            s.total_cycles = self.now;
-            s.idle_cycles.add(idle);
-            s.barrier_wait_cycles.add(barrier);
-            s
-        };
-        self.shards
-            .iter()
-            .flat_map(|shard| (0..shard.stats.len()).map(move |c| stamped(shard, c)))
+        let k = self.cfg.contexts_per_pe;
+        (self.shards.iter().zip(self.ctxs.chunks(k)))
+            .flat_map(|(shard, ctxs)| {
+                (0..k).map(move |c| {
+                    let (idle, barrier) = shard.unstamped_idle(ctxs, c, self.now);
+                    let mut s = ctxs[c].stats.clone();
+                    s.total_cycles = self.now;
+                    s.idle_cycles.add(idle);
+                    s.barrier_wait_cycles.add(barrier);
+                    s
+                })
+            })
             .collect()
     }
 
@@ -686,18 +719,16 @@ impl Machine {
             range.end <= self.virtual_pes(),
             "range exceeds the virtual PE count"
         );
+        let k = self.cfg.contexts_per_pe;
         let mut total = PeStats::new();
-        let mut merged = 0;
-        for shard in &self.shards {
-            for (i, s) in shard.stats.iter().enumerate() {
-                if range.contains(&(shard.base + i)) {
-                    total.merge(s);
-                    merged += 1;
-                    let (idle, barrier) = shard.unstamped_idle(i, self.now);
-                    total.idle_cycles.add(idle);
-                    total.barrier_wait_cycles.add(barrier);
-                }
-            }
+        let merged = range.len() as u64;
+        for vpe in range {
+            let (shard, c) = (vpe / k, vpe % k);
+            total.merge(&self.ctxs[vpe].stats);
+            let (idle, barrier) =
+                self.shards[shard].unstamped_idle(self.ctxs_of(shard), c, self.now);
+            total.idle_cycles.add(idle);
+            total.barrier_wait_cycles.add(barrier);
         }
         // Every context has been alive for `now` cycles, and a parked
         // shard's idle cycles are added above; stamping both here keeps

@@ -812,3 +812,56 @@ fn multiprogramming_hides_memory_latency() {
         "2-fold multiprogramming must hide latency: idle {single:.3} -> {dual:.3}"
     );
 }
+
+/// A machine holds one shard per PE and one context record per virtual
+/// PE: a field added to either must not silently re-inflate the per-PE
+/// cost (`tests/footprint.rs` bounds the total).
+#[test]
+fn per_pe_records_stay_small() {
+    use std::mem::size_of;
+    assert!(
+        size_of::<PeShard>() <= 160,
+        "shard {}",
+        size_of::<PeShard>()
+    );
+    // The PNI's own guard is `pni::tests::a_pni_stays_small`.
+    // Interpreter 216, state 32, counters 144 (16-aligned by a u128 sum).
+    assert!(
+        size_of::<Context>() <= 400,
+        "context {}",
+        size_of::<Context>()
+    );
+}
+
+#[test]
+fn every_pni_shares_the_machine_translator() {
+    let plan = FaultPlan::none().schedule(5, Fault::KillMm { mm: MmId(2) });
+    let mut m = MachineBuilder::new(16)
+        .faults(plan)
+        .build_spmd(&counter_program(4));
+    // Nothing else holds a translator: the count names every holder.
+    assert_eq!(
+        Arc::strong_count(&m.hasher),
+        16 + 1,
+        "16 PNIs and the machine"
+    );
+    let fork = m.fork(EngineTuning::default());
+    assert!(Arc::ptr_eq(&fork.hasher, &m.hasher), "a fork shares it too");
+    assert_eq!(Arc::strong_count(&m.hasher), 2 * (16 + 1));
+    assert!(m.run().completed);
+    assert_eq!(m.read_shared(0), 64);
+    assert!(
+        m.hasher.heap_bytes() > 0,
+        "the module died: a new translator"
+    );
+    assert_eq!(
+        Arc::strong_count(&m.hasher),
+        16 + 1,
+        "every PNI re-keyed to the one new translator"
+    );
+    assert_eq!(
+        Arc::strong_count(&fork.hasher),
+        16 + 1,
+        "the fork keeps the old"
+    );
+}

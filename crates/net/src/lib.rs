@@ -16,9 +16,10 @@
 //!   origin/destination *amalgam* address of §3.1.1.
 //! * [`queue`] — the ToMM/ToPE output queues (systolic-queue semantics:
 //!   FIFO order plus associative search, §3.3.1) with packet-granularity
-//!   capacity and link timing, stored as 24-byte port records chained
-//!   through the link column of the per-network message slab, where each
-//!   message's §3.1.1 routing register also lives.
+//!   capacity and link timing, stored as 16-byte port records whose
+//!   messages are chained into rings through the link column of the
+//!   per-network message slab, where each message's §3.1.1 routing
+//!   register also lives.
 //! * [`combine`] — the pairwise combining rules (Load/Store/Fetch-and-phi,
 //!   homogeneous and heterogeneous) and the reply rules used to decombine.
 //! * [`switch`] — the k×k bidirectional switches (k ToMM queues, k ToPE

@@ -20,11 +20,16 @@
 //! A network holds hundreds of thousands of these queues and almost all
 //! of them are empty, so a queue owns no memory of its own. Every
 //! in-flight message sits once in a per-network [`Slab`] and is named by a
-//! `u32` [`Handle`]; an [`OutQueue`] is a 24-byte record — head and tail
-//! handles, packet occupancy, link timing — and the messages queued on it
-//! are chained through the `next` handle of their [`Link`]. Moving a
-//! message from one switch to the next unlinks a handle here and links it
-//! there; the body never moves.
+//! `u32` [`Handle`]; an [`OutQueue`] is a 16-byte record — the tail
+//! handle, packet occupancy, link timing — and the messages queued on it
+//! are chained through the `next` handle of their [`Link`] into a ring
+//! that closes through the tail: the tail's `next` is the head. One
+//! handle then names both ends, so the record needs no head field, and
+//! finding the head costs one read of the tail's link. Moving a message
+//! from one switch to the next unlinks a handle here and links it there;
+//! the body never moves. A queue keeps no high-water mark: the switches
+//! keep one per switch for the ToMM side, the only side anyone reads
+//! (see [`crate::switch`]).
 //!
 //! The slab is two columns indexed by the same handle. The **link
 //! column** holds, per slot, the 24 bytes a hop reads and writes: the
@@ -44,7 +49,7 @@ use ultra_sim::Cycle;
 /// Names one slot of a [`Slab`].
 pub type Handle = u32;
 
-/// The "no slot" handle: an empty queue's head, the last slot's `next`.
+/// The "no slot" handle: an empty queue's tail, the free list's end.
 pub const NIL: Handle = Handle::MAX;
 
 /// The part of a slot a hop touches: its queue bookkeeping and the
@@ -60,7 +65,8 @@ pub struct Link {
     /// one digit and overwrites that digit with the arrival port, so the
     /// register holds the origin when the message leaves the fabric.
     pub amalgam: usize,
-    /// The slot behind this one in its queue (or on the free list).
+    /// The slot behind this one in its queue — the head, for the tail —
+    /// or on the free list.
     next: Handle,
     /// Current length in packets (can change when a combine mutates the
     /// message kind).
@@ -234,6 +240,10 @@ impl<T> Slab<T> {
 /// passed where it is checked (`usize::MAX` models the analytic infinite
 /// queue). Only the slab's link column is read or written here.
 ///
+/// The chain is a ring closed through the tail (see the module docs):
+/// an empty queue's tail is [`NIL`], a one-message queue's tail is its own
+/// `next`.
+///
 /// # Example
 ///
 /// ```
@@ -244,18 +254,16 @@ impl<T> Slab<T> {
 /// let hello = slab.insert("hello", 3, 0);
 /// q.push(&mut slab, hello, 5, 15);
 /// assert_eq!(q.packets_used(), 3);
-/// assert!(!q.ready_to_transmit(&slab, 4)); // head not fully usable before cycle 5
-/// assert!(q.ready_to_transmit(&slab, 5));
+/// assert_eq!(q.ready_head(&slab, 4), None); // head not fully usable before cycle 5
+/// assert_eq!(q.ready_head(&slab, 5), Some(hello));
 /// let sent = q.pop_for_transmit(&mut slab, 5);
 /// assert_eq!(slab.remove(sent), "hello");
 /// assert!(q.is_empty());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutQueue {
-    head: Handle,
     tail: Handle,
     packets_used: u32,
-    max_packets_used: u32,
     link_free_at: Cycle,
 }
 
@@ -270,10 +278,8 @@ impl OutQueue {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            head: NIL,
             tail: NIL,
             packets_used: 0,
-            max_packets_used: 0,
             link_free_at: 0,
         }
     }
@@ -286,7 +292,8 @@ impl OutQueue {
     }
 
     /// Links slot `handle` at the tail; its head finishes arriving at
-    /// `head_arrival`. The slot enters the queue un-combined.
+    /// `head_arrival`. The slot enters the queue un-combined. Returns the
+    /// packets the queue then holds, for the caller's high-water mark.
     ///
     /// # Panics
     ///
@@ -300,30 +307,34 @@ impl OutQueue {
         handle: Handle,
         head_arrival: Cycle,
         capacity_packets: usize,
-    ) {
-        let link = slab.link_mut(handle);
+    ) -> u32 {
+        let packets = slab.link(handle).packets;
         assert!(
-            self.can_accept(link.packets, capacity_packets),
+            self.can_accept(packets, capacity_packets),
             "queue overflow: caller must check"
         );
+        let head = match self.tail {
+            NIL => handle,
+            tail => std::mem::replace(&mut slab.link_mut(tail).next, handle),
+        };
+        let link = slab.link_mut(handle);
         link.head_arrival = head_arrival;
         link.combined_here = false;
-        link.next = NIL;
-        self.packets_used += u32::from(link.packets);
-        self.max_packets_used = self.max_packets_used.max(self.packets_used);
-        if self.tail == NIL {
-            self.head = handle;
-        } else {
-            slab.link_mut(self.tail).next = handle;
-        }
+        link.next = head;
+        self.packets_used += u32::from(packets);
         self.tail = handle;
+        self.packets_used
     }
 
-    /// Whether the head message may start transmission at `now`: the queue
+    /// The head's handle if it may start transmission at `now`: the queue
     /// is non-empty, the link is idle, and the head has arrived.
     #[must_use]
-    pub fn ready_to_transmit<T>(&self, slab: &Slab<T>, now: Cycle) -> bool {
-        now >= self.link_free_at && self.head != NIL && now >= slab.link(self.head).head_arrival
+    pub fn ready_head<T>(&self, slab: &Slab<T>, now: Cycle) -> Option<Handle> {
+        if now < self.link_free_at || self.tail == NIL {
+            return None;
+        }
+        let head = slab.link(self.tail).next;
+        (now >= slab.link(head).head_arrival).then_some(head)
     }
 
     /// Unlinks the head for transmission starting at `now`, marking the
@@ -332,18 +343,18 @@ impl OutQueue {
     ///
     /// # Panics
     ///
-    /// Panics if [`OutQueue::ready_to_transmit`] would return `false`.
+    /// Panics if [`OutQueue::ready_head`] would return `None`.
     pub fn pop_for_transmit<T>(&mut self, slab: &mut Slab<T>, now: Cycle) -> Handle {
-        assert!(self.ready_to_transmit(slab, now), "transmit when not ready");
-        let handle = self.head;
+        let handle = self.ready_head(slab, now).expect("transmit when not ready");
         let link = slab.link_mut(handle);
-        self.head = link.next;
-        if self.head == NIL {
-            self.tail = NIL;
-        }
-        link.next = NIL;
+        let next = std::mem::replace(&mut link.next, NIL);
         self.packets_used -= u32::from(link.packets);
         self.link_free_at = now + Cycle::from(link.packets);
+        if handle == self.tail {
+            self.tail = NIL;
+        } else {
+            slab.link_mut(self.tail).next = next;
+        }
         handle
     }
 
@@ -351,26 +362,31 @@ impl OutQueue {
     pub fn iter<'a, T>(&self, slab: &'a Slab<T>) -> Iter<'a, T> {
         Iter {
             slab,
-            at: self.head,
+            at: self.head(slab),
+            tail: self.tail,
         }
     }
 
     /// The handle at the head of the queue ([`NIL`] when empty).
     #[must_use]
-    pub fn head(&self) -> Handle {
-        self.head
+    pub fn head<T>(&self, slab: &Slab<T>) -> Handle {
+        match self.tail {
+            NIL => NIL,
+            tail => slab.link(tail).next,
+        }
     }
 
     /// Adjusts the recorded packet length of queued slot `handle` after a
     /// combine mutated its message kind (e.g. a Load slot adopting a
     /// Store's identity grows from one packet to three). Capacity may be
     /// transiently exceeded: the incoming message's packets had already
-    /// been granted queue space.
-    pub fn resize_slot<T>(&mut self, slab: &mut Slab<T>, handle: Handle, packets: u8) {
+    /// been granted queue space. Returns the packets the queue then holds,
+    /// for the caller's high-water mark.
+    pub fn resize_slot<T>(&mut self, slab: &mut Slab<T>, handle: Handle, packets: u8) -> u32 {
         let link = slab.link_mut(handle);
         self.packets_used = self.packets_used - u32::from(link.packets) + u32::from(packets);
-        self.max_packets_used = self.max_packets_used.max(self.packets_used);
         link.packets = packets;
+        self.packets_used
     }
 
     /// Number of queued messages (walks the chain).
@@ -382,20 +398,13 @@ impl OutQueue {
     /// Whether no messages are queued.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.head == NIL
+        self.tail == NIL
     }
 
     /// Packets currently occupying the queue.
     #[must_use]
     pub fn packets_used(&self) -> usize {
         self.packets_used as usize
-    }
-
-    /// High-water mark of packet occupancy over the queue's lifetime —
-    /// the empirical answer to §4.2's "queues of modest size" question.
-    #[must_use]
-    pub fn max_packets_used(&self) -> usize {
-        self.max_packets_used as usize
     }
 
     /// Cycle at which the output link next becomes idle.
@@ -405,12 +414,13 @@ impl OutQueue {
     }
 }
 
-/// Head-first walk over one queue's chain; yields each slot's handle with
-/// its link record.
+/// Head-first walk over one queue's ring, stopping after the tail;
+/// yields each slot's handle with its link record.
 #[derive(Debug)]
 pub struct Iter<'a, T> {
     slab: &'a Slab<T>,
     at: Handle,
+    tail: Handle,
 }
 
 impl<'a, T> Iterator for Iter<'a, T> {
@@ -422,7 +432,7 @@ impl<'a, T> Iterator for Iter<'a, T> {
         }
         let handle = self.at;
         let link = self.slab.link(handle);
-        self.at = link.next;
+        self.at = if handle == self.tail { NIL } else { link.next };
         Some((handle, link))
     }
 }
@@ -501,12 +511,12 @@ mod tests {
         let mut f = Fixture::new(usize::MAX);
         f.push(1, 3, 0);
         f.push(2, 1, 0);
-        assert!(f.q.ready_to_transmit(&f.slab, 0));
+        assert!(f.q.ready_head(&f.slab, 0).is_some());
         let _ = f.pop(0);
         // Link busy until cycle 3: the 3-packet message streams out.
-        assert!(!f.q.ready_to_transmit(&f.slab, 1));
-        assert!(!f.q.ready_to_transmit(&f.slab, 2));
-        assert!(f.q.ready_to_transmit(&f.slab, 3));
+        assert!(f.q.ready_head(&f.slab, 1).is_none());
+        assert!(f.q.ready_head(&f.slab, 2).is_none());
+        assert!(f.q.ready_head(&f.slab, 3).is_some());
         assert_eq!(f.q.link_free_at(), 3);
     }
 
@@ -514,8 +524,8 @@ mod tests {
     fn head_arrival_gates_transmission() {
         let mut f = Fixture::new(usize::MAX);
         f.push(9, 1, 10);
-        assert!(!f.q.ready_to_transmit(&f.slab, 9));
-        assert!(f.q.ready_to_transmit(&f.slab, 10));
+        assert!(f.q.ready_head(&f.slab, 9).is_none());
+        assert!(f.q.ready_head(&f.slab, 10).is_some());
     }
 
     #[test]
@@ -523,9 +533,9 @@ mod tests {
         let mut f = Fixture::new(usize::MAX);
         let first = f.push(1, 1, 0);
         f.push(2, 3, 0);
-        f.q.resize_slot(&mut f.slab, first, 3); // a Load slot grew into a Store
+        // A Load slot grew into a Store.
+        assert_eq!(f.q.resize_slot(&mut f.slab, first, 3), 6);
         assert_eq!(f.q.packets_used(), 6);
-        assert_eq!(f.q.max_packets_used(), 6);
         let (_, packets) = f.pop(0);
         assert_eq!(packets, 3);
         assert_eq!(f.q.packets_used(), 3);
@@ -548,9 +558,68 @@ mod tests {
     #[test]
     fn empty_queue_not_ready() {
         let f = Fixture::new(4);
-        assert!(!f.q.ready_to_transmit(&f.slab, 100));
+        assert!(f.q.ready_head(&f.slab, 100).is_none());
         assert!(f.q.is_empty());
-        assert_eq!(f.q.head(), NIL);
+        assert_eq!(f.q.head(&f.slab), NIL);
+        assert_eq!(f.q.tail, NIL);
+    }
+
+    #[test]
+    fn a_one_message_ring_closes_on_itself() {
+        let mut f = Fixture::new(usize::MAX);
+        let only = f.push(1, 3, 0);
+        assert_eq!(f.q.tail, only);
+        assert_eq!(f.slab.link(only).next, only, "tail.next == tail");
+        assert_eq!(f.q.head(&f.slab), only);
+        assert_eq!(f.q.len(&f.slab), 1);
+        let second = f.push(2, 1, 0);
+        assert_eq!(
+            f.slab.link(second).next,
+            only,
+            "the new tail closes the ring"
+        );
+        assert_eq!(f.slab.link(only).next, second);
+        assert_eq!(f.q.head(&f.slab), only);
+    }
+
+    #[test]
+    fn pop_to_empty_then_push_starts_a_fresh_ring() {
+        let mut f = Fixture::new(usize::MAX);
+        f.push(1, 1, 0);
+        f.push(2, 1, 0);
+        assert_eq!(f.pop(0).0, 1);
+        assert_eq!(f.pop(1).0, 2);
+        assert!(f.q.is_empty());
+        assert_eq!(f.q.packets_used(), 0);
+        let again = f.push(3, 3, 2);
+        assert_eq!(f.slab.link(again).next, again);
+        assert_eq!(f.q.head(&f.slab), again);
+        assert!(f.q.ready_head(&f.slab, 2).is_some());
+        assert_eq!(f.pop(2), (3, 3));
+        assert!(f.slab.is_empty());
+    }
+
+    #[test]
+    fn iter_stops_at_the_tail() {
+        let mut f = Fixture::new(usize::MAX);
+        let handles: Vec<Handle> = (0..4).map(|i| f.push(i, 1, 0)).collect();
+        let walked: Vec<Handle> = f.q.iter(&f.slab).map(|(h, _)| h).collect();
+        assert_eq!(walked, handles, "once round the ring, not forever");
+        assert_eq!(f.q.len(&f.slab), 4);
+        // Popping the head moves the ring's start, not its end.
+        let _ = f.pop(0);
+        let walked: Vec<Handle> = f.q.iter(&f.slab).map(|(h, _)| h).collect();
+        assert_eq!(walked, handles[1..]);
+        assert_eq!(f.slab.link(handles[3]).next, handles[1]);
+    }
+
+    #[test]
+    fn push_returns_the_occupancy_it_leaves() {
+        let mut f = Fixture::new(usize::MAX);
+        let h = f.slab.insert(1, 3, 0);
+        assert_eq!(f.q.push(&mut f.slab, h, 0, f.capacity), 3);
+        let h = f.slab.insert(2, 1, 0);
+        assert_eq!(f.q.push(&mut f.slab, h, 0, f.capacity), 4);
     }
 
     #[test]
@@ -578,7 +647,7 @@ mod tests {
         down.push(&mut slab, moved, 1, 15);
         assert_eq!(moved, h);
         assert!(up.is_empty());
-        assert_eq!(down.head(), h);
+        assert_eq!(down.head(&slab), h);
         assert_eq!(*slab.body(h), 7);
         assert_eq!(slab.link(h).amalgam, 9, "the register rides in the link");
         assert_eq!(down.packets_used(), 3);
@@ -587,13 +656,13 @@ mod tests {
 
     /// A hop reads one port record and one link record; a field added to
     /// either, or to a message, must not silently push it across another
-    /// cache line.
+    /// cache line. At 16 bytes, four port records share a 64-byte line.
     #[test]
     fn layout_keeps_a_hop_on_few_cache_lines() {
         use crate::message::{Message, Reply};
         use std::mem::size_of;
         assert!(size_of::<Link>() <= 24, "link record {}", size_of::<Link>());
-        assert_eq!(size_of::<OutQueue>(), 24);
+        assert_eq!(size_of::<OutQueue>(), 16, "tail, packets, link timing");
         assert_eq!(size_of::<Message>(), 64);
         assert_eq!(size_of::<Reply>(), 64);
         assert_eq!(size_of::<Option<Message>>(), 64, "the body column's slot");

@@ -25,18 +25,23 @@
 //! state as columns: every ToMM port record in one `Vec<OutQueue>` and
 //! every ToPE port record in another, stage-major, a stage's slice indexed
 //! `switch · k + port`; the queued messages in two [`Slab`]s (requests,
-//! replies); the per-switch wait-entry and combine counts in two more
-//! columns; and every wait entry of the network in one table keyed
-//! `(switch cell, survivor id)`. An idle switch therefore costs `2k` port
-//! records and twelve bytes of counters — no heap of its own — and a sweep
-//! over a stage reads consecutive memory.
+//! replies), each queue's messages chained into a ring through their link
+//! records (see [`crate::queue`]); the per-switch wait-entry count,
+//! combine count and ToMM high-water mark in three more columns; and
+//! every wait entry of the network in one table keyed `(switch cell,
+//! survivor id)`. An idle switch therefore costs `2k` 16-byte port
+//! records and sixteen bytes of counters — no heap of its own — and a
+//! sweep over a stage reads consecutive memory. The high-water mark is
+//! kept per switch, not per port, because the heatmap and the §4.2 queue
+//! sizing question read it per switch; ToPE queues keep none, since no
+//! one reads one.
 //!
-//! A hop reads the port record and the 24-byte link record of the message
-//! it moves, never the message: the output port comes from the link's
-//! amalgam, which this module derives at admission and steps at each
-//! switch. A message body is read only to search a non-empty ToMM queue
-//! for a combining partner and to match the wait table at a switch that
-//! holds wait entries.
+//! A hop reads the port record and the 24-byte link records of the
+//! message it moves and of its queue's tail, never the message: the
+//! output port comes from the link's amalgam, which this module derives
+//! at admission and steps at each switch. A message body is read only to
+//! search a non-empty ToMM queue for a combining partner and to match the
+//! wait table at a switch that holds wait entries.
 
 use crate::combine::{kinds_combinable, retry_forbids, try_combine, WaitEntry};
 use crate::config::{NetConfig, SwitchPolicy};
@@ -78,6 +83,9 @@ pub struct Switches {
     /// Combines performed per switch cell — the per-cell source of the
     /// hot-spot heatmap (the aggregate lives in `NetStats::combines`).
     combines: Vec<u64>,
+    /// Largest packet occupancy any ToMM queue of the cell reached, raised
+    /// on every push and every combine that grows a queued slot.
+    request_high_water: Vec<u32>,
     /// Every wait-buffer entry of the network, keyed by the cell that
     /// holds it and the surviving request's id.
     wait: IdMap<(u32, MsgId), WaitEntry>,
@@ -111,6 +119,7 @@ impl Switches {
             to_pe: vec![OutQueue::new(); cells * cfg.k],
             wait_len: vec![0; cells],
             combines: vec![0; cells],
+            request_high_water: vec![0; cells],
             wait: IdMap::default(),
             requests: Slab::new(),
             replies: Slab::new(),
@@ -131,6 +140,7 @@ impl Switches {
             + vec_bytes(&self.to_pe)
             + vec_bytes(&self.wait_len)
             + vec_bytes(&self.combines)
+            + vec_bytes(&self.request_high_water)
             + map_bytes(&self.wait)
             + self.requests.heap_bytes()
             + self.replies.heap_bytes()
@@ -265,14 +275,32 @@ impl Switches {
     /// reached.
     #[must_use]
     pub fn request_queue_high_water(&self, stage: usize, switch: usize) -> usize {
-        let base = self.cell(stage, switch) * self.k;
-        high_water(&self.to_mm[base..base + self.k])
+        self.request_high_water[self.cell(stage, switch)] as usize
     }
 
     /// Largest packet occupancy any ToMM queue in the fabric reached.
     #[must_use]
     pub fn fabric_request_queue_high_water(&self) -> usize {
-        high_water(&self.to_mm)
+        self.request_high_water.iter().copied().max().unwrap_or(0) as usize
+    }
+
+    /// Links the admitted request `handle` at the tail of ToMM queue `q`
+    /// of cell `cell`.
+    fn queue_request(&mut self, cell: usize, q: usize, handle: Handle, head_arrival: Cycle) {
+        let used = self.to_mm[q].push(
+            &mut self.requests,
+            handle,
+            head_arrival,
+            self.request_capacity,
+        );
+        self.raise_high_water(cell, used);
+    }
+
+    /// Raises cell `cell`'s ToMM high-water mark to `used` packets, the
+    /// occupancy a push or a resize left in one of its queues.
+    fn raise_high_water(&mut self, cell: usize, used: u32) {
+        let mark = &mut self.request_high_water[cell];
+        *mark = (*mark).max(used);
     }
 
     fn packets_of(&self, msg: &Message) -> u8 {
@@ -323,8 +351,8 @@ impl Switches {
         now: Cycle,
     ) -> Option<(Handle, u8)> {
         let q = &self.to_mm[self.cell(stage, switch) * self.k + port];
-        q.ready_to_transmit(&self.requests, now)
-            .then(|| (q.head(), self.requests.link(q.head()).packets))
+        let head = q.ready_head(&self.requests, now)?;
+        Some((head, self.requests.link(head).packets))
     }
 
     /// Reverse-direction mirror of [`Switches::forward_head_ready`].
@@ -337,8 +365,8 @@ impl Switches {
         now: Cycle,
     ) -> Option<(Handle, u8)> {
         let q = &self.to_pe[self.cell(stage, switch) * self.k + port];
-        q.ready_to_transmit(&self.replies, now)
-            .then(|| (q.head(), self.replies.link(q.head()).packets))
+        let head = q.ready_head(&self.replies, now)?;
+        Some((head, self.replies.link(head).packets))
     }
 
     /// Unlinks the head of ToMM queue `(stage, switch, port)` for
@@ -480,12 +508,7 @@ impl Switches {
 
         if self.policy == SwitchPolicy::DropOnConflict {
             if self.to_mm[q].is_empty() {
-                self.to_mm[q].push(
-                    &mut self.requests,
-                    handle,
-                    head_arrival,
-                    self.request_capacity,
-                );
+                self.queue_request(cell, q, handle, head_arrival);
                 return AcceptOutcome::Queued;
             }
             stats.drops.incr();
@@ -510,7 +533,9 @@ impl Switches {
                             self.requests.link_mut(candidate).amalgam = amalgam;
                         }
                         self.requests.link_mut(candidate).combined_here = true;
-                        self.to_mm[q].resize_slot(&mut self.requests, candidate, new_packets);
+                        let used =
+                            self.to_mm[q].resize_slot(&mut self.requests, candidate, new_packets);
+                        self.raise_high_water(cell, used);
                         self.requests.remove(handle);
                         let prior = self.wait.insert((cell as u32, entry.survivor), entry);
                         debug_assert!(
@@ -529,12 +554,7 @@ impl Switches {
             }
         }
 
-        self.to_mm[q].push(
-            &mut self.requests,
-            handle,
-            head_arrival,
-            self.request_capacity,
-        );
+        self.queue_request(cell, q, handle, head_arrival);
         AcceptOutcome::Queued
     }
 
@@ -668,14 +688,6 @@ impl Switches {
     }
 }
 
-fn high_water(queues: &[OutQueue]) -> usize {
-    queues
-        .iter()
-        .map(OutQueue::max_packets_used)
-        .max()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -759,7 +771,7 @@ mod tests {
         assert_eq!(sw.wait_occupancy(0, sw0), 1);
         assert_eq!(sw.combines(0, sw0), 1);
         assert_eq!(stats.combines.get(), 1);
-        let head = sw.to_mm_queue(0, sw0, 0).head();
+        let head = sw.to_mm_queue(0, sw0, 0).head(sw.requests());
         assert_eq!(sw.requests().body(head).value, 14, "operands summed");
         assert!(sw.requests().link(head).combined_here);
     }
@@ -1040,9 +1052,37 @@ mod tests {
         let (_, expect) = t.step_amalgam(3, 0, in_port);
         let outcome = sw.accept_request(0, sw0, store, in_port, 1, &t, &mut stats);
         assert_eq!(outcome, AcceptOutcome::Combined);
-        let head = sw.to_mm_queue(0, sw0, 0).head();
+        let head = sw.to_mm_queue(0, sw0, 0).head(sw.requests());
         assert_eq!(sw.requests().body(head).id, MsgId(2), "the store survives");
         assert_eq!(sw.requests().link(head).amalgam, expect);
         assert_eq!(sw.requests().link(head).packets, 3, "grown into a store");
+    }
+
+    #[test]
+    fn resize_slot_raises_the_cell_high_water_mark() {
+        let t = topo();
+        let mut stats = NetStats::new(t.stages());
+        let (sw0, _) = t.pe_entry(PeId(0));
+        let mut sw = Switches::new(&cfg());
+        into_stage0(&mut sw, &t, req(1, 0, 3, MsgKind::Load, 0), &mut stats);
+        assert_eq!(sw.request_queue_high_water(0, sw0), 1, "a one-packet load");
+        // The store takes the load's slot over and grows it to three
+        // packets: no push, only the resize, raises the mark.
+        let outcome = into_stage0(&mut sw, &t, req(2, 4, 3, MsgKind::Store, 7), &mut stats);
+        assert_eq!(outcome, AcceptOutcome::Combined);
+        assert_eq!(sw.request_queue_high_water(0, sw0), 3);
+        // A push on the cell's other port counts from that port's own
+        // occupancy, and leaving the queue never lowers the mark.
+        into_stage0(&mut sw, &t, req(3, 0, 7, MsgKind::Load, 0), &mut stats);
+        assert_eq!(sw.request_queue_high_water(0, sw0), 3);
+        let _ = sw.transmit_request(0, sw0, 0, 5);
+        assert_eq!(sw.to_mm_queue(0, sw0, 0).packets_used(), 0);
+        assert_eq!(sw.request_queue_high_water(0, sw0), 3);
+        assert_eq!(sw.fabric_request_queue_high_water(), 3);
+        assert_eq!(
+            sw.request_queue_high_water(0, sw0 + 1),
+            0,
+            "a cell of its own"
+        );
     }
 }

@@ -1,17 +1,21 @@
 //! Seeded model tests of the fabric's storage: the message [`Slab`] with
-//! its link and body columns, the [`OutQueue`] port records chained
-//! through it, the routing register (amalgam) each link carries, and the
-//! network-wide wait table behind [`Switches`].
+//! its link and body columns, the [`OutQueue`] port records whose
+//! messages are chained through it into rings closed at the tail, the
+//! routing register (amalgam) each link carries, the per-switch ToMM
+//! high-water marks and the network-wide wait table behind [`Switches`].
 //!
 //! The reference is the structure the fabric used to be built from — one
 //! plain `VecDeque` of slots per queue — written out here in the test.
 //! Random push / pop-for-transmit / hop / combine-resize sequences must
-//! leave every queue's walk, packet accounting, high-water mark, link
-//! timing and every slot's amalgam equal to the model's; a handle the slab
-//! hands out must never name a message that is still live; a request's
-//! link must route by its destination digit at every forward stage and a
-//! reply's by its PE digit at every reverse stage; and a drained fabric
-//! must hold an empty slab and an empty wait table.
+//! leave every queue's walk (once round its ring, head first), packet
+//! accounting, link timing, every slot's amalgam and each switch's
+//! high-water mark
+//! equal to the model's; a handle the slab hands out must never name a
+//! message that is still live; a request's link must route by its
+//! destination digit at every forward stage and a reply's by its PE digit
+//! at every reverse stage; a switch's high-water mark must cover its
+//! queues and never fall; and a drained fabric must hold an empty slab
+//! and an empty wait table.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -39,7 +43,6 @@ struct ModelSlot {
 struct ModelQueue {
     entries: VecDeque<ModelSlot>,
     packets_used: usize,
-    max_packets_used: usize,
     link_free_at: Cycle,
 }
 
@@ -50,7 +53,6 @@ impl ModelQueue {
 
     fn push(&mut self, slot: ModelSlot) {
         self.packets_used += slot.packets as usize;
-        self.max_packets_used = self.max_packets_used.max(self.packets_used);
         self.entries.push_back(slot);
     }
 
@@ -70,7 +72,6 @@ impl ModelQueue {
     fn combine(&mut self, index: usize, packets: u8, takeover: Option<usize>) {
         let slot = &mut self.entries[index];
         self.packets_used = self.packets_used - slot.packets as usize + packets as usize;
-        self.max_packets_used = self.max_packets_used.max(self.packets_used);
         slot.packets = packets;
         slot.combined_here = true;
         if let Some(amalgam) = takeover {
@@ -95,18 +96,26 @@ fn assert_queue_matches(q: &OutQueue, slab: &Slab<u64>, model: &ModelQueue, what
     assert_eq!(q.len(slab), model.entries.len(), "{what}: len");
     assert_eq!(q.is_empty(), model.entries.is_empty(), "{what}: emptiness");
     assert_eq!(q.packets_used(), model.packets_used, "{what}: packets");
-    assert_eq!(
-        q.max_packets_used(),
-        model.max_packets_used,
-        "{what}: high-water mark"
-    );
     assert_eq!(q.link_free_at(), model.link_free_at, "{what}: link timing");
+    let head = q.head(slab);
     assert_eq!(
-        (q.head() != NIL).then(|| *slab.body(q.head())),
+        (head != NIL).then(|| *slab.body(head)),
         model.entries.front().map(|s| s.item),
         "{what}: front"
     );
-    assert_eq!(q.head() == NIL, model.entries.is_empty(), "{what}: head");
+    assert_eq!(head == NIL, model.entries.is_empty(), "{what}: head");
+}
+
+/// Ports per switch in the queue-level test: queue `q` belongs to cell
+/// `q / PORTS`, whose high-water mark covers its ports (the last cell of
+/// an odd count has one).
+const PORTS: usize = 2;
+
+/// Raises queue `q`'s cell mark in the model to the packets its slots
+/// hold now.
+fn raise_model_high(marks: &mut [usize], model: &[ModelQueue], q: usize) {
+    let held: usize = model[q].entries.iter().map(|s| s.packets as usize).sum();
+    marks[q / PORTS] = marks[q / PORTS].max(held);
 }
 
 #[test]
@@ -120,6 +129,10 @@ fn queues_chained_through_one_slab_match_the_vecdeque_model() {
         let mut slab: Slab<u64> = Slab::new();
         let mut real: Vec<OutQueue> = vec![OutQueue::new(); queues];
         let mut model: Vec<ModelQueue> = (0..queues).map(|_| ModelQueue::default()).collect();
+        // Per cell: the mark the returned occupancies raise, and the model's
+        // from the packets its queues hold after each step.
+        let mut real_high = vec![0u32; queues.div_ceil(PORTS)];
+        let mut model_high = vec![0usize; queues.div_ceil(PORTS)];
         // Which item every live handle names — the aliasing oracle.
         let mut live: HashMap<Handle, u64> = HashMap::new();
         let mut next_item = 0u64;
@@ -142,7 +155,8 @@ fn queues_chained_through_one_slab_match_the_vecdeque_model() {
                             live.insert(handle, next_item).is_none(),
                             "case {case} step {step}: handle {handle} reissued while live"
                         );
-                        real[qi].push(&mut slab, handle, head_arrival, capacity);
+                        let used = real[qi].push(&mut slab, handle, head_arrival, capacity);
+                        real_high[qi / PORTS] = real_high[qi / PORTS].max(used);
                         model[qi].push(ModelSlot {
                             item: next_item,
                             packets,
@@ -155,7 +169,7 @@ fn queues_chained_through_one_slab_match_the_vecdeque_model() {
                 }
                 // pop for transmit, then hop downstream or leave the fabric
                 3..=5 => {
-                    let ready = real[qi].ready_to_transmit(&slab, now);
+                    let ready = real[qi].ready_head(&slab, now).is_some();
                     assert_eq!(ready, model[qi].ready(now), "case {case} step {step}");
                     if ready {
                         let handle = real[qi].pop_for_transmit(&mut slab, now);
@@ -167,12 +181,14 @@ fn queues_chained_through_one_slab_match_the_vecdeque_model() {
                         if to != qi && real[to].can_accept(popped.packets, capacity) {
                             // The hop: same handle, new queue, fresh flags,
                             // the register as it was.
-                            real[to].push(&mut slab, handle, now + 1, capacity);
+                            let used = real[to].push(&mut slab, handle, now + 1, capacity);
+                            real_high[to / PORTS] = real_high[to / PORTS].max(used);
                             model[to].push(ModelSlot {
                                 head_arrival: now + 1,
                                 combined_here: false,
                                 ..popped
                             });
+                            raise_model_high(&mut model_high, &model, to);
                             assert_queue_matches(&real[to], &slab, &model[to], "hop target");
                         } else {
                             assert_eq!(slab.remove(handle), popped.item);
@@ -193,13 +209,17 @@ fn queues_chained_through_one_slab_match_the_vecdeque_model() {
                         if let Some(amalgam) = takeover {
                             link.amalgam = amalgam;
                         }
-                        real[qi].resize_slot(&mut slab, handle, packets);
+                        let used = real[qi].resize_slot(&mut slab, handle, packets);
+                        real_high[qi / PORTS] = real_high[qi / PORTS].max(used);
                         model[qi].combine(index, packets, takeover);
                     }
                 }
                 _ => now += 1 + rng.below(3) as Cycle,
             }
+            raise_model_high(&mut model_high, &model, qi);
             assert_queue_matches(&real[qi], &slab, &model[qi], "touched queue");
+            let real_marks: Vec<usize> = real_high.iter().map(|&m| m as usize).collect();
+            assert_eq!(real_marks, model_high, "case {case} step {step}: marks");
             let queued: usize = model.iter().map(|m| m.entries.len()).sum();
             assert_eq!(
                 slab.live(),
@@ -218,7 +238,7 @@ fn queues_chained_through_one_slab_match_the_vecdeque_model() {
         for qi in 0..queues {
             assert_queue_matches(&real[qi], &slab, &model[qi], "before drain");
             while !real[qi].is_empty() {
-                let head = slab.link(real[qi].head()).head_arrival;
+                let head = slab.link(real[qi].head(&slab)).head_arrival;
                 now = now.max(real[qi].link_free_at()).max(head);
                 let handle = real[qi].pop_for_transmit(&mut slab, now);
                 assert_eq!(slab.remove(handle), model[qi].pop(now).item);
@@ -421,6 +441,30 @@ fn assert_links_route_by_digits(sw: &Switches, topo: &RouteTables, what: &str) {
     }
 }
 
+/// Checks every switch's ToMM high-water mark: it covers the packets each
+/// of its ports holds now, it never falls (`seen` holds the marks of the
+/// last check), and the fabric's mark is the largest.
+fn assert_high_water_marks(sw: &Switches, topo: &RouteTables, seen: &mut [usize], what: &str) {
+    let mut top = 0;
+    for stage in 0..topo.stages() {
+        for switch in 0..topo.switches_per_stage() {
+            let mark = sw.request_queue_high_water(stage, switch);
+            for port in 0..topo.k() {
+                let held = sw.to_mm_queue(stage, switch, port).packets_used();
+                assert!(
+                    held <= mark,
+                    "{what}: ({stage}, {switch}) holds {held} > {mark}"
+                );
+            }
+            let cell = &mut seen[stage * topo.switches_per_stage() + switch];
+            assert!(mark >= *cell, "{what}: ({stage}, {switch}) mark fell");
+            *cell = mark;
+            top = top.max(mark);
+        }
+    }
+    assert_eq!(sw.fabric_request_queue_high_water(), top, "{what}");
+}
+
 /// Requests cross every stage of 16-PE fabrics (k = 2 and k = 4, tight
 /// queues, few words so they combine in every arity of identity), memory
 /// answers each at once, and replies cross back, decombining. After every
@@ -447,6 +491,7 @@ fn link_amalgams_route_by_digits_at_every_stage() {
         let mut at_mm: VecDeque<Message> = VecDeque::new();
         let (mut issued, mut answered) = (Vec::new(), Vec::new());
         let mut next_id = 1u64;
+        let mut marks = vec![0; topo.stages() * topo.switches_per_stage()];
 
         for now in 0..900 as Cycle {
             // Up to four PEs offer a request while the run is young.
@@ -558,7 +603,9 @@ fn link_amalgams_route_by_digits_at_every_stage() {
                     }
                 }
             }
-            assert_links_route_by_digits(&sw, &topo, &format!("case {case} cycle {now}"));
+            let what = format!("case {case} cycle {now}");
+            assert_links_route_by_digits(&sw, &topo, &what);
+            assert_high_water_marks(&sw, &topo, &mut marks, &what);
         }
 
         assert!(sw.requests().is_empty(), "case {case}: request slab empty");
@@ -572,6 +619,10 @@ fn link_amalgams_route_by_digits_at_every_stage() {
         assert!(
             stats.combines.get() > 0,
             "case {case}: traffic must combine"
+        );
+        assert!(
+            sw.fabric_request_queue_high_water() > 0,
+            "case {case}: queues filled"
         );
         issued.sort_unstable();
         answered.sort_unstable();

@@ -27,6 +27,18 @@
 //! carries the folded-id list that cache reads ([`Message::tracked`]).
 //! Disabled (the default), none of this bookkeeping exists, and requests
 //! carry no list.
+//!
+//! # Footprint
+//!
+//! A machine holds one PNI per PE, so a PNI keeps only what is its own:
+//! its outstanding list, its id counter and its counters, 96 bytes in
+//! all. The address translator is the machine's, shared by reference
+//! count — a degraded translator's tables would otherwise be copied once
+//! per PE, and a machine with one dead module would grow quadratically in
+//! N. The retry protocol's state sits behind one box that a fault-free
+//! PNI never allocates.
+
+use std::sync::Arc;
 
 use ultra_faults::RetryPolicy;
 use ultra_mem::AddressHasher;
@@ -75,7 +87,8 @@ impl std::error::Error for PniError {}
 #[derive(Debug, Clone)]
 pub struct Pni {
     pe: PeId,
-    hasher: AddressHasher,
+    /// The machine's translator, shared with every other PNI.
+    hasher: Arc<AddressHasher>,
     /// Every outstanding request and the physical location it references.
     /// A PE keeps only a handful in flight, so a linear search of this
     /// one short buffer answers both "is this location busy" and "which
@@ -83,10 +96,15 @@ pub struct Pni {
     outstanding: Vec<(MsgId, MemAddr)>,
     next_id: u64,
     stats: PniStats,
-    /// The recovery protocol, if enabled.
-    retry: Option<RetryPolicy>,
-    /// Everything needed to re-issue each outstanding request (empty when
-    /// the retry protocol is disabled).
+    /// The recovery protocol's state, if enabled.
+    retry: Option<Box<Retry>>,
+}
+
+/// The retry protocol's state: the policy and what re-issuing needs.
+#[derive(Debug, Clone)]
+struct Retry {
+    policy: RetryPolicy,
+    /// Everything needed to re-issue each outstanding request.
     pending: IdMap<MsgId, PendingRequest>,
     /// Reused between [`Pni::due_retries_into`] calls so the per-cycle
     /// timeout sweep allocates nothing in the common empty case.
@@ -122,49 +140,57 @@ pub struct PniStats {
 }
 
 impl Pni {
-    /// Creates the interface for `pe`. Request ids are drawn from a
-    /// PE-disjoint space so that ids are unique machine-wide.
+    /// Creates the interface for `pe` over `hasher` — the machine's shared
+    /// translator, or one of the caller's own. Request ids are drawn from
+    /// a PE-disjoint space so that ids are unique machine-wide.
     #[must_use]
-    pub fn new(pe: PeId, hasher: AddressHasher) -> Self {
+    pub fn new(pe: PeId, hasher: impl Into<Arc<AddressHasher>>) -> Self {
         Self {
             pe,
-            hasher,
+            hasher: hasher.into(),
             outstanding: Vec::new(),
             // Top 20 bits reserved for the PE number: unique across 2^20 PEs
             // and 2^44 requests each.
             next_id: ((pe.0 as u64) << 44) + 1,
             stats: PniStats::default(),
             retry: None,
-            pending: IdMap::default(),
-            due_scratch: Vec::new(),
         }
     }
 
-    /// Heap bytes this interface owns: its outstanding list, its retry
-    /// table and its copy of the address translator.
+    /// Heap bytes this interface owns: its outstanding list and its retry
+    /// state. The translator is shared, not owned: whoever hands it out
+    /// counts it once.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         vec_bytes(&self.outstanding)
-            + map_bytes(&self.pending)
-            + vec_bytes(&self.due_scratch)
-            + self.hasher.heap_bytes()
+            + self.retry.as_ref().map_or(0, |r| {
+                std::mem::size_of::<Retry>() + map_bytes(&r.pending) + vec_bytes(&r.due_scratch)
+            })
     }
 
     /// Enables the timeout/retry recovery protocol.
     pub fn enable_retry(&mut self, policy: RetryPolicy) {
-        self.retry = Some(policy);
+        self.retry = Some(Box::new(Retry {
+            policy,
+            pending: IdMap::default(),
+            due_scratch: Vec::new(),
+        }));
     }
 
     /// Replaces the translation function — the machine calls this on every
-    /// PNI when a module dies mid-run and translation re-hashes around it.
-    /// Outstanding references are re-keyed under the new translation so
-    /// their retries reach the adoptive module.
-    pub fn set_hasher(&mut self, hasher: AddressHasher) {
+    /// PNI when a module dies mid-run and translation re-hashes around it,
+    /// handing each the one new translator. Outstanding references are
+    /// re-keyed under the new translation so their retries reach the
+    /// adoptive module.
+    pub fn set_hasher(&mut self, hasher: Arc<AddressHasher>) {
         self.hasher = hasher;
-        if self.retry.is_none() || self.pending.is_empty() {
+        let Some(retry) = self.retry.as_deref_mut() else {
+            return;
+        };
+        if retry.pending.is_empty() {
             return;
         }
-        for state in self.pending.values_mut() {
+        for state in retry.pending.values_mut() {
             if let Some(v) = state.vaddr {
                 state.addr = self.hasher.translate(v);
             }
@@ -172,7 +198,7 @@ impl Pni {
         // Rebuilt in id order, so the list does not depend on the retry
         // table's iteration order.
         self.outstanding.clear();
-        (self.outstanding).extend(self.pending.iter().map(|(&id, s)| (id, s.addr)));
+        (self.outstanding).extend(retry.pending.iter().map(|(&id, s)| (id, s.addr)));
         self.outstanding.sort_unstable_by_key(|&(id, _)| id);
     }
 
@@ -183,25 +209,23 @@ impl Pni {
     /// requests are appended in id order. The common case (nothing timed
     /// out) touches no heap at all.
     pub fn due_retries_into(&mut self, now: Cycle, out: &mut impl Extend<Message>) {
-        let Some(policy) = self.retry else {
+        let Some(retry) = self.retry.as_deref_mut() else {
             return;
         };
-        if self.pending.is_empty() {
+        if retry.pending.is_empty() {
             return;
         }
-        self.due_scratch.clear();
-        self.due_scratch.extend(
-            self.pending
-                .iter()
+        retry.due_scratch.clear();
+        retry.due_scratch.extend(
+            (retry.pending.iter())
                 .filter(|(_, s)| s.deadline <= now)
                 .map(|(&id, _)| id),
         );
-        self.due_scratch.sort_unstable();
-        for i in 0..self.due_scratch.len() {
-            let id = self.due_scratch[i];
-            let state = self.pending.get_mut(&id).expect("collected above");
+        retry.due_scratch.sort_unstable();
+        for &id in &retry.due_scratch {
+            let state = retry.pending.get_mut(&id).expect("collected above");
             state.attempt += 1;
-            state.deadline = policy.deadline(now, state.attempt);
+            state.deadline = retry.policy.deadline(now, state.attempt);
             self.stats.retries.incr();
             out.extend(core::iter::once(
                 Message::request(id, state.kind, state.addr, state.value, self.pe, now)
@@ -217,7 +241,8 @@ impl Pni {
     /// jump.
     #[must_use]
     pub fn next_retry_deadline(&self) -> Option<Cycle> {
-        self.pending.values().map(|s| s.deadline).min()
+        let retry = self.retry.as_deref()?;
+        retry.pending.values().map(|s| s.deadline).min()
     }
 
     /// Forgets every outstanding request and returns their ids — the
@@ -227,7 +252,9 @@ impl Pni {
     pub fn abandon_all(&mut self) -> Vec<MsgId> {
         let mut ids: Vec<MsgId> = self.outstanding.drain(..).map(|(id, _)| id).collect();
         ids.sort_unstable();
-        self.pending.clear();
+        if let Some(retry) = self.retry.as_deref_mut() {
+            retry.pending.clear();
+        }
         ids
     }
 
@@ -274,8 +301,9 @@ impl Pni {
         self.stats.issued.incr();
         self.stats.max_outstanding = self.stats.max_outstanding.max(self.outstanding.len());
         let msg = Message::request(id, kind, addr, value, self.pe, now);
-        if let Some(policy) = self.retry {
-            self.pending.insert(
+        if let Some(retry) = self.retry.as_deref_mut() {
+            let policy = retry.policy;
+            retry.pending.insert(
                 id,
                 PendingRequest {
                     kind,
@@ -300,8 +328,8 @@ impl Pni {
             return false;
         };
         self.outstanding.swap_remove(i);
-        if self.retry.is_some() {
-            self.pending.remove(&reply.id);
+        if let Some(retry) = self.retry.as_deref_mut() {
+            retry.pending.remove(&reply.id);
         }
         self.stats.completed.incr();
         true
@@ -461,7 +489,7 @@ mod tests {
         degraded.set_dead_mms(&[ultra_sim::MmId(2)]);
         let new_addr = degraded.translate(2);
         assert_ne!(new_addr, m.addr, "vaddr 2 must re-translate");
-        p.set_hasher(degraded);
+        p.set_hasher(Arc::new(degraded));
         let retries = due(&mut p, 100);
         assert_eq!(retries[0].addr, new_addr, "retry targets the adoptive MM");
         assert!(p.is_location_busy(2), "busy under the NEW translation");
@@ -506,11 +534,14 @@ mod tests {
 
     #[test]
     fn set_hasher_under_retry_rekeys_in_id_order() {
-        let mut p = pni();
-        p.enable_retry(RetryPolicy {
-            base_timeout: 8,
-            backoff_cap: 3,
-        });
+        let healthy = Arc::new(AddressHasher::new(8, TranslationMode::Interleaved));
+        let [mut p, mut idle] = [3, 4].map(|pe| Pni::new(PeId(pe), Arc::clone(&healthy)));
+        for pni in [&mut p, &mut idle] {
+            pni.enable_retry(RetryPolicy {
+                base_timeout: 8,
+                backoff_cap: 3,
+            });
+        }
         let msgs: Vec<Message> = (0..6)
             .map(|v| p.issue(MsgKind::Load, v, 0, 0).unwrap())
             .collect();
@@ -519,12 +550,24 @@ mod tests {
         p.complete(&Reply::to_request(&msgs[3], 0));
         let mut degraded = AddressHasher::new(8, TranslationMode::Interleaved);
         degraded.set_dead_mms(&[ultra_sim::MmId(2)]);
-        p.set_hasher(degraded.clone());
+        let degraded = Arc::new(degraded);
+        let before = p.heap_bytes();
+        // The machine re-keys every PNI by handing each the one new
+        // translator: no PNI copies its tables.
+        for pni in [&mut p, &mut idle] {
+            pni.set_hasher(Arc::clone(&degraded));
+            assert!(Arc::ptr_eq(&pni.hasher, &degraded));
+        }
+        assert_eq!(Arc::strong_count(&degraded), 3);
+        assert_eq!(Arc::strong_count(&healthy), 1, "the old one is let go");
+        assert!(degraded.heap_bytes() > 0);
+        assert_eq!(p.heap_bytes(), before, "the tables are not the PNI's");
         let expect: Vec<(MsgId, MemAddr)> = [1, 2, 4, 5]
             .iter()
             .map(|&v| (msgs[v].id, degraded.translate(v)))
             .collect();
         assert_eq!(p.outstanding, expect);
+        assert_eq!(idle.outstanding(), 0);
     }
 
     #[test]
@@ -556,6 +599,24 @@ mod tests {
         let entry = std::mem::size_of::<(MsgId, MemAddr)>();
         assert!(p.outstanding.capacity() >= 9);
         assert_eq!(p.heap_bytes(), base + p.outstanding.capacity() * entry);
+    }
+
+    /// A machine holds one PNI per PE: a field added here must not
+    /// silently re-inflate the per-PE cost.
+    #[test]
+    fn a_pni_stays_small() {
+        assert!(
+            std::mem::size_of::<Pni>() <= 96,
+            "Pni is {} bytes",
+            std::mem::size_of::<Pni>()
+        );
+        let mut p = pni();
+        assert!(p.retry.is_none(), "a fault-free PNI holds no retry state");
+        p.enable_retry(RetryPolicy {
+            base_timeout: 8,
+            backoff_cap: 3,
+        });
+        assert_eq!(p.heap_bytes(), std::mem::size_of::<Retry>());
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! the whole machine.
 //!
 //! An image goes back to the thread that built it to be freed. A 1024-PE
-//! machine is some 8,000 allocations, and glibc returns a block to the
-//! arena it came from: freed by another worker, every one of them
-//! contends for the builder's arena lock while the builder is allocating
-//! its next machine from it (measured: 12.0 ms per fork + run + drop
+//! ticket machine at cycle 512 is some 4,200 allocations (a fork of one
+//! makes 4,205), and glibc returns a block to the arena it came from:
+//! freed by another worker, every one of them contends for the builder's
+//! arena lock while the builder is allocating its next machine from it
+//! (measured when it was 8,000 allocations: 12.0 ms per fork + run + drop
 //! against 2.5 ms when the builder frees, which cancelled the second
 //! worker entirely). So each thread owns an inbox, an image remembers its
 //! builder's, whoever drops the last reference posts the machine there,
