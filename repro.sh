@@ -11,10 +11,10 @@ for bin in packaging fig7 table1 table2 table3 hotspot queue_depth bandwidth mul
 done
 
 echo "== serving =="
-# E15: the open-loop serving tier — load vs tail latency, plus the
-# deterministic curve artifact.
-cargo run --release -q -p ultra-bench --bin serving -- --out results/serving-curve.json \
-    | tee results/serving.txt
+# E15: the open-loop serving tier — load vs tail latency (results/serving.txt,
+# which CI diffs like the tables above), plus the deterministic curve artifact.
+cargo run --release -q -p ultra-bench --bin serving | tee results/serving.txt
+cargo run --release -q -p ultra-bench --bin serving -- --out results/serving-curve.json > /dev/null
 echo
 
 echo "== ultra-serve =="
