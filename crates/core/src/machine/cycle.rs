@@ -2,6 +2,7 @@
 //! backend cycle and reply delivery, the park/wake rule of the ready set,
 //! and each shard's datapath cycle.
 
+use std::cmp::Reverse;
 use std::time::Instant;
 
 use ultra_mem::Offer;
@@ -11,6 +12,7 @@ use ultra_pe::pni::PniError;
 use ultra_sim::active::Walk;
 use ultra_sim::{Cycle, PeId};
 
+use super::ff::min_event;
 use super::{
     BackendImpl, Context, CtxState, CycleCtx, CycleSinks, Machine, PeShard, Purpose, ReqMeta,
     RunOutcome, BARRIER_VADDR_BASE,
@@ -103,7 +105,9 @@ impl Machine {
         let fired = self.fault_clock.due(now);
         if !fired.is_empty() {
             // A fault may halt contexts or re-key PNIs: every parked
-            // shard is settled and re-examined (`runnable = live`).
+            // shard is settled and re-examined (`runnable = live`). That
+            // leaves every calendar entry stale, so `wake_due` below
+            // empties the calendar: a PE the fault fail-stops keeps none.
             let mut walk = Walk::default();
             while let Some(i) = walk.next(&self.live) {
                 self.wake(i);
@@ -123,6 +127,7 @@ impl Machine {
         self.backend_cycle(now);
         self.queue_due_retries(now);
         self.release_barrier_if_complete();
+        self.wake_due(now);
         let t0 = timed.then(Instant::now);
         self.pe_phase(now);
         if let Some(t0) = t0 {
@@ -162,6 +167,7 @@ impl Machine {
             meta: &mut self.meta,
             trace: &mut self.trace,
             halted_count: &mut self.halted_count,
+            wakes: &mut self.wakes,
         };
         let k = self.cfg.contexts_per_pe;
         let mut walk = Walk::default();
@@ -176,6 +182,9 @@ impl Machine {
             shard.datapath_cycle(ctxs, cx, &mut sinks);
             if !shard.outgoing.is_empty() {
                 self.outgoing.insert(i);
+                if self.retry_enabled {
+                    self.retrying.insert(i);
+                }
             }
             let all_halted = *sinks.halted_count != halted_before
                 && ctxs.iter().all(|ctx| ctx.state == CtxState::Halted);
@@ -202,19 +211,59 @@ impl Machine {
         }
     }
 
+    /// Wakes every shard whose earliest clock wait falls at `now`, so
+    /// this cycle's PE phase finds it runnable exactly as per-cycle
+    /// visits would have.
+    fn wake_due(&mut self, now: Cycle) {
+        while self.next_timed_wake().is_some_and(|at| at <= now) {
+            let Some(Reverse((_, i, _))) = self.wakes.pop() else {
+                unreachable!("the head was just read");
+            };
+            self.wake(i as usize);
+        }
+    }
+
+    /// The cycle of the wake calendar's earliest entry that is still
+    /// live — its shard still in the park that filed it — dropping the
+    /// stale entries in front of it.
+    pub(super) fn next_timed_wake(&mut self) -> Option<Cycle> {
+        while let Some(&Reverse((at, i, since))) = self.wakes.peek() {
+            if self.shards[i as usize].parked_since == Some(since) {
+                return Some(at);
+            }
+            self.wakes.pop();
+        }
+        None
+    }
+
     /// Debug-build check of the machine's invariants, run where a run
     /// stops, where a fork or a snapshot is taken and where a restore
     /// ends (O(N): never per cycle): the ready sets (`runnable ⊆ live`,
-    /// and every live non-member is marked parked and re-proves it), a
-    /// copy map no larger than the requests in flight (an entry leaves
-    /// wherever its request is lost), each network copy's wait table (its
-    /// per-switch counts sum to its size, none over `wait_entries`), and
-    /// each copy's request conservation (`injected_requests =
-    /// delivered_requests + combines + drops + slab-live`, see
-    /// `OmegaNetwork::check_invariants`).
+    /// and every live non-member is marked parked and re-proves it), the
+    /// wake calendar (every entry names a live shard and is not overdue;
+    /// a parked shard with a context asleep on the clock has exactly one
+    /// live entry, at its earliest wake, and an event-parked one none),
+    /// the retry walk's set (it holds every shard with requests
+    /// outstanding under retries), a copy map no larger than the requests
+    /// in flight (an entry leaves wherever its request is lost), each
+    /// network copy's wait table (its per-switch counts sum to its size,
+    /// none over `wait_entries`), and each copy's request conservation
+    /// (`injected_requests = delivered_requests + combines + drops +
+    /// slab-live`, see `OmegaNetwork::check_invariants`).
     pub(crate) fn debug_check_invariants(&self) {
         if !cfg!(debug_assertions) {
             return;
+        }
+        let now = self.now;
+        let mut filed: Vec<Option<Cycle>> = vec![None; self.shards.len()];
+        for &Reverse((at, i, since)) in self.wakes.iter() {
+            let i = i as usize;
+            assert!(self.live.contains(i), "calendar names dead shard {i}");
+            assert!(at >= now, "shard {i}: calendar entry {at} overdue");
+            if self.shards[i].parked_since == Some(since) {
+                let twice = filed[i].replace(at).is_some();
+                assert!(!twice, "shard {i}: two live calendar entries");
+            }
         }
         for (i, shard) in self.shards.iter().enumerate() {
             let ctxs = self.ctxs_of(i);
@@ -226,12 +275,18 @@ impl Machine {
                 "shard {i}: runnable ⊄ live"
             );
             assert_eq!(shard.parked_since.is_some(), parked, "shard {i}: flag");
-            let proof =
-                shard.busy_until <= self.now && ctxs.iter().all(|ctx| shard.ctx_parked(ctx));
-            assert!(
-                !parked || proof,
-                "shard {i}: parked but a context could run"
-            );
+            if parked {
+                // Nothing has changed since the park's proof: it holds as
+                // of the last cycle run.
+                let proof = (shard.busy_until <= now).then(|| shard.idle_until(ctxs, now - 1));
+                let Some(Some(wake)) = proof else {
+                    panic!("shard {i}: parked but a context could run");
+                };
+                assert_eq!(filed[i], wake, "shard {i}: calendar entry");
+            }
+            if self.retry_enabled && shard.pni.outstanding() > 0 {
+                assert!(self.retrying.contains(i), "shard {i}: retries unwalked");
+            }
         }
         if let BackendImpl::Network(fabric) = &self.backend {
             let (entries, in_flight) = (fabric.copy_map_len(), fabric.requests_in_flight());
@@ -504,18 +559,45 @@ impl PeShard {
             }
         }
         // No context could use the datapath: a genuinely idle cycle. If
-        // moreover every context waits on an event, all later cycles are
-        // the same idle cycle until the machine wakes the shard.
-        if self.charge_idle(ctxs, 1) && ctxs.iter().all(|ctx| self.ctx_parked(ctx)) {
-            self.parked_since = Some(cx.now + 1);
+        // moreover every context waits on an event or sleeps to a later
+        // cycle, all cycles until the earliest wake are the same idle
+        // cycle: the shard parks, filed in the calendar if it sleeps.
+        if !self.charge_idle(ctxs, 1) {
+            return;
         }
+        if let Some(wake) = self.idle_until(ctxs, cx.now) {
+            let since = cx.now + 1;
+            self.parked_since = Some(since);
+            if let Some(at) = wake {
+                let shard = self.pni.pe().0 as u32;
+                sinks.wakes.push(Reverse((at, shard, since)));
+            }
+        }
+    }
+
+    /// `None` if a context of `ctxs` could run after cycle `now` with no
+    /// event arriving and the clock not yet at any wait's end; otherwise
+    /// `Some(wake)`: every context is parked on an event or asleep to a
+    /// later cycle, and `wake` is the earliest of those cycles (`None`
+    /// when no context sleeps).
+    pub(super) fn idle_until(&self, ctxs: &[Context], now: Cycle) -> Option<Option<Cycle>> {
+        let mut wake = None;
+        for ctx in ctxs {
+            match ctx.state {
+                CtxState::WaitUntil(at) if at > now => wake = min_event(wake, at),
+                _ if self.ctx_parked(ctx) => {}
+                _ => return None,
+            }
+        }
+        Some(wake)
     }
 
     /// Whether `ctx`, one of this shard's contexts, waits on something no
     /// passing cycle can resolve — only a delivered reply, a barrier
     /// release or a fault. `Ready`, `WaitIssue` (re-attempts every cycle)
-    /// and `WaitUntil` (the clock resolves it) are not parked.
-    pub(super) fn ctx_parked(&self, ctx: &Context) -> bool {
+    /// and `WaitUntil` (the clock resolves it; the wake calendar keeps
+    /// such sleepers) are not parked on an event.
+    fn ctx_parked(&self, ctx: &Context) -> bool {
         match ctx.state {
             CtxState::Halted | CtxState::WaitBarrier => true,
             CtxState::WaitReg(r) => ctx.interp.is_locked(r),

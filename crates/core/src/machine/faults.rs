@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use ultra_faults::Fault;
+use ultra_sim::active::Walk;
 use ultra_sim::{Cycle, MmId, PeId};
 
 use super::{BackendImpl, CtxState, Machine};
@@ -130,16 +131,22 @@ impl Machine {
     }
 
     /// Re-issues timed-out requests (retry protocol; skipped wholesale
-    /// when the fault plan never enabled retries).
+    /// when the fault plan never enabled retries), walking the shards
+    /// that may hold one in ascending order; a shard with nothing left
+    /// outstanding leaves the walk's set.
     pub(super) fn queue_due_retries(&mut self, now: Cycle) {
         if !self.retry_enabled {
             return;
         }
-        for pe in 0..self.shards.len() {
+        let mut walk = Walk::default();
+        while let Some(pe) = walk.next(&self.retrying) {
             let shard = &mut self.shards[pe];
             shard.pni.due_retries_into(now, &mut shard.outgoing);
             if !shard.outgoing.is_empty() {
                 self.outgoing.insert(pe);
+            }
+            if shard.pni.outstanding() == 0 {
+                self.retrying.remove(pe);
             }
         }
     }

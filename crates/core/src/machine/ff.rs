@@ -4,16 +4,17 @@
 use ultra_sim::active::Walk;
 use ultra_sim::Cycle;
 
-use super::{BackendImpl, Context, CtxState, Machine, PeShard};
+use super::{BackendImpl, Context, Machine, PeShard};
 
 impl Machine {
     /// Skips a stretch of cycles during which the machine provably does
     /// nothing but tick: all traffic drained, every context parked on a
     /// wait only a *scheduled* future event can resolve. Jumps straight
     /// to the earliest such event — a fault firing, a PNI retry
-    /// deadline, an ideal-backend completion, or a datapath release —
-    /// bulk-charging idle statistics exactly as per-cycle stepping
-    /// would. Runs are bit-identical with this on or off.
+    /// deadline, an ideal-backend completion, a datapath release, or the
+    /// wake calendar's head — bulk-charging idle statistics exactly as
+    /// per-cycle stepping would. Runs are bit-identical with this on or
+    /// off.
     pub(super) fn fast_forward_idle(&mut self) {
         let now = self.now;
         if !self.outgoing.is_empty() {
@@ -32,8 +33,8 @@ impl Machine {
                 }
             }
         }
-        // Parked shards wait on events, not cycles: only the runnable
-        // ones can hold a context that runs or wakes by the clock.
+        // A parked shard waits on an event, or sleeps to the cycle the
+        // calendar holds for it: only the runnable ones are asked.
         let mut walk = Walk::default();
         while let Some(i) = walk.next(&self.runnable) {
             match self.shards[i].next_self_wake(self.ctxs_of(i), now) {
@@ -42,13 +43,16 @@ impl Machine {
                 None => {}
             }
         }
-        // With retries enabled every shard is asked for its PNI retry
-        // deadline: a parked or even fully-halted shard can hold one (a
-        // store issued just before the context halted, then lost to a
-        // faulty link), and missing it would wedge the run.
+        if let Some(at) = self.next_timed_wake() {
+            next = min_event(next, at);
+        }
+        // With retries enabled every shard that may hold a pending retry
+        // is asked for its deadline: a parked or even fully-halted shard
+        // can hold one (a store issued just before the context halted,
+        // then lost to a faulty link), and missing it would wedge the run.
         if self.retry_enabled {
-            for shard in &self.shards {
-                if let Some(deadline) = shard.pni.next_retry_deadline() {
+            for i in self.retrying.iter() {
+                if let Some(deadline) = self.shards[i].pni.next_retry_deadline() {
                     next = min_event(next, deadline);
                 }
             }
@@ -83,30 +87,25 @@ impl Machine {
 }
 
 impl PeShard {
-    /// The earliest cycle at which this shard's datapath could do
-    /// anything but idle with no event arriving: `busy_until` while
+    /// The earliest cycle at which this runnable shard's datapath could
+    /// do anything but idle with no event arriving: `busy_until` while
     /// mid-instruction (freeing the datapath may let a ready context
     /// run), `now` if a context could run — `Ready` executes and
     /// `WaitIssue` re-attempts each cycle, bumping PNI conflict counters
     /// — else the earliest timed wake-up still ahead; `None` when every
-    /// context is parked on an event.
+    /// context is parked on an event. A shard asleep on the clock is in
+    /// the calendar, not here; the timed branch serves a shard whose
+    /// sleep its next datapath cycle has yet to prove (one that has just
+    /// executed its `WaitUntil`), so the jump lands where it always did.
     fn next_self_wake(&self, ctxs: &[Context], now: Cycle) -> Option<Cycle> {
         if self.busy_until > now {
             return Some(self.busy_until);
         }
-        let mut next = None;
-        for ctx in ctxs {
-            match ctx.state {
-                CtxState::WaitUntil(at) if at > now => next = min_event(next, at),
-                _ if self.ctx_parked(ctx) => {}
-                _ => return Some(now),
-            }
-        }
-        next
+        self.idle_until(ctxs, now).unwrap_or(Some(now))
     }
 }
 
 /// The earliest of an optional event cycle and a new candidate.
-fn min_event(current: Option<Cycle>, candidate: Cycle) -> Option<Cycle> {
+pub(super) fn min_event(current: Option<Cycle>, candidate: Cycle) -> Option<Cycle> {
     Some(current.map_or(candidate, |c| c.min(candidate)))
 }

@@ -34,7 +34,8 @@
 //! application and degraded-mode reconfiguration), `wire` (the snapshot
 //! recipe); this file holds the types, the assembly and the accessors.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -192,7 +193,8 @@ struct PeShard {
     outgoing: VecDeque<Message>,
     /// `Some(c)` while the shard is parked — out of [`Machine::runnable`],
     /// with cycles `c..` not yet charged to its idle counters (see
-    /// [`PeShard::unstamped_idle`]).
+    /// [`PeShard::unstamped_idle`]). A park starts at most once a cycle,
+    /// so `c` also names the park in [`Machine::wakes`].
     parked_since: Option<Cycle>,
 }
 
@@ -273,6 +275,10 @@ struct CycleCtx {
     barrier_generation: u64,
 }
 
+/// An entry of [`Machine::wakes`]: `(at, shard, since)` — wake `shard`
+/// at cycle `at` if it is still in the park that began at `since`.
+type Wake = Reverse<(Cycle, u32, Cycle)>;
+
 /// The machine-wide state a shard's datapath cycle writes, borrowed
 /// field by field from the [`Machine`] while the PE phase walks its
 /// shards.
@@ -280,6 +286,7 @@ struct CycleSinks<'a> {
     meta: &'a mut IdMap<MsgId, ReqMeta>,
     trace: &'a mut Trace,
     halted_count: &'a mut usize,
+    wakes: &'a mut BinaryHeap<Wake>,
 }
 
 /// The assembled machine.
@@ -324,17 +331,29 @@ pub struct Machine {
     /// Shards with at least one non-halted context.
     live: ActiveSet,
     /// `runnable ⊆ live`: the shards the PE phase and the fast-forward
-    /// scan visit. A shard leaves when its datapath cycle proves every
-    /// context parked on an event (a locked register, a barrier, a fence
-    /// with requests outstanding, or halted) — every later cycle would
-    /// charge one idle cycle and change nothing else — and re-enters on
-    /// exactly the events that can end such a wait: a reply delivered to
-    /// it, a barrier release, a fault firing ([`Machine::wake`]).
+    /// scan visit. A shard leaves when its datapath cycle idles and
+    /// proves every context parked on an event (a locked register, a
+    /// barrier, a fence with requests outstanding, or halted) or asleep
+    /// on the clock (`WaitUntil` a later cycle) — every cycle until the
+    /// earliest wake would charge one idle cycle and change nothing
+    /// else — and re-enters on exactly what can end such a wait: a reply
+    /// delivered to it, a barrier release, a fault firing, or the step
+    /// for its earliest wake cycle ([`Machine::wake`]).
     runnable: ActiveSet,
+    /// The wake calendar: one entry per park that has a context asleep on
+    /// the clock, at that park's earliest wake cycle. A shard woken
+    /// earlier by an event leaves its entry behind, stale (its park is
+    /// over), and the entry is dropped when it reaches the head.
+    wakes: BinaryHeap<Wake>,
     /// Whether the PNI retry protocol is on (derived once from the fault
     /// plan; never changes mid-run). With retries off, whole phases —
     /// the retry queue walk, the fast-forward deadline scan — vanish.
     retry_enabled: bool,
+    /// With retries on, a superset of the shards whose PNI holds pending
+    /// retries: joined when a shard issues, left once the retry walk finds
+    /// nothing outstanding. Sized only when retries are on, so a healthy
+    /// build allocates nothing for it.
+    retrying: ActiveSet,
     /// Cycle-windowed telemetry recorder (off by default; see
     /// [`Machine::enable_telemetry`]). Sampling only reads simulation
     /// state, so the recorder never perturbs a run.
@@ -425,7 +444,9 @@ impl Machine {
             outgoing: ActiveSet::new(n),
             runnable: live.clone(),
             live,
+            wakes: BinaryHeap::new(),
             retry_enabled: retry.is_some(),
+            retrying: ActiveSet::new(if retry.is_some() { n } else { 0 }),
             series: TimeSeries::new(),
             phases: PhaseRecorder::new(),
             phase_epoch: Instant::now(),
@@ -467,7 +488,9 @@ impl Machine {
             outgoing: self.outgoing.clone(),
             live: self.live.clone(),
             runnable: self.runnable.clone(),
+            wakes: self.wakes.clone(),
             retry_enabled: self.retry_enabled,
+            retrying: self.retrying.clone(),
             series: TimeSeries::new(),
             phases: PhaseRecorder::new(),
             phase_epoch: Instant::now(),
@@ -522,8 +545,9 @@ impl Machine {
     /// holding on to it (or to a [`Machine::fork`] of it) costs. It adds up
     /// the buffers of every per-PE, per-context, per-bank and per-switch
     /// structure at their capacities, the translator every PNI shares
-    /// (once) and the recipe a fork shares, and leaves out what does not
-    /// grow with the machine (active sets, counters, observer rings).
+    /// (once), the wake calendar and the recipe a fork shares, and leaves
+    /// out what does not grow with the machine (active sets, counters,
+    /// observer rings).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let shards: usize = self.shards.iter().map(PeShard::heap_bytes).sum();
@@ -542,6 +566,7 @@ impl Machine {
             + std::mem::size_of::<AddressHasher>()
             + self.hasher.heap_bytes()
             + map_bytes(&self.meta)
+            + self.wakes.capacity() * std::mem::size_of::<Wake>()
             + backend
             + self.recipe.heap_bytes()
     }

@@ -1,5 +1,6 @@
 use ultra_faults::{Fault, FaultPlan};
 use ultra_mem::TranslationMode;
+use ultra_sim::clock::TimeScale;
 
 use super::*;
 use crate::program::{body, Expr, Op};
@@ -864,4 +865,335 @@ fn every_pni_shares_the_machine_translator() {
         16 + 1,
         "the fork keeps the old"
     );
+}
+
+// ---- the wake calendar: a context asleep on the clock parks its shard ----
+
+/// Every PE sleeps to cycle `base + step · PE`, then stores the clock it
+/// woke at into word `300 + PE`.
+fn staggered_sleep(base: i64, step: i64) -> Program {
+    Program::new(
+        body(vec![
+            Op::WaitUntil {
+                cycle: Expr::add(Expr::mul(Expr::PeIndex, step), base),
+            },
+            Op::Store {
+                addr: Expr::add(Expr::Const(300), Expr::PeIndex),
+                value: Expr::Clock,
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    )
+}
+
+/// `rounds` × { load a private word and use it at once (a register
+/// wait), sleep `nap + PE` cycles, fetch-and-add word 0 and store the
+/// ticket to a private slot }.
+fn nap_program(rounds: i64, nap: i64) -> Program {
+    Program::new(
+        body(vec![
+            Op::For {
+                reg: 1,
+                from: Expr::Const(0),
+                to: Expr::Const(rounds),
+                body: body(vec![
+                    Op::Load {
+                        addr: Expr::add(Expr::mul(Expr::PeIndex, 16), Expr::Reg(1)),
+                        dst: 0,
+                    },
+                    Op::Set {
+                        reg: 2,
+                        value: Expr::add(Expr::Reg(2), Expr::Reg(0)),
+                    },
+                    Op::WaitUntil {
+                        cycle: Expr::add(Expr::Clock, Expr::add(Expr::PeIndex, nap)),
+                    },
+                    Op::FetchAdd {
+                        addr: Expr::Const(0),
+                        delta: Expr::Const(1),
+                        dst: Some(3),
+                    },
+                    Op::Store {
+                        addr: Expr::add(
+                            Expr::add(Expr::Const(1024), Expr::mul(Expr::PeIndex, 16)),
+                            Expr::Reg(1),
+                        ),
+                        value: Expr::Reg(3),
+                    },
+                ]),
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    )
+}
+
+/// The cycle of shard `i`'s live calendar entry — the one its current
+/// park filed — if it has one.
+fn live_wake(m: &Machine, i: usize) -> Option<Cycle> {
+    let since = m.shards[i].parked_since?;
+    (m.wakes.iter())
+        .find(|Reverse((_, shard, filed))| *shard as usize == i && *filed == since)
+        .map(|Reverse((at, ..))| *at)
+}
+
+/// Every shard's live calendar entry, by shard.
+fn live_wakes(m: &Machine) -> Vec<Option<Cycle>> {
+    (0..m.pes()).map(|i| live_wake(m, i)).collect()
+}
+
+fn memory_image(m: &Machine) -> Vec<Value> {
+    (0..2048).map(|word| m.read_shared(word)).collect()
+}
+
+#[test]
+fn a_sleeper_leaves_runnable_and_returns_at_its_wake_cycle() {
+    let mut m = MachineBuilder::new(4)
+        .ideal(2)
+        .build_spmd(&staggered_sleep(100, 40));
+    m.enable_trace(64);
+    let mut parked_from = [None; 4];
+    while m.now() < 300 {
+        m.step();
+        // Cycles `..now` have run.
+        let now = m.now();
+        for (pe, parked) in parked_from.iter_mut().enumerate() {
+            let wake = 100 + 40 * pe as Cycle;
+            if now <= wake && !m.runnable.contains(pe) {
+                // One park for the whole sleep: never woken before its cycle.
+                let since = *parked.get_or_insert(now);
+                assert_eq!(m.shards[pe].parked_since, Some(since), "PE {pe} at {now}");
+                assert_eq!(live_wake(&m, pe), Some(wake), "PE {pe} at {now}: filed");
+            } else if now <= wake {
+                assert!(parked.is_none(), "PE {pe} back in the ready set at {now}");
+            } else if now == wake + 1 {
+                assert!(m.runnable.contains(pe), "PE {pe} ran its wake cycle");
+            }
+        }
+    }
+    // The WaitUntil itself takes one instruction slot; then the PE parks.
+    for (pe, parked) in parked_from.iter().enumerate() {
+        assert!(
+            parked.is_some_and(|at| at <= 4),
+            "PE {pe} parked at {parked:?}"
+        );
+    }
+    // Each store issued in its PE's wake cycle, and stored that clock.
+    let issued: Vec<(usize, Cycle)> = (m.trace().iter())
+        .filter_map(|e| match *e {
+            TraceEvent::Issue { cycle, pe, .. } => Some((pe.0, cycle)),
+            _ => None,
+        })
+        .collect();
+    assert!(m.run().completed);
+    for pe in 0..4 {
+        let wake = 100 + 40 * pe as Cycle;
+        assert!(issued.contains(&(pe, wake)), "PE {pe}: {issued:?}");
+        assert_eq!(m.read_shared(300 + pe), wake as Value);
+    }
+    assert!(m.wakes.is_empty(), "every entry popped by its wake cycle");
+}
+
+#[test]
+fn idle_and_barrier_waits_add_up_at_every_cut_across_sleeps() {
+    // One cycle per instruction and an ideal backend: each cycle before a
+    // context halts either executes one of its instructions or is idle,
+    // and its barrier waits are the cycles after its barrier request
+    // issued up to the release. `pe_stats()` adds a parked shard's
+    // unstamped cycles on the fly; read at every cut, it must say so.
+    let p = Program::new(
+        body(vec![
+            Op::WaitUntil {
+                cycle: Expr::add(Expr::mul(Expr::PeIndex, 25), 40),
+            },
+            Op::Barrier,
+            Op::WaitUntil {
+                cycle: Expr::add(Expr::Clock, Expr::add(Expr::mul(Expr::PeIndex, 5), 30)),
+            },
+            Op::Store {
+                addr: Expr::add(Expr::Const(500), Expr::PeIndex),
+                value: Expr::Clock,
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    let one_cycle = TimeScale {
+        cycles_per_instruction: 1,
+        ..TimeScale::default()
+    };
+    for slice in [1, 7] {
+        let mut m = MachineBuilder::new(8)
+            .ideal(3)
+            .time(one_cycle)
+            .build_spmd(&p);
+        m.enable_trace(1024);
+        let mut cuts = 0;
+        loop {
+            let done = m.run_for(slice).completed;
+            let now = m.now();
+            cuts += 1;
+            let events: Vec<TraceEvent> = m.trace().iter().copied().collect();
+            let release = events.iter().find_map(|e| match *e {
+                TraceEvent::BarrierRelease { cycle, .. } => Some(cycle),
+                _ => None,
+            });
+            for (pe, s) in m.pe_stats().iter().enumerate() {
+                let halted = events.iter().find_map(|e| match *e {
+                    TraceEvent::Halt { cycle, pe: who } if who.0 == pe => Some(cycle),
+                    _ => None,
+                });
+                let arrived = events.iter().find_map(|e| match *e {
+                    TraceEvent::Issue {
+                        cycle,
+                        pe: who,
+                        vaddr,
+                        ..
+                    } if who.0 == pe && vaddr >= BARRIER_VADDR_BASE => Some(cycle),
+                    _ => None,
+                });
+                let alive = halted.unwrap_or(now);
+                let idle = alive - s.instructions.get();
+                let barrier = arrived.map_or(0, |at| {
+                    (release.unwrap_or(now).min(now)).saturating_sub(at + 1)
+                });
+                let at = format!("slice {slice}, cut {now}, PE {pe}");
+                assert_eq!(s.idle_cycles.get(), idle, "{at}: idle");
+                assert_eq!(s.barrier_wait_cycles.get(), barrier, "{at}: barrier");
+            }
+            if done {
+                break;
+            }
+        }
+        assert!(cuts > 20, "slice {slice}: {cuts} cuts");
+    }
+}
+
+#[test]
+fn a_fork_or_a_restore_taken_mid_sleep_finishes_like_the_donor() {
+    let build = || {
+        MachineBuilder::new(16)
+            .multiprogramming(2)
+            .build_spmd(&nap_program(5, 20))
+    };
+    let mut whole = build();
+    assert!(whole.run().completed);
+    let want = (digest(&whole), memory_image(&whole));
+    let mut donor = build();
+    while donor.now() < 40 || live_wakes(&donor).iter().all(Option::is_none) {
+        assert!(!donor.run_for(1).completed, "no cut inside a sleep");
+    }
+    let fork = donor.fork(EngineTuning::default());
+    let restored = Machine::restore(&donor.snapshot()).expect("the frame restores");
+    assert_eq!(
+        live_wakes(&fork),
+        live_wakes(&donor),
+        "a fork keeps the calendar"
+    );
+    assert_eq!(
+        live_wakes(&restored),
+        live_wakes(&donor),
+        "a replay rebuilds the calendar"
+    );
+    for (label, mut m) in [("donor", donor), ("fork", fork), ("restore", restored)] {
+        assert!(m.run().completed, "{label}");
+        assert_eq!((digest(&m), memory_image(&m)), want, "{label}");
+    }
+}
+
+#[test]
+fn early_wakes_leave_one_live_calendar_entry_per_shard() {
+    // Context 0 of every PE sleeps long; context 1 chases loads, and each
+    // reply wakes the shard early, leaving the sleeper's entry stale.
+    let sleeper = Program::new(
+        body(vec![
+            Op::For {
+                reg: 1,
+                from: Expr::Const(0),
+                to: Expr::Const(3),
+                body: body(vec![Op::WaitUntil {
+                    cycle: Expr::add(Expr::Clock, 150),
+                }]),
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    let chaser = Program::new(
+        body(vec![
+            Op::For {
+                reg: 1,
+                from: Expr::Const(0),
+                to: Expr::Const(40),
+                body: body(vec![
+                    Op::Load {
+                        addr: Expr::add(Expr::mul(Expr::PeIndex, 64), Expr::Reg(1)),
+                        dst: 0,
+                    },
+                    Op::Set {
+                        reg: 2,
+                        value: Expr::add(Expr::Reg(2), Expr::Reg(0)),
+                    },
+                ]),
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    let programs = (0..8)
+        .flat_map(|_| [sleeper.clone(), chaser.clone()])
+        .collect();
+    let mut m = MachineBuilder::new(8).multiprogramming(2).build(programs);
+    let mut stale = 0;
+    loop {
+        let done = m.run_for(1).completed;
+        let mut live = [0; 8];
+        for &Reverse((_, i, since)) in m.wakes.iter() {
+            if m.shards[i as usize].parked_since == Some(since) {
+                live[i as usize] += 1;
+            } else {
+                stale += 1;
+            }
+        }
+        assert!(live.iter().all(|&n| n <= 1), "cycle {}: {live:?}", m.now());
+        if done {
+            break;
+        }
+    }
+    assert!(stale > 0, "replies never woke a sleeping shard early");
+    assert!(m.wakes.is_empty(), "every entry popped by its wake cycle");
+}
+
+#[test]
+fn a_fail_stopped_sleeper_leaves_the_calendar() {
+    // Both forward ports of one entry switch die mid-sleep: its two PEs
+    // lose every route and are fail-stopped; their calendar entries go
+    // with them, while the survivors sleep on to their wake cycle.
+    let kill = |port| Fault::KillSwitchPort {
+        copy: 0,
+        stage: 0,
+        switch: 3,
+        port,
+    };
+    let plan = FaultPlan::none()
+        .schedule(50, kill(0))
+        .schedule(50, kill(1));
+    let mut m = MachineBuilder::new(8)
+        .faults(plan)
+        .build_spmd(&staggered_sleep(200, 0));
+    assert!(!m.run_for(60).completed);
+    let dead: Vec<usize> = m.dead_pes().iter().map(|pe| pe.0).collect();
+    assert_eq!(dead.len(), 2, "{dead:?}");
+    for Reverse((_, i, _)) in m.wakes.iter() {
+        assert!(!dead.contains(&(*i as usize)), "entry for dead PE {i}");
+    }
+    for (pe, wake) in live_wakes(&m).into_iter().enumerate() {
+        let want = (!dead.contains(&pe)).then_some(200);
+        assert_eq!(wake, want, "PE {pe}");
+    }
+    assert!(m.run().completed);
+    for pe in (0..8).filter(|pe| !dead.contains(pe)) {
+        assert_eq!(m.read_shared(300 + pe), 200, "PE {pe}");
+    }
 }
