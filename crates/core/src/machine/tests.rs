@@ -45,6 +45,12 @@ fn network_backend_counts_exactly() {
 }
 
 #[test]
+#[should_panic(expected = "invalid network configuration: network has no stage")]
+fn a_one_pe_network_machine_is_refused_by_name() {
+    let _ = MachineBuilder::new(1).build_spmd(&counter_program(1));
+}
+
+#[test]
 fn backends_agree_on_final_memory() {
     // Distinct-slot writes through self-scheduling: both backends must
     // produce one write per slot and full counter consumption.

@@ -379,7 +379,10 @@ impl Machine {
         if !cr.is_empty() {
             return Err(WireError::Invalid("config echo has trailing bytes").into());
         }
-        cfg.net.check()?;
+        match cfg.backend {
+            BackendKind::Network { .. } => cfg.net.check_fabric()?,
+            BackendKind::Ideal { .. } => cfg.net.check()?,
+        }
         cfg.faults.check(cfg.net.pes)?;
         let contexts = buildable_contexts(&cfg)?;
         cfg.fast_forward = r.bool()?;
@@ -648,6 +651,38 @@ mod tests {
             )))
         );
         assert!(started.elapsed().as_millis() < 100, "nothing was built");
+    }
+
+    /// Restores a frame whose network has `pes` PEs and `k×k` switches,
+    /// with a recipe that covers its contexts.
+    fn restore_forged_geometry(k: usize, pes: usize) -> Option<SnapshotError> {
+        let donor = mid_run_machine();
+        let mut cfg = donor.cfg().clone();
+        (cfg.net.k, cfg.net.pes) = (k, pes);
+        let mut recipe = donor.recipe().clone();
+        recipe.programs = vec![(pes, ticket_program(2))];
+        recipe.writes.clear();
+        Machine::restore(&frame(&cfg, &recipe, 0, 0, 0)).err()
+    }
+
+    #[test]
+    fn a_frame_with_three_port_switches_is_a_typed_error() {
+        assert_eq!(
+            restore_forged_geometry(3, 9),
+            Some(SnapshotError::Corrupted(WireError::Invalid(
+                "switch arity not a power of two"
+            )))
+        );
+    }
+
+    #[test]
+    fn a_frame_with_one_pe_is_a_typed_error() {
+        assert_eq!(
+            restore_forged_geometry(2, 1),
+            Some(SnapshotError::Corrupted(WireError::Invalid(
+                "network has no stage"
+            )))
+        );
     }
 
     #[test]

@@ -166,8 +166,9 @@ impl NetConfig {
         cfg
     }
 
-    /// Checks the invariants: `pes` a positive power of `k ≥ 2`, no
-    /// zero-length packet, request queues that hold a data message.
+    /// Checks the invariants: `k ≥ 2` a power of two, `pes` a power of
+    /// `k`, no zero-length packet, request queues that hold a data
+    /// message.
     ///
     /// # Errors
     ///
@@ -178,13 +179,11 @@ impl NetConfig {
         if self.k < 2 {
             return Err(WireError::Invalid("switch arity below 2"));
         }
-        let mut p = 1usize;
-        while p < self.pes {
-            p = p
-                .checked_mul(self.k)
-                .ok_or(WireError::Invalid("pe count overflows"))?;
+        if !self.k.is_power_of_two() {
+            return Err(WireError::Invalid("switch arity not a power of two"));
         }
-        if p != self.pes || self.pes == 0 {
+        let k_bits = self.k.trailing_zeros();
+        if !self.pes.is_power_of_two() || self.pes.trailing_zeros() % k_bits != 0 {
             return Err(WireError::Invalid("pe count not a power of k"));
         }
         if self.data_packets == 0 || self.ctl_packets == 0 {
@@ -196,15 +195,43 @@ impl NetConfig {
         Ok(())
     }
 
+    /// [`NetConfig::check`] for a configuration a fabric is built from:
+    /// it must also have at least one stage (`pes ≥ k`). A single PE is
+    /// a machine only on the ideal backend, which builds no fabric.
+    ///
+    /// # Errors
+    ///
+    /// Names the violated invariant, as [`NetConfig::check`] does.
+    pub fn check_fabric(&self) -> Result<(), WireError> {
+        self.check()?;
+        if self.pes < self.k {
+            return Err(WireError::Invalid("network has no stage"));
+        }
+        Ok(())
+    }
+
     /// [`NetConfig::check`] for configurations written in code.
     ///
     /// # Panics
     ///
     /// Panics if an invariant is violated.
     pub fn validate(&self) {
-        if let Err(WireError::Invalid(what)) = self.check() {
-            panic!("invalid network configuration: {what}");
-        }
+        expect_valid(self.check());
+    }
+
+    /// [`NetConfig::check_fabric`] for configurations written in code.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an invariant is violated.
+    pub fn validate_fabric(&self) {
+        expect_valid(self.check_fabric());
+    }
+}
+
+fn expect_valid(checked: Result<(), WireError>) {
+    if let Err(WireError::Invalid(what)) = checked {
+        panic!("invalid network configuration: {what}");
     }
 }
 
@@ -240,6 +267,28 @@ mod tests {
     #[should_panic(expected = "not a power")]
     fn rejects_non_power_of_k() {
         let _ = NetConfig::small(12);
+    }
+
+    #[test]
+    fn check_names_the_geometries_no_fabric_has() {
+        let invalid = |k, pes| {
+            let cfg = NetConfig {
+                k,
+                pes,
+                ..NetConfig::small(8)
+            };
+            cfg.check_fabric().err()
+        };
+        let named = |what| Some(WireError::Invalid(what));
+        assert_eq!(invalid(3, 27), named("switch arity not a power of two"));
+        assert_eq!(invalid(2, 1), named("network has no stage"));
+        assert_eq!(invalid(4, 1), named("network has no stage"));
+        assert_eq!(invalid(4, 8), named("pe count not a power of k"));
+        assert_eq!(invalid(2, 0), named("pe count not a power of k"));
+        assert_eq!(invalid(4, 4), None, "one stage is a crossbar");
+        assert_eq!(invalid(8, 1 << 63), None, "k^21 fits a usize");
+        // The ideal backend runs one PE without a fabric.
+        assert_eq!(NetConfig::small(1).check(), Ok(()));
     }
 
     #[test]

@@ -73,5 +73,5 @@ pub mod switch;
 pub use config::{NetConfig, SweepMode, SwitchPolicy};
 pub use message::{Message, MsgId, MsgKind, PhiOp, Reply, ReplyKind};
 pub use omega::{Injected, NetworkEvents, OmegaNetwork};
-pub use route::{RouteTables, Topology};
+pub use route::Topology;
 pub use stats::NetStats;

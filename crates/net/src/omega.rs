@@ -25,7 +25,7 @@ use crate::config::SwitchPolicy;
 use crate::config::{NetConfig, SweepMode};
 use crate::message::{Message, MsgId, Reply};
 use crate::queue::Handle;
-use crate::route::{ForwardHop, ReverseHop, RouteTables, Topology};
+use crate::route::{ForwardHop, ReverseHop, Topology};
 use crate::stats::NetStats;
 use crate::switch::{AcceptOutcome, Switches};
 use ultra_faults::FaultMask;
@@ -78,7 +78,6 @@ pub enum Injected {
 #[derive(Debug, Clone)]
 pub struct OmegaNetwork {
     cfg: NetConfig,
-    routes: RouteTables,
     /// Every switch's queues, wait buffer and counters, plus the slabs the
     /// in-flight messages live in (stage 0 on the PE side).
     switches: Switches,
@@ -112,11 +111,12 @@ impl OmegaNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` is invalid (see [`NetConfig::validate`]).
+    /// Panics if `cfg` is invalid (see [`NetConfig::check_fabric`]).
     #[must_use]
     pub fn new(cfg: NetConfig) -> Self {
-        cfg.validate();
-        let topo = Topology::new(cfg.pes, cfg.k);
+        cfg.validate_fabric();
+        let switches = Switches::new(&cfg);
+        let topo = *switches.topology();
         let active = || {
             (0..topo.stages())
                 .map(|_| ActiveSet::new(topo.switches_per_stage()))
@@ -125,8 +125,7 @@ impl OmegaNetwork {
         Self {
             stats: NetStats::new(topo.stages()),
             cfg,
-            routes: RouteTables::new(topo),
-            switches: Switches::new(&cfg),
+            switches,
             active_fwd: active(),
             active_rev: active(),
             sweep: SweepMode::default(),
@@ -140,13 +139,12 @@ impl OmegaNetwork {
         }
     }
 
-    /// Heap bytes this network owns: switches, route tables and link
-    /// state (the per-stage active sets and counters are a rounding error
-    /// beside them).
+    /// Heap bytes this network owns: switches and link state (the
+    /// per-stage active sets and counters are a rounding error beside
+    /// them).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         self.switches.heap_bytes()
-            + self.routes.heap_bytes()
             + vec_bytes(&self.pe_link_free)
             + vec_bytes(&self.mm_link_free)
             + vec_bytes(&self.fwd_egress)
@@ -196,13 +194,14 @@ impl OmegaNetwork {
         if !self.mask.any_port_dead() {
             return false;
         }
-        let (mut sw, _) = self.routes.pe_entry(msg.src);
-        for s in 0..self.routes.stages() {
-            let out_port = self.routes.forward_out_port(msg.addr.mm, s);
+        let topo = self.topology();
+        let (mut sw, _) = topo.pe_entry(msg.src);
+        for s in 0..topo.stages() {
+            let out_port = topo.forward_out_port(msg.addr.mm, s);
             if self.mask.port_dead(s, sw, out_port) {
                 return true;
             }
-            match self.routes.forward_next(s, sw, out_port) {
+            match topo.forward_next(s, sw, out_port) {
                 ForwardHop::ToSwitch(next_sw, _) => sw = next_sw,
                 ForwardHop::ToMm(_) => break,
             }
@@ -219,7 +218,7 @@ impl OmegaNetwork {
     /// The static wiring.
     #[must_use]
     pub fn topology(&self) -> &Topology {
-        self.routes.topo()
+        self.switches.topology()
     }
 
     /// Test and microbench hook: forces how the per-cycle sweeps iterate
@@ -275,8 +274,8 @@ impl OmegaNetwork {
     /// wait-buffer occupancy for every switch in the fabric.
     #[must_use]
     pub fn heatmap(&self) -> HeatmapSnapshot {
-        let stages = self.routes.stages();
-        let width = self.routes.switches_per_stage();
+        let stages = self.topology().stages();
+        let width = self.topology().switches_per_stage();
         let mut snap = HeatmapSnapshot::new(stages, width);
         for s in 0..stages {
             for i in 0..width {
@@ -328,8 +327,8 @@ impl OmegaNetwork {
             self.stats.inject_stalls.incr();
             return Err(msg);
         }
-        let (sw, in_port) = self.routes.pe_entry(pe);
-        if !self.switches.can_admit_request(sw, &msg, &self.routes) {
+        let (sw, in_port) = self.topology().pe_entry(pe);
+        if !self.switches.can_admit_request(sw, &msg) {
             self.stats.inject_stalls.incr();
             return Err(msg);
         }
@@ -346,15 +345,10 @@ impl OmegaNetwork {
         }
         self.stats.injected_requests.incr();
         let handle = self.switches.admit_request(msg);
-        match self.switches.accept_request(
-            0,
-            sw,
-            handle,
-            in_port,
-            now,
-            &self.routes,
-            &mut self.stats,
-        ) {
+        match self
+            .switches
+            .accept_request(0, sw, handle, in_port, now, &mut self.stats)
+        {
             AcceptOutcome::Dropped(m) => self.pending_drops.push(m),
             AcceptOutcome::Queued | AcceptOutcome::Combined => {}
         }
@@ -375,25 +369,18 @@ impl OmegaNetwork {
         if now < self.mm_link_free[mm.0] {
             return Err(reply);
         }
-        let last = self.routes.stages() - 1;
-        let (sw, in_port) = self.routes.reverse_entry(mm);
-        if !self.switches.can_admit_reply(sw, &reply, &self.routes) {
+        let last = self.topology().stages() - 1;
+        let (sw, in_port) = self.topology().reverse_entry(mm);
+        if !self.switches.can_admit_reply(sw, &reply) {
             return Err(reply);
         }
         reply.mm_injected_at = now;
         let len = reply.packets(self.cfg.data_packets, self.cfg.ctl_packets);
         self.mm_link_free[mm.0] = now + Cycle::from(len);
         self.stats.injected_replies.incr();
-        let handle = self.switches.admit_reply(reply, last, &self.routes);
-        self.switches.accept_reply(
-            last,
-            sw,
-            handle,
-            in_port,
-            now,
-            &self.routes,
-            &mut self.stats,
-        );
+        let handle = self.switches.admit_reply(reply, last);
+        self.switches
+            .accept_reply(last, sw, handle, in_port, now, &mut self.stats);
         self.active_rev[last].insert(sw);
         Ok(())
     }
@@ -498,8 +485,9 @@ impl OmegaNetwork {
     /// Describes the first switch whose membership disagrees with its
     /// queue occupancy.
     pub fn active_sets_exact(&self) -> Result<(), String> {
-        for s in 0..self.routes.stages() {
-            for i in 0..self.routes.switches_per_stage() {
+        let topo = self.topology();
+        for s in 0..topo.stages() {
+            for i in 0..topo.switches_per_stage() {
                 let fwd = self.switches.has_forward_traffic(s, i);
                 if self.active_fwd[s].contains(i) != fwd {
                     return Err(format!(
@@ -522,7 +510,7 @@ impl OmegaNetwork {
     /// Forward sweep, MM side first so freed space propagates upstream
     /// within the cycle.
     fn sweep_forward(&mut self, now: Cycle) {
-        let last = self.routes.stages() - 1;
+        let last = self.topology().stages() - 1;
         for s in (0..=last).rev() {
             self.sweep_stage_forward(now, s);
         }
@@ -542,7 +530,7 @@ impl OmegaNetwork {
     /// stage `s+1`, never into stage `s` itself.
     fn sweep_stage_forward(&mut self, now: Cycle, s: usize) {
         if self.sweep == SweepMode::Dense {
-            for sw_idx in 0..self.routes.switches_per_stage() {
+            for sw_idx in 0..self.topology().switches_per_stage() {
                 self.transmit_forward(now, s, sw_idx);
             }
             return;
@@ -558,7 +546,7 @@ impl OmegaNetwork {
 
     /// Reverse sweep, PE side first.
     fn sweep_reverse(&mut self, now: Cycle) {
-        for s in 0..self.routes.stages() {
+        for s in 0..self.topology().stages() {
             self.sweep_stage_reverse(now, s);
         }
     }
@@ -568,7 +556,7 @@ impl OmegaNetwork {
     /// transmissions landing in stage `s - 1`.
     fn sweep_stage_reverse(&mut self, now: Cycle, s: usize) {
         if self.sweep == SweepMode::Dense {
-            for sw_idx in 0..self.routes.switches_per_stage() {
+            for sw_idx in 0..self.topology().switches_per_stage() {
                 self.transmit_reverse(now, s, sw_idx);
             }
             return;
@@ -590,16 +578,13 @@ impl OmegaNetwork {
             let Some((head, len)) = self.switches.forward_head_ready(s, sw_idx, port, now) else {
                 continue;
             };
-            match self.routes.forward_next(s, sw_idx, port) {
+            match self.topology().forward_next(s, sw_idx, port) {
                 ForwardHop::ToMm(_) => {
                     let handle = self.switches.transmit_request(s, sw_idx, port, now);
                     self.fwd_egress.push((now + Cycle::from(len), handle));
                 }
                 ForwardHop::ToSwitch(next_sw, next_port) => {
-                    if !self
-                        .switches
-                        .can_accept_request(s + 1, next_sw, head, &self.routes)
-                    {
+                    if !self.switches.can_accept_request(s + 1, next_sw, head) {
                         continue; // backpressure: try again next cycle
                     }
                     let handle = self.switches.transmit_request(s, sw_idx, port, now);
@@ -609,7 +594,6 @@ impl OmegaNetwork {
                         handle,
                         next_port,
                         now + 1,
-                        &self.routes,
                         &mut self.stats,
                     ) {
                         AcceptOutcome::Dropped(m) => self.pending_drops.push(m),
@@ -635,16 +619,13 @@ impl OmegaNetwork {
             let Some((head, len)) = self.switches.reverse_head_ready(s, sw_idx, port, now) else {
                 continue;
             };
-            match self.routes.reverse_next(s, sw_idx, port) {
+            match self.topology().reverse_next(s, sw_idx, port) {
                 ReverseHop::ToPe(_) => {
                     let handle = self.switches.transmit_reply(s, sw_idx, port, now);
                     self.rev_egress.push((now + Cycle::from(len), handle));
                 }
                 ReverseHop::ToSwitch(prev_sw, prev_port) => {
-                    if !self
-                        .switches
-                        .can_accept_reply(s - 1, prev_sw, head, &self.routes)
-                    {
+                    if !self.switches.can_accept_reply(s - 1, prev_sw, head) {
                         continue;
                     }
                     let handle = self.switches.transmit_reply(s, sw_idx, port, now);
@@ -654,7 +635,6 @@ impl OmegaNetwork {
                         handle,
                         prev_port,
                         now + 1,
-                        &self.routes,
                         &mut self.stats,
                     );
                     // Decombined twins also land in `prev_sw`, so the accept

@@ -47,7 +47,7 @@ use crate::combine::{kinds_combinable, retry_forbids, try_combine, WaitEntry};
 use crate::config::{NetConfig, SwitchPolicy};
 use crate::message::{Message, MsgId, Reply, ReplyKind};
 use crate::queue::{Handle, OutQueue, Slab};
-use crate::route::{RouteTables, Topology};
+use crate::route::Topology;
 use crate::stats::NetStats;
 use ultra_sim::heap::{map_bytes, vec_bytes};
 use ultra_sim::{Cycle, IdMap};
@@ -70,10 +70,9 @@ pub enum AcceptOutcome {
 /// side.
 #[derive(Debug, Clone)]
 pub struct Switches {
-    k: usize,
-    /// Switches per stage.
-    width: usize,
-    stages: usize,
+    /// The wiring: `k`, the switches per stage (`width`) and the stages,
+    /// and every routing decision a hop makes.
+    topo: Topology,
     /// ToMM port records, `(stage · width + switch) · k + port`.
     to_mm: Vec<OutQueue>,
     /// ToPE port records, same indexing.
@@ -104,17 +103,15 @@ impl Switches {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.pes` is not a power of `cfg.k`, or if the fabric has
-    /// more than `u32::MAX` switches.
+    /// Panics unless [`Topology::new`] accepts `cfg.pes` and `cfg.k`, or
+    /// if the fabric has more than `u32::MAX` switches.
     #[must_use]
     pub fn new(cfg: &NetConfig) -> Self {
         let topo = Topology::new(cfg.pes, cfg.k);
         let cells = topo.stages() * topo.switches_per_stage();
         assert!(u32::try_from(cells).is_ok(), "switch cells fit in u32");
         Self {
-            k: cfg.k,
-            width: topo.switches_per_stage(),
-            stages: topo.stages(),
+            topo,
             to_mm: vec![OutQueue::new(); cells * cfg.k],
             to_pe: vec![OutQueue::new(); cells * cfg.k],
             wait_len: vec![0; cells],
@@ -146,9 +143,22 @@ impl Switches {
             + self.replies.heap_bytes()
     }
 
+    /// The wiring these switches are connected by.
+    #[must_use]
+    pub fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
     fn cell(&self, stage: usize, switch: usize) -> usize {
-        debug_assert!(stage < self.stages && switch < self.width);
-        stage * self.width + switch
+        let width = self.topo.switches_per_stage();
+        debug_assert!(stage < self.topo.stages() && switch < width);
+        stage * width + switch
+    }
+
+    /// Index of port `port` of switch `(stage, switch)` in the port
+    /// columns.
+    fn port_at(&self, stage: usize, switch: usize, port: usize) -> usize {
+        self.cell(stage, switch) * self.topo.k() + port
     }
 
     /// The slab holding every request in the fabric — pass it to the
@@ -167,13 +177,13 @@ impl Switches {
     /// The ToMM queue behind output port `port` of switch `(stage, switch)`.
     #[must_use]
     pub fn to_mm_queue(&self, stage: usize, switch: usize, port: usize) -> &OutQueue {
-        &self.to_mm[self.cell(stage, switch) * self.k + port]
+        &self.to_mm[self.port_at(stage, switch, port)]
     }
 
     /// The ToPE queue behind output port `port` of switch `(stage, switch)`.
     #[must_use]
     pub fn to_pe_queue(&self, stage: usize, switch: usize, port: usize) -> &OutQueue {
-        &self.to_pe[self.cell(stage, switch) * self.k + port]
+        &self.to_pe[self.port_at(stage, switch, port)]
     }
 
     /// Number of live wait-buffer entries in switch `(stage, switch)`.
@@ -211,8 +221,8 @@ impl Switches {
     /// switch is in its stage's forward worklist exactly while this is true.
     #[must_use]
     pub fn has_forward_traffic(&self, stage: usize, switch: usize) -> bool {
-        let base = self.cell(stage, switch) * self.k;
-        self.to_mm[base..base + self.k]
+        let base = self.port_at(stage, switch, 0);
+        self.to_mm[base..base + self.topo.k()]
             .iter()
             .any(|q| !q.is_empty())
     }
@@ -226,8 +236,8 @@ impl Switches {
     /// entries which persist forever and must not keep the fabric "busy".
     #[must_use]
     pub fn has_reverse_traffic(&self, stage: usize, switch: usize) -> bool {
-        let base = self.cell(stage, switch) * self.k;
-        self.to_pe[base..base + self.k]
+        let base = self.port_at(stage, switch, 0);
+        self.to_pe[base..base + self.topo.k()]
             .iter()
             .any(|q| !q.is_empty())
     }
@@ -324,9 +334,11 @@ impl Switches {
     /// switch of `stage`: its routing register starts as what the
     /// stages behind it would have made of the destination PE number
     /// (the number itself at the last stage, where MNIs inject).
-    pub fn admit_reply(&mut self, reply: Reply, stage: usize, topo: &RouteTables) -> Handle {
+    pub fn admit_reply(&mut self, reply: Reply, stage: usize) -> Handle {
         let packets = self.reply_packets(&reply);
-        let amalgam = topo.reverse_amalgam_at(reply.dst, reply.addr.mm, stage);
+        let amalgam = self
+            .topo
+            .reverse_amalgam_at(reply.dst, reply.addr.mm, stage);
         self.replies.insert(reply, packets, amalgam)
     }
 
@@ -350,7 +362,7 @@ impl Switches {
         port: usize,
         now: Cycle,
     ) -> Option<(Handle, u8)> {
-        let q = &self.to_mm[self.cell(stage, switch) * self.k + port];
+        let q = &self.to_mm[self.port_at(stage, switch, port)];
         let head = q.ready_head(&self.requests, now)?;
         Some((head, self.requests.link(head).packets))
     }
@@ -364,7 +376,7 @@ impl Switches {
         port: usize,
         now: Cycle,
     ) -> Option<(Handle, u8)> {
-        let q = &self.to_pe[self.cell(stage, switch) * self.k + port];
+        let q = &self.to_pe[self.port_at(stage, switch, port)];
         let head = q.ready_head(&self.replies, now)?;
         Some((head, self.replies.link(head).packets))
     }
@@ -384,7 +396,7 @@ impl Switches {
         port: usize,
         now: Cycle,
     ) -> Handle {
-        let q = self.cell(stage, switch) * self.k + port;
+        let q = self.port_at(stage, switch, port);
         self.to_mm[q].pop_for_transmit(&mut self.requests, now)
     }
 
@@ -400,15 +412,15 @@ impl Switches {
         port: usize,
         now: Cycle,
     ) -> Handle {
-        let q = self.cell(stage, switch) * self.k + port;
+        let q = self.port_at(stage, switch, port);
         self.to_pe[q].pop_for_transmit(&mut self.replies, now)
     }
 
     /// Whether stage-0 switch `switch` can take `msg`, a request not yet
     /// admitted, right now — the PNI's check before injecting.
     #[must_use]
-    pub fn can_admit_request(&self, switch: usize, msg: &Message, topo: &RouteTables) -> bool {
-        let port = topo.forward_out_port(msg.addr.mm, 0);
+    pub fn can_admit_request(&self, switch: usize, msg: &Message) -> bool {
+        let port = self.topo.forward_out_port(msg.addr.mm, 0);
         self.request_room(self.cell(0, switch), port, self.packets_of(msg), || msg)
     }
 
@@ -417,15 +429,9 @@ impl Switches {
     /// transmitting). Reads the request's link record; its body only if a
     /// full target queue must be searched for a combining partner.
     #[must_use]
-    pub fn can_accept_request(
-        &self,
-        stage: usize,
-        switch: usize,
-        handle: Handle,
-        topo: &RouteTables,
-    ) -> bool {
+    pub fn can_accept_request(&self, stage: usize, switch: usize, handle: Handle) -> bool {
         let link = self.requests.link(handle);
-        let port = topo.amalgam_out_port(link.amalgam, stage);
+        let port = self.topo.amalgam_out_port(link.amalgam, stage);
         self.request_room(self.cell(stage, switch), port, link.packets, || {
             self.requests.body(handle)
         })
@@ -442,7 +448,7 @@ impl Switches {
         packets: u8,
         incoming: impl FnOnce() -> &'a Message,
     ) -> bool {
-        let queue = &self.to_mm[cell * self.k + port];
+        let queue = &self.to_mm[cell * self.topo.k() + port];
         match self.policy {
             // Drops are decided (and reported) inside `accept_request`.
             SwitchPolicy::DropOnConflict => true,
@@ -486,10 +492,6 @@ impl Switches {
     /// # Panics
     ///
     /// Panics if the caller did not verify [`Switches::can_accept_request`].
-    // A hop is where, what, through which port and when, plus the two
-    // tables every switch shares; pairing any two into a struct would
-    // invent a type these two call sites alone use.
-    #[allow(clippy::too_many_arguments)]
     pub fn accept_request(
         &mut self,
         stage: usize,
@@ -497,14 +499,13 @@ impl Switches {
         handle: Handle,
         in_port: usize,
         head_arrival: Cycle,
-        topo: &RouteTables,
         stats: &mut NetStats,
     ) -> AcceptOutcome {
         let cell = self.cell(stage, switch);
         let link = self.requests.link_mut(handle);
-        let (out_port, updated) = topo.step_amalgam(link.amalgam, stage, in_port);
+        let (out_port, updated) = self.topo.step_amalgam(link.amalgam, stage, in_port);
         link.amalgam = updated;
-        let q = cell * self.k + out_port;
+        let q = cell * self.topo.k() + out_port;
 
         if self.policy == SwitchPolicy::DropOnConflict {
             if self.to_mm[q].is_empty() {
@@ -561,13 +562,11 @@ impl Switches {
     /// Whether last-stage switch `switch` can take `reply`, not yet
     /// admitted, right now — the MNI's check before injecting.
     #[must_use]
-    pub fn can_admit_reply(&self, switch: usize, reply: &Reply, topo: &RouteTables) -> bool {
-        let stage = self.stages - 1;
-        let port = topo.reverse_out_port(reply.dst, stage);
+    pub fn can_admit_reply(&self, switch: usize, reply: &Reply) -> bool {
+        let stage = self.topo.stages() - 1;
+        let port = self.topo.reverse_out_port(reply.dst, stage);
         let len = self.reply_packets(reply);
-        self.reply_room(self.cell(stage, switch), port, len, topo, stage, || {
-            reply.id
-        })
+        self.reply_room(self.cell(stage, switch), port, len, stage, || reply.id)
     }
 
     /// Whether switch `(stage, switch)` can take the in-flight reply
@@ -575,23 +574,12 @@ impl Switches {
     /// arrival would spawn. Reads the reply's body only at a switch that
     /// holds wait entries.
     #[must_use]
-    pub fn can_accept_reply(
-        &self,
-        stage: usize,
-        switch: usize,
-        handle: Handle,
-        topo: &RouteTables,
-    ) -> bool {
+    pub fn can_accept_reply(&self, stage: usize, switch: usize, handle: Handle) -> bool {
         let link = self.replies.link(handle);
-        let port = topo.amalgam_out_port(link.amalgam, stage);
-        self.reply_room(
-            self.cell(stage, switch),
-            port,
-            link.packets,
-            topo,
-            stage,
-            || self.replies.body(handle).id,
-        )
+        let port = self.topo.amalgam_out_port(link.amalgam, stage);
+        self.reply_room(self.cell(stage, switch), port, link.packets, stage, || {
+            self.replies.body(handle).id
+        })
     }
 
     /// Whether ToPE port `port` of cell `cell` has room for a reply of
@@ -603,11 +591,10 @@ impl Switches {
         cell: usize,
         port: usize,
         len: u8,
-        topo: &RouteTables,
         stage: usize,
         id: impl FnOnce() -> MsgId,
     ) -> bool {
-        let base = cell * self.k;
+        let base = cell * self.topo.k();
         let cap = self.reply_capacity;
         // A cell with an empty buffer — the common case — answers from its
         // counter alone, without asking for the id.
@@ -617,7 +604,7 @@ impl Switches {
         match entry {
             None => self.to_pe[base + port].can_accept(len, cap),
             Some(entry) => {
-                let spawn_port = topo.reverse_out_port(entry.absorbed_pe, stage);
+                let spawn_port = self.topo.reverse_out_port(entry.absorbed_pe, stage);
                 let spawn_len = match entry.absorbed_reply_kind {
                     ReplyKind::Value => self.data_packets,
                     ReplyKind::Ack => self.ctl_packets,
@@ -639,7 +626,6 @@ impl Switches {
     /// # Panics
     ///
     /// Panics if the caller did not verify [`Switches::can_accept_reply`].
-    #[allow(clippy::too_many_arguments)] // as `accept_request`
     pub fn accept_reply(
         &mut self,
         stage: usize,
@@ -647,13 +633,12 @@ impl Switches {
         handle: Handle,
         in_port: usize,
         head_arrival: Cycle,
-        topo: &RouteTables,
         stats: &mut NetStats,
     ) {
         let cell = self.cell(stage, switch);
-        let base = cell * self.k;
+        let base = cell * self.topo.k();
         let link = self.replies.link_mut(handle);
-        let (out_port, updated) = topo.step_amalgam(link.amalgam, stage, in_port);
+        let (out_port, updated) = self.topo.step_amalgam(link.amalgam, stage, in_port);
         link.amalgam = updated;
         self.to_pe[base + out_port].push(
             &mut self.replies,
@@ -672,9 +657,9 @@ impl Switches {
             let mut spawn = entry.make_reply(value);
             spawn.mm_injected_at = mm_injected_at;
             stats.decombines.incr();
-            let spawn = self.admit_reply(spawn, stage, topo);
+            let spawn = self.admit_reply(spawn, stage);
             let link = self.replies.link_mut(spawn);
-            let (spawn_port, spawn_updated) = topo.step_amalgam(link.amalgam, stage, in_port);
+            let (spawn_port, spawn_updated) = self.topo.step_amalgam(link.amalgam, stage, in_port);
             link.amalgam = spawn_updated;
             // The spawned reply streams out right behind the triggering one;
             // model its head as available one packet later.
@@ -698,8 +683,8 @@ mod tests {
         NetConfig::small(8)
     }
 
-    fn topo() -> RouteTables {
-        RouteTables::new(Topology::new(8, 2))
+    fn topo() -> Topology {
+        Topology::new(8, 2)
     }
 
     fn req(id: u64, pe: usize, mm: usize, kind: MsgKind, value: i64) -> Message {
@@ -716,13 +701,13 @@ mod tests {
     /// Sends `msg` into the stage-0 switch it would physically enter.
     fn into_stage0(
         sw: &mut Switches,
-        topo: &RouteTables,
+        topo: &Topology,
         msg: Message,
         stats: &mut NetStats,
     ) -> AcceptOutcome {
         let (switch, in_port) = topo.pe_entry(msg.src);
         let handle = sw.admit_request(msg);
-        sw.accept_request(0, switch, handle, in_port, 1, topo, stats)
+        sw.accept_request(0, switch, handle, in_port, 1, stats)
     }
 
     /// Messages queued on ToMM port `port` of stage-0 switch `switch`.
@@ -911,9 +896,9 @@ mod tests {
         let in_port = t.forward_out_port(reply.addr.mm, 0);
         // Entering stage 0 on the reverse trip: admission gives it the
         // amalgam a reply carries at that point.
-        let handle = sw.admit_reply(reply, 0, &t);
-        assert!(sw.can_accept_reply(0, sw0, handle, &t));
-        sw.accept_reply(0, sw0, handle, in_port, 2, &t, &mut stats);
+        let handle = sw.admit_reply(reply, 0);
+        assert!(sw.can_accept_reply(0, sw0, handle));
+        sw.accept_reply(0, sw0, handle, in_port, 2, &mut stats);
         assert_eq!(stats.decombines.get(), 1);
         assert_eq!(sw.wait_occupancy(0, sw0), 0);
         assert_eq!(sw.total_wait_occupancy(), 0);
@@ -954,8 +939,8 @@ mod tests {
             attempt: 0,
         };
         let in_port = t.forward_out_port(MmId(3), 0);
-        let handle = sw.admit_reply(r, 0, &t);
-        sw.accept_reply(0, 0, handle, in_port, 1, &t, &mut stats);
+        let handle = sw.admit_reply(r, 0);
+        sw.accept_reply(0, 0, handle, in_port, 1, &mut stats);
         let port = t.reverse_out_port(PeId(0), 0);
         assert_eq!(sw.to_pe_queue(0, 0, port).len(sw.replies()), 1);
         assert_eq!(stats.decombines.get(), 0);
@@ -1011,15 +996,15 @@ mod tests {
         // Queue now holds 3 packets = full, but a combinable twin must still
         // be acceptable (it takes no space).
         let twin = req(2, 4, 3, MsgKind::fetch_add(), 9);
-        assert!(sw.can_admit_request(sw0, &twin, &t));
+        assert!(sw.can_admit_request(sw0, &twin));
         // A request to a different word behind the same port is refused.
         let mut other = req(3, 4, 3, MsgKind::fetch_add(), 9);
         other.addr.offset = 99;
-        assert!(!sw.can_admit_request(sw0, &other, &t));
+        assert!(!sw.can_admit_request(sw0, &other));
         // The same answers for the two once admitted.
         let (twin, other) = (sw.admit_request(twin), sw.admit_request(other));
-        assert!(sw.can_accept_request(0, sw0, twin, &t));
-        assert!(!sw.can_accept_request(0, sw0, other, &t));
+        assert!(sw.can_accept_request(0, sw0, twin));
+        assert!(!sw.can_accept_request(0, sw0, other));
     }
 
     #[test]
@@ -1030,7 +1015,7 @@ mod tests {
         assert_eq!(sw.requests().link(handle).amalgam, 5);
         let reply = Reply::to_request(&req(2, 6, 3, MsgKind::Load, 0), 0);
         let last = t.stages() - 1;
-        let handle = sw.admit_reply(reply, last, &t);
+        let handle = sw.admit_reply(reply, last);
         assert_eq!(
             sw.replies().link(handle).amalgam,
             6,
@@ -1050,7 +1035,7 @@ mod tests {
         let store = sw.admit_request(req(2, 4, 3, MsgKind::Store, 7));
         let (_, in_port) = t.pe_entry(PeId(4));
         let (_, expect) = t.step_amalgam(3, 0, in_port);
-        let outcome = sw.accept_request(0, sw0, store, in_port, 1, &t, &mut stats);
+        let outcome = sw.accept_request(0, sw0, store, in_port, 1, &mut stats);
         assert_eq!(outcome, AcceptOutcome::Combined);
         let head = sw.to_mm_queue(0, sw0, 0).head(sw.requests());
         assert_eq!(sw.requests().body(head).id, MsgId(2), "the store survives");

@@ -22,7 +22,7 @@ use std::collections::{HashMap, VecDeque};
 use ultra_net::config::NetConfig;
 use ultra_net::message::{Message, MsgId, MsgKind, PhiOp, Reply};
 use ultra_net::queue::{Handle, OutQueue, Slab, NIL};
-use ultra_net::route::{ForwardHop, ReverseHop, RouteTables, Topology};
+use ultra_net::route::{ForwardHop, ReverseHop, Topology};
 use ultra_net::stats::NetStats;
 use ultra_net::switch::{AcceptOutcome, Switches};
 use ultra_sim::rng::{Rng, SplitMix64};
@@ -262,7 +262,7 @@ fn wait_entries_and_slabs_balance_under_random_switch_traffic() {
         request_queue_packets: 9,
         ..NetConfig::small(8)
     };
-    let topo = RouteTables::new(Topology::new(8, 2));
+    let topo = Topology::new(8, 2);
     for case in 0..16u64 {
         let mut rng = SplitMix64::new(0x3A17_0000 ^ case.wrapping_mul(0x9e37_79b9));
         let mut sw = Switches::new(&cfg);
@@ -287,12 +287,12 @@ fn wait_entries_and_slabs_balance_under_random_switch_traffic() {
                     let addr = MemAddr::new(MmId(rng.below(8)), rng.below(2));
                     let msg = Message::request(MsgId(next_id), kind, addr, 1, pe, now);
                     let (switch, in_port) = topo.pe_entry(pe);
-                    if sw.can_admit_request(switch, &msg, &topo) {
+                    if sw.can_admit_request(switch, &msg) {
                         next_id += 1;
                         issued.push(msg.id);
                         let handle = sw.admit_request(msg);
                         let outcome =
-                            sw.accept_request(0, switch, handle, in_port, now, &topo, &mut stats);
+                            sw.accept_request(0, switch, handle, in_port, now, &mut stats);
                         if outcome == AcceptOutcome::Combined {
                             held[switch] += 1;
                         }
@@ -308,13 +308,13 @@ fn wait_entries_and_slabs_balance_under_random_switch_traffic() {
                     let survivor = sw.release_request(handle);
                     let reply = Reply::to_request(&survivor, 100);
                     let in_port = topo.forward_out_port(reply.addr.mm, 0);
-                    let handle = sw.admit_reply(reply, 0, &topo);
+                    let handle = sw.admit_reply(reply, 0);
                     assert!(
-                        sw.can_accept_reply(0, switch, handle, &topo),
+                        sw.can_accept_reply(0, switch, handle),
                         "reply queues are unbounded"
                     );
                     let before = stats.decombines.get();
-                    sw.accept_reply(0, switch, handle, in_port, now, &topo, &mut stats);
+                    sw.accept_reply(0, switch, handle, in_port, now, &mut stats);
                     held[switch] -= (stats.decombines.get() - before) as usize;
                     // Deliver whatever is ready on this switch's ToPE side.
                     for pe_port in 0..2 {
@@ -345,8 +345,8 @@ fn wait_entries_and_slabs_balance_under_random_switch_traffic() {
                     let survivor = sw.release_request(handle);
                     let reply = Reply::to_request(&survivor, 100);
                     let in_port = topo.forward_out_port(reply.addr.mm, 0);
-                    let handle = sw.admit_reply(reply, 0, &topo);
-                    sw.accept_reply(0, switch, handle, in_port, now, &topo, &mut stats);
+                    let handle = sw.admit_reply(reply, 0);
+                    sw.accept_reply(0, switch, handle, in_port, now, &mut stats);
                 }
             }
             for pe_port in 0..2 {
@@ -392,7 +392,7 @@ fn wait_entries_and_slabs_balance_under_random_switch_traffic() {
 /// digits of stages `0..=s` above the destination digits still to come —
 /// so it picks the destination digit at the next stage. A reply queued on
 /// ToPE port `p` of stage `s` mirrors that with the PE and MM digits.
-fn assert_links_route_by_digits(sw: &Switches, topo: &RouteTables, what: &str) {
+fn assert_links_route_by_digits(sw: &Switches, topo: &Topology, what: &str) {
     let last = topo.stages() - 1;
     for stage in 0..=last {
         for switch in 0..topo.switches_per_stage() {
@@ -444,7 +444,7 @@ fn assert_links_route_by_digits(sw: &Switches, topo: &RouteTables, what: &str) {
 /// Checks every switch's ToMM high-water mark: it covers the packets each
 /// of its ports holds now, it never falls (`seen` holds the marks of the
 /// last check), and the fabric's mark is the largest.
-fn assert_high_water_marks(sw: &Switches, topo: &RouteTables, seen: &mut [usize], what: &str) {
+fn assert_high_water_marks(sw: &Switches, topo: &Topology, seen: &mut [usize], what: &str) {
     let mut top = 0;
     for stage in 0..topo.stages() {
         for switch in 0..topo.switches_per_stage() {
@@ -483,7 +483,7 @@ fn link_amalgams_route_by_digits_at_every_stage() {
             request_queue_packets: 6,
             ..NetConfig::small(16)
         };
-        let topo = RouteTables::new(Topology::new(16, k));
+        let topo = Topology::new(16, k);
         let last = topo.stages() - 1;
         let mut rng = SplitMix64::new(0xA3A1_0000 ^ case.wrapping_mul(0x9e37_79b9));
         let mut sw = Switches::new(&cfg);
@@ -505,11 +505,11 @@ fn link_amalgams_route_by_digits_at_every_stage() {
                 let addr = MemAddr::new(MmId(rng.below(3)), 0);
                 let msg = Message::request(MsgId(next_id), kind, addr, 1, pe, now);
                 let (switch, in_port) = topo.pe_entry(pe);
-                if sw.can_admit_request(switch, &msg, &topo) {
+                if sw.can_admit_request(switch, &msg) {
                     next_id += 1;
                     issued.push(msg.id);
                     let handle = sw.admit_request(msg);
-                    sw.accept_request(0, switch, handle, in_port, now, &topo, &mut stats);
+                    sw.accept_request(0, switch, handle, in_port, now, &mut stats);
                 }
             }
             // Forward sweep, MM side first.
@@ -528,7 +528,7 @@ fn link_amalgams_route_by_digits_at_every_stage() {
                                 at_mm.push_back(msg);
                             }
                             ForwardHop::ToSwitch(next, next_port) => {
-                                if !sw.can_accept_request(stage + 1, next, head, &topo) {
+                                if !sw.can_accept_request(stage + 1, next, head) {
                                     continue;
                                 }
                                 let incoming = sw.requests().body(head).id;
@@ -539,7 +539,6 @@ fn link_amalgams_route_by_digits_at_every_stage() {
                                     h,
                                     next_port,
                                     now + 1,
-                                    &topo,
                                     &mut stats,
                                 );
                                 // An absorbed request's id is gone from the
@@ -562,12 +561,12 @@ fn link_amalgams_route_by_digits_at_every_stage() {
             while let Some(msg) = at_mm.front() {
                 let reply = Reply::to_request(msg, 100);
                 let (switch, in_port) = topo.reverse_entry(msg.addr.mm);
-                if !sw.can_admit_reply(switch, &reply, &topo) {
+                if !sw.can_admit_reply(switch, &reply) {
                     break;
                 }
                 at_mm.pop_front();
-                let handle = sw.admit_reply(reply, last, &topo);
-                sw.accept_reply(last, switch, handle, in_port, now, &topo, &mut stats);
+                let handle = sw.admit_reply(reply, last);
+                sw.accept_reply(last, switch, handle, in_port, now, &mut stats);
             }
             // Reverse sweep, PE side first.
             for stage in 0..=last {
@@ -585,19 +584,11 @@ fn link_amalgams_route_by_digits_at_every_stage() {
                                 answered.push(reply.id);
                             }
                             ReverseHop::ToSwitch(prev, prev_port) => {
-                                if !sw.can_accept_reply(stage - 1, prev, head, &topo) {
+                                if !sw.can_accept_reply(stage - 1, prev, head) {
                                     continue;
                                 }
                                 let h = sw.transmit_reply(stage, switch, port, now);
-                                sw.accept_reply(
-                                    stage - 1,
-                                    prev,
-                                    h,
-                                    prev_port,
-                                    now + 1,
-                                    &topo,
-                                    &mut stats,
-                                );
+                                sw.accept_reply(stage - 1, prev, h, prev_port, now + 1, &mut stats);
                             }
                         }
                     }

@@ -91,10 +91,10 @@ impl fmt::Display for MemAddr {
     }
 }
 
-/// Base-`k` digit arithmetic on identifiers (§3.1.1).
-///
-/// Identifiers are written base `k` with digit 1 the least significant
-/// (matching the paper's `x_D … x_1` notation). `k` must be a power of two.
+/// Base-`k` digit counts of identifiers (§3.1.1): an `N`-PE network of
+/// `k×k` switches has one stage per digit of an identifier written base
+/// `k`. Reading the digits themselves is the network's routing model's
+/// business (`ultra_net::route::Topology`, by shift and mask).
 pub mod digits {
     /// Returns the number of base-`k` digits needed to write ids `0..n`,
     /// i.e. `log_k n`.
@@ -116,27 +116,6 @@ pub mod digits {
         d
     }
 
-    /// Extracts digit `j` (1-based from the least significant end, matching
-    /// the paper's `x_j` notation) of `x` written base `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is zero.
-    #[must_use]
-    pub fn digit(x: usize, k: usize, j: u32) -> usize {
-        assert!(j >= 1, "digits are numbered from 1");
-        (x / k.pow(j - 1)) % k
-    }
-
-    /// Rebuilds a number from base-`k` digits given most-significant first.
-    #[must_use]
-    pub fn compose(digits_msb_first: &[usize], k: usize) -> usize {
-        digits_msb_first.iter().fold(0, |acc, &d| {
-            debug_assert!(d < k);
-            acc * k + d
-        })
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -153,32 +132,6 @@ pub mod digits {
         #[should_panic(expected = "not a power")]
         fn count_rejects_non_power() {
             let _ = count(12, 2);
-        }
-
-        #[test]
-        fn digit_extraction_base2() {
-            // 0b101 = 5: digit1 = 1, digit2 = 0, digit3 = 1.
-            assert_eq!(digit(5, 2, 1), 1);
-            assert_eq!(digit(5, 2, 2), 0);
-            assert_eq!(digit(5, 2, 3), 1);
-        }
-
-        #[test]
-        fn digit_extraction_base4() {
-            // 27 = 123 base 4.
-            assert_eq!(digit(27, 4, 1), 3);
-            assert_eq!(digit(27, 4, 2), 2);
-            assert_eq!(digit(27, 4, 3), 1);
-        }
-
-        #[test]
-        fn compose_round_trips() {
-            for x in 0..256usize {
-                for &(k, d) in &[(2usize, 8u32), (4, 4), (8, 3)] {
-                    let ds: Vec<usize> = (1..=d).rev().map(|j| digit(x, k, j)).collect();
-                    assert_eq!(compose(&ds, k), x);
-                }
-            }
         }
     }
 }
