@@ -63,22 +63,22 @@ struct Sweep {
     seed: u64,
 }
 
-/// Mirrors `JobSpec::machine` in ultra-serve (network backend, pinned
+/// Mirrors `JobSpec::recipe` in ultra-serve (network backend, pinned
 /// budget) so a sweep replayed through the service lands on the same
 /// parity digest as this bin.
 fn build(sweep: Sweep, gap: u64, fast_forward: bool) -> (Serving, Machine) {
     let s = Serving::new(sweep.requests, gap).seed(sweep.seed);
-    let m = MachineBuilder::new(sweep.pes)
+    let mut recipe = MachineBuilder::new(sweep.pes)
         .seed(sweep.seed)
         .fast_forward(fast_forward)
         .max_cycles(Cycle::MAX)
-        .build_spmd(&s.program());
-    (s, m)
+        .recipe_spmd(&s.program());
+    s.install(&mut recipe);
+    (s, Machine::from_recipe(recipe))
 }
 
 fn measure(sweep: Sweep, gap: u64, fast_forward: bool) -> Point {
     let (s, mut m) = build(sweep, gap, fast_forward);
-    s.install(&mut m);
     let out = m.run();
     assert!(out.completed, "a serving sweep point must drain");
     let lat = s.latencies(&m);
@@ -250,8 +250,7 @@ fn main() {
         // One instrumented run of the highest-load point; observation
         // never perturbs the simulation.
         let gap = *gaps.last().expect("sweep has points");
-        let (s, mut m) = build(sweep, gap, true);
-        s.install(&mut m);
+        let (_, mut m) = build(sweep, gap, true);
         m.enable_telemetry(1024, 1 << 16);
         m.enable_trace(1 << 16);
         let out = m.run();

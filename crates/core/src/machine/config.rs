@@ -1,13 +1,15 @@
 //! What to build: the shared-memory backend choice, the full machine
 //! configuration and its builder.
 
+use std::sync::Arc;
+
 use ultra_faults::FaultPlan;
 use ultra_mem::TranslationMode;
 use ultra_net::config::NetConfig;
 use ultra_sim::clock::TimeScale;
 use ultra_sim::Cycle;
 
-use super::Machine;
+use super::{Machine, Recipe};
 use crate::program::Program;
 
 /// Which shared-memory implementation serves the PEs.
@@ -191,11 +193,18 @@ impl MachineBuilder {
         self
     }
 
+    /// The recipe of the machine [`MachineBuilder::build_spmd`] builds,
+    /// without building it: one run of `program` over every context.
+    #[must_use]
+    pub fn recipe_spmd(self, program: &Program) -> Recipe {
+        let n = self.cfg.net.pes * self.cfg.contexts_per_pe;
+        Recipe::new(self.cfg, vec![(n, program.clone())])
+    }
+
     /// Builds the machine, giving every context the same `program`.
     #[must_use]
     pub fn build_spmd(self, program: &Program) -> Machine {
-        let n = self.cfg.net.pes * self.cfg.contexts_per_pe;
-        self.build(vec![program.clone(); n])
+        Machine::from_recipe(self.recipe_spmd(program))
     }
 
     /// Builds the machine with one program per context (virtual PE).
@@ -205,6 +214,30 @@ impl MachineBuilder {
     /// Panics unless `programs.len()` equals `pes × contexts_per_pe`.
     #[must_use]
     pub fn build(self, programs: Vec<Program>) -> Machine {
-        Machine::new(self.cfg, programs)
+        let machine = Machine::from_recipe(Recipe::new(self.cfg, runs(&programs)));
+        // Freed after the build: freed first, a 65536-PE column is where
+        // the machine's allocations land, and peak heap grows (DESIGN.md
+        // §3.8, *Footprint*).
+        drop(programs);
+        machine
     }
+}
+
+/// `programs` as `(count, program)` runs of equal consecutive programs.
+/// Equal bodies are compared by pointer first, so programs cloned from
+/// one cost one comparison each. Parameters compare element by element:
+/// `==` on two `Vec<i64>` calls `memcmp`, which cost 40× more per pair on
+/// empty vectors at 4096 PEs.
+fn runs(programs: &[Program]) -> Vec<(usize, Program)> {
+    let same = |a: &Program, b: &Program| {
+        (Arc::ptr_eq(&a.ops, &b.ops) || a.ops == b.ops) && a.params.iter().eq(&b.params)
+    };
+    let mut runs: Vec<(usize, Program)> = Vec::new();
+    for program in programs {
+        match runs.last_mut() {
+            Some((count, run)) if same(run, program) => *count += 1,
+            _ => runs.push((1, program.clone())),
+        }
+    }
+    runs
 }

@@ -36,6 +36,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -49,6 +50,7 @@ use ultra_pe::pni::Pni;
 use ultra_pe::stats::PeStats;
 use ultra_sim::heap::{deque_bytes, map_bytes, vec_bytes};
 use ultra_sim::ids::digits;
+use ultra_sim::wire::WireWriter;
 use ultra_sim::{ActiveSet, Cycle, IdMap, MmId, PeId, Value};
 
 use crate::interp::{IssueSpec, PeInterp};
@@ -212,48 +214,63 @@ impl PeShard {
     }
 }
 
-/// How a machine was made, past its config: with the config, all a
-/// snapshot holds. [`Machine::replay`] rebuilds the machine from it and
-/// runs it to any cycle the donor reached.
+/// How a machine is made: the config, one program per context and every
+/// untimed write with its cycle. Under the serialization principle a run
+/// is a function of this one value: a snapshot holds it, a cache of
+/// machine states is keyed on it, and equal recipes make machines that
+/// agree at every cycle. [`MachineBuilder::recipe_spmd`] yields one
+/// without building anything; [`Machine::from_recipe`] builds it.
+///
+/// Equality and hashing read the config's identity (the snapshot's config
+/// echo, without the speed knob `fast_forward`): dead units compare as
+/// the sets the fault plan keeps, a link-loss probability by its bits.
+/// The write log hashes through a digest folded in as each write is
+/// logged, in constant time however long the log.
 #[derive(Debug, Clone)]
-pub(crate) struct Recipe {
+pub struct Recipe {
+    pub(crate) cfg: MachineConfig,
     /// One program per context, as `(count, program)` runs of equal
     /// consecutive programs.
     pub(crate) programs: Vec<(usize, Program)>,
-    /// Every [`Machine::write_shared`] as `(cycle, vaddr, value)`, in
-    /// call order.
+    /// Every untimed write as `(cycle, vaddr, value)`, in call order.
     pub(crate) writes: Vec<(Cycle, usize, Value)>,
+    /// Digest of `writes` (see [`Recipe::log`]).
+    written: u64,
 }
 
 impl Recipe {
-    /// The recipe of a machine built from `programs`, one per context.
-    /// Equal bodies are compared by pointer first, so an SPMD build of
-    /// many contexts costs one comparison each. Parameters compare
-    /// element by element: `==` on two `Vec<i64>` calls `memcmp`, which
-    /// cost 40× more per pair on empty vectors at 4096 PEs.
-    fn new(programs: &[Program]) -> Self {
-        let same = |a: &Program, b: &Program| {
-            (Arc::ptr_eq(&a.ops, &b.ops) || a.ops == b.ops) && a.params.iter().eq(&b.params)
-        };
-        let mut runs: Vec<(usize, Program)> = Vec::new();
-        for program in programs {
-            match runs.last_mut() {
-                Some((count, run)) if same(run, program) => *count += 1,
-                _ => runs.push((1, program.clone())),
-            }
-        }
+    /// The recipe of `programs` under `cfg`, with an empty write log.
+    pub(crate) fn new(cfg: MachineConfig, programs: Vec<(usize, Program)>) -> Self {
         Self {
-            programs: runs,
+            cfg,
+            programs,
             writes: Vec::new(),
+            written: 0,
         }
     }
 
-    /// The programs, one per context.
-    pub(crate) fn contexts(&self) -> Vec<Program> {
-        (self.programs.iter())
-            .flat_map(|(count, program)| std::iter::repeat(program).take(*count))
-            .cloned()
-            .collect()
+    /// Logs an untimed write of `value` to shared word `vaddr`, made
+    /// where the log ends: before cycle 0 on a recipe nobody has run.
+    pub fn write_shared(&mut self, vaddr: usize, value: Value) {
+        let at = self.writes.last().map_or(0, |&(at, ..)| at);
+        self.log((at, vaddr, value));
+    }
+
+    /// Appends `write` to the log and folds it into the log's digest
+    /// (one FxHash step per word).
+    pub(crate) fn log(&mut self, write: (Cycle, usize, Value)) {
+        let (at, vaddr, value) = write;
+        for word in [at, vaddr as u64, value as u64] {
+            self.written = (self.written.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+        self.writes.push(write);
+    }
+
+    /// The config identity (see [`MachineConfig::encode_identity`]).
+    fn identity(&self) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        self.cfg.encode_identity(&mut w);
+        w.into_bytes()
     }
 
     /// Heap bytes the recipe owns. Program bodies are shared with the
@@ -263,6 +280,26 @@ impl Recipe {
             .map(|(_, program)| vec_bytes(&program.params))
             .sum();
         std::mem::size_of::<Self>() + vec_bytes(&self.programs) + params + vec_bytes(&self.writes)
+    }
+}
+
+impl PartialEq for Recipe {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other)
+            || (self.written == other.written
+                && self.programs == other.programs
+                && self.writes == other.writes
+                && self.identity() == other.identity())
+    }
+}
+
+impl Eq for Recipe {}
+
+impl Hash for Recipe {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.identity().hash(state);
+        self.programs.hash(state);
+        (self.writes.len(), self.written).hash(state);
     }
 }
 
@@ -290,6 +327,7 @@ struct CycleSinks<'a> {
 }
 
 /// The assembled machine.
+#[derive(Clone)]
 pub struct Machine {
     cfg: MachineConfig,
     /// How the machine was made; shared by every fork.
@@ -366,31 +404,36 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Assembles a machine from `cfg` with one program per context.
+    /// Builds the machine `recipe` describes and replays its write log,
+    /// running up to each logged write to apply it: a recipe fresh from a
+    /// builder, whose writes all precede cycle 0, yields a machine at
+    /// cycle 0. The one constructor behind [`MachineBuilder::build`],
+    /// [`MachineBuilder::build_spmd`] and [`Machine::restore`].
     ///
     /// # Panics
     ///
-    /// Panics unless `programs.len() == cfg.net.pes * cfg.contexts_per_pe`.
+    /// Panics unless the program runs cover every context exactly.
     #[must_use]
-    pub fn new(cfg: MachineConfig, programs: Vec<Program>) -> Self {
+    pub fn from_recipe(recipe: Recipe) -> Self {
+        let cfg = recipe.cfg.clone();
         let n = cfg.net.pes;
         let k = cfg.contexts_per_pe;
         assert!(k >= 1, "need at least one context per PE");
         let vpes = n * k;
-        assert_eq!(programs.len(), vpes, "need one program per context");
         let plan = cfg.faults.clone();
         let mut hasher = AddressHasher::new(n, cfg.translation);
         let static_dead = plan.dead_mms();
         hasher.set_dead_mms(&static_dead);
         let hasher = Arc::new(hasher);
         let retry = Self::retry_policy_for(&cfg);
-        let ctxs: Vec<Context> = (programs.iter().enumerate())
-            .map(|(vid, program)| Context {
-                interp: PeInterp::new(PeId(vid), vpes, program),
-                state: CtxState::Ready,
-                stats: PeStats::new(),
-            })
-            .collect();
+        let mut ctxs = Vec::with_capacity(vpes);
+        let contexts = (recipe.programs.iter()).flat_map(|(n, p)| std::iter::repeat(p).take(*n));
+        ctxs.extend(contexts.enumerate().map(|(vid, program)| Context {
+            interp: PeInterp::new(PeId(vid), vpes, program),
+            state: CtxState::Ready,
+            stats: PeStats::new(),
+        }));
+        assert_eq!(ctxs.len(), vpes, "need one program per context");
         let shards: Vec<PeShard> = (0..n)
             .map(|phys| {
                 let mut pni = Pni::new(PeId(phys), Arc::clone(&hasher));
@@ -422,7 +465,7 @@ impl Machine {
         };
         let live = ActiveSet::from_members(n, 0..n);
         let mut machine = Self {
-            recipe: Arc::new(Recipe::new(&programs)),
+            recipe: Arc::new(recipe),
             hasher,
             shards,
             ctxs,
@@ -453,69 +496,33 @@ impl Machine {
             cfg,
         };
         machine.absorb_unreachable();
+        let recipe = Arc::clone(&machine.recipe);
+        for &(at, vaddr, value) in &recipe.writes {
+            machine.advance_to(at);
+            machine.poke(vaddr, value);
+        }
+        machine.run_elapsed = None;
         machine
     }
 
     /// A second machine in this machine's exact simulation state: what
     /// `Machine::restore_tuned(&self.snapshot(), tuning)` returns, without
-    /// the replay. The copy starts with trace, telemetry and phase spans
-    /// off and empty; `self` is not touched, so any number of forks may be
-    /// taken from one donor, from several threads at once.
+    /// the replay. The copy is a clone with trace, telemetry and phase
+    /// spans off and empty; `self` is not touched, so any number of forks
+    /// may be taken from one donor, from several threads at once.
     #[must_use]
     pub fn fork(&self, tuning: EngineTuning) -> Self {
-        let mut cfg = self.cfg.clone();
-        tuning.apply(&mut cfg);
-        let fork = Self {
-            recipe: Arc::clone(&self.recipe),
-            hasher: Arc::clone(&self.hasher),
-            shards: self.shards.clone(),
-            ctxs: self.ctxs.clone(),
-            meta: self.meta.clone(),
-            backend: self.backend.clone(),
-            barrier_generation: self.barrier_generation,
-            barrier_arrived: self.barrier_arrived,
-            now: self.now,
-            halted_count: self.halted_count,
-            trace: Trace::new(),
-            fault_clock: self.fault_clock.clone(),
-            dead_mms: self.dead_mms.clone(),
-            duplicate_replies: self.duplicate_replies,
-            unroutable: self.unroutable,
-            dead_pes: self.dead_pes.clone(),
-            run_elapsed: None,
-            fast_forwarded: self.fast_forwarded,
-            deliveries: Vec::new(),
-            outgoing: self.outgoing.clone(),
-            live: self.live.clone(),
-            runnable: self.runnable.clone(),
-            wakes: self.wakes.clone(),
-            retry_enabled: self.retry_enabled,
-            retrying: self.retrying.clone(),
-            series: TimeSeries::new(),
-            phases: PhaseRecorder::new(),
-            phase_epoch: Instant::now(),
-            cfg,
-        };
+        let mut fork = self.clone().into_image();
+        tuning.apply(&mut fork.cfg);
         fork.debug_check_invariants();
         fork
     }
 
-    /// Rebuilds the machine `recipe` describes under `cfg` and replays it
-    /// to cycle `cycle`: it runs up to each logged write and applies it,
-    /// then runs on to `cycle` (see [`Machine::advance_to`]). The result
-    /// reports `fast_forwarded` skipped cycles, the donor's count, since
-    /// the replay's own depends on how it was sliced.
-    pub(crate) fn replay(
-        cfg: MachineConfig,
-        recipe: &Recipe,
-        cycle: Cycle,
-        fast_forwarded: Cycle,
-    ) -> Self {
-        let mut machine = Self::new(cfg, recipe.contexts());
-        for &(at, vaddr, value) in &recipe.writes {
-            machine.advance_to(at);
-            machine.write_shared(vaddr, value);
-        }
+    /// Rebuilds the machine `recipe` describes and replays it to cycle
+    /// `cycle`. The result reports `fast_forwarded` skipped cycles, the
+    /// donor's count, since the replay's own depends on how it was sliced.
+    pub(crate) fn replay(recipe: Recipe, cycle: Cycle, fast_forwarded: Cycle) -> Self {
+        let mut machine = Self::from_recipe(recipe);
         machine.advance_to(cycle);
         machine.fast_forwarded = fast_forwarded;
         machine.run_elapsed = None;
@@ -523,8 +530,10 @@ impl Machine {
         machine
     }
 
-    /// How this machine was made (see [`Recipe`]).
-    pub(crate) fn recipe(&self) -> &Recipe {
+    /// How this machine was made (see [`Recipe`]), shared with every
+    /// fork of it.
+    #[must_use]
+    pub fn recipe(&self) -> &Arc<Recipe> {
         &self.recipe
     }
 
@@ -836,9 +845,12 @@ impl Machine {
     /// Writes a shared word directly (initialization; not timed). The
     /// write joins the machine's recipe, so a snapshot replays it.
     pub fn write_shared(&mut self, vaddr: usize, value: Value) {
-        Arc::make_mut(&mut self.recipe)
-            .writes
-            .push((self.now, vaddr, value));
+        Arc::make_mut(&mut self.recipe).log((self.now, vaddr, value));
+        self.poke(vaddr, value);
+    }
+
+    /// Stores `value` at shared word `vaddr`, untimed and unlogged.
+    fn poke(&mut self, vaddr: usize, value: Value) {
         let addr = self.hasher.translate(vaddr);
         let n = self.cfg.net.pes;
         match &mut self.backend {

@@ -1,7 +1,7 @@
-//! The snapshot recipe on the wire: the config identity and the
-//! [`Recipe`]. Nothing the machine computes is written — a restore
-//! rebuilds it from these and replays it. See `crate::snapshot` for the
-//! framed public format.
+//! The config identity on the wire: with the program runs and the write
+//! log, all a snapshot holds of a [`super::Recipe`]. Nothing the machine
+//! computes is written — a restore rebuilds it from these and replays it.
+//! See `crate::snapshot` for the framed public format.
 
 use ultra_faults::FaultPlan;
 use ultra_mem::TranslationMode;
@@ -9,7 +9,7 @@ use ultra_net::config::NetConfig;
 use ultra_sim::clock::TimeScale;
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 
-use super::{BackendKind, MachineConfig, Recipe};
+use super::{BackendKind, MachineConfig};
 
 impl Wire for BackendKind {
     fn encode(&self, w: &mut WireWriter) {
@@ -29,19 +29,6 @@ impl Wire for BackendKind {
             0 => Self::Ideal { latency: r.u64()? },
             1 => Self::Network { copies: r.usize()? },
             _ => return Err(WireError::Invalid("backend kind tag")),
-        })
-    }
-}
-
-impl Wire for Recipe {
-    fn encode(&self, w: &mut WireWriter) {
-        self.programs.encode(w);
-        self.writes.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            programs: Vec::decode(r)?,
-            writes: Vec::decode(r)?,
         })
     }
 }

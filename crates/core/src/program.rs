@@ -32,7 +32,7 @@ pub type Reg = u8;
 pub const NUM_REGS: usize = 16;
 
 /// An integer expression over registers, parameters and PE identity.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// A literal.
     Const(Value),
@@ -54,7 +54,7 @@ pub enum Expr {
 }
 
 /// Binary operators available in [`Expr`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Wrapping addition.
     Add,
@@ -354,7 +354,7 @@ pub struct EvalCtx<'a> {
 }
 
 /// Comparison operators for [`Cond`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `<`
     Lt,
@@ -371,7 +371,7 @@ pub enum CmpOp {
 }
 
 /// A boolean condition over two expressions.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cond {
     /// Comparison operator.
     pub op: CmpOp,
@@ -426,7 +426,7 @@ pub fn body(ops: Vec<Op>) -> Body {
 }
 
 /// One program statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Op {
     /// `n` instructions of register-to-register work.
     Compute(u32),
@@ -775,7 +775,7 @@ impl std::fmt::Display for FrameLimitExceeded {
 /// );
 /// assert_eq!(prog.params[0], 64);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Program {
     /// Top-level statement block.
     pub ops: Body,

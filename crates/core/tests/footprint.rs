@@ -4,8 +4,10 @@
 //! per-PE quotient is the number the million-PE row scales: a field added
 //! to a per-PE, per-context or per-port record shows up here before it
 //! shows up as a run that no longer fits. The bounds are the measured
-//! values plus 5 %; the estimate is deterministic, so any growth beyond
-//! that is a change of layout, not noise.
+//! values plus 8 bytes per PE, less than any per-PE column the machine
+//! holds (one 32-byte column per PE shows four times over); the estimate
+//! is deterministic, so any growth beyond that is a change of layout, not
+//! noise.
 //!
 //! The N = 2^18 leg is `#[ignore]`d (it builds a 420 MiB machine); CI runs
 //! it in release with `cargo test --release -p ultracomputer --test
@@ -28,20 +30,20 @@ fn idle(n: usize, plan: FaultPlan) -> Machine {
 }
 
 /// Checks the heap an idle `n`-PE machine holds per PE against the
-/// `measured` value plus 5 %.
+/// `measured` value plus 8 bytes.
 fn assert_idle_cost(n: usize, measured: f64) {
     let m = idle(n, FaultPlan::none());
     let per_pe = m.heap_bytes() as f64 / n as f64;
     eprintln!("N = {n}: {per_pe:.1} bytes per PE idle");
     assert!(
-        per_pe <= measured * 1.05,
+        per_pe <= measured + 8.0,
         "an idle {n}-PE machine holds {per_pe:.1} bytes per PE (measured {measured})"
     );
 }
 
 #[test]
 fn an_idle_4096_pe_machine_costs_its_state() {
-    assert_idle_cost(4096, 1400.3);
+    assert_idle_cost(4096, 1400.4);
 }
 
 #[test]

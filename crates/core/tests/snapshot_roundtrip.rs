@@ -394,9 +394,9 @@ fn a_serving_machine_with_a_write_log_round_trips() {
     // cycle 0: the replay must apply them before the first cycle.
     let requests = Serving::new(64, 40).seed(7);
     let make = || {
-        let mut m = MachineBuilder::new(8).build_spmd(&requests.program());
-        requests.install(&mut m);
-        m
+        let mut recipe = MachineBuilder::new(8).recipe_spmd(&requests.program());
+        requests.install(&mut recipe);
+        Machine::from_recipe(recipe)
     };
     check_scenario(&make, &[90, 700], "serving 8 PEs");
 }

@@ -2,16 +2,17 @@
 //!
 //! Sweep batches repeat a prefix: many jobs share a machine shape, seed
 //! and workload and differ only in how far (or with what telemetry) they
-//! run. Each executing job deposits its checkpoints here keyed by
-//! [`crate::spec::JobSpec::prefix_key`]; a later job with the same key
-//! takes the latest checkpoint at or below its own cycle target and
-//! simulates only the suffix. The server stores machine images
-//! ([`crate::image::Image`]: a resume is a fork, never a restore); the
-//! cache itself is generic over what a checkpoint is, and its default,
-//! `Vec<u8>`, holds `ULTRASNP` frames, which hold a machine's recipe
-//! and replay it on restore. Either way a checkpoint resumes
-//! bit-identically to having run the prefix, so cached resumes change
-//! wall-clock only, never results.
+//! run. Each executing job deposits its checkpoints here keyed by its
+//! machine's [`ultracomputer::machine::Recipe`], shared with the machine;
+//! a later job with an equal recipe takes the latest checkpoint at or
+//! below its own cycle target and simulates only the suffix. Keys are
+//! found by hash and matched by equality. The server stores machine
+//! images ([`crate::image::Image`]: a resume is a fork, never a restore),
+//! so a checkpoint resumes bit-identically to having run the prefix and
+//! cached resumes change wall-clock only, never results.
+//!
+//! The cache is generic over its keys and checkpoints; the defaults are
+//! the benchmark harness's snapshot frames under `JobSpec::prefix_key`.
 //!
 //! The cache is bounded: all keys share one byte budget
 //! ([`CACHE_BUDGET_BYTES`]), each entry costs its [`Footprint`], and the
@@ -19,7 +20,9 @@
 //! first. An ascending sweep keeps reading the entry it wrote last, so it
 //! never loses its resume point to its own history.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -66,16 +69,16 @@ struct Entry<T> {
 }
 
 /// Everything behind the cache's one lock.
-struct Shelf<T> {
+struct Shelf<T, K> {
     /// Checkpoints of each prefix, indexed by the cycle they were taken at.
-    by_key: HashMap<Arc<str>, BTreeMap<Cycle, Entry<T>>>,
+    by_key: HashMap<K, BTreeMap<Cycle, Entry<T>>>,
     /// Use stamp → entry, oldest first: the eviction order.
-    lru: BTreeMap<u64, (Arc<str>, Cycle)>,
+    lru: BTreeMap<u64, (K, Cycle)>,
     clock: u64,
     bytes: usize,
 }
 
-impl<T> Shelf<T> {
+impl<T, K: Eq + Hash> Shelf<T, K> {
     fn stamp(&mut self) -> u64 {
         self.clock += 1;
         self.clock
@@ -83,7 +86,11 @@ impl<T> Shelf<T> {
 
     /// The latest checkpoint of `key` at or below `cycle`, which becomes
     /// the most recently used.
-    fn touch_best(&mut self, key: &str, cycle: Cycle) -> Option<(Cycle, Arc<T>)> {
+    fn touch_best<Q>(&mut self, key: &Q, cycle: Cycle) -> Option<(Cycle, Arc<T>)>
+    where
+        K: Borrow<Q>,
+        Q: ?Sized + Eq + Hash,
+    {
         let used = self.stamp();
         let (&at, entry) = self.by_key.get_mut(key)?.range_mut(..=cycle).next_back()?;
         let slot = self.lru.remove(&entry.used).expect("every entry is listed");
@@ -93,7 +100,7 @@ impl<T> Shelf<T> {
     }
 
     /// Takes `(key, cycle)` off the shelf, if it is there.
-    fn remove(&mut self, key: &str, cycle: Cycle) -> Option<Arc<T>> {
+    fn remove(&mut self, key: &K, cycle: Cycle) -> Option<Arc<T>> {
         let slots = self.by_key.get_mut(key)?;
         let entry = slots.remove(&cycle)?;
         if slots.is_empty() {
@@ -107,15 +114,15 @@ impl<T> Shelf<T> {
 
 /// Shared checkpoint store (see the module docs). Interior mutability
 /// throughout; share it by reference.
-pub struct SnapshotCache<T = Vec<u8>> {
-    shelf: Mutex<Shelf<T>>,
+pub struct SnapshotCache<T = Vec<u8>, K = String> {
+    shelf: Mutex<Shelf<T, K>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     meter: Option<CacheMeter>,
 }
 
-impl<T> Default for SnapshotCache<T> {
+impl<T, K> Default for SnapshotCache<T, K> {
     fn default() -> Self {
         Self {
             shelf: Mutex::new(Shelf {
@@ -132,7 +139,7 @@ impl<T> Default for SnapshotCache<T> {
     }
 }
 
-impl<T: Footprint> SnapshotCache<T> {
+impl<T: Footprint, K: Clone + Eq + Hash> SnapshotCache<T, K> {
     /// An empty cache.
     #[must_use]
     pub fn new() -> Self {
@@ -153,18 +160,22 @@ impl<T: Footprint> SnapshotCache<T> {
     /// already there, then evicts least-recently-used checkpoints until
     /// the cache is back inside [`CACHE_BUDGET_BYTES`] or holds nothing
     /// but the newcomer.
-    pub fn insert(&self, key: &str, cycle: Cycle, checkpoint: T) {
+    pub fn insert<Q>(&self, key: &Q, cycle: Cycle, checkpoint: T)
+    where
+        K: Borrow<Q>,
+        Q: ?Sized + Eq + Hash + ToOwned<Owned = K>,
+    {
         let bytes = checkpoint.footprint_bytes();
         // Dropped after the lock is released: freeing a checkpoint (or
         // sending an image home) is not the cache's critical section.
         let mut displaced = Vec::new();
         let mut evicted = 0;
         {
+            let key = key.to_owned();
             let mut shelf = self.shelf.lock().expect("cache poisoned");
-            displaced.extend(shelf.remove(key, cycle));
+            displaced.extend(shelf.remove(&key, cycle));
             let used = shelf.stamp();
-            let key: Arc<str> = Arc::from(key);
-            shelf.lru.insert(used, (Arc::clone(&key), cycle));
+            shelf.lru.insert(used, (key.clone(), cycle));
             shelf.bytes += bytes;
             shelf.by_key.entry(key).or_default().insert(
                 cycle,
@@ -192,7 +203,11 @@ impl<T: Footprint> SnapshotCache<T> {
     /// Counts a hit or a miss; a hit makes the checkpoint the most
     /// recently used.
     #[must_use]
-    pub fn best_at_or_below(&self, key: &str, cycle: Cycle) -> Option<(Cycle, Arc<T>)> {
+    pub fn best_at_or_below<Q>(&self, key: &Q, cycle: Cycle) -> Option<(Cycle, Arc<T>)>
+    where
+        K: Borrow<Q>,
+        Q: ?Sized + Eq + Hash,
+    {
         let found = self
             .shelf
             .lock()

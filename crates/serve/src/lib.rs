@@ -14,13 +14,13 @@
 //! * a **prefix cache** ([`cache::SnapshotCache`]) of machine images
 //!   ([`image::Image`]): every job leaves a checkpoint at a configurable
 //!   cadence — a [`Machine::fork`] of the running machine, and at the
-//!   end the machine itself — and a later job whose
-//!   [`spec::JobSpec::prefix_key`] matches forks the latest checkpoint at
-//!   or below its own cycle target instead of re-simulating the shared
-//!   prefix. A fork copies every field of the machine (the core crate's
-//!   tests hold it, and a snapshot's replay, to the donor running on),
-//!   so a resume is bit-identical; no snapshot is written or restored
-//!   anywhere in the service. The cache holds at most
+//!   end the machine itself — keyed by the machine's recipe
+//!   ([`spec::JobSpec::recipe`]), and a later job with an equal recipe
+//!   forks the latest checkpoint at or below its own cycle target instead
+//!   of re-simulating the shared prefix. A fork copies every field of the
+//!   machine (the core crate's tests hold it, and a snapshot's replay, to
+//!   the donor running on), so a resume is bit-identical; no snapshot is
+//!   written or restored anywhere in the service. The cache holds at most
 //!   [`cache::CACHE_BUDGET_BYTES`] of images, least recently used out
 //!   first, and an evicted image is freed by the worker that built it;
 //! * the **workload registry** ([`spec::Workload`]): deterministic
@@ -62,7 +62,7 @@ use std::time::{Duration, Instant};
 use ultra_obs::flight::FlightLevel;
 use ultra_obs::json::JsonObject;
 use ultra_sim::wire::fnv1a;
-use ultracomputer::machine::Machine;
+use ultracomputer::machine::{Machine, Recipe};
 use ultracomputer::{EngineTuning, MachineReport};
 
 use crate::cache::SnapshotCache;
@@ -169,7 +169,7 @@ pub(crate) struct Submission {
 /// cache persists across them.
 #[derive(Default)]
 pub struct Server {
-    cache: SnapshotCache<Image>,
+    cache: SnapshotCache<Image, Arc<Recipe>>,
     cancels: Mutex<HashMap<String, Arc<AtomicBool>>>,
     obs: Option<Arc<ServeObs>>,
 }
@@ -226,7 +226,7 @@ impl Server {
 
     /// The prefix cache (for stats and tests).
     #[must_use]
-    pub fn cache(&self) -> &SnapshotCache<Image> {
+    pub fn cache(&self) -> &SnapshotCache<Image, Arc<Recipe>> {
         &self.cache
     }
 
@@ -289,7 +289,7 @@ impl Server {
             );
         }
         let cancel = self.cancel_flag(&spec.id);
-        let key = spec.prefix_key();
+        let recipe = spec.recipe();
         let mut log = Vec::new();
         let flight = |level: FlightLevel, kind: &str, detail: &str| {
             if let Some(obs) = &self.obs {
@@ -302,7 +302,7 @@ impl Server {
         // telemetry series must start from cycle 0 to be complete).
         let restore_started = Instant::now();
         let resumed = match spec.telemetry_window {
-            None => self.cache.best_at_or_below(&key, spec.cycles),
+            None => self.cache.best_at_or_below(&recipe, spec.cycles),
             Some(_) => None,
         };
         // The cycle at which the cache is known to hold this machine's
@@ -316,7 +316,7 @@ impl Server {
                 shelved_at = cycle;
                 image.machine().fork(EngineTuning::default())
             }
-            None => spec.machine(),
+            None => Machine::from_recipe(recipe),
         };
         if let Some(window) = spec.telemetry_window {
             m.enable_telemetry(window, TELEMETRY_CAPACITY);
@@ -345,7 +345,7 @@ impl Server {
             // The job's last slice deposits nothing here: the machine
             // itself goes into the cache once the result is rendered.
             if !outcome.completed && m.now() < spec.cycles {
-                self.cache.insert(&key, m.now(), Image::copy_of(&m));
+                self.cache.insert(m.recipe(), m.now(), Image::copy_of(&m));
                 shelved_at = m.now();
             }
             if let Some(obs) = &self.obs {
@@ -443,7 +443,8 @@ impl Server {
         // In the cache before the outcome is out, so that a client holding
         // the result can count on a longer job resuming from it.
         let leftover = if m.now() > shelved_at {
-            self.cache.insert(&key, m.now(), Image::new(m));
+            self.cache
+                .insert(&Arc::clone(m.recipe()), m.now(), Image::new(m));
             None
         } else {
             Some(m)

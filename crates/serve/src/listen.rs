@@ -128,7 +128,7 @@ impl Listen<'_> {
                 Ok(Request::Job(spec)) => {
                     let priority = spec.priority;
                     let submission = Submission {
-                        spec,
+                        spec: *spec,
                         enqueued_at: Instant::now(),
                         reply: replies.clone(),
                     };

@@ -190,7 +190,7 @@ fn run_batch_mode(server: &Server, path: &str, opts: &Options) -> ExitCode {
     let mut had_error = false;
     for (index, line) in text.lines().enumerate() {
         match classify(server, line, index + 1) {
-            Ok(Request::Job(spec)) => specs.push(spec),
+            Ok(Request::Job(spec)) => specs.push(*spec),
             Ok(Request::Control | Request::Shutdown) => {}
             Ok(Request::Metrics) => obs.log(
                 FlightLevel::Warn,

@@ -18,8 +18,9 @@ use crate::{elapsed_us, error_line, Server};
 /// What one protocol line asked for.
 #[derive(Debug)]
 pub enum Request {
-    /// A job to enqueue.
-    Job(JobSpec),
+    /// A job to enqueue (boxed: a spec is far larger than the other
+    /// requests).
+    Job(Box<JobSpec>),
     /// A blank line, comment, or control line already acted on.
     Control,
     /// A `{"shutdown": true}` request (socket mode drains and exits; in
@@ -70,7 +71,7 @@ fn parse_line(server: &Server, line: &str, lineno: usize) -> Result<Request, Str
         return Ok(Request::Shutdown);
     }
     match JobSpec::from_json(&obj, &fallback_id) {
-        Ok(spec) => Ok(Request::Job(spec)),
+        Ok(spec) => Ok(Request::Job(Box::new(spec))),
         Err(e) => Err(error_line(&fallback_id, &e)),
     }
 }

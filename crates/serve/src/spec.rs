@@ -3,16 +3,18 @@
 //! A job is one line of the NDJSON protocol. It names a machine shape
 //! (PEs, network copies, seed, fault plan), a workload from the small
 //! built-in registry, and execution controls (cycle budget, checkpoint
-//! cadence, priority, timeout). Everything that affects *simulation
-//! state* folds into [`JobSpec::prefix_key`] — two jobs with equal keys
-//! walk bit-identical cycle sequences, which is what lets a sweep job
-//! resume from another job's cached checkpoint.
+//! cadence, priority, timeout). [`JobSpec::recipe`] is the one place a
+//! job line becomes a machine: the [`Recipe`] it returns is everything
+//! that shapes *simulation state*, and nothing else. Two jobs with equal
+//! recipes walk bit-identical cycle sequences, which is what lets a sweep
+//! job resume from another job's cached checkpoint.
 
 use std::collections::BTreeMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 use ultra_faults::FaultPlan;
 use ultra_sim::Cycle;
-use ultracomputer::machine::{Machine, MachineBuilder};
+use ultracomputer::machine::{Machine, MachineBuilder, Recipe};
 use ultracomputer::program::{body, Expr, Op, Program};
 
 use crate::json::Json;
@@ -41,9 +43,8 @@ pub const MAX_COPIES: usize = 16;
 
 /// The built-in workload registry.
 ///
-/// Each workload is a deterministic function of `(pes, rounds)`, so the
-/// name plus parameters fully identify the instruction streams — that
-/// pair is all the prefix cache needs to key on.
+/// Each workload is a deterministic function of `(pes, rounds)`: the
+/// program it builds identifies its instruction streams.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     /// Every PE fetch-and-adds 1 to one shared counter `rounds` times —
@@ -106,7 +107,7 @@ impl Workload {
         if self == Self::Serving {
             // The serving program depends only on the request count; the
             // arrival schedule (which does depend on `mean_gap` and the
-            // seed) is data, installed by [`JobSpec::machine`].
+            // seed) is data, installed by [`JobSpec::recipe`].
             return ultra_workloads::Serving::new(rounds.max(1) as usize, 1).program();
         }
         let ops = match self {
@@ -169,48 +170,6 @@ impl Workload {
     }
 }
 
-/// The fault-plan slice of a job: static faults only, all seeded.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultSpec {
-    /// Memory modules dead at boot.
-    pub dead_mms: Vec<usize>,
-    /// Network copies dead at boot (requires `copies` > the index).
-    pub dead_copies: Vec<usize>,
-    /// Per-link loss probability in [0, 1).
-    pub link_loss: f64,
-    /// Seed for the loss process (and any other stochastic faults).
-    pub fault_seed: u64,
-}
-
-impl FaultSpec {
-    fn none() -> Self {
-        Self {
-            dead_mms: Vec::new(),
-            dead_copies: Vec::new(),
-            link_loss: 0.0,
-            fault_seed: 0,
-        }
-    }
-
-    fn is_none(&self) -> bool {
-        self.dead_mms.is_empty() && self.dead_copies.is_empty() && self.link_loss == 0.0
-    }
-
-    fn plan(&self) -> FaultPlan {
-        let mut plan = FaultPlan::none().seed(self.fault_seed);
-        for &mm in &self.dead_mms {
-            plan = plan.dead_mm(ultra_sim::MmId(mm));
-        }
-        for &copy in &self.dead_copies {
-            plan = plan.dead_copy(copy);
-        }
-        if self.link_loss > 0.0 {
-            plan = plan.link_loss(self.link_loss);
-        }
-        plan
-    }
-}
-
 /// One simulation request, fully validated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
@@ -249,8 +208,9 @@ pub struct JobSpec {
     /// result. Telemetry jobs never *resume* from the prefix cache (a
     /// checkpoint carries no telemetry history) but still seed it.
     pub telemetry_window: Option<u64>,
-    /// Static fault plan.
-    pub faults: FaultSpec,
+    /// Static fault plan: dead modules and copies, link loss and its
+    /// seed.
+    pub faults: FaultPlan,
 }
 
 impl JobSpec {
@@ -272,7 +232,7 @@ impl JobSpec {
             priority: 0,
             timeout_ms: None,
             telemetry_window: None,
-            faults: FaultSpec::none(),
+            faults: FaultPlan::none(),
         }
     }
 
@@ -333,31 +293,24 @@ impl JobSpec {
                     }
                     spec.telemetry_window = Some(window);
                 }
-                "dead_mms" => {
-                    let items = value
-                        .as_array()
-                        .ok_or("field `dead_mms` must be an array")?;
-                    spec.faults.dead_mms = items
-                        .iter()
-                        .map(|v| uint(key, v).map(|m| m as usize))
-                        .collect::<Result<_, _>>()?;
-                }
-                "dead_copies" => {
-                    let items = value
-                        .as_array()
-                        .ok_or("field `dead_copies` must be an array")?;
-                    spec.faults.dead_copies = items
-                        .iter()
-                        .map(|v| uint(key, v).map(|c| c as usize))
-                        .collect::<Result<_, _>>()?;
+                "dead_mms" | "dead_copies" => {
+                    let items = (value.as_array())
+                        .ok_or_else(|| format!("field `{key}` must be an array"))?;
+                    for item in items {
+                        let unit = uint(key, item)? as usize;
+                        spec.faults = match key.as_str() {
+                            "dead_mms" => spec.faults.dead_mm(ultra_sim::MmId(unit)),
+                            _ => spec.faults.dead_copy(unit),
+                        };
+                    }
                 }
                 "link_loss" => {
-                    spec.faults.link_loss = value
-                        .as_f64()
+                    let p = (value.as_f64())
                         .filter(|p| (0.0..1.0).contains(p))
                         .ok_or("field `link_loss` must be a probability in [0, 1)")?;
+                    spec.faults = spec.faults.link_loss(p);
                 }
-                "fault_seed" => spec.faults.fault_seed = uint(key, value)?,
+                "fault_seed" => spec.faults = spec.faults.seed(uint(key, value)?),
                 other => return Err(format!("unknown field `{other}`")),
             }
         }
@@ -380,19 +333,21 @@ impl JobSpec {
                 return Err(format!("{field} must be in 1..={max}, got {value}"));
             }
         }
-        if let Some(&copy) = self.faults.dead_copies.iter().find(|&&c| c >= self.copies) {
+        // The plan keeps sets: a unit named twice is killed once.
+        let (dead_copies, dead_mms) = (self.faults.dead_copies(), self.faults.dead_mms());
+        if let Some(&copy) = dead_copies.iter().find(|&&c| c >= self.copies) {
             return Err(format!(
                 "dead copy {copy} out of range (copies={})",
                 self.copies
             ));
         }
-        if self.faults.dead_mms.iter().any(|&mm| mm >= self.pes) {
+        if dead_mms.iter().any(|mm| mm.0 >= self.pes) {
             return Err(format!("dead MM out of range (pes={})", self.pes));
         }
-        if self.faults.dead_mms.len() >= self.pes {
+        if dead_mms.len() >= self.pes {
             return Err("cannot kill every memory module".into());
         }
-        if self.faults.dead_copies.len() >= self.copies {
+        if dead_copies.len() >= self.copies {
             return Err("cannot kill every network copy".into());
         }
         if self.workload == Workload::Serving && self.rounds > MAX_SERVING_REQUESTS as i64 {
@@ -413,28 +368,32 @@ impl JobSpec {
         Ok(())
     }
 
-    /// Builds a fresh machine for this job at cycle 0.
-    ///
-    /// `max_cycles` is pinned to `Cycle::MAX` — the job's budget is
-    /// enforced by the server through [`Machine::run_for`] slices, so
-    /// jobs differing only in budget share one config identity (and
-    /// therefore one prefix-cache key).
+    /// What this job simulates: the only translation of a job line into
+    /// a machine. The server enforces the budget through
+    /// [`Machine::run_for`] slices (`max_cycles` is pinned to
+    /// `Cycle::MAX`), so jobs differing only in execution controls make
+    /// equal recipes, as do a fault seed without a fault and `mean_gap`
+    /// outside the serving workload, which shape nothing.
     #[must_use]
-    pub fn machine(&self) -> Machine {
+    pub fn recipe(&self) -> Recipe {
         let mut b = MachineBuilder::new(self.pes)
             .seed(self.seed)
-            .max_cycles(Cycle::MAX);
-        if self.copies > 1 {
-            b = b.network(self.copies);
+            .max_cycles(Cycle::MAX)
+            .network(self.copies);
+        if !self.faults.is_healthy() {
+            b = b.faults(self.faults.clone());
         }
-        if !self.faults.is_none() {
-            b = b.faults(self.faults.plan());
-        }
-        let mut m = b.build_spmd(&self.workload.program(self.rounds));
+        let mut recipe = b.recipe_spmd(&self.workload.program(self.rounds));
         if self.workload == Workload::Serving {
-            self.serving_config().install(&mut m);
+            self.serving_config().install(&mut recipe);
         }
-        m
+        recipe
+    }
+
+    /// Builds a fresh machine for this job at cycle 0.
+    #[must_use]
+    pub fn machine(&self) -> Machine {
+        Machine::from_recipe(self.recipe())
     }
 
     /// The serving-workload configuration this spec names: request count
@@ -445,32 +404,14 @@ impl JobSpec {
         ultra_workloads::Serving::new(self.rounds.max(1) as usize, self.mean_gap).seed(self.seed)
     }
 
-    /// The prefix-cache key: every field that shapes simulation state,
-    /// and nothing that doesn't. Budget, priority, timeout, telemetry,
-    /// checkpoint cadence, the retired thread count and the job id are all
-    /// excluded — jobs differing only in those walk bit-identical cycle
-    /// sequences and may share checkpoints.
+    /// The recipe's hash in hex. Kept only so the benchmark harness,
+    /// which groups jobs by it, compiles unchanged; the server keys its
+    /// cache on [`JobSpec::recipe`] itself.
     #[must_use]
     pub fn prefix_key(&self) -> String {
-        format!(
-            "pes={};seed={};workload={};rounds={};mean_gap={};copies={};dead_mms={:?};dead_copies={:?};link_loss={};fault_seed={}",
-            self.pes,
-            self.seed,
-            self.workload.name(),
-            self.rounds,
-            // Only serving machines read the gap; normalizing it to 0
-            // elsewhere lets closed-workload jobs keep sharing prefixes.
-            if self.workload == Workload::Serving {
-                self.mean_gap
-            } else {
-                0
-            },
-            self.copies,
-            self.faults.dead_mms,
-            self.faults.dead_copies,
-            self.faults.link_loss,
-            self.faults.fault_seed,
-        )
+        let mut h = DefaultHasher::new();
+        self.recipe().hash(&mut h);
+        format!("{:016x}", h.finish())
     }
 }
 
@@ -496,11 +437,14 @@ mod tests {
         assert_eq!(spec.workload, Workload::Ticket);
         assert_eq!(spec.rounds, 12);
         assert_eq!(spec.copies, 2);
-        assert_eq!(spec.faults.dead_copies, [1]);
+
         assert_eq!(spec.cycles, 5000);
         assert_eq!(spec.priority, 3);
         assert_eq!(spec.timeout_ms, Some(1000));
-        assert_eq!(spec.faults.link_loss, 0.1);
+        assert_eq!(
+            spec.faults,
+            FaultPlan::none().dead_copy(1).link_loss(0.1).seed(7)
+        );
     }
 
     #[test]
@@ -510,7 +454,7 @@ mod tests {
         assert_eq!(spec.workload, Workload::Counter);
         assert_eq!(spec.cycles, DEFAULT_CYCLE_BUDGET);
         assert_eq!(spec.checkpoint_every, DEFAULT_CHECKPOINT_EVERY);
-        assert!(spec.faults.is_none());
+        assert!(spec.faults.is_healthy());
     }
 
     #[test]
@@ -530,6 +474,10 @@ mod tests {
             (r#"{"dead_mms": [9]}"#, "out of range"),
             (r#"{"dead_copies": [0]}"#, "every network copy"),
             (r#"{"pes": 2, "dead_mms": [0, 1]}"#, "every memory module"),
+            (
+                r#"{"pes": 2, "dead_mms": [1, 0, 1]}"#,
+                "every memory module",
+            ),
             (r#"{"cycles": 0}"#, "cycles"),
             (r#"{"telemetry_window": 0}"#, "positive"),
             (r#"{"frobnicate": 1}"#, "unknown field"),
@@ -557,6 +505,13 @@ mod tests {
             format!(r#"{{"pes": {MAX_PES}, "copies": {MAX_COPIES}, "threads": {MAX_THREADS}}}"#);
         let spec = spec_of(&line).unwrap();
         assert_eq!((spec.pes, spec.copies, spec.threads), (1 << 20, 16, 64));
+        // A unit named twice is killed once: one module or copy lives.
+        for line in [
+            r#"{"pes": 2, "dead_mms": [0, 0]}"#,
+            r#"{"copies": 2, "dead_copies": [0, 0]}"#,
+        ] {
+            assert!(spec_of(line).is_ok(), "{line}");
+        }
         let line = format!(r#"{{"workload": "serving", "rounds": {MAX_SERVING_REQUESTS}}}"#);
         assert_eq!(spec_of(&line).unwrap().rounds, 1 << 20);
         let closed = format!(r#"{{"rounds": {}}}"#, 2 * MAX_SERVING_REQUESTS);
@@ -564,6 +519,68 @@ mod tests {
             spec_of(&closed).is_ok(),
             "the bound is the serving workload's only"
         );
+    }
+
+    /// Parity string and a digest of the words the registry workloads
+    /// touch (counter, ticket slots, serving completion stamps).
+    fn state(m: &Machine) -> (String, u64) {
+        let words = (0..1536).chain((0..64).map(|i| ultra_workloads::serving::DONE_BASE + i));
+        let memory: Vec<u8> = words.flat_map(|w| m.read_shared(w).to_le_bytes()).collect();
+        let report = ultracomputer::MachineReport::from_machine(m);
+        (report.parity_string(), ultra_sim::wire::fnv1a(&memory))
+    }
+
+    #[test]
+    fn equal_recipes_make_machines_that_agree_at_every_cycle() {
+        use ultra_sim::rng::{Rng, SplitMix64};
+        // Each job changes one field of the base line; no list says which
+        // fields shape the machine: the recipe does.
+        const CHOICES: &[(&str, &[&str])] = &[
+            ("id", &[r#""a""#, r#""b""#]),
+            ("pes", &["4", "8"]),
+            ("seed", &["1", "2"]),
+            ("workload", &[r#""barrier""#, r#""serving""#]),
+            ("rounds", &["3", "5"]),
+            ("mean_gap", &["7", "30"]),
+            ("copies", &["1", "3"]),
+            ("threads", &["1", "4"]),
+            ("cycles", &["300", "100000"]),
+            ("checkpoint_every", &["16", "4096"]),
+            ("priority", &["0", "7"]),
+            ("timeout_ms", &["60000"]),
+            ("telemetry_window", &["32"]),
+            ("dead_mms", &["[]", "[1]", "[1, 1]", "[1, 2]", "[2, 1]"]),
+            ("dead_copies", &["[]", "[0]", "[0, 0]", "[1]"]),
+            ("link_loss", &["0", "-0.0", "0.05", "0.050"]),
+            ("fault_seed", &["3", "9"]),
+        ];
+        let base = r#""pes": 4, "seed": 1, "workload": "ticket", "rounds": 3, "copies": 2"#;
+        let mut rng = SplitMix64::new(44);
+        let mut draw = || {
+            let (key, values) = CHOICES[rng.below(CHOICES.len())];
+            let value = values[rng.below(values.len())];
+            // A repeated key takes its last value.
+            spec_of(&format!(r#"{{{base}, "{key}": {value}}}"#)).unwrap()
+        };
+        let mut equal = 0;
+        for _ in 0..60 {
+            let (a, b) = (draw(), draw());
+            let (ra, rb) = (a.recipe(), b.recipe());
+            if ra != rb {
+                continue;
+            }
+            equal += 1;
+            // The key is the recipe's hash.
+            assert_eq!(a.prefix_key(), b.prefix_key(), "{a:?} and {b:?} hash apart");
+            let (mut ma, mut mb) = (Machine::from_recipe(ra), Machine::from_recipe(rb));
+            loop {
+                assert_eq!(state(&ma), state(&mb), "{a:?} and {b:?} at {}", ma.now());
+                if ma.run_for(1).completed & mb.run_for(1).completed {
+                    break;
+                }
+            }
+        }
+        assert!((10..50).contains(&equal), "{equal} of 60 pairs equal");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! End-to-end service tests: the acceptance criteria of the
 //! simulation-as-a-service milestone.
 //!
-//! * An 8-job concurrent batch (mixed PE counts, seeds, fault plans)
+//! * A 10-job concurrent batch (mixed PE counts, seeds, fault plans)
 //!   produces per-job JSON byte-identical to one-shot runs of the same
 //!   specs on a fresh server.
-//! * At least one job resumes from the snapshot prefix cache, and says
-//!   so in its log.
+//! * Jobs whose recipes equal a cached prefix's resume from it, and say
+//!   so in their logs; a serving job with another mean gap does not.
 //! * Cancellation and timeout produce their statuses, never hangs.
 
 use std::collections::HashMap;
@@ -14,6 +14,7 @@ use std::thread;
 
 use ultra_obs::flight::FlightLevel;
 use ultra_serve::cache::CACHE_BUDGET_BYTES;
+use ultra_serve::json::parse_object;
 use ultra_serve::obs::ObsOptions;
 use ultra_serve::protocol::{classify, Request};
 use ultra_serve::spec::{JobSpec, Workload};
@@ -35,88 +36,51 @@ fn field(line: &str, key: &str) -> String {
     }
 }
 
+/// The `resume` job of [`mixed_batch`] as job-line fields.
+const RESUME: &str = r#""pes": 8, "seed": 11, "workload": "ticket", "rounds": 40, "cycles": 200000, "checkpoint_every": 512"#;
+
+fn job(line: &str) -> JobSpec {
+    JobSpec::from_json(&parse_object(line).unwrap(), "job").unwrap()
+}
+
 fn mixed_batch() -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-
-    // The sweep pair: same prefix key as the warm-up job below, bigger
-    // budget — must resume from the cached checkpoint.
-    let mut resume = JobSpec::new("resume");
-    resume.pes = 8;
-    resume.seed = 11;
-    resume.workload = Workload::Ticket;
-    resume.rounds = 40;
-    resume.cycles = 200_000;
-    resume.checkpoint_every = 512;
-    jobs.push(resume);
-
-    let mut small = JobSpec::new("small-counter");
-    small.pes = 4;
-    small.seed = 1;
-    small.rounds = 8;
-    jobs.push(small);
-
-    let mut wide = JobSpec::new("wide-counter");
-    wide.pes = 16;
-    wide.seed = 2;
-    wide.rounds = 6;
-    jobs.push(wide);
-
-    let mut ticket = JobSpec::new("ticket-99");
-    ticket.pes = 8;
-    ticket.seed = 99;
-    ticket.workload = Workload::Ticket;
-    ticket.rounds = 10;
-    jobs.push(ticket);
-
-    let mut barrier = JobSpec::new("barrier");
-    barrier.pes = 8;
-    barrier.seed = 5;
-    barrier.workload = Workload::Barrier;
-    barrier.rounds = 6;
-    jobs.push(barrier);
-
-    let mut dead_mm = JobSpec::new("dead-mm");
-    dead_mm.pes = 8;
-    dead_mm.seed = 3;
-    dead_mm.rounds = 6;
-    dead_mm.faults.dead_mms = vec![3];
-    jobs.push(dead_mm);
-
-    let mut dead_copy = JobSpec::new("dead-copy");
-    dead_copy.pes = 8;
-    dead_copy.seed = 4;
-    dead_copy.copies = 2;
-    dead_copy.rounds = 6;
-    dead_copy.faults.dead_copies = vec![0];
-    jobs.push(dead_copy);
-
-    let mut lossy = JobSpec::new("lossy");
-    lossy.pes = 8;
-    lossy.seed = 6;
-    lossy.rounds = 10;
-    lossy.cycles = 2_000_000;
-    lossy.faults.link_loss = 0.1;
-    lossy.faults.fault_seed = 7;
-    jobs.push(lossy);
-
-    jobs
+    // The sweep jobs: the machines of the warm-up jobs below, bigger
+    // budgets — must resume from the cached checkpoints. A fault seed
+    // with no fault, and dead modules named in another order than the
+    // second warm-up's, change nothing.
+    let sweep = [
+        ("resume", ""),
+        ("resume-fault-seed", r#", "fault_seed": 9"#),
+        ("resume-dead-mms", r#", "dead_mms": [2, 5]"#),
+    ];
+    let sweep = sweep.map(|(id, extra)| format!(r#"{{"id": "{id}", {RESUME}{extra}}}"#));
+    let others = [
+        r#"{"id": "small-counter", "pes": 4, "seed": 1, "rounds": 8}"#,
+        r#"{"id": "wide-counter", "pes": 16, "seed": 2, "rounds": 6}"#,
+        r#"{"id": "ticket-99", "pes": 8, "seed": 99, "workload": "ticket", "rounds": 10}"#,
+        r#"{"id": "barrier", "pes": 8, "seed": 5, "workload": "barrier", "rounds": 6}"#,
+        r#"{"id": "dead-mm", "pes": 8, "seed": 3, "rounds": 6, "dead_mms": [3]}"#,
+        r#"{"id": "dead-copy", "pes": 8, "seed": 4, "copies": 2, "rounds": 6, "dead_copies": [0]}"#,
+        r#"{"id": "lossy", "pes": 8, "seed": 6, "rounds": 10, "cycles": 2000000, "link_loss": 0.1, "fault_seed": 7}"#,
+    ];
+    (sweep.iter().map(String::as_str).chain(others))
+        .map(job)
+        .collect()
 }
 
 #[test]
 fn concurrent_batch_matches_one_shot_runs_and_resumes_from_the_prefix_cache() {
     let server = Server::new();
 
-    // Warm the cache: the prefix of the `resume` job, cut off after 600
+    // Warm the cache: the prefixes of the sweep jobs, cut off after 600
     // cycles (the 40-round ticket workload runs far longer than that).
-    let mut warm = JobSpec::new("warm");
-    warm.pes = 8;
-    warm.seed = 11;
-    warm.workload = Workload::Ticket;
-    warm.rounds = 40;
-    warm.cycles = 600;
-    warm.checkpoint_every = 512;
-    let warm_out = server.run_job(&warm);
-    assert_eq!(field(&warm_out.line, "status"), "budget-exhausted");
+    for extra in ["", r#", "dead_mms": [5, 2]"#] {
+        let warm = job(&format!(
+            r#"{{"id": "warm", {RESUME}, "cycles": 600{extra}}}"#
+        ));
+        let warm_out = server.run_job(&warm);
+        assert_eq!(field(&warm_out.line, "status"), "budget-exhausted");
+    }
     assert!(
         !server.cache().is_empty(),
         "budget-exhausted job must leave checkpoints behind"
@@ -160,14 +124,15 @@ fn concurrent_batch_matches_one_shot_runs_and_resumes_from_the_prefix_cache() {
         );
     }
 
-    // The sweep job resumed from the warm-up's checkpoint.
-    assert!(server.cache().hits() >= 1, "prefix cache never hit");
-    let resumed = &outcomes["resume"];
-    assert!(
-        resumed.log.iter().any(|l| l.contains("cache hit")),
-        "resume job must log its cache hit, got {:?}",
-        resumed.log
-    );
+    // The sweep jobs resumed from the warm-ups' checkpoints.
+    for id in ["resume", "resume-fault-seed", "resume-dead-mms"] {
+        let resumed = &outcomes[id];
+        assert!(
+            resumed.log.iter().any(|l| l.contains("cache hit")),
+            "{id} must log its cache hit, got {:?}",
+            resumed.log
+        );
+    }
 
     // Sanity on the physics: combining happened, and the lossy run
     // actually lost and retried messages.
@@ -234,7 +199,7 @@ fn telemetry_jobs_attach_a_series_and_never_resume_from_cache() {
     for at in [64, 128, 150] {
         let (cycle, image) = server
             .cache()
-            .best_at_or_below(&plain.prefix_key(), at)
+            .best_at_or_below(&plain.recipe(), at)
             .expect("every slice of the telemetry job left a checkpoint");
         assert_eq!(cycle, at);
         let m = image.machine();
@@ -330,13 +295,14 @@ fn serving_sweep_resumes_from_the_prefix_cache_with_identical_curve() {
         let spec = serving_spec(&format!("point-{gap}"), gap);
         let out = server.run_job(&spec);
         assert_eq!(field(&out.line, "status"), "completed");
-        if i == 0 {
-            assert!(
-                out.log.iter().any(|l| l.contains("cache hit")),
-                "the warm point must resume from the snapshot cache, got {:?}",
-                out.log
-            );
-        }
+        // Another mean gap is another arrival schedule: only the warm
+        // point may resume.
+        assert_eq!(
+            out.log.iter().any(|l| l.contains("cache hit")),
+            i == 0,
+            "gap {gap}: {:?}",
+            out.log
+        );
         let solo = Server::new().run_job(&spec);
         assert_eq!(
             out.line, solo.line,

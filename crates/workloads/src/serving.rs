@@ -29,7 +29,7 @@
 
 use ultra_sim::rng::{Rng, SplitMix64};
 use ultra_sim::stats::Histogram;
-use ultracomputer::machine::Machine;
+use ultracomputer::machine::{Machine, Recipe};
 use ultracomputer::program::{body, Expr, Op, Program};
 
 /// Base address of the arrival-cycle table (one word per request).
@@ -47,11 +47,12 @@ pub const TICKET_ADDR: usize = (1 << 28) + 0xD15C;
 ///
 /// ```
 /// use ultra_workloads::Serving;
-/// use ultracomputer::machine::MachineBuilder;
+/// use ultracomputer::machine::{Machine, MachineBuilder};
 ///
 /// let s = Serving::new(64, 40).seed(7);
-/// let mut m = MachineBuilder::new(4).ideal(2).build_spmd(&s.program());
-/// s.install(&mut m);
+/// let mut recipe = MachineBuilder::new(4).ideal(2).recipe_spmd(&s.program());
+/// s.install(&mut recipe);
+/// let mut m = Machine::from_recipe(recipe);
 /// assert!(m.run().completed);
 /// let lat = s.latencies(&m);
 /// assert_eq!(lat.count(), 64);
@@ -179,15 +180,15 @@ impl Serving {
         )
     }
 
-    /// Installs the arrival schedule and KV records into shared memory
-    /// (untimed; call after building the machine, before running).
-    pub fn install(&self, m: &mut Machine) {
+    /// Writes the arrival schedule and KV records into a machine's
+    /// recipe, as untimed writes before cycle 0.
+    pub fn install(&self, recipe: &mut Recipe) {
         for (i, &at) in self.arrivals().iter().enumerate() {
-            m.write_shared(ARRIVAL_BASE + i, at as i64);
+            recipe.write_shared(ARRIVAL_BASE + i, at as i64);
         }
         let mut rng = SplitMix64::new(self.seed ^ 0x4B56_0DA7_A0C0_FFEE);
         for r in 0..self.kv_records {
-            m.write_shared(KV_BASE + r, rng.range_u64(1..1 << 20) as i64);
+            recipe.write_shared(KV_BASE + r, rng.range_u64(1..1 << 20) as i64);
         }
     }
 
@@ -241,8 +242,9 @@ mod tests {
             MachineBuilder::new(4).ideal(2),
             MachineBuilder::new(4).network(1),
         ] {
-            let mut m = build.build_spmd(&s.program());
-            s.install(&mut m);
+            let mut recipe = build.recipe_spmd(&s.program());
+            s.install(&mut recipe);
+            let mut m = Machine::from_recipe(recipe);
             assert!(m.run().completed);
             let lat = s.latencies(&m);
             assert_eq!(lat.count(), 48);
@@ -261,8 +263,9 @@ mod tests {
         // *improve* the tail, and a saturating load must visibly hurt it.
         let run = |gap: u64| {
             let s = Serving::new(256, gap).seed(5);
-            let mut m = MachineBuilder::new(4).ideal(2).build_spmd(&s.program());
-            s.install(&mut m);
+            let mut recipe = MachineBuilder::new(4).ideal(2).recipe_spmd(&s.program());
+            s.install(&mut recipe);
+            let mut m = Machine::from_recipe(recipe);
             assert!(m.run().completed);
             s.latencies(&m).percentile(99.0)
         };

@@ -14,7 +14,7 @@ use ultra_sim::rng::{Rng, SplitMix64};
 use ultra_sim::{MmId, Value};
 use ultracomputer::program::{body, Expr, Op, Program};
 use ultracomputer::trace::TraceEvent;
-use ultracomputer::{MachineBuilder, MachineReport};
+use ultracomputer::{Machine, MachineBuilder, MachineReport};
 
 /// Deterministic "forall": seeded cases, failures reported with the case
 /// number so they replay exactly.
@@ -177,11 +177,12 @@ fn serving_latency_curve_is_bit_identical_across_engines() {
     for gap in [150u64, 4] {
         let s = Serving::new(96, gap).seed(13);
         let run = |ff: bool| {
-            let mut m = MachineBuilder::new(8)
+            let mut recipe = MachineBuilder::new(8)
                 .seed(13)
                 .fast_forward(ff)
-                .build_spmd(&s.program());
-            s.install(&mut m);
+                .recipe_spmd(&s.program());
+            s.install(&mut recipe);
+            let mut m = Machine::from_recipe(recipe);
             assert!(m.run().completed, "gap {gap} must drain");
             (
                 MachineReport::from_machine(&m).parity_string(),

@@ -349,9 +349,9 @@ fn serving_workers_asleep_at_the_cut() {
         arrivals[0] < cut && arrivals[63] > cut,
         "cut inside a sleep"
     );
-    let mut m = MachineBuilder::new(64).build_spmd(&serving.program());
-    serving.install(&mut m);
-    let got = observe_machine(m, cut, DONE_BASE);
+    let mut recipe = MachineBuilder::new(64).recipe_spmd(&serving.program());
+    serving.install(&mut recipe);
+    let got = observe_machine(Machine::from_recipe(recipe), cut, DONE_BASE);
     let want = Golden {
         cycles: 1994,
         parity: 0xf105_277d_36e9_dd31,
