@@ -50,17 +50,19 @@ impl MachineReport {
         Self::from_machine_active(m, m.pes())
     }
 
-    /// Builds the report over only the first `active` PEs — the §4.2
-    /// setting where a handful of busy PEs sit in a larger fabric.
+    /// Builds the report over only the first `active` PEs, every context
+    /// of each — the §4.2 setting where a handful of busy PEs sit in a
+    /// larger fabric.
     ///
     /// # Panics
     ///
     /// Panics if `active` exceeds the PE count.
     #[must_use]
     pub fn from_machine_active(m: &Machine, active: usize) -> Self {
+        let k = m.cfg().contexts_per_pe;
         Self {
             cycles: m.now(),
-            pe: m.merged_pe_stats_range(0..active),
+            pe: m.merged_pe_stats_range(0..active * k),
             net: m.net_stats(),
             time: m.cfg().time,
             pes: active,
@@ -365,5 +367,29 @@ mod tests {
             b.parity_string(),
             "identical configs must digest identically despite differing wall time"
         );
+    }
+
+    #[test]
+    fn a_multiprogrammed_report_counts_every_context() {
+        let p = Program::new(
+            body(vec![
+                Op::FetchAdd {
+                    addr: Expr::Const(0),
+                    delta: Expr::Const(1),
+                    dst: None,
+                },
+                Op::Halt,
+            ]),
+            vec![],
+        );
+        let mut m = MachineBuilder::new(32).multiprogramming(2).build_spmd(&p);
+        assert!(m.run().completed);
+        let report = MachineReport::from_machine(&m);
+        assert_eq!(report.pes, 32);
+        assert_eq!(report.pe.shared_refs.get(), 64, "one per context");
+        assert_eq!(report.pe.cm_access.count(), 64);
+        assert_eq!(report.pe.total_cycles, 64 * m.now());
+        let first = MachineReport::from_machine_active(&m, 4);
+        assert_eq!(first.pe.shared_refs.get(), 8, "both contexts of 4 PEs");
     }
 }

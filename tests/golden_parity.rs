@@ -298,9 +298,9 @@ fn two_network_copies() {
     let got = observe(builder, &scatter_program(32, 8), 30);
     let want = Golden {
         cycles: 247,
-        parity: 0x3674_93ad_0979_7148,
+        parity: 0x733d_b6b0_ae95_cea0,
         memory: 0x5b13_91eb_319e_c084,
-        snapshot: 0x30fe_ec04_f4ba_ab75,
+        snapshot: 0xd204_3097_9664_39cf,
     };
     check("two_network_copies", &got, &want);
 }
@@ -367,9 +367,9 @@ fn multiprogrammed_naps_and_register_waits() {
     let got = observe(builder, &nap_program(6), 45);
     let want = Golden {
         cycles: 566,
-        parity: 0x9eda_82f8_a700_d310,
+        parity: 0x34cb_47cd_dfa7_c839,
         memory: 0x0c96_fe36_b9e9_83a6,
-        snapshot: 0xfa71_959d_e677_a2ca,
+        snapshot: 0x66c7_336b_4fe8_c06a,
     };
     check("multiprogrammed_naps_and_register_waits", &got, &want);
 }
