@@ -10,14 +10,14 @@ use ultra_net::message::{MsgKind, Reply};
 use ultra_obs::{EnginePhase, PhaseSpan};
 use ultra_pe::pni::PniError;
 use ultra_sim::active::Walk;
-use ultra_sim::{Cycle, PeId};
+use ultra_sim::{Cycle, IdMap, PeId};
 
 use super::ff::min_event;
 use super::{
     BackendImpl, Context, CtxState, CycleCtx, CycleSinks, Machine, PeShard, Purpose, ReqMeta,
     RunOutcome, BARRIER_VADDR_BASE,
 };
-use crate::interp::{Fetched, IssueSpec};
+use crate::interp::{Env, Fetched, Frame, IssueSpec};
 use crate::trace::TraceEvent;
 
 impl Machine {
@@ -158,18 +158,25 @@ impl Machine {
     /// idle charge and nothing else, and that charge is stamped lazily
     /// ([`PeShard::unstamped_idle`]).
     fn pe_phase(&mut self, now: Cycle) {
+        let k = self.cfg.contexts_per_pe;
         let cx = CycleCtx {
             now,
             cpi: self.cfg.time.cycles_per_instruction,
             barrier_generation: self.barrier_generation,
+            code: &self.code,
+            programs: &self.recipe.programs,
+            hasher: &self.hasher,
+            vpes: self.cfg.net.pes * k,
         };
         let mut sinks = CycleSinks {
             meta: &mut self.meta,
             trace: &mut self.trace,
             halted_count: &mut self.halted_count,
             wakes: &mut self.wakes,
+            outstanding: &mut self.outstanding,
+            outbound: &mut self.outbound,
         };
-        let k = self.cfg.contexts_per_pe;
+        let depth = cx.code.depth();
         let mut walk = Walk::default();
         while let Some(i) = walk.next(&self.runnable) {
             let shard = &mut self.shards[i];
@@ -178,8 +185,9 @@ impl Machine {
                 continue;
             }
             let ctxs = &mut self.ctxs[i * k..][..k];
+            let frames = &mut self.frames[i * k * depth..][..k * depth];
             let halted_before = *sinks.halted_count;
-            shard.datapath_cycle(ctxs, cx, &mut sinks);
+            shard.datapath_cycle(ctxs, frames, cx, &mut sinks);
             if !shard.outgoing.is_empty() {
                 self.outgoing.insert(i);
                 if self.retry_enabled {
@@ -255,13 +263,15 @@ impl Machine {
             return;
         }
         let now = self.now;
-        let mut filed: Vec<Option<Cycle>> = vec![None; self.shards.len()];
+        // Keyed by shard, so a machine with an empty calendar checks it
+        // without allocating.
+        let mut filed: IdMap<usize, Cycle> = IdMap::default();
         for &Reverse((at, i, since)) in self.wakes.iter() {
             let i = i as usize;
             assert!(self.live.contains(i), "calendar names dead shard {i}");
             assert!(at >= now, "shard {i}: calendar entry {at} overdue");
             if self.shards[i].parked_since == Some(since) {
-                let twice = filed[i].replace(at).is_some();
+                let twice = filed.insert(i, at).is_some();
                 assert!(!twice, "shard {i}: two live calendar entries");
             }
         }
@@ -282,7 +292,7 @@ impl Machine {
                 let Some(Some(wake)) = proof else {
                     panic!("shard {i}: parked but a context could run");
                 };
-                assert_eq!(filed[i], wake, "shard {i}: calendar entry");
+                assert_eq!(filed.get(&i).copied(), wake, "shard {i}: calendar entry");
             }
             if self.retry_enabled && shard.pni.outstanding() > 0 {
                 assert!(self.retrying.contains(i), "shard {i}: retries unwalked");
@@ -314,7 +324,7 @@ impl Machine {
     /// Flushes one shard's queue until empty or backpressured. Each
     /// message is offered by value; a refused one goes back to the head.
     fn flush_shard_outgoing(&mut self, pe: usize, now: Cycle) {
-        while let Some(msg) = self.shards[pe].outgoing.pop_front() {
+        while let Some(msg) = self.outbound.pop_front(&mut self.shards[pe].outgoing) {
             match &mut self.backend {
                 BackendImpl::Ideal {
                     latency, pending, ..
@@ -326,7 +336,7 @@ impl Machine {
                     Offer::Injected => {}
                     Offer::Refused(refused) => {
                         // Backpressure; retry next cycle.
-                        self.shards[pe].outgoing.push_front(refused);
+                        (self.outbound).push_front(&mut self.shards[pe].outgoing, refused);
                         break;
                     }
                     // Abandoned rather than wedging this PE's queue; the
@@ -392,8 +402,9 @@ impl Machine {
                 let t0 = timed.then(Instant::now);
                 fabric.advance(now, &mut deliveries, |dropped| {
                     // DropOnConflict: the PE must re-offer the request.
-                    self.outgoing.insert(dropped.src.0);
-                    self.shards[dropped.src.0].outgoing.push_back(dropped);
+                    let pe = dropped.src.0;
+                    self.outgoing.insert(pe);
+                    (self.outbound).push_back(&mut self.shards[pe].outgoing, dropped);
                 });
                 if let Some(t0) = t0 {
                     net_span = Some((t0, t0.elapsed().as_nanos() as u64));
@@ -426,12 +437,13 @@ impl Machine {
         // A reply is the one thing that unlocks a register or drains a
         // fence: the shard's next datapath cycle must look again.
         self.wake(phys);
-        let matched = self.shards[phys].pni.complete(reply);
+        let matched = self.shards[phys].pni.complete(&mut self.outstanding, reply);
         debug_assert!(matched, "PNI lost track of an outstanding request");
         let context = &mut self.ctxs[ctx];
-        (context.stats)
-            .cm_access
-            .record(now.saturating_sub(reply.request_issued_at));
+        (self.cm_access).record(
+            &mut context.stats.cm_access,
+            now.saturating_sub(reply.request_issued_at),
+        );
         self.trace.record(TraceEvent::Reply {
             cycle: now,
             pe: PeId(ctx),
@@ -440,7 +452,7 @@ impl Machine {
         match meta.purpose {
             Purpose::Data => {
                 if let Some(dst) = meta.dst {
-                    context.interp.write_and_unlock(dst, reply.value);
+                    context.thread.write_and_unlock(dst, reply.value);
                 }
             }
             Purpose::Barrier => {
@@ -487,13 +499,21 @@ impl PeShard {
         vpe: usize,
         spec: &IssueSpec,
         purpose: Purpose,
-        cx: CycleCtx,
+        cx: CycleCtx<'_>,
         sinks: &mut CycleSinks<'_>,
     ) -> bool {
         if !self.outgoing.is_empty() {
             return false; // the PNI's outbound buffer is occupied
         }
-        match self.pni.issue(spec.kind, spec.vaddr, spec.value, cx.now) {
+        let (hasher, outstanding) = (cx.hasher, &mut *sinks.outstanding);
+        match (self.pni).issue(
+            hasher,
+            outstanding,
+            spec.kind,
+            spec.vaddr,
+            spec.value,
+            cx.now,
+        ) {
             Ok(msg) => {
                 sinks.meta.insert(
                     msg.id,
@@ -504,7 +524,7 @@ impl PeShard {
                     },
                 );
                 if let Some(dst) = spec.dst {
-                    ctx.interp.lock(dst);
+                    ctx.thread.lock(dst);
                 }
                 sinks.trace.record(TraceEvent::Issue {
                     cycle: cx.now,
@@ -517,7 +537,7 @@ impl PeShard {
                 if spec.kind.reply_carries_data() {
                     s.cm_loads.incr();
                 }
-                self.outgoing.push_back(msg);
+                sinks.outbound.push_back(&mut self.outgoing, msg);
                 true
             }
             Err(PniError::LocationBusy) => false,
@@ -540,18 +560,26 @@ impl PeShard {
         }
     }
 
-    /// One datapath cycle over the shard's contexts `ctxs`: round-robin,
-    /// executing the first one that can make progress (zero-cost context
-    /// switching, §3.5 / HEP).
+    /// One datapath cycle over the shard's contexts `ctxs`, whose frames
+    /// are `frames`: round-robin, executing the first one that can make
+    /// progress (zero-cost context switching, §3.5 / HEP).
     #[inline(never)]
-    fn datapath_cycle(&mut self, ctxs: &mut [Context], cx: CycleCtx, sinks: &mut CycleSinks<'_>) {
+    fn datapath_cycle(
+        &mut self,
+        ctxs: &mut [Context],
+        frames: &mut [Frame],
+        cx: CycleCtx<'_>,
+        sinks: &mut CycleSinks<'_>,
+    ) {
         let k = ctxs.len();
+        let depth = cx.code.depth();
         for offset in 0..k {
             let c = (self.cursor + offset) % k;
             if !self.resolve_waits(&mut ctxs[c], cx.now) {
                 continue;
             }
-            let advanced = self.ctx_execute(&mut ctxs[c], self.vpe(k, c), cx, sinks);
+            let frames = &mut frames[c * depth..][..depth];
+            let advanced = self.ctx_execute(&mut ctxs[c], frames, self.vpe(k, c), cx, sinks);
             if advanced {
                 // HEP-style: next instruction goes to the next context.
                 self.cursor = (self.cursor + offset + 1) % k;
@@ -600,7 +628,7 @@ impl PeShard {
     fn ctx_parked(&self, ctx: &Context) -> bool {
         match ctx.state {
             CtxState::Halted | CtxState::WaitBarrier => true,
-            CtxState::WaitReg(r) => ctx.interp.is_locked(r),
+            CtxState::WaitReg(r) => ctx.thread.is_locked(r),
             CtxState::WaitFence => self.pni.outstanding() > 0,
             CtxState::Ready | CtxState::WaitIssue(..) | CtxState::WaitUntil(_) => false,
         }
@@ -648,13 +676,15 @@ impl PeShard {
         }
     }
 
-    /// Attempts to execute one instruction of `ctx`, virtual PE `vpe`.
-    /// Returns whether the datapath was consumed.
+    /// Attempts to execute one instruction of `ctx`, virtual PE `vpe`,
+    /// whose frames are `frames`. Returns whether the datapath was
+    /// consumed.
     fn ctx_execute(
         &mut self,
         ctx: &mut Context,
+        frames: &mut [Frame],
         vpe: usize,
-        cx: CycleCtx,
+        cx: CycleCtx<'_>,
         sinks: &mut CycleSinks<'_>,
     ) -> bool {
         let now = cx.now;
@@ -673,7 +703,13 @@ impl PeShard {
             return false;
         }
 
-        match ctx.interp.next_op(now) {
+        let env = Env {
+            code: cx.code,
+            params: &cx.programs[ctx.thread.program()].1.params,
+            pe: PeId(vpe),
+            n_pes: cx.vpes,
+        };
+        match ctx.thread.next_op(frames, env, now) {
             Fetched::Halted => {
                 ctx.state = CtxState::Halted;
                 *sinks.halted_count += 1;

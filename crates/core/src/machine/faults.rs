@@ -98,10 +98,10 @@ impl Machine {
             }
         }
         let shard = &mut self.shards[pe];
-        for msg in shard.outgoing.drain(..) {
+        while let Some(msg) = self.outbound.pop_front(&mut shard.outgoing) {
             self.meta.remove(&msg.id);
         }
-        for id in shard.pni.abandon_all() {
+        for id in shard.pni.abandon_all(&mut self.outstanding) {
             self.meta.remove(&id);
         }
         self.outgoing.remove(pe);
@@ -119,14 +119,14 @@ impl Machine {
             return;
         }
         self.dead_mms.push(mm);
-        // Every PNI (and every fork) shares the old translator: the new
-        // one is built once and handed to each PNI by reference.
+        // Every fork shares the old translator: the new one is built once,
+        // and every PNI re-keys its outstanding requests under it.
         Arc::make_mut(&mut self.hasher).set_dead_mms(&self.dead_mms);
         if let BackendImpl::Network(fabric) = &mut self.backend {
             fabric.kill_bank(mm);
         }
         for shard in &mut self.shards {
-            shard.pni.set_hasher(Arc::clone(&self.hasher));
+            shard.pni.rekey(&self.hasher, &mut self.outstanding);
         }
     }
 
@@ -141,7 +141,8 @@ impl Machine {
         let mut walk = Walk::default();
         while let Some(pe) = walk.next(&self.retrying) {
             let shard = &mut self.shards[pe];
-            shard.pni.due_retries_into(now, &mut shard.outgoing);
+            let outbound = &mut self.outbound;
+            (shard.pni).due_retries(now, |msg| outbound.push_back(&mut shard.outgoing, msg));
             if !shard.outgoing.is_empty() {
                 self.outgoing.insert(pe);
             }

@@ -35,7 +35,7 @@
 //! recipe); this file holds the types, the assembly and the accessors.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,14 +46,15 @@ use ultra_net::config::SweepMode;
 use ultra_net::message::{Message, MsgId, Reply};
 use ultra_net::stats::NetStats;
 use ultra_obs::{CounterSnapshot, GaugeSnapshot, HeatmapSnapshot, PhaseRecorder, TimeSeries};
-use ultra_pe::pni::Pni;
-use ultra_pe::stats::PeStats;
-use ultra_sim::heap::{deque_bytes, map_bytes, vec_bytes};
+use ultra_pe::pni::{Outstanding, PniCore};
+use ultra_pe::stats::{ContextStats, PeStats};
+use ultra_sim::heap::{map_bytes, vec_bytes, KeptVec};
 use ultra_sim::ids::digits;
+use ultra_sim::ring::{Ring, Rings};
 use ultra_sim::wire::WireWriter;
-use ultra_sim::{ActiveSet, Cycle, IdMap, MmId, PeId, Value};
+use ultra_sim::{ActiveSet, Cycle, HistogramColumn, IdMap, MmId, PeId, Value};
 
-use crate::interp::{IssueSpec, PeInterp};
+use crate::interp::{Code, Frame, IssueSpec, Thread};
 use crate::paracomputer::Paracomputer;
 use crate::program::{Program, Reg};
 use crate::snapshot::EngineTuning;
@@ -101,6 +102,9 @@ struct ReqMeta {
     purpose: Purpose,
 }
 
+// One per machine, so the variants' sizes do not matter; a box would cost
+// an allocation per build and per fork.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone)]
 enum BackendImpl {
     Ideal {
@@ -161,38 +165,36 @@ pub struct RunOutcome {
     pub cycles: Cycle,
 }
 
-/// One context (virtual PE): its interpreter, why it is not executing,
-/// and its counters. The machine keeps every context in one column
-/// indexed by virtual PE; shard `i` owns `ctxs[i·k..(i+1)·k]`.
+/// One context (virtual PE): its interpreter record, why it is not
+/// executing, and its counters. The machine keeps every context in one
+/// column indexed by virtual PE; shard `i` owns `ctxs[i·k..(i+1)·k]`. A
+/// context owns no heap: its frames are its stretch of
+/// [`Machine::frames`], its access-time bins its slot in
+/// [`Machine::cm_access`].
 #[derive(Clone)]
 struct Context {
-    interp: PeInterp,
+    thread: Thread,
     state: CtxState,
-    stats: PeStats,
-}
-
-impl Context {
-    /// Heap bytes this context owns (see [`Machine::heap_bytes`]).
-    fn heap_bytes(&self) -> usize {
-        self.interp.heap_bytes() + self.stats.cm_access.heap_bytes()
-    }
+    stats: ContextStats,
 }
 
 /// One physical PE's slice of the machine past its contexts: datapath
 /// occupancy, network interface and outbound queue. Within a cycle no
 /// shard reads another shard's state or contexts; its datapath cycle
-/// writes the machine-wide sinks (request metadata, trace, halt count)
-/// through [`CycleSinks`].
+/// writes the machine-wide sinks (request metadata, trace, halt count,
+/// the slabs its PNI and queue keep their entries in) through
+/// [`CycleSinks`].
 #[derive(Clone)]
 struct PeShard {
     /// Datapath occupancy.
     busy_until: Cycle,
     /// Round-robin context cursor (HEP-style).
     cursor: usize,
-    /// Network interface.
-    pni: Pni,
-    /// Outgoing messages awaiting network acceptance.
-    outgoing: VecDeque<Message>,
+    /// Network interface; its requests are in [`Machine::outstanding`].
+    pni: PniCore,
+    /// Outgoing messages awaiting network acceptance, in
+    /// [`Machine::outbound`].
+    outgoing: Ring,
     /// `Some(c)` while the shard is parked — out of [`Machine::runnable`],
     /// with cycles `c..` not yet charged to its idle counters (see
     /// [`PeShard::unstamped_idle`]). A park starts at most once a cycle,
@@ -201,11 +203,6 @@ struct PeShard {
 }
 
 impl PeShard {
-    /// Heap bytes this shard owns (see [`Machine::heap_bytes`]).
-    fn heap_bytes(&self) -> usize {
-        self.pni.heap_bytes() + deque_bytes(&self.outgoing)
-    }
-
     /// Virtual PE index of local context `c`, for a shard of `k`
     /// contexts: shard `i` is PE `i`, and its contexts follow on from
     /// `i · k`.
@@ -303,13 +300,19 @@ impl Hash for Recipe {
     }
 }
 
-/// Read-only per-cycle parameters handed to every shard.
+/// Read-only per-cycle parameters handed to every shard, and the
+/// machine-wide tables its contexts read.
 #[derive(Clone, Copy)]
-struct CycleCtx {
+struct CycleCtx<'a> {
     now: Cycle,
     /// Cycles per PE instruction.
     cpi: Cycle,
     barrier_generation: u64,
+    code: &'a Code,
+    /// The recipe's program runs, whose parameters the contexts read.
+    programs: &'a [(usize, Program)],
+    hasher: &'a AddressHasher,
+    vpes: usize,
 }
 
 /// An entry of [`Machine::wakes`]: `(at, shard, since)` — wake `shard`
@@ -324,6 +327,8 @@ struct CycleSinks<'a> {
     trace: &'a mut Trace,
     halted_count: &'a mut usize,
     wakes: &'a mut BinaryHeap<Wake>,
+    outstanding: &'a mut Outstanding,
+    outbound: &'a mut Rings<Message>,
 }
 
 /// The assembled machine.
@@ -332,12 +337,23 @@ pub struct Machine {
     cfg: MachineConfig,
     /// How the machine was made; shared by every fork.
     recipe: Arc<Recipe>,
-    /// The address translator every PNI shares.
+    /// The address translator every PNI uses.
     hasher: Arc<AddressHasher>,
+    /// The recipe's programs compiled for the frame column.
+    code: Arc<Code>,
     /// One shard per physical PE.
     shards: Vec<PeShard>,
     /// Every context, indexed by virtual PE (see [`Context`]).
     ctxs: Vec<Context>,
+    /// Every context's control frames: context `v` owns the
+    /// [`Code::depth`] frames from `v · depth`.
+    frames: Vec<Frame>,
+    /// The bins of every context's access-time histogram.
+    cm_access: HistogramColumn,
+    /// Every PNI's outstanding requests.
+    outstanding: Outstanding,
+    /// Every shard's outgoing messages.
+    outbound: Rings<Message>,
     meta: IdMap<MsgId, ReqMeta>,
     backend: BackendImpl,
     barrier_generation: u64,
@@ -362,7 +378,7 @@ pub struct Machine {
     fast_forwarded: Cycle,
     /// Pooled completion buffer for [`Machine::backend_cycle`] — replies
     /// are staged here each cycle, so the hot path never allocates.
-    deliveries: Vec<Reply>,
+    deliveries: KeptVec<Reply>,
     /// Shards whose `outgoing` queue is non-empty: what the outbound
     /// flush walks and the quiescence and fast-forward checks count.
     outgoing: ActiveSet,
@@ -426,17 +442,29 @@ impl Machine {
         hasher.set_dead_mms(&static_dead);
         let hasher = Arc::new(hasher);
         let retry = Self::retry_policy_for(&cfg);
+        let code = Code::compile(recipe.programs.iter().map(|(_, program)| program));
+        let depth = code.depth();
+        // The run index of each context, in order.
+        let runs = || {
+            let runs = recipe.programs.iter().enumerate();
+            runs.flat_map(|(run, &(n, _))| std::iter::repeat(run).take(n))
+        };
+        assert_eq!(runs().count(), vpes, "need one program per context");
+        let mut frames = vec![Frame::default(); depth * vpes];
         let mut ctxs = Vec::with_capacity(vpes);
-        let contexts = (recipe.programs.iter()).flat_map(|(n, p)| std::iter::repeat(p).take(*n));
-        ctxs.extend(contexts.enumerate().map(|(vid, program)| Context {
-            interp: PeInterp::new(PeId(vid), vpes, program),
-            state: CtxState::Ready,
-            stats: PeStats::new(),
-        }));
-        assert_eq!(ctxs.len(), vpes, "need one program per context");
+        ctxs.extend(
+            frames
+                .chunks_exact_mut(depth)
+                .zip(runs())
+                .map(|(frames, run)| Context {
+                    thread: Thread::new(&code, run, frames),
+                    state: CtxState::Ready,
+                    stats: ContextStats::default(),
+                }),
+        );
         let shards: Vec<PeShard> = (0..n)
             .map(|phys| {
-                let mut pni = Pni::new(PeId(phys), Arc::clone(&hasher));
+                let mut pni = PniCore::new(PeId(phys));
                 if let Some(policy) = retry {
                     pni.enable_retry(policy);
                 }
@@ -444,7 +472,7 @@ impl Machine {
                     busy_until: 0,
                     cursor: 0,
                     pni,
-                    outgoing: VecDeque::new(),
+                    outgoing: Ring::default(),
                     parked_since: None,
                 }
             })
@@ -467,8 +495,13 @@ impl Machine {
         let mut machine = Self {
             recipe: Arc::new(recipe),
             hasher,
+            code: Arc::new(code),
             shards,
             ctxs,
+            frames,
+            cm_access: HistogramColumn::default(),
+            outstanding: Outstanding::default(),
+            outbound: Rings::default(),
             meta: IdMap::default(),
             backend,
             barrier_generation: 0,
@@ -483,7 +516,7 @@ impl Machine {
             dead_pes: Vec::new(),
             run_elapsed: None,
             fast_forwarded: 0,
-            deliveries: Vec::new(),
+            deliveries: KeptVec::default(),
             outgoing: ActiveSet::new(n),
             runnable: live.clone(),
             live,
@@ -552,15 +585,15 @@ impl Machine {
 
     /// An estimate of the heap bytes this machine keeps allocated — what
     /// holding on to it (or to a [`Machine::fork`] of it) costs. It adds up
-    /// the buffers of every per-PE, per-context, per-bank and per-switch
-    /// structure at their capacities, the translator every PNI shares
-    /// (once), the wake calendar and the recipe a fork shares, and leaves
-    /// out what does not grow with the machine (active sets, counters,
-    /// observer rings).
+    /// the per-PE, per-context, per-bank and per-switch columns, slabs and
+    /// active sets at their capacities, the retry state of PNIs that run
+    /// the retry protocol, the translator every PNI uses, the compiled
+    /// code, the wake calendar, the staging buffers and the recipe a fork
+    /// shares, and leaves out what does not grow with the machine
+    /// (counters, observer rings).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        let shards: usize = self.shards.iter().map(PeShard::heap_bytes).sum();
-        let ctxs: usize = self.ctxs.iter().map(Context::heap_bytes).sum();
+        let retry: usize = self.shards.iter().map(|shard| shard.pni.heap_bytes()).sum();
         let backend = match &self.backend {
             BackendImpl::Ideal { para, pending, .. } => {
                 let queued: usize = pending.values().map(vec_bytes).sum();
@@ -569,13 +602,22 @@ impl Machine {
             BackendImpl::Network(fabric) => fabric.heap_bytes(),
         };
         vec_bytes(&self.shards)
-            + shards
+            + retry
             + vec_bytes(&self.ctxs)
-            + ctxs
+            + vec_bytes(&self.frames)
+            + self.cm_access.heap_bytes()
+            + self.outstanding.heap_bytes()
+            + self.outbound.heap_bytes()
+            + self.code.heap_bytes()
             + std::mem::size_of::<AddressHasher>()
             + self.hasher.heap_bytes()
             + map_bytes(&self.meta)
             + self.wakes.capacity() * std::mem::size_of::<Wake>()
+            + vec_bytes(&self.deliveries)
+            + [&self.outgoing, &self.live, &self.runnable, &self.retrying]
+                .map(ActiveSet::heap_bytes)
+                .iter()
+                .sum::<usize>()
             + backend
             + self.recipe.heap_bytes()
     }
@@ -700,7 +742,9 @@ impl Machine {
             .flat_map(|(shard, ctxs)| {
                 (0..k).map(move |c| {
                     let (idle, barrier) = shard.unstamped_idle(ctxs, c, self.now);
-                    let mut s = ctxs[c].stats.clone();
+                    let mut s = PeStats::new();
+                    ctxs[c].stats.add_to(&mut s);
+                    s.cm_access = self.cm_access.histogram([&ctxs[c].stats.cm_access]);
                     s.total_cycles = self.now;
                     s.idle_cycles.add(idle);
                     s.barrier_wait_cycles.add(barrier);
@@ -756,9 +800,11 @@ impl Machine {
         let k = self.cfg.contexts_per_pe;
         let mut total = PeStats::new();
         let merged = range.len() as u64;
+        let ctxs = &self.ctxs[range.clone()];
+        total.cm_access = (self.cm_access).histogram(ctxs.iter().map(|ctx| &ctx.stats.cm_access));
         for vpe in range {
             let (shard, c) = (vpe / k, vpe % k);
-            total.merge(&self.ctxs[vpe].stats);
+            self.ctxs[vpe].stats.add_to(&mut total);
             let (idle, barrier) =
                 self.shards[shard].unstamped_idle(self.ctxs_of(shard), c, self.now);
             total.idle_cycles.add(idle);
@@ -838,7 +884,7 @@ impl Machine {
         let addr = self.hasher.translate(vaddr);
         match &self.backend {
             BackendImpl::Ideal { para, .. } => para.load(Self::flat_key(addr, self.cfg.net.pes)),
-            BackendImpl::Network(fabric) => fabric.banks()[addr.mm.0].peek(addr.offset),
+            BackendImpl::Network(fabric) => fabric.peek(addr),
         }
     }
 
@@ -855,7 +901,7 @@ impl Machine {
         let n = self.cfg.net.pes;
         match &mut self.backend {
             BackendImpl::Ideal { para, .. } => para.store(Self::flat_key(addr, n), value),
-            BackendImpl::Network(fabric) => fabric.bank_mut(addr.mm).poke(addr.offset, value),
+            BackendImpl::Network(fabric) => fabric.poke(addr, value),
         }
     }
 

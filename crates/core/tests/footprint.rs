@@ -43,13 +43,13 @@ fn assert_idle_cost(n: usize, measured: f64) {
 
 #[test]
 fn an_idle_4096_pe_machine_costs_its_state() {
-    assert_idle_cost(4096, 1400.4);
+    assert_idle_cost(4096, 1138.5);
 }
 
 #[test]
 #[ignore = "builds a 2^18-PE machine: run in release"]
 fn an_idle_2_18_pe_machine_costs_its_state() {
-    assert_idle_cost(1 << 18, 1640.0);
+    assert_idle_cost(1 << 18, 1378.8);
 }
 
 #[test]

@@ -14,12 +14,22 @@
 //! was applied alone, or was the combined amalgam's survivor) and is
 //! silently swallowed otherwise — safe, because replies are never lost in
 //! the fault model, so the original decombined reply is still en route.
-
-use std::collections::VecDeque;
+//!
+//! # Storage
+//!
+//! A fabric holds one module per PE, and nearly all of them are idle. The
+//! per-module record, [`Bank`], therefore owns no heap of its own: the
+//! words every module of a fabric holds are one map keyed by physical
+//! address, and queued requests and undelivered replies are [`Ring`]s in
+//! one slab each, all three in the fabric's [`BankStore`], which every
+//! call that touches them takes. Copying every module of a fabric is then
+//! one copy of the records and one of each store buffer. [`MemBank`] is
+//! one module with a store of its own, for use outside a fabric.
 
 use ultra_net::message::{Message, MsgId, MsgKind, Reply};
-use ultra_sim::heap::{deque_bytes, map_bytes};
-use ultra_sim::{Counter, Cycle, IdMap, MmId, Value};
+use ultra_sim::heap::map_bytes;
+use ultra_sim::ring::{Ring, Rings};
+use ultra_sim::{Counter, Cycle, IdMap, MemAddr, MmId, Value};
 
 /// Instrumentation for one memory bank.
 #[derive(Debug, Clone, Default)]
@@ -46,20 +56,47 @@ pub struct MemStats {
     pub dead_discards: Counter,
 }
 
-/// A memory module plus its MNI: FIFO request queue, fixed service time,
-/// fetch-and-phi ALU, and a reply outbox.
+/// The words, queued requests and undelivered replies of every [`Bank`]
+/// of a fabric (see the module docs).
 ///
 /// All words read as zero until written — convenient for the shared
 /// counters and queue bounds of the paper's algorithms, which all start at
 /// zero.
+#[derive(Debug, Clone, Default)]
+pub struct BankStore {
+    words: IdMap<MemAddr, Value>,
+    requests: Rings<Message>,
+    replies: Rings<Reply>,
+}
+
+impl BankStore {
+    /// Heap bytes of the touched words and both slabs.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        map_bytes(&self.words) + self.requests.heap_bytes() + self.replies.heap_bytes()
+    }
+
+    /// Directly reads a word (test setup / result extraction; not timed).
+    #[must_use]
+    pub fn peek(&self, addr: MemAddr) -> Value {
+        self.words.get(&addr).copied().unwrap_or(0)
+    }
+
+    /// Directly writes a word (initialization; not timed).
+    pub fn poke(&mut self, addr: MemAddr, value: Value) {
+        self.words.insert(addr, value);
+    }
+}
+
+/// A memory module plus its MNI: FIFO request queue, fixed service time,
+/// fetch-and-phi ALU, and a reply outbox, held in a [`BankStore`].
 #[derive(Debug, Clone)]
-pub struct MemBank {
+pub struct Bank {
     mm: MmId,
-    words: IdMap<usize, Value>,
-    queue: VecDeque<Message>,
+    queue: Ring,
     /// The request in service and the cycle it completes.
     in_service: Option<(Cycle, Message)>,
-    outbox: VecDeque<Reply>,
+    outbox: Ring,
     service_time: Cycle,
     stats: MemStats,
     dead: bool,
@@ -71,7 +108,7 @@ pub struct MemBank {
     seen: Option<IdMap<MsgId, Option<Value>>>,
 }
 
-impl MemBank {
+impl Bank {
     /// Creates an empty module `mm` that serves one request every
     /// `service_time` cycles (§4.2 uses two network cycles).
     ///
@@ -83,10 +120,9 @@ impl MemBank {
         assert!(service_time >= 1, "service time must be at least one cycle");
         Self {
             mm,
-            words: IdMap::default(),
-            queue: VecDeque::new(),
+            queue: Ring::default(),
             in_service: None,
-            outbox: VecDeque::new(),
+            outbox: Ring::default(),
             service_time,
             stats: MemStats::default(),
             dead: false,
@@ -94,14 +130,11 @@ impl MemBank {
         }
     }
 
-    /// Heap bytes this bank owns: its touched words, queues and dedup
-    /// cache.
+    /// Heap bytes this bank owns: its dedup cache. Its words and queues
+    /// are the store's.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        map_bytes(&self.words)
-            + deque_bytes(&self.queue)
-            + deque_bytes(&self.outbox)
-            + self.seen.as_ref().map_or(0, map_bytes)
+        self.seen.as_ref().map_or(0, map_bytes)
     }
 
     /// This module's id.
@@ -123,15 +156,15 @@ impl MemBank {
     /// replies are all lost, and every future request is discarded
     /// unserved (its PE recovers via retry against the re-hashed
     /// translation).
-    pub fn kill(&mut self) {
+    pub fn kill(&mut self, store: &mut BankStore) {
         self.dead = true;
         let discarded =
             self.queue.len() + usize::from(self.in_service.is_some()) + self.outbox.len();
         self.stats.dead_discards.add(discarded as u64);
-        self.queue.clear();
+        store.requests.clear(&mut self.queue);
         self.in_service = None;
-        self.outbox.clear();
-        self.words.clear();
+        store.replies.clear(&mut self.outbox);
+        store.words.retain(|addr, _| addr.mm != self.mm);
         if let Some(seen) = &mut self.seen {
             seen.clear();
         }
@@ -160,24 +193,13 @@ impl MemBank {
         &self.stats
     }
 
-    /// Directly reads a word (test setup / result extraction; not timed).
-    #[must_use]
-    pub fn peek(&self, offset: usize) -> Value {
-        self.words.get(&offset).copied().unwrap_or(0)
-    }
-
-    /// Directly writes a word (initialization; not timed).
-    pub fn poke(&mut self, offset: usize, value: Value) {
-        self.words.insert(offset, value);
-    }
-
     /// Accepts a request delivered by the network. Returns `false` when
     /// the module is dead and discards it.
     ///
     /// # Panics
     ///
     /// Panics if the request is addressed to a different module.
-    pub fn push_request(&mut self, msg: Message) -> bool {
+    pub fn push_request(&mut self, store: &mut BankStore, msg: Message) -> bool {
         assert_eq!(msg.addr.mm, self.mm, "request delivered to wrong module");
         if self.dead {
             // Discarded before application: the issuing PE's retry (after
@@ -186,23 +208,24 @@ impl MemBank {
             self.stats.dead_discards.incr();
             return false;
         }
-        self.queue.push_back(msg);
+        store.requests.push_back(&mut self.queue, msg);
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
         true
     }
 
     /// The requests this module holds, queued or in service.
-    pub fn requests(&self) -> impl Iterator<Item = &Message> {
-        self.queue
-            .iter()
-            .chain(self.in_service.as_ref().map(|(_, m)| m))
+    pub fn requests<'a>(&'a self, store: &'a BankStore) -> impl Iterator<Item = &'a Message> {
+        (store.requests.iter(self.queue)).chain(self.in_service.as_ref().map(|(_, m)| m))
     }
 
     /// The `(id, attempt)` of every request this module holds: queued, in
     /// service, or answered by a reply not yet sent back.
-    pub fn in_flight(&self) -> impl Iterator<Item = (MsgId, u32)> + '_ {
-        let requests = self.requests().map(|m| (m.id, m.attempt));
-        requests.chain(self.outbox.iter().map(|r| (r.id, r.attempt)))
+    pub fn in_flight<'a>(
+        &'a self,
+        store: &'a BankStore,
+    ) -> impl Iterator<Item = (MsgId, u32)> + 'a {
+        let requests = self.requests(store).map(|m| (m.id, m.attempt));
+        requests.chain(store.replies.iter(self.outbox).map(|r| (r.id, r.attempt)))
     }
 
     /// Requests waiting (not counting the one in service).
@@ -222,9 +245,9 @@ impl MemBank {
     /// in-flight request when its time is up, moving the reply to the
     /// outbox. Returns the `(id, attempt)` of a request the dedup cache
     /// swallowed without a reply, the one way a served request gets none.
-    pub fn cycle(&mut self, now: Cycle) -> Option<(MsgId, u32)> {
+    pub fn cycle(&mut self, store: &mut BankStore, now: Cycle) -> Option<(MsgId, u32)> {
         if self.in_service.is_none() {
-            if let Some(msg) = self.queue.pop_front() {
+            if let Some(msg) = store.requests.pop_front(&mut self.queue) {
                 self.in_service = Some((now + self.service_time, msg));
             }
         }
@@ -235,7 +258,7 @@ impl MemBank {
             if now + 1 >= done_at {
                 let (_, msg) = self.in_service.take().expect("checked");
                 let replies = self.outbox.len();
-                self.serve(&msg);
+                self.serve(store, &msg);
                 if self.outbox.len() == replies {
                     return Some((msg.id, msg.attempt));
                 }
@@ -247,7 +270,7 @@ impl MemBank {
     /// Serves one request at completion time: consults the dedup cache
     /// (when enabled), applies the request at most once, and enqueues the
     /// reply owed (if any).
-    fn serve(&mut self, msg: &Message) {
+    fn serve(&mut self, store: &mut BankStore, msg: &Message) {
         if let Some(seen) = &self.seen {
             if let Some(dup) = msg.constituents().iter().find_map(|id| seen.get(id)) {
                 // Some constituent of this request was already applied —
@@ -259,14 +282,14 @@ impl MemBank {
                 match *dup {
                     Some(value) => {
                         self.stats.dedup_hits.incr();
-                        self.outbox.push_back(Reply::to_request(msg, value));
+                        (store.replies).push_back(&mut self.outbox, Reply::to_request(msg, value));
                     }
                     None => self.stats.dedup_swallowed.incr(),
                 }
                 return;
             }
         }
-        let value = self.apply(msg);
+        let value = self.apply(store, msg);
         if let Some(seen) = &mut self.seen {
             // The survivor id's observed value is exactly `value`; the
             // absorbed constituents' values live in the wait buffers.
@@ -274,15 +297,16 @@ impl MemBank {
                 seen.insert(id, if id == msg.id { Some(value) } else { None });
             }
         }
-        self.outbox.push_back(Reply::to_request(msg, value));
+        (store.replies).push_back(&mut self.outbox, Reply::to_request(msg, value));
     }
 
     /// The MNI ALU: applies one request to the memory array and returns the
     /// reply value (the old value for loads and fetch-and-phis; zero for
     /// store acknowledgements).
-    pub fn apply(&mut self, msg: &Message) -> Value {
+    pub fn apply(&mut self, store: &mut BankStore, msg: &Message) -> Value {
         self.stats.served.incr();
-        let slot = self.words.entry(msg.addr.offset).or_insert(0);
+        let addr = MemAddr::new(self.mm, msg.addr.offset);
+        let slot = store.words.entry(addr).or_insert(0);
         match msg.kind {
             MsgKind::Load => {
                 self.stats.loads.incr();
@@ -304,20 +328,155 @@ impl MemBank {
 
     /// The oldest undelivered reply, if any.
     #[must_use]
+    pub fn peek_reply<'a>(&self, store: &'a BankStore) -> Option<&'a Reply> {
+        store.replies.front(self.outbox)
+    }
+
+    /// Removes and returns the oldest undelivered reply.
+    pub fn pop_reply(&mut self, store: &mut BankStore) -> Option<Reply> {
+        store.replies.pop_front(&mut self.outbox)
+    }
+
+    /// Puts back, at the head of the outbox, a reply the network refused
+    /// this cycle — the counterpart of [`Bank::pop_reply`] for callers
+    /// that offer replies by value.
+    pub fn return_reply(&mut self, store: &mut BankStore, reply: Reply) {
+        store.replies.push_front(&mut self.outbox, reply);
+    }
+}
+
+/// One memory module with a [`BankStore`] of its own: a [`Bank`] outside
+/// a fabric. Each method is the [`Bank`] method of the same name.
+#[derive(Debug, Clone)]
+pub struct MemBank {
+    bank: Bank,
+    store: BankStore,
+}
+
+impl MemBank {
+    /// See [`Bank::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `service_time` is zero.
+    #[must_use]
+    pub fn new(mm: MmId, service_time: Cycle) -> Self {
+        Self {
+            bank: Bank::new(mm, service_time),
+            store: BankStore::default(),
+        }
+    }
+
+    /// Heap bytes this bank owns: its touched words, queues and dedup
+    /// cache.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.bank.heap_bytes() + self.store.heap_bytes()
+    }
+
+    /// This module's id.
+    #[must_use]
+    pub fn mm(&self) -> MmId {
+        self.bank.mm()
+    }
+
+    /// See [`Bank::enable_dedup`].
+    pub fn enable_dedup(&mut self) {
+        self.bank.enable_dedup();
+    }
+
+    /// See [`Bank::kill`].
+    pub fn kill(&mut self) {
+        self.bank.kill(&mut self.store);
+    }
+
+    /// See [`Bank::set_service_time`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `service_time` is zero.
+    pub fn set_service_time(&mut self, service_time: Cycle) {
+        self.bank.set_service_time(service_time);
+    }
+
+    /// The current per-request service time.
+    #[must_use]
+    pub fn service_time(&self) -> Cycle {
+        self.bank.service_time()
+    }
+
+    /// Accumulated statistics.
+    #[must_use]
+    pub fn stats(&self) -> &MemStats {
+        self.bank.stats()
+    }
+
+    /// Directly reads a word (test setup / result extraction; not timed).
+    #[must_use]
+    pub fn peek(&self, offset: usize) -> Value {
+        self.store.peek(MemAddr::new(self.bank.mm, offset))
+    }
+
+    /// Directly writes a word (initialization; not timed).
+    pub fn poke(&mut self, offset: usize, value: Value) {
+        self.store.poke(MemAddr::new(self.bank.mm, offset), value);
+    }
+
+    /// See [`Bank::push_request`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request is addressed to a different module.
+    pub fn push_request(&mut self, msg: Message) -> bool {
+        self.bank.push_request(&mut self.store, msg)
+    }
+
+    /// See [`Bank::requests`].
+    pub fn requests(&self) -> impl Iterator<Item = &Message> {
+        self.bank.requests(&self.store)
+    }
+
+    /// See [`Bank::in_flight`].
+    pub fn in_flight(&self) -> impl Iterator<Item = (MsgId, u32)> + '_ {
+        self.bank.in_flight(&self.store)
+    }
+
+    /// Requests waiting (not counting the one in service).
+    #[must_use]
+    pub fn queue_depth(&self) -> usize {
+        self.bank.queue_depth()
+    }
+
+    /// See [`Bank::is_idle`].
+    #[must_use]
+    pub fn is_idle(&self) -> bool {
+        self.bank.is_idle()
+    }
+
+    /// See [`Bank::cycle`].
+    pub fn cycle(&mut self, now: Cycle) -> Option<(MsgId, u32)> {
+        self.bank.cycle(&mut self.store, now)
+    }
+
+    /// See [`Bank::apply`].
+    pub fn apply(&mut self, msg: &Message) -> Value {
+        self.bank.apply(&mut self.store, msg)
+    }
+
+    /// The oldest undelivered reply, if any.
+    #[must_use]
     pub fn peek_reply(&self) -> Option<&Reply> {
-        self.outbox.front()
+        self.bank.peek_reply(&self.store)
     }
 
     /// Removes and returns the oldest undelivered reply.
     pub fn pop_reply(&mut self) -> Option<Reply> {
-        self.outbox.pop_front()
+        self.bank.pop_reply(&mut self.store)
     }
 
-    /// Puts back, at the head of the outbox, a reply the network refused
-    /// this cycle — the counterpart of [`MemBank::pop_reply`] for callers
-    /// that offer replies by value.
+    /// See [`Bank::return_reply`].
     pub fn return_reply(&mut self, reply: Reply) {
-        self.outbox.push_front(reply);
+        self.bank.return_reply(&mut self.store, reply);
     }
 }
 

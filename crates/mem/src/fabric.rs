@@ -1,5 +1,6 @@
 //! The memory side of the machine: `d` copies of the combining Omega
-//! network in front of one [`MemBank`] per memory module (§3.1, §4.1).
+//! network in front of one [`Bank`] per memory module (§3.1, §4.1), whose
+//! words and queues are one [`BankStore`].
 //! Each PE spreads its requests over the copies round-robin, failing over
 //! to the next copy when one refuses; a reply re-enters the network
 //! through the copy that carried its request, so decombining matches
@@ -20,9 +21,9 @@ use ultra_net::stats::NetStats;
 use ultra_obs::{CounterSnapshot, GaugeSnapshot, HeatmapSnapshot};
 use ultra_sim::active::Walk;
 use ultra_sim::heap::{map_bytes, vec_bytes};
-use ultra_sim::{ActiveSet, Cycle, IdMap, MemAddr, MmId, PeId};
+use ultra_sim::{ActiveSet, Cycle, IdMap, MemAddr, MmId, PeId, Value};
 
-use crate::MemBank;
+use crate::bank::{Bank, BankStore};
 
 /// What became of a request offered to the [`Fabric`].
 #[derive(Debug)]
@@ -48,7 +49,9 @@ pub struct Fabric {
     /// The one buffer every copy's cycle fills and [`Fabric::advance`]
     /// drains before the next copy cycles; empty between calls.
     events: NetworkEvents,
-    banks: Vec<MemBank>,
+    banks: Vec<Bank>,
+    /// Every bank's words, queued requests and undelivered replies.
+    store: BankStore,
     /// Which copy carried each in-flight request, keyed by attempt too (a
     /// retry may travel another copy). `None` — every reply returns on
     /// copy 0 — unless there are several copies or the dedup cache is on.
@@ -79,14 +82,15 @@ impl Fabric {
                 copy
             })
             .collect();
-        let mut banks: Vec<MemBank> = (0..net.pes)
+        let mut banks: Vec<Bank> = (0..net.pes)
             .map(|i| {
                 let factor = Cycle::from(plan.slow_factor(MmId(i)).max(1));
-                MemBank::new(MmId(i), mm_service * factor)
+                Bank::new(MmId(i), mm_service * factor)
             })
             .collect();
+        let mut store = BankStore::default();
         for mm in plan.dead_mms() {
-            banks[mm.0].kill();
+            banks[mm.0].kill(&mut store);
         }
         Self {
             nets,
@@ -94,6 +98,7 @@ impl Fabric {
             failovers: 0,
             events: NetworkEvents::default(),
             banks,
+            store,
             copy_of: (copies > 1).then(IdMap::default),
             busy: ActiveSet::new(net.pes),
         }
@@ -177,18 +182,19 @@ impl Fabric {
     /// Turns on every bank's exactly-once dedup cache (for retries), and
     /// with it the copy map.
     pub fn enable_dedup(&mut self) {
-        self.banks.iter_mut().for_each(MemBank::enable_dedup);
+        self.banks.iter_mut().for_each(Bank::enable_dedup);
         self.copy_of.get_or_insert_with(IdMap::default);
     }
 
-    /// Fail-stops module `mm` ([`MemBank::kill`]) and forgets the copies
+    /// Fail-stops module `mm` ([`Bank::kill`]) and forgets the copies
     /// of the requests it discards.
     pub fn kill_bank(&mut self, mm: MmId) {
         let bank = &mut self.banks[mm.0];
         if let Some(copy_of) = &mut self.copy_of {
-            bank.in_flight().for_each(|key| _ = copy_of.remove(&key));
+            bank.in_flight(&self.store)
+                .for_each(|key| _ = copy_of.remove(&key));
         }
-        bank.kill();
+        bank.kill(&mut self.store);
     }
 
     /// Offers a request at cycle `now` to the copies, starting at the
@@ -234,11 +240,11 @@ impl Fabric {
         let mut walk = Walk::default();
         while let Some(mm) = walk.next(&self.busy) {
             let bank = &mut self.banks[mm];
-            let swallowed = bank.cycle(now);
+            let swallowed = bank.cycle(&mut self.store, now);
             if let (Some(copy_of), Some(key)) = (&mut self.copy_of, swallowed) {
                 copy_of.remove(&key);
             }
-            while let Some(reply) = bank.pop_reply() {
+            while let Some(reply) = bank.pop_reply(&mut self.store) {
                 let key = (reply.id, reply.attempt);
                 let copy = self
                     .copy_of
@@ -249,7 +255,7 @@ impl Fabric {
                     continue;
                 };
                 if let Err(refused) = self.nets[copy].try_inject_reply(reply, now) {
-                    bank.return_reply(refused);
+                    bank.return_reply(&mut self.store, refused);
                     break;
                 }
             }
@@ -284,7 +290,7 @@ impl Fabric {
             for msg in events.requests_at_mm.drain(..) {
                 let (mm, id, attempt) = (msg.addr.mm.0, msg.id, msg.attempt);
                 self.busy.insert(mm);
-                if !self.banks[mm].push_request(msg) {
+                if !self.banks[mm].push_request(&mut self.store, msg) {
                     forget(id, attempt);
                 }
             }
@@ -302,7 +308,11 @@ impl Fabric {
     /// Every request the copies and banks hold (absorbed ones excepted).
     pub fn requests(&self) -> impl Iterator<Item = &Message> {
         let nets = self.nets.iter().flat_map(OmegaNetwork::requests);
-        nets.chain(self.banks.iter().flat_map(MemBank::requests))
+        nets.chain(
+            self.banks
+                .iter()
+                .flat_map(|bank| bank.requests(&self.store)),
+        )
     }
 
     /// Entries in the copy map: 0 where it is not kept.
@@ -318,7 +328,9 @@ impl Fabric {
     #[must_use]
     pub fn requests_in_flight(&self) -> usize {
         let nets: usize = self.nets.iter().map(OmegaNetwork::requests_in_flight).sum();
-        let banks: usize = self.banks.iter().map(|b| b.in_flight().count()).sum();
+        let banks: usize = (self.banks.iter())
+            .map(|b| b.in_flight(&self.store).count())
+            .sum();
         nets + banks
     }
 
@@ -436,24 +448,44 @@ impl Fabric {
         }
     }
 
-    /// Heap bytes the copies, the banks and the in-flight map own.
+    /// Heap bytes the copies, the banks, their store and the in-flight
+    /// map own.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let nets: usize = self.nets.iter().map(OmegaNetwork::heap_bytes).sum();
-        let words: usize = self.banks.iter().map(MemBank::heap_bytes).sum();
+        let dedup: usize = self.banks.iter().map(Bank::heap_bytes).sum();
         let copy_of = self.copy_of.as_ref().map_or(0, map_bytes);
-        vec_bytes(&self.nets) + nets + vec_bytes(&self.banks) + words + copy_of
+        vec_bytes(&self.nets)
+            + nets
+            + vec_bytes(&self.banks)
+            + dedup
+            + self.store.heap_bytes()
+            + vec_bytes(&self.cursor)
+            + self.events.heap_bytes()
+            + self.busy.heap_bytes()
+            + copy_of
     }
 
     /// The banks, indexed by module.
     #[must_use]
-    pub fn banks(&self) -> &[MemBank] {
+    pub fn banks(&self) -> &[Bank] {
         &self.banks
     }
 
-    /// Bank `mm`, for fault hooks and untimed reads and writes.
-    pub fn bank_mut(&mut self, mm: MmId) -> &mut MemBank {
+    /// Bank `mm`, for fault hooks.
+    pub fn bank_mut(&mut self, mm: MmId) -> &mut Bank {
         &mut self.banks[mm.0]
+    }
+
+    /// Reads the word at `addr` (untimed).
+    #[must_use]
+    pub fn peek(&self, addr: MemAddr) -> Value {
+        self.store.peek(addr)
+    }
+
+    /// Writes the word at `addr` (untimed).
+    pub fn poke(&mut self, addr: MemAddr, value: Value) {
+        self.store.poke(addr, value);
     }
 }
 
@@ -523,7 +555,7 @@ mod tests {
         fabric.enable_dedup();
         // A request reaches bank 2 without an in-flight entry: the answer
         // to an attempt whose twin already round-tripped.
-        fabric.bank_mut(MmId(2)).push_request(load(9, 0, 2, 0));
+        fabric.banks[2].push_request(&mut fabric.store, load(9, 0, 2, 0));
         fabric.busy.insert(2);
         let mut deliveries = Vec::new();
         assert_eq!(step(&mut fabric, 0, &mut deliveries), 1);
@@ -589,7 +621,7 @@ mod tests {
         fabric.enable_dedup();
         let mut amalgam = load(1, 0, 2, 0).tracked();
         amalgam.folded.as_mut().expect("tracked").push(MsgId(2));
-        fabric.bank_mut(MmId(2)).push_request(amalgam);
+        fabric.banks[2].push_request(&mut fabric.store, amalgam);
         fabric.busy.insert(2);
         assert_eq!(step(&mut fabric, 0, &mut deliveries), 1, "nobody waits");
         let retry = load(2, 1, 2, 1).as_retry(1, 1);

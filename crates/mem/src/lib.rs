@@ -50,6 +50,6 @@ pub mod bank;
 pub mod fabric;
 pub mod hash;
 
-pub use bank::{MemBank, MemStats};
+pub use bank::{Bank, BankStore, MemBank, MemStats};
 pub use fabric::{Fabric, Offer};
 pub use hash::{AddressHasher, TranslationMode};

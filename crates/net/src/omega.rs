@@ -31,11 +31,12 @@ use crate::switch::{AcceptOutcome, Switches};
 use ultra_faults::FaultMask;
 use ultra_obs::HeatmapSnapshot;
 use ultra_sim::active::Walk;
-use ultra_sim::heap::vec_bytes;
+use ultra_sim::heap::{clone_kept, vec_bytes, KeptVec};
 use ultra_sim::{ActiveSet, Cycle};
 
-/// Everything that emerged from the network during one cycle.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Everything that emerged from the network during one cycle. A copy
+/// keeps the lists' capacities, as [`KeptVec`] does.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct NetworkEvents {
     /// Requests whose tail arrived at their MNI this cycle.
     pub requests_at_mm: Vec<Message>,
@@ -47,11 +48,27 @@ pub struct NetworkEvents {
     pub dropped: Vec<Message>,
 }
 
+impl Clone for NetworkEvents {
+    fn clone(&self) -> Self {
+        Self {
+            requests_at_mm: clone_kept(&self.requests_at_mm),
+            replies_at_pe: clone_kept(&self.replies_at_pe),
+            dropped: clone_kept(&self.dropped),
+        }
+    }
+}
+
 impl NetworkEvents {
     /// Whether nothing at all emerged.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.requests_at_mm.is_empty() && self.replies_at_pe.is_empty() && self.dropped.is_empty()
+    }
+
+    /// Heap bytes of the three lists.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.requests_at_mm) + vec_bytes(&self.replies_at_pe) + vec_bytes(&self.dropped)
     }
 
     /// Empties all three lists, keeping their capacity — the reusable
@@ -74,6 +91,50 @@ pub enum Injected {
     Lost,
 }
 
+/// The switches of every stage holding traffic in one direction: one set
+/// over all stages' switches, stage-major, and each stage's member count —
+/// one buffer each however many stages, so a copy of a network makes the
+/// same number of allocations at every size. A stage is walked as a set of
+/// its own ([`Walk::within`]).
+#[derive(Debug, Clone)]
+struct StageSets {
+    set: ActiveSet,
+    per_stage: Vec<usize>,
+    switches_per_stage: usize,
+}
+
+impl StageSets {
+    fn new(stages: usize, switches_per_stage: usize) -> Self {
+        Self {
+            set: ActiveSet::new(stages * switches_per_stage),
+            per_stage: vec![0; stages],
+            switches_per_stage,
+        }
+    }
+
+    fn contains(&self, s: usize, sw: usize) -> bool {
+        self.set.contains(s * self.switches_per_stage + sw)
+    }
+
+    fn insert(&mut self, s: usize, sw: usize) {
+        let before = self.set.len();
+        self.set.insert(s * self.switches_per_stage + sw);
+        self.per_stage[s] += self.set.len() - before;
+    }
+
+    fn remove(&mut self, s: usize, sw: usize) {
+        let before = self.set.len();
+        self.set.remove(s * self.switches_per_stage + sw);
+        self.per_stage[s] -= before - self.set.len();
+    }
+
+    /// A walk over stage `s` and the set index of its switch 0.
+    fn walk(&self, s: usize) -> (Walk, usize) {
+        let base = s * self.switches_per_stage;
+        (Walk::within(base..base + self.switches_per_stage), base)
+    }
+}
+
 /// One `N`-PE combining Omega network.
 #[derive(Debug, Clone)]
 pub struct OmegaNetwork {
@@ -81,23 +142,23 @@ pub struct OmegaNetwork {
     /// Every switch's queues, wait buffer and counters, plus the slabs the
     /// in-flight messages live in (stage 0 on the PE side).
     switches: Switches,
-    /// `active_fwd[s]` = indices of stage-`s` switches whose ToMM queues
-    /// hold traffic; maintained exactly on every enqueue/dequeue so the
-    /// sparse sweep visits only them.
-    active_fwd: Vec<ActiveSet>,
-    /// `active_rev[s]` = stage-`s` switches whose ToPE queues hold traffic.
-    active_rev: Vec<ActiveSet>,
+    /// The switches whose ToMM queues hold traffic, per stage; maintained
+    /// exactly on every enqueue/dequeue so the sparse sweep visits only
+    /// them.
+    active_fwd: StageSets,
+    /// The switches whose ToPE queues hold traffic, per stage.
+    active_rev: StageSets,
     sweep: SweepMode,
     pe_link_free: Vec<Cycle>,
     mm_link_free: Vec<Cycle>,
     /// Requests in flight on the last-stage→MNI links: `(tail_arrival,
     /// handle)`; the message stays in the request slab until its tail
     /// arrives.
-    fwd_egress: Vec<(Cycle, Handle)>,
+    fwd_egress: KeptVec<(Cycle, Handle)>,
     /// Replies in flight on the stage-0→PNI links.
-    rev_egress: Vec<(Cycle, Handle)>,
+    rev_egress: KeptVec<(Cycle, Handle)>,
     /// Drops recorded since the last `cycle` call.
-    pending_drops: Vec<Message>,
+    pending_drops: KeptVec<Message>,
     next_id: u64,
     stats: NetStats,
     /// Live fault state (§4.1 graceful degradation); healthy by default,
@@ -117,11 +178,7 @@ impl OmegaNetwork {
         cfg.validate_fabric();
         let switches = Switches::new(&cfg);
         let topo = *switches.topology();
-        let active = || {
-            (0..topo.stages())
-                .map(|_| ActiveSet::new(topo.switches_per_stage()))
-                .collect()
-        };
+        let active = || StageSets::new(topo.stages(), topo.switches_per_stage());
         Self {
             stats: NetStats::new(topo.stages()),
             cfg,
@@ -131,24 +188,32 @@ impl OmegaNetwork {
             sweep: SweepMode::default(),
             pe_link_free: vec![0; cfg.pes],
             mm_link_free: vec![0; cfg.pes],
-            fwd_egress: Vec::new(),
-            rev_egress: Vec::new(),
-            pending_drops: Vec::new(),
+            fwd_egress: KeptVec::default(),
+            rev_egress: KeptVec::default(),
+            pending_drops: KeptVec::default(),
             next_id: 1,
             mask: FaultMask::healthy(),
         }
     }
 
-    /// Heap bytes this network owns: switches and link state (the
-    /// per-stage active sets and counters are a rounding error beside
-    /// them).
+    /// Heap bytes this network owns: switches, link state, the in-flight
+    /// lists, the active sets and the statistics.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
+        let stats = &self.stats;
+        let stats = vec_bytes(&stats.combines_by_stage)
+            + stats.forward_transit.heap_bytes()
+            + stats.reverse_transit.heap_bytes();
+        let active = |sets: &StageSets| sets.set.heap_bytes() + vec_bytes(&sets.per_stage);
         self.switches.heap_bytes()
+            + active(&self.active_fwd)
+            + active(&self.active_rev)
+            + stats
             + vec_bytes(&self.pe_link_free)
             + vec_bytes(&self.mm_link_free)
             + vec_bytes(&self.fwd_egress)
             + vec_bytes(&self.rev_egress)
+            + vec_bytes(&self.pending_drops)
     }
 
     /// Installs the boot-time fault state of this copy.
@@ -255,7 +320,10 @@ impl OmegaNetwork {
     /// The requests this copy holds (absorbed ones excepted: a wait
     /// buffer keeps only what their replies need).
     pub fn requests(&self) -> impl Iterator<Item = &Message> {
-        self.switches.requests().items().chain(&self.pending_drops)
+        self.switches
+            .requests()
+            .items()
+            .chain(self.pending_drops.iter())
     }
 
     /// Requests in flight in this copy: each request and reply in its
@@ -354,7 +422,7 @@ impl OmegaNetwork {
         }
         // Every outcome leaves the entry switch holding forward traffic —
         // a drop only happens when the target queue is already non-empty.
-        self.active_fwd[0].insert(sw);
+        self.active_fwd.insert(0, sw);
         Ok(Injected::Entered)
     }
 
@@ -381,7 +449,7 @@ impl OmegaNetwork {
         let handle = self.switches.admit_reply(reply, last);
         self.switches
             .accept_reply(last, sw, handle, in_port, now, &mut self.stats);
-        self.active_rev[last].insert(sw);
+        self.active_rev.insert(last, sw);
         Ok(())
     }
 
@@ -436,8 +504,8 @@ impl OmegaNetwork {
         self.fwd_egress.is_empty()
             && self.rev_egress.is_empty()
             && self.pending_drops.is_empty()
-            && self.active_fwd.iter().all(ActiveSet::is_empty)
-            && self.active_rev.iter().all(ActiveSet::is_empty)
+            && self.active_fwd.set.is_empty()
+            && self.active_rev.set.is_empty()
     }
 
     /// Checks this copy's bookkeeping: the wait table (see
@@ -489,18 +557,24 @@ impl OmegaNetwork {
         for s in 0..topo.stages() {
             for i in 0..topo.switches_per_stage() {
                 let fwd = self.switches.has_forward_traffic(s, i);
-                if self.active_fwd[s].contains(i) != fwd {
+                if self.active_fwd.contains(s, i) != fwd {
                     return Err(format!(
                         "stage {s} switch {i}: forward traffic {fwd} but membership {}",
-                        self.active_fwd[s].contains(i)
+                        self.active_fwd.contains(s, i)
                     ));
                 }
                 let rev = self.switches.has_reverse_traffic(s, i);
-                if self.active_rev[s].contains(i) != rev {
+                if self.active_rev.contains(s, i) != rev {
                     return Err(format!(
                         "stage {s} switch {i}: reverse traffic {rev} but membership {}",
-                        self.active_rev[s].contains(i)
+                        self.active_rev.contains(s, i)
                     ));
+                }
+            }
+            for (what, sets) in [("forward", &self.active_fwd), ("reverse", &self.active_rev)] {
+                let members = (0..topo.switches_per_stage()).filter(|&i| sets.contains(s, i));
+                if members.count() != sets.per_stage[s] {
+                    return Err(format!("stage {s}: {what} member count is off"));
                 }
             }
         }
@@ -535,12 +609,12 @@ impl OmegaNetwork {
             }
             return;
         }
-        if self.active_fwd[s].is_empty() {
+        if self.active_fwd.per_stage[s] == 0 {
             return; // idle stage: skip without touching a single switch
         }
-        let mut walk = Walk::default();
-        while let Some(sw_idx) = walk.next(&self.active_fwd[s]) {
-            self.transmit_forward(now, s, sw_idx);
+        let (mut walk, base) = self.active_fwd.walk(s);
+        while let Some(i) = walk.next(&self.active_fwd.set) {
+            self.transmit_forward(now, s, i - base);
         }
     }
 
@@ -561,12 +635,12 @@ impl OmegaNetwork {
             }
             return;
         }
-        if self.active_rev[s].is_empty() {
+        if self.active_rev.per_stage[s] == 0 {
             return;
         }
-        let mut walk = Walk::default();
-        while let Some(sw_idx) = walk.next(&self.active_rev[s]) {
-            self.transmit_reverse(now, s, sw_idx);
+        let (mut walk, base) = self.active_rev.walk(s);
+        while let Some(i) = walk.next(&self.active_rev.set) {
+            self.transmit_reverse(now, s, i - base);
         }
     }
 
@@ -602,12 +676,12 @@ impl OmegaNetwork {
                     // A drop only happens when the target queue already holds
                     // traffic, so the downstream switch is active after every
                     // outcome.
-                    self.active_fwd[s + 1].insert(next_sw);
+                    self.active_fwd.insert(s + 1, next_sw);
                 }
             }
             // The upstream switch retires once emptied.
             if !self.switches.has_forward_traffic(s, sw_idx) {
-                self.active_fwd[s].remove(sw_idx);
+                self.active_fwd.remove(s, sw_idx);
             }
         }
     }
@@ -639,11 +713,11 @@ impl OmegaNetwork {
                     );
                     // Decombined twins also land in `prev_sw`, so the accept
                     // always leaves it holding reverse traffic.
-                    self.active_rev[s - 1].insert(prev_sw);
+                    self.active_rev.insert(s - 1, prev_sw);
                 }
             }
             if !self.switches.has_reverse_traffic(s, sw_idx) {
-                self.active_rev[s].remove(sw_idx);
+                self.active_rev.remove(s, sw_idx);
             }
         }
     }

@@ -43,7 +43,7 @@
 //! ([`crate::message::Message`]) and replies
 //! ([`crate::message::Reply`]).
 
-use ultra_sim::heap::vec_bytes;
+use ultra_sim::heap::{vec_bytes, KeptVec};
 use ultra_sim::Cycle;
 
 /// Names one slot of a [`Slab`].
@@ -83,9 +83,9 @@ pub struct Link {
 /// so the slab's footprint is the high-water mark of messages in flight.
 #[derive(Debug, Clone)]
 pub struct Slab<T> {
-    links: Vec<Link>,
+    links: KeptVec<Link>,
     /// The messages; `None` only while the slot is on the free list.
-    bodies: Vec<Option<T>>,
+    bodies: KeptVec<Option<T>>,
     free: Handle,
     live: usize,
 }
@@ -93,8 +93,8 @@ pub struct Slab<T> {
 impl<T> Default for Slab<T> {
     fn default() -> Self {
         Self {
-            links: Vec::new(),
-            bodies: Vec::new(),
+            links: KeptVec::default(),
+            bodies: KeptVec::default(),
             free: NIL,
             live: 0,
         }

@@ -18,6 +18,6 @@ pub mod pni;
 pub mod stats;
 pub mod traffic;
 
-pub use pni::{Pni, PniError};
+pub use pni::{Outstanding, Pni, PniCore, PniError};
 pub use stats::PeStats;
 pub use traffic::{HotspotTraffic, RequestSpec, TrafficPattern, UniformTraffic};

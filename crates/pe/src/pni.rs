@@ -30,13 +30,16 @@
 //!
 //! # Footprint
 //!
-//! A machine holds one PNI per PE, so a PNI keeps only what is its own:
-//! its outstanding list, its id counter and its counters, 96 bytes in
-//! all. The address translator is the machine's, shared by reference
-//! count — a degraded translator's tables would otherwise be copied once
-//! per PE, and a machine with one dead module would grow quadratically in
-//! N. The retry protocol's state sits behind one box that a fault-free
-//! PNI never allocates.
+//! A machine holds one PNI per PE, so the per-PE record, [`PniCore`],
+//! keeps only what is its own: its id counter, its counters and the
+//! [`Ring`] that names its outstanding requests. The requests themselves
+//! live in the machine's one [`Outstanding`] slab, and the address
+//! translator is the machine's too: both are passed to the calls that
+//! read them. Copying every PNI of a machine is then one copy of the
+//! records and one of the slab, and a dead module's remap tables exist
+//! once, not once per PE. The retry protocol's state sits behind one box
+//! that a fault-free PNI never allocates. [`Pni`] is one interface with a
+//! translator and a slab of its own, for use outside a machine.
 
 use std::sync::Arc;
 
@@ -44,6 +47,7 @@ use ultra_faults::RetryPolicy;
 use ultra_mem::AddressHasher;
 use ultra_net::message::{Message, MsgId, MsgKind, Reply};
 use ultra_sim::heap::{map_bytes, vec_bytes};
+use ultra_sim::ring::{Ring, Rings};
 use ultra_sim::{Counter, Cycle, IdMap, MemAddr, PeId, Value};
 
 /// Why the PNI refused to issue a request.
@@ -66,34 +70,20 @@ impl std::fmt::Display for PniError {
 
 impl std::error::Error for PniError {}
 
-/// Per-PE network interface state.
-///
-/// # Example
-///
-/// ```
-/// use ultra_mem::{AddressHasher, TranslationMode};
-/// use ultra_net::message::MsgKind;
-/// use ultra_pe::pni::Pni;
-/// use ultra_sim::PeId;
-///
-/// let hasher = AddressHasher::new(8, TranslationMode::Hashed);
-/// let mut pni = Pni::new(PeId(2), hasher);
-/// let msg = pni.issue(MsgKind::Load, 100, 0, 0).expect("nothing outstanding");
-/// assert_eq!(pni.outstanding(), 1);
-/// // Re-referencing the same virtual word before the reply is forbidden:
-/// assert!(pni.issue(MsgKind::Load, 100, 0, 1).is_err());
-/// # let _ = msg;
-/// ```
+/// Every outstanding request of every PNI of a machine, with the physical
+/// location it references, one [`Ring`] per PNI. A PE keeps only a
+/// handful in flight, so a walk of its ring answers both "is this
+/// location busy" and "which location does this reply free".
+pub type Outstanding = Rings<(MsgId, MemAddr)>;
+
+/// One PE's network interface, as a machine keeps it: everything but its
+/// translator and the slab its outstanding requests sit in (see the
+/// module docs).
 #[derive(Debug, Clone)]
-pub struct Pni {
+pub struct PniCore {
     pe: PeId,
-    /// The machine's translator, shared with every other PNI.
-    hasher: Arc<AddressHasher>,
-    /// Every outstanding request and the physical location it references.
-    /// A PE keeps only a handful in flight, so a linear search of this
-    /// one short buffer answers both "is this location busy" and "which
-    /// location does this reply free".
-    outstanding: Vec<(MsgId, MemAddr)>,
+    /// This PNI's requests in the machine's [`Outstanding`] slab.
+    outstanding: Ring,
     next_id: u64,
     stats: PniStats,
     /// The recovery protocol's state, if enabled.
@@ -106,7 +96,7 @@ struct Retry {
     policy: RetryPolicy,
     /// Everything needed to re-issue each outstanding request.
     pending: IdMap<MsgId, PendingRequest>,
-    /// Reused between [`Pni::due_retries_into`] calls so the per-cycle
+    /// Reused between [`PniCore::due_retries`] calls so the per-cycle
     /// timeout sweep allocates nothing in the common empty case.
     due_scratch: Vec<MsgId>,
 }
@@ -139,16 +129,14 @@ pub struct PniStats {
     pub retries: Counter,
 }
 
-impl Pni {
-    /// Creates the interface for `pe` over `hasher` — the machine's shared
-    /// translator, or one of the caller's own. Request ids are drawn from
-    /// a PE-disjoint space so that ids are unique machine-wide.
+impl PniCore {
+    /// Creates the interface for `pe`. Request ids are drawn from a
+    /// PE-disjoint space so that ids are unique machine-wide.
     #[must_use]
-    pub fn new(pe: PeId, hasher: impl Into<Arc<AddressHasher>>) -> Self {
+    pub fn new(pe: PeId) -> Self {
         Self {
             pe,
-            hasher: hasher.into(),
-            outstanding: Vec::new(),
+            outstanding: Ring::default(),
             // Top 20 bits reserved for the PE number: unique across 2^20 PEs
             // and 2^44 requests each.
             next_id: ((pe.0 as u64) << 44) + 1,
@@ -157,15 +145,13 @@ impl Pni {
         }
     }
 
-    /// Heap bytes this interface owns: its outstanding list and its retry
-    /// state. The translator is shared, not owned: whoever hands it out
-    /// counts it once.
+    /// Heap bytes this interface owns: its retry state. Its outstanding
+    /// requests are the slab's.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.outstanding)
-            + self.retry.as_ref().map_or(0, |r| {
-                std::mem::size_of::<Retry>() + map_bytes(&r.pending) + vec_bytes(&r.due_scratch)
-            })
+        self.retry.as_ref().map_or(0, |r| {
+            std::mem::size_of::<Retry>() + map_bytes(&r.pending) + vec_bytes(&r.due_scratch)
+        })
     }
 
     /// Enables the timeout/retry recovery protocol.
@@ -177,13 +163,11 @@ impl Pni {
         }));
     }
 
-    /// Replaces the translation function — the machine calls this on every
-    /// PNI when a module dies mid-run and translation re-hashes around it,
-    /// handing each the one new translator. Outstanding references are
-    /// re-keyed under the new translation so their retries reach the
-    /// adoptive module.
-    pub fn set_hasher(&mut self, hasher: Arc<AddressHasher>) {
-        self.hasher = hasher;
+    /// Re-keys the outstanding references under `hasher` — the machine
+    /// calls this on every PNI when a module dies mid-run and translation
+    /// re-hashes around it — so their retries reach the adoptive module.
+    /// Without the retry protocol there is nothing to re-key.
+    pub fn rekey(&mut self, hasher: &AddressHasher, slab: &mut Outstanding) {
         let Some(retry) = self.retry.as_deref_mut() else {
             return;
         };
@@ -192,23 +176,27 @@ impl Pni {
         }
         for state in retry.pending.values_mut() {
             if let Some(v) = state.vaddr {
-                state.addr = self.hasher.translate(v);
+                state.addr = hasher.translate(v);
             }
         }
-        // Rebuilt in id order, so the list does not depend on the retry
+        // Rebuilt in id order, so the ring does not depend on the retry
         // table's iteration order.
-        self.outstanding.clear();
-        (self.outstanding).extend(retry.pending.iter().map(|(&id, s)| (id, s.addr)));
-        self.outstanding.sort_unstable_by_key(|&(id, _)| id);
+        slab.clear(&mut self.outstanding);
+        let mut entries: Vec<(MsgId, MemAddr)> =
+            retry.pending.iter().map(|(&id, s)| (id, s.addr)).collect();
+        entries.sort_unstable_by_key(|&(id, _)| id);
+        for entry in entries {
+            slab.push_back(&mut self.outstanding, entry);
+        }
     }
 
     /// Collects the requests whose deadline has passed and re-issues each
     /// under its original id with an incremented attempt counter and a
-    /// backed-off deadline, appending them to `out`. Appends nothing
+    /// backed-off deadline, handing them to `out`. Hands over nothing
     /// unless the retry protocol is enabled. Deterministic: timed-out
-    /// requests are appended in id order. The common case (nothing timed
-    /// out) touches no heap at all.
-    pub fn due_retries_into(&mut self, now: Cycle, out: &mut impl Extend<Message>) {
+    /// requests go out in id order. The common case (nothing timed out)
+    /// touches no heap at all.
+    pub fn due_retries(&mut self, now: Cycle, mut out: impl FnMut(Message)) {
         let Some(retry) = self.retry.as_deref_mut() else {
             return;
         };
@@ -227,15 +215,15 @@ impl Pni {
             state.attempt += 1;
             state.deadline = retry.policy.deadline(now, state.attempt);
             self.stats.retries.incr();
-            out.extend(core::iter::once(
+            out(
                 Message::request(id, state.kind, state.addr, state.value, self.pe, now)
                     .as_retry(state.attempt, now),
-            ));
+            );
         }
     }
 
     /// The earliest deadline among outstanding requests under the retry
-    /// protocol — the next cycle at which [`Pni::due_retries_into`] could
+    /// protocol — the next cycle at which [`PniCore::due_retries`] could
     /// produce anything. `None` when nothing is outstanding (or the retry
     /// protocol is disabled). The idle fast-forward uses this to bound its
     /// jump.
@@ -249,8 +237,11 @@ impl Pni {
     /// machine calls this when it fail-stops (deconfigures) this PE, so
     /// late replies for its traffic are recognized as orphans rather
     /// than retried forever.
-    pub fn abandon_all(&mut self) -> Vec<MsgId> {
-        let mut ids: Vec<MsgId> = self.outstanding.drain(..).map(|(id, _)| id).collect();
+    pub fn abandon_all(&mut self, slab: &mut Outstanding) -> Vec<MsgId> {
+        let mut ids = Vec::with_capacity(self.outstanding.len());
+        while let Some((id, _)) = slab.pop_front(&mut self.outstanding) {
+            ids.push(id);
+        }
         ids.sort_unstable();
         if let Some(retry) = self.retry.as_deref_mut() {
             retry.pending.clear();
@@ -270,14 +261,8 @@ impl Pni {
         &self.stats
     }
 
-    /// Virtual→physical translation (§3.1.4 hashing included).
-    #[must_use]
-    pub fn translate(&self, vaddr: usize) -> MemAddr {
-        self.hasher.translate(vaddr)
-    }
-
-    /// Builds a network request for virtual word `vaddr`, enforcing the
-    /// pipeline policy.
+    /// Builds a network request for virtual word `vaddr`, translated by
+    /// `hasher`, enforcing the pipeline policy.
     ///
     /// # Errors
     ///
@@ -285,19 +270,21 @@ impl Pni {
     /// already outstanding.
     pub fn issue(
         &mut self,
+        hasher: &AddressHasher,
+        slab: &mut Outstanding,
         kind: MsgKind,
         vaddr: usize,
         value: Value,
         now: Cycle,
     ) -> Result<Message, PniError> {
-        let addr = self.translate(vaddr);
-        if self.references(addr) {
+        let addr = hasher.translate(vaddr);
+        if self.references(slab, addr) {
             self.stats.location_conflicts.incr();
             return Err(PniError::LocationBusy);
         }
         let id = MsgId(self.next_id);
         self.next_id += 1;
-        self.outstanding.push((id, addr));
+        slab.push_back(&mut self.outstanding, (id, addr));
         self.stats.issued.incr();
         self.stats.max_outstanding = self.stats.max_outstanding.max(self.outstanding.len());
         let msg = Message::request(id, kind, addr, value, self.pe, now);
@@ -323,11 +310,10 @@ impl Pni {
     /// Records the arrival of `reply`, freeing its location for new
     /// references. Returns `true` if the reply matched an outstanding
     /// request of this PE.
-    pub fn complete(&mut self, reply: &Reply) -> bool {
-        let Some(i) = self.outstanding.iter().position(|&(id, _)| id == reply.id) else {
+    pub fn complete(&mut self, slab: &mut Outstanding, reply: &Reply) -> bool {
+        if (slab.remove_first(&mut self.outstanding, |&(id, _)| id == reply.id)).is_none() {
             return false;
-        };
-        self.outstanding.swap_remove(i);
+        }
         if let Some(retry) = self.retry.as_deref_mut() {
             retry.pending.remove(&reply.id);
         }
@@ -341,15 +327,134 @@ impl Pni {
         self.outstanding.len()
     }
 
+    /// Whether a request to physical location `addr` is outstanding.
+    fn references(&self, slab: &Outstanding, addr: MemAddr) -> bool {
+        slab.iter(self.outstanding).any(|&(_, held)| held == addr)
+    }
+}
+
+/// One network interface with a translator and an outstanding slab of its
+/// own: a [`PniCore`] outside a machine.
+///
+/// # Example
+///
+/// ```
+/// use ultra_mem::{AddressHasher, TranslationMode};
+/// use ultra_net::message::MsgKind;
+/// use ultra_pe::pni::Pni;
+/// use ultra_sim::PeId;
+///
+/// let hasher = AddressHasher::new(8, TranslationMode::Hashed);
+/// let mut pni = Pni::new(PeId(2), hasher);
+/// let msg = pni.issue(MsgKind::Load, 100, 0, 0).expect("nothing outstanding");
+/// assert_eq!(pni.outstanding(), 1);
+/// // Re-referencing the same virtual word before the reply is forbidden:
+/// assert!(pni.issue(MsgKind::Load, 100, 0, 1).is_err());
+/// # let _ = msg;
+/// ```
+#[derive(Debug, Clone)]
+pub struct Pni {
+    core: PniCore,
+    hasher: Arc<AddressHasher>,
+    slab: Outstanding,
+}
+
+impl Pni {
+    /// Creates the interface for `pe` over `hasher` (see [`PniCore::new`]).
+    #[must_use]
+    pub fn new(pe: PeId, hasher: impl Into<Arc<AddressHasher>>) -> Self {
+        Self {
+            core: PniCore::new(pe),
+            hasher: hasher.into(),
+            slab: Outstanding::default(),
+        }
+    }
+
+    /// Heap bytes this interface owns: its outstanding slab and its retry
+    /// state. The translator is shared, not owned.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.slab.heap_bytes() + self.core.heap_bytes()
+    }
+
+    /// Enables the timeout/retry recovery protocol.
+    pub fn enable_retry(&mut self, policy: RetryPolicy) {
+        self.core.enable_retry(policy);
+    }
+
+    /// Replaces the translation function and re-keys the outstanding
+    /// references under it (see [`PniCore::rekey`]).
+    pub fn set_hasher(&mut self, hasher: Arc<AddressHasher>) {
+        self.hasher = hasher;
+        self.core.rekey(&self.hasher, &mut self.slab);
+    }
+
+    /// Appends the timed-out requests, re-issued, to `out` (see
+    /// [`PniCore::due_retries`]).
+    pub fn due_retries_into(&mut self, now: Cycle, out: &mut impl Extend<Message>) {
+        self.core.due_retries(now, |msg| out.extend([msg]));
+    }
+
+    /// See [`PniCore::next_retry_deadline`].
+    #[must_use]
+    pub fn next_retry_deadline(&self) -> Option<Cycle> {
+        self.core.next_retry_deadline()
+    }
+
+    /// See [`PniCore::abandon_all`].
+    pub fn abandon_all(&mut self) -> Vec<MsgId> {
+        self.core.abandon_all(&mut self.slab)
+    }
+
+    /// The PE this interface serves.
+    #[must_use]
+    pub fn pe(&self) -> PeId {
+        self.core.pe()
+    }
+
+    /// Accumulated statistics.
+    #[must_use]
+    pub fn stats(&self) -> &PniStats {
+        self.core.stats()
+    }
+
+    /// Virtual→physical translation (§3.1.4 hashing included).
+    #[must_use]
+    pub fn translate(&self, vaddr: usize) -> MemAddr {
+        self.hasher.translate(vaddr)
+    }
+
+    /// See [`PniCore::issue`].
+    ///
+    /// # Errors
+    ///
+    /// [`PniError::LocationBusy`] if a reference to the same location is
+    /// already outstanding.
+    pub fn issue(
+        &mut self,
+        kind: MsgKind,
+        vaddr: usize,
+        value: Value,
+        now: Cycle,
+    ) -> Result<Message, PniError> {
+        (self.core).issue(&self.hasher, &mut self.slab, kind, vaddr, value, now)
+    }
+
+    /// See [`PniCore::complete`].
+    pub fn complete(&mut self, reply: &Reply) -> bool {
+        self.core.complete(&mut self.slab, reply)
+    }
+
+    /// Number of requests awaiting replies.
+    #[must_use]
+    pub fn outstanding(&self) -> usize {
+        self.core.outstanding()
+    }
+
     /// Whether a reference to virtual word `vaddr` is outstanding.
     #[must_use]
     pub fn is_location_busy(&self, vaddr: usize) -> bool {
-        self.references(self.translate(vaddr))
-    }
-
-    /// Whether a request to physical location `addr` is outstanding.
-    fn references(&self, addr: MemAddr) -> bool {
-        self.outstanding.iter().any(|&(_, held)| held == addr)
+        self.core.references(&self.slab, self.translate(vaddr))
     }
 }
 
@@ -566,7 +671,8 @@ mod tests {
             .iter()
             .map(|&v| (msgs[v].id, degraded.translate(v)))
             .collect();
-        assert_eq!(p.outstanding, expect);
+        let held: Vec<(MsgId, MemAddr)> = p.slab.iter(p.core.outstanding).copied().collect();
+        assert_eq!(held, expect);
         assert_eq!(idle.outstanding(), 0);
     }
 
@@ -597,8 +703,8 @@ mod tests {
             let _ = p.issue(MsgKind::Load, v, 0, 0).unwrap();
         }
         let entry = std::mem::size_of::<(MsgId, MemAddr)>();
-        assert!(p.outstanding.capacity() >= 9);
-        assert_eq!(p.heap_bytes(), base + p.outstanding.capacity() * entry);
+        assert!(p.slab.heap_bytes() >= 9 * entry);
+        assert_eq!(p.heap_bytes(), base + p.slab.heap_bytes());
     }
 
     /// A machine holds one PNI per PE: a field added here must not
@@ -606,12 +712,15 @@ mod tests {
     #[test]
     fn a_pni_stays_small() {
         assert!(
-            std::mem::size_of::<Pni>() <= 96,
-            "Pni is {} bytes",
-            std::mem::size_of::<Pni>()
+            std::mem::size_of::<PniCore>() <= 72,
+            "PniCore is {} bytes",
+            std::mem::size_of::<PniCore>()
         );
         let mut p = pni();
-        assert!(p.retry.is_none(), "a fault-free PNI holds no retry state");
+        assert!(
+            p.core.retry.is_none(),
+            "a fault-free PNI holds no retry state"
+        );
         p.enable_retry(RetryPolicy {
             base_timeout: 8,
             backoff_cap: 3,

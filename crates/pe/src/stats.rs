@@ -5,7 +5,7 @@
 //! references per instruction, and shared references per instruction. All
 //! of those derive from the counters kept here.
 
-use ultra_sim::{Counter, Cycle, Histogram};
+use ultra_sim::{Counter, Cycle, Histogram, Tally};
 
 /// Counters for one PE's run.
 #[derive(Debug, Clone, Default)]
@@ -78,6 +78,41 @@ impl PeStats {
         } else {
             self.shared_refs.get() as f64 / instr as f64
         }
+    }
+}
+
+/// One context's counters as a machine keeps them: [`PeStats`] without
+/// the alive time, which the machine stamps when it reports, and with the
+/// access-time histogram's bins in a machine-wide
+/// [`ultra_sim::HistogramColumn`] — only its [`Tally`] is here.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ContextStats {
+    /// See [`PeStats::instructions`].
+    pub instructions: Counter,
+    /// See [`PeStats::idle_cycles`].
+    pub idle_cycles: Counter,
+    /// See [`PeStats::private_refs`].
+    pub private_refs: Counter,
+    /// See [`PeStats::shared_refs`].
+    pub shared_refs: Counter,
+    /// See [`PeStats::cm_loads`].
+    pub cm_loads: Counter,
+    /// See [`PeStats::barrier_wait_cycles`].
+    pub barrier_wait_cycles: Counter,
+    /// [`PeStats::cm_access`], less its bins.
+    pub cm_access: Tally,
+}
+
+impl ContextStats {
+    /// Adds these counters to `total`; its `cm_access` and
+    /// `total_cycles` are the caller's to fill.
+    pub fn add_to(&self, total: &mut PeStats) {
+        total.instructions.add(self.instructions.get());
+        total.idle_cycles.add(self.idle_cycles.get());
+        total.private_refs.add(self.private_refs.get());
+        total.shared_refs.add(self.shared_refs.get());
+        total.cm_loads.add(self.cm_loads.get());
+        (total.barrier_wait_cycles).add(self.barrier_wait_cycles.get());
     }
 }
 

@@ -166,8 +166,8 @@ impl<T: Footprint, K: Clone + Eq + Hash> SnapshotCache<T, K> {
         Q: ?Sized + Eq + Hash + ToOwned<Owned = K>,
     {
         let bytes = checkpoint.footprint_bytes();
-        // Dropped after the lock is released: freeing a checkpoint (or
-        // sending an image home) is not the cache's critical section.
+        // Dropped after the lock is released: freeing a checkpoint is not
+        // the cache's critical section.
         let mut displaced = Vec::new();
         let mut evicted = 0;
         {

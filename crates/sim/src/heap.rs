@@ -30,3 +30,56 @@ pub fn map_bytes<K, V, S>(m: &HashMap<K, V, S>) -> usize {
         capacity => (capacity * 8 / 7).next_power_of_two() * (size_of::<(K, V)>() + 1) + 16,
     }
 }
+
+/// A `Vec` whose copy keeps the original's capacity, for the buffers a
+/// machine reuses from cycle to cycle: a copy of the machine then grows
+/// them at the same moments the original does, instead of one
+/// reallocation at a time in the cycles after the copy. It reads and
+/// writes as the `Vec` it wraps.
+///
+/// # Example
+///
+/// ```
+/// use ultra_sim::heap::KeptVec;
+///
+/// let mut staged: KeptVec<u32> = KeptVec::default();
+/// staged.extend(0..100);
+/// staged.clear();
+/// assert!(staged.clone().capacity() >= 100);
+/// ```
+#[derive(Debug, PartialEq, Eq)]
+pub struct KeptVec<T>(Vec<T>);
+
+impl<T> Default for KeptVec<T> {
+    fn default() -> Self {
+        Self(Vec::new())
+    }
+}
+
+impl<T: Clone> Clone for KeptVec<T> {
+    fn clone(&self) -> Self {
+        Self(clone_kept(&self.0))
+    }
+}
+
+/// A copy of `v` with `v`'s capacity (see [`KeptVec`]).
+#[must_use]
+pub fn clone_kept<T: Clone>(v: &Vec<T>) -> Vec<T> {
+    let mut copy = Vec::with_capacity(v.capacity());
+    copy.extend_from_slice(v);
+    copy
+}
+
+impl<T> std::ops::Deref for KeptVec<T> {
+    type Target = Vec<T>;
+
+    fn deref(&self) -> &Vec<T> {
+        &self.0
+    }
+}
+
+impl<T> std::ops::DerefMut for KeptVec<T> {
+    fn deref_mut(&mut self) -> &mut Vec<T> {
+        &mut self.0
+    }
+}

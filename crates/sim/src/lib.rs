@@ -21,6 +21,8 @@
 //! * [`active`] — [`ActiveSet`], the one set type: a two-level bitset
 //!   (bits + summary + count) whose ascending member walk is what every
 //!   per-cycle loop in the network and the cycle engine iterates.
+//! * [`ring`] — [`ring::Rings`], many small FIFOs chained through one
+//!   slab, so the per-PE and per-bank queues of a machine are one buffer.
 //! * [`heap`] — capacity arithmetic for `Vec`, `VecDeque` and `HashMap`,
 //!   from which a machine estimates its own heap footprint.
 //! * [`wire`] — the hand-rolled binary format machine snapshots are
@@ -47,6 +49,7 @@ pub mod clock;
 pub mod heap;
 pub mod idmap;
 pub mod ids;
+pub mod ring;
 pub mod rng;
 pub mod stats;
 pub mod wire;
@@ -56,5 +59,5 @@ pub use clock::Cycle;
 pub use idmap::IdMap;
 pub use ids::{digits, MemAddr, MmId, PeId, Value};
 pub use rng::{Rng, SplitMix64};
-pub use stats::{Counter, Histogram};
+pub use stats::{Counter, Histogram, HistogramColumn, Tally};
 pub use wire::{Wire, WireError, WireReader, WireWriter};
