@@ -8,14 +8,14 @@ use std::time::Instant;
 use ultra_mem::Offer;
 use ultra_net::message::{MsgKind, Reply};
 use ultra_obs::{EnginePhase, PhaseSpan};
-use ultra_pe::pni::PniError;
+use ultra_pe::pni::{Access, PniError};
 use ultra_sim::active::Walk;
 use ultra_sim::{Cycle, IdMap, PeId};
 
 use super::ff::min_event;
 use super::{
-    BackendImpl, Context, CtxState, CycleCtx, CycleSinks, Machine, PeShard, Purpose, ReqMeta,
-    RunOutcome, BARRIER_VADDR_BASE,
+    BackendImpl, Context, CtxState, CycleCtx, CycleSinks, Machine, PeShard, Purpose, RunOutcome,
+    Tag, BARRIER_VADDR_BASE,
 };
 use crate::interp::{Env, Fetched, Frame, IssueSpec};
 use crate::trace::TraceEvent;
@@ -96,7 +96,9 @@ impl Machine {
     }
 
     fn is_quiescent(&self) -> bool {
-        self.halted_count == self.virtual_pes() && self.meta.is_empty() && self.outgoing.is_empty()
+        self.halted_count == self.virtual_pes()
+            && self.outstanding.is_empty()
+            && self.outgoing.is_empty()
     }
 
     /// Advances the machine one cycle.
@@ -166,10 +168,11 @@ impl Machine {
             code: &self.code,
             programs: &self.recipe.programs,
             hasher: &self.hasher,
+            retry: self.retry,
+            k,
             vpes: self.cfg.net.pes * k,
         };
         let mut sinks = CycleSinks {
-            meta: &mut self.meta,
             trace: &mut self.trace,
             halted_count: &mut self.halted_count,
             wakes: &mut self.wakes,
@@ -190,7 +193,7 @@ impl Machine {
             shard.datapath_cycle(ctxs, frames, cx, &mut sinks);
             if !shard.outgoing.is_empty() {
                 self.outgoing.insert(i);
-                if self.retry_enabled {
+                if self.retry.is_some() {
                     self.retrying.insert(i);
                 }
             }
@@ -252,10 +255,10 @@ impl Machine {
     /// a parked shard with a context asleep on the clock has exactly one
     /// live entry, at its earliest wake, and an event-parked one none),
     /// the retry walk's set (it holds every shard with requests
-    /// outstanding under retries), a copy map no larger than the requests
-    /// in flight (an entry leaves wherever its request is lost), each
-    /// network copy's wait table (its per-switch counts sum to its size,
-    /// none over `wait_entries`), and each copy's request conservation
+    /// outstanding under retries), the outstanding slab (it holds exactly
+    /// the requests the PNIs' rings name), each network copy's wait table
+    /// (its per-switch counts sum to its size, none over
+    /// `wait_entries`), and each copy's request conservation
     /// (`injected_requests = delivered_requests + combines + drops +
     /// slab-live`, see `OmegaNetwork::check_invariants`).
     pub(crate) fn debug_check_invariants(&self) {
@@ -294,16 +297,13 @@ impl Machine {
                 };
                 assert_eq!(filed.get(&i).copied(), wake, "shard {i}: calendar entry");
             }
-            if self.retry_enabled && shard.pni.outstanding() > 0 {
+            if self.retry.is_some() && shard.pni.outstanding() > 0 {
                 assert!(self.retrying.contains(i), "shard {i}: retries unwalked");
             }
         }
+        let named: usize = self.shards.iter().map(|s| s.pni.outstanding()).sum();
+        assert_eq!(self.outstanding.len(), named, "outstanding slab");
         if let BackendImpl::Network(fabric) = &self.backend {
-            let (entries, in_flight) = (fabric.copy_map_len(), fabric.requests_in_flight());
-            assert!(
-                entries <= in_flight,
-                "copy map: {entries} entries, {in_flight} in flight"
-            );
             fabric.check_networks();
         }
     }
@@ -395,7 +395,7 @@ impl Machine {
             }
             BackendImpl::Network(fabric) => {
                 let t0 = timed.then(Instant::now);
-                self.duplicate_replies += fabric.serve_banks(now);
+                fabric.serve_banks(now);
                 if let Some(t0) = t0 {
                     bank_span = Some((t0, t0.elapsed().as_nanos() as u64));
                 }
@@ -424,7 +424,8 @@ impl Machine {
     }
 
     fn deliver_reply(&mut self, reply: &Reply, now: Cycle) {
-        let Some(meta) = self.meta.remove(&reply.id) else {
+        let phys = reply.dst.0;
+        let Some(tag) = self.shards[phys].pni.complete(&mut self.outstanding, reply) else {
             // The retry protocol makes duplicate answers legal: a timed-out
             // request and its retry can both be served (the MM dedup cache
             // keeps the *effect* exactly-once). The first answer completed
@@ -432,13 +433,10 @@ impl Machine {
             self.duplicate_replies += 1;
             return;
         };
-        let ctx = meta.ctx;
-        let phys = ctx / self.cfg.contexts_per_pe;
         // A reply is the one thing that unlocks a register or drains a
         // fence: the shard's next datapath cycle must look again.
         self.wake(phys);
-        let matched = self.shards[phys].pni.complete(&mut self.outstanding, reply);
-        debug_assert!(matched, "PNI lost track of an outstanding request");
+        let ctx = phys * self.cfg.contexts_per_pe + tag.ctx as usize;
         let context = &mut self.ctxs[ctx];
         (self.cm_access).record(
             &mut context.stats.cm_access,
@@ -449,9 +447,9 @@ impl Machine {
             pe: PeId(ctx),
             latency: now.saturating_sub(reply.request_issued_at),
         });
-        match meta.purpose {
+        match tag.purpose {
             Purpose::Data => {
-                if let Some(dst) = meta.dst {
+                if let Some(dst) = tag.dst {
                     context.thread.write_and_unlock(dst, reply.value);
                 }
             }
@@ -491,8 +489,8 @@ impl Machine {
 
 impl PeShard {
     /// Issues `spec` for `ctx`, virtual PE `vpe`, through the shard's PNI
-    /// and queues the message for injection, recording its metadata and
-    /// trace event in `sinks`.
+    /// and queues the message for injection, recording its trace event in
+    /// `sinks`.
     fn attempt_issue(
         &mut self,
         ctx: &mut Context,
@@ -505,24 +503,18 @@ impl PeShard {
         if !self.outgoing.is_empty() {
             return false; // the PNI's outbound buffer is occupied
         }
-        let (hasher, outstanding) = (cx.hasher, &mut *sinks.outstanding);
-        match (self.pni).issue(
-            hasher,
-            outstanding,
-            spec.kind,
-            spec.vaddr,
-            spec.value,
-            cx.now,
-        ) {
+        let access = Access {
+            kind: spec.kind,
+            vaddr: spec.vaddr,
+            value: spec.value,
+            tag: Tag {
+                ctx: (vpe % cx.k) as u32,
+                dst: spec.dst,
+                purpose,
+            },
+        };
+        match (self.pni).issue(cx.hasher, cx.retry, sinks.outstanding, access, cx.now) {
             Ok(msg) => {
-                sinks.meta.insert(
-                    msg.id,
-                    ReqMeta {
-                        ctx: vpe,
-                        dst: spec.dst,
-                        purpose,
-                    },
-                );
                 if let Some(dst) = spec.dst {
                     ctx.thread.lock(dst);
                 }

@@ -98,12 +98,8 @@ impl Machine {
             }
         }
         let shard = &mut self.shards[pe];
-        while let Some(msg) = self.outbound.pop_front(&mut shard.outgoing) {
-            self.meta.remove(&msg.id);
-        }
-        for id in shard.pni.abandon_all(&mut self.outstanding) {
-            self.meta.remove(&id);
-        }
+        self.outbound.clear(&mut shard.outgoing);
+        shard.pni.abandon_all(&mut self.outstanding);
         self.outgoing.remove(pe);
         self.live.remove(pe);
         self.runnable.remove(pe);
@@ -135,14 +131,16 @@ impl Machine {
     /// that may hold one in ascending order; a shard with nothing left
     /// outstanding leaves the walk's set.
     pub(super) fn queue_due_retries(&mut self, now: Cycle) {
-        if !self.retry_enabled {
+        let Some(policy) = self.retry else {
             return;
-        }
+        };
         let mut walk = Walk::default();
         while let Some(pe) = walk.next(&self.retrying) {
             let shard = &mut self.shards[pe];
-            let outbound = &mut self.outbound;
-            (shard.pni).due_retries(now, |msg| outbound.push_back(&mut shard.outgoing, msg));
+            let (slab, outbound) = (&mut self.outstanding, &mut self.outbound);
+            (shard.pni).due_retries(policy, slab, now, |msg| {
+                outbound.push_back(&mut shard.outgoing, msg);
+            });
             if !shard.outgoing.is_empty() {
                 self.outgoing.insert(pe);
             }

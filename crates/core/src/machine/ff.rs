@@ -50,9 +50,9 @@ impl Machine {
         // is asked for its deadline: a parked or even fully-halted shard
         // can hold one (a store issued just before the context halted,
         // then lost to a faulty link), and missing it would wedge the run.
-        if self.retry_enabled {
+        if self.retry.is_some() {
             for i in self.retrying.iter() {
-                if let Some(deadline) = self.shards[i].pni.next_retry_deadline() {
+                if let Some(deadline) = self.shards[i].pni.next_retry_deadline(&self.outstanding) {
                     next = min_event(next, deadline);
                 }
             }

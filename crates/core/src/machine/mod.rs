@@ -43,16 +43,16 @@ use std::time::{Duration, Instant};
 use ultra_faults::{FaultClock, RetryPolicy};
 use ultra_mem::{AddressHasher, Fabric};
 use ultra_net::config::SweepMode;
-use ultra_net::message::{Message, MsgId, Reply};
+use ultra_net::message::{Message, Reply};
 use ultra_net::stats::NetStats;
 use ultra_obs::{CounterSnapshot, GaugeSnapshot, HeatmapSnapshot, PhaseRecorder, TimeSeries};
 use ultra_pe::pni::{Outstanding, PniCore};
 use ultra_pe::stats::{ContextStats, PeStats};
-use ultra_sim::heap::{map_bytes, vec_bytes, KeptVec};
+use ultra_sim::heap::{vec_bytes, KeptVec};
 use ultra_sim::ids::digits;
 use ultra_sim::ring::{Ring, Rings};
 use ultra_sim::wire::WireWriter;
-use ultra_sim::{ActiveSet, Cycle, HistogramColumn, IdMap, MmId, PeId, Value};
+use ultra_sim::{ActiveSet, Cycle, HistogramColumn, MmId, PeId, Value};
 
 use crate::interp::{Code, Frame, IssueSpec, Thread};
 use crate::paracomputer::Paracomputer;
@@ -94,10 +94,12 @@ enum Purpose {
     Barrier,
 }
 
+/// The machine's tag on each outstanding request: what its reply does.
+/// The PE is the reply's destination.
 #[derive(Debug, Clone, Copy)]
-struct ReqMeta {
-    /// Virtual PE (context) index.
-    ctx: usize,
+struct Tag {
+    /// The issuing context, local to its PE.
+    ctx: u32,
     dst: Option<Reg>,
     purpose: Purpose,
 }
@@ -181,9 +183,8 @@ struct Context {
 /// One physical PE's slice of the machine past its contexts: datapath
 /// occupancy, network interface and outbound queue. Within a cycle no
 /// shard reads another shard's state or contexts; its datapath cycle
-/// writes the machine-wide sinks (request metadata, trace, halt count,
-/// the slabs its PNI and queue keep their entries in) through
-/// [`CycleSinks`].
+/// writes the machine-wide sinks (trace, halt count, wake calendar, the
+/// slabs its PNI and queue keep their entries in) through [`CycleSinks`].
 #[derive(Clone)]
 struct PeShard {
     /// Datapath occupancy.
@@ -312,6 +313,9 @@ struct CycleCtx<'a> {
     /// The recipe's program runs, whose parameters the contexts read.
     programs: &'a [(usize, Program)],
     hasher: &'a AddressHasher,
+    retry: Option<RetryPolicy>,
+    /// Contexts per PE.
+    k: usize,
     vpes: usize,
 }
 
@@ -323,11 +327,10 @@ type Wake = Reverse<(Cycle, u32, Cycle)>;
 /// field by field from the [`Machine`] while the PE phase walks its
 /// shards.
 struct CycleSinks<'a> {
-    meta: &'a mut IdMap<MsgId, ReqMeta>,
     trace: &'a mut Trace,
     halted_count: &'a mut usize,
     wakes: &'a mut BinaryHeap<Wake>,
-    outstanding: &'a mut Outstanding,
+    outstanding: &'a mut Outstanding<Tag>,
     outbound: &'a mut Rings<Message>,
 }
 
@@ -350,11 +353,11 @@ pub struct Machine {
     frames: Vec<Frame>,
     /// The bins of every context's access-time histogram.
     cm_access: HistogramColumn,
-    /// Every PNI's outstanding requests.
-    outstanding: Outstanding,
+    /// Every PNI's outstanding requests: the one record of each request
+    /// between issue and reply.
+    outstanding: Outstanding<Tag>,
     /// Every shard's outgoing messages.
     outbound: Rings<Message>,
-    meta: IdMap<MsgId, ReqMeta>,
     backend: BackendImpl,
     barrier_generation: u64,
     barrier_arrived: usize,
@@ -399,10 +402,11 @@ pub struct Machine {
     /// earlier by an event leaves its entry behind, stale (its park is
     /// over), and the entry is dropped when it reaches the head.
     wakes: BinaryHeap<Wake>,
-    /// Whether the PNI retry protocol is on (derived once from the fault
-    /// plan; never changes mid-run). With retries off, whole phases —
-    /// the retry queue walk, the fast-forward deadline scan — vanish.
-    retry_enabled: bool,
+    /// The PNI retry protocol's policy, if it is on (derived once from
+    /// the fault plan; never changes mid-run). With retries off, whole
+    /// phases — the retry queue walk, the fast-forward deadline scan —
+    /// vanish.
+    retry: Option<RetryPolicy>,
     /// With retries on, a superset of the shards whose PNI holds pending
     /// retries: joined when a shard issues, left once the retry walk finds
     /// nothing outstanding. Sized only when retries are on, so a healthy
@@ -463,18 +467,12 @@ impl Machine {
                 }),
         );
         let shards: Vec<PeShard> = (0..n)
-            .map(|phys| {
-                let mut pni = PniCore::new(PeId(phys));
-                if let Some(policy) = retry {
-                    pni.enable_retry(policy);
-                }
-                PeShard {
-                    busy_until: 0,
-                    cursor: 0,
-                    pni,
-                    outgoing: Ring::default(),
-                    parked_since: None,
-                }
+            .map(|phys| PeShard {
+                busy_until: 0,
+                cursor: 0,
+                pni: PniCore::new(PeId(phys)),
+                outgoing: Ring::default(),
+                parked_since: None,
             })
             .collect();
         let backend = match cfg.backend {
@@ -502,7 +500,6 @@ impl Machine {
             cm_access: HistogramColumn::default(),
             outstanding: Outstanding::default(),
             outbound: Rings::default(),
-            meta: IdMap::default(),
             backend,
             barrier_generation: 0,
             barrier_arrived: 0,
@@ -521,7 +518,7 @@ impl Machine {
             runnable: live.clone(),
             live,
             wakes: BinaryHeap::new(),
-            retry_enabled: retry.is_some(),
+            retry,
             retrying: ActiveSet::new(if retry.is_some() { n } else { 0 }),
             series: TimeSeries::new(),
             phases: PhaseRecorder::new(),
@@ -586,14 +583,12 @@ impl Machine {
     /// An estimate of the heap bytes this machine keeps allocated — what
     /// holding on to it (or to a [`Machine::fork`] of it) costs. It adds up
     /// the per-PE, per-context, per-bank and per-switch columns, slabs and
-    /// active sets at their capacities, the retry state of PNIs that run
-    /// the retry protocol, the translator every PNI uses, the compiled
-    /// code, the wake calendar, the staging buffers and the recipe a fork
-    /// shares, and leaves out what does not grow with the machine
+    /// active sets at their capacities, the translator every PNI uses, the
+    /// compiled code, the wake calendar, the staging buffers and the recipe
+    /// a fork shares, and leaves out what does not grow with the machine
     /// (counters, observer rings).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        let retry: usize = self.shards.iter().map(|shard| shard.pni.heap_bytes()).sum();
         let backend = match &self.backend {
             BackendImpl::Ideal { para, pending, .. } => {
                 let queued: usize = pending.values().map(vec_bytes).sum();
@@ -602,7 +597,6 @@ impl Machine {
             BackendImpl::Network(fabric) => fabric.heap_bytes(),
         };
         vec_bytes(&self.shards)
-            + retry
             + vec_bytes(&self.ctxs)
             + vec_bytes(&self.frames)
             + self.cm_access.heap_bytes()
@@ -611,7 +605,6 @@ impl Machine {
             + self.code.heap_bytes()
             + std::mem::size_of::<AddressHasher>()
             + self.hasher.heap_bytes()
-            + map_bytes(&self.meta)
             + self.wakes.capacity() * std::mem::size_of::<Wake>()
             + vec_bytes(&self.deliveries)
             + [&self.outgoing, &self.live, &self.runnable, &self.retrying]

@@ -377,7 +377,9 @@ fn long_lossy_run_keeps_the_copy_map_bounded() {
     // A hot spot under link loss, with a module dying mid-run and a
     // timeout short enough to retry requests still in flight: requests
     // are lost on links, discarded by the dead module and swallowed by
-    // the dedup cache. None of them may leave a copy-map entry behind.
+    // the dedup cache. None of them may leave a record behind: each
+    // request is one entry of its PNI's ring, and a PE holds at most its
+    // fetch-and-add and its store in flight.
     let hasher = AddressHasher::new(16, TranslationMode::Hashed);
     let counter = hasher.translate(0).mm;
     let victim = (100..116)
@@ -421,12 +423,8 @@ fn long_lossy_run_keeps_the_copy_map_bounded() {
         .build_spmd(&p);
     loop {
         let done = m.run_for(200).completed;
-        let f = fabric(&m);
-        let (entries, in_flight) = (f.copy_map_len(), f.requests_in_flight());
-        assert!(
-            entries <= in_flight,
-            "{entries} entries, {in_flight} in flight"
-        );
+        let entries = m.outstanding.len();
+        assert!(entries <= 2 * 16, "{entries} requests recorded");
         if done {
             break;
         }
@@ -437,26 +435,98 @@ fn long_lossy_run_keeps_the_copy_map_bounded() {
         f.dropped > 0 && f.dead_discards > 0 && f.dedup_swallowed > 0,
         "{f:?}"
     );
-    assert_eq!(
-        fabric(&m).copy_map_len(),
-        0,
-        "nothing in flight, nothing mapped"
+    assert!(
+        m.outstanding.is_empty(),
+        "nothing in flight, nothing recorded"
     );
+    assert!(m.shards.iter().all(|s| s.pni.outstanding() == 0));
 }
 
 #[test]
 fn fault_free_hot_spot_carries_no_retry_bookkeeping() {
     // Cut mid-slice with combined requests in flight: no message carries
-    // a folded-id list, and the single-copy fabric keeps no copy map.
+    // a folded-id list, every one travels copy 0, and no request has a
+    // retry deadline to watch.
     let mut m = MachineBuilder::new(64).build_spmd(&counter_program(8));
     assert!(!m.run_for(40).completed);
     let f = fabric(&m);
     assert!(f.requests().count() > 0 && f.net_stats().combines.get() > 0);
     let queued = m.shards.iter().flat_map(|s| m.outbound.iter(s.outgoing));
-    assert!(f.requests().chain(queued).all(|msg| msg.folded.is_none()));
-    assert_eq!(f.copy_map_len(), 0, "requests in flight, none mapped");
+    assert!((f.requests().chain(queued)).all(|msg| msg.folded.is_none() && msg.copy == 0));
+    assert!(m.retry.is_none() && m.retrying.is_empty());
     assert!(m.run().completed);
     assert_eq!(m.read_shared(0), 64 * 8);
+    assert!(m.outstanding.is_empty());
+}
+
+#[test]
+fn retries_answered_alongside_their_originals_deliver_once() {
+    // A retry timeout shorter than the round trip over two network copies:
+    // most requests time out in flight, so an original and its retries are
+    // all answered. The dedup cache keeps memory exactly-once, the first
+    // answer fills the register, and the later ones are counted and
+    // dropped at the PE. Each round adds to a hot word (whose requests
+    // combine) and fetches-and-adds a word of the PE's own, whose fetched
+    // value is known: a PE's round `r` reads `r`. The hot word's fetched
+    // values are not checked: a retry that reaches the module before its
+    // combined original has the module answer the whole combined request
+    // from its cache, so a decombined value can repeat another PE's.
+    let rounds = 4;
+    let own = || Expr::add(Expr::Const(200), Expr::PeIndex);
+    let slot = Expr::add(
+        Expr::Const(100),
+        Expr::add(Expr::mul(Expr::PeIndex, rounds), Expr::Reg(1)),
+    );
+    let p = Program::new(
+        body(vec![
+            Op::For {
+                reg: 1,
+                from: Expr::Const(0),
+                to: Expr::Const(rounds),
+                body: body(vec![
+                    Op::FetchAdd {
+                        addr: Expr::Const(0),
+                        delta: Expr::Const(1),
+                        dst: None,
+                    },
+                    Op::FetchAdd {
+                        addr: own(),
+                        delta: Expr::Const(1),
+                        dst: Some(2),
+                    },
+                    Op::Store {
+                        addr: slot,
+                        value: Expr::add(Expr::Reg(2), Expr::Const(1)),
+                    },
+                ]),
+            },
+            Op::Halt,
+        ]),
+        vec![],
+    );
+    let plan = FaultPlan::none().retry(RetryPolicy {
+        base_timeout: 4,
+        backoff_cap: 4,
+    });
+    let pes = 16;
+    let mut m = MachineBuilder::new(pes)
+        .network(2)
+        .faults(plan)
+        .max_cycles(1_000_000)
+        .build_spmd(&p);
+    assert!(m.run().completed);
+    assert_eq!(m.read_shared(0), pes as Value * rounds, "exactly once");
+    for pe in 0..pes {
+        assert_eq!(m.read_shared(200 + pe), rounds, "PE {pe}: exactly once");
+        for r in 0..rounds {
+            let got = m.read_shared(100 + pe * rounds as usize + r as usize);
+            assert_eq!(got, r + 1, "PE {pe}, round {r}: the register's value");
+        }
+    }
+    let f = m.fault_summary();
+    assert!(f.retries > 0 && f.duplicate_replies > 0, "{f:?}");
+    assert!(m.outstanding.is_empty());
+    assert!(m.shards.iter().all(|s| s.pni.outstanding() == 0));
 }
 
 #[test]

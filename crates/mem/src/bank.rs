@@ -71,19 +71,17 @@ pub struct BankStore {
 
 impl BankStore {
     /// Heap bytes of the touched words and both slabs.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         map_bytes(&self.words) + self.requests.heap_bytes() + self.replies.heap_bytes()
     }
 
     /// Directly reads a word (test setup / result extraction; not timed).
-    #[must_use]
-    pub fn peek(&self, addr: MemAddr) -> Value {
+    pub(crate) fn peek(&self, addr: MemAddr) -> Value {
         self.words.get(&addr).copied().unwrap_or(0)
     }
 
     /// Directly writes a word (initialization; not timed).
-    pub fn poke(&mut self, addr: MemAddr, value: Value) {
+    pub(crate) fn poke(&mut self, addr: MemAddr, value: Value) {
         self.words.insert(addr, value);
     }
 }
@@ -93,9 +91,10 @@ impl BankStore {
 #[derive(Debug, Clone)]
 pub struct Bank {
     mm: MmId,
+    /// Arrived requests; the head is in service while `in_service` is set.
     queue: Ring,
-    /// The request in service and the cycle it completes.
-    in_service: Option<(Cycle, Message)>,
+    /// The cycle the request in service completes.
+    in_service: Option<Cycle>,
     outbox: Ring,
     service_time: Cycle,
     stats: MemStats,
@@ -115,8 +114,7 @@ impl Bank {
     /// # Panics
     ///
     /// Panics if `service_time` is zero.
-    #[must_use]
-    pub fn new(mm: MmId, service_time: Cycle) -> Self {
+    pub(crate) fn new(mm: MmId, service_time: Cycle) -> Self {
         assert!(service_time >= 1, "service time must be at least one cycle");
         Self {
             mm,
@@ -132,21 +130,14 @@ impl Bank {
 
     /// Heap bytes this bank owns: its dedup cache. Its words and queues
     /// are the store's.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.seen.as_ref().map_or(0, map_bytes)
-    }
-
-    /// This module's id.
-    #[must_use]
-    pub fn mm(&self) -> MmId {
-        self.mm
     }
 
     /// Enables the exactly-once dedup cache (required when the machine
     /// runs the PNI retry protocol; off by default so fault-free runs do
     /// no extra bookkeeping).
-    pub fn enable_dedup(&mut self) {
+    pub(crate) fn enable_dedup(&mut self) {
         if self.seen.is_none() {
             self.seen = Some(IdMap::default());
         }
@@ -156,10 +147,9 @@ impl Bank {
     /// replies are all lost, and every future request is discarded
     /// unserved (its PE recovers via retry against the re-hashed
     /// translation).
-    pub fn kill(&mut self, store: &mut BankStore) {
+    pub(crate) fn kill(&mut self, store: &mut BankStore) {
         self.dead = true;
-        let discarded =
-            self.queue.len() + usize::from(self.in_service.is_some()) + self.outbox.len();
+        let discarded = self.queue.len() + self.outbox.len();
         self.stats.dead_discards.add(discarded as u64);
         store.requests.clear(&mut self.queue);
         self.in_service = None;
@@ -181,12 +171,6 @@ impl Bank {
         self.service_time = service_time;
     }
 
-    /// The current per-request service time.
-    #[must_use]
-    pub fn service_time(&self) -> Cycle {
-        self.service_time
-    }
-
     /// Accumulated statistics.
     #[must_use]
     pub fn stats(&self) -> &MemStats {
@@ -199,7 +183,7 @@ impl Bank {
     /// # Panics
     ///
     /// Panics if the request is addressed to a different module.
-    pub fn push_request(&mut self, store: &mut BankStore, msg: Message) -> bool {
+    pub(crate) fn push_request(&mut self, store: &mut BankStore, msg: Message) -> bool {
         assert_eq!(msg.addr.mm, self.mm, "request delivered to wrong module");
         if self.dead {
             // Discarded before application: the issuing PE's retry (after
@@ -209,62 +193,48 @@ impl Bank {
             return false;
         }
         store.requests.push_back(&mut self.queue, msg);
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
+        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue_depth());
         true
     }
 
-    /// The requests this module holds, queued or in service.
-    pub fn requests<'a>(&'a self, store: &'a BankStore) -> impl Iterator<Item = &'a Message> {
-        (store.requests.iter(self.queue)).chain(self.in_service.as_ref().map(|(_, m)| m))
-    }
-
-    /// The `(id, attempt)` of every request this module holds: queued, in
-    /// service, or answered by a reply not yet sent back.
-    pub fn in_flight<'a>(
+    /// The requests this module holds, in service first.
+    pub(crate) fn requests<'a>(
         &'a self,
         store: &'a BankStore,
-    ) -> impl Iterator<Item = (MsgId, u32)> + 'a {
-        let requests = self.requests(store).map(|m| (m.id, m.attempt));
-        requests.chain(store.replies.iter(self.outbox).map(|r| (r.id, r.attempt)))
+    ) -> impl Iterator<Item = &'a Message> {
+        store.requests.iter(self.queue)
     }
 
     /// Requests waiting (not counting the one in service).
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
+    pub(crate) fn queue_depth(&self) -> usize {
+        self.queue.len() - usize::from(self.in_service.is_some())
     }
 
     /// Whether any work (queued, in service, or undelivered replies)
     /// remains.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.in_service.is_none() && self.outbox.is_empty()
+    pub(crate) fn is_idle(&self) -> bool {
+        self.queue.is_empty() && self.outbox.is_empty()
     }
 
     /// Advances one cycle: starts service if idle, and completes the
-    /// in-flight request when its time is up, moving the reply to the
-    /// outbox. Returns the `(id, attempt)` of a request the dedup cache
-    /// swallowed without a reply, the one way a served request gets none.
-    pub fn cycle(&mut self, store: &mut BankStore, now: Cycle) -> Option<(MsgId, u32)> {
-        if self.in_service.is_none() {
-            if let Some(msg) = store.requests.pop_front(&mut self.queue) {
-                self.in_service = Some((now + self.service_time, msg));
-            }
+    /// request in service when its time is up, moving its reply, if one is
+    /// owed, to the outbox.
+    pub(crate) fn cycle(&mut self, store: &mut BankStore, now: Cycle) {
+        if self.in_service.is_none() && !self.queue.is_empty() {
+            self.in_service = Some(now + self.service_time);
         }
-        if self.in_service.is_some() {
-            self.stats.busy_cycles.incr();
+        let Some(done_at) = self.in_service else {
+            return;
+        };
+        self.stats.busy_cycles.incr();
+        if now + 1 >= done_at {
+            self.in_service = None;
+            let msg = store
+                .requests
+                .pop_front(&mut self.queue)
+                .expect("in service");
+            self.serve(store, &msg);
         }
-        if let Some((done_at, _)) = self.in_service {
-            if now + 1 >= done_at {
-                let (_, msg) = self.in_service.take().expect("checked");
-                let replies = self.outbox.len();
-                self.serve(store, &msg);
-                if self.outbox.len() == replies {
-                    return Some((msg.id, msg.attempt));
-                }
-            }
-        }
-        None
     }
 
     /// Serves one request at completion time: consults the dedup cache
@@ -303,7 +273,7 @@ impl Bank {
     /// The MNI ALU: applies one request to the memory array and returns the
     /// reply value (the old value for loads and fetch-and-phis; zero for
     /// store acknowledgements).
-    pub fn apply(&mut self, store: &mut BankStore, msg: &Message) -> Value {
+    fn apply(&mut self, store: &mut BankStore, msg: &Message) -> Value {
         self.stats.served.incr();
         let addr = MemAddr::new(self.mm, msg.addr.offset);
         let slot = store.words.entry(addr).or_insert(0);
@@ -327,20 +297,19 @@ impl Bank {
     }
 
     /// The oldest undelivered reply, if any.
-    #[must_use]
-    pub fn peek_reply<'a>(&self, store: &'a BankStore) -> Option<&'a Reply> {
+    pub(crate) fn peek_reply<'a>(&self, store: &'a BankStore) -> Option<&'a Reply> {
         store.replies.front(self.outbox)
     }
 
     /// Removes and returns the oldest undelivered reply.
-    pub fn pop_reply(&mut self, store: &mut BankStore) -> Option<Reply> {
+    pub(crate) fn pop_reply(&mut self, store: &mut BankStore) -> Option<Reply> {
         store.replies.pop_front(&mut self.outbox)
     }
 
     /// Puts back, at the head of the outbox, a reply the network refused
     /// this cycle — the counterpart of [`Bank::pop_reply`] for callers
     /// that offer replies by value.
-    pub fn return_reply(&mut self, store: &mut BankStore, reply: Reply) {
+    pub(crate) fn return_reply(&mut self, store: &mut BankStore, reply: Reply) {
         store.replies.push_front(&mut self.outbox, reply);
     }
 }
@@ -354,7 +323,8 @@ pub struct MemBank {
 }
 
 impl MemBank {
-    /// See [`Bank::new`].
+    /// Creates an empty module `mm` that serves one request every
+    /// `service_time` cycles.
     ///
     /// # Panics
     ///
@@ -367,25 +337,13 @@ impl MemBank {
         }
     }
 
-    /// Heap bytes this bank owns: its touched words, queues and dedup
-    /// cache.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.bank.heap_bytes() + self.store.heap_bytes()
-    }
-
-    /// This module's id.
-    #[must_use]
-    pub fn mm(&self) -> MmId {
-        self.bank.mm()
-    }
-
-    /// See [`Bank::enable_dedup`].
+    /// Enables the exactly-once dedup cache.
     pub fn enable_dedup(&mut self) {
         self.bank.enable_dedup();
     }
 
-    /// See [`Bank::kill`].
+    /// Fail-stops the module: contents, queued work and undelivered
+    /// replies are lost, and every later request is discarded.
     pub fn kill(&mut self) {
         self.bank.kill(&mut self.store);
     }
@@ -397,12 +355,6 @@ impl MemBank {
     /// Panics if `service_time` is zero.
     pub fn set_service_time(&mut self, service_time: Cycle) {
         self.bank.set_service_time(service_time);
-    }
-
-    /// The current per-request service time.
-    #[must_use]
-    pub fn service_time(&self) -> Cycle {
-        self.bank.service_time()
     }
 
     /// Accumulated statistics.
@@ -422,7 +374,8 @@ impl MemBank {
         self.store.poke(MemAddr::new(self.bank.mm, offset), value);
     }
 
-    /// See [`Bank::push_request`].
+    /// Accepts a request delivered by the network. Returns `false` when
+    /// the module is dead and discards it.
     ///
     /// # Panics
     ///
@@ -431,34 +384,21 @@ impl MemBank {
         self.bank.push_request(&mut self.store, msg)
     }
 
-    /// See [`Bank::requests`].
-    pub fn requests(&self) -> impl Iterator<Item = &Message> {
-        self.bank.requests(&self.store)
-    }
-
-    /// See [`Bank::in_flight`].
-    pub fn in_flight(&self) -> impl Iterator<Item = (MsgId, u32)> + '_ {
-        self.bank.in_flight(&self.store)
-    }
-
-    /// Requests waiting (not counting the one in service).
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.bank.queue_depth()
-    }
-
-    /// See [`Bank::is_idle`].
+    /// Whether any work (queued, in service, or undelivered replies)
+    /// remains.
     #[must_use]
     pub fn is_idle(&self) -> bool {
         self.bank.is_idle()
     }
 
-    /// See [`Bank::cycle`].
-    pub fn cycle(&mut self, now: Cycle) -> Option<(MsgId, u32)> {
-        self.bank.cycle(&mut self.store, now)
+    /// Advances one cycle: starts service if idle, and completes the
+    /// request in service when its time is up.
+    pub fn cycle(&mut self, now: Cycle) {
+        self.bank.cycle(&mut self.store, now);
     }
 
-    /// See [`Bank::apply`].
+    /// Applies one request to the memory array at once and returns the
+    /// reply value.
     pub fn apply(&mut self, msg: &Message) -> Value {
         self.bank.apply(&mut self.store, msg)
     }
@@ -472,11 +412,6 @@ impl MemBank {
     /// Removes and returns the oldest undelivered reply.
     pub fn pop_reply(&mut self) -> Option<Reply> {
         self.bank.pop_reply(&mut self.store)
-    }
-
-    /// See [`Bank::return_reply`].
-    pub fn return_reply(&mut self, reply: Reply) {
-        self.bank.return_reply(&mut self.store, reply);
     }
 }
 
@@ -595,7 +530,6 @@ mod tests {
     fn slow_module_takes_longer_per_request() {
         let mut bank = MemBank::new(MmId(0), 1);
         bank.set_service_time(4);
-        assert_eq!(bank.service_time(), 4);
         bank.push_request(req(1, MsgKind::Load, 0, 0));
         for now in 0..3 {
             bank.cycle(now);
@@ -640,11 +574,8 @@ mod tests {
         // the combining tree, so the module must not invent one.
         let dup = req(2, MsgKind::FetchPhi(PhiOp::Add), 0, 3).as_retry(1, 10);
         bank.push_request(dup);
-        assert_eq!(
-            bank.cycle(10),
-            Some((MsgId(2), 1)),
-            "names what it swallowed"
-        );
+        bank.cycle(10);
+        assert!(bank.is_idle(), "served");
         assert!(bank.pop_reply().is_none(), "swallowed, not re-applied");
         assert_eq!(bank.peek(0), 8, "applied exactly once");
         assert_eq!(bank.stats().dedup_swallowed.get(), 1);

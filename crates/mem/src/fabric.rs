@@ -4,8 +4,7 @@
 //! Each PE spreads its requests over the copies round-robin, failing over
 //! to the next copy when one refuses; a reply re-enters the network
 //! through the copy that carried its request, so decombining matches
-//! (which copy that was is recorded only where it can be other than copy 0,
-//! or where the retry protocol runs); a
+//! (the fabric stamps that copy on the request, and the reply copies it); a
 //! request every copy refuses outright is reported unroutable rather than
 //! wedging its PE; only banks holding work are cycled. Every fault on the
 //! copies is applied here: the boot-time [`FaultPlan`]'s static faults at
@@ -16,12 +15,12 @@
 use ultra_faults::{Fault, FaultPlan};
 use ultra_net::config::{NetConfig, SweepMode};
 use ultra_net::message::{Message, MsgId, MsgKind, Reply};
-use ultra_net::omega::{Injected, NetworkEvents, OmegaNetwork};
+use ultra_net::omega::{NetworkEvents, OmegaNetwork};
 use ultra_net::stats::NetStats;
 use ultra_obs::{CounterSnapshot, GaugeSnapshot, HeatmapSnapshot};
 use ultra_sim::active::Walk;
-use ultra_sim::heap::{map_bytes, vec_bytes};
-use ultra_sim::{ActiveSet, Cycle, IdMap, MemAddr, MmId, PeId, Value};
+use ultra_sim::heap::vec_bytes;
+use ultra_sim::{ActiveSet, Cycle, MemAddr, MmId, PeId, Value};
 
 use crate::bank::{Bank, BankStore};
 
@@ -52,10 +51,6 @@ pub struct Fabric {
     banks: Vec<Bank>,
     /// Every bank's words, queued requests and undelivered replies.
     store: BankStore,
-    /// Which copy carried each in-flight request, keyed by attempt too (a
-    /// retry may travel another copy). `None` — every reply returns on
-    /// copy 0 — unless there are several copies or the dedup cache is on.
-    copy_of: Option<IdMap<(MsgId, u32), usize>>,
     /// Banks holding work: joined on request delivery, left once observed
     /// idle (an idle bank's cycle is a no-op).
     busy: ActiveSet,
@@ -68,10 +63,15 @@ impl Fabric {
     ///
     /// # Panics
     ///
-    /// Panics if `copies == 0`, `mm_service == 0` or `net` is invalid.
+    /// Panics if `copies` is 0 or more than a message's copy stamp names
+    /// (256), if `mm_service == 0` or if `net` is invalid.
     #[must_use]
     pub fn new(net: NetConfig, copies: usize, mm_service: Cycle, plan: &FaultPlan) -> Self {
         assert!(copies >= 1, "need at least one network copy");
+        assert!(
+            copies <= usize::from(u8::MAX) + 1,
+            "a message names at most 256 network copies, not {copies}"
+        );
         let nets = (0..copies)
             .map(|c| {
                 let mut copy = OmegaNetwork::new(net);
@@ -99,7 +99,6 @@ impl Fabric {
             events: NetworkEvents::default(),
             banks,
             store,
-            copy_of: (copies > 1).then(IdMap::default),
             busy: ActiveSet::new(net.pes),
         }
     }
@@ -179,32 +178,25 @@ impl Fabric {
         self.nets.iter().any(|net| !net.fault_refuses(msg))
     }
 
-    /// Turns on every bank's exactly-once dedup cache (for retries), and
-    /// with it the copy map.
+    /// Turns on every bank's exactly-once dedup cache (for retries).
     pub fn enable_dedup(&mut self) {
         self.banks.iter_mut().for_each(Bank::enable_dedup);
-        self.copy_of.get_or_insert_with(IdMap::default);
     }
 
-    /// Fail-stops module `mm` ([`Bank::kill`]) and forgets the copies
-    /// of the requests it discards.
+    /// Fail-stops module `mm`: its words, queued requests and undelivered
+    /// replies are lost, and every later request is discarded.
     pub fn kill_bank(&mut self, mm: MmId) {
-        let bank = &mut self.banks[mm.0];
-        if let Some(copy_of) = &mut self.copy_of {
-            bank.in_flight(&self.store)
-                .for_each(|key| _ = copy_of.remove(&key));
-        }
-        bank.kill(&mut self.store);
+        self.banks[mm.0].kill(&mut self.store);
     }
 
     /// Offers a request at cycle `now` to the copies, starting at the
-    /// next one in its PE's round-robin order.
+    /// next one in its PE's round-robin order, stamped with the copy it is
+    /// offered to.
     #[inline]
     pub fn offer(&mut self, msg: Message, now: Cycle) -> Offer {
         if !self.routable(&msg) {
             return Offer::Unroutable;
         }
-        let key = (msg.id, msg.attempt);
         let pe = msg.src.0;
         let d = self.nets.len();
         let start = self.cursor[pe];
@@ -214,15 +206,13 @@ impl Fabric {
             let copy = (start + offset) % d;
             let net = &mut self.nets[copy];
             fault_refused |= net.fault_refuses(&msg);
+            msg.copy = copy as u8;
             match net.try_inject_request(msg, now) {
-                Ok(injected) => {
+                Ok(()) => {
                     if fault_refused {
                         self.failovers += 1;
                     }
                     self.cursor[pe] = (copy + 1) % d;
-                    if let (Some(copy_of), Injected::Entered) = (&mut self.copy_of, injected) {
-                        copy_of.insert(key, copy);
-                    }
                     return Offer::Injected;
                 }
                 Err(m) => msg = m,
@@ -232,28 +222,15 @@ impl Fabric {
     }
 
     /// Cycles every busy bank in bank order, each followed by draining its
-    /// replies into their copies until one is refused. Returns the replies
-    /// discarded because no request waits for them (only possible with
-    /// the copy map kept).
-    pub fn serve_banks(&mut self, now: Cycle) -> u64 {
-        let mut duplicates = 0;
+    /// replies into the copies that carried their requests until one is
+    /// refused.
+    pub fn serve_banks(&mut self, now: Cycle) {
         let mut walk = Walk::default();
         while let Some(mm) = walk.next(&self.busy) {
             let bank = &mut self.banks[mm];
-            let swallowed = bank.cycle(&mut self.store, now);
-            if let (Some(copy_of), Some(key)) = (&mut self.copy_of, swallowed) {
-                copy_of.remove(&key);
-            }
+            bank.cycle(&mut self.store, now);
             while let Some(reply) = bank.pop_reply(&mut self.store) {
-                let key = (reply.id, reply.attempt);
-                let copy = self
-                    .copy_of
-                    .as_ref()
-                    .map_or(Some(0), |c| c.get(&key).copied());
-                let Some(copy) = copy else {
-                    duplicates += 1;
-                    continue;
-                };
+                let copy = usize::from(reply.copy);
                 if let Err(refused) = self.nets[copy].try_inject_reply(reply, now) {
                     bank.return_reply(&mut self.store, refused);
                     break;
@@ -263,7 +240,6 @@ impl Fabric {
                 self.busy.remove(mm);
             }
         }
-        duplicates
     }
 
     /// Moves every copy one cycle, in copy order (a drained copy is
@@ -277,29 +253,20 @@ impl Fabric {
         mut on_drop: impl FnMut(Message),
     ) {
         let events = &mut self.events;
-        let mut forget = |id, attempt| {
-            if let Some(copy_of) = &mut self.copy_of {
-                copy_of.remove(&(id, attempt));
-            }
-        };
         for net in &mut self.nets {
             if net.is_drained() {
                 continue;
             }
             net.cycle_into(now, events);
             for msg in events.requests_at_mm.drain(..) {
-                let (mm, id, attempt) = (msg.addr.mm.0, msg.id, msg.attempt);
+                let mm = msg.addr.mm.0;
                 self.busy.insert(mm);
-                if !self.banks[mm].push_request(&mut self.store, msg) {
-                    forget(id, attempt);
-                }
+                self.banks[mm].push_request(&mut self.store, msg);
             }
             for reply in events.replies_at_pe.drain(..) {
-                forget(reply.id, reply.attempt);
                 deliveries.push(reply);
             }
             for msg in events.dropped.drain(..) {
-                forget(msg.id, msg.attempt);
                 on_drop(msg);
             }
         }
@@ -313,25 +280,6 @@ impl Fabric {
                 .iter()
                 .flat_map(|bank| bank.requests(&self.store)),
         )
-    }
-
-    /// Entries in the copy map: 0 where it is not kept.
-    #[must_use]
-    pub fn copy_map_len(&self) -> usize {
-        self.copy_of.as_ref().map_or(0, IdMap::len)
-    }
-
-    /// Requests in flight, each counted where it sits: as a request or
-    /// reply in a copy, as an absorbed request in a wait buffer, or held
-    /// by a bank. No copy-map entry outlives its request, so
-    /// [`Fabric::copy_map_len`] never exceeds this.
-    #[must_use]
-    pub fn requests_in_flight(&self) -> usize {
-        let nets: usize = self.nets.iter().map(OmegaNetwork::requests_in_flight).sum();
-        let banks: usize = (self.banks.iter())
-            .map(|b| b.in_flight(&self.store).count())
-            .sum();
-        nets + banks
     }
 
     /// Whether every copy is drained and every bank idle.
@@ -448,13 +396,11 @@ impl Fabric {
         }
     }
 
-    /// Heap bytes the copies, the banks, their store and the in-flight
-    /// map own.
+    /// Heap bytes the copies, the banks and their store own.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let nets: usize = self.nets.iter().map(OmegaNetwork::heap_bytes).sum();
         let dedup: usize = self.banks.iter().map(Bank::heap_bytes).sum();
-        let copy_of = self.copy_of.as_ref().map_or(0, map_bytes);
         vec_bytes(&self.nets)
             + nets
             + vec_bytes(&self.banks)
@@ -463,7 +409,6 @@ impl Fabric {
             + vec_bytes(&self.cursor)
             + self.events.heap_bytes()
             + self.busy.heap_bytes()
-            + copy_of
     }
 
     /// The banks, indexed by module.
@@ -505,10 +450,14 @@ mod tests {
     }
 
     /// Steps banks then network once, the machine's order.
-    fn step(fabric: &mut Fabric, now: Cycle, deliveries: &mut Vec<Reply>) -> u64 {
-        let dups = fabric.serve_banks(now);
+    fn step(fabric: &mut Fabric, now: Cycle, deliveries: &mut Vec<Reply>) {
+        fabric.serve_banks(now);
         fabric.advance(now, deliveries, |m| panic!("unexpected drop of {m:?}"));
-        dups
+    }
+
+    /// The copies stamped on the requests copy `c` holds.
+    fn stamps(fabric: &Fabric, c: usize) -> Vec<u8> {
+        fabric.nets[c].requests().map(|m| m.copy).collect()
     }
 
     #[test]
@@ -517,22 +466,20 @@ mod tests {
         let mut fabric = Fabric::new(NetConfig::small(8), 2, 2, &plan);
         let msg = load(1, 3, 5, 0);
         assert!(matches!(fabric.offer(msg, 0), Offer::Injected));
-        let copy_of = |f: &Fabric| f.copy_of.clone().expect("two copies keep the map");
-        assert_eq!(copy_of(&fabric)[&(MsgId(1), 0)], 1, "carried by copy 1");
+        assert_eq!(stamps(&fabric, 1), [1], "carried by copy 1, and stamped so");
         assert_eq!(fabric.failovers(), 1);
         let mut deliveries = Vec::new();
         for now in 0..100 {
-            assert_eq!(step(&mut fabric, now, &mut deliveries), 0);
+            step(&mut fabric, now, &mut deliveries);
             if !deliveries.is_empty() {
                 break;
             }
         }
         assert_eq!(deliveries.len(), 1, "the reply came back");
-        assert_eq!(deliveries[0].id, MsgId(1));
+        assert_eq!((deliveries[0].id, deliveries[0].copy), (MsgId(1), 1));
         let copy = |c: usize| fabric.nets[c].stats().clone();
         assert_eq!(copy(1).delivered_replies.get(), 1, "through copy 1");
         assert_eq!(copy(0).injected_replies.get(), 0);
-        assert!(copy_of(&fabric).is_empty());
         assert!(fabric.is_idle());
     }
 
@@ -544,23 +491,29 @@ mod tests {
             fabric.offer(load(1, 0, 0, 0), 0),
             Offer::Unroutable
         ));
-        assert_eq!(fabric.copy_map_len(), 0);
         assert!(fabric.is_idle());
     }
 
     #[test]
     fn a_reply_nobody_waits_for_is_a_duplicate() {
-        let mut fabric = Fabric::new(NetConfig::small(8), 1, 1, &FaultPlan::none());
-        // The dedup cache of the retry protocol keeps the copy map.
+        let mut fabric = Fabric::new(NetConfig::small(8), 2, 1, &FaultPlan::none());
         fabric.enable_dedup();
-        // A request reaches bank 2 without an in-flight entry: the answer
-        // to an attempt whose twin already round-tripped.
-        fabric.banks[2].push_request(&mut fabric.store, load(9, 0, 2, 0));
+        // A request reaches bank 2 with no request of its PE waiting: the
+        // answer to an attempt whose twin already round-tripped. The
+        // fabric returns it on the copy its request was stamped with; only
+        // the PE can tell it answers nothing.
+        let mut twin = load(9, 0, 2, 0);
+        twin.copy = 1;
+        fabric.banks[2].push_request(&mut fabric.store, twin);
         fabric.busy.insert(2);
         let mut deliveries = Vec::new();
-        assert_eq!(step(&mut fabric, 0, &mut deliveries), 1);
-        assert!(deliveries.is_empty());
-        assert!(fabric.is_idle(), "discarded, not re-injected");
+        for now in 0..40 {
+            step(&mut fabric, now, &mut deliveries);
+        }
+        assert_eq!(deliveries.len(), 1);
+        assert_eq!((deliveries[0].id, deliveries[0].copy), (MsgId(9), 1));
+        assert_eq!(fabric.nets[1].stats().delivered_replies.get(), 1);
+        assert!(fabric.is_idle());
     }
 
     #[test]
@@ -575,17 +528,19 @@ mod tests {
             ));
         }
         step(&mut fabric, 0, &mut deliveries);
-        assert!(fabric.copy_of.is_none() && fabric.requests_in_flight() > 0);
+        assert!(!stamps(&fabric, 0).is_empty());
+        assert!(stamps(&fabric, 0).iter().all(|&c| c == 0));
         for now in 1..40 {
-            assert_eq!(step(&mut fabric, now, &mut deliveries), 0);
+            step(&mut fabric, now, &mut deliveries);
         }
         assert_eq!(deliveries.len(), 8, "every reply returns on copy 0");
-        assert_eq!(fabric.requests_in_flight(), 0);
+        assert!(deliveries.iter().all(|r| r.copy == 0));
+        assert!(fabric.is_idle());
     }
 
     #[test]
     fn lost_and_swallowed_requests_leave_no_copy_map_entry() {
-        // Only the injections a lossy link lets through enter the map.
+        // Requests a lossy link swallows never reach the copy.
         let lossy = FaultPlan::none().seed(3).link_loss(0.5);
         let mut fabric = Fabric::new(NetConfig::small(8), 1, 1, &lossy);
         fabric.enable_dedup();
@@ -597,9 +552,10 @@ mod tests {
         }
         let stats = fabric.net_stats();
         assert!(stats.fault_dropped.get() > 0, "some are lost on the link");
-        assert_eq!(fabric.copy_map_len() as u64, stats.injected_requests.get());
-        // A module that dies holding work forgets its requests' copies,
-        // and so does a dead module a request reaches later.
+        let entered = stats.injected_requests.get();
+        assert_eq!(entered + stats.fault_dropped.get(), 8);
+        // A module that dies holding work discards it, and so does a dead
+        // module a request reaches later: no reply comes back.
         let mut fabric = Fabric::new(NetConfig::small(8), 2, 1, &FaultPlan::none());
         let mut deliveries = Vec::new();
         assert!(matches!(fabric.offer(load(1, 0, 2, 0), 0), Offer::Injected));
@@ -615,24 +571,25 @@ mod tests {
             step(&mut fabric, now, &mut deliveries);
         }
         assert!(deliveries.is_empty() && fabric.is_idle());
-        assert_eq!(fabric.copy_map_len(), 0, "discarded at dead modules");
-        // A retry the dedup cache swallows gets no reply and no entry.
+        let discards = |f: &Fabric, mm: usize| f.banks[mm].stats().dead_discards.get();
+        assert_eq!((discards(&fabric, 2), discards(&fabric, 3)), (1, 1));
+        // A retry the dedup cache swallows gets no reply.
         let mut fabric = Fabric::new(NetConfig::small(8), 1, 1, &FaultPlan::none());
         fabric.enable_dedup();
         let mut amalgam = load(1, 0, 2, 0).tracked();
         amalgam.folded.as_mut().expect("tracked").push(MsgId(2));
         fabric.banks[2].push_request(&mut fabric.store, amalgam);
         fabric.busy.insert(2);
-        assert_eq!(step(&mut fabric, 0, &mut deliveries), 1, "nobody waits");
+        step(&mut fabric, 0, &mut deliveries);
         let retry = load(2, 1, 2, 1).as_retry(1, 1);
         assert!(matches!(fabric.offer(retry, 1), Offer::Injected));
-        assert_eq!(fabric.copy_map_len(), 1);
         for now in 1..40 {
             step(&mut fabric, now, &mut deliveries);
         }
         assert_eq!(fabric.banks[2].stats().dedup_swallowed.get(), 1);
-        assert_eq!(fabric.copy_map_len(), 0, "swallowed by the dedup cache");
-        assert!(deliveries.is_empty());
+        let answered: Vec<MsgId> = deliveries.iter().map(|r| r.id).collect();
+        assert_eq!(answered, [MsgId(1)], "the amalgam's reply, not the retry's");
+        assert!(fabric.is_idle());
     }
 
     #[test]
@@ -640,9 +597,11 @@ mod tests {
         let mut fabric = Fabric::new(NetConfig::small(8), 2, 2, &FaultPlan::none());
         assert!(matches!(fabric.offer(load(1, 0, 1, 0), 0), Offer::Injected));
         assert!(matches!(fabric.offer(load(2, 0, 1, 0), 0), Offer::Injected));
-        let copy_of = fabric.copy_of.as_ref().expect("two copies keep the map");
-        let copy = |id| copy_of[&(MsgId(id), 0)];
-        assert_eq!((copy(1), copy(2)), (0, 1), "round robin alternates copies");
+        assert_eq!(
+            (stamps(&fabric, 0), stamps(&fabric, 1)),
+            (vec![0], vec![1]),
+            "round robin alternates copies"
+        );
         let ids: Vec<MsgId> = fabric.nets.iter_mut().map(|n| n.next_msg_id()).collect();
         assert_eq!(ids, [MsgId(1), MsgId(1 + (1 << 48))]);
         let mut deliveries = Vec::new();

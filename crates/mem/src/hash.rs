@@ -144,12 +144,6 @@ impl AddressHasher {
         self.live = live;
     }
 
-    /// Number of modules being spread over.
-    #[must_use]
-    pub fn n_mms(&self) -> usize {
-        self.n_mms
-    }
-
     /// Maps a flat virtual word address to its module and offset.
     #[must_use]
     pub fn translate(&self, vaddr: usize) -> MemAddr {

@@ -91,6 +91,8 @@ impl WaitEntry {
             // Only attempt-0 requests ever combine, so the absorbed
             // request's owed reply is always for its original issue.
             attempt: 0,
+            // Both requests met in this copy; the switch stamps it.
+            copy: 0,
         }
     }
 }

@@ -72,6 +72,6 @@ pub mod switch;
 
 pub use config::{NetConfig, SweepMode, SwitchPolicy};
 pub use message::{Message, MsgId, MsgKind, PhiOp, Reply, ReplyKind};
-pub use omega::{Injected, NetworkEvents, OmegaNetwork};
+pub use omega::{NetworkEvents, OmegaNetwork};
 pub use route::Topology;
 pub use stats::NetStats;

@@ -169,6 +169,9 @@ pub struct Message {
     /// Retried messages are never combined — the original may still be
     /// alive, and two live copies of one id must not meet in a wait buffer.
     pub attempt: u32,
+    /// The network copy carrying the request (§4.1), stamped by the fabric
+    /// that injects it; its reply returns through the same copy.
+    pub copy: u8,
     /// Every logical request folded into this message by combining (its
     /// own id plus each absorbed message's list), carried only by a
     /// machine that runs the retry protocol: the MM's dedup cache records
@@ -199,6 +202,7 @@ impl Message {
             src,
             issued_at,
             attempt: 0,
+            copy: 0,
             folded: None,
         }
     }
@@ -274,6 +278,9 @@ pub struct Reply {
     /// Which attempt of the request this reply answers (copied from the
     /// request; lets the PNI/machine pair replies with retried issues).
     pub attempt: u32,
+    /// The network copy that carried the request, which carries this
+    /// reply back (copied from the request).
+    pub copy: u8,
 }
 
 impl Reply {
@@ -293,6 +300,7 @@ impl Reply {
             request_issued_at: req.issued_at,
             mm_injected_at: 0,
             attempt: req.attempt,
+            copy: req.copy,
         }
     }
 

@@ -80,17 +80,6 @@ impl NetworkEvents {
     }
 }
 
-/// What became of a request the network took from its PE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Injected {
-    /// It reached the entry switch.
-    Entered,
-    /// A lossy PE→network link swallowed it on the wire: the link time is
-    /// spent and the request is gone, before any combining or memory
-    /// application. Recovery is the PNI's timeout/retry.
-    Lost,
-}
-
 /// The switches of every stage holding traffic in one direction: one set
 /// over all stages' switches, stage-major, and each stage's member count —
 /// one buffer each however many stages, so a copy of a network makes the
@@ -326,17 +315,6 @@ impl OmegaNetwork {
             .chain(self.pending_drops.iter())
     }
 
-    /// Requests in flight in this copy: each request and reply in its
-    /// slabs, each absorbed request in a wait buffer, and each drop not
-    /// yet handed back by [`OmegaNetwork::cycle_into`].
-    #[must_use]
-    pub fn requests_in_flight(&self) -> usize {
-        self.switches.requests().live()
-            + self.switches.replies().live()
-            + self.switches.total_wait_occupancy()
-            + self.pending_drops.len()
-    }
-
     /// Snapshots the per-switch hot-spot matrices: cumulative combine
     /// counts, request-queue high-water marks, and instantaneous
     /// wait-buffer occupancy for every switch in the fabric.
@@ -373,8 +351,9 @@ impl OmegaNetwork {
         self.next_id = base;
     }
 
-    /// Offers a request to the network at cycle `now`; on success, says
-    /// whether it entered or a lossy link swallowed it.
+    /// Offers a request to the network at cycle `now`. Taken, it either
+    /// enters or is swallowed on the wire by a lossy link (the link time
+    /// is spent, and recovery is the PNI's timeout/retry).
     ///
     /// # Errors
     ///
@@ -385,7 +364,7 @@ impl OmegaNetwork {
     // caller keeps ownership without a clone, and a fault-free `Message` is
     // a flat 64-byte value (its folded-id list is `None`) that the hot
     // path memcpys rather than boxes.
-    pub fn try_inject_request(&mut self, msg: Message, now: Cycle) -> Result<Injected, Message> {
+    pub fn try_inject_request(&mut self, msg: Message, now: Cycle) -> Result<(), Message> {
         if self.fault_refuses(&msg) {
             self.stats.fault_refusals.incr();
             return Err(msg);
@@ -409,7 +388,7 @@ impl OmegaNetwork {
         // *before* any combining or memory application.
         if self.mask.roll_link_loss() {
             self.stats.fault_dropped.incr();
-            return Ok(Injected::Lost);
+            return Ok(());
         }
         self.stats.injected_requests.incr();
         let handle = self.switches.admit_request(msg);
@@ -423,7 +402,7 @@ impl OmegaNetwork {
         // Every outcome leaves the entry switch holding forward traffic —
         // a drop only happens when the target queue is already non-empty.
         self.active_fwd.insert(0, sw);
-        Ok(Injected::Entered)
+        Ok(())
     }
 
     /// Offers a reply (from an MNI) to the reverse network at cycle `now`.

@@ -651,11 +651,13 @@ impl Switches {
             return;
         }
         let reply = self.replies.body(handle);
-        let (id, value, mm_injected_at) = (reply.id, reply.value, reply.mm_injected_at);
+        let (id, value, mm_injected_at, copy) =
+            (reply.id, reply.value, reply.mm_injected_at, reply.copy);
         if let Some(entry) = self.wait.remove(&(cell as u32, id)) {
             self.wait_len[cell] -= 1;
             let mut spawn = entry.make_reply(value);
             spawn.mm_injected_at = mm_injected_at;
+            spawn.copy = copy;
             stats.decombines.incr();
             let spawn = self.admit_reply(spawn, stage);
             let link = self.replies.link_mut(spawn);
@@ -937,6 +939,7 @@ mod tests {
             request_issued_at: 0,
             mm_injected_at: 0,
             attempt: 0,
+            copy: 0,
         };
         let in_port = t.forward_out_port(MmId(3), 0);
         let handle = sw.admit_reply(r, 0);

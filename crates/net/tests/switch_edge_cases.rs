@@ -8,7 +8,7 @@ use ultra_net::message::{Message, MsgId, MsgKind, PhiOp, Reply, ReplyKind};
 use ultra_net::omega::OmegaNetwork;
 use ultra_sim::{MemAddr, MmId, PeId, Value};
 
-/// Cycles `net` through a fresh event buffer (the non-deprecated path).
+/// Cycles `net` once through a fresh event buffer and returns it.
 fn cyc(net: &mut ultra_net::omega::OmegaNetwork, now: u64) -> ultra_net::omega::NetworkEvents {
     let mut events = ultra_net::omega::NetworkEvents::default();
     net.cycle_into(now, &mut events);

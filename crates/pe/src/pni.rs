@@ -25,30 +25,32 @@
 //! number is applied at most once, so a retried fetch-and-add still gets
 //! its §2.1 serialization-chain ticket exactly once. Every request then
 //! carries the folded-id list that cache reads ([`Message::tracked`]).
-//! Disabled (the default), none of this bookkeeping exists, and requests
-//! carry no list.
+//! Disabled (the default), requests carry no list and nothing is ever
+//! re-issued.
 //!
 //! # Footprint
 //!
 //! A machine holds one PNI per PE, so the per-PE record, [`PniCore`],
 //! keeps only what is its own: its id counter, its counters and the
-//! [`Ring`] that names its outstanding requests. The requests themselves
-//! live in the machine's one [`Outstanding`] slab, and the address
-//! translator is the machine's too: both are passed to the calls that
-//! read them. Copying every PNI of a machine is then one copy of the
-//! records and one of the slab, and a dead module's remap tables exist
-//! once, not once per PE. The retry protocol's state sits behind one box
-//! that a fault-free PNI never allocates. [`Pni`] is one interface with a
-//! translator and a slab of its own, for use outside a machine.
+//! [`Ring`] that names its outstanding requests. Each request is one
+//! [`Pending`] entry of the machine's one [`Outstanding`] slab, the only
+//! record of it between issue and reply: what a reply frees and hands back
+//! (the location and the issuer's tag) and what a retry re-issues (the
+//! access, its attempt and its deadline). The ring keeps them in issue
+//! order, which is id order. The address translator and the retry policy
+//! are the machine's too: both are passed to the calls that read them.
+//! Copying every PNI of a machine is then one copy of the records and one
+//! of the slab, and a dead module's remap tables exist once, not once per
+//! PE. [`Pni`] is one interface with a translator, a policy and a slab of
+//! its own, for use outside a machine.
 
 use std::sync::Arc;
 
 use ultra_faults::RetryPolicy;
 use ultra_mem::AddressHasher;
 use ultra_net::message::{Message, MsgId, MsgKind, Reply};
-use ultra_sim::heap::{map_bytes, vec_bytes};
 use ultra_sim::ring::{Ring, Rings};
-use ultra_sim::{Counter, Cycle, IdMap, MemAddr, PeId, Value};
+use ultra_sim::{Counter, Cycle, MemAddr, PeId, Value};
 
 /// Why the PNI refused to issue a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,15 +72,47 @@ impl std::fmt::Display for PniError {
 
 impl std::error::Error for PniError {}
 
-/// Every outstanding request of every PNI of a machine, with the physical
-/// location it references, one [`Ring`] per PNI. A PE keeps only a
-/// handful in flight, so a walk of its ring answers both "is this
-/// location busy" and "which location does this reply free".
-pub type Outstanding = Rings<(MsgId, MemAddr)>;
+/// What a PE asks its PNI to issue: an access to a virtual word, and the
+/// tag the reply hands back ([`PniCore::complete`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Access<T> {
+    /// Function indicator.
+    pub kind: MsgKind,
+    /// The virtual word.
+    pub vaddr: usize,
+    /// Store datum or fetch-and-phi operand.
+    pub value: Value,
+    /// The issuer's record of what the reply is for.
+    pub tag: T,
+}
+
+/// One outstanding request, from issue to reply.
+#[derive(Debug, Clone, Copy)]
+pub struct Pending<T> {
+    id: MsgId,
+    /// The physical word under the current translation.
+    addr: MemAddr,
+    /// The virtual word, so a retry re-translates after the translator
+    /// re-hashes around a newly dead module.
+    vaddr: usize,
+    kind: MsgKind,
+    value: Value,
+    attempt: u32,
+    /// When the current attempt is declared lost (under the retry
+    /// protocol).
+    deadline: Cycle,
+    tag: T,
+}
+
+/// Every outstanding request of every PNI of a machine, one [`Ring`] per
+/// PNI. A PE keeps only a handful in flight, so a walk of its ring answers
+/// both "is this location busy" and "which request does this reply
+/// answer".
+pub type Outstanding<T = ()> = Rings<Pending<T>>;
 
 /// One PE's network interface, as a machine keeps it: everything but its
-/// translator and the slab its outstanding requests sit in (see the
-/// module docs).
+/// translator, its retry policy and the slab its outstanding requests sit
+/// in (see the module docs).
 #[derive(Debug, Clone)]
 pub struct PniCore {
     pe: PeId,
@@ -86,32 +120,6 @@ pub struct PniCore {
     outstanding: Ring,
     next_id: u64,
     stats: PniStats,
-    /// The recovery protocol's state, if enabled.
-    retry: Option<Box<Retry>>,
-}
-
-/// The retry protocol's state: the policy and what re-issuing needs.
-#[derive(Debug, Clone)]
-struct Retry {
-    policy: RetryPolicy,
-    /// Everything needed to re-issue each outstanding request.
-    pending: IdMap<MsgId, PendingRequest>,
-    /// Reused between [`PniCore::due_retries`] calls so the per-cycle
-    /// timeout sweep allocates nothing in the common empty case.
-    due_scratch: Vec<MsgId>,
-}
-
-/// Book-keeping for one outstanding request under the retry protocol.
-#[derive(Debug, Clone)]
-struct PendingRequest {
-    kind: MsgKind,
-    /// Virtual address, when known — lets a retry re-translate after the
-    /// hasher re-hashes around a newly dead module.
-    vaddr: Option<usize>,
-    addr: MemAddr,
-    value: Value,
-    attempt: u32,
-    deadline: Cycle,
 }
 
 /// PNI instrumentation.
@@ -141,112 +149,53 @@ impl PniCore {
             // and 2^44 requests each.
             next_id: ((pe.0 as u64) << 44) + 1,
             stats: PniStats::default(),
-            retry: None,
         }
-    }
-
-    /// Heap bytes this interface owns: its retry state. Its outstanding
-    /// requests are the slab's.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.retry.as_ref().map_or(0, |r| {
-            std::mem::size_of::<Retry>() + map_bytes(&r.pending) + vec_bytes(&r.due_scratch)
-        })
-    }
-
-    /// Enables the timeout/retry recovery protocol.
-    pub fn enable_retry(&mut self, policy: RetryPolicy) {
-        self.retry = Some(Box::new(Retry {
-            policy,
-            pending: IdMap::default(),
-            due_scratch: Vec::new(),
-        }));
     }
 
     /// Re-keys the outstanding references under `hasher` — the machine
     /// calls this on every PNI when a module dies mid-run and translation
     /// re-hashes around it — so their retries reach the adoptive module.
-    /// Without the retry protocol there is nothing to re-key.
-    pub fn rekey(&mut self, hasher: &AddressHasher, slab: &mut Outstanding) {
-        let Some(retry) = self.retry.as_deref_mut() else {
-            return;
-        };
-        if retry.pending.is_empty() {
-            return;
-        }
-        for state in retry.pending.values_mut() {
-            if let Some(v) = state.vaddr {
-                state.addr = hasher.translate(v);
+    pub fn rekey<T>(&mut self, hasher: &AddressHasher, slab: &mut Outstanding<T>) {
+        slab.for_each_mut(self.outstanding, |p| p.addr = hasher.translate(p.vaddr));
+    }
+
+    /// Re-issues each request whose deadline has passed under its
+    /// original id, with an incremented attempt counter and a deadline
+    /// backed off by `policy`, handing it to `out`. Timed-out requests go
+    /// out in id order.
+    pub fn due_retries<T>(
+        &mut self,
+        policy: RetryPolicy,
+        slab: &mut Outstanding<T>,
+        now: Cycle,
+        mut out: impl FnMut(Message),
+    ) {
+        let (pe, retries) = (self.pe, &mut self.stats.retries);
+        slab.for_each_mut(self.outstanding, |p| {
+            if p.deadline > now {
+                return;
             }
-        }
-        // Rebuilt in id order, so the ring does not depend on the retry
-        // table's iteration order.
-        slab.clear(&mut self.outstanding);
-        let mut entries: Vec<(MsgId, MemAddr)> =
-            retry.pending.iter().map(|(&id, s)| (id, s.addr)).collect();
-        entries.sort_unstable_by_key(|&(id, _)| id);
-        for entry in entries {
-            slab.push_back(&mut self.outstanding, entry);
-        }
+            p.attempt += 1;
+            p.deadline = policy.deadline(now, p.attempt);
+            retries.incr();
+            out(Message::request(p.id, p.kind, p.addr, p.value, pe, now).as_retry(p.attempt, now));
+        });
     }
 
-    /// Collects the requests whose deadline has passed and re-issues each
-    /// under its original id with an incremented attempt counter and a
-    /// backed-off deadline, handing them to `out`. Hands over nothing
-    /// unless the retry protocol is enabled. Deterministic: timed-out
-    /// requests go out in id order. The common case (nothing timed out)
-    /// touches no heap at all.
-    pub fn due_retries(&mut self, now: Cycle, mut out: impl FnMut(Message)) {
-        let Some(retry) = self.retry.as_deref_mut() else {
-            return;
-        };
-        if retry.pending.is_empty() {
-            return;
-        }
-        retry.due_scratch.clear();
-        retry.due_scratch.extend(
-            (retry.pending.iter())
-                .filter(|(_, s)| s.deadline <= now)
-                .map(|(&id, _)| id),
-        );
-        retry.due_scratch.sort_unstable();
-        for &id in &retry.due_scratch {
-            let state = retry.pending.get_mut(&id).expect("collected above");
-            state.attempt += 1;
-            state.deadline = retry.policy.deadline(now, state.attempt);
-            self.stats.retries.incr();
-            out(
-                Message::request(id, state.kind, state.addr, state.value, self.pe, now)
-                    .as_retry(state.attempt, now),
-            );
-        }
-    }
-
-    /// The earliest deadline among outstanding requests under the retry
-    /// protocol — the next cycle at which [`PniCore::due_retries`] could
-    /// produce anything. `None` when nothing is outstanding (or the retry
-    /// protocol is disabled). The idle fast-forward uses this to bound its
-    /// jump.
+    /// The earliest deadline among the outstanding requests — under the
+    /// retry protocol, the next cycle at which [`PniCore::due_retries`]
+    /// could produce anything. `None` when nothing is outstanding. The
+    /// idle fast-forward uses this to bound its jump.
     #[must_use]
-    pub fn next_retry_deadline(&self) -> Option<Cycle> {
-        let retry = self.retry.as_deref()?;
-        retry.pending.values().map(|s| s.deadline).min()
+    pub fn next_retry_deadline<T>(&self, slab: &Outstanding<T>) -> Option<Cycle> {
+        slab.iter(self.outstanding).map(|p| p.deadline).min()
     }
 
-    /// Forgets every outstanding request and returns their ids — the
-    /// machine calls this when it fail-stops (deconfigures) this PE, so
-    /// late replies for its traffic are recognized as orphans rather
-    /// than retried forever.
-    pub fn abandon_all(&mut self, slab: &mut Outstanding) -> Vec<MsgId> {
-        let mut ids = Vec::with_capacity(self.outstanding.len());
-        while let Some((id, _)) = slab.pop_front(&mut self.outstanding) {
-            ids.push(id);
-        }
-        ids.sort_unstable();
-        if let Some(retry) = self.retry.as_deref_mut() {
-            retry.pending.clear();
-        }
-        ids
+    /// Forgets every outstanding request — the machine calls this when it
+    /// fail-stops (deconfigures) this PE, so late replies for its traffic
+    /// are recognized as orphans rather than retried forever.
+    pub fn abandon_all<T>(&mut self, slab: &mut Outstanding<T>) {
+        slab.clear(&mut self.outstanding);
     }
 
     /// The PE this interface serves.
@@ -261,22 +210,29 @@ impl PniCore {
         &self.stats
     }
 
-    /// Builds a network request for virtual word `vaddr`, translated by
-    /// `hasher`, enforcing the pipeline policy.
+    /// Builds a network request for `access`, translated by `hasher`,
+    /// enforcing the pipeline policy, and records it in `slab`. Under a
+    /// retry `policy` the request gets a deadline and carries the
+    /// folded-id list the modules' dedup cache reads.
     ///
     /// # Errors
     ///
     /// [`PniError::LocationBusy`] if a reference to the same location is
     /// already outstanding.
-    pub fn issue(
+    pub fn issue<T>(
         &mut self,
         hasher: &AddressHasher,
-        slab: &mut Outstanding,
-        kind: MsgKind,
-        vaddr: usize,
-        value: Value,
+        policy: Option<RetryPolicy>,
+        slab: &mut Outstanding<T>,
+        access: Access<T>,
         now: Cycle,
     ) -> Result<Message, PniError> {
+        let Access {
+            kind,
+            vaddr,
+            value,
+            tag,
+        } = access;
         let addr = hasher.translate(vaddr);
         if self.references(slab, addr) {
             self.stats.location_conflicts.incr();
@@ -284,41 +240,30 @@ impl PniCore {
         }
         let id = MsgId(self.next_id);
         self.next_id += 1;
-        slab.push_back(&mut self.outstanding, (id, addr));
+        let pending = Pending {
+            id,
+            addr,
+            vaddr,
+            kind,
+            value,
+            attempt: 0,
+            deadline: policy.map_or(Cycle::MAX, |p| p.deadline(now, 0)),
+            tag,
+        };
+        slab.push_back(&mut self.outstanding, pending);
         self.stats.issued.incr();
         self.stats.max_outstanding = self.stats.max_outstanding.max(self.outstanding.len());
         let msg = Message::request(id, kind, addr, value, self.pe, now);
-        if let Some(retry) = self.retry.as_deref_mut() {
-            let policy = retry.policy;
-            retry.pending.insert(
-                id,
-                PendingRequest {
-                    kind,
-                    vaddr: Some(vaddr),
-                    addr,
-                    value,
-                    attempt: 0,
-                    deadline: policy.deadline(now, 0),
-                },
-            );
-            // The MMs' dedup cache reads the folded-id list.
-            return Ok(msg.tracked());
-        }
-        Ok(msg)
+        Ok(if policy.is_some() { msg.tracked() } else { msg })
     }
 
     /// Records the arrival of `reply`, freeing its location for new
-    /// references. Returns `true` if the reply matched an outstanding
-    /// request of this PE.
-    pub fn complete(&mut self, slab: &mut Outstanding, reply: &Reply) -> bool {
-        if (slab.remove_first(&mut self.outstanding, |&(id, _)| id == reply.id)).is_none() {
-            return false;
-        }
-        if let Some(retry) = self.retry.as_deref_mut() {
-            retry.pending.remove(&reply.id);
-        }
+    /// references. Returns the tag of the request it answers, or `None`
+    /// when no request of this PE waits for it: a duplicate answer.
+    pub fn complete<T>(&mut self, slab: &mut Outstanding<T>, reply: &Reply) -> Option<T> {
+        let pending = slab.remove_first(&mut self.outstanding, |p| p.id == reply.id)?;
         self.stats.completed.incr();
-        true
+        Some(pending.tag)
     }
 
     /// Number of requests awaiting replies.
@@ -328,13 +273,13 @@ impl PniCore {
     }
 
     /// Whether a request to physical location `addr` is outstanding.
-    fn references(&self, slab: &Outstanding, addr: MemAddr) -> bool {
-        slab.iter(self.outstanding).any(|&(_, held)| held == addr)
+    fn references<T>(&self, slab: &Outstanding<T>, addr: MemAddr) -> bool {
+        slab.iter(self.outstanding).any(|p| p.addr == addr)
     }
 }
 
-/// One network interface with a translator and an outstanding slab of its
-/// own: a [`PniCore`] outside a machine.
+/// One network interface with a translator, a retry policy and an
+/// outstanding slab of its own: a [`PniCore`] outside a machine.
 ///
 /// # Example
 ///
@@ -356,6 +301,7 @@ impl PniCore {
 pub struct Pni {
     core: PniCore,
     hasher: Arc<AddressHasher>,
+    retry: Option<RetryPolicy>,
     slab: Outstanding,
 }
 
@@ -366,20 +312,22 @@ impl Pni {
         Self {
             core: PniCore::new(pe),
             hasher: hasher.into(),
+            retry: None,
             slab: Outstanding::default(),
         }
     }
 
-    /// Heap bytes this interface owns: its outstanding slab and its retry
-    /// state. The translator is shared, not owned.
+    /// Heap bytes this interface owns: its outstanding slab. The
+    /// translator is shared, not owned.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.slab.heap_bytes() + self.core.heap_bytes()
+        self.slab.heap_bytes()
     }
 
-    /// Enables the timeout/retry recovery protocol.
+    /// Enables the timeout/retry recovery protocol for requests issued
+    /// from now on.
     pub fn enable_retry(&mut self, policy: RetryPolicy) {
-        self.core.enable_retry(policy);
+        self.retry = Some(policy);
     }
 
     /// Replaces the translation function and re-keys the outstanding
@@ -390,26 +338,17 @@ impl Pni {
     }
 
     /// Appends the timed-out requests, re-issued, to `out` (see
-    /// [`PniCore::due_retries`]).
+    /// [`PniCore::due_retries`]); nothing unless the retry protocol is
+    /// enabled.
     pub fn due_retries_into(&mut self, now: Cycle, out: &mut impl Extend<Message>) {
-        self.core.due_retries(now, |msg| out.extend([msg]));
-    }
-
-    /// See [`PniCore::next_retry_deadline`].
-    #[must_use]
-    pub fn next_retry_deadline(&self) -> Option<Cycle> {
-        self.core.next_retry_deadline()
+        if let Some(policy) = self.retry {
+            (self.core).due_retries(policy, &mut self.slab, now, |msg| out.extend([msg]));
+        }
     }
 
     /// See [`PniCore::abandon_all`].
-    pub fn abandon_all(&mut self) -> Vec<MsgId> {
-        self.core.abandon_all(&mut self.slab)
-    }
-
-    /// The PE this interface serves.
-    #[must_use]
-    pub fn pe(&self) -> PeId {
-        self.core.pe()
+    pub fn abandon_all(&mut self) {
+        self.core.abandon_all(&mut self.slab);
     }
 
     /// Accumulated statistics.
@@ -437,12 +376,19 @@ impl Pni {
         value: Value,
         now: Cycle,
     ) -> Result<Message, PniError> {
-        (self.core).issue(&self.hasher, &mut self.slab, kind, vaddr, value, now)
+        let access = Access {
+            kind,
+            vaddr,
+            value,
+            tag: (),
+        };
+        (self.core).issue(&self.hasher, self.retry, &mut self.slab, access, now)
     }
 
-    /// See [`PniCore::complete`].
+    /// Records the arrival of `reply`; returns whether it answered an
+    /// outstanding request (see [`PniCore::complete`]).
     pub fn complete(&mut self, reply: &Reply) -> bool {
-        self.core.complete(&mut self.slab, reply)
+        self.core.complete(&mut self.slab, reply).is_some()
     }
 
     /// Number of requests awaiting replies.
@@ -528,6 +474,7 @@ mod tests {
             request_issued_at: 0,
             mm_injected_at: 0,
             attempt: 0,
+            copy: 0,
         };
         assert!(!p.complete(&foreign));
     }
@@ -671,7 +618,9 @@ mod tests {
             .iter()
             .map(|&v| (msgs[v].id, degraded.translate(v)))
             .collect();
-        let held: Vec<(MsgId, MemAddr)> = p.slab.iter(p.core.outstanding).copied().collect();
+        let held: Vec<(MsgId, MemAddr)> = (p.slab.iter(p.core.outstanding))
+            .map(|p| (p.id, p.addr))
+            .collect();
         assert_eq!(held, expect);
         assert_eq!(idle.outstanding(), 0);
     }
@@ -687,9 +636,11 @@ mod tests {
             .map(|v| p.issue(MsgKind::Load, v, 0, 0).unwrap())
             .collect();
         p.complete(&Reply::to_request(&msgs[1], 0));
-        let ids = p.abandon_all();
-        assert_eq!(ids, [msgs[0].id, msgs[2].id, msgs[3].id, msgs[4].id]);
+        let held: Vec<MsgId> = p.slab.iter(p.core.outstanding).map(|p| p.id).collect();
+        assert_eq!(held, [msgs[0].id, msgs[2].id, msgs[3].id, msgs[4].id]);
+        p.abandon_all();
         assert_eq!(p.outstanding(), 0);
+        assert!(p.slab.is_empty(), "every entry is freed");
         assert!(!p.is_location_busy(0));
         assert!(due(&mut p, 1_000).is_empty(), "no retry survives");
         assert!(!p.complete(&Reply::to_request(&msgs[0], 0)));
@@ -698,34 +649,37 @@ mod tests {
     #[test]
     fn heap_bytes_counts_the_outstanding_list() {
         let mut p = pni();
-        let base = p.heap_bytes();
-        for v in 0..9 {
-            let _ = p.issue(MsgKind::Load, v, 0, 0).unwrap();
-        }
-        let entry = std::mem::size_of::<(MsgId, MemAddr)>();
-        assert!(p.slab.heap_bytes() >= 9 * entry);
-        assert_eq!(p.heap_bytes(), base + p.slab.heap_bytes());
-    }
-
-    /// A machine holds one PNI per PE: a field added here must not
-    /// silently re-inflate the per-PE cost.
-    #[test]
-    fn a_pni_stays_small() {
-        assert!(
-            std::mem::size_of::<PniCore>() <= 72,
-            "PniCore is {} bytes",
-            std::mem::size_of::<PniCore>()
-        );
-        let mut p = pni();
-        assert!(
-            p.core.retry.is_none(),
-            "a fault-free PNI holds no retry state"
-        );
         p.enable_retry(RetryPolicy {
             base_timeout: 8,
             backoff_cap: 3,
         });
-        assert_eq!(p.heap_bytes(), std::mem::size_of::<Retry>());
+        assert_eq!(p.heap_bytes(), 0, "the retry protocol costs no heap");
+        for v in 0..9 {
+            let _ = p.issue(MsgKind::Load, v, 0, 0).unwrap();
+        }
+        let entry = std::mem::size_of::<Pending<()>>();
+        assert!(p.slab.heap_bytes() >= 9 * entry);
+        assert_eq!(p.heap_bytes(), p.slab.heap_bytes());
+    }
+
+    /// A machine holds one PNI per PE: a field added here must not
+    /// silently re-inflate the per-PE cost. Its outstanding requests, and
+    /// all their retry state, are the slab's.
+    #[test]
+    fn a_pni_stays_small() {
+        assert!(
+            std::mem::size_of::<PniCore>() <= 64,
+            "PniCore is {} bytes",
+            std::mem::size_of::<PniCore>()
+        );
+        let mut plain = pni();
+        let mut p = pni();
+        p.enable_retry(RetryPolicy::for_depth(3));
+        for v in 0..4 {
+            let _ = plain.issue(MsgKind::Load, v, 0, 0).unwrap();
+            let _ = p.issue(MsgKind::Load, v, 0, 0).unwrap();
+        }
+        assert_eq!(p.heap_bytes(), plain.heap_bytes(), "no per-PNI retry state");
     }
 
     #[test]

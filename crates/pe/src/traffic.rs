@@ -140,12 +140,6 @@ impl HotspotTraffic {
             rng: SplitMix64::new(seed ^ 0xdead_beef),
         }
     }
-
-    /// The shared hot word.
-    #[must_use]
-    pub fn hot_addr(&self) -> MemAddr {
-        self.hot_addr
-    }
 }
 
 impl TrafficPattern for HotspotTraffic {

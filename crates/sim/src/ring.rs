@@ -78,6 +78,8 @@ struct Slot<T> {
 pub struct Rings<T> {
     slots: KeptVec<Slot<T>>,
     free: u32,
+    /// Items held, over every ring.
+    items: usize,
 }
 
 impl<T> Default for Rings<T> {
@@ -85,6 +87,7 @@ impl<T> Default for Rings<T> {
         Self {
             slots: KeptVec::default(),
             free: NIL,
+            items: 0,
         }
     }
 }
@@ -96,8 +99,21 @@ impl<T> Rings<T> {
         vec_bytes(&self.slots)
     }
 
+    /// Items held, over every ring.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.items
+    }
+
+    /// Whether no ring holds an item.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.items == 0
+    }
+
     /// Stores `item` in a free slot and names it.
     fn alloc(&mut self, item: T) -> u32 {
+        self.items += 1;
         let slot = Slot {
             next: NIL,
             item: Some(item),
@@ -121,6 +137,7 @@ impl<T> Rings<T> {
 
     /// Takes the item out of slot `i` and frees the slot.
     fn release(&mut self, i: u32) -> T {
+        self.items -= 1;
         let slot = &mut self.slots[i as usize];
         slot.next = self.free;
         self.free = i;
@@ -217,6 +234,18 @@ impl<T> Rings<T> {
         while self.pop_front(ring).is_some() {}
     }
 
+    /// Calls `f` on each item of `ring`, head first.
+    pub fn for_each_mut(&mut self, ring: Ring, mut f: impl FnMut(&mut T)) {
+        let mut at = ring.tail;
+        for _ in 0..ring.len {
+            at = self.slots[at as usize].next;
+            f(self.slots[at as usize]
+                .item
+                .as_mut()
+                .expect("a ring slot holds an item"));
+        }
+    }
+
     /// The items of `ring`, head first.
     pub fn iter(&self, ring: Ring) -> impl Iterator<Item = &T> + '_ {
         let mut at = match ring.tail {
@@ -269,6 +298,11 @@ mod tests {
         assert_eq!(slab.remove_first(&mut a, |_| true), Some(5), "the last one");
         assert_eq!((a, slab.pop_front(&mut a)), (Ring::default(), None));
         assert_eq!(items(&slab, b), [0, 1, 2, 3, 4, 5]);
+        slab.for_each_mut(b, |v| *v *= 10);
+        assert_eq!(items(&slab, b), [0, 10, 20, 30, 40, 50]);
+        assert!(!slab.is_empty());
+        slab.clear(&mut b);
+        assert!(slab.is_empty(), "no ring holds anything");
     }
 
     #[test]
