@@ -4,7 +4,7 @@
 //! shards, banks and network copies — from whole-run effects (program
 //! completion, drain tails). `machine_step` steps an N = 256 machine
 //! whose ticket traffic is in full flight, so the pooled buffers
-//! (`NetworkEvents`, PNI retry scratch, delivery staging) are warm and
+//! (`NetworkEvents`, delivery staging) are warm and
 //! the path is allocation-free. `merge_phase` steps a mostly-halted
 //! N = 1024 machine (16 live shards, fast-forward off), so the row
 //! prices the ready-set bookkeeping around the live work — the member

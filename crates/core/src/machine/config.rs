@@ -111,9 +111,9 @@ impl MachineBuilder {
     }
 
     /// Runs the machine under `plan`: static faults are applied before
-    /// cycle 0, scheduled ones fire at their exact cycles. Unless the plan
-    /// carries an explicit [`ultra_faults::RetryPolicy`], any unhealthy plan enables the
-    /// PNI retry protocol with a depth-derived default.
+    /// cycle 0, scheduled ones fire at their exact cycles. Every loss a
+    /// fault makes is reported, and the lost request sent again (see
+    /// [`ultra_faults`]'s loss model).
     #[must_use]
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.cfg.faults = plan;

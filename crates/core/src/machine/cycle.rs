@@ -6,7 +6,7 @@ use std::cmp::Reverse;
 use std::time::Instant;
 
 use ultra_mem::Offer;
-use ultra_net::message::{MsgKind, Reply};
+use ultra_net::message::{MsgKind, Reply, ReplyKind};
 use ultra_obs::{EnginePhase, PhaseSpan};
 use ultra_pe::pni::{Access, PniError};
 use ultra_sim::active::Walk;
@@ -106,7 +106,7 @@ impl Machine {
         let now = self.now;
         let fired = self.fault_clock.due(now);
         if !fired.is_empty() {
-            // A fault may halt contexts or re-key PNIs: every parked
+            // A fault may halt contexts or move words: every parked
             // shard is settled and re-examined (`runnable = live`). That
             // leaves every calendar entry stale, so `wake_due` below
             // empties the calendar: a PE the fault fail-stops keeps none.
@@ -127,7 +127,6 @@ impl Machine {
             self.record_phase_span(now, EnginePhase::Flush, t0, dur);
         }
         self.backend_cycle(now);
-        self.queue_due_retries(now);
         self.release_barrier_if_complete();
         self.wake_due(now);
         let t0 = timed.then(Instant::now);
@@ -168,7 +167,6 @@ impl Machine {
             code: &self.code,
             programs: &self.recipe.programs,
             hasher: &self.hasher,
-            retry: self.retry,
             k,
             vpes: self.cfg.net.pes * k,
         };
@@ -193,9 +191,6 @@ impl Machine {
             shard.datapath_cycle(ctxs, frames, cx, &mut sinks);
             if !shard.outgoing.is_empty() {
                 self.outgoing.insert(i);
-                if self.retry.is_some() {
-                    self.retrying.insert(i);
-                }
             }
             let all_halted = *sinks.halted_count != halted_before
                 && ctxs.iter().all(|ctx| ctx.state == CtxState::Halted);
@@ -254,8 +249,7 @@ impl Machine {
     /// wake calendar (every entry names a live shard and is not overdue;
     /// a parked shard with a context asleep on the clock has exactly one
     /// live entry, at its earliest wake, and an event-parked one none),
-    /// the retry walk's set (it holds every shard with requests
-    /// outstanding under retries), the outstanding slab (it holds exactly
+    /// the outstanding slab (it holds exactly
     /// the requests the PNIs' rings name), each network copy's wait table
     /// (its per-switch counts sum to its size, none over
     /// `wait_entries`), and each copy's request conservation
@@ -297,9 +291,6 @@ impl Machine {
                 };
                 assert_eq!(filed.get(&i).copied(), wake, "shard {i}: calendar entry");
             }
-            if self.retry.is_some() && shard.pni.outstanding() > 0 {
-                assert!(self.retrying.contains(i), "shard {i}: retries unwalked");
-            }
         }
         let named: usize = self.shards.iter().map(|s| s.pni.outstanding()).sum();
         assert_eq!(self.outstanding.len(), named, "outstanding slab");
@@ -324,7 +315,9 @@ impl Machine {
     /// Flushes one shard's queue until empty or backpressured. Each
     /// message is offered by value; a refused one goes back to the head.
     fn flush_shard_outgoing(&mut self, pe: usize, now: Cycle) {
-        while let Some(msg) = self.outbound.pop_front(&mut self.shards[pe].outgoing) {
+        let shard = &mut self.shards[pe];
+        while let Some(msg) = self.outbound.pop_front(&mut shard.outgoing) {
+            let id = msg.id;
             match &mut self.backend {
                 BackendImpl::Ideal {
                     latency, pending, ..
@@ -335,14 +328,20 @@ impl Machine {
                 BackendImpl::Network(fabric) => match fabric.offer(msg, now) {
                     Offer::Injected => {}
                     Offer::Refused(refused) => {
-                        // Backpressure; retry next cycle.
-                        (self.outbound).push_front(&mut self.shards[pe].outgoing, refused);
+                        // Backpressure; offer it again next cycle.
+                        self.outbound.push_front(&mut shard.outgoing, refused);
                         break;
                     }
-                    // Abandoned rather than wedging this PE's queue; the
-                    // PNI timeout re-issues it under whatever translation
-                    // the degraded hash uses by then.
-                    Offer::Unroutable => self.unroutable += 1,
+                    // No live copy routes it: re-issued under the degraded
+                    // hash, and offered again next cycle.
+                    Offer::Unroutable => {
+                        self.unroutable += 1;
+                        let again = shard.pni.reissue(&self.hasher, &self.outstanding, id, now);
+                        if let Some(again) = again {
+                            self.outbound.push_back(&mut shard.outgoing, again);
+                        }
+                        break;
+                    }
                 },
             }
         }
@@ -401,7 +400,8 @@ impl Machine {
                 }
                 let t0 = timed.then(Instant::now);
                 fabric.advance(now, &mut deliveries, |dropped| {
-                    // DropOnConflict: the PE must re-offer the request.
+                    // A DropOnConflict kill or a lossy link: the PE must
+                    // re-offer the request.
                     let pe = dropped.src.0;
                     self.outgoing.insert(pe);
                     (self.outbound).push_back(&mut self.shards[pe].outgoing, dropped);
@@ -425,11 +425,22 @@ impl Machine {
 
     fn deliver_reply(&mut self, reply: &Reply, now: Cycle) {
         let phys = reply.dst.0;
-        let Some(tag) = self.shards[phys].pni.complete(&mut self.outstanding, reply) else {
-            // The retry protocol makes duplicate answers legal: a timed-out
-            // request and its retry can both be served (the MM dedup cache
-            // keeps the *effect* exactly-once). The first answer completed
-            // the request; later ones are discarded here.
+        let shard = &mut self.shards[phys];
+        if reply.kind == ReplyKind::Nack {
+            // A dead module refused the request: its PNI re-issues it
+            // under the translation that re-hashes around the module.
+            match (shard.pni).reissue(&self.hasher, &self.outstanding, reply.id, now) {
+                Some(again) => {
+                    self.outbound.push_back(&mut shard.outgoing, again);
+                    self.outgoing.insert(phys);
+                }
+                None => self.duplicate_replies += 1,
+            }
+            return;
+        }
+        let Some(tag) = shard.pni.complete(&mut self.outstanding, reply) else {
+            // Nothing waits for it: a late reply to a request its PE
+            // abandoned when it was fail-stopped.
             self.duplicate_replies += 1;
             return;
         };
@@ -513,7 +524,7 @@ impl PeShard {
                 purpose,
             },
         };
-        match (self.pni).issue(cx.hasher, cx.retry, sinks.outstanding, access, cx.now) {
+        match (self.pni).issue(cx.hasher, sinks.outstanding, access, cx.now) {
             Ok(msg) => {
                 if let Some(dst) = spec.dst {
                     ctx.thread.lock(dst);

@@ -1,10 +1,9 @@
 //! Applying fired faults to the live machine and the degraded-mode
-//! reconfiguration that follows (route loss, dead modules, retries).
+//! reconfiguration that follows (route loss, dead modules).
 
 use std::sync::Arc;
 
 use ultra_faults::Fault;
-use ultra_sim::active::Walk;
 use ultra_sim::{Cycle, MmId, PeId};
 
 use super::{BackendImpl, CtxState, Machine};
@@ -105,9 +104,9 @@ impl Machine {
         self.runnable.remove(pe);
     }
 
-    /// Kills module `mm` mid-run: its contents are lost, queued requests
-    /// are discarded (PNI timeouts recover them), and translation
-    /// re-hashes around the cumulative dead set on every PNI.
+    /// Kills module `mm` mid-run: its contents are lost, what it holds is
+    /// answered with NACKs (its PEs re-issue them), and translation
+    /// re-hashes around the cumulative dead set.
     fn kill_mm(&mut self, mm: MmId) {
         // The last survivor never dies: degraded-mode absorption may
         // already have folded every other module into the dead set.
@@ -116,37 +115,10 @@ impl Machine {
         }
         self.dead_mms.push(mm);
         // Every fork shares the old translator: the new one is built once,
-        // and every PNI re-keys its outstanding requests under it.
+        // and every PNI re-issues under it.
         Arc::make_mut(&mut self.hasher).set_dead_mms(&self.dead_mms);
         if let BackendImpl::Network(fabric) = &mut self.backend {
             fabric.kill_bank(mm);
-        }
-        for shard in &mut self.shards {
-            shard.pni.rekey(&self.hasher, &mut self.outstanding);
-        }
-    }
-
-    /// Re-issues timed-out requests (retry protocol; skipped wholesale
-    /// when the fault plan never enabled retries), walking the shards
-    /// that may hold one in ascending order; a shard with nothing left
-    /// outstanding leaves the walk's set.
-    pub(super) fn queue_due_retries(&mut self, now: Cycle) {
-        let Some(policy) = self.retry else {
-            return;
-        };
-        let mut walk = Walk::default();
-        while let Some(pe) = walk.next(&self.retrying) {
-            let shard = &mut self.shards[pe];
-            let (slab, outbound) = (&mut self.outstanding, &mut self.outbound);
-            (shard.pni).due_retries(policy, slab, now, |msg| {
-                outbound.push_back(&mut shard.outgoing, msg);
-            });
-            if !shard.outgoing.is_empty() {
-                self.outgoing.insert(pe);
-            }
-            if shard.pni.outstanding() == 0 {
-                self.retrying.remove(pe);
-            }
         }
     }
 }

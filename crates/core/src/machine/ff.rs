@@ -10,9 +10,9 @@ impl Machine {
     /// Skips a stretch of cycles during which the machine provably does
     /// nothing but tick: all traffic drained, every context parked on a
     /// wait only a *scheduled* future event can resolve. Jumps straight
-    /// to the earliest such event — a fault firing, a PNI retry
-    /// deadline, an ideal-backend completion, a datapath release, or the
-    /// wake calendar's head — bulk-charging idle statistics exactly as
+    /// to the earliest such event — a fault firing, an ideal-backend
+    /// completion, a datapath release, or the wake calendar's head —
+    /// bulk-charging idle statistics exactly as
     /// per-cycle stepping would. Runs are bit-identical with this on or
     /// off.
     pub(super) fn fast_forward_idle(&mut self) {
@@ -45,17 +45,6 @@ impl Machine {
         }
         if let Some(at) = self.next_timed_wake() {
             next = min_event(next, at);
-        }
-        // With retries enabled every shard that may hold a pending retry
-        // is asked for its deadline: a parked or even fully-halted shard
-        // can hold one (a store issued just before the context halted,
-        // then lost to a faulty link), and missing it would wedge the run.
-        if self.retry.is_some() {
-            for i in self.retrying.iter() {
-                if let Some(deadline) = self.shards[i].pni.next_retry_deadline(&self.outstanding) {
-                    next = min_event(next, deadline);
-                }
-            }
         }
         if let Some(due) = self.fault_clock.next_due() {
             next = min_event(next, due);

@@ -40,7 +40,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ultra_faults::{FaultClock, RetryPolicy};
+use ultra_faults::FaultClock;
 use ultra_mem::{AddressHasher, Fabric};
 use ultra_net::config::SweepMode;
 use ultra_net::message::{Message, Reply};
@@ -49,7 +49,6 @@ use ultra_obs::{CounterSnapshot, GaugeSnapshot, HeatmapSnapshot, PhaseRecorder, 
 use ultra_pe::pni::{Outstanding, PniCore};
 use ultra_pe::stats::{ContextStats, PeStats};
 use ultra_sim::heap::{vec_bytes, KeptVec};
-use ultra_sim::ids::digits;
 use ultra_sim::ring::{Ring, Rings};
 use ultra_sim::wire::WireWriter;
 use ultra_sim::{ActiveSet, Cycle, HistogramColumn, MmId, PeId, Value};
@@ -127,23 +126,30 @@ pub struct FaultSummary {
     pub refusals: u64,
     /// Requests accepted by a later copy after an earlier copy refused.
     pub failovers: u64,
-    /// Requests swallowed by lossy links.
+    /// Requests lost on lossy links (each handed back to its PE).
     pub dropped: u64,
-    /// Timed-out requests re-issued by the PNIs.
+    /// Requests sent again after a reported loss: each one a lossy link
+    /// dropped, and each one a PNI re-issued after a NACK or an
+    /// unroutable offer.
     pub retries: u64,
-    /// Redundant replies discarded at the PEs.
+    /// Replies that answered no outstanding request, discarded at the PEs
+    /// (late replies to a fail-stopped PE).
     pub duplicate_replies: u64,
-    /// Duplicate requests answered from the MM dedup cache.
+    /// Retired: always zero, since no module keeps a cache of served
+    /// requests. It stays only because `MachineReport::parity_string`
+    /// prints this struct's `Debug` form and the benchmark's recorded
+    /// digests hash that string; it goes with the next change to those
+    /// digests.
     pub dedup_hits: u64,
-    /// Duplicate requests swallowed at the MMs (the original's reply was
-    /// still en route).
+    /// Retired: always zero, kept for the parity digest (see
+    /// `dedup_hits`).
     pub dedup_swallowed: u64,
-    /// Requests discarded unserved by dead MMs.
+    /// Requests and replies dead MMs refused with a NACK.
     pub dead_discards: u64,
     /// Wait-buffer slots lost to stuck entries.
     pub stuck_wait_entries: u64,
-    /// Outbound requests abandoned because no live copy had a route
-    /// (recovered by retry under the re-hashed translation).
+    /// Outbound offers no live copy had a route for (each re-issued under
+    /// the re-hashed translation).
     pub unroutable: u64,
     /// Physical PEs fail-stopped because the degraded network left them
     /// no route to any module.
@@ -313,7 +319,6 @@ struct CycleCtx<'a> {
     /// The recipe's program runs, whose parameters the contexts read.
     programs: &'a [(usize, Program)],
     hasher: &'a AddressHasher,
-    retry: Option<RetryPolicy>,
     /// Contexts per PE.
     k: usize,
     vpes: usize,
@@ -368,9 +373,9 @@ pub struct Machine {
     fault_clock: FaultClock,
     /// Modules currently dead (static + fired), for cumulative re-hashing.
     dead_mms: Vec<MmId>,
-    /// Redundant replies (retry answered alongside the original).
+    /// Replies that answered no outstanding request.
     duplicate_replies: u64,
-    /// Outbound requests abandoned because every copy refused the route.
+    /// Outbound offers every copy refused the route for.
     unroutable: u64,
     /// Physical PEs fail-stopped because no live copy routes them to
     /// any module.
@@ -402,16 +407,6 @@ pub struct Machine {
     /// earlier by an event leaves its entry behind, stale (its park is
     /// over), and the entry is dropped when it reaches the head.
     wakes: BinaryHeap<Wake>,
-    /// The PNI retry protocol's policy, if it is on (derived once from
-    /// the fault plan; never changes mid-run). With retries off, whole
-    /// phases — the retry queue walk, the fast-forward deadline scan —
-    /// vanish.
-    retry: Option<RetryPolicy>,
-    /// With retries on, a superset of the shards whose PNI holds pending
-    /// retries: joined when a shard issues, left once the retry walk finds
-    /// nothing outstanding. Sized only when retries are on, so a healthy
-    /// build allocates nothing for it.
-    retrying: ActiveSet,
     /// Cycle-windowed telemetry recorder (off by default; see
     /// [`Machine::enable_telemetry`]). Sampling only reads simulation
     /// state, so the recorder never perturbs a run.
@@ -445,7 +440,6 @@ impl Machine {
         let static_dead = plan.dead_mms();
         hasher.set_dead_mms(&static_dead);
         let hasher = Arc::new(hasher);
-        let retry = Self::retry_policy_for(&cfg);
         let code = Code::compile(recipe.programs.iter().map(|(_, program)| program));
         let depth = code.depth();
         // The run index of each context, in order.
@@ -481,13 +475,12 @@ impl Machine {
                 latency,
                 pending: BTreeMap::new(),
             },
-            BackendKind::Network { copies } => {
-                let mut fabric = Fabric::new(cfg.net, copies, cfg.time.cycles_per_mm_access, &plan);
-                if retry.is_some() {
-                    fabric.enable_dedup();
-                }
-                BackendImpl::Network(fabric)
-            }
+            BackendKind::Network { copies } => BackendImpl::Network(Fabric::new(
+                cfg.net,
+                copies,
+                cfg.time.cycles_per_mm_access,
+                &plan,
+            )),
         };
         let live = ActiveSet::from_members(n, 0..n);
         let mut machine = Self {
@@ -518,8 +511,6 @@ impl Machine {
             runnable: live.clone(),
             live,
             wakes: BinaryHeap::new(),
-            retry,
-            retrying: ActiveSet::new(if retry.is_some() { n } else { 0 }),
             series: TimeSeries::new(),
             phases: PhaseRecorder::new(),
             phase_epoch: Instant::now(),
@@ -607,22 +598,12 @@ impl Machine {
             + self.hasher.heap_bytes()
             + self.wakes.capacity() * std::mem::size_of::<Wake>()
             + vec_bytes(&self.deliveries)
-            + [&self.outgoing, &self.live, &self.runnable, &self.retrying]
+            + [&self.outgoing, &self.live, &self.runnable]
                 .map(ActiveSet::heap_bytes)
                 .iter()
                 .sum::<usize>()
             + backend
             + self.recipe.heap_bytes()
-    }
-
-    /// The PNI retry policy `cfg` implies: the plan's explicit policy if
-    /// it carries one, else a depth-derived default whenever the plan is
-    /// unhealthy.
-    fn retry_policy_for(cfg: &MachineConfig) -> Option<RetryPolicy> {
-        cfg.faults.retry_policy().or_else(|| {
-            (!cfg.faults.is_healthy())
-                .then(|| RetryPolicy::for_depth(digits::count(cfg.net.pes, cfg.net.k) as usize))
-        })
     }
 
     /// Enables event tracing with room for `capacity` events (ring
@@ -826,8 +807,9 @@ impl Machine {
         &self.dead_pes
     }
 
-    /// Aggregate resilience counters (refusals, failovers, retries,
-    /// dedup). All zero under [`ultra_faults::FaultPlan::none`].
+    /// Aggregate resilience counters (refusals, failovers, losses and
+    /// what was sent again). All zero under
+    /// [`ultra_faults::FaultPlan::none`].
     #[must_use]
     pub fn fault_summary(&self) -> FaultSummary {
         let mut f = FaultSummary {
@@ -846,13 +828,11 @@ impl Machine {
             f.failovers = fabric.failovers();
             f.refusals = s.fault_refusals.get();
             f.dropped = s.fault_dropped.get();
+            f.retries += f.dropped;
             f.stuck_wait_entries = s.stuck_wait_entries.get();
-            for bank in fabric.banks() {
-                let s = bank.stats();
-                f.dedup_hits += s.dedup_hits.get();
-                f.dedup_swallowed += s.dedup_swallowed.get();
-                f.dead_discards += s.dead_discards.get();
-            }
+            f.dead_discards = (fabric.banks().iter())
+                .map(|bank| bank.stats().dead_discards.get())
+                .sum();
         }
         f
     }

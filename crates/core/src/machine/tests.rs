@@ -352,17 +352,18 @@ fn dead_copy_fails_over_and_counts_exactly() {
 
 #[test]
 fn lossy_links_with_retry_stay_exactly_once() {
-    // 10% of injections are swallowed; the PNI timeout re-issues them
-    // and the MM dedup cache keeps each fetch-and-add single-shot.
+    // 10% of injections are lost on the link. Each loss is handed back to
+    // its PE and sent again, once: nothing is answered twice.
     let mut m = MachineBuilder::new(8)
         .faults(FaultPlan::none().seed(7).link_loss(0.10))
         .max_cycles(2_000_000)
         .build_spmd(&counter_program(10));
-    assert!(m.run().completed, "retries must recover every loss");
+    assert!(m.run().completed, "every loss must be recovered");
     assert_eq!(m.read_shared(0), 80, "applied exactly once despite loss");
     let f = m.fault_summary();
     assert!(f.dropped > 0, "losses must actually occur at 10%");
-    assert!(f.retries >= f.dropped, "every loss needs a retry");
+    assert_eq!(f.retries, f.dropped, "each loss is sent again once");
+    assert_eq!(f.duplicate_replies, 0, "{f:?}");
 }
 
 fn fabric(m: &Machine) -> &Fabric {
@@ -374,12 +375,10 @@ fn fabric(m: &Machine) -> &Fabric {
 
 #[test]
 fn long_lossy_run_keeps_the_copy_map_bounded() {
-    // A hot spot under link loss, with a module dying mid-run and a
-    // timeout short enough to retry requests still in flight: requests
-    // are lost on links, discarded by the dead module and swallowed by
-    // the dedup cache. None of them may leave a record behind: each
-    // request is one entry of its PNI's ring, and a PE holds at most its
-    // fetch-and-add and its store in flight.
+    // A hot spot under link loss, with a module dying mid-run: requests
+    // are lost on links and refused by the dead module. None of them may
+    // leave a record behind: each request is one entry of its PNI's ring,
+    // and a PE holds at most its fetch-and-add and its store in flight.
     let hasher = AddressHasher::new(16, TranslationMode::Hashed);
     let counter = hasher.translate(0).mm;
     let victim = (100..116)
@@ -389,11 +388,7 @@ fn long_lossy_run_keeps_the_copy_map_bounded() {
     let plan = FaultPlan::none()
         .seed(0x10_55)
         .link_loss(0.08)
-        .retry(RetryPolicy {
-            base_timeout: 24,
-            backoff_cap: 3,
-        })
-        .schedule(305, Fault::KillMm { mm: victim });
+        .schedule(250, Fault::KillMm { mm: victim });
     // Each PE adds to the counter and stores to a word of its own.
     let p = Program::new(
         body(vec![
@@ -431,10 +426,8 @@ fn long_lossy_run_keeps_the_copy_map_bounded() {
     }
     assert_eq!(m.read_shared(0), 16 * 40, "exactly once");
     let f = m.fault_summary();
-    assert!(
-        f.dropped > 0 && f.dead_discards > 0 && f.dedup_swallowed > 0,
-        "{f:?}"
-    );
+    assert!(f.dropped > 0 && f.dead_discards > 0, "{f:?}");
+    assert_eq!(f.duplicate_replies, 0, "{f:?}");
     assert!(
         m.outstanding.is_empty(),
         "nothing in flight, nothing recorded"
@@ -444,40 +437,28 @@ fn long_lossy_run_keeps_the_copy_map_bounded() {
 
 #[test]
 fn fault_free_hot_spot_carries_no_retry_bookkeeping() {
-    // Cut mid-slice with combined requests in flight: no message carries
-    // a folded-id list, every one travels copy 0, and no request has a
-    // retry deadline to watch.
+    // Cut mid-slice with combined requests in flight: every message
+    // travels copy 0, and no fault counter has moved.
     let mut m = MachineBuilder::new(64).build_spmd(&counter_program(8));
     assert!(!m.run_for(40).completed);
     let f = fabric(&m);
     assert!(f.requests().count() > 0 && f.net_stats().combines.get() > 0);
     let queued = m.shards.iter().flat_map(|s| m.outbound.iter(s.outgoing));
-    assert!((f.requests().chain(queued)).all(|msg| msg.folded.is_none() && msg.copy == 0));
-    assert!(m.retry.is_none() && m.retrying.is_empty());
+    assert!((f.requests().chain(queued)).all(|msg| msg.copy == 0));
+    assert!(!m.fault_summary().any());
     assert!(m.run().completed);
     assert_eq!(m.read_shared(0), 64 * 8);
     assert!(m.outstanding.is_empty());
 }
 
-#[test]
-fn retries_answered_alongside_their_originals_deliver_once() {
-    // A retry timeout shorter than the round trip over two network copies:
-    // most requests time out in flight, so an original and its retries are
-    // all answered. The dedup cache keeps memory exactly-once, the first
-    // answer fills the register, and the later ones are counted and
-    // dropped at the PE. Each round adds to a hot word (whose requests
-    // combine) and fetches-and-adds a word of the PE's own, whose fetched
-    // value is known: a PE's round `r` reads `r`. The hot word's fetched
-    // values are not checked: a retry that reaches the module before its
-    // combined original has the module answer the whole combined request
-    // from its cache, so a decombined value can repeat another PE's.
-    let rounds = 4;
-    let own = || Expr::add(Expr::Const(200), Expr::PeIndex);
+/// Each round every PE takes a ticket, `r3 = F&A(0, 1)`, and stores
+/// `r3 + plus` to word `1000 + rounds · PE + round`.
+fn ticket_rounds(rounds: i64, plus: i64) -> Program {
     let slot = Expr::add(
-        Expr::Const(100),
+        Expr::Const(1000),
         Expr::add(Expr::mul(Expr::PeIndex, rounds), Expr::Reg(1)),
     );
-    let p = Program::new(
+    Program::new(
         body(vec![
             Op::For {
                 reg: 1,
@@ -487,46 +468,132 @@ fn retries_answered_alongside_their_originals_deliver_once() {
                     Op::FetchAdd {
                         addr: Expr::Const(0),
                         delta: Expr::Const(1),
-                        dst: None,
-                    },
-                    Op::FetchAdd {
-                        addr: own(),
-                        delta: Expr::Const(1),
-                        dst: Some(2),
+                        dst: Some(3),
                     },
                     Op::Store {
                         addr: slot,
-                        value: Expr::add(Expr::Reg(2), Expr::Const(1)),
+                        value: Expr::add(Expr::Reg(3), Expr::Const(plus)),
                     },
                 ]),
             },
             Op::Halt,
         ]),
         vec![],
-    );
-    let plan = FaultPlan::none().retry(RetryPolicy {
-        base_timeout: 4,
-        backoff_cap: 4,
-    });
-    let pes = 16;
+    )
+}
+
+/// The values [`ticket_rounds`] wrote on an `pes`-PE machine, sorted.
+fn tickets(m: &Machine, pes: usize, rounds: usize) -> Vec<Value> {
+    let mut got: Vec<Value> = (0..pes * rounds)
+        .map(|slot| m.read_shared(1000 + slot))
+        .collect();
+    got.sort_unstable();
+    got
+}
+
+#[test]
+fn retries_answered_alongside_their_originals_deliver_once() {
+    // The serialization principle under loss: every fetch-and-add on the
+    // hot word gets exactly one ticket, so the 64 tickets are a
+    // permutation of 0..64. Requests are lost on the links, and a module
+    // that holds ticket slots, not the hot word, dies while stores are in
+    // flight to it. Each loss is reported and the request sent again, and
+    // only then, so no request is ever answered twice, even where it
+    // combines with others: two copies of one request in flight, one of
+    // them combined, would repeat tickets.
+    const KILL_AT: Cycle = 24;
+    let (pes, rounds) = (16, 4);
+    let hasher = AddressHasher::new(pes, TranslationMode::Hashed);
+    let counter = hasher.translate(0).mm;
+    let victim = (1000..1000 + pes * rounds as usize)
+        .map(|slot| hasher.translate(slot).mm)
+        .find(|&mm| mm != counter)
+        .expect("a ticket slot off the hot word's module");
+    let plan = FaultPlan::none()
+        .seed(0x5EED)
+        .link_loss(0.1)
+        .schedule(KILL_AT, Fault::KillMm { mm: victim });
     let mut m = MachineBuilder::new(pes)
         .network(2)
         .faults(plan)
         .max_cycles(1_000_000)
-        .build_spmd(&p);
+        .build_spmd(&ticket_rounds(rounds, 0));
+    assert!(!m.run_for(KILL_AT).completed);
+    // Stores are in flight, but none has reached a module yet: the dying
+    // one refuses those sent to it, and loses no ticket.
+    assert!(fabric(&m)
+        .banks()
+        .iter()
+        .all(|b| b.stats().stores.get() == 0));
     assert!(m.run().completed);
-    assert_eq!(m.read_shared(0), pes as Value * rounds, "exactly once");
-    for pe in 0..pes {
-        assert_eq!(m.read_shared(200 + pe), rounds, "PE {pe}: exactly once");
-        for r in 0..rounds {
-            let got = m.read_shared(100 + pe * rounds as usize + r as usize);
-            assert_eq!(got, r + 1, "PE {pe}, round {r}: the register's value");
-        }
-    }
+    let total = pes * rounds as usize;
+    let all: Vec<Value> = (0..total as Value).collect();
+    assert_eq!(
+        tickets(&m, pes, rounds as usize),
+        all,
+        "a permutation of 0..{total}"
+    );
+    assert_eq!(m.read_shared(0), total as Value);
     let f = m.fault_summary();
-    assert!(f.retries > 0 && f.duplicate_replies > 0, "{f:?}");
+    assert!(f.dropped > 0 && f.dead_discards > 0, "{f:?}");
+    assert_eq!(f.retries, f.dropped + f.dead_discards, "{f:?}");
+    assert_eq!(f.duplicate_replies, 0, "{f:?}");
     assert!(m.outstanding.is_empty());
     assert!(m.shards.iter().all(|s| s.pni.outstanding() == 0));
+}
+
+#[test]
+fn a_dying_counter_module_leaks_no_wait_buffer_slot() {
+    // The hot word's module dies with combined requests queued at it and
+    // decombined replies in its outbox. It answers each with a NACK, the
+    // switches decombine every NACK into one per absorbed request, and so
+    // every wait-buffer entry is freed and every request re-issued once.
+    let (pes, rounds) = (64, 8);
+    let total = pes * rounds as usize;
+    let healthy = AddressHasher::new(pes, TranslationMode::Hashed);
+    let counter = healthy.translate(0).mm;
+    for at in [40, 80, 120] {
+        let plan = FaultPlan::none().schedule(at, Fault::KillMm { mm: counter });
+        let mut m = MachineBuilder::new(pes)
+            .faults(plan)
+            .max_cycles(1_000_000)
+            .build_spmd(&ticket_rounds(rounds, 1));
+        assert!(m.run().completed, "kill at {at}");
+        let s = m.net_stats();
+        assert!(s.combines.get() > 0, "kill at {at}");
+        assert_eq!(
+            s.combines.get(),
+            s.decombines.get(),
+            "kill at {at}: wait slots"
+        );
+        let f = m.fault_summary();
+        assert!(f.dead_discards > 0 && f.retries > 0, "kill at {at}: {f:?}");
+        assert_eq!(f.duplicate_replies, 0, "kill at {at}: {f:?}");
+        // The counter restarts from zero on its adoptive module, which
+        // applied `fresh` of the tickets; the dead module handed out the
+        // other `total − fresh`. Each module's tickets are distinct and
+        // dense, so a value may be written at most once for each module
+        // that reached it. (A NACK decombined as a value would hand out a
+        // ticket neither module applied.) A slot reads 0 only if its
+        // store was lost with the dead module's words.
+        let fresh = m.read_shared(0);
+        assert!(0 < fresh && fresh < total as Value, "kill at {at}");
+        let old = total as Value - fresh;
+        let mut seen = vec![0; total];
+        for slot in 1000..1000 + total {
+            match m.read_shared(slot) {
+                0 => assert_eq!(healthy.translate(slot).mm, counter, "slot {slot}"),
+                t => seen[(t - 1) as usize] += 1,
+            }
+        }
+        for (t, &times) in seen.iter().enumerate() {
+            let owed = usize::from((t as Value) < old) + usize::from((t as Value) < fresh);
+            assert!(
+                times <= owed,
+                "kill at {at}: ticket {t} written {times} times"
+            );
+        }
+    }
 }
 
 #[test]
@@ -544,7 +611,7 @@ fn scheduled_copy_death_mid_run_is_survivable() {
 fn scheduled_mm_death_mid_run_rehashes_and_recovers() {
     // Distinct-slot stores: slots written before the death and living
     // on surviving modules keep their values; requests in flight to
-    // the dying module are discarded and recovered by retry.
+    // the dying module are refused with NACKs and re-issued.
     let p = Program::new(
         body(vec![
             Op::Store {
@@ -724,9 +791,9 @@ fn fast_forward_is_bit_identical_on_ideal_backend() {
 
 #[test]
 fn fast_forward_is_bit_identical_under_lossy_retries() {
-    // Dropped requests leave the machine fully drained until the PNI
-    // retry deadline — exactly the gap the fast-forward targets; the
-    // jump must land on the deadline cycle, not skip it.
+    // A lost request is handed back to its PE at once: while it is
+    // outstanding the machine is never drained, so no jump may skip the
+    // cycle it is offered again.
     let run = |ff: bool| {
         let mut m = MachineBuilder::new(8)
             .faults(FaultPlan::none().seed(11).link_loss(0.15))

@@ -196,6 +196,8 @@ impl fmt::Display for MachineReport {
             self.pe.cm_access.p99(),
         )?;
         if self.faults.any() {
+            // `dedup_hits` is retired and always 0; the column stays so the
+            // committed E14 table does not move.
             write!(
                 f,
                 "\n  faults: {} refused, {} failovers, {} lost, {} retries, {} dedup hits, {} dup replies, {} dead-MM discards, {} unroutable, {} dead PEs",

@@ -15,7 +15,7 @@
 //!
 //! [`Machine::fork`] makes the same copy in memory, without the replay.
 //!
-//! # Format (v3)
+//! # Format (v4)
 //!
 //! ```text
 //! magic      8 bytes  b"ULTRASNP"
@@ -36,7 +36,8 @@
 //!
 //! A frame's length therefore follows the programs and the write log,
 //! not the traffic in flight: a machine's frame is as long mid-run as at
-//! cycle 0.
+//! cycle 0. Format v4 is v3 with the fault plan's retry-policy field
+//! gone: losses are reported, not timed out, so a plan has no policy.
 //!
 //! # Restore is rebuild plus replay
 //!
@@ -105,7 +106,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ULTRASNP";
 /// Current snapshot format version. Bumped on any layout change; old
 /// formats are rejected with [`SnapshotError::UnsupportedVersion`]
 /// rather than misread.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
 
 /// The crate version stamped into (and required of) every snapshot.
 /// What a recipe replays to follows the engine's code, so restore
@@ -583,8 +584,8 @@ mod tests {
     fn unsupported_format_version_is_rejected() {
         let mut bytes = mid_run_machine().snapshot();
         // The u32 format version sits right after the 8-byte magic; it is
-        // checked before the checksum, so a v1 or v2 frame is named as one.
-        for found in [1u32, 2, 0xEE] {
+        // checked before the checksum, so an older frame is named as one.
+        for found in [1u32, 2, 3, 0xEE] {
             bytes[8..12].copy_from_slice(&found.to_le_bytes());
             assert_eq!(
                 Machine::restore(&bytes).err(),

@@ -13,10 +13,10 @@
 //! with the donor, not with the restored machine: its copy is complete
 //! by construction, and a snapshot is only the donor's recipe replayed.
 //! The fault scenarios deliberately cut while recovery machinery is
-//! live: one cut is searched for dynamically so a PNI retry is *pending*
-//! (a loss happened, its timeout has not fired) at the cut, and one
-//! scenario cuts before a scheduled fault so the replayed clock must
-//! still fire it.
+//! live: one cut is searched for dynamically so a lost request is
+//! *pending* (handed back to its PE, not yet offered again) at the cut,
+//! and one scenario cuts before a scheduled fault so the replayed clock
+//! must still fire it.
 //!
 //! The last tests turn to frames that are *not* a donor's. A flipped bit
 //! alone is always an error: the frame's checksum trailer no longer
@@ -219,26 +219,26 @@ fn lossy_links_round_trip_with_a_pni_retry_pending_at_the_cut() {
             .build_spmd(&ticket_program(10))
     };
 
-    // Find a cut where a loss has happened but its retry has not fired:
-    // at that snapshot a PNI timeout (and its sequence-numbered request)
-    // is in flight and must survive the round trip.
+    // Find a cut right after a loss: at that snapshot the lost request
+    // has been handed back and waits in its PE's queue to be offered
+    // again under its id, and must survive the round trip.
     let mut probe = make();
     let mut pending_cut = None;
     while probe.now() < 5_000 {
+        let before = probe.fault_summary().dropped;
         probe.run_for(1);
-        let f = probe.fault_summary();
-        if f.dropped > f.retries {
+        if probe.fault_summary().dropped > before {
             pending_cut = Some(probe.now());
             break;
         }
     }
-    let pending_cut = pending_cut.expect("15% loss must strand a message within 5k cycles");
+    let pending_cut = pending_cut.expect("15% loss must lose a message within 5k cycles");
 
     let mut full = make();
     assert!(full.run().completed);
     assert!(
         full.fault_summary().retries > 0,
-        "scenario must actually exercise the retry protocol"
+        "scenario must actually send lost requests again"
     );
     let baseline = Observed::of(&full);
     for cut in [pending_cut, pending_cut + 37, 400] {
@@ -318,8 +318,8 @@ fn multiprogrammed_contexts_round_trip() {
 
 #[test]
 fn parked_shards_round_trip_and_account_every_idle_cycle() {
-    // Every way a context can wait, two contexts per PE, lossy links with
-    // the retry protocol on: fetch-and-add then a dependent store (locked
+    // Every way a context can wait, two contexts per PE, lossy links
+    // handing lost requests back: fetch-and-add then a dependent store (locked
     // register), a fence behind the store, a timed wait, and a closing
     // barrier that PE 0 — eight times the rounds — keeps everyone else
     // parked at for most of the run.

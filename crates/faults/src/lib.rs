@@ -22,72 +22,26 @@
 //!   probability (with its own deterministic RNG stream).
 //! * [`FaultClock`] — drains the schedule: [`FaultClock::due`] returns the
 //!   faults firing at exactly the given cycle.
-//! * [`RetryPolicy`] — the PNI recovery protocol: a timeout after which an
-//!   unanswered request is re-issued under the *same* message id (its
-//!   sequence number) with exponential backoff.
 //!
 //! # Loss model and exactly-once
 //!
-//! Transient message loss is modelled on the PE→network injection links —
-//! the longest wires in the machine — *before* any combining can happen.
-//! A lost request was therefore never applied, so a retry under the same
-//! sequence number is trivially safe. For losses after application (a
-//! memory module dying with replies in its outbox, a spuriously early
-//! timeout) the memory modules keep a dedup cache keyed by every sequence
-//! number folded into a combined request, so a retried fetch-and-add is
-//! applied **exactly once** (see `ultra_mem::MemBank`).
+//! Every loss this model makes is reported where it happens, and the PNI
+//! re-issues the lost request under the same id; nothing waits on a
+//! timeout. Transient message loss is modelled on the PE→network injection
+//! links — the longest wires in the machine — *before* any combining can
+//! happen: the link hands the lost request back to its PE the way a
+//! `DropOnConflict` switch hands back a kill. A dead memory module fails
+//! stop and answers every request that reaches it, and every request and
+//! reply it held when it died, with a NACK; decombining turns a NACK into
+//! a NACK for each request combined into it. A request is re-issued only
+//! once its loss is reported, so no two copies of one request are ever
+//! alive, and each fetch-and-add is applied **exactly once**.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use ultra_sim::rng::{Rng, SplitMix64};
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{Cycle, MmId};
-
-/// The PNI's timeout-and-retry recovery protocol (enabled by a fault plan;
-/// a plan without one never retries, preserving fault-free behaviour).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Cycles an issued request may stay unanswered before the first retry.
-    pub base_timeout: Cycle,
-    /// Backoff doubling stops after this many attempts (caps the wait at
-    /// `base_timeout << backoff_cap`).
-    pub backoff_cap: u32,
-}
-
-impl RetryPolicy {
-    /// A policy sized for a network of `stages` stages: generous enough
-    /// that healthy traffic essentially never retries spuriously, tight
-    /// enough that lost messages are recovered quickly.
-    #[must_use]
-    pub fn for_depth(stages: usize) -> Self {
-        Self {
-            // Worst-case healthy round trips are tens of cycles per stage
-            // under congestion; 64·D leaves a wide margin.
-            base_timeout: 64 * (stages as Cycle).max(1),
-            backoff_cap: 6,
-        }
-    }
-
-    /// The cycle at which attempt `attempt` (0 = the original issue) of a
-    /// request issued/retried at `now` should be declared lost.
-    #[must_use]
-    pub fn deadline(&self, now: Cycle, attempt: u32) -> Cycle {
-        now + (self.base_timeout << attempt.min(self.backoff_cap))
-    }
-}
-
-impl Wire for RetryPolicy {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.base_timeout);
-        w.u32(self.backoff_cap);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            base_timeout: r.u64()?,
-            backoff_cap: r.u32()?,
-        })
-    }
-}
 
 /// One transient fault, fired by the [`FaultClock`] at an exact cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,8 +52,9 @@ pub enum Fault {
         /// Index of the dying copy.
         copy: usize,
     },
-    /// Memory module `mm` dies: queued and future requests are discarded
-    /// unserved, its contents are lost, and translation re-hashes around it.
+    /// Memory module `mm` dies: its contents are lost, what it holds and
+    /// every later request are answered with a NACK, and translation
+    /// re-hashes around it.
     KillMm {
         /// The dying module.
         mm: MmId,
@@ -258,7 +213,6 @@ pub struct FaultPlan {
     /// Probability a request is lost on its PE→network injection link.
     link_loss: f64,
     schedule: Vec<ScheduledFault>,
-    retry: Option<RetryPolicy>,
 }
 
 impl Default for FaultPlan {
@@ -268,9 +222,9 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// The healthy plan: nothing is broken, nothing ever fires, and the
-    /// retry protocol is disabled. Running a machine under this plan is
-    /// bit-identical to running without any plan.
+    /// The healthy plan: nothing is broken and nothing ever fires.
+    /// Running a machine under this plan is bit-identical to running
+    /// without any plan.
     #[must_use]
     pub fn none() -> Self {
         Self {
@@ -281,7 +235,6 @@ impl FaultPlan {
             dead_ports: BTreeSet::new(),
             link_loss: 0.0,
             schedule: Vec::new(),
-            retry: None,
         }
     }
 
@@ -345,7 +298,7 @@ impl FaultPlan {
     }
 
     /// Sets the probability that a request is lost on its PE→network
-    /// injection link (recovered by the PNI retry protocol).
+    /// injection link (handed back to its PE, which offers it again).
     ///
     /// # Panics
     ///
@@ -362,14 +315,6 @@ impl FaultPlan {
     pub fn schedule(mut self, at: Cycle, fault: Fault) -> Self {
         self.schedule.push(ScheduledFault { at, fault });
         self.schedule.sort_by_key(|s| s.at);
-        self
-    }
-
-    /// Enables the PNI timeout/retry protocol. Any plan that can lose
-    /// messages (lossy links, scheduled MM/copy deaths) needs one.
-    #[must_use]
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
         self
     }
 
@@ -421,12 +366,6 @@ impl FaultPlan {
     #[must_use]
     pub fn dead_copies(&self) -> Vec<usize> {
         self.dead_copies.iter().copied().collect()
-    }
-
-    /// The retry policy, if the plan enables recovery.
-    #[must_use]
-    pub fn retry_policy(&self) -> Option<RetryPolicy> {
-        self.retry
     }
 
     /// The scheduled transient faults, in firing order.
@@ -501,7 +440,6 @@ impl Wire for FaultPlan {
         self.dead_ports.encode(w);
         w.f64(self.link_loss);
         self.schedule.encode(w);
-        self.retry.encode(w);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Self {
@@ -512,7 +450,6 @@ impl Wire for FaultPlan {
             dead_ports: BTreeSet::decode(r)?,
             link_loss: r.f64()?,
             schedule: Vec::decode(r)?,
-            retry: Option::decode(r)?,
         })
     }
 }
@@ -657,8 +594,7 @@ mod tests {
                     switch: 3,
                     port: 1,
                 },
-            )
-            .retry(RetryPolicy::for_depth(6));
+            );
         let mut w = WireWriter::new();
         plan.encode(&mut w);
         let bytes = w.into_bytes();
@@ -687,7 +623,6 @@ mod tests {
     fn none_is_healthy_and_inert() {
         let plan = FaultPlan::none();
         assert!(plan.is_healthy());
-        assert!(plan.retry_policy().is_none());
         assert!(plan.dead_mms().is_empty());
         let mask = plan.mask_for_copy(0);
         assert!(mask.is_healthy());
@@ -741,19 +676,6 @@ mod tests {
         let fired = clock.due(60);
         assert_eq!(fired.len(), 2);
         assert_eq!(clock.remaining(), 0);
-    }
-
-    #[test]
-    fn retry_backoff_doubles_then_caps() {
-        let p = RetryPolicy {
-            base_timeout: 10,
-            backoff_cap: 2,
-        };
-        assert_eq!(p.deadline(0, 0), 10);
-        assert_eq!(p.deadline(0, 1), 20);
-        assert_eq!(p.deadline(0, 2), 40);
-        assert_eq!(p.deadline(0, 9), 40, "backoff capped");
-        assert_eq!(p.deadline(100, 0), 110);
     }
 
     #[test]

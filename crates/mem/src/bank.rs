@@ -2,18 +2,14 @@
 //!
 //! # Fault hooks
 //!
-//! The §4.1 degradation story needs three things from a module: it can
+//! The §4.1 degradation story needs two things from a module: it can
 //! *die* (fail-stop: contents and in-flight work lost, translation
-//! re-hashes around it), it can *slow down* (service-time multiplier),
-//! and — when the machine runs a retry protocol — it keeps a **dedup
-//! cache** so a retried request whose original was already applied is
-//! never applied twice. The cache is keyed by every sequence number folded
-//! into a combined request, so even a retry of a constituent that was
-//! absorbed by combining is recognized. A duplicate is answered from the
-//! cache when the module knows that constituent's exact reply value (it
-//! was applied alone, or was the combined amalgam's survivor) and is
-//! silently swallowed otherwise — safe, because replies are never lost in
-//! the fault model, so the original decombined reply is still en route.
+//! re-hashes around it) and it can *slow down* (service-time multiplier).
+//! A dead module reports every loss it makes: it answers each request
+//! that reaches it with a NACK ([`Reply::nack`]), and when it dies it turns
+//! every request it holds and every reply in its outbox into one, since
+//! its words are lost with it. No request is ever applied twice, so a
+//! module keeps no record of what it has served.
 //!
 //! # Storage
 //!
@@ -26,7 +22,7 @@
 //! one copy of the records and one of each store buffer. [`MemBank`] is
 //! one module with a store of its own, for use outside a fabric.
 
-use ultra_net::message::{Message, MsgId, MsgKind, Reply};
+use ultra_net::message::{Message, MsgKind, Reply, ReplyKind};
 use ultra_sim::heap::map_bytes;
 use ultra_sim::ring::{Ring, Rings};
 use ultra_sim::{Counter, Cycle, IdMap, MemAddr, MmId, Value};
@@ -47,12 +43,8 @@ pub struct MemStats {
     pub max_queue_depth: usize,
     /// Cycles during which the module was actively serving a request.
     pub busy_cycles: Counter,
-    /// Duplicate (retried) requests answered from the dedup cache.
-    pub dedup_hits: Counter,
-    /// Duplicate requests swallowed without a reply (original reply still
-    /// en route through a combining tree).
-    pub dedup_swallowed: Counter,
-    /// Requests discarded because the module was dead.
+    /// Requests and replies refused with a NACK because the module was
+    /// dead or died holding them.
     pub dead_discards: Counter,
 }
 
@@ -99,12 +91,6 @@ pub struct Bank {
     service_time: Cycle,
     stats: MemStats,
     dead: bool,
-    /// Retry dedup cache (None = disabled, the fault-free default — no
-    /// per-request bookkeeping at all). `Some(value)` = that sequence
-    /// number was applied and observed `value`; `None` = it was applied
-    /// as an absorbed constituent of a combined request, whose exact
-    /// observed value only the combining tree knows.
-    seen: Option<IdMap<MsgId, Option<Value>>>,
 }
 
 impl Bank {
@@ -124,40 +110,26 @@ impl Bank {
             service_time,
             stats: MemStats::default(),
             dead: false,
-            seen: None,
         }
     }
 
-    /// Heap bytes this bank owns: its dedup cache. Its words and queues
-    /// are the store's.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.seen.as_ref().map_or(0, map_bytes)
-    }
-
-    /// Enables the exactly-once dedup cache (required when the machine
-    /// runs the PNI retry protocol; off by default so fault-free runs do
-    /// no extra bookkeeping).
-    pub(crate) fn enable_dedup(&mut self) {
-        if self.seen.is_none() {
-            self.seen = Some(IdMap::default());
-        }
-    }
-
-    /// Fail-stops this module: contents, queued work, and undelivered
-    /// replies are all lost, and every future request is discarded
-    /// unserved (its PE recovers via retry against the re-hashed
-    /// translation).
+    /// Fail-stops this module: its words are lost, every undelivered reply
+    /// becomes a NACK (the word it answered from is gone) and every
+    /// request it holds is answered with one, in that order; every later
+    /// request is answered with a NACK too.
     pub(crate) fn kill(&mut self, store: &mut BankStore) {
         self.dead = true;
         let discarded = self.queue.len() + self.outbox.len();
         self.stats.dead_discards.add(discarded as u64);
-        store.requests.clear(&mut self.queue);
+        store.replies.for_each_mut(self.outbox, |reply| {
+            reply.kind = ReplyKind::Nack;
+            reply.value = 0;
+        });
         self.in_service = None;
-        store.replies.clear(&mut self.outbox);
-        store.words.retain(|addr, _| addr.mm != self.mm);
-        if let Some(seen) = &mut self.seen {
-            seen.clear();
+        while let Some(msg) = store.requests.pop_front(&mut self.queue) {
+            store.replies.push_back(&mut self.outbox, Reply::nack(&msg));
         }
+        store.words.retain(|addr, _| addr.mm != self.mm);
     }
 
     /// Degrades (or restores) the per-request service time — the slow-MM
@@ -178,7 +150,7 @@ impl Bank {
     }
 
     /// Accepts a request delivered by the network. Returns `false` when
-    /// the module is dead and discards it.
+    /// the module is dead and refuses it with a NACK.
     ///
     /// # Panics
     ///
@@ -186,10 +158,11 @@ impl Bank {
     pub(crate) fn push_request(&mut self, store: &mut BankStore, msg: Message) -> bool {
         assert_eq!(msg.addr.mm, self.mm, "request delivered to wrong module");
         if self.dead {
-            // Discarded before application: the issuing PE's retry (after
-            // translation re-hashes around this module) is the request's
-            // first and only application.
+            // Refused before application: the issuing PE re-issues it under
+            // the translation that re-hashes around this module, and that
+            // is the request's first and only application.
             self.stats.dead_discards.incr();
+            (store.replies).push_back(&mut self.outbox, Reply::nack(&msg));
             return false;
         }
         store.requests.push_back(&mut self.queue, msg);
@@ -237,36 +210,10 @@ impl Bank {
         }
     }
 
-    /// Serves one request at completion time: consults the dedup cache
-    /// (when enabled), applies the request at most once, and enqueues the
-    /// reply owed (if any).
+    /// Serves one request at completion time: applies it and enqueues its
+    /// reply.
     fn serve(&mut self, store: &mut BankStore, msg: &Message) {
-        if let Some(seen) = &self.seen {
-            if let Some(dup) = msg.constituents().iter().find_map(|id| seen.get(id)) {
-                // Some constituent of this request was already applied —
-                // never apply again. Retries carry exactly one folded id,
-                // so a cached exact value answers the duplicate directly;
-                // a `None` marker means the value only exists in the
-                // combining tree's decombined reply, which is still en
-                // route (replies are never lost), so stay silent.
-                match *dup {
-                    Some(value) => {
-                        self.stats.dedup_hits.incr();
-                        (store.replies).push_back(&mut self.outbox, Reply::to_request(msg, value));
-                    }
-                    None => self.stats.dedup_swallowed.incr(),
-                }
-                return;
-            }
-        }
         let value = self.apply(store, msg);
-        if let Some(seen) = &mut self.seen {
-            // The survivor id's observed value is exactly `value`; the
-            // absorbed constituents' values live in the wait buffers.
-            for &id in msg.constituents() {
-                seen.insert(id, if id == msg.id { Some(value) } else { None });
-            }
-        }
         (store.replies).push_back(&mut self.outbox, Reply::to_request(msg, value));
     }
 
@@ -337,13 +284,9 @@ impl MemBank {
         }
     }
 
-    /// Enables the exactly-once dedup cache.
-    pub fn enable_dedup(&mut self) {
-        self.bank.enable_dedup();
-    }
-
-    /// Fail-stops the module: contents, queued work and undelivered
-    /// replies are lost, and every later request is discarded.
+    /// Fail-stops the module: its words are lost, every undelivered reply
+    /// becomes a NACK and every request it holds is answered with one, in
+    /// that order; every later request is answered with a NACK too.
     pub fn kill(&mut self) {
         self.bank.kill(&mut self.store);
     }
@@ -375,7 +318,7 @@ impl MemBank {
     }
 
     /// Accepts a request delivered by the network. Returns `false` when
-    /// the module is dead and discards it.
+    /// the module is dead and refuses it with a NACK.
     ///
     /// # Panics
     ///
@@ -418,7 +361,7 @@ impl MemBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ultra_net::message::{MsgId, PhiOp, ReplyKind};
+    use ultra_net::message::{MsgId, PhiOp};
     use ultra_sim::{MemAddr, PeId};
 
     fn req(id: u64, kind: MsgKind, offset: usize, value: Value) -> Message {
@@ -512,18 +455,30 @@ mod tests {
     fn killed_module_discards_everything() {
         let mut bank = MemBank::new(MmId(0), 2);
         bank.poke(3, 42);
-        bank.push_request(req(1, MsgKind::Load, 0, 0));
+        bank.push_request(req(1, MsgKind::Load, 3, 0));
         bank.cycle(0);
+        bank.cycle(1);
+        bank.push_request(req(2, MsgKind::fetch_add(), 3, 1));
+        bank.push_request(req(3, MsgKind::Store, 0, 9));
+        bank.cycle(2);
+        // Load 1 is served and waits in the outbox, fetch-and-add 2 is in
+        // service, store 3 is queued: the module dies.
         bank.kill();
-        assert!(bank.is_idle(), "all in-flight work discarded");
         assert_eq!(bank.peek(3), 0, "contents lost");
-        assert!(!bank.push_request(req(2, MsgKind::Store, 0, 9)));
-        assert!(bank.is_idle(), "dead module accepts nothing");
-        for now in 0..10 {
+        assert!(!bank.push_request(req(4, MsgKind::Load, 0, 0)));
+        for now in 3..10 {
             bank.cycle(now);
         }
-        assert!(bank.pop_reply().is_none());
-        assert_eq!(bank.stats().dead_discards.get(), 2);
+        let mut refused = Vec::new();
+        while let Some(reply) = bank.pop_reply() {
+            assert_eq!((reply.kind, reply.value), (ReplyKind::Nack, 0));
+            refused.push(reply.id);
+        }
+        let ids = [1, 2, 3, 4].map(MsgId);
+        assert_eq!(refused, ids, "each refused once, the outbox first");
+        assert!(bank.is_idle());
+        assert_eq!(bank.peek(3), 0, "nothing applied after death");
+        assert_eq!(bank.stats().dead_discards.get(), 4);
     }
 
     #[test]
@@ -537,54 +492,6 @@ mod tests {
         }
         bank.cycle(3);
         assert!(bank.pop_reply().is_some());
-    }
-
-    #[test]
-    fn dedup_answers_duplicate_without_reapplying() {
-        let mut bank = MemBank::new(MmId(0), 1);
-        bank.enable_dedup();
-        bank.push_request(req(7, MsgKind::FetchPhi(PhiOp::Add), 0, 5));
-        bank.cycle(0);
-        assert_eq!(bank.pop_reply().unwrap().value, 0);
-        assert_eq!(bank.peek(0), 5);
-        // A (spurious) retry of the same sequence number arrives later.
-        let mut dup = req(7, MsgKind::FetchPhi(PhiOp::Add), 0, 5);
-        dup = dup.as_retry(1, 10);
-        bank.push_request(dup);
-        bank.cycle(10);
-        let r = bank.pop_reply().unwrap();
-        assert_eq!(r.value, 0, "duplicate observes the original's value");
-        assert_eq!(r.attempt, 1, "reply tagged with the retry attempt");
-        assert_eq!(bank.peek(0), 5, "applied exactly once");
-        assert_eq!(bank.stats().dedup_hits.get(), 1);
-    }
-
-    #[test]
-    fn dedup_swallows_retry_of_absorbed_constituent() {
-        let mut bank = MemBank::new(MmId(0), 1);
-        bank.enable_dedup();
-        // A combined amalgam: survivor id 1 folding ids 1 and 2.
-        let mut amalgam = req(1, MsgKind::FetchPhi(PhiOp::Add), 0, 8);
-        amalgam.folded = Some(Box::new(vec![MsgId(1), MsgId(2)]));
-        bank.push_request(amalgam);
-        bank.cycle(0);
-        assert_eq!(bank.pop_reply().unwrap().value, 0);
-        assert_eq!(bank.peek(0), 8);
-        // Retry of the absorbed constituent 2: its exact value lives in
-        // the combining tree, so the module must not invent one.
-        let dup = req(2, MsgKind::FetchPhi(PhiOp::Add), 0, 3).as_retry(1, 10);
-        bank.push_request(dup);
-        bank.cycle(10);
-        assert!(bank.is_idle(), "served");
-        assert!(bank.pop_reply().is_none(), "swallowed, not re-applied");
-        assert_eq!(bank.peek(0), 8, "applied exactly once");
-        assert_eq!(bank.stats().dedup_swallowed.get(), 1);
-        // Retry of the survivor id 1 is answered from the cache.
-        let dup = req(1, MsgKind::FetchPhi(PhiOp::Add), 0, 8).as_retry(1, 20);
-        bank.push_request(dup);
-        bank.cycle(20);
-        assert_eq!(bank.pop_reply().unwrap().value, 0);
-        assert_eq!(bank.peek(0), 8);
     }
 
     #[test]

@@ -178,15 +178,14 @@ impl Fabric {
         self.nets.iter().any(|net| !net.fault_refuses(msg))
     }
 
-    /// Turns on every bank's exactly-once dedup cache (for retries).
-    pub fn enable_dedup(&mut self) {
-        self.banks.iter_mut().for_each(Bank::enable_dedup);
-    }
-
-    /// Fail-stops module `mm`: its words, queued requests and undelivered
-    /// replies are lost, and every later request is discarded.
+    /// Fail-stops module `mm`: its words are lost, and it answers what it
+    /// holds, and every later request, with a NACK (see the bank module's
+    /// "Fault hooks").
     pub fn kill_bank(&mut self, mm: MmId) {
         self.banks[mm.0].kill(&mut self.store);
+        if !self.banks[mm.0].is_idle() {
+            self.busy.insert(mm.0);
+        }
     }
 
     /// Offers a request at cycle `now` to the copies, starting at the
@@ -244,8 +243,9 @@ impl Fabric {
 
     /// Moves every copy one cycle, in copy order (a drained copy is
     /// skipped: it would cycle to itself). Requests reaching a module
-    /// join its bank, replies reaching a PE go to `deliveries`, dropped
-    /// requests to `on_drop`.
+    /// join its bank, replies (NACKs included) reaching a PE go to
+    /// `deliveries`, and requests killed by a switch or lost on a link go
+    /// to `on_drop`.
     pub fn advance(
         &mut self,
         now: Cycle,
@@ -400,11 +400,9 @@ impl Fabric {
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let nets: usize = self.nets.iter().map(OmegaNetwork::heap_bytes).sum();
-        let dedup: usize = self.banks.iter().map(Bank::heap_bytes).sum();
         vec_bytes(&self.nets)
             + nets
             + vec_bytes(&self.banks)
-            + dedup
             + self.store.heap_bytes()
             + vec_bytes(&self.cursor)
             + self.events.heap_bytes()
@@ -437,6 +435,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ultra_net::message::ReplyKind;
 
     fn load(id: u64, pe: usize, mm: usize, now: Cycle) -> Message {
         Message::request(
@@ -497,11 +496,10 @@ mod tests {
     #[test]
     fn a_reply_nobody_waits_for_is_a_duplicate() {
         let mut fabric = Fabric::new(NetConfig::small(8), 2, 1, &FaultPlan::none());
-        fabric.enable_dedup();
         // A request reaches bank 2 with no request of its PE waiting: the
-        // answer to an attempt whose twin already round-tripped. The
-        // fabric returns it on the copy its request was stamped with; only
-        // the PE can tell it answers nothing.
+        // PE was fail-stopped while it was in flight. The fabric returns
+        // its reply on the copy the request was stamped with; only the PE
+        // can tell it answers nothing.
         let mut twin = load(9, 0, 2, 0);
         twin.copy = 1;
         fabric.banks[2].push_request(&mut fabric.store, twin);
@@ -540,10 +538,10 @@ mod tests {
 
     #[test]
     fn lost_and_swallowed_requests_leave_no_copy_map_entry() {
-        // Requests a lossy link swallows never reach the copy.
+        // Requests a lossy link swallows never reach the copy: each is
+        // handed back to its PE with the next cycle's drops.
         let lossy = FaultPlan::none().seed(3).link_loss(0.5);
         let mut fabric = Fabric::new(NetConfig::small(8), 1, 1, &lossy);
-        fabric.enable_dedup();
         for pe in 0..8 {
             assert!(matches!(
                 fabric.offer(load(1 + pe as u64, pe, 2, 0), 0),
@@ -551,11 +549,14 @@ mod tests {
             ));
         }
         let stats = fabric.net_stats();
-        assert!(stats.fault_dropped.get() > 0, "some are lost on the link");
-        let entered = stats.injected_requests.get();
-        assert_eq!(entered + stats.fault_dropped.get(), 8);
-        // A module that dies holding work discards it, and so does a dead
-        // module a request reaches later: no reply comes back.
+        let lost = stats.fault_dropped.get();
+        assert!(lost > 0, "some are lost on the link");
+        assert_eq!(stats.injected_requests.get() + lost, 8);
+        let mut handed_back = Vec::new();
+        fabric.advance(0, &mut Vec::new(), |m| handed_back.push(m.id));
+        assert_eq!(handed_back.len() as u64, lost, "every loss is reported");
+        // A module that dies holding work refuses it, and so does a dead
+        // module a request reaches later: each comes back as a NACK.
         let mut fabric = Fabric::new(NetConfig::small(8), 2, 1, &FaultPlan::none());
         let mut deliveries = Vec::new();
         assert!(matches!(fabric.offer(load(1, 0, 2, 0), 0), Offer::Injected));
@@ -570,26 +571,16 @@ mod tests {
         for now in now..now + 40 {
             step(&mut fabric, now, &mut deliveries);
         }
-        assert!(deliveries.is_empty() && fabric.is_idle());
+        let mut refused: Vec<(MsgId, ReplyKind)> =
+            deliveries.iter().map(|r| (r.id, r.kind)).collect();
+        refused.sort_by_key(|&(id, _)| id);
+        assert_eq!(
+            refused,
+            [(MsgId(1), ReplyKind::Nack), (MsgId(2), ReplyKind::Nack)]
+        );
+        assert!(fabric.is_idle());
         let discards = |f: &Fabric, mm: usize| f.banks[mm].stats().dead_discards.get();
         assert_eq!((discards(&fabric, 2), discards(&fabric, 3)), (1, 1));
-        // A retry the dedup cache swallows gets no reply.
-        let mut fabric = Fabric::new(NetConfig::small(8), 1, 1, &FaultPlan::none());
-        fabric.enable_dedup();
-        let mut amalgam = load(1, 0, 2, 0).tracked();
-        amalgam.folded.as_mut().expect("tracked").push(MsgId(2));
-        fabric.banks[2].push_request(&mut fabric.store, amalgam);
-        fabric.busy.insert(2);
-        step(&mut fabric, 0, &mut deliveries);
-        let retry = load(2, 1, 2, 1).as_retry(1, 1);
-        assert!(matches!(fabric.offer(retry, 1), Offer::Injected));
-        for now in 1..40 {
-            step(&mut fabric, now, &mut deliveries);
-        }
-        assert_eq!(fabric.banks[2].stats().dedup_swallowed.get(), 1);
-        let answered: Vec<MsgId> = deliveries.iter().map(|r| r.id).collect();
-        assert_eq!(answered, [MsgId(1)], "the amalgam's reply, not the retry's");
-        assert!(fabric.is_idle());
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! *other* one (e.g. Load+Store), the queued slot takes over the incoming
 //! request's identity — and, in the switch, its routing register (the
 //! slab link's amalgam); the reply kind seen by each PE is always the kind
-//! its own request demands.
+//! its own request demands, or a NACK for both when a dead module refused
+//! the survivor.
 
 use crate::message::{Message, MsgId, MsgKind, PhiOp, Reply, ReplyKind};
 use ultra_sim::{Cycle, MemAddr, PeId, Value};
@@ -69,30 +70,34 @@ pub struct WaitEntry {
 }
 
 impl WaitEntry {
-    /// Manufactures the absorbed request's reply given the survivor's reply
-    /// value `y`. Its reverse-trip amalgam is the switch's to derive (it
-    /// depends on the stage at which the entry lives).
+    /// Manufactures the absorbed request's reply from `survivor`, the
+    /// survivor's reply, on the survivor's copy. A NACK refuses both
+    /// requests: neither was applied, so the absorbed one gets a NACK of
+    /// its own and its PNI re-issues it. Its reverse-trip amalgam is the
+    /// switch's to derive (it depends on the stage at which the entry
+    /// lives).
     #[must_use]
-    pub fn make_reply(&self, y: Value) -> Reply {
-        let value = match self.rule {
-            ReplyRule::PassThrough => y,
-            ReplyRule::Phi(op, delta) => op.apply(y, delta),
-            ReplyRule::Const(v) => v,
-            ReplyRule::Ack => 0,
+    pub fn make_reply(&self, survivor: &Reply) -> Reply {
+        let (kind, value) = if survivor.kind == ReplyKind::Nack {
+            (ReplyKind::Nack, 0)
+        } else {
+            let value = match self.rule {
+                ReplyRule::PassThrough => survivor.value,
+                ReplyRule::Phi(op, delta) => op.apply(survivor.value, delta),
+                ReplyRule::Const(v) => v,
+                ReplyRule::Ack => 0,
+            };
+            (self.absorbed_reply_kind, value)
         };
         Reply {
             id: self.absorbed_id,
             dst: self.absorbed_pe,
             addr: self.addr,
             value,
-            kind: self.absorbed_reply_kind,
+            kind,
             request_issued_at: self.absorbed_issued_at,
-            mm_injected_at: 0,
-            // Only attempt-0 requests ever combine, so the absorbed
-            // request's owed reply is always for its original issue.
-            attempt: 0,
-            // Both requests met in this copy; the switch stamps it.
-            copy: 0,
+            mm_injected_at: survivor.mm_injected_at,
+            copy: survivor.copy,
         }
     }
 }
@@ -109,21 +114,6 @@ pub fn kinds_combinable(a: MsgKind, b: MsgKind) -> bool {
     }
 }
 
-/// Whether the retry protocol keeps two requests apart. Retried requests
-/// never combine: the original issue may still be alive somewhere in the
-/// machine, and the exactly-once guarantee requires that a duplicate of an
-/// already-applied logical request is only ever recognized at the MM's
-/// dedup cache — folding it into a fresh request would smuggle its effect
-/// past that cache. The same rule keeps apart the (pathological) meeting
-/// of two messages that already share a folded constituent; without lists
-/// that is one id compare.
-#[must_use]
-pub fn retry_forbids(queued: &Message, incoming: &Message) -> bool {
-    queued.attempt > 0
-        || incoming.attempt > 0
-        || (queued.constituents().iter()).any(|id| incoming.constituents().contains(id))
-}
-
 /// Attempts to combine `incoming` into the queued request `queued`.
 ///
 /// On success the queued slot is mutated into the request that continues
@@ -137,20 +127,9 @@ pub fn retry_forbids(queued: &Message, incoming: &Message) -> bool {
 #[must_use]
 pub fn try_combine(queued: &mut Message, incoming: &Message) -> Option<WaitEntry> {
     // Declined before anything moves: on `None` neither argument changes.
-    if queued.addr != incoming.addr
-        || retry_forbids(queued, incoming)
-        || !kinds_combinable(queued.kind, incoming.kind)
-    {
+    if queued.addr != incoming.addr || !kinds_combinable(queued.kind, incoming.kind) {
         return None;
     }
-    // On a machine running the retry protocol every message carries its
-    // folded-id list, and the forwarded request now answers for every
-    // constituent of both: the queued list is extended in place and put
-    // back once the arms below have settled the slot's identity.
-    let folded = queued.folded.take().map(|mut list| {
-        list.extend_from_slice(incoming.constituents());
-        list
-    });
     use MsgKind::{FetchPhi, Load, Store};
 
     // Each arm decides: (a) what the forwarded request looks like (mutation
@@ -223,7 +202,6 @@ pub fn try_combine(queued: &mut Message, incoming: &Message) -> Option<WaitEntry
             absorbed
         }
     };
-    queued.folded = folded;
     Some(entry)
 }
 
@@ -249,6 +227,13 @@ fn wait_for(survivor: MsgId, absorbed: &Message, rule: ReplyRule) -> WaitEntry {
 mod tests {
     use super::*;
     use ultra_sim::MmId;
+
+    /// The absorbed request's reply when memory answers the survivor
+    /// with `y`.
+    fn answer(e: &WaitEntry, y: Value) -> Reply {
+        let survivor = Message::request(e.survivor, MsgKind::Load, e.addr, 0, PeId(0), 0);
+        e.make_reply(&Reply::to_request(&survivor, y))
+    }
 
     fn req(id: u64, kind: MsgKind, value: Value, pe: usize) -> Message {
         Message::request(
@@ -277,7 +262,7 @@ mod tests {
         assert_eq!(q.kind, MsgKind::Load);
         assert_eq!(e.survivor, MsgId(1));
         assert_eq!(e.absorbed_id, MsgId(2));
-        let r = e.make_reply(42);
+        let r = answer(&e, 42);
         assert_eq!(r.value, 42);
         assert_eq!(r.kind, ReplyKind::Value);
         assert_eq!(r.dst, PeId(1));
@@ -293,7 +278,7 @@ mod tests {
         assert_eq!(q.kind, MsgKind::fetch_add());
         assert_eq!(q.value, 14);
         assert_eq!(q.id, MsgId(1));
-        let r = e.make_reply(100); // memory held X = 100
+        let r = answer(&e, 100); // memory held X = 100
         assert_eq!(r.value, 105, "absorbed F&A observes X + e");
         assert_eq!(r.id, MsgId(2));
     }
@@ -304,7 +289,7 @@ mod tests {
         let i = req(2, MsgKind::Store, 9, 1);
         let e = try_combine(&mut q, &i).unwrap();
         assert_eq!(q.value, 9, "paper: datum of R-old replaced by R-new's");
-        let r = e.make_reply(0);
+        let r = answer(&e, 0);
         assert_eq!(r.kind, ReplyKind::Ack);
     }
 
@@ -314,7 +299,7 @@ mod tests {
         let i = req(2, MsgKind::Load, 0, 1);
         let e = try_combine(&mut q, &i).unwrap();
         assert_eq!(q.kind, MsgKind::Store);
-        let r = e.make_reply(0);
+        let r = answer(&e, 0);
         assert_eq!(r.value, 77);
         assert_eq!(r.kind, ReplyKind::Value);
     }
@@ -328,7 +313,7 @@ mod tests {
         assert_eq!(q.id, MsgId(2), "slot takes the store's identity");
         assert_eq!(e.survivor, MsgId(2));
         assert_eq!(e.absorbed_id, MsgId(1));
-        let r = e.make_reply(0);
+        let r = answer(&e, 0);
         assert_eq!(r.value, 55);
         assert_eq!(r.kind, ReplyKind::Value);
         assert_eq!(r.dst, PeId(0));
@@ -340,7 +325,7 @@ mod tests {
         let i = req(2, MsgKind::Load, 0, 1);
         let e = try_combine(&mut q, &i).unwrap();
         assert_eq!(q.value, 4, "forwarded operand unchanged (identity)");
-        let r = e.make_reply(10);
+        let r = answer(&e, 10);
         assert_eq!(r.value, 14, "load observes X + e");
     }
 
@@ -352,7 +337,7 @@ mod tests {
         assert_eq!(q.kind, MsgKind::fetch_add(), "fetch must reach memory");
         assert_eq!(q.id, MsgId(2));
         assert_eq!(e.absorbed_id, MsgId(1));
-        let r = e.make_reply(10);
+        let r = answer(&e, 10);
         assert_eq!(r.value, 10, "load serialized before the fetch sees X");
     }
 
@@ -365,7 +350,7 @@ mod tests {
         let e = try_combine(&mut q, &i).unwrap();
         assert_eq!(q.kind, MsgKind::Store);
         assert_eq!(q.value, 12);
-        let r = e.make_reply(0);
+        let r = answer(&e, 0);
         assert_eq!(r.value, 7, "fetch-and-add observes f");
         assert_eq!(r.kind, ReplyKind::Value);
     }
@@ -379,7 +364,7 @@ mod tests {
         assert_eq!(q.id, MsgId(2));
         assert_eq!(q.value, 12, "memory must end at f + e");
         assert_eq!(e.absorbed_id, MsgId(1));
-        let r = e.make_reply(0);
+        let r = answer(&e, 0);
         assert_eq!(r.value, 7, "fetch-and-add observes f");
     }
 
@@ -392,7 +377,7 @@ mod tests {
         let i = req(2, MsgKind::FetchPhi(PhiOp::Second), 9, 1);
         let e = try_combine(&mut q, &i).unwrap();
         assert_eq!(q.value, 9, "forwarded operand is φ(e,f) = f");
-        let r = e.make_reply(100);
+        let r = answer(&e, 100);
         assert_eq!(r.value, 5, "second swap observes the first's datum");
     }
 
@@ -407,7 +392,7 @@ mod tests {
             MsgKind::FetchPhi(PhiOp::Second),
             MsgKind::Load
         ));
-        let r = e.make_reply(100);
+        let r = answer(&e, 100);
         assert_eq!(r.value, 5);
     }
 
@@ -419,59 +404,22 @@ mod tests {
     }
 
     #[test]
-    fn combining_merges_folded_id_lists() {
-        let mut q = req(1, MsgKind::fetch_add(), 5, 0).tracked();
-        let i = req(2, MsgKind::fetch_add(), 9, 1).tracked();
-        try_combine(&mut q, &i).unwrap();
-        assert_eq!(q.constituents(), [MsgId(1), MsgId(2)]);
-        // A second combine keeps accumulating constituents.
-        let j = req(3, MsgKind::fetch_add(), 1, 2).tracked();
-        try_combine(&mut q, &j).unwrap();
-        assert_eq!(q.constituents(), [MsgId(1), MsgId(2), MsgId(3)]);
-    }
-
-    #[test]
-    fn identity_swap_arms_keep_merged_folded_list() {
-        // Load + Store swaps identity to the store; the folded list must
-        // still cover both constituents.
-        let mut q = req(1, MsgKind::Load, 0, 0).tracked();
-        let i = req(2, MsgKind::Store, 55, 1).tracked();
-        try_combine(&mut q, &i).unwrap();
-        assert_eq!(q.id, MsgId(2));
-        assert_eq!(q.constituents(), [MsgId(1), MsgId(2)]);
-    }
-
-    #[test]
-    fn messages_without_lists_combine_without_lists() {
-        let mut q = req(1, MsgKind::fetch_add(), 5, 0);
-        let i = req(2, MsgKind::fetch_add(), 9, 1);
-        try_combine(&mut q, &i).unwrap();
-        assert_eq!(q.folded, None, "nothing to merge on a fault-free machine");
-        // Without lists, two messages with one id still never meet.
-        let mut twin = req(1, MsgKind::fetch_add(), 1, 2);
-        assert!(try_combine(&mut twin, &q).is_none());
-    }
-
-    #[test]
-    fn retried_requests_never_combine() {
-        let mut q = req(1, MsgKind::fetch_add(), 5, 0).as_retry(1, 10);
-        let i = req(2, MsgKind::fetch_add(), 9, 1);
-        assert!(try_combine(&mut q, &i).is_none(), "retried queued declines");
-        let mut q2 = req(3, MsgKind::fetch_add(), 5, 0);
-        let i2 = req(4, MsgKind::fetch_add(), 9, 1).as_retry(2, 10);
-        assert!(
-            try_combine(&mut q2, &i2).is_none(),
-            "retried incoming declines"
+    fn a_nack_decombines_into_a_nack() {
+        // The survivor's request was refused, so neither was applied: the
+        // absorbed request is refused too, on the survivor's copy, whatever
+        // its rule would have computed.
+        let mut q = req(1, MsgKind::Store, 7, 0);
+        let i = req(2, MsgKind::fetch_add(), 5, 1);
+        let e = try_combine(&mut q, &i).unwrap();
+        let mut nack = Reply::nack(&q);
+        nack.copy = 1;
+        let r = e.make_reply(&nack);
+        assert_eq!(
+            (r.id, r.dst, r.kind, r.value),
+            (MsgId(2), PeId(1), ReplyKind::Nack, 0)
         );
-        assert_eq!(q2.value, 5, "declined combine leaves queued untouched");
-    }
-
-    #[test]
-    fn shared_constituents_never_combine() {
-        let mut q = req(1, MsgKind::fetch_add(), 5, 0).tracked();
-        let mut i = req(2, MsgKind::fetch_add(), 9, 1);
-        i.folded = Some(Box::new(vec![MsgId(2), MsgId(1)]));
-        assert!(try_combine(&mut q, &i).is_none());
+        assert_eq!(r.copy, 1);
+        assert_eq!(r.packets(3, 1), 1);
     }
 
     #[test]
@@ -480,7 +428,7 @@ mod tests {
         let i = req(2, MsgKind::FetchPhi(PhiOp::Max), 9, 1);
         let e = try_combine(&mut q, &i).unwrap();
         assert_eq!(q.value, 9);
-        let r = e.make_reply(3);
+        let r = answer(&e, 3);
         assert_eq!(r.value, 5, "second max observes max(X, e) = max(3,5)");
     }
 }

@@ -147,9 +147,9 @@ impl MsgKind {
 /// fabric derives it from `addr` when the request enters and steps it at
 /// every switch, so a hop routes without reading the message at all.
 ///
-/// A fault-free message is a flat 64-byte value: the folded-id list that
-/// the retry protocol's dedup cache needs is off the message (`folded` is
-/// `None`) unless the issuing PNI runs that protocol ([`Message::tracked`]).
+/// A message is a flat value: a request lost to a fault is reported
+/// back to its PNI, which re-issues it under the same id, so nothing on
+/// the wire needs to remember earlier attempts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Unique request id (survives combining).
@@ -164,27 +164,13 @@ pub struct Message {
     pub src: PeId,
     /// Cycle at which the PNI injected the request.
     pub issued_at: Cycle,
-    /// Retry attempt: 0 for the original issue, incremented by the PNI on
-    /// each timeout re-issue (the id doubles as the sequence number).
-    /// Retried messages are never combined — the original may still be
-    /// alive, and two live copies of one id must not meet in a wait buffer.
-    pub attempt: u32,
     /// The network copy carrying the request (§4.1), stamped by the fabric
     /// that injects it; its reply returns through the same copy.
     pub copy: u8,
-    /// Every logical request folded into this message by combining (its
-    /// own id plus each absorbed message's list), carried only by a
-    /// machine that runs the retry protocol: the MM's dedup cache records
-    /// all of them, so a retry of any constituent of an already-applied
-    /// combined request is recognized as a duplicate. `None` — every
-    /// fault-free message — stands for "just my own id"
-    /// ([`Message::constituents`]).
-    pub folded: Option<Box<Vec<MsgId>>>,
 }
 
 impl Message {
-    /// Builds a request about to enter the network, without a folded-id
-    /// list.
+    /// Builds a request about to enter the network.
     #[must_use]
     pub fn request(
         id: MsgId,
@@ -201,37 +187,7 @@ impl Message {
             value,
             src,
             issued_at,
-            attempt: 0,
             copy: 0,
-            folded: None,
-        }
-    }
-
-    /// Gives this request its folded-id list, holding its own id: how a
-    /// PNI running the retry protocol issues every request.
-    #[must_use]
-    pub fn tracked(mut self) -> Self {
-        self.folded = Some(Box::new(vec![self.id]));
-        self
-    }
-
-    /// Marks this message as retry attempt `attempt` of the same logical
-    /// request (same id/sequence number), re-entering the network at
-    /// `now`. A retry always carries its list, reset to its own id.
-    #[must_use]
-    pub fn as_retry(mut self, attempt: u32, now: Cycle) -> Self {
-        self.attempt = attempt;
-        self.issued_at = now;
-        self.tracked()
-    }
-
-    /// The logical requests this message answers for: its folded-id list,
-    /// or its own id when it carries none.
-    #[must_use]
-    pub fn constituents(&self) -> &[MsgId] {
-        match &self.folded {
-            Some(list) => list,
-            None => std::slice::from_ref(&self.id),
         }
     }
 
@@ -253,6 +209,10 @@ pub enum ReplyKind {
     Value,
     /// A dataless store acknowledgement.
     Ack,
+    /// A dataless refusal: the request was not applied (it reached a dead
+    /// module, or the module died holding it or its reply), and its PNI
+    /// re-issues it.
+    Nack,
 }
 
 /// A reply travelling from an MM back to a PE. Like a request's, its
@@ -275,9 +235,6 @@ pub struct Reply {
     /// Cycle at which the MNI injected this reply into the reverse network
     /// (set by the network on injection; used for reverse-transit stats).
     pub mm_injected_at: Cycle,
-    /// Which attempt of the request this reply answers (copied from the
-    /// request; lets the PNI/machine pair replies with retried issues).
-    pub attempt: u32,
     /// The network copy that carried the request, which carries this
     /// reply back (copied from the request).
     pub copy: u8,
@@ -299,8 +256,16 @@ impl Reply {
             },
             request_issued_at: req.issued_at,
             mm_injected_at: 0,
-            attempt: req.attempt,
             copy: req.copy,
+        }
+    }
+
+    /// The refusal of `req`: a [`ReplyKind::Nack`] on its copy.
+    #[must_use]
+    pub fn nack(req: &Message) -> Self {
+        Self {
+            kind: ReplyKind::Nack,
+            ..Self::to_request(req, 0)
         }
     }
 
@@ -309,7 +274,7 @@ impl Reply {
     pub fn packets(&self, data_packets: u8, ctl_packets: u8) -> u8 {
         match self.kind {
             ReplyKind::Value => data_packets,
-            ReplyKind::Ack => ctl_packets,
+            ReplyKind::Ack | ReplyKind::Nack => ctl_packets,
         }
     }
 }
@@ -396,24 +361,16 @@ mod tests {
         let store_reply = Reply::to_request(&msg(MsgKind::Store), 0);
         assert_eq!(store_reply.kind, ReplyKind::Ack);
         assert_eq!(store_reply.packets(3, 1), 1);
+
+        let nack = Reply::nack(&msg(MsgKind::fetch_add()));
+        assert_eq!(nack.kind, ReplyKind::Nack);
+        assert_eq!(nack.packets(3, 1), 1, "a refusal carries no data");
     }
 
     #[test]
     fn messages_stay_small() {
-        assert_eq!(std::mem::size_of::<Message>(), 64);
+        assert_eq!(std::mem::size_of::<Message>(), 56);
         assert_eq!(std::mem::size_of::<Reply>(), 64);
-    }
-
-    #[test]
-    fn folded_lists_name_every_constituent() {
-        let plain = msg(MsgKind::Load);
-        assert_eq!(plain.constituents(), [MsgId(1)]);
-        let mut tracked = msg(MsgKind::Load).tracked();
-        tracked.folded.as_mut().unwrap().push(MsgId(4));
-        assert_eq!(tracked.constituents(), [MsgId(1), MsgId(4)]);
-        let retry = plain.as_retry(2, 9);
-        assert_eq!(retry.constituents(), [MsgId(1)]);
-        assert!(retry.folded.is_some(), "a retry carries its list");
     }
 
     #[test]

@@ -42,9 +42,10 @@ pub struct NetworkEvents {
     pub requests_at_mm: Vec<Message>,
     /// Replies whose tail arrived at their PNI this cycle.
     pub replies_at_pe: Vec<Reply>,
-    /// Requests killed by [`crate::SwitchPolicy::DropOnConflict`] this cycle; the
-    /// issuing PE must retry. (The kill notification is modelled as
-    /// returning instantly, which flatters the baseline.)
+    /// Requests killed by [`crate::SwitchPolicy::DropOnConflict`] or lost
+    /// on a lossy injection link since the last cycle; the issuing PE must
+    /// offer them again. (The notification is modelled as returning
+    /// instantly, which flatters the baseline.)
     pub dropped: Vec<Message>,
 }
 
@@ -146,7 +147,7 @@ pub struct OmegaNetwork {
     fwd_egress: KeptVec<(Cycle, Handle)>,
     /// Replies in flight on the stage-0→PNI links.
     rev_egress: KeptVec<(Cycle, Handle)>,
-    /// Drops recorded since the last `cycle` call.
+    /// Kills and link losses recorded since the last `cycle` call.
     pending_drops: KeptVec<Message>,
     next_id: u64,
     stats: NetStats,
@@ -352,8 +353,8 @@ impl OmegaNetwork {
     }
 
     /// Offers a request to the network at cycle `now`. Taken, it either
-    /// enters or is swallowed on the wire by a lossy link (the link time
-    /// is spent, and recovery is the PNI's timeout/retry).
+    /// enters or is lost on the wire by a lossy link: the link time is
+    /// spent, and the request is handed back with the cycle's drops.
     ///
     /// # Errors
     ///
@@ -361,9 +362,8 @@ impl OmegaNetwork {
     /// previous message or the entry switch has no room (backpressure); the
     /// caller should retry next cycle.
     // Returning the refused message by value is the point of the API: the
-    // caller keeps ownership without a clone, and a fault-free `Message` is
-    // a flat 64-byte value (its folded-id list is `None`) that the hot
-    // path memcpys rather than boxes.
+    // caller keeps ownership without a clone, and a `Message` is a flat
+    // 56-byte value that the hot path memcpys rather than boxes.
     pub fn try_inject_request(&mut self, msg: Message, now: Cycle) -> Result<(), Message> {
         if self.fault_refuses(&msg) {
             self.stats.fault_refusals.incr();
@@ -383,11 +383,11 @@ impl OmegaNetwork {
         self.pe_link_free[pe.0] = now + Cycle::from(len);
         // Lossy PE→network link: the message streams onto the wire (the
         // link time is consumed) but never reaches the entry switch. The
-        // caller sees a successful injection; recovery is the PNI's
-        // timeout/retry, which is safe because the request was lost
-        // *before* any combining or memory application.
+        // loss is reported like a kill, and the PE offers the request
+        // again: it was lost *before* any combining or memory application.
         if self.mask.roll_link_loss() {
             self.stats.fault_dropped.incr();
+            self.pending_drops.push(msg);
             return Ok(());
         }
         self.stats.injected_requests.incr();
@@ -494,10 +494,11 @@ impl OmegaNetwork {
     /// by [`OmegaNetwork::cycle_into`] is still counted) or live in the
     /// request slab:
     ///
-    /// `injected_requests = delivered_requests + combines + drops + live`,
+    /// `injected_requests = delivered_requests + combines + drops + live`.
     ///
-    /// with the pending drops a part of `drops`. A request a lossy link
-    /// swallows was never injected (it counts in `fault_dropped`).
+    /// A request a lossy link loses was never injected (it counts in
+    /// `fault_dropped`); the pending drops are kills and losses not yet
+    /// handed back.
     ///
     /// # Panics
     ///
@@ -515,11 +516,11 @@ impl OmegaNetwork {
             s.combines.get(),
             s.drops.get(),
         );
+        let reported = s.drops.get() + s.fault_dropped.get();
         assert!(
-            self.pending_drops.len() as u64 <= s.drops.get(),
-            "request conservation: {} pending drops, {} counted",
+            self.pending_drops.len() as u64 <= reported,
+            "request conservation: {} pending drops, {reported} counted",
             self.pending_drops.len(),
-            s.drops.get()
         );
     }
 
@@ -977,7 +978,7 @@ mod tests {
             let mut mask = FaultMask::healthy();
             mask.set_link_loss(0.5, seed);
             net.set_fault_mask(mask);
-            let mut delivered = 0;
+            let (mut delivered, mut handed_back) = (0, 0);
             for i in 0..20u64 {
                 let msg = Message::request(
                     MsgId(i + 1),
@@ -989,10 +990,14 @@ mod tests {
                 );
                 net.try_inject_request(msg, i * 10).unwrap();
                 for now in i * 10..i * 10 + 10 {
-                    delivered += cyc(&mut net, now).requests_at_mm.len();
+                    let events = cyc(&mut net, now);
+                    delivered += events.requests_at_mm.len();
+                    handed_back += events.dropped.len() as u64;
                 }
             }
-            (delivered, net.stats().fault_dropped.get())
+            let lost = net.stats().fault_dropped.get();
+            assert_eq!(handed_back, lost, "every loss is reported");
+            (delivered, lost)
         };
         let (delivered, lost) = run(7);
         assert_eq!(

@@ -663,9 +663,9 @@ mod tests {
         use std::mem::size_of;
         assert!(size_of::<Link>() <= 24, "link record {}", size_of::<Link>());
         assert_eq!(size_of::<OutQueue>(), 16, "tail, packets, link timing");
-        assert_eq!(size_of::<Message>(), 64);
+        assert_eq!(size_of::<Message>(), 56);
         assert_eq!(size_of::<Reply>(), 64);
-        assert_eq!(size_of::<Option<Message>>(), 64, "the body column's slot");
+        assert_eq!(size_of::<Option<Message>>(), 56, "the body column's slot");
         assert_eq!(size_of::<Option<Reply>>(), 64);
     }
 }

@@ -43,7 +43,7 @@
 //! search a non-empty ToMM queue for a combining partner and to match the
 //! wait table at a switch that holds wait entries.
 
-use crate::combine::{kinds_combinable, retry_forbids, try_combine, WaitEntry};
+use crate::combine::{kinds_combinable, try_combine, WaitEntry};
 use crate::config::{NetConfig, SwitchPolicy};
 use crate::message::{Message, MsgId, Reply, ReplyKind};
 use crate::queue::{Handle, OutQueue, Slab};
@@ -453,18 +453,11 @@ impl Switches {
             // Drops are decided (and reported) inside `accept_request`.
             SwitchPolicy::DropOnConflict => true,
             SwitchPolicy::QueuedNoCombine => queue.can_accept(packets, self.request_capacity),
-            // `accept_request` offers the request to the first candidate
-            // only; a retry it declines must find queue space like any
-            // request.
             SwitchPolicy::QueuedCombining => {
                 queue.can_accept(packets, self.request_capacity)
                     || ((self.wait_len[cell] as usize) < self.wait_capacity
                         && !queue.is_empty()
-                        && {
-                            let msg = incoming();
-                            (self.combine_candidate(queue, msg))
-                                .is_some_and(|h| !retry_forbids(self.requests.body(h), msg))
-                        })
+                        && self.combine_candidate(queue, incoming()).is_some())
             }
         }
     }
@@ -607,7 +600,7 @@ impl Switches {
                 let spawn_port = self.topo.reverse_out_port(entry.absorbed_pe, stage);
                 let spawn_len = match entry.absorbed_reply_kind {
                     ReplyKind::Value => self.data_packets,
-                    ReplyKind::Ack => self.ctl_packets,
+                    ReplyKind::Ack | ReplyKind::Nack => self.ctl_packets,
                 };
                 if spawn_port == port {
                     self.to_pe[base + port].can_accept(len + spawn_len, cap)
@@ -650,14 +643,10 @@ impl Switches {
         if self.wait_len[cell] == 0 {
             return;
         }
-        let reply = self.replies.body(handle);
-        let (id, value, mm_injected_at, copy) =
-            (reply.id, reply.value, reply.mm_injected_at, reply.copy);
+        let id = self.replies.body(handle).id;
         if let Some(entry) = self.wait.remove(&(cell as u32, id)) {
             self.wait_len[cell] -= 1;
-            let mut spawn = entry.make_reply(value);
-            spawn.mm_injected_at = mm_injected_at;
-            spawn.copy = copy;
+            let spawn = entry.make_reply(self.replies.body(handle));
             stats.decombines.incr();
             let spawn = self.admit_reply(spawn, stage);
             let link = self.replies.link_mut(spawn);
@@ -938,7 +927,6 @@ mod tests {
             kind: ReplyKind::Value,
             request_issued_at: 0,
             mm_injected_at: 0,
-            attempt: 0,
             copy: 0,
         };
         let in_port = t.forward_out_port(MmId(3), 0);

@@ -14,19 +14,20 @@
 //!   the same memory location" (§3.3), which is what lets wait-buffer keys
 //!   identify messages uniquely.
 //!
-//! # Retry protocol (fault recovery)
+//! # Loss recovery
 //!
-//! When the machine runs under a fault plan, the PNI also implements the
-//! recovery protocol: every issued request carries a deadline; an
-//! unanswered request past its deadline is re-issued under the **same id**
-//! (the id doubles as the sequence number) with an incremented attempt
-//! counter and exponential backoff. Retried messages never combine in the
-//! network, and the memory modules' dedup cache guarantees each sequence
-//! number is applied at most once, so a retried fetch-and-add still gets
-//! its §2.1 serialization-chain ticket exactly once. Every request then
-//! carries the folded-id list that cache reads ([`Message::tracked`]).
-//! Disabled (the default), requests carry no list and nothing is ever
-//! re-issued.
+//! Every loss the fault model makes is reported where it happens. A
+//! lossy injection link or a `DropOnConflict` switch hands the request
+//! back, and the machine offers it again as it is. A dead memory module
+//! answers with a NACK ([`ultra_net::message::ReplyKind::Nack`]). The PNI
+//! is the one place that re-issues: on a NACK, or when no live network
+//! copy can route a request, [`PniCore::reissue`] re-translates the
+//! request's outstanding entry from its virtual word (translation may
+//! have re-hashed around a newly dead module) and rebuilds it under the
+//! same id. A request is re-issued only once its loss is reported, so no
+//! two copies of it are ever in flight and a retried fetch-and-add still
+//! gets its §2.1 serialization-chain ticket exactly once. Nothing waits
+//! on a timeout.
 //!
 //! # Footprint
 //!
@@ -35,18 +36,16 @@
 //! [`Ring`] that names its outstanding requests. Each request is one
 //! [`Pending`] entry of the machine's one [`Outstanding`] slab, the only
 //! record of it between issue and reply: what a reply frees and hands back
-//! (the location and the issuer's tag) and what a retry re-issues (the
-//! access, its attempt and its deadline). The ring keeps them in issue
-//! order, which is id order. The address translator and the retry policy
-//! are the machine's too: both are passed to the calls that read them.
-//! Copying every PNI of a machine is then one copy of the records and one
-//! of the slab, and a dead module's remap tables exist once, not once per
-//! PE. [`Pni`] is one interface with a translator, a policy and a slab of
-//! its own, for use outside a machine.
+//! (the location and the issuer's tag) and what a re-issue rebuilds (the
+//! access). The ring keeps them in issue order, which is id order. The
+//! address translator is the machine's too: it is passed to the calls
+//! that read it. Copying every PNI of a machine is then one copy of the
+//! records and one of the slab, and a dead module's remap tables exist
+//! once, not once per PE. [`Pni`] is one interface with a translator and
+//! a slab of its own, for use outside a machine.
 
 use std::sync::Arc;
 
-use ultra_faults::RetryPolicy;
 use ultra_mem::AddressHasher;
 use ultra_net::message::{Message, MsgId, MsgKind, Reply};
 use ultra_sim::ring::{Ring, Rings};
@@ -90,17 +89,11 @@ pub struct Access<T> {
 #[derive(Debug, Clone, Copy)]
 pub struct Pending<T> {
     id: MsgId,
-    /// The physical word under the current translation.
-    addr: MemAddr,
-    /// The virtual word, so a retry re-translates after the translator
-    /// re-hashes around a newly dead module.
+    /// The virtual word: a location is busy by it, and a re-issue
+    /// translates it afresh.
     vaddr: usize,
     kind: MsgKind,
     value: Value,
-    attempt: u32,
-    /// When the current attempt is declared lost (under the retry
-    /// protocol).
-    deadline: Cycle,
     tag: T,
 }
 
@@ -111,8 +104,8 @@ pub struct Pending<T> {
 pub type Outstanding<T = ()> = Rings<Pending<T>>;
 
 /// One PE's network interface, as a machine keeps it: everything but its
-/// translator, its retry policy and the slab its outstanding requests sit
-/// in (see the module docs).
+/// translator and the slab its outstanding requests sit in (see the
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct PniCore {
     pe: PeId,
@@ -133,7 +126,7 @@ pub struct PniStats {
     pub location_conflicts: Counter,
     /// Highest number of simultaneously outstanding requests.
     pub max_outstanding: usize,
-    /// Timed-out requests re-issued by the retry protocol.
+    /// Requests re-issued after a NACK or an unroutable offer.
     pub retries: Counter,
 }
 
@@ -152,48 +145,27 @@ impl PniCore {
         }
     }
 
-    /// Re-keys the outstanding references under `hasher` — the machine
-    /// calls this on every PNI when a module dies mid-run and translation
-    /// re-hashes around it — so their retries reach the adoptive module.
-    pub fn rekey<T>(&mut self, hasher: &AddressHasher, slab: &mut Outstanding<T>) {
-        slab.for_each_mut(self.outstanding, |p| p.addr = hasher.translate(p.vaddr));
-    }
-
-    /// Re-issues each request whose deadline has passed under its
-    /// original id, with an incremented attempt counter and a deadline
-    /// backed off by `policy`, handing it to `out`. Timed-out requests go
-    /// out in id order.
-    pub fn due_retries<T>(
+    /// Rebuilds outstanding request `id`, whose loss was just reported (a
+    /// NACK, or no live copy could route it), under `hasher`'s current
+    /// translation of its virtual word and the same id, for injection at
+    /// `now`. `None` when no request of this PE waits under that id: the
+    /// report answers nothing.
+    pub fn reissue<T>(
         &mut self,
-        policy: RetryPolicy,
-        slab: &mut Outstanding<T>,
+        hasher: &AddressHasher,
+        slab: &Outstanding<T>,
+        id: MsgId,
         now: Cycle,
-        mut out: impl FnMut(Message),
-    ) {
-        let (pe, retries) = (self.pe, &mut self.stats.retries);
-        slab.for_each_mut(self.outstanding, |p| {
-            if p.deadline > now {
-                return;
-            }
-            p.attempt += 1;
-            p.deadline = policy.deadline(now, p.attempt);
-            retries.incr();
-            out(Message::request(p.id, p.kind, p.addr, p.value, pe, now).as_retry(p.attempt, now));
-        });
-    }
-
-    /// The earliest deadline among the outstanding requests — under the
-    /// retry protocol, the next cycle at which [`PniCore::due_retries`]
-    /// could produce anything. `None` when nothing is outstanding. The
-    /// idle fast-forward uses this to bound its jump.
-    #[must_use]
-    pub fn next_retry_deadline<T>(&self, slab: &Outstanding<T>) -> Option<Cycle> {
-        slab.iter(self.outstanding).map(|p| p.deadline).min()
+    ) -> Option<Message> {
+        let p = slab.iter(self.outstanding).find(|p| p.id == id)?;
+        self.stats.retries.incr();
+        let addr = hasher.translate(p.vaddr);
+        Some(Message::request(id, p.kind, addr, p.value, self.pe, now))
     }
 
     /// Forgets every outstanding request — the machine calls this when it
     /// fail-stops (deconfigures) this PE, so late replies for its traffic
-    /// are recognized as orphans rather than retried forever.
+    /// are recognized as orphans rather than re-issued.
     pub fn abandon_all<T>(&mut self, slab: &mut Outstanding<T>) {
         slab.clear(&mut self.outstanding);
     }
@@ -211,9 +183,7 @@ impl PniCore {
     }
 
     /// Builds a network request for `access`, translated by `hasher`,
-    /// enforcing the pipeline policy, and records it in `slab`. Under a
-    /// retry `policy` the request gets a deadline and carries the
-    /// folded-id list the modules' dedup cache reads.
+    /// enforcing the pipeline policy, and records it in `slab`.
     ///
     /// # Errors
     ///
@@ -222,7 +192,6 @@ impl PniCore {
     pub fn issue<T>(
         &mut self,
         hasher: &AddressHasher,
-        policy: Option<RetryPolicy>,
         slab: &mut Outstanding<T>,
         access: Access<T>,
         now: Cycle,
@@ -233,8 +202,7 @@ impl PniCore {
             value,
             tag,
         } = access;
-        let addr = hasher.translate(vaddr);
-        if self.references(slab, addr) {
+        if self.references(slab, vaddr) {
             self.stats.location_conflicts.incr();
             return Err(PniError::LocationBusy);
         }
@@ -242,19 +210,16 @@ impl PniCore {
         self.next_id += 1;
         let pending = Pending {
             id,
-            addr,
             vaddr,
             kind,
             value,
-            attempt: 0,
-            deadline: policy.map_or(Cycle::MAX, |p| p.deadline(now, 0)),
             tag,
         };
         slab.push_back(&mut self.outstanding, pending);
         self.stats.issued.incr();
         self.stats.max_outstanding = self.stats.max_outstanding.max(self.outstanding.len());
-        let msg = Message::request(id, kind, addr, value, self.pe, now);
-        Ok(if policy.is_some() { msg.tracked() } else { msg })
+        let addr = hasher.translate(vaddr);
+        Ok(Message::request(id, kind, addr, value, self.pe, now))
     }
 
     /// Records the arrival of `reply`, freeing its location for new
@@ -272,14 +237,16 @@ impl PniCore {
         self.outstanding.len()
     }
 
-    /// Whether a request to physical location `addr` is outstanding.
-    fn references<T>(&self, slab: &Outstanding<T>, addr: MemAddr) -> bool {
-        slab.iter(self.outstanding).any(|p| p.addr == addr)
+    /// Whether a request to virtual word `vaddr` is outstanding. Translation
+    /// is injective, so this is the §3.3 rule on physical locations under
+    /// any translation, before or after a module dies.
+    fn references<T>(&self, slab: &Outstanding<T>, vaddr: usize) -> bool {
+        slab.iter(self.outstanding).any(|p| p.vaddr == vaddr)
     }
 }
 
-/// One network interface with a translator, a retry policy and an
-/// outstanding slab of its own: a [`PniCore`] outside a machine.
+/// One network interface with a translator and an outstanding slab of its
+/// own: a [`PniCore`] outside a machine.
 ///
 /// # Example
 ///
@@ -301,7 +268,6 @@ impl PniCore {
 pub struct Pni {
     core: PniCore,
     hasher: Arc<AddressHasher>,
-    retry: Option<RetryPolicy>,
     slab: Outstanding,
 }
 
@@ -312,7 +278,6 @@ impl Pni {
         Self {
             core: PniCore::new(pe),
             hasher: hasher.into(),
-            retry: None,
             slab: Outstanding::default(),
         }
     }
@@ -324,26 +289,15 @@ impl Pni {
         self.slab.heap_bytes()
     }
 
-    /// Enables the timeout/retry recovery protocol for requests issued
-    /// from now on.
-    pub fn enable_retry(&mut self, policy: RetryPolicy) {
-        self.retry = Some(policy);
-    }
-
-    /// Replaces the translation function and re-keys the outstanding
-    /// references under it (see [`PniCore::rekey`]).
+    /// Replaces the translation function: requests re-issued from now on
+    /// are translated by `hasher`.
     pub fn set_hasher(&mut self, hasher: Arc<AddressHasher>) {
         self.hasher = hasher;
-        self.core.rekey(&self.hasher, &mut self.slab);
     }
 
-    /// Appends the timed-out requests, re-issued, to `out` (see
-    /// [`PniCore::due_retries`]); nothing unless the retry protocol is
-    /// enabled.
-    pub fn due_retries_into(&mut self, now: Cycle, out: &mut impl Extend<Message>) {
-        if let Some(policy) = self.retry {
-            (self.core).due_retries(policy, &mut self.slab, now, |msg| out.extend([msg]));
-        }
+    /// See [`PniCore::reissue`].
+    pub fn reissue(&mut self, id: MsgId, now: Cycle) -> Option<Message> {
+        self.core.reissue(&self.hasher, &self.slab, id, now)
     }
 
     /// See [`PniCore::abandon_all`].
@@ -382,7 +336,7 @@ impl Pni {
             value,
             tag: (),
         };
-        (self.core).issue(&self.hasher, self.retry, &mut self.slab, access, now)
+        (self.core).issue(&self.hasher, &mut self.slab, access, now)
     }
 
     /// Records the arrival of `reply`; returns whether it answered an
@@ -400,7 +354,7 @@ impl Pni {
     /// Whether a reference to virtual word `vaddr` is outstanding.
     #[must_use]
     pub fn is_location_busy(&self, vaddr: usize) -> bool {
-        self.core.references(&self.slab, self.translate(vaddr))
+        self.core.references(&self.slab, vaddr)
     }
 }
 
@@ -412,12 +366,6 @@ mod tests {
 
     fn pni() -> Pni {
         Pni::new(PeId(3), AddressHasher::new(8, TranslationMode::Interleaved))
-    }
-
-    fn due(p: &mut Pni, now: Cycle) -> Vec<Message> {
-        let mut out = Vec::new();
-        p.due_retries_into(now, &mut out);
-        out
     }
 
     #[test]
@@ -473,90 +421,57 @@ mod tests {
             kind: ReplyKind::Ack,
             request_issued_at: 0,
             mm_injected_at: 0,
-            attempt: 0,
             copy: 0,
         };
         assert!(!p.complete(&foreign));
-    }
-
-    #[test]
-    fn retry_fires_after_deadline_with_same_id() {
-        let mut p = pni();
-        p.enable_retry(RetryPolicy {
-            base_timeout: 10,
-            backoff_cap: 3,
-        });
-        let m = p.issue(MsgKind::fetch_add(), 7, 1, 0).unwrap();
-        assert!(due(&mut p, 9).is_empty(), "deadline not yet reached");
-        let retries = due(&mut p, 10);
-        assert_eq!(retries.len(), 1);
-        assert_eq!(retries[0].id, m.id, "retry reuses the sequence number");
-        assert_eq!(retries[0].attempt, 1);
-        assert_eq!(m.constituents(), [m.id]);
-        assert!(m.folded.is_some(), "a retrying PNI issues with a list");
-        assert_eq!(retries[0].folded, Some(Box::new(vec![m.id])));
-        assert_eq!(p.stats().retries.get(), 1);
-        // Backoff: next deadline is base << 1 after the retry instant.
-        assert!(due(&mut p, 10 + 19).is_empty());
-        let again = due(&mut p, 10 + 20);
-        assert_eq!(again.len(), 1);
-        assert_eq!(again[0].attempt, 2);
+        assert_eq!(p.reissue(foreign.id, 1), None, "nor is a foreign NACK");
+        assert_eq!(p.stats().retries.get(), 0);
     }
 
     #[test]
     fn completion_cancels_pending_retry() {
         let mut p = pni();
-        p.enable_retry(RetryPolicy {
-            base_timeout: 5,
-            backoff_cap: 3,
-        });
         let m = p.issue(MsgKind::Load, 7, 0, 0).unwrap();
         assert!(p.complete(&Reply::to_request(&m, 3)));
-        assert!(due(&mut p, 1_000).is_empty());
-    }
-
-    #[test]
-    fn due_retries_are_id_ordered() {
-        let mut p = pni();
-        p.enable_retry(RetryPolicy {
-            base_timeout: 4,
-            backoff_cap: 3,
-        });
-        let ids: Vec<MsgId> = (0..6)
-            .map(|i| p.issue(MsgKind::Load, i, 0, 0).unwrap().id)
-            .collect();
-        let retried: Vec<MsgId> = due(&mut p, 100).iter().map(|m| m.id).collect();
-        assert_eq!(retried, ids);
+        // A late report of a loss names nothing once the request is done.
+        assert_eq!(p.reissue(m.id, 1_000), None);
+        assert_eq!(p.stats().retries.get(), 0);
     }
 
     #[test]
     fn set_hasher_rekeys_outstanding_references() {
         let mut p = pni();
-        p.enable_retry(RetryPolicy {
-            base_timeout: 8,
-            backoff_cap: 3,
-        });
         let m = p.issue(MsgKind::fetch_add(), 2, 1, 0).unwrap();
         let mut degraded = AddressHasher::new(8, TranslationMode::Interleaved);
         degraded.set_dead_mms(&[ultra_sim::MmId(2)]);
         let new_addr = degraded.translate(2);
         assert_ne!(new_addr, m.addr, "vaddr 2 must re-translate");
         p.set_hasher(Arc::new(degraded));
-        let retries = due(&mut p, 100);
-        assert_eq!(retries[0].addr, new_addr, "retry targets the adoptive MM");
         assert!(p.is_location_busy(2), "busy under the NEW translation");
-        // The reply still completes by id even though the address moved.
-        let mut late = Reply::to_request(&m, 0);
-        late.id = m.id;
-        assert!(p.complete(&late));
+        // The dead module's NACK: the request goes out again, same id,
+        // same access, to the adoptive module.
+        let again = p.reissue(m.id, 100).expect("outstanding");
+        assert_eq!((again.id, again.kind, again.value), (m.id, m.kind, m.value));
+        assert_eq!((again.addr, again.issued_at), (new_addr, 100));
+        assert_eq!(p.stats().retries.get(), 1);
+        assert_eq!(p.outstanding(), 1, "still the one record of it");
+        assert!(p.complete(&Reply::to_request(&again, 0)));
     }
 
     #[test]
     fn retry_disabled_means_no_bookkeeping() {
+        // There is no timeout to arm: a request's record is its id, its
+        // access and its tag, and nothing is re-issued unless a loss is
+        // reported for it.
+        assert_eq!(std::mem::size_of::<Pending<()>>(), 32);
         let mut p = pni();
         let m = p.issue(MsgKind::Load, 1, 0, 0).unwrap();
-        assert_eq!(m.folded, None, "no folded-id list");
-        assert!(due(&mut p, u64::MAX - 1).is_empty());
+        assert_eq!(
+            m,
+            Message::request(m.id, MsgKind::Load, p.translate(1), 0, PeId(3), 0)
+        );
+        assert_eq!(p.outstanding(), 1);
+        assert_eq!(p.stats().retries.get(), 0);
     }
 
     #[test]
@@ -588,24 +503,18 @@ mod tests {
     fn set_hasher_under_retry_rekeys_in_id_order() {
         let healthy = Arc::new(AddressHasher::new(8, TranslationMode::Interleaved));
         let [mut p, mut idle] = [3, 4].map(|pe| Pni::new(PeId(pe), Arc::clone(&healthy)));
-        for pni in [&mut p, &mut idle] {
-            pni.enable_retry(RetryPolicy {
-                base_timeout: 8,
-                backoff_cap: 3,
-            });
-        }
         let msgs: Vec<Message> = (0..6)
             .map(|v| p.issue(MsgKind::Load, v, 0, 0).unwrap())
             .collect();
-        // Out-of-order completions leave the list out of id order.
+        // Out-of-order completions leave gaps in the ring.
         p.complete(&Reply::to_request(&msgs[0], 0));
         p.complete(&Reply::to_request(&msgs[3], 0));
         let mut degraded = AddressHasher::new(8, TranslationMode::Interleaved);
         degraded.set_dead_mms(&[ultra_sim::MmId(2)]);
         let degraded = Arc::new(degraded);
         let before = p.heap_bytes();
-        // The machine re-keys every PNI by handing each the one new
-        // translator: no PNI copies its tables.
+        // The machine hands every PNI the one new translator: no PNI
+        // copies its tables.
         for pni in [&mut p, &mut idle] {
             pni.set_hasher(Arc::clone(&degraded));
             assert!(Arc::ptr_eq(&pni.hasher, &degraded));
@@ -614,24 +523,19 @@ mod tests {
         assert_eq!(Arc::strong_count(&healthy), 1, "the old one is let go");
         assert!(degraded.heap_bytes() > 0);
         assert_eq!(p.heap_bytes(), before, "the tables are not the PNI's");
-        let expect: Vec<(MsgId, MemAddr)> = [1, 2, 4, 5]
-            .iter()
-            .map(|&v| (msgs[v].id, degraded.translate(v)))
-            .collect();
-        let held: Vec<(MsgId, MemAddr)> = (p.slab.iter(p.core.outstanding))
-            .map(|p| (p.id, p.addr))
-            .collect();
-        assert_eq!(held, expect);
+        let held: Vec<MsgId> = p.slab.iter(p.core.outstanding).map(|p| p.id).collect();
+        let expect = [1, 2, 4, 5].map(|v| msgs[v].id);
+        assert_eq!(held, expect, "still in id order");
+        for v in [1, 2, 4, 5] {
+            let again = p.reissue(msgs[v].id, 9).expect("outstanding");
+            assert_eq!(again.addr, degraded.translate(v), "word {v}");
+        }
         assert_eq!(idle.outstanding(), 0);
     }
 
     #[test]
     fn abandon_all_returns_sorted_ids_and_forgets_everything() {
         let mut p = pni();
-        p.enable_retry(RetryPolicy {
-            base_timeout: 8,
-            backoff_cap: 3,
-        });
         let msgs: Vec<Message> = (0..5)
             .map(|v| p.issue(MsgKind::Load, v, 0, 0).unwrap())
             .collect();
@@ -642,18 +546,14 @@ mod tests {
         assert_eq!(p.outstanding(), 0);
         assert!(p.slab.is_empty(), "every entry is freed");
         assert!(!p.is_location_busy(0));
-        assert!(due(&mut p, 1_000).is_empty(), "no retry survives");
+        assert_eq!(p.reissue(msgs[0].id, 1_000), None, "nothing re-issues");
         assert!(!p.complete(&Reply::to_request(&msgs[0], 0)));
     }
 
     #[test]
     fn heap_bytes_counts_the_outstanding_list() {
         let mut p = pni();
-        p.enable_retry(RetryPolicy {
-            base_timeout: 8,
-            backoff_cap: 3,
-        });
-        assert_eq!(p.heap_bytes(), 0, "the retry protocol costs no heap");
+        assert_eq!(p.heap_bytes(), 0, "nothing outstanding, no heap");
         for v in 0..9 {
             let _ = p.issue(MsgKind::Load, v, 0, 0).unwrap();
         }
@@ -663,8 +563,8 @@ mod tests {
     }
 
     /// A machine holds one PNI per PE: a field added here must not
-    /// silently re-inflate the per-PE cost. Its outstanding requests, and
-    /// all their retry state, are the slab's.
+    /// silently re-inflate the per-PE cost. Its outstanding requests are
+    /// the slab's, and a re-issue adds nothing to them.
     #[test]
     fn a_pni_stays_small() {
         assert!(
@@ -674,12 +574,13 @@ mod tests {
         );
         let mut plain = pni();
         let mut p = pni();
-        p.enable_retry(RetryPolicy::for_depth(3));
         for v in 0..4 {
             let _ = plain.issue(MsgKind::Load, v, 0, 0).unwrap();
-            let _ = p.issue(MsgKind::Load, v, 0, 0).unwrap();
+            let m = p.issue(MsgKind::Load, v, 0, 0).unwrap();
+            assert!(p.reissue(m.id, 1).is_some());
         }
-        assert_eq!(p.heap_bytes(), plain.heap_bytes(), "no per-PNI retry state");
+        assert_eq!(p.heap_bytes(), plain.heap_bytes(), "no per-retry state");
+        assert_eq!(p.outstanding(), plain.outstanding());
     }
 
     #[test]

@@ -305,8 +305,8 @@ fn telemetry_is_bit_identical_across_engines_and_inert() {
 /// lossy links — the scale the word-packed engine paths exist for. The
 /// inactive PEs halt on cycle 0, so from cycle 1 on every phase (PE
 /// dispatch, outbound flush, bank cycling, fast-forward scans) runs off
-/// the sparse masks, and the loss-triggered PNI retries exercise the
-/// retry-enabled variants of those scans. A fully stepped run with the
+/// the sparse masks, and the requests lost on links and handed back
+/// exercise the re-offer path of those scans. A fully stepped run with the
 /// fast-forward off must digest identically (the masked idle paths do
 /// the same bookkeeping the per-cycle walk did).
 #[test]

@@ -14,14 +14,15 @@
 //! * `snapshot` — FNV-1a of a mid-run [`Machine::snapshot`] with traffic in
 //!   the fabric, minus the crate-version header and the checksum trailer
 //!   (re-recorded for snapshot format v3, whose frame holds the machine's
-//!   recipe, cycle and parity digest rather than its live state), so the
-//!   frame *bytes* are pinned too.
+//!   recipe, cycle and parity digest rather than its live state, and for
+//!   v4, whose fault plan has no retry policy), so the frame *bytes* are
+//!   pinned too.
 //!
 //! A deliberate change to the modelled machine re-records them: run with
 //! `GOLDEN_PRINT=1 cargo test -p ultra-integration-tests --test
 //! golden_parity -- --nocapture` and paste the printed rows.
 
-use ultra_faults::{FaultPlan, RetryPolicy};
+use ultra_faults::FaultPlan;
 use ultra_net::config::{NetConfig, SwitchPolicy};
 use ultra_sim::wire::fnv1a;
 use ultra_workloads::serving::DONE_BASE;
@@ -233,7 +234,7 @@ fn hot_spot_fetch_add() {
         cycles: 234,
         parity: 0xad53_bbc6_4098_48e7,
         memory: 0x0bf7_3301_b067_5cd0,
-        snapshot: 0x5377_a41a_70dd_529a,
+        snapshot: 0x04e7_91f4_5cda_2ef9,
     };
     check("hot_spot_fetch_add", &got, &want);
 }
@@ -245,7 +246,7 @@ fn hashed_load_store() {
         cycles: 228,
         parity: 0xf536_e60f_59e6_45c3,
         memory: 0x7826_3321_07a0_022e,
-        snapshot: 0x2619_16bb_0d47_d09b,
+        snapshot: 0x7a87_e11d_19e1_7e10,
     };
     check("hashed_load_store", &got, &want);
 }
@@ -257,24 +258,21 @@ fn mixed_kinds_on_three_words() {
         cycles: 314,
         parity: 0x7073_5e9c_8f21_d3a2,
         memory: 0x5551_28f7_2926_ef4f,
-        snapshot: 0x7460_f3c9_b4ce_5bd6,
+        snapshot: 0x7dd8_7a90_6a5f_38a9,
     };
     check("mixed_kinds_on_three_words", &got, &want);
 }
 
 #[test]
 fn lossy_links_with_retries() {
-    let plan = FaultPlan::none()
-        .seed(0x10_55)
-        .link_loss(0.08)
-        .retry(RetryPolicy::for_depth(4));
+    let plan = FaultPlan::none().seed(0x10_55).link_loss(0.08);
     let builder = MachineBuilder::new(16).faults(plan).max_cycles(4_000_000);
     let got = observe(builder, &ticket_program(8, 1), 30);
     let want = Golden {
-        cycles: 2195,
-        parity: 0x13ee_a538_885f_0bf9,
-        memory: 0xec0f_aa34_eed1_3785,
-        snapshot: 0xd105_775d_a5bf_397d,
+        cycles: 214,
+        parity: 0x06f1_fcc6_1c4e_4a29,
+        memory: 0x20b4_a13b_6d67_d525,
+        snapshot: 0x9f6b_55b0_6e79_c6cf,
     };
     check("lossy_links_with_retries", &got, &want);
 }
@@ -287,7 +285,7 @@ fn four_by_four_switches() {
         cycles: 326,
         parity: 0x5b3e_adc3_a993_186b,
         memory: 0x41ff_2884_353c_eddc,
-        snapshot: 0xd792_7a41_ebe6_bedf,
+        snapshot: 0xa4bb_f6e9_7e4c_b640,
     };
     check("four_by_four_switches", &got, &want);
 }
@@ -300,7 +298,7 @@ fn two_network_copies() {
         cycles: 247,
         parity: 0x733d_b6b0_ae95_cea0,
         memory: 0x5b13_91eb_319e_c084,
-        snapshot: 0xd204_3097_9664_39cf,
+        snapshot: 0xb7b7_d73d_ef2f_0900,
     };
     check("two_network_copies", &got, &want);
 }
@@ -314,7 +312,7 @@ fn drop_on_conflict_policy() {
         cycles: 250,
         parity: 0x7671_1598_ae35_9949,
         memory: 0x5244_b84a_3bd1_aa05,
-        snapshot: 0x46e7_6a49_6ff9_347a,
+        snapshot: 0x37f4_359d_1eb5_178d,
     };
     check("drop_on_conflict_policy", &got, &want);
 }
@@ -333,7 +331,7 @@ fn tight_queues_and_wait_buffers() {
         cycles: 297,
         parity: 0x9e16_4845_0391_f484,
         memory: 0xc7ff_3383_c994_39f9,
-        snapshot: 0x23c6_a7ff_bb58_92a3,
+        snapshot: 0x0932_b61f_21c2_0f80,
     };
     check("tight_queues_and_wait_buffers", &got, &want);
 }
@@ -356,7 +354,7 @@ fn serving_workers_asleep_at_the_cut() {
         cycles: 1994,
         parity: 0xf105_277d_36e9_dd31,
         memory: 0xfe4c_0ee8_be36_eab5,
-        snapshot: 0x96a8_2080_f0cd_d2c1,
+        snapshot: 0xf8d9_458e_8bdb_e29e,
     };
     check("serving_workers_asleep_at_the_cut", &got, &want);
 }
@@ -369,7 +367,7 @@ fn multiprogrammed_naps_and_register_waits() {
         cycles: 566,
         parity: 0x34cb_47cd_dfa7_c839,
         memory: 0x0c96_fe36_b9e9_83a6,
-        snapshot: 0x66c7_336b_4fe8_c06a,
+        snapshot: 0xe5ca_9775_99fa_62ff,
     };
     check("multiprogrammed_naps_and_register_waits", &got, &want);
 }
